@@ -1,8 +1,9 @@
-"""Deterministic replication pools.
+"""Deterministic work pools.
 
-Every replication derives its own RNG stream from (master_seed, indices), so
+Every task derives its own RNG stream from (master_seed, indices), so
 splitting work across processes changes wall time but never results: outputs
-are collected in replication order regardless of the worker count.
+are collected in task order regardless of the worker count.  A task is one
+calibration replication or one experiment block of replications.
 """
 
 from __future__ import annotations
@@ -11,15 +12,15 @@ from concurrent.futures import ProcessPoolExecutor
 from functools import partial
 
 
-def map_over_reps(worker, shared, n_reps: int, threads: int = 1) -> list:
-    """Evaluate worker(shared, rep) for rep = 0..n_reps-1, in order.
+def map_over_reps(worker, shared, n_tasks: int, threads: int = 1) -> list:
+    """Evaluate worker(shared, i) for i = 0..n_tasks-1, in order.
 
     `threads` <= 1 runs serially; otherwise a process pool is used (the
     worker must be a module-level function and `shared` picklable).
     """
     fn = partial(worker, shared)
-    if threads <= 1 or n_reps <= 1:
-        return [fn(rep) for rep in range(n_reps)]
-    chunk = max(1, n_reps // (threads * 8))
+    if threads <= 1 or n_tasks <= 1:
+        return [fn(i) for i in range(n_tasks)]
+    chunk = max(1, n_tasks // (threads * 8))
     with ProcessPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, range(n_reps), chunksize=chunk))
+        return list(pool.map(fn, range(n_tasks), chunksize=chunk))

@@ -155,9 +155,17 @@ def _cmd_monitor(loaded, out: Path, quiet: bool) -> int:
             except StopIteration:
                 truncated = True
                 break
-            x_new = int(row[1])
-            w_new = np.array([float(v) for v in row[2 : 2 + training.l]])
-            _, stat = monitor_update(state, x_new, w_new)
+            try:
+                if len(row) != training.l + 2:
+                    raise ValueError(f"expected {training.l + 2} cells, got {len(row)}")
+                x_new = int(row[1])
+                w_new = np.array([float(v) for v in row[2:]])
+            except ValueError as exc:
+                raise ValueError(f"{stream_path}: row k={row[0]}: {exc}") from None
+            try:
+                _, stat = monitor_update(state, x_new, w_new)
+            except ValueError as exc:
+                raise ValueError(f"{stream_path}: {exc}") from None
             log.writerow(
                 [state.k, repr(stat), repr(state.config.threshold_c), state.alarm_at is not None]
             )

@@ -13,7 +13,6 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 from scipy.special import expit, gammaln
 
 from .defaults import PARAM_BOX_BOUND
@@ -113,25 +112,203 @@ def score(series: SeriesSample, spec_n: int, beta) -> np.ndarray:
     return Z.T @ (y - spec_n * pi)
 
 
+def _gram(Z: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Stacked weighted Gram matrices sum_t weights_t z_t z_t', exactly symmetric.
+
+    Z is (k, m, d) and weights (k, m); the result is (k, d, d).  With weights
+    n pi (1 - pi) it is the negated score gradient, with squared residuals
+    m times the outer-product score covariance.
+    """
+    M = np.matmul(np.swapaxes(Z, 1, 2), Z * weights[:, :, None])
+    return 0.5 * (M + np.swapaxes(M, 1, 2))
+
+
 def score_gradient(series: SeriesSample, spec_n: int, beta) -> np.ndarray:
     """Gradient of the score: -n sum_t z z' pi (1 - pi).  Exactly symmetric, NSD."""
     Z, y = _design(series, spec_n)
     b = _beta_array(beta, Z.shape[1])
     pi = expit(Z @ b)
-    B = Z * np.sqrt(spec_n * pi * (1.0 - pi))[:, None]
-    M = -(B.T @ B)
-    return 0.5 * (M + M.T)
+    return -_gram(Z[None], (spec_n * pi * (1.0 - pi))[None])[0]
 
 
-def _solve_newton_step(H: np.ndarray, g: np.ndarray, cond_limit: float) -> np.ndarray:
-    if np.linalg.cond(H) > cond_limit:
-        raise SingularHessianError(
-            f"negated score gradient has condition number above {cond_limit:g}"
-        )
-    try:
-        return cho_solve(cho_factor(H, lower=True), g)
-    except np.linalg.LinAlgError:
-        return np.linalg.solve(H, g)
+# One Newton chunk holds at most this many design entries (reps x m x d),
+# so its working arrays stay near half a megabyte whatever the block size.
+_CHUNK_ELEMENTS = 1 << 16
+
+
+@dataclass(frozen=True)
+class BatchFit:
+    """Per-replication outcome of the batched Newton solve over c series.
+
+    Arrays are indexed by replication.  `errors[i]` is None when series i was
+    fitted, and otherwise the exception fit_mple raises on series i alone
+    (SeparationError, SingularHessianError or NonConvergenceError); the
+    numeric fields of a failed replication carry no meaning.
+    """
+
+    beta: np.ndarray  # (c, d)
+    covariance: np.ndarray  # (c, d, d)
+    sigma0: np.ndarray  # (c, d, d)
+    log_pl: np.ndarray  # (c,)
+    iterations: np.ndarray  # (c,)
+    final_score_norm: np.ndarray  # (c,)
+    converged: np.ndarray  # (c,) bool
+    hit_boundary: np.ndarray  # (c,) bool
+    errors: tuple
+
+    @property
+    def ok(self) -> np.ndarray:
+        return np.array([e is None for e in self.errors], dtype=bool)
+
+
+def _narrow(keep: np.ndarray, *arrays):
+    """Rows of each array where `keep` holds; the arrays themselves (no copy)
+    when it holds everywhere."""
+    if keep.all():
+        return arrays
+    return tuple(a[keep] for a in arrays)
+
+
+def _newton(Z: np.ndarray, y: np.ndarray, spec_n: int, cfg: SolverConfig,
+            log_pl_trace: list | None = None) -> BatchFit:
+    """Damped Newton from beta = 0 for each of the c stacked series at once.
+
+    Z is (c, m, d) and y is (c, m).  Every replication keeps its own
+    convergence, step-halving, box and condition-limit state; a replication
+    leaves the active set when it converges, stalls below `step_tol`, or
+    fails.  `log_pl_trace` records the accepted log-PL values of a batch of
+    one.
+    """
+    c, m, d = Z.shape
+    errors: list = [None] * c
+    log_binom = np.sum(gammaln(spec_n + 1) - gammaln(y + 1) - gammaln(spec_n - y + 1), axis=1)
+
+    def log_pl_at(Zs, ys, base, b):
+        eta = np.matmul(Zs, b[:, :, None])[:, :, 0]
+        return base + np.sum(ys * eta - spec_n * np.logaddexp(0.0, eta), axis=1), eta
+
+    for i in np.nonzero(np.all(y == 0, axis=1) | np.all(y == spec_n, axis=1))[0]:
+        errors[i] = SeparationError("all responses at the same boundary; the MPLE diverges")
+    beta = np.zeros((c, d))
+    lp, eta = log_pl_at(Z, y, log_binom, beta)
+    if log_pl_trace is not None:
+        log_pl_trace.append(float(lp[0]))
+    iterations = np.zeros(c, dtype=int)
+    hit_boundary = np.zeros(c, dtype=bool)
+    act = np.array([i for i, e in enumerate(errors) if e is None], dtype=int)
+    for it in range(1, cfg.max_iter + 1):
+        if act.size == 0:
+            break
+        Za, ya, eta_a = (Z, y, eta) if act.size == c else (Z[act], y[act], eta[act])
+        pi = expit(eta_a)
+        g = np.matmul(np.swapaxes(Za, 1, 2), (ya - spec_n * pi)[:, :, None])[:, :, 0]
+        done = np.abs(g).max(axis=1) < cfg.tol
+        iterations[act] = np.where(done, it - 1, it)
+        act, Za, ya, pi, g = _narrow(~done, act, Za, ya, pi, g)
+        if act.size == 0:
+            break
+        H = _gram(Za, spec_n * pi * (1.0 - pi))
+        singular = np.linalg.cond(H) > cfg.cond_limit
+        for i in act[singular]:
+            errors[i] = SingularHessianError(
+                f"negated score gradient has condition number above {cfg.cond_limit:g}"
+            )
+        act, Za, ya, H, g = _narrow(~singular, act, Za, ya, H, g)
+        if act.size == 0:
+            break
+        step = np.linalg.solve(H, g[:, :, None])[:, :, 0]
+        # Step-halving: retreat whenever the full step would decrease log PL.
+        b0, lp0 = beta[act], lp[act]
+        floor = lp0 - 1e-10 * (1.0 + np.abs(lp0))
+        scale = np.ones(act.size)
+        cand = np.empty_like(b0)
+        lp_cand = np.empty(act.size)
+        eta_cand = np.empty((act.size, m))
+        todo = np.ones(act.size, dtype=bool)
+        for h in range(cfg.max_halvings + 1):
+            Zt, yt = _narrow(todo, Za, ya)
+            cand[todo] = np.clip(
+                b0[todo] + scale[todo, None] * step[todo], -cfg.box_bound, cfg.box_bound
+            )
+            lp_cand[todo], eta_cand[todo] = log_pl_at(Zt, yt, log_binom[act[todo]], cand[todo])
+            todo &= lp_cand < floor
+            if not todo.any() or h == cfg.max_halvings:
+                break
+            scale[todo] *= 0.5
+        hit_boundary[act] |= np.any(cand != b0 + scale[:, None] * step, axis=1)
+        stalled = np.abs(cand - b0).max(axis=1) < cfg.step_tol
+        beta[act], lp[act], eta[act] = cand, lp_cand, eta_cand
+        if log_pl_trace is not None:
+            log_pl_trace.append(float(lp[0]))
+        act, = _narrow(~stalled, act)
+
+    pi = expit(eta)
+    resid = y - spec_n * pi
+    final_norm = np.abs(np.matmul(np.swapaxes(Z, 1, 2), resid[:, :, None])).max(axis=(1, 2))
+    converged = final_norm < cfg.tol
+    if cfg.raise_on_nonconvergence:
+        for i in np.nonzero(~converged)[0]:
+            if errors[i] is None:
+                errors[i] = NonConvergenceError(
+                    f"score norm {final_norm[i]:.3e} above tolerance {cfg.tol:g} "
+                    f"after {iterations[i]} iterations"
+                )
+    covariance = np.full((c, d, d), np.nan)
+    live = np.array([e is None for e in errors], dtype=bool)
+    Zl, pl = _narrow(live, Z, pi)
+    H = _gram(Zl, spec_n * pl * (1.0 - pl))
+    singular = np.linalg.cond(H) > cfg.cond_limit
+    for i in np.nonzero(live)[0][singular]:
+        errors[i] = SingularHessianError("curvature matrix singular at the optimum")
+    live[live] = ~singular
+    cov = np.linalg.inv(H[~singular] / m)
+    covariance[live] = 0.5 * (cov + np.swapaxes(cov, 1, 2))
+    sigma0 = _gram(Z, resid**2) / m
+    return BatchFit(
+        beta=beta,
+        covariance=covariance,
+        sigma0=sigma0,
+        log_pl=lp,
+        iterations=iterations,
+        final_score_norm=final_norm,
+        converged=converged,
+        hit_boundary=hit_boundary,
+        errors=tuple(errors),
+    )
+
+
+def fit_mple_batch(x: np.ndarray, w: np.ndarray, spec_n: int,
+                   solver: SolverConfig | None = None) -> BatchFit:
+    """Fit c series of equal length at once: x is (c, m + 1), w is (c, m, l).
+
+    Row i gives the same result as fit_mple on SeriesSample(x[i], w[i]),
+    with its failure reported in `errors[i]` instead of raised.  The batch is
+    solved in chunks of at most _CHUNK_ELEMENTS design entries, so memory
+    does not grow with c.  Inputs are trusted: counts in {0..n}, finite
+    covariates, m >= d + 1.
+    """
+    cfg = solver or SolverConfig()
+    c, m = x.shape[0], x.shape[1] - 1
+    d = 2 + w.shape[2]
+    chunk = max(1, _CHUNK_ELEMENTS // (m * d))
+    parts = []
+    for lo in range(0, c, chunk):
+        hi = min(c, lo + chunk)
+        Z = np.empty((hi - lo, m, d))
+        Z[:, :, 0] = 1.0
+        Z[:, :, 1] = x[lo:hi, :-1]
+        Z[:, :, 2:] = w[lo:hi]
+        parts.append(_newton(Z, x[lo:hi, 1:].astype(float), spec_n, cfg))
+    if len(parts) == 1:
+        return parts[0]
+    return BatchFit(
+        **{
+            f: np.concatenate([getattr(p, f) for p in parts])
+            for f in ("beta", "covariance", "sigma0", "log_pl", "iterations",
+                      "final_score_norm", "converged", "hit_boundary")
+        },
+        errors=sum((p.errors for p in parts), ()),
+    )
 
 
 def fit_mple(
@@ -147,85 +324,26 @@ def fit_mple(
     matrix, and NonConvergenceError when the score tolerance is not reached
     within the iteration budget (unless the solver config opts out).  When a
     list is passed as `log_pl_trace` the accepted log-PL values are appended
-    to it, one per iteration.
+    to it, one per iteration.  This is the batch-of-one case of the batched
+    Newton kernel that fit_mple_batch runs.
     """
     cfg = solver or SolverConfig()
     Z, y = _design(series, spec_n)
     m, d = Z.shape
     if m < d + 1:
         raise ValueError(f"need at least {d + 1} transitions to fit {d} coefficients, got {m}")
-    if np.all(y == 0) or np.all(y == spec_n):
-        raise SeparationError("all responses at the same boundary; the MPLE diverges")
-
-    log_binom = float(np.sum(gammaln(spec_n + 1) - gammaln(y + 1) - gammaln(spec_n - y + 1)))
-
-    def log_pl_at(b: np.ndarray) -> float:
-        eta = Z @ b
-        return log_binom + float(np.sum(y * eta - spec_n * np.logaddexp(0.0, eta)))
-
-    beta = np.zeros(d)
-    lp = log_pl_at(beta)
-    if log_pl_trace is not None:
-        log_pl_trace.append(lp)
-    hit_boundary = False
-    iterations = 0
-    for iterations in range(1, cfg.max_iter + 1):
-        pi = expit(Z @ beta)
-        g = Z.T @ (y - spec_n * pi)
-        if np.abs(g).max() < cfg.tol:
-            iterations -= 1
-            break
-        B = Z * np.sqrt(spec_n * pi * (1.0 - pi))[:, None]
-        H = B.T @ B
-        H = 0.5 * (H + H.T)
-        step = _solve_newton_step(H, g, cfg.cond_limit)
-        # Step-halving: retreat whenever the full step would decrease log PL.
-        scale = 1.0
-        accept_floor = lp - 1e-10 * (1.0 + abs(lp))
-        for _ in range(cfg.max_halvings + 1):
-            cand = np.clip(beta + scale * step, -cfg.box_bound, cfg.box_bound)
-            lp_cand = log_pl_at(cand)
-            if lp_cand >= accept_floor:
-                break
-            scale *= 0.5
-        if np.any(cand != beta + scale * step):
-            hit_boundary = True
-        step_norm = np.abs(cand - beta).max()
-        beta, lp = cand, lp_cand
-        if log_pl_trace is not None:
-            log_pl_trace.append(lp)
-        if step_norm < cfg.step_tol:
-            break
-
-    final_norm = float(np.abs(Z.T @ (y - spec_n * expit(Z @ beta))).max())
-    converged = final_norm < cfg.tol
-    if not converged and cfg.raise_on_nonconvergence:
-        raise NonConvergenceError(
-            f"score norm {final_norm:.3e} above tolerance {cfg.tol:g} "
-            f"after {iterations} iterations"
-        )
-
-    pi = expit(Z @ beta)
-    B = Z * np.sqrt(spec_n * pi * (1.0 - pi))[:, None]
-    H = B.T @ B
-    H = 0.5 * (H + H.T)
-    if np.linalg.cond(H) > cfg.cond_limit:
-        raise SingularHessianError("curvature matrix singular at the optimum")
-    covariance = np.linalg.inv(H / m)
-    covariance = 0.5 * (covariance + covariance.T)
-    resid = Z * (y - spec_n * pi)[:, None]
-    sigma0 = resid.T @ resid / m
-    sigma0 = 0.5 * (sigma0 + sigma0.T)
-
+    fit = _newton(Z[None], y[None], spec_n, cfg, log_pl_trace)
+    if fit.errors[0] is not None:
+        raise fit.errors[0]
     return FitResult(
-        beta_hat=ParamVector.from_array(beta),
-        covariance=covariance,
-        sigma0_hat=sigma0,
-        log_pl=lp,
-        iterations=iterations,
-        converged=converged,
-        final_score_norm=final_norm,
-        hit_boundary=hit_boundary,
+        beta_hat=ParamVector.from_array(fit.beta[0]),
+        covariance=fit.covariance[0],
+        sigma0_hat=fit.sigma0[0],
+        log_pl=float(fit.log_pl[0]),
+        iterations=int(fit.iterations[0]),
+        converged=bool(fit.converged[0]),
+        final_score_norm=float(fit.final_score_norm[0]),
+        hit_boundary=bool(fit.hit_boundary[0]),
         n=spec_n,
         n_obs=m,
     )
@@ -242,9 +360,8 @@ def estimate_sigma0(series: SeriesSample, spec_n: int, beta_hat) -> np.ndarray:
     """Outer-product score covariance sum_t G_t G_t' / m at the given coefficients."""
     Z, y = _design(series, spec_n)
     b = _beta_array(beta_hat, Z.shape[1])
-    resid = Z * (y - spec_n * expit(Z @ b))[:, None]
-    sigma0 = resid.T @ resid / Z.shape[0]
-    return 0.5 * (sigma0 + sigma0.T)
+    resid = y - spec_n * expit(Z @ b)
+    return _gram(Z[None], (resid**2)[None])[0] / Z.shape[0]
 
 
 def fit_report(fit: FitResult) -> dict:

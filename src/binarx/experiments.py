@@ -1,11 +1,19 @@
 """Simulation-study harnesses: consistency, normality, size, and power.
 
-Every harness is deterministic given its master seed.  Replication streams
-are derived as SeedSequence((master_seed, kind, m_index, rep)) with kind
-0=consistency, 1=normality, 2=size, 4=power; the shared auxiliary series that
-pins the monitoring metric uses (master_seed, 3, 0), and internally computed
-threshold tables use the calibration module's (master_seed, rep) streams.
-Workers never share generator state, so thread counts change only wall time.
+Every harness is deterministic given its master seed (stream contract 2).
+Replications run in blocks of BLOCK_SIZE; the last block of a training
+length holds the remainder.  Block b at the i-th training length draws from
+SeedSequence((master_seed, kind, i, b)) with kind 0=consistency,
+1=normality, 2=size, 4=power.  Its chains advance in lockstep: X0 for the
+whole block, then at every step the block's covariate rows followed by one
+binomial draw over the block.  X0 is drawn from the exact stationary pmf
+(inverse CDF of one uniform per chain) when n <= 30 and l <= 2, and from
+Bin(n, 1/2) followed by `burn_in` lockstep steps otherwise.  The shared
+auxiliary series that pins the monitoring metric uses (master_seed, 3, 0)
+with the same start rule, and internally computed threshold tables use the
+calibration module's (master_seed, rep) streams.  Workers receive whole
+blocks and never share generator state, so thread counts change only wall
+time.
 """
 
 from __future__ import annotations
@@ -21,9 +29,16 @@ from scipy.stats import norm
 
 from .calibration import CalibrationConfig, ThresholdTable, threshold_table
 from .defaults import DEFAULT_BURN_IN, DEFAULT_SEED, default_model_spec
-from .estimation import fit_mple
+from .estimation import BatchFit, fit_mple, fit_mple_batch
 from .exceptions import BinarxError
-from .model import ModelSpec, ParamVector, SeriesSample, simulate_chain
+from .model import (
+    ModelSpec,
+    ParamVector,
+    SeriesSample,
+    _stable_prob,
+    simulate_chain,
+    stationary_oracle,
+)
 from .monitoring import weight
 from ._parallel import map_over_reps
 
@@ -32,6 +47,13 @@ _KIND_NORMALITY = 1
 _KIND_SIZE = 2
 _KIND_AUX = 3
 _KIND_POWER = 4
+
+# Replications per block, the unit of work and of random streams.
+BLOCK_SIZE = 256
+# Version of the documented random-stream derivation (README).
+STREAM_CONTRACT = 2
+# Fit failures counted per class in every report.
+FAILURE_CLASSES = ("SeparationError", "SingularHessianError", "NonConvergenceError")
 
 
 @dataclass(frozen=True)
@@ -79,40 +101,115 @@ def _param_names(dim: int) -> list[str]:
     return ["phi0", "phi1"] + [f"gamma{i + 1}" for i in range(dim - 2)]
 
 
-def _rep_rng(master_seed: int, kind: int, m_index: int, rep: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence((master_seed, kind, m_index, rep)))
+def _contract_meta(failures_by_class: dict) -> dict:
+    return {
+        "stream_contract": STREAM_CONTRACT,
+        "block_size": BLOCK_SIZE,
+        "failures_by_class": failures_by_class,
+    }
 
 
-def _burned_start(spec: ModelSpec, burn_in: int, rng: np.random.Generator) -> int:
-    x0 = int(rng.binomial(spec.n, 0.5))
-    if burn_in:
-        xb, _ = simulate_chain(spec, burn_in, rng, x0)
-        x0 = int(xb[-1])
-    return x0
+# ---------------------------------------------------------------------------
+# Block engine
+
+def _start_cdf(spec: ModelSpec) -> np.ndarray | None:
+    """CDF of the stationary pmf for the exact start, or None for burn-in.
+
+    The oracle runs only for n <= 30 and l <= 2: its tensor quadrature has
+    66^l points, 66x more at l = 3 than at l = 2.
+    """
+    if spec.n > 30 or spec.exo.l > 2:
+        return None
+    _, pmf = stationary_oracle(spec)
+    cdf = np.cumsum(pmf)
+    return cdf / cdf[-1]
+
+
+def _advance(spec: ModelSpec, coef: np.ndarray, x: np.ndarray, rng: np.random.Generator):
+    """One lockstep transition of a block's chains: covariate rows, then counts."""
+    w = spec.exo.draw(rng, x.size)
+    return w, rng.binomial(spec.n, _stable_prob(coef[0] + coef[1] * x + w @ coef[2:]))
+
+
+def _start(spec: ModelSpec, cdf, burn_in: int, rng: np.random.Generator, size: int) -> np.ndarray:
+    """X0 of `size` chains: exact stationary draws, or Bin(n, 1/2) then burn-in."""
+    if cdf is not None:
+        return np.searchsorted(cdf, rng.random(size), side="right")
+    x = rng.binomial(spec.n, 0.5, size)
+    coef = spec.beta.as_array()
+    for _ in range(burn_in):
+        _, x = _advance(spec, coef, x, rng)
+    return x
+
+
+@dataclass(frozen=True)
+class _BlockTask:
+    spec: ModelSpec
+    m: int
+    reps: int
+    master_seed: int
+    kind: int
+    m_index: int
+    burn_in: int
+    start_cdf: np.ndarray | None
+
+    @property
+    def n_blocks(self) -> int:
+        return -(-self.reps // BLOCK_SIZE)
+
+
+def _train_block(task: _BlockTask, b: int) -> tuple[np.random.Generator, np.ndarray, BatchFit]:
+    """Simulate block b's training windows and fit them all.
+
+    Returns the block's generator (positioned after the training window), the
+    chains' last counts, and the batched fit.
+    """
+    size = min(BLOCK_SIZE, task.reps - b * BLOCK_SIZE)
+    rng = np.random.default_rng(
+        np.random.SeedSequence((task.master_seed, task.kind, task.m_index, b))
+    )
+    spec = task.spec
+    coef = spec.beta.as_array()
+    x = np.empty((task.m + 1, size), dtype=np.min_scalar_type(spec.n))
+    w = np.empty((task.m, size, spec.exo.l))
+    x[0] = _start(spec, task.start_cdf, task.burn_in, rng, size)
+    for t in range(task.m):
+        w[t], x[t + 1] = _advance(spec, coef, x[t], rng)
+    fit = fit_mple_batch(x.T, w.transpose(1, 0, 2), spec.n)
+    return rng, x[-1].copy(), fit
+
+
+def _failure_names(fit: BatchFit) -> list[str]:
+    return [type(e).__name__ for e in fit.errors if e is not None]
+
+
+def _run_blocks(worker, task: _BlockTask, threads: int) -> tuple[list, dict]:
+    """Block results in replication order, plus fit failures counted per class.
+
+    Every worker returns its block's failure class names first.
+    """
+    results = map_over_reps(worker, task, task.n_blocks, threads)
+    names = [name for r in results for name in r[0]]
+    return results, {cls: names.count(cls) for cls in FAILURE_CLASSES}
 
 
 # ---------------------------------------------------------------------------
 # Consistency and normality
 
-@dataclass(frozen=True)
-class _FitTask:
-    spec: ModelSpec
-    m: int
-    burn_in: int
-    master_seed: int
-    kind: int
-    m_index: int
+def _fit_block(task: _BlockTask, b: int):
+    _, _, fit = _train_block(task, b)
+    return _failure_names(fit), fit.beta[fit.ok]
 
 
-def _fit_rep(task: _FitTask, rep: int):
-    rng = _rep_rng(task.master_seed, task.kind, task.m_index, rep)
-    x0 = _burned_start(task.spec, task.burn_in, rng)
-    x, w = simulate_chain(task.spec, task.m, rng, x0)
-    try:
-        fit = fit_mple(SeriesSample(x=x, w=w), task.spec.n)
-    except BinarxError:
-        return None
-    return fit.beta_hat.as_array()
+def _fit_estimates(config: ExperimentConfig, kind: int, mi: int, m: int, cdf, threads: int):
+    """(estimates of the fitted reps in rep order, failure counts per class)."""
+    task = _BlockTask(config.spec, m, config.reps, config.master_seed, kind, mi,
+                      config.burn_in, cdf)
+    results, by_class = _run_blocks(_fit_block, task, threads)
+    est = np.vstack([r[1] for r in results])
+    if not est.shape[0]:
+        raise BinarxError(f"all {config.reps} fits failed at m={m}")
+    return est, by_class
 
 
 @dataclass(frozen=True)
@@ -121,6 +218,7 @@ class ConsistencyReport:
     param_names: tuple[str, ...]
     master_seed: int
     reps: int
+    failures_by_class: dict  # str(m) -> {class name: count}
 
     def metadata(self) -> dict:
         return {
@@ -129,28 +227,27 @@ class ConsistencyReport:
             "reps": self.reps,
             "m_list": [int(m) for m, *_ in self.rows],
             "failures": {str(m): int(f) for m, _, _, f, _ in self.rows},
+            **_contract_meta(self.failures_by_class),
         }
 
 
 def run_consistency(config: ExperimentConfig, threads: int = 1) -> ConsistencyReport:
     """Per-coordinate mean squared error of the MPLE for each training length."""
     beta0 = config.spec.beta.as_array()
+    cdf = _start_cdf(config.spec)
     rows = []
+    by_m = {}
     for mi, m in enumerate(config.m_list):
-        task = _FitTask(config.spec, m, config.burn_in, config.master_seed, _KIND_CONSISTENCY, mi)
-        results = map_over_reps(_fit_rep, task, config.reps, threads)
-        ok = [r for r in results if r is not None]
-        failures = config.reps - len(ok)
-        if not ok:
-            raise BinarxError(f"all {config.reps} fits failed at m={m}")
-        errs = np.vstack(ok) - beta0
-        mse = (errs**2).mean(axis=0)
-        rows.append((m, mse, len(ok), failures, failures > 0.01 * config.reps))
+        est, by_m[str(m)] = _fit_estimates(config, _KIND_CONSISTENCY, mi, m, cdf, threads)
+        failures = config.reps - est.shape[0]
+        mse = ((est - beta0) ** 2).mean(axis=0)
+        rows.append((m, mse, est.shape[0], failures, failures > 0.01 * config.reps))
     return ConsistencyReport(
         rows=tuple(rows),
         param_names=tuple(_param_names(config.spec.beta.dim)),
         master_seed=config.master_seed,
         reps=config.reps,
+        failures_by_class=by_m,
     )
 
 
@@ -169,6 +266,7 @@ class NormalityReport:
     failures: int
     param_names: tuple[str, ...]
     master_seed: int
+    failures_by_class: dict  # str(m) -> {class name: count}
 
     def metadata(self) -> dict:
         return {
@@ -178,6 +276,7 @@ class NormalityReport:
             "reps_used": int(self.estimates.shape[0]),
             "failures": self.failures,
             "insufficient_sample": self.insufficient_sample,
+            **_contract_meta(self.failures_by_class),
         }
 
 
@@ -198,13 +297,10 @@ def run_normality(config: ExperimentConfig, threads: int = 1) -> NormalityReport
     if len(config.m_list) != 1:
         raise ValueError("run_normality uses a single training length")
     m = config.m_list[0]
-    task = _FitTask(config.spec, m, config.burn_in, config.master_seed, _KIND_NORMALITY, 0)
-    results = map_over_reps(_fit_rep, task, config.reps, threads)
-    ok = [r for r in results if r is not None]
-    failures = config.reps - len(ok)
-    if not ok:
-        raise BinarxError(f"all {config.reps} fits failed at m={m}")
-    B = np.vstack(ok)
+    B, by_class = _fit_estimates(
+        config, _KIND_NORMALITY, 0, m, _start_cdf(config.spec), threads
+    )
+    failures = config.reps - B.shape[0]
     reps_ok, d = B.shape
     mean = B.mean(axis=0)
     bias = mean - config.spec.beta.as_array()
@@ -242,6 +338,7 @@ def run_normality(config: ExperimentConfig, threads: int = 1) -> NormalityReport
         failures=failures,
         param_names=tuple(_param_names(d)),
         master_seed=config.master_seed,
+        failures_by_class={str(m): by_class},
     )
 
 
@@ -249,89 +346,114 @@ def run_normality(config: ExperimentConfig, threads: int = 1) -> NormalityReport
 # Monitoring experiments (size and power)
 
 @dataclass(frozen=True)
-class _MonitorTask:
-    spec: ModelSpec
-    m: int
-    horizon_steps: int
-    burn_in: int
-    master_seed: int
-    kind: int
-    m_index: int
-    gammas: tuple[float, ...]
+class _MonitorTask(_BlockTask):
+    w2: np.ndarray  # (gammas, horizon) squared weights weight(m, k, gamma)^2
     a_matrix: np.ndarray | None  # None means per-replication training metric
     change: ChangePoint | None
     keep_path: int  # reps below this index also return their statistic paths
-    passage_thresholds: tuple[float, ...] | None = None  # per gamma, for first-passage
+    passage_thresholds: np.ndarray | None  # per gamma, for first passage
 
 
-def _simulate_monitor_stream(task: _MonitorTask, rng: np.random.Generator):
-    """Full path of m + horizon transitions, with the change injected if any."""
-    spec = task.spec
-    x0 = _burned_start(spec, task.burn_in, rng)
-    total = task.m + task.horizon_steps
-    if task.change is None:
-        return simulate_chain(spec, total, rng, x0)
-    pre = task.m + task.change.at_k - 1
-    x1, w1 = simulate_chain(spec, pre, rng, x0)
-    changed = ModelSpec(n=spec.n, beta=task.change.new_beta, exo=spec.exo)
-    x2, w2 = simulate_chain(changed, total - pre, rng, int(x1[-1]))
-    return np.concatenate([x1, x2[1:]]), np.vstack([w1, w2])
+def _monitor_block(task: _MonitorTask, b: int):
+    """One block of monitored replications, scored step by step.
 
-
-def _monitor_rep(task: _MonitorTask, rep: int):
-    """One monitored replication.
-
-    Returns (sups per gamma, statistic paths per gamma or None, drift vector
-    or None, first-passage indices per gamma or None); None altogether when
-    the training fit fails.  First-passage index 0 encodes "no alarm".  The
-    statistic paths use the same arithmetic as the streaming monitor.
+    After the batched training fit, the block's chains run through the
+    horizon in lockstep (the change, if any, switching the coefficients at
+    monitored index at_k) while the running score sums, the sup of each
+    gamma's statistic and the first passages are updated in place; no
+    whole-path array is kept.  The statistic uses the same arithmetic as the
+    streaming monitor.  Returns (failure class names, then for the fitted
+    reps in order: sups per gamma, first-passage indices per gamma (0 means
+    "no alarm"), post-change score drift or None, and (rep, paths) for the
+    kept reps).
     """
-    rng = _rep_rng(task.master_seed, task.kind, task.m_index, rep)
-    x, w = _simulate_monitor_stream(task, rng)
-    m, H = task.m, task.horizon_steps
-    try:
-        fit = fit_mple(SeriesSample(x=x[: m + 1], w=w[:m]), task.spec.n)
-    except BinarxError:
-        return None
-    if task.a_matrix is not None:
-        A = task.a_matrix
+    rng, x_prev, fit = _train_block(task, b)
+    spec = task.spec
+    ok = fit.ok
+    size, d = fit.beta.shape
+    # Replications run along the last axis: (d, size) sums, (gammas, size) sups.
+    beta = np.where(ok[:, None], fit.beta, 0.0).T
+    if task.a_matrix is None:
+        A = np.broadcast_to(np.eye(d), (size, d, d)).copy()
+        A[ok] = np.linalg.inv(fit.sigma0[ok])
+        A = (0.5 * (A + A.transpose(0, 2, 1))).transpose(1, 2, 0)
     else:
-        A = np.linalg.inv(fit.sigma0_hat)
-        A = 0.5 * (A + A.T)
-    beta = fit.beta_hat.as_array()
-    Z = np.empty((H, beta.size))
-    Z[:, 0] = 1.0
-    Z[:, 1] = x[m : m + H]
-    Z[:, 2:] = w[m : m + H]
-    G = Z * (x[m + 1 :] - task.spec.n * expit(Z @ beta))[:, None]
-    S = np.cumsum(G, axis=0)
-    q = ((S @ A) * S).sum(axis=1)
-    kk = np.arange(1, H + 1)
-    paths = []
-    sups = np.empty(len(task.gammas))
-    passages = None if task.passage_thresholds is None else np.zeros(len(task.gammas), dtype=int)
-    for j, g in enumerate(task.gammas):
-        stats = weight(m, kk, g) ** 2 * q
-        sups[j] = stats.max()
-        if passages is not None:
-            hits = np.nonzero(stats >= task.passage_thresholds[j])[0]
-            passages[j] = hits[0] + 1 if hits.size else 0
-        if rep < task.keep_path:
-            paths.append(stats)
+        A = task.a_matrix
+    n_gamma, H = task.w2.shape
+    n_keep = min(size, max(0, task.keep_path - b * BLOCK_SIZE))
+    paths = np.empty((n_keep, n_gamma, H))
+    sups = np.full((n_gamma, size), -np.inf)
+    passage = np.zeros((n_gamma, size), dtype=int)
+    thresholds = task.passage_thresholds
+    S = np.zeros((d, size))
+    z = np.empty((d, size))
+    z[0] = 1.0
+    coef = spec.beta.as_array()
+    at_k = task.change.at_k if task.change is not None else H + 1
+    for k in range(1, H + 1):
+        if k == at_k:
+            coef = task.change.new_beta.as_array()
+            S_before = S.copy()
+        w, x = _advance(spec, coef, x_prev, rng)
+        z[1] = x_prev
+        z[2:] = w.T
+        S += z * (x - spec.n * expit((z * beta).sum(axis=0)))
+        AS = A @ S if A.ndim == 2 else (A * S).sum(axis=1)
+        stat = task.w2[:, k - 1, None] * (AS * S).sum(axis=0)
+        np.maximum(sups, stat, out=sups)
+        if thresholds is not None:
+            passage[(stat >= thresholds[:, None]) & (passage == 0)] = k
+        if n_keep:
+            paths[:, :, k - 1] = stat[:, :n_keep].T
+        x_prev = x
     drift = None
     if task.change is not None:
-        k_star = task.change.at_k
-        tail = S[-1] - (S[k_star - 2] if k_star >= 2 else 0.0)
-        drift = tail / (H - k_star + 1)
-    return sups, (paths if rep < task.keep_path else None), drift, passages
+        drift = ((S - S_before) / (H - at_k + 1)).T[ok]
+    kept = [(b * BLOCK_SIZE + i, paths[i]) for i in range(n_keep) if ok[i]]
+    return _failure_names(fit), sups.T[ok], passage.T[ok], drift, kept
 
 
-def _aux_metric(config: ExperimentConfig) -> np.ndarray:
+def _monitor_blocks(config: ExperimentConfig, kind: int, mi: int, m: int, cdf,
+                    a_common, change, thresholds, threads: int):
+    """Run every block at training length m; returns (per-block results, counts)."""
+    H = int(np.floor(config.horizon * m + 1e-9))
+    if H < 1:
+        raise ValueError(f"horizon {config.horizon} leaves no monitored point at m={m}")
+    if change is not None and change.at_k > H:
+        raise ValueError(f"change at_k={change.at_k} beyond horizon {H}")
+    kk = np.arange(1, H + 1)
+    task = _MonitorTask(
+        spec=config.spec,
+        m=m,
+        reps=config.reps,
+        master_seed=config.master_seed,
+        kind=kind,
+        m_index=mi,
+        burn_in=config.burn_in,
+        start_cdf=cdf,
+        w2=np.array([weight(m, kk, g) ** 2 for g in config.gammas]).reshape(-1, H),
+        a_matrix=a_common,
+        change=change,
+        keep_path=config.emit_traces,
+        passage_thresholds=thresholds,
+    )
+    results, by_class = _run_blocks(_monitor_block, task, threads)
+    if not sum(r[1].shape[0] for r in results):
+        raise BinarxError(f"all {config.reps} monitored fits failed at m={m}")
+    return results, by_class
+
+
+def _traces(m: int, gammas, results) -> list:
+    return [(m, g, rep, paths[j]) for r in results for rep, paths in r[4]
+            for j, g in enumerate(gammas)]
+
+
+def _aux_metric(config: ExperimentConfig, cdf) -> np.ndarray:
     """Metric A = inverse outer-product score covariance from one long series."""
     rng = np.random.default_rng(
         np.random.SeedSequence((config.master_seed, _KIND_AUX, 0))
     )
-    x0 = _burned_start(config.spec, config.burn_in, rng)
+    x0 = int(_start(config.spec, cdf, config.burn_in, rng, 1)[0])
     x, w = simulate_chain(config.spec, config.aux_length, rng, x0)
     fit = fit_mple(SeriesSample(x=x, w=w), config.spec.n)
     A = np.linalg.inv(fit.sigma0_hat)
@@ -359,6 +481,7 @@ class SizeReport:
     traces: tuple
     master_seed: int
     reps: int
+    failures_by_class: dict  # str(m) -> {class name: count}
 
     def metadata(self) -> dict:
         return {
@@ -366,6 +489,7 @@ class SizeReport:
             "master_seed": self.master_seed,
             "reps": self.reps,
             "cells": len(self.rows),
+            **_contract_meta(self.failures_by_class),
         }
 
 
@@ -378,44 +502,28 @@ def run_size(config: ExperimentConfig, threads: int = 1) -> SizeReport:
     common replication streams.
     """
     table = _resolve_thresholds(config, threads)
-    a_common = _aux_metric(config) if config.a_source == "aux" else None
+    cdf = _start_cdf(config.spec)
+    a_common = _aux_metric(config, cdf) if config.a_source == "aux" else None
     rows = []
     traces = []
+    by_m = {}
     for mi, m in enumerate(config.m_list):
-        task = _MonitorTask(
-            spec=config.spec,
-            m=m,
-            horizon_steps=int(np.floor(config.horizon * m + 1e-9)),
-            burn_in=config.burn_in,
-            master_seed=config.master_seed,
-            kind=_KIND_SIZE,
-            m_index=mi,
-            gammas=config.gammas,
-            a_matrix=a_common,
-            change=None,
-            keep_path=config.emit_traces,
+        results, by_m[str(m)] = _monitor_blocks(
+            config, _KIND_SIZE, mi, m, cdf, a_common, None, None, threads
         )
-        results = map_over_reps(_monitor_rep, task, config.reps, threads)
-        ok = [r for r in results if r is not None]
-        failures = config.reps - len(ok)
-        if not ok:
-            raise BinarxError(f"all {config.reps} monitored fits failed at m={m}")
-        sups = np.vstack([r[0] for r in ok])
+        sups = np.vstack([r[1] for r in results])
+        used = sups.shape[0]
+        failures = config.reps - used
         flagged = failures > 0.01 * config.reps
         for j, g in enumerate(config.gammas):
             for a in config.alphas:
                 c = table.lookup(g, a)
                 n_reject = int((sups[:, j] >= c).sum())
-                rows.append(
-                    (m, g, a, c, n_reject / len(ok), n_reject, len(ok), failures, flagged)
-                )
-        for rep, r in enumerate(results[: config.emit_traces]):
-            if r is None or r[1] is None:
-                continue
-            for j, g in enumerate(config.gammas):
-                traces.append((m, g, rep, r[1][j]))
+                rows.append((m, g, a, c, n_reject / used, n_reject, used, failures, flagged))
+        traces += _traces(m, config.gammas, results)
     return SizeReport(
-        rows=tuple(rows), traces=tuple(traces), master_seed=config.master_seed, reps=config.reps
+        rows=tuple(rows), traces=tuple(traces), master_seed=config.master_seed,
+        reps=config.reps, failures_by_class=by_m,
     )
 
 
@@ -429,6 +537,7 @@ class PowerReport:
     reps: int
     param_names: tuple[str, ...]
     delays: dict  # (m, gamma) -> np.ndarray of detection indices (detected reps only)
+    failures_by_class: dict  # str(m) -> {class name: count}
 
     def metadata(self) -> dict:
         return {
@@ -437,6 +546,7 @@ class PowerReport:
             "reps": self.reps,
             "change_at": self.change_at,
             "cells": len(self.rows),
+            **_contract_meta(self.failures_by_class),
         }
 
 
@@ -453,52 +563,34 @@ def run_power(config: ExperimentConfig, threads: int = 1) -> PowerReport:
         raise ValueError("run_power requires config.change")
     alpha = config.alphas[0]
     table = _resolve_thresholds(config, threads)
-    a_common = _aux_metric(config) if config.a_source == "aux" else None
+    cdf = _start_cdf(config.spec)
+    a_common = _aux_metric(config, cdf) if config.a_source == "aux" else None
     rows = []
     traces = []
     delays_map = {}
+    by_m = {}
     thresholds = tuple(table.lookup(g, alpha) for g in config.gammas)
     for mi, m in enumerate(config.m_list):
-        H = int(np.floor(config.horizon * m + 1e-9))
-        if config.change.at_k > H:
-            raise ValueError(f"change at_k={config.change.at_k} beyond horizon {H}")
-        task = _MonitorTask(
-            spec=config.spec,
-            m=m,
-            horizon_steps=H,
-            burn_in=config.burn_in,
-            master_seed=config.master_seed,
-            kind=_KIND_POWER,
-            m_index=mi,
-            gammas=config.gammas,
-            a_matrix=a_common,
-            change=config.change,
-            keep_path=config.emit_traces,
-            passage_thresholds=thresholds,
+        results, by_m[str(m)] = _monitor_blocks(
+            config, _KIND_POWER, mi, m, cdf, a_common, config.change,
+            np.array(thresholds), threads,
         )
-        results = map_over_reps(_monitor_rep, task, config.reps, threads)
-        ok = [r for r in results if r is not None]
-        failures = config.reps - len(ok)
-        if not ok:
-            raise BinarxError(f"all {config.reps} monitored fits failed at m={m}")
+        passages = np.vstack([r[2] for r in results])
+        used = passages.shape[0]
+        failures = config.reps - used
         flagged = failures > 0.01 * config.reps
-        drift = np.vstack([r[2] for r in ok]).mean(axis=0)
-        passages = np.vstack([r[3] for r in ok])
+        drift = np.vstack([r[3] for r in results]).mean(axis=0)
         for j, g in enumerate(config.gammas):
             delays = passages[passages[:, j] > 0, j].astype(float)
-            rate = delays.size / len(ok)
+            rate = delays.size / used
             mean_k = float(np.mean(delays)) if delays.size else float("nan")
             median_k = float(np.median(delays)) if delays.size else float("nan")
             rows.append(
-                (m, g, alpha, thresholds[j], rate, mean_k, median_k, len(ok), failures,
+                (m, g, alpha, thresholds[j], rate, mean_k, median_k, used, failures,
                  flagged, drift)
             )
             delays_map[(m, g)] = delays
-        for rep, r in enumerate(results[: config.emit_traces]):
-            if r is None or r[1] is None:
-                continue
-            for j, g in enumerate(config.gammas):
-                traces.append((m, g, rep, r[1][j]))
+        traces += _traces(m, config.gammas, results)
     return PowerReport(
         rows=tuple(rows),
         traces=tuple(traces),
@@ -507,6 +599,7 @@ def run_power(config: ExperimentConfig, threads: int = 1) -> PowerReport:
         reps=config.reps,
         param_names=tuple(_param_names(config.spec.beta.dim)),
         delays=delays_map,
+        failures_by_class=by_m,
     )
 
 

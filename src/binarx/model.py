@@ -108,7 +108,7 @@ class ExogenousSpec:
         if self.l == 0:
             return np.empty((size, 0), dtype=float)
         raw = rng.normal(self.mean, self.sd, size=(size, self.l))
-        return np.clip(raw, self.clamp_lo, self.clamp_hi)
+        return np.minimum(np.maximum(raw, self.clamp_lo), self.clamp_hi)
 
 
 @dataclass(frozen=True)
@@ -180,7 +180,7 @@ def inverse_link(eta: float, n: int) -> float:
 
 def _stable_prob(eta):
     """Logistic probability, clipped strictly inside (0, 1) in float64."""
-    return np.clip(expit(eta), _PROB_FLOOR, _PROB_CEIL)
+    return np.minimum(np.maximum(expit(eta), _PROB_FLOOR), _PROB_CEIL)
 
 
 def success_prob(beta: ParamVector | np.ndarray, z) -> float:
@@ -369,7 +369,12 @@ def write_series_csv(sample: SeriesSample, path) -> None:
 
 
 def read_series_csv(path) -> SeriesSample:
-    """Read a sample written by write_series_csv."""
+    """Read a sample written by write_series_csv.
+
+    Raises ValueError naming the file and the row t for a count that is not
+    an integer, a covariate that is not a finite number, or a row with the
+    wrong number of cells.
+    """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader)
@@ -377,12 +382,25 @@ def read_series_csv(path) -> SeriesSample:
             raise ValueError(f"{path}: expected header t,x,w1,...  got {header!r}")
         l = len(header) - 2
         xs: list[int] = []
+        ts: list[int] = []
         ws: list[list[float]] = []
-        for row in reader:
-            if not row:
-                continue
-            t = int(row[0])
-            xs.append(int(row[1]))
-            if t > 0:
-                ws.append([float(v) for v in row[2 : 2 + l]])
-    return SeriesSample(x=np.array(xs, dtype=np.int64), w=np.array(ws, dtype=float).reshape(len(ws), l))
+        row = header
+        try:
+            for row in reader:
+                if not row:
+                    continue
+                t = int(row[0])
+                if len(row) != l + 2 and (t > 0 or len(row) < 2):
+                    raise ValueError(f"expected {l + 2} cells, got {len(row)}")
+                xs.append(int(row[1]))
+                if t > 0:
+                    ts.append(t)
+                    ws.append([float(v) for v in row[2:]])
+        except ValueError as exc:
+            raise ValueError(f"{path}: row t={row[0]}: {exc}") from None
+    w = np.array(ws, dtype=float).reshape(len(ws), l)
+    finite = np.isfinite(w).all(axis=1)
+    if not finite.all():
+        bad = int(np.argmin(finite))
+        raise ValueError(f"{path}: row t={ts[bad]}: covariates {w[bad].tolist()} are not finite")
+    return SeriesSample(x=np.array(xs, dtype=np.int64), w=w)

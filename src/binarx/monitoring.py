@@ -190,26 +190,37 @@ def monitor_update(state: MonitorState, x_new: int, w_new) -> tuple[MonitorState
     """Consume one observation; returns the updated state and its statistic.
 
     Raises MonitoringTerminatedError once an alarm fired or the horizon was
-    reached.
+    reached, and ValueError naming the monitored index k for a count that is
+    not an integer in {0..n} or a covariate that is not finite; a rejected
+    observation leaves the state untouched.
     """
     cfg = state.config
     if state.alarm_at is not None:
         raise MonitoringTerminatedError(f"alarm already raised at k={state.alarm_at}")
     if state.k >= cfg.horizon_steps:
         raise MonitoringTerminatedError(f"horizon {cfg.horizon_steps} reached")
-    if not 0 <= x_new <= state.n:
-        raise ValueError(f"observation {x_new} outside {{0..{state.n}}}")
+    k = state.k + 1
+    try:
+        x_int = int(x_new)
+    except (TypeError, ValueError, OverflowError):
+        x_int = None
+    if x_int is None or x_int != x_new:
+        raise ValueError(f"observation k={k}: count {x_new!r} is not an integer")
+    if not 0 <= x_int <= state.n:
+        raise ValueError(f"observation k={k}: count {x_int} outside {{0..{state.n}}}")
 
     z = build_regressor(state.x_prev, w_new)
+    if not np.isfinite(z).all():
+        raise ValueError(f"observation k={k}: covariates {w_new!r} are not finite")
     pi = success_prob(state.beta_hat, z)
-    state.running_sum = state.running_sum + z * (x_new - state.n * pi)
-    state.k += 1
-    w2 = weight(cfg.m, state.k, cfg.gamma) ** 2
+    state.running_sum = state.running_sum + z * (x_int - state.n * pi)
+    state.k = k
+    w2 = weight(cfg.m, k, cfg.gamma) ** 2
     statistic = float(w2 * (state.running_sum @ cfg.a_matrix @ state.running_sum))
     state.statistic_history.append(statistic)
     if statistic >= cfg.threshold_c:
-        state.alarm_at = state.k
-    state.x_prev = int(x_new)
+        state.alarm_at = k
+    state.x_prev = x_int
     return state, statistic
 
 

@@ -141,6 +141,28 @@ def test_monitor_alarm_exit_code(tmp_path):
     assert result["alarm_at"] == 1
 
 
+def test_monitor_stream_bad_rows_name_file_and_row(tmp_path, capsys):
+    out = tmp_path / "out"
+    cfg = _write_config(
+        tmp_path / "cfg.json",
+        {
+            "seed": 15,
+            "model": MODEL_SECTION,
+            "simulate": {"length": 100},
+            "monitor": {"training": "out/series.csv", "stream": "stream.csv",
+                        "gamma": 0.0, "alpha": 0.05, "threshold_c": 1e999},
+        },
+    )
+    assert run_command(["--config", cfg, "--out", str(out), "--quiet", "simulate"]) == 0
+    for bad_row, message in (("2,3.7,1.0", "row k=2: invalid literal"),
+                             ("2,3,nan", "k=2: covariates"),
+                             ("2,3", "row k=2: expected 3 cells")):
+        (tmp_path / "stream.csv").write_text(f"k,x,w1\n1,4,1.0\n{bad_row}\n3,4,1.0\n")
+        assert run_command(["--config", cfg, "--out", str(out), "--quiet", "monitor"]) == 1
+        err = capsys.readouterr().err
+        assert "stream.csv" in err and message in err, err
+
+
 def test_experiment_command(tmp_path):
     cfg = _write_config(
         tmp_path / "cfg.json",
@@ -157,6 +179,10 @@ def test_experiment_command(tmp_path):
     assert len(lines) == 4
     meta = json.loads((out / "consistency_meta.json").read_text())
     assert meta["experiment"] == "consistency"
+    assert meta["stream_contract"] == 2 and meta["block_size"] == 256
+    assert meta["failures_by_class"] == {
+        "80": {"SeparationError": 0, "SingularHessianError": 0, "NonConvergenceError": 0}
+    }
 
 
 def test_prep_and_compare_commands(tmp_path):

@@ -20,6 +20,7 @@ from binarx import (
     score_gradient,
     simulate_series,
 )
+from binarx.estimation import fit_mple_batch
 
 SPEC = default_model_spec()
 
@@ -222,3 +223,69 @@ def test_estimate_covariance_requires_convergence():
     fit = fit_mple(_sample(300, seed=14), SPEC.n, lax)
     with pytest.raises(ValueError):
         estimate_covariance(fit, fit.n_obs)
+
+
+def _stack(samples):
+    return np.stack([s.x for s in samples]), np.stack([s.w for s in samples])
+
+
+def _assert_batch_row_matches_fit_mple(batch, i, sample, solver=None, n=SPEC.n):
+    err = batch.errors[i]
+    if err is not None:
+        with pytest.raises(type(err)):
+            fit_mple(sample, n, solver)
+        return
+    fit = fit_mple(sample, n, solver)
+    np.testing.assert_allclose(batch.beta[i], fit.beta_hat.as_array(), rtol=1e-10)
+    np.testing.assert_allclose(batch.covariance[i], fit.covariance, rtol=1e-10)
+    np.testing.assert_allclose(batch.sigma0[i], fit.sigma0_hat, rtol=1e-10)
+    assert (batch.iterations[i], batch.hit_boundary[i]) == (fit.iterations, fit.hit_boundary)
+    assert batch.log_pl[i] == pytest.approx(fit.log_pl, rel=1e-12)
+
+
+def test_batched_fit_matches_fit_mple_per_rep_across_chunks():
+    # m = 2000, d = 3: 10 series per chunk, so 25 series span three chunks,
+    # with failing series on either side of a chunk boundary.
+    m = 2000
+    samples = [_sample(m, seed=900 + i) for i in range(25)]
+    w = samples[0].w
+    samples[9] = SeriesSample(x=np.full(m + 1, SPEC.n), w=w)  # separation
+    samples[10] = SeriesSample(x=np.full(m + 1, 3), w=w)  # AR column = 3 * intercept
+    samples[21] = SeriesSample(x=np.zeros(m + 1, dtype=np.int64), w=w)  # separation
+    batch = fit_mple_batch(*_stack(samples), SPEC.n)
+    assert [type(e).__name__ if e is not None else None for e in batch.errors][9:11] == [
+        "SeparationError", "SingularHessianError"]
+    assert batch.ok.sum() == 22
+    for i, sample in enumerate(samples):
+        _assert_batch_row_matches_fit_mple(batch, i, sample)
+
+
+def test_batched_fit_nonconvergence_class():
+    samples = [_sample(300, seed=13), _sample(300, seed=14)]
+    strict = SolverConfig(max_iter=1)
+    batch = fit_mple_batch(*_stack(samples), SPEC.n, strict)
+    assert all(isinstance(e, NonConvergenceError) for e in batch.errors)
+    for i, sample in enumerate(samples):
+        _assert_batch_row_matches_fit_mple(batch, i, sample, strict)
+
+
+def test_step_halving_per_rep_in_a_batch():
+    # x_prev separates the responses completely, so the MPLE runs off to the
+    # box and full Newton steps overshoot; step-halving keeps log PL rising.
+    lax = SolverConfig(raise_on_nonconvergence=False, cond_limit=1e300)
+    x = np.array([4, 4, 4, 4, 4, 0, 0, 0, 0, 0, 0])
+    w = np.array([-4.9, -2.0, -2.4, 1.0, 1.7, -1.1, -0.1, -0.5, -6.7, 0.1])[:, None]
+    separated = SeriesSample(x=x, w=w)
+    trace: list[float] = []
+    fit = fit_mple(separated, 4, lax, log_pl_trace=trace)
+    trace = np.asarray(trace)
+    assert fit.hit_boundary and not fit.converged
+    assert np.all(np.diff(trace) >= -1e-8 * (1.0 + np.abs(trace[:-1])))
+    # Its neighbours in a batch keep their own step sizes.
+    rng = np.random.default_rng(5)
+    samples = [SeriesSample(x=rng.integers(0, 5, 11), w=rng.normal(1.0, 0.5, (10, 1)))
+               for _ in range(2)]
+    samples.insert(1, separated)
+    batch = fit_mple_batch(*_stack(samples), 4, lax)
+    for i, sample in enumerate(samples):
+        _assert_batch_row_matches_fit_mple(batch, i, sample, lax, n=4)

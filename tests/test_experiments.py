@@ -1,23 +1,41 @@
 import numpy as np
 import pytest
 
+import json
+import math
+
+from scipy.special import expit
+
 from binarx import (
     CalibrationConfig,
     ChangePoint,
+    ExogenousSpec,
     ExperimentConfig,
+    ModelSpec,
     ParamVector,
+    SeriesSample,
     ThresholdTable,
     default_model_spec,
     fit_mple,
+    monitor_init,
+    monitor_update,
     run_consistency,
     run_normality,
     run_power,
     run_size,
+    stationary_oracle,
     threshold_table,
 )
 from binarx.experiments import (
+    BLOCK_SIZE,
+    FAILURE_CLASSES,
+    STREAM_CONTRACT,
+    _aux_metric,
+    _start,
+    _start_cdf,
     write_consistency_csv,
     write_estimates_csv,
+    write_metadata_json,
     write_normality_csv,
     write_power_csv,
     write_size_csv,
@@ -26,6 +44,38 @@ from binarx.experiments import (
 
 SPEC = default_model_spec()
 CHANGE = ChangePoint(at_k=11, new_beta=ParamVector(-1.0, 0.2, (0.4,)))
+# n > 30 takes the burn-in start instead of the exact stationary one.
+SPEC_N40 = ModelSpec(n=40, beta=ParamVector(-1.0, 0.02, (0.4,)), exo=SPEC.exo)
+
+
+def _contract_block(seed, kind, i, b, size, steps, spec=SPEC, burn_in=500, change_at=None,
+                    new_beta=None):
+    """Block b's chains under stream contract 2, rebuilt with numpy alone.
+
+    Returns x of shape (steps + 1, size) and w of shape (steps, size, l);
+    transition t (1-based) uses `new_beta` from t = change_at on.
+    """
+    rng = np.random.default_rng(np.random.SeedSequence((seed, kind, i, b)))
+    if spec.n <= 30 and spec.exo.l <= 2:
+        _, pmf = stationary_oracle(spec)
+        cdf = np.cumsum(pmf)
+        cdf /= cdf[-1]
+        x = np.searchsorted(cdf, rng.random(size), side="right")
+        burn_in = 0
+    else:
+        x = rng.binomial(spec.n, 0.5, size)
+    xs, ws = [], []
+    for t in range(1 - burn_in, steps + 1):
+        if t == 1:
+            xs.append(x)
+        beta = spec.beta if change_at is None or t < change_at else new_beta
+        c = beta.as_array()
+        w = spec.exo.draw(rng, size)
+        x = rng.binomial(spec.n, expit(c[0] + c[1] * x + w @ c[2:]))
+        if t >= 1:
+            xs.append(x)
+            ws.append(w)
+    return np.array(xs), np.array(ws)
 
 
 @pytest.fixture(scope="module")
@@ -40,15 +90,45 @@ def test_consistency_single_rep_equals_squared_error():
     m, mse, used, failures, flagged = report.rows[0]
     assert (used, failures, flagged) == (1, 0, False)
     # Reproduce the single replication through the documented stream contract.
-    rng = np.random.default_rng(np.random.SeedSequence((5, 0, 0, 0)))
-    x0 = int(rng.binomial(SPEC.n, 0.5))
-    from binarx import SeriesSample, simulate_chain
-
-    xb, _ = simulate_chain(SPEC, cfg.burn_in, rng, x0)
-    x, w = simulate_chain(SPEC, 120, rng, int(xb[-1]))
-    fit = fit_mple(SeriesSample(x=x, w=w), SPEC.n)
+    x, w = _contract_block(5, 0, 0, 0, size=1, steps=120)
+    fit = fit_mple(SeriesSample(x=x[:, 0], w=w[:, 0]), SPEC.n)
     err = fit.beta_hat.as_array() - SPEC.beta.as_array()
     np.testing.assert_allclose(mse, err**2, rtol=1e-12)
+
+
+def test_later_blocks_follow_the_contract():
+    # Reps from BLOCK_SIZE on come from block 1's own stream, sized by the
+    # remainder; the estimates keep replication order across blocks.
+    report = run_normality(ExperimentConfig(m_list=(100,), reps=BLOCK_SIZE + 3, master_seed=8))
+    assert report.failures == 0
+    x, w = _contract_block(8, 1, 0, 1, size=3, steps=100)
+    for r in range(3):
+        fit = fit_mple(SeriesSample(x=x[:, r], w=w[:, r]), SPEC.n)
+        np.testing.assert_allclose(report.estimates[BLOCK_SIZE + r], fit.beta_hat.as_array(),
+                                   rtol=1e-10)
+
+
+def test_burn_in_start_reproduces_contract():
+    # n = 40 > 30: X0 ~ Bin(n, 1/2), then burn_in lockstep steps over the block.
+    cfg = ExperimentConfig(spec=SPEC_N40, m_list=(80,), reps=3, burn_in=50, master_seed=6)
+    assert _start_cdf(SPEC_N40) is None
+    report = run_consistency(cfg)
+    assert report.rows[0][2] == 3
+    x, w = _contract_block(6, 0, 0, 0, size=3, steps=80, spec=SPEC_N40, burn_in=50)
+    errs = [
+        fit_mple(SeriesSample(x=x[:, r], w=w[:, r]), SPEC_N40.n).beta_hat.as_array()
+        - SPEC_N40.beta.as_array()
+        for r in range(3)
+    ]
+    np.testing.assert_allclose(report.rows[0][1], np.mean(np.square(errs), axis=0), rtol=1e-10)
+
+
+def test_exact_start_matches_oracle_pmf():
+    _, pmf = stationary_oracle(SPEC)
+    rng = np.random.default_rng(41)
+    x0 = _start(SPEC, _start_cdf(SPEC), 0, rng, 20_000)
+    empirical = np.bincount(x0, minlength=SPEC.n + 1) / x0.size
+    assert 0.5 * np.abs(empirical - pmf).sum() < 0.02
 
 
 def test_consistency_mse_decreases():
@@ -100,11 +180,23 @@ def test_size_report_shape_and_determinism(small_table):
 
 
 def test_size_thread_count_invariance(small_table):
+    # One full block plus a partial one, so the pool splits work by blocks.
     cfg = ExperimentConfig(
-        m_list=(80,), reps=24, gammas=(0.0,), alphas=(0.05,),
+        m_list=(80,), reps=BLOCK_SIZE + 7, gammas=(0.0,), alphas=(0.05,),
         master_seed=16, thresholds=small_table,
     )
     assert run_size(cfg, threads=1).rows == run_size(cfg, threads=2).rows
+
+
+def test_power_thread_count_invariance(small_table):
+    cfg = ExperimentConfig(
+        m_list=(100,), reps=BLOCK_SIZE + 7, gammas=(0.0, 0.4), alphas=(0.05,),
+        master_seed=21, thresholds=small_table, change=CHANGE,
+    )
+    one, two = run_power(cfg, threads=1), run_power(cfg, threads=2)
+    assert repr(one.rows) == repr(two.rows)
+    for key in one.delays:
+        np.testing.assert_array_equal(one.delays[key], two.delays[key])
 
 
 def test_power_detects_change_and_orders_delays(small_table):
@@ -131,6 +223,17 @@ def test_power_delay_grows_with_training_size(small_table):
     mean_small = report.rows[0][5]
     mean_large = report.rows[1][5]
     assert mean_large >= mean_small
+
+
+def test_monitored_horizon_must_hold_a_point(small_table):
+    cfg = ExperimentConfig(m_list=(20,), reps=3, gammas=(0.0,), alphas=(0.05,), horizon=0.01,
+                           thresholds=small_table)
+    with pytest.raises(ValueError, match="no monitored point at m=20"):
+        run_size(cfg)
+    late = ChangePoint(at_k=61, new_beta=CHANGE.new_beta)
+    with pytest.raises(ValueError, match="beyond horizon 60"):
+        run_power(ExperimentConfig(m_list=(20,), reps=3, gammas=(0.0,), alphas=(0.05,),
+                                   thresholds=small_table, change=late))
 
 
 def test_power_requires_change():
@@ -162,23 +265,55 @@ def test_experiment_config_validation():
 
 
 def test_change_stream_shape_and_shift():
-    from binarx.experiments import _MonitorTask, _simulate_monitor_stream
-
-    task = _MonitorTask(
-        spec=SPEC, m=100, horizon_steps=300, burn_in=100, master_seed=23,
-        kind=4, m_index=0, gammas=(0.0,), a_matrix=None, keep_path=0,
-        change=ChangePoint(at_k=11, new_beta=ParamVector(-1.0, 0.3, (0.4,))),
-    )
-    rng1 = np.random.default_rng(np.random.SeedSequence((23, 4, 0, 0)))
-    rng2 = np.random.default_rng(np.random.SeedSequence((23, 4, 0, 0)))
-    x1, w1 = _simulate_monitor_stream(task, rng1)
-    x2, w2 = _simulate_monitor_stream(task, rng2)
+    change = ChangePoint(at_k=11, new_beta=ParamVector(-1.0, 0.3, (0.4,)))
+    args = dict(size=1, steps=400, change_at=100 + change.at_k, new_beta=change.new_beta)
+    x1, w1 = _contract_block(23, 4, 0, 0, **args)
+    x2, w2 = _contract_block(23, 4, 0, 0, **args)
     np.testing.assert_array_equal(x1, x2)
     np.testing.assert_array_equal(w1, w2)
+    x1, w1 = x1[:, 0], w1[:, 0]
     assert x1.size == 401 and w1.shape == (400, 1)
     # The raised AR coefficient lifts the post-change level visibly.
-    cut = 100 + task.change.at_k - 1
+    cut = 100 + change.at_k - 1
     assert x1[cut + 1 :].mean() > x1[: cut + 1].mean() + 0.3
+
+
+@pytest.mark.parametrize("a_source", ["training", "aux"])
+def test_streamed_statistic_matches_monitor_update(small_table, a_source):
+    # The block engine scores the horizon step by step; a kept replication's
+    # path must equal the streaming monitor fed the same observations.
+    cfg = ExperimentConfig(
+        m_list=(100,), reps=3, gammas=(0.0, 0.4), alphas=(0.05,), master_seed=29,
+        thresholds=small_table, change=CHANGE, a_source=a_source, emit_traces=2,
+    )
+    report = run_power(cfg)
+    x, w = _contract_block(29, 4, 0, 0, size=3, steps=400, change_at=100 + CHANGE.at_k,
+                           new_beta=CHANGE.new_beta)
+    policy = "inverse_sigma0" if a_source == "training" else _aux_metric(cfg, _start_cdf(SPEC))
+    assert [(g, rep) for _, g, rep, _ in report.traces] == [(0.0, 0), (0.4, 0), (0.0, 1), (0.4, 1)]
+    for _, g, rep, path in report.traces:
+        training = SeriesSample(x=x[:101, rep], w=w[:100, rep])
+        state = monitor_init(training, SPEC.n, horizon=3.0, gamma=g, alpha=0.05,
+                             a_policy=policy, threshold_source=math.inf)
+        stats = [monitor_update(state, x[100 + k, rep], w[99 + k, rep])[1] for k in range(1, 301)]
+        np.testing.assert_allclose(path, stats, rtol=1e-10)
+
+
+def test_failures_by_class_in_metadata(tmp_path):
+    # A rare-event chain with a short window: many windows hold no success
+    # (SeparationError) and some put every success where x_prev is constant.
+    spec = ModelSpec(n=1, beta=ParamVector(-2.6, 0.0), exo=ExogenousSpec(l=0))
+    report = run_consistency(ExperimentConfig(spec=spec, m_list=(10,), reps=60, master_seed=3))
+    m, _, used, failures, _ = report.rows[0]
+    by_class = report.failures_by_class["10"]
+    assert set(by_class) == set(FAILURE_CLASSES)
+    assert by_class["SeparationError"] > 0
+    assert sum(by_class.values()) == failures == 60 - used
+    write_metadata_json(report, tmp_path / "meta.json")
+    meta = json.loads((tmp_path / "meta.json").read_text())
+    assert meta["failures_by_class"] == {"10": by_class}
+    assert meta["stream_contract"] == STREAM_CONTRACT == 2
+    assert meta["block_size"] == BLOCK_SIZE == 256
 
 
 def test_report_csv_writers(tmp_path, small_table):
@@ -203,3 +338,7 @@ def test_report_csv_writers(tmp_path, small_table):
         assert len(content) == lines, name
     traces = (tmp_path / "t.csv").read_text().strip().splitlines()
     assert len(traces) == 1 + 2 * 240  # header + 2 reps x horizon 240
+    for report, m in ((cons, "100"), (norm, "100"), (size, "80"), (power, "80")):
+        meta = report.metadata()
+        assert (meta["stream_contract"], meta["block_size"]) == (2, 256)
+        assert set(meta["failures_by_class"][m]) == set(FAILURE_CLASSES)

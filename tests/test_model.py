@@ -207,6 +207,18 @@ def test_series_csv_round_trip_no_exo(tmp_path):
     assert back.w.shape == (25, 0)
 
 
+@pytest.mark.parametrize(
+    "row, message",
+    [("2,3.7,1.0", r"row t=2: .*3\.7"), ("2,3,nan", r"row t=2: covariates \[nan\] are not finite"),
+     ("2,3,-inf", r"row t=2: covariates \[-inf\] are not finite"), ("2,3", r"row t=2: expected 3 cells")],
+)
+def test_series_csv_bad_rows_name_file_and_row(tmp_path, row, message):
+    path = tmp_path / "series.csv"
+    path.write_text(f"t,x,w1\n0,4,\n1,5,1.0\n{row}\n3,4,1.1\n")
+    with pytest.raises(ValueError, match=rf"series\.csv: {message}"):
+        read_series_csv(path)
+
+
 def test_series_sample_validation():
     with pytest.raises(ValueError):
         SeriesSample(x=np.array([1, 2, 3]), w=np.zeros((1, 1)))

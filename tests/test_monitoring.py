@@ -187,6 +187,41 @@ def test_monitor_update_range_check():
         monitor_update(state, 11, np.array([1.0]))
 
 
+def test_monitor_update_rejects_non_finite_covariate():
+    # A NaN covariate used to turn every later statistic into NaN, so the
+    # monitor could never alarm again.
+    training = _training(m=300, seed=54)
+    state = monitor_init(training, SPEC.n, horizon=3.0, gamma=0.0, alpha=0.05,
+                         threshold_source=1.0)
+    monitor_update(state, 2, np.array([1.0]))
+    assert state.alarm_at is None
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match=r"k=2\b.*not finite"):
+            monitor_update(state, 3, np.array([bad]))
+    assert state.k == 1 and np.all(np.isfinite(state.running_sum))
+    for _ in range(5):
+        monitor_update(state, SPEC.n, np.array([1.0]))
+        if state.alarm_at is not None:
+            break
+    assert state.alarm_at is not None
+
+
+def test_monitor_update_rejects_non_integer_count():
+    training = _training(m=100, seed=54)
+    state = monitor_init(training, SPEC.n, horizon=3.0, gamma=0.0, alpha=0.05,
+                         threshold_source=math.inf)
+    for bad in (3.7, np.float64(2.5), float("nan"), "3"):
+        with pytest.raises(ValueError, match=r"k=1\b.*not an integer"):
+            monitor_update(state, bad, np.array([1.0]))
+    with pytest.raises(ValueError, match=r"k=1\b.*outside"):
+        monitor_update(state, 11, np.array([1.0]))
+    assert state.k == 0 and not state.statistic_history
+    # Integral values of any numeric type are counts.
+    monitor_update(state, 3.0, np.array([1.0]))
+    monitor_update(state, np.int64(4), np.array([1.0]))
+    assert state.x_prev == 4 and isinstance(state.x_prev, int)
+
+
 def test_monitor_run_no_alarm_full_history():
     training = _training(m=100, seed=55)
     state = monitor_init(training, SPEC.n, horizon=3.0, gamma=0.0, alpha=0.05,
