@@ -20,16 +20,42 @@ from __future__ import annotations
 
 import csv
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .defaults import DEFAULT_SEED
+from ._artifacts import write_csv
+from .defaults import (
+    DEFAULT_ALPHAS,
+    DEFAULT_CALIBRATION_REPS,
+    DEFAULT_GAMMAS,
+    DEFAULT_GRID_M,
+    DEFAULT_HORIZON,
+    DEFAULT_SEED,
+)
 from .exceptions import ThresholdUnavailableError
 from ._parallel import map_over_reps
 
-_DEFAULT_GAMMAS = (0.0, 0.25, 0.4)
-_DEFAULT_ALPHAS = (0.1, 0.05, 0.025, 0.01)
+_TABLE_HEADER = ("gamma", "alpha", "c", "reps", "grid_m", "N", "seed")
+
+
+def _check_gamma(gamma: float) -> None:
+    if not 0.0 <= gamma < 0.5:
+        raise ValueError(f"gamma must lie in [0, 0.5), got {gamma}")
+
+
+def rho(s, gamma: float):
+    """Weight shape rho(s, gamma) = s^(-gamma) * (s + 1)^(gamma - 1), s > 0.
+
+    Strictly decreasing in s; gamma in [0, 1/2) tunes how much early
+    monitoring points are amplified.  Accepts scalar or array s.
+    """
+    _check_gamma(gamma)
+    s = np.asarray(s, dtype=float)
+    if np.any(s <= 0):
+        raise ValueError(f"rho needs s > 0, got {s}")
+    out = s ** (-gamma) * (s + 1.0) ** (gamma - 1.0)
+    return float(out) if out.ndim == 0 else out
 
 
 @dataclass(frozen=True)
@@ -46,11 +72,11 @@ class CalibrationConfig:
     sigma: np.ndarray | None = None
     a_policy: str = "inverse_sigma"
     a_matrix: np.ndarray | None = None
-    horizon: float = 3.0
-    grid_m: int = 1000
-    reps: int = 10_000
-    gammas: tuple[float, ...] = _DEFAULT_GAMMAS
-    alphas: tuple[float, ...] = _DEFAULT_ALPHAS
+    horizon: float = DEFAULT_HORIZON
+    grid_m: int = DEFAULT_GRID_M
+    reps: int = DEFAULT_CALIBRATION_REPS
+    gammas: tuple[float, ...] = DEFAULT_GAMMAS
+    alphas: tuple[float, ...] = DEFAULT_ALPHAS
     master_seed: int = DEFAULT_SEED
 
     def __post_init__(self):
@@ -65,8 +91,7 @@ class CalibrationConfig:
         if self.a_policy not in ("inverse_sigma", "explicit"):
             raise ValueError(f"unknown a_policy {self.a_policy!r}")
         for g in self.gammas:
-            if not 0.0 <= g < 0.5:
-                raise ValueError(f"gamma must lie in [0, 0.5), got {g}")
+            _check_gamma(g)
         for a in self.alphas:
             if not 0.0 < a < 1.0:
                 raise ValueError(f"alpha must lie in (0, 1), got {a}")
@@ -122,10 +147,6 @@ def _grid(config: CalibrationConfig) -> np.ndarray:
     return np.arange(1, config.steps + 1) / config.grid_m
 
 
-def _rho_sq(s: np.ndarray, gamma: float) -> np.ndarray:
-    return (s ** (-gamma) * (s + 1.0) ** (gamma - 1.0)) ** 2
-
-
 def _rep_rng(master_seed: int, rep_index: int) -> np.random.Generator:
     # Documented stream contract: replication r draws from (master_seed, r),
     # so results are independent of evaluation order and worker count.
@@ -171,32 +192,24 @@ def sample_sup_functional(config: CalibrationConfig, gamma: float, rep_index: in
         a_matrix = np.linalg.inv(config.sigma)
     else:
         a_matrix = np.eye(config.dim)
-    explicit = CalibrationConfig(
-        dim=config.dim,
-        sigma=config.sigma,
-        a_policy="explicit",
-        a_matrix=a_matrix,
-        horizon=config.horizon,
-        grid_m=config.grid_m,
-        reps=config.reps,
-        gammas=config.gammas,
-        alphas=config.alphas,
-        master_seed=config.master_seed,
-    )
-    q = _rep_quadratic_path(explicit, rep_index)
-    return float((_rho_sq(_grid(config), gamma) * q).max())
+    q = _rep_quadratic_path(replace(config, a_policy="explicit", a_matrix=a_matrix), rep_index)
+    return float((rho(_grid(config), gamma) ** 2 * q).max())
 
 
-def _sup_rep_worker(config: CalibrationConfig, rep_index: int) -> np.ndarray:
-    q = _rep_quadratic_path(config, rep_index)
-    s = _grid(config)
-    return np.array([(_rho_sq(s, g) * q).max() for g in config.gammas])
+def _sup_rep_worker(shared: tuple[CalibrationConfig, np.ndarray], rep_index: int) -> np.ndarray:
+    config, rho_sq = shared
+    return (rho_sq * _rep_quadratic_path(config, rep_index)).max(axis=1)
 
 
 def _sup_samples(config: CalibrationConfig, threads: int = 1) -> np.ndarray:
-    """(reps, len(gammas)) matrix of supremum samples under common streams."""
-    rows = map_over_reps(_sup_rep_worker, config, config.reps, threads)
-    return np.vstack(rows)
+    """(reps, len(gammas)) matrix of supremum samples under common streams.
+
+    The squared weight shapes, one (gammas, steps) array, are computed once
+    and shared by every replication.
+    """
+    s = _grid(config)
+    rho_sq = np.array([rho(s, g) ** 2 for g in config.gammas]).reshape(-1, s.size)
+    return np.vstack(map_over_reps(_sup_rep_worker, (config, rho_sq), config.reps, threads))
 
 
 def quantile_higher(values: np.ndarray, q: float) -> float:
@@ -214,14 +227,8 @@ def compute_threshold(
     config: CalibrationConfig, gamma: float, alpha: float, threads: int = 1
 ) -> float:
     """Critical value c(gamma, alpha): the empirical (1 - alpha) quantile."""
-    if config.reps * alpha < 5:
-        warnings.warn(
-            f"reps*alpha = {config.reps * alpha:.1f} < 5: tail quantile is unstable",
-            stacklevel=2,
-        )
-    single = _replace_gammas(config, (float(gamma),))
-    sups = _sup_samples(single, threads)[:, 0]
-    return quantile_higher(sups, 1.0 - alpha)
+    single = replace(config, gammas=(float(gamma),), alphas=(float(alpha),))
+    return threshold_table(single, threads).lookup(gamma, alpha)
 
 
 def threshold_table(config: CalibrationConfig, threads: int = 1) -> ThresholdTable:
@@ -251,39 +258,13 @@ def threshold_table(config: CalibrationConfig, threads: int = 1) -> ThresholdTab
     )
 
 
-def _replace_gammas(config: CalibrationConfig, gammas: tuple[float, ...]) -> CalibrationConfig:
-    return CalibrationConfig(
-        dim=config.dim,
-        sigma=config.sigma,
-        a_policy=config.a_policy,
-        a_matrix=config.a_matrix,
-        horizon=config.horizon,
-        grid_m=config.grid_m,
-        reps=config.reps,
-        gammas=gammas,
-        alphas=config.alphas,
-        master_seed=config.master_seed,
-    )
-
-
 def write_threshold_table(table: ThresholdTable, path) -> None:
     """CSV with columns gamma,alpha,c,reps,grid_m,N,seed (one row per cell)."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["gamma", "alpha", "c", "reps", "grid_m", "N", "seed"])
-        for g in table.gammas():
-            for a in table.alphas():
-                writer.writerow(
-                    [
-                        repr(float(g)),
-                        repr(float(a)),
-                        repr(table.entries[(g, a)]),
-                        table.reps,
-                        table.grid_m,
-                        repr(float(table.horizon)),
-                        table.master_seed,
-                    ]
-                )
+    meta = (table.reps, table.grid_m, float(table.horizon), table.master_seed)
+    write_csv(path, _TABLE_HEADER, (
+        (float(g), float(a), float(table.entries[(g, a)]), *meta)
+        for g in table.gammas() for a in table.alphas()
+    ))
 
 
 def read_threshold_table(path) -> ThresholdTable:
@@ -292,9 +273,8 @@ def read_threshold_table(path) -> ThresholdTable:
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader)
-        expected = ["gamma", "alpha", "c", "reps", "grid_m", "N", "seed"]
-        if header != expected:
-            raise ValueError(f"{path}: expected header {expected}, got {header}")
+        if header != list(_TABLE_HEADER):
+            raise ValueError(f"{path}: expected header {list(_TABLE_HEADER)}, got {header}")
         for row in reader:
             if not row:
                 continue

@@ -10,14 +10,14 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import sys
 from pathlib import Path
 
 import numpy as np
 
 from . import config as cfgmod
-from .calibration import read_threshold_table, threshold_table, write_threshold_table
+from ._artifacts import write_csv, write_json
+from .calibration import threshold_table, write_threshold_table
 from .dataprep import (
     RatePanel,
     binarize_and_sum,
@@ -25,25 +25,12 @@ from .dataprep import (
     model_comparison,
     read_binomial_series,
     write_binomial_series,
-    write_comparison,
 )
 from .estimation import fit_mple, write_fit_report
 from .exceptions import BinarxError, ConfigError
-from .experiments import (
-    run_consistency,
-    run_normality,
-    run_power,
-    run_size,
-    write_consistency_csv,
-    write_estimates_csv,
-    write_metadata_json,
-    write_normality_csv,
-    write_power_csv,
-    write_size_csv,
-    write_traces_csv,
-)
+from .experiments import run_consistency, run_normality, run_power, run_size, write_report
 from .model import read_series_csv, simulate_series, write_series_csv
-from .monitoring import monitor_init, monitor_update
+from .monitoring import monitor_init, monitor_run
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -97,8 +84,7 @@ def _cmd_simulate(loaded, out: Path, quiet: bool) -> int:
 
 def _cmd_fit(loaded, out: Path, quiet: bool) -> int:
     spec, _ = cfgmod.parse_model(loaded)
-    series_path = cfgmod.resolve_path(loaded, cfgmod._typed(loaded.raw, "fit.series", str))
-    sample = read_series_csv(series_path)
+    sample = read_series_csv(cfgmod.resolve_path(loaded, "fit.series"))
     fit = fit_mple(sample, spec.n)
     path = out / "fit_report.json"
     write_fit_report(fit, path)
@@ -115,103 +101,65 @@ def _cmd_calibrate(loaded, out: Path, quiet: bool) -> int:
     return EXIT_OK
 
 
-def _cmd_monitor(loaded, out: Path, quiet: bool) -> int:
-    raw = loaded.raw
-    spec, _ = cfgmod.parse_model(loaded)
-    training = read_series_csv(
-        cfgmod.resolve_path(loaded, cfgmod._typed(raw, "monitor.training", str))
-    )
-    stream_path = cfgmod.resolve_path(loaded, cfgmod._typed(raw, "monitor.stream", str))
-    gamma = float(cfgmod._get(raw, "monitor.gamma", 0.0))
-    alpha = float(cfgmod._get(raw, "monitor.alpha", 0.05))
-    horizon = float(cfgmod._get(raw, "monitor.horizon", 3.0))
-    a_policy = cfgmod._typed(raw, "monitor.a_policy", str, "inverse_sigma0")
-    if "threshold_c" in raw.get("monitor", {}):
-        source = float(cfgmod._get(raw, "monitor.threshold_c"))
-    elif "thresholds" in raw.get("monitor", {}):
-        source = read_threshold_table(
-            cfgmod.resolve_path(loaded, cfgmod._typed(raw, "monitor.thresholds", str))
-        )
-    else:
-        raise ConfigError("monitor.threshold_c", "need threshold_c or a thresholds table path")
+def _stream_rows(fh, n_cells: int):
+    """(x, w) pairs from an open stream CSV with header k,x,w1,...
 
-    state = monitor_init(
-        training, spec.n, horizon=horizon, gamma=gamma, alpha=alpha,
-        a_policy=a_policy, threshold_source=source,
-    )
-    log_path = out / "monitor_log.csv"
-    truncated = False
-    with open(stream_path, newline="") as stream_fh, open(log_path, "w", newline="") as log_fh:
-        reader = csv.reader(stream_fh)
-        header = next(reader)
-        if len(header) < 2 or header[0] != "k" or header[1] != "x":
-            raise BinarxError(f"{stream_path}: expected stream header k,x,w1,...")
-        log = csv.writer(log_fh)
-        log.writerow(["k", "statistic", "threshold", "alarm"])
-        rows = (row for row in reader if row)
-        while state.alarm_at is None and state.k < state.config.horizon_steps:
-            try:
-                row = next(rows)
-            except StopIteration:
-                truncated = True
-                break
-            try:
-                if len(row) != training.l + 2:
-                    raise ValueError(f"expected {training.l + 2} cells, got {len(row)}")
-                x_new = int(row[1])
-                w_new = np.array([float(v) for v in row[2:]])
-            except ValueError as exc:
-                raise ValueError(f"{stream_path}: row k={row[0]}: {exc}") from None
-            try:
-                _, stat = monitor_update(state, x_new, w_new)
-            except ValueError as exc:
-                raise ValueError(f"{stream_path}: {exc}") from None
-            log.writerow(
-                [state.k, repr(stat), repr(state.config.threshold_c), state.alarm_at is not None]
-            )
-    result = {
-        "alarm_at": state.alarm_at,
-        "k_final": state.k,
-        "truncated": truncated,
-        "horizon_steps": state.config.horizon_steps,
-        "threshold_c": state.config.threshold_c,
-        "gamma": gamma,
-        "alpha": alpha,
-        "m": state.config.m,
-        "beta_hat": list(state.beta_hat.as_array()),
-    }
+    A malformed row raises ValueError naming its k; monitor_update checks the
+    count's range and that the covariates are finite.
+    """
+    reader = csv.reader(fh)
+    if next(reader, [])[:2] != ["k", "x"]:
+        raise ValueError("expected stream header k,x,w1,...")
+    for row in reader:
+        if not row:
+            continue
+        try:
+            if len(row) != n_cells:
+                raise ValueError(f"expected {n_cells} cells, got {len(row)}")
+            x_new, w_new = int(row[1]), np.array([float(v) for v in row[2:]])
+        except ValueError as exc:
+            raise ValueError(f"row k={row[0]}: {exc}") from None
+        yield x_new, w_new
+
+
+def _cmd_monitor(loaded, out: Path, quiet: bool) -> int:
+    spec, _ = cfgmod.parse_model(loaded)
+    training = read_series_csv(cfgmod.resolve_path(loaded, "monitor.training"))
+    stream_path = cfgmod.resolve_path(loaded, "monitor.stream")
+    state = monitor_init(training, spec.n, **cfgmod.parse_monitor(loaded))
+    try:
+        with open(stream_path, newline="") as fh:
+            result = monitor_run(state, _stream_rows(fh, training.l + 2))
+    except ValueError as exc:
+        raise ValueError(f"{stream_path}: {exc}") from None
+    cfg = state.config
+    write_csv(out / "monitor_log.csv", ("k", "statistic", "threshold", "alarm"),
+              ((k, stat, cfg.threshold_c, k == result.alarm_at)
+               for k, stat in enumerate(result.statistic_history, start=1)))
     result_path = out / "monitor_result.json"
-    with open(result_path, "w") as fh:
-        json.dump(result, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    if state.alarm_at is not None:
-        _say(quiet, f"ALARM at monitored index {state.alarm_at}; wrote {result_path}")
+    write_json(result_path, {
+        "alarm_at": result.alarm_at,
+        "k_final": result.k_final,
+        "truncated": result.truncated,
+        "horizon_steps": cfg.horizon_steps,
+        "threshold_c": cfg.threshold_c,
+        "gamma": cfg.gamma,
+        "alpha": cfg.alpha,
+        "m": cfg.m,
+        "beta_hat": list(state.beta_hat.as_array()),
+    })
+    if result.alarm_at is not None:
+        _say(quiet, f"ALARM at monitored index {result.alarm_at}; wrote {result_path}")
         return EXIT_ALARM
-    _say(quiet, f"no alarm in {state.k} monitored points; wrote {result_path}")
+    _say(quiet, f"no alarm in {result.k_final} monitored points; wrote {result_path}")
     return EXIT_OK
 
 
 def _cmd_experiment(loaded, out: Path, quiet: bool) -> int:
     kind, exp = cfgmod.parse_experiment(loaded)
-    threads = loaded.threads
-    if kind == "consistency":
-        report = run_consistency(exp, threads)
-        write_consistency_csv(report, out / "consistency_report.csv")
-    elif kind == "normality":
-        report = run_normality(exp, threads)
-        write_normality_csv(report, out / "normality_report.csv")
-        write_estimates_csv(report, out / "normality_estimates.csv")
-    elif kind == "size":
-        report = run_size(exp, threads)
-        write_size_csv(report, out / "size_report.csv")
-        if report.traces:
-            write_traces_csv(report.traces, out / "size_traces.csv")
-    else:
-        report = run_power(exp, threads)
-        write_power_csv(report, out / "power_report.csv")
-        if report.traces:
-            write_traces_csv(report.traces, out / "power_traces.csv")
-    write_metadata_json(report, out / f"{kind}_meta.json")
+    run = {"consistency": run_consistency, "normality": run_normality, "size": run_size,
+           "power": run_power}[kind]
+    write_report(run(exp, loaded.threads), out)
     _say(quiet, f"wrote {kind} report to {out}")
     return EXIT_OK
 
@@ -228,12 +176,10 @@ def _cmd_prep(loaded, out: Path, quiet: bool) -> int:
 
 
 def _cmd_compare(loaded, out: Path, quiet: bool) -> int:
-    series = read_binomial_series(
-        cfgmod.resolve_path(loaded, cfgmod._typed(loaded.raw, "compare.series", str))
-    )
+    series = read_binomial_series(cfgmod.resolve_path(loaded, "compare.series"))
     result = model_comparison(series)
     path = out / "comparison.json"
-    write_comparison(result, path)
+    write_json(path, result)
     _say(
         quiet,
         f"wrote {path} (AIC simple {result['aic_simple']:.2f} vs AR1 {result['aic_ar1']:.2f})",

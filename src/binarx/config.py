@@ -16,13 +16,29 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .calibration import CalibrationConfig, read_threshold_table
-from .defaults import DEFAULT_BURN_IN, DEFAULT_SEED, default_model_spec
+from .defaults import (
+    DEFAULT_BURN_IN,
+    DEFAULT_HORIZON,
+    DEFAULT_MONITOR_ALPHA,
+    DEFAULT_MONITOR_GAMMA,
+    DEFAULT_SEED,
+    EXPERIMENT_DEFAULTS,
+    default_model_spec,
+)
 from .exceptions import ConfigError
 from .experiments import ChangePoint, ExperimentConfig
 from .model import ExogenousSpec, ModelSpec, ParamVector
 
-# Desk-scale replication defaults per experiment kind.
-_EXPERIMENT_REPS = {"consistency": 100, "normality": 1000, "size": 1000, "power": 500}
+# The optional keys of each section and their types; a list read as a tuple
+# is written (element type,).  Keys the config leaves out (or sets to null)
+# take the dataclass defaults.
+_EXO_FIELDS = {"dist": str, "mean": float, "sd": float, "clamp_lo": float, "clamp_hi": float,
+               "l": int}
+_CALIBRATE_FIELDS = {"dim": int, "horizon": float, "grid_m": int, "reps": int,
+                     "gammas": (float,), "alphas": (float,)}
+_EXPERIMENT_FIELDS = {"m_list": (int,), "reps": int, "gammas": (float,), "alphas": (float,),
+                      "horizon": float, "a_source": str, "aux_length": int,
+                      "calibration_reps": int, "calibration_grid": int, "emit_traces": int}
 
 
 @dataclass(frozen=True)
@@ -85,28 +101,41 @@ def _get(cfg: dict, path: str, default=_REQUIRED):
     return node
 
 
+def _convert(value, kind):
+    if isinstance(kind, tuple):
+        if not isinstance(value, list):
+            raise ValueError
+        return tuple(_convert(v, kind[0]) for v in value)
+    if kind is int:
+        if isinstance(value, bool) or int(value) != value:
+            raise ValueError
+        return int(value)
+    if kind is float:
+        return float(value)
+    if not isinstance(value, kind):
+        raise ValueError
+    return value
+
+
 def _typed(cfg: dict, path: str, kind, default=_REQUIRED):
+    """The value at `path` as int, float, str, list or (element type,) tuple."""
     value = _get(cfg, path, default)
     if default is not _REQUIRED and value is default:
         return value
     try:
-        if kind is int:
-            if isinstance(value, bool) or int(value) != value:
-                raise ValueError
-            return int(value)
-        if kind is float:
-            return float(value)
-        if kind is str:
-            if not isinstance(value, str):
-                raise ValueError
-            return value
-        if kind is list:
-            if not isinstance(value, list):
-                raise ValueError
-            return value
-    except (TypeError, ValueError):
-        pass
-    raise ConfigError(path, f"expected {kind.__name__}, got {value!r}")
+        return _convert(value, kind)
+    except (TypeError, ValueError, OverflowError):
+        name = f"list of {kind[0].__name__}" if isinstance(kind, tuple) else kind.__name__
+        raise ConfigError(path, f"expected {name}, got {value!r}") from None
+
+
+def _present(cfg: dict, section: str, fields: dict) -> dict:
+    """Typed values of the `fields` that `section` sets, by key."""
+    node = _get(cfg, section, {})
+    if not isinstance(node, dict):
+        raise ConfigError(section, "must be an object")
+    return {key: _typed(cfg, f"{section}.{key}", kind)
+            for key, kind in fields.items() if node.get(key) is not None}
 
 
 def _opt_int(cfg: dict, path: str, default: int) -> int:
@@ -119,24 +148,11 @@ def parse_model(loaded: LoadedConfig) -> tuple[ModelSpec, int]:
     cfg = loaded.raw
     if "model" not in cfg:
         return default_model_spec(), DEFAULT_BURN_IN
-    section = _get(cfg, "model")
     n = _typed(cfg, "model.n", int)
-    beta_list = _typed(cfg, "model.beta", list)
-    exo_cfg = section.get("exo", {})
-    if not isinstance(exo_cfg, dict):
-        raise ConfigError("model.exo", "must be an object")
-    l = _opt_int(cfg, "model.exo.l", max(len(beta_list) - 2, 0))
+    beta = _typed(cfg, "model.beta", (float,))
+    exo = {"l": max(len(beta) - 2, 0), **_present(cfg, "model.exo", _EXO_FIELDS)}
     try:
-        exo = ExogenousSpec(
-            dist=str(exo_cfg.get("dist", "normal")),
-            mean=float(exo_cfg.get("mean", 1.0)),
-            sd=float(exo_cfg.get("sd", 0.1)),
-            clamp_lo=float(exo_cfg.get("clamp_lo", 0.0)),
-            clamp_hi=float(exo_cfg.get("clamp_hi", 10.0)),
-            l=l,
-        )
-        beta = ParamVector.from_array([float(v) for v in beta_list])
-        spec = ModelSpec(n=n, beta=beta, exo=exo)
+        spec = ModelSpec(n=n, beta=ParamVector.from_array(beta), exo=ExogenousSpec(**exo))
     except ValueError as exc:
         raise ConfigError("model", str(exc)) from None
     burn_in = _opt_int(cfg, "model.burn_in", DEFAULT_BURN_IN)
@@ -145,31 +161,19 @@ def parse_model(loaded: LoadedConfig) -> tuple[ModelSpec, int]:
     return spec, burn_in
 
 
-def resolve_path(loaded: LoadedConfig, path_str: str) -> Path:
-    p = Path(path_str)
+def resolve_path(loaded: LoadedConfig, key: str) -> Path:
+    """The file the config names at `key`; relative to the config's directory."""
+    p = Path(_typed(loaded.raw, key, str))
     return p if p.is_absolute() else loaded.base_dir / p
 
 
 def parse_calibrate(loaded: LoadedConfig) -> CalibrationConfig:
     cfg = loaded.raw
-    section = cfg.get("calibrate", {})
-    if not isinstance(section, dict):
-        raise ConfigError("calibrate", "must be an object")
+    fields = _present(cfg, "calibrate", _CALIBRATE_FIELDS)
     if "model" in cfg:
-        spec, _ = parse_model(loaded)
-        default_dim = spec.beta.dim
-    else:
-        default_dim = 3
+        fields.setdefault("dim", parse_model(loaded)[0].beta.dim)
     try:
-        return CalibrationConfig(
-            dim=_opt_int(cfg, "calibrate.dim", default_dim),
-            horizon=float(section.get("horizon", 3.0)),
-            grid_m=_opt_int(cfg, "calibrate.grid_m", 1000),
-            reps=_opt_int(cfg, "calibrate.reps", 10_000),
-            gammas=tuple(float(g) for g in section.get("gammas", [0.0, 0.25, 0.4])),
-            alphas=tuple(float(a) for a in section.get("alphas", [0.1, 0.05, 0.025, 0.01])),
-            master_seed=loaded.seed,
-        )
+        return CalibrationConfig(**fields, master_seed=loaded.seed)
     except ValueError as exc:
         raise ConfigError("calibrate", str(exc)) from None
 
@@ -177,48 +181,52 @@ def parse_calibrate(loaded: LoadedConfig) -> CalibrationConfig:
 def parse_experiment(loaded: LoadedConfig) -> tuple[str, ExperimentConfig]:
     cfg = loaded.raw
     kind = _typed(cfg, "experiment.kind", str)
-    if kind not in _EXPERIMENT_REPS:
+    if kind not in EXPERIMENT_DEFAULTS:
         raise ConfigError(
-            "experiment.kind", f"must be one of {sorted(_EXPERIMENT_REPS)}, got {kind!r}"
+            "experiment.kind", f"must be one of {sorted(EXPERIMENT_DEFAULTS)}, got {kind!r}"
         )
     section = _get(cfg, "experiment")
     spec, burn_in = parse_model(loaded)
     change = None
     if "change" in section:
         at_k = _typed(cfg, "experiment.change.at_k", int)
-        new_beta = _typed(cfg, "experiment.change.beta", list)
+        new_beta = _typed(cfg, "experiment.change.beta", (float,))
         try:
             change = ChangePoint(at_k=at_k, new_beta=ParamVector.from_array(new_beta))
         except ValueError as exc:
             raise ConfigError("experiment.change", str(exc)) from None
     thresholds = None
     if "thresholds" in section:
-        thresholds = read_threshold_table(resolve_path(loaded, _typed(cfg, "experiment.thresholds", str)))
-    default_m = {"consistency": (500, 1000, 1500), "normality": (400,), "size": (100, 200, 300),
-                 "power": (100, 200, 300)}[kind]
+        thresholds = read_threshold_table(resolve_path(loaded, "experiment.thresholds"))
+    fields = {**EXPERIMENT_DEFAULTS[kind], **_present(cfg, "experiment", _EXPERIMENT_FIELDS)}
     try:
-        exp = ExperimentConfig(
-            spec=spec,
-            m_list=tuple(int(m) for m in section.get("m_list", default_m)),
-            reps=_opt_int(cfg, "experiment.reps", _EXPERIMENT_REPS[kind]),
-            gammas=tuple(float(g) for g in section.get("gammas", [0.0, 0.25, 0.4])),
-            alphas=tuple(float(a) for a in section.get("alphas", [0.1, 0.05, 0.025, 0.01])),
-            horizon=float(section.get("horizon", 3.0)),
-            change=change,
-            master_seed=loaded.seed,
-            burn_in=burn_in,
-            a_source=_typed(cfg, "experiment.a_source", str, "aux"),
-            aux_length=_opt_int(cfg, "experiment.aux_length", 10_000),
-            calibration_reps=_opt_int(cfg, "experiment.calibration_reps", 10_000),
-            calibration_grid=_opt_int(cfg, "experiment.calibration_grid", 1000),
-            thresholds=thresholds,
-            emit_traces=_opt_int(cfg, "experiment.emit_traces", 0),
-        )
+        exp = ExperimentConfig(spec=spec, change=change, master_seed=loaded.seed, burn_in=burn_in,
+                               thresholds=thresholds, **fields)
     except ValueError as exc:
         raise ConfigError("experiment", str(exc)) from None
     if kind == "power" and exp.change is None:
         raise ConfigError("experiment.change", "required for the power experiment")
     return kind, exp
+
+
+def parse_monitor(loaded: LoadedConfig) -> dict:
+    """monitor_init keywords from the `monitor` section: horizon, gamma, alpha
+    and threshold_source (a critical value or a threshold table)."""
+    cfg = loaded.raw
+    if _typed(cfg, "monitor.a_policy", str, "inverse_sigma0") != "inverse_sigma0":
+        raise ConfigError("monitor.a_policy", "must be 'inverse_sigma0', the metric that "
+                          "threshold tables are calibrated for")
+    section = _get(cfg, "monitor")
+    if "threshold_c" in section:
+        source = _typed(cfg, "monitor.threshold_c", float)
+    elif "thresholds" in section:
+        source = read_threshold_table(resolve_path(loaded, "monitor.thresholds"))
+    else:
+        raise ConfigError("monitor.threshold_c", "need threshold_c or a thresholds table path")
+    return {"horizon": DEFAULT_HORIZON, "gamma": DEFAULT_MONITOR_GAMMA,
+            "alpha": DEFAULT_MONITOR_ALPHA,
+            **_present(cfg, "monitor", {"horizon": float, "gamma": float, "alpha": float}),
+            "threshold_source": source}
 
 
 def _weeks_in_iso_year(year: int) -> int:
@@ -246,7 +254,7 @@ def expand_window(start: tuple[int, int], end: tuple[int, int]) -> list[tuple[in
 
 def parse_prep(loaded: LoadedConfig) -> dict:
     cfg = loaded.raw
-    rates = resolve_path(loaded, _typed(cfg, "prep.rates", str))
+    rates = resolve_path(loaded, "prep.rates")
     states = _typed(cfg, "prep.states", list)
     if not states or not all(isinstance(s, str) for s in states):
         raise ConfigError("prep.states", "must be a non-empty list of state names")

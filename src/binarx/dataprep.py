@@ -10,15 +10,14 @@ binomial null via AIC and a likelihood-ratio test.
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaincc, gammaln, xlogy
+from scipy.special import gammaincc, xlogy
 
 from .estimation import fit_mple
 from .exceptions import MissingBaselineError, PanelCoverageError
-from .model import SeriesSample
+from .model import SeriesSample, log_binom
 
 
 @dataclass(frozen=True)
@@ -159,9 +158,10 @@ def binarize_and_sum(
     return BinomialSeries(x=np.array(counts, dtype=np.int64), n=len(states), labels=tuple(window))
 
 
-def _iid_log_lik(x: np.ndarray, n: int, pi: float) -> float:
-    log_binom = gammaln(n + 1) - gammaln(x + 1) - gammaln(n - x + 1)
-    return float(np.sum(log_binom + xlogy(x, pi) + xlogy(n - x, 1.0 - pi)))
+def _iid_fit(x: np.ndarray, n: int) -> tuple[float, float]:
+    """Constant-probability estimate pi_hat = sum(x) / (n T) and its log likelihood."""
+    pi = float(x.sum()) / (n * x.size)
+    return pi, float(np.sum(log_binom(n, x) + xlogy(x, pi) + xlogy(n - x, 1.0 - pi)))
 
 
 def fit_iid_binomial(series: BinomialSeries) -> dict:
@@ -174,8 +174,7 @@ def fit_iid_binomial(series: BinomialSeries) -> dict:
     x = series.x
     if x.size == 0:
         raise ValueError("series is empty")
-    pi_hat = float(x.sum()) / (series.n * x.size)
-    log_lik = _iid_log_lik(x, series.n, pi_hat)
+    pi_hat, log_lik = _iid_fit(x, series.n)
     return {
         "pi_hat": pi_hat,
         "log_lik": log_lik,
@@ -209,8 +208,7 @@ def model_comparison(series: BinomialSeries) -> dict:
     ll_ar1 = fit.log_pl
 
     tail = x[1:]
-    pi_hat = float(tail.sum()) / (series.n * tail.size)
-    ll_simple = _iid_log_lik(tail, series.n, pi_hat)
+    pi_hat, ll_simple = _iid_fit(tail, series.n)
 
     lr = 2.0 * (ll_ar1 - ll_simple)
     return {
@@ -255,9 +253,3 @@ def read_binomial_series(path) -> BinomialSeries:
             labels.append((int(row[0]), int(row[1])))
             counts.append(int(row[2]))
     return BinomialSeries(x=np.array(counts, dtype=np.int64), n=n, labels=tuple(labels))
-
-
-def write_comparison(result: dict, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(result, fh, indent=2, sort_keys=True)
-        fh.write("\n")

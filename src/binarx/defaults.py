@@ -9,6 +9,29 @@ DEFAULT_BURN_IN = 500
 # Compact box for coefficient vectors; fits must stay in its interior.
 PARAM_BOX_BOUND = 20.0
 
+# Sensitivities and levels that threshold tables and studies cover.
+DEFAULT_GAMMAS = (0.0, 0.25, 0.4)
+DEFAULT_ALPHAS = (0.1, 0.05, 0.025, 0.01)
+
+# Close-end horizon multiplier N: monitoring stops at k = floor(N * m).
+DEFAULT_HORIZON = 3.0
+
+# Monte-Carlo calibration: replications and grid points per unit time.
+DEFAULT_CALIBRATION_REPS = 10_000
+DEFAULT_GRID_M = 1000
+
+# Sensitivity and level of the `monitor` subcommand when its config names none.
+DEFAULT_MONITOR_GAMMA = 0.0
+DEFAULT_MONITOR_ALPHA = 0.05
+
+# Desk-scale `experiment` subcommand defaults per kind.
+EXPERIMENT_DEFAULTS = {
+    "consistency": {"reps": 100, "m_list": (500, 1000, 1500)},
+    "normality": {"reps": 1000, "m_list": (400,)},
+    "size": {"reps": 1000, "m_list": (100, 200, 300)},
+    "power": {"reps": 500, "m_list": (100, 200, 300)},
+}
+
 
 def default_model_spec():
     """The toolkit's reference data-generating process.

@@ -9,15 +9,15 @@ score = 0 by a damped Newton iteration.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit, gammaln
+from scipy.special import expit
 
+from ._artifacts import write_json
 from .defaults import PARAM_BOX_BOUND
 from .exceptions import NonConvergenceError, SeparationError, SingularHessianError
-from .model import ParamVector, SeriesSample
+from .model import ParamVector, SeriesSample, log_binom
 
 
 @dataclass(frozen=True)
@@ -70,25 +70,32 @@ class FitResult:
         return 2.0 * self.beta_hat.dim - 2.0 * self.log_pl
 
 
+def _stack_design(x: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Design Z (rows z_{t-1} = (1, x_{t-1}, w_t)) and responses y = x[1:] of
+    one series or of stacked ones: x is (..., m + 1) and w is (..., m, l)."""
+    Z = np.empty(w.shape[:-1] + (2 + w.shape[-1],))
+    Z[..., 0] = 1.0
+    Z[..., 1] = x[..., :-1]
+    Z[..., 2:] = w
+    return Z, x[..., 1:].astype(float)
+
+
 def _design(series: SeriesSample, spec_n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Design matrix Z (rows z_{t-1}) and responses y = x[1:]."""
+    """Design matrix Z (rows z_{t-1}) and responses y = x[1:], counts checked."""
     if series.m < 1:
         raise ValueError("series has no transitions")
     if np.any(series.x > spec_n):
         raise ValueError(f"series contains counts above n={spec_n}")
-    m = series.m
-    Z = np.empty((m, 2 + series.l), dtype=float)
-    Z[:, 0] = 1.0
-    Z[:, 1] = series.x[:-1]
-    Z[:, 2:] = series.w
-    return Z, series.x[1:].astype(float)
+    return _stack_design(series.x, series.w)
 
 
-def _beta_array(beta, dim: int) -> np.ndarray:
+def _linear(series: SeriesSample, spec_n: int, beta) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Design Z, responses y and linear predictor eta = Z @ beta."""
+    Z, y = _design(series, spec_n)
     b = beta.as_array() if isinstance(beta, ParamVector) else np.asarray(beta, dtype=float)
-    if b.shape != (dim,):
-        raise ValueError(f"beta has shape {b.shape}, expected ({dim},)")
-    return b
+    if b.shape != (Z.shape[1],):
+        raise ValueError(f"beta has shape {b.shape}, expected ({Z.shape[1]},)")
+    return Z, y, Z @ b
 
 
 def log_partial_likelihood(series: SeriesSample, spec_n: int, beta) -> float:
@@ -97,19 +104,14 @@ def log_partial_likelihood(series: SeriesSample, spec_n: int, beta) -> float:
     Keeping the combinatorial term makes values comparable across different
     models of the same data (as needed for AIC).
     """
-    Z, y = _design(series, spec_n)
-    b = _beta_array(beta, Z.shape[1])
-    eta = Z @ b
-    log_binom = gammaln(spec_n + 1) - gammaln(y + 1) - gammaln(spec_n - y + 1)
-    return float(np.sum(log_binom + y * eta - spec_n * np.logaddexp(0.0, eta)))
+    _, y, eta = _linear(series, spec_n, beta)
+    return float(np.sum(log_binom(spec_n, y) + y * eta - spec_n * np.logaddexp(0.0, eta)))
 
 
 def score(series: SeriesSample, spec_n: int, beta) -> np.ndarray:
     """Score vector sum_t z_{t-1} (x_t - n pi_t), the gradient of the log PL."""
-    Z, y = _design(series, spec_n)
-    b = _beta_array(beta, Z.shape[1])
-    pi = expit(Z @ b)
-    return Z.T @ (y - spec_n * pi)
+    Z, y, eta = _linear(series, spec_n, beta)
+    return Z.T @ (y - spec_n * expit(eta))
 
 
 def _gram(Z: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -125,9 +127,8 @@ def _gram(Z: np.ndarray, weights: np.ndarray) -> np.ndarray:
 
 def score_gradient(series: SeriesSample, spec_n: int, beta) -> np.ndarray:
     """Gradient of the score: -n sum_t z z' pi (1 - pi).  Exactly symmetric, NSD."""
-    Z, y = _design(series, spec_n)
-    b = _beta_array(beta, Z.shape[1])
-    pi = expit(Z @ b)
+    Z, _, eta = _linear(series, spec_n, beta)
+    pi = expit(eta)
     return -_gram(Z[None], (spec_n * pi * (1.0 - pi))[None])[0]
 
 
@@ -181,7 +182,7 @@ def _newton(Z: np.ndarray, y: np.ndarray, spec_n: int, cfg: SolverConfig,
     """
     c, m, d = Z.shape
     errors: list = [None] * c
-    log_binom = np.sum(gammaln(spec_n + 1) - gammaln(y + 1) - gammaln(spec_n - y + 1), axis=1)
+    log_coef = np.sum(log_binom(spec_n, y), axis=1)
 
     def log_pl_at(Zs, ys, base, b):
         eta = np.matmul(Zs, b[:, :, None])[:, :, 0]
@@ -190,7 +191,7 @@ def _newton(Z: np.ndarray, y: np.ndarray, spec_n: int, cfg: SolverConfig,
     for i in np.nonzero(np.all(y == 0, axis=1) | np.all(y == spec_n, axis=1))[0]:
         errors[i] = SeparationError("all responses at the same boundary; the MPLE diverges")
     beta = np.zeros((c, d))
-    lp, eta = log_pl_at(Z, y, log_binom, beta)
+    lp, eta = log_pl_at(Z, y, log_coef, beta)
     if log_pl_trace is not None:
         log_pl_trace.append(float(lp[0]))
     iterations = np.zeros(c, dtype=int)
@@ -230,7 +231,7 @@ def _newton(Z: np.ndarray, y: np.ndarray, spec_n: int, cfg: SolverConfig,
             cand[todo] = np.clip(
                 b0[todo] + scale[todo, None] * step[todo], -cfg.box_bound, cfg.box_bound
             )
-            lp_cand[todo], eta_cand[todo] = log_pl_at(Zt, yt, log_binom[act[todo]], cand[todo])
+            lp_cand[todo], eta_cand[todo] = log_pl_at(Zt, yt, log_coef[act[todo]], cand[todo])
             todo &= lp_cand < floor
             if not todo.any() or h == cfg.max_halvings:
                 break
@@ -289,16 +290,11 @@ def fit_mple_batch(x: np.ndarray, w: np.ndarray, spec_n: int,
     """
     cfg = solver or SolverConfig()
     c, m = x.shape[0], x.shape[1] - 1
-    d = 2 + w.shape[2]
-    chunk = max(1, _CHUNK_ELEMENTS // (m * d))
+    chunk = max(1, _CHUNK_ELEMENTS // (m * (2 + w.shape[2])))
     parts = []
     for lo in range(0, c, chunk):
-        hi = min(c, lo + chunk)
-        Z = np.empty((hi - lo, m, d))
-        Z[:, :, 0] = 1.0
-        Z[:, :, 1] = x[lo:hi, :-1]
-        Z[:, :, 2:] = w[lo:hi]
-        parts.append(_newton(Z, x[lo:hi, 1:].astype(float), spec_n, cfg))
+        Z, y = _stack_design(x[lo:lo + chunk], w[lo:lo + chunk])
+        parts.append(_newton(Z, y, spec_n, cfg))
     if len(parts) == 1:
         return parts[0]
     return BatchFit(
@@ -358,9 +354,8 @@ def estimate_covariance(fit: FitResult, m: int) -> np.ndarray:
 
 def estimate_sigma0(series: SeriesSample, spec_n: int, beta_hat) -> np.ndarray:
     """Outer-product score covariance sum_t G_t G_t' / m at the given coefficients."""
-    Z, y = _design(series, spec_n)
-    b = _beta_array(beta_hat, Z.shape[1])
-    resid = y - spec_n * expit(Z @ b)
+    Z, y, eta = _linear(series, spec_n, beta_hat)
+    resid = y - spec_n * expit(eta)
     return _gram(Z[None], (resid**2)[None])[0] / Z.shape[0]
 
 
@@ -383,6 +378,4 @@ def fit_report(fit: FitResult) -> dict:
 
 
 def write_fit_report(fit: FitResult, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(fit_report(fit), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, fit_report(fit))

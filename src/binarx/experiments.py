@@ -18,17 +18,26 @@ time.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import expit
 from scipy.stats import norm
 
+from ._artifacts import write_csv, write_json
 from .calibration import CalibrationConfig, ThresholdTable, threshold_table
-from .defaults import DEFAULT_BURN_IN, DEFAULT_SEED, default_model_spec
+from .defaults import (
+    DEFAULT_ALPHAS,
+    DEFAULT_BURN_IN,
+    DEFAULT_CALIBRATION_REPS,
+    DEFAULT_GAMMAS,
+    DEFAULT_GRID_M,
+    DEFAULT_HORIZON,
+    DEFAULT_SEED,
+    default_model_spec,
+)
 from .estimation import BatchFit, fit_mple, fit_mple_batch
 from .exceptions import BinarxError
 from .model import (
@@ -73,20 +82,22 @@ class ExperimentConfig:
     spec: ModelSpec = field(default_factory=default_model_spec)
     m_list: tuple[int, ...] = (500, 1000, 1500)
     reps: int = 100
-    gammas: tuple[float, ...] = (0.0, 0.25, 0.4)
-    alphas: tuple[float, ...] = (0.1, 0.05, 0.025, 0.01)
-    horizon: float = 3.0
+    gammas: tuple[float, ...] = DEFAULT_GAMMAS
+    alphas: tuple[float, ...] = DEFAULT_ALPHAS
+    horizon: float = DEFAULT_HORIZON
     change: ChangePoint | None = None
     master_seed: int = DEFAULT_SEED
     burn_in: int = DEFAULT_BURN_IN
     a_source: str = "aux"
     aux_length: int = 10_000
-    calibration_reps: int = 10_000
-    calibration_grid: int = 1000
+    calibration_reps: int = DEFAULT_CALIBRATION_REPS
+    calibration_grid: int = DEFAULT_GRID_M
     thresholds: ThresholdTable | None = None
     emit_traces: int = 0
 
     def __post_init__(self):
+        object.__setattr__(self, "gammas", tuple(float(g) for g in self.gammas))
+        object.__setattr__(self, "alphas", tuple(float(a) for a in self.alphas))
         if self.reps < 1:
             raise ValueError("reps must be >= 1")
         if not self.m_list:
@@ -230,6 +241,12 @@ class ConsistencyReport:
             **_contract_meta(self.failures_by_class),
         }
 
+    def tables(self) -> dict:
+        rows = [(m, name, value, used, failures, flagged)
+                for m, mse, used, failures, flagged in self.rows
+                for name, value in zip(self.param_names, mse)]
+        return {"report": (("m", "param", "mse", "reps_used", "failures", "flagged"), rows)}
+
 
 def run_consistency(config: ExperimentConfig, threads: int = 1) -> ConsistencyReport:
     """Per-coordinate mean squared error of the MPLE for each training length."""
@@ -278,6 +295,13 @@ class NormalityReport:
             "insufficient_sample": self.insufficient_sample,
             **_contract_meta(self.failures_by_class),
         }
+
+    def tables(self) -> dict:
+        cols = ("mean", "bias", "skew_z", "skew_p", "kurt_z", "kurt_p", "qq_corr")
+        rows = [(name, *(getattr(self, c)[j] for c in cols))
+                for j, name in enumerate(self.param_names)]
+        return {"report": (("param", *cols), rows),
+                "estimates": (self.param_names, self.estimates)}
 
 
 def _two_sided_normal_p(z: float) -> float:
@@ -475,9 +499,21 @@ def _resolve_thresholds(config: ExperimentConfig, threads: int) -> ThresholdTabl
     return threshold_table(calib, threads)
 
 
+class SizeRow(NamedTuple):
+    m: int
+    gamma: float
+    alpha: float
+    threshold_c: float
+    rejection_rate: float
+    rejections: int
+    reps_used: int
+    failures: int
+    flagged: bool
+
+
 @dataclass(frozen=True)
 class SizeReport:
-    rows: tuple  # (m, gamma, alpha, threshold_c, rate, rejections, reps_used, failures, flagged)
+    rows: tuple[SizeRow, ...]
     traces: tuple
     master_seed: int
     reps: int
@@ -491,6 +527,9 @@ class SizeReport:
             "cells": len(self.rows),
             **_contract_meta(self.failures_by_class),
         }
+
+    def tables(self) -> dict:
+        return _monitor_tables(SizeRow._fields, self.rows, self.traces)
 
 
 def run_size(config: ExperimentConfig, threads: int = 1) -> SizeReport:
@@ -519,7 +558,7 @@ def run_size(config: ExperimentConfig, threads: int = 1) -> SizeReport:
             for a in config.alphas:
                 c = table.lookup(g, a)
                 n_reject = int((sups[:, j] >= c).sum())
-                rows.append((m, g, a, c, n_reject / used, n_reject, used, failures, flagged))
+                rows.append(SizeRow(m, g, a, c, n_reject / used, n_reject, used, failures, flagged))
         traces += _traces(m, config.gammas, results)
     return SizeReport(
         rows=tuple(rows), traces=tuple(traces), master_seed=config.master_seed,
@@ -527,10 +566,23 @@ def run_size(config: ExperimentConfig, threads: int = 1) -> SizeReport:
     )
 
 
+class PowerRow(NamedTuple):
+    m: int
+    gamma: float
+    alpha: float
+    threshold_c: float
+    detection_rate: float
+    mean_detect_k: float
+    median_detect_k: float
+    reps_used: int
+    failures: int
+    flagged: bool
+    drift: np.ndarray  # post-change score drift per coefficient (drift_<param> columns)
+
+
 @dataclass(frozen=True)
 class PowerReport:
-    rows: tuple  # (m, gamma, alpha, threshold_c, detection_rate, mean_k, median_k,
-    #               reps_used, failures, flagged, drift vector)
+    rows: tuple[PowerRow, ...]
     traces: tuple
     change_at: int
     master_seed: int
@@ -548,6 +600,10 @@ class PowerReport:
             "cells": len(self.rows),
             **_contract_meta(self.failures_by_class),
         }
+
+    def tables(self) -> dict:
+        header = PowerRow._fields[:-1] + tuple(f"drift_{name}" for name in self.param_names)
+        return _monitor_tables(header, [(*r[:-1], *r.drift) for r in self.rows], self.traces)
 
 
 def run_power(config: ExperimentConfig, threads: int = 1) -> PowerReport:
@@ -585,10 +641,8 @@ def run_power(config: ExperimentConfig, threads: int = 1) -> PowerReport:
             rate = delays.size / used
             mean_k = float(np.mean(delays)) if delays.size else float("nan")
             median_k = float(np.median(delays)) if delays.size else float("nan")
-            rows.append(
-                (m, g, alpha, thresholds[j], rate, mean_k, median_k, used, failures,
-                 flagged, drift)
-            )
+            rows.append(PowerRow(m, g, alpha, thresholds[j], rate, mean_k, median_k, used,
+                                 failures, flagged, drift))
             delays_map[(m, g)] = delays
         traces += _traces(m, config.gammas, results)
     return PowerReport(
@@ -604,106 +658,21 @@ def run_power(config: ExperimentConfig, threads: int = 1) -> PowerReport:
 
 
 # ---------------------------------------------------------------------------
-# CSV emission
+# Report files
 
-def write_consistency_csv(report: ConsistencyReport, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["m", "param", "mse", "reps_used", "failures", "flagged"])
-        for m, mse, used, failures, flagged in report.rows:
-            for name, value in zip(report.param_names, mse):
-                writer.writerow([m, name, repr(float(value)), used, failures, flagged])
-
-
-def write_normality_csv(report: NormalityReport, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["param", "mean", "bias", "skew_z", "skew_p", "kurt_z", "kurt_p", "qq_corr"]
-        )
-        for j, name in enumerate(report.param_names):
-            writer.writerow(
-                [
-                    name,
-                    repr(float(report.mean[j])),
-                    repr(float(report.bias[j])),
-                    repr(float(report.skew_z[j])),
-                    repr(float(report.skew_p[j])),
-                    repr(float(report.kurt_z[j])),
-                    repr(float(report.kurt_p[j])),
-                    repr(float(report.qq_corr[j])),
-                ]
-            )
+def _monitor_tables(header, rows, traces) -> dict:
+    """The report table of a size or power study, plus its statistic paths if kept."""
+    tables = {"report": (header, rows)}
+    if traces:
+        tables["traces"] = (("m", "gamma", "rep", "k", "statistic"),
+                            ((m, g, rep, k, v) for m, g, rep, stats in traces
+                             for k, v in enumerate(stats, start=1)))
+    return tables
 
 
-def write_estimates_csv(report: NormalityReport, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(report.param_names)
-        for row in report.estimates:
-            writer.writerow([repr(float(v)) for v in row])
-
-
-def write_size_csv(report: SizeReport, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            [
-                "m",
-                "gamma",
-                "alpha",
-                "threshold_c",
-                "rejection_rate",
-                "rejections",
-                "reps_used",
-                "failures",
-                "flagged",
-            ]
-        )
-        for m, g, a, c, rate, nrej, used, failures, flagged in report.rows:
-            writer.writerow(
-                [m, repr(float(g)), repr(float(a)), repr(float(c)), repr(float(rate)),
-                 nrej, used, failures, flagged]
-            )
-
-
-def write_power_csv(report: PowerReport, path) -> None:
-    drift_cols = [f"drift_{name}" for name in report.param_names]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            [
-                "m",
-                "gamma",
-                "alpha",
-                "threshold_c",
-                "detection_rate",
-                "mean_detect_k",
-                "median_detect_k",
-                "reps_used",
-                "failures",
-                "flagged",
-            ]
-            + drift_cols
-        )
-        for m, g, a, c, rate, mean_k, median_k, used, failures, flagged, drift in report.rows:
-            writer.writerow(
-                [m, repr(float(g)), repr(float(a)), repr(float(c)), repr(float(rate)),
-                 repr(mean_k), repr(median_k), used, failures, flagged]
-                + [repr(float(v)) for v in drift]
-            )
-
-
-def write_traces_csv(traces, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["m", "gamma", "rep", "k", "statistic"])
-        for m, g, rep, stats in traces:
-            for k, value in enumerate(stats, start=1):
-                writer.writerow([m, repr(float(g)), rep, k, repr(float(value))])
-
-
-def write_metadata_json(report, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(report.metadata(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+def write_report(report, out) -> None:
+    """Write `<kind>_<name>.csv` for each of the report's tables, then `<kind>_meta.json`."""
+    kind = report.metadata()["experiment"]
+    for name, (header, rows) in report.tables().items():
+        write_csv(out / f"{kind}_{name}.csv", header, rows)
+    write_json(out / f"{kind}_meta.json", report.metadata())

@@ -14,6 +14,7 @@ small-instance stationary-distribution oracle for cross-checking simulations.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -21,6 +22,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.special import expit, gammaln
 
+from ._artifacts import write_csv
 from .defaults import DEFAULT_BURN_IN, PARAM_BOX_BOUND
 from .exceptions import NonConvergenceError
 
@@ -196,6 +198,11 @@ def success_prob(beta: ParamVector | np.ndarray, z) -> float:
     return float(_stable_prob(b @ z))
 
 
+def log_binom(n, x):
+    """Log binomial coefficient log C(n, x), elementwise over array x."""
+    return gammaln(n + 1) - gammaln(x + 1) - gammaln(n - x + 1)
+
+
 def build_regressor(x_prev: int, w_t) -> np.ndarray:
     """Assemble the regressor (1, x_prev, w_t[0], ..., w_t[l-1])."""
     w_t = np.asarray(w_t, dtype=float).reshape(-1)
@@ -337,13 +344,13 @@ def stationary_oracle(
     b = spec.beta
     gamma = np.asarray(b.gamma_exo)
     counts = np.arange(n + 1)
-    log_binom = gammaln(n + 1) - gammaln(counts + 1) - gammaln(n - counts + 1)
+    log_coef = log_binom(n, counts)
     P = np.empty((n + 1, n + 1), dtype=float)
     for j in range(n + 1):
         eta = b.phi0 + b.phi1 * j + (pts @ gamma if b.l else np.zeros(len(wts)))
         p = _stable_prob(eta)
         log_pmf = (
-            log_binom[None, :]
+            log_coef[None, :]
             + counts[None, :] * np.log(p)[:, None]
             + (n - counts)[None, :] * np.log1p(-p)[:, None]
         )
@@ -360,12 +367,9 @@ def stationary_oracle(
 def write_series_csv(sample: SeriesSample, path) -> None:
     """Write a sample as CSV with header t,x,w1..wl; the t=0 row has empty w cells."""
     l = sample.l
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "x"] + [f"w{i + 1}" for i in range(l)])
-        writer.writerow([0, int(sample.x[0])] + [""] * l)
-        for t in range(1, sample.x.size):
-            writer.writerow([t, int(sample.x[t])] + [repr(float(v)) for v in sample.w[t - 1]])
+    first = (0, int(sample.x[0])) + ("",) * l
+    rows = ((t, int(sample.x[t]), *sample.w[t - 1]) for t in range(1, sample.x.size))
+    write_csv(path, ["t", "x"] + [f"w{i + 1}" for i in range(l)], itertools.chain([first], rows))
 
 
 def read_series_csv(path) -> SeriesSample:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .calibration import ThresholdTable
+from .calibration import ThresholdTable, _check_gamma, rho  # noqa: F401  (rho re-exported)
 from .estimation import fit_mple
 from .exceptions import BinarxError, MonitoringTerminatedError
 from .model import ParamVector, SeriesSample, build_regressor, success_prob
@@ -24,18 +24,6 @@ from .model import ParamVector, SeriesSample, build_regressor, success_prob
 # The training residual identity sum_t G(x_t, beta_hat) = 0 must hold at init;
 # it underpins the approximation the monitoring statistic relies on.
 _SCORE_IDENTITY_TOL = 1e-8
-
-
-def rho(s: float, gamma: float) -> float:
-    """Weight shape rho(s, gamma) = s^(-gamma) * (s + 1)^(gamma - 1), s > 0.
-
-    Strictly decreasing in s; gamma in [0, 1/2) tunes how much early
-    monitoring points are amplified.
-    """
-    _check_gamma(gamma)
-    if s <= 0:
-        raise ValueError(f"rho needs s > 0, got {s}")
-    return s ** (-gamma) * (s + 1.0) ** (gamma - 1.0)
 
 
 def weight(m, k, gamma: float):
@@ -53,11 +41,6 @@ def weight(m, k, gamma: float):
         raise ValueError("weight needs k >= 1")
     out = m ** (-0.5) * (1.0 + k / m) ** (-1.0) * (k / (m + k)) ** (-gamma)
     return float(out) if out.ndim == 0 else out
-
-
-def _check_gamma(gamma: float) -> None:
-    if not 0.0 <= gamma < 0.5:
-        raise ValueError(f"gamma must lie in [0, 0.5), got {gamma}")
 
 
 def _validate_a_matrix(A: np.ndarray, dim: int) -> np.ndarray:
@@ -148,9 +131,9 @@ def monitor_init(
     """Fit the training window and assemble a fresh monitor.
 
     `a_policy` selects the statistic's metric: "inverse_sigma0" (default)
-    inverts the training outer-product score covariance, "identity" reduces
-    the statistic to the weighted squared norm of the score sum, and an
-    explicit symmetric positive definite matrix is used as given.
+    inverts the training outer-product score covariance, the metric that
+    threshold tables are calibrated for; an explicit symmetric positive
+    definite matrix is used as given.
     `threshold_source` is either a critical value or a threshold table to
     look (gamma, alpha) up in.
     """
@@ -159,17 +142,13 @@ def monitor_init(
         raise BinarxError(
             f"training score sum {fit.final_score_norm:.3e} violates the zero-score identity"
         )
-    d = fit.beta_hat.dim
     if isinstance(a_policy, str):
-        if a_policy == "inverse_sigma0":
-            A = np.linalg.inv(fit.sigma0_hat)
-            A = 0.5 * (A + A.T)
-        elif a_policy == "identity":
-            A = np.eye(d)
-        else:
+        if a_policy != "inverse_sigma0":
             raise ValueError(f"unknown a_policy {a_policy!r}")
+        A = np.linalg.inv(fit.sigma0_hat)
+        A = 0.5 * (A + A.T)
     else:
-        A = _validate_a_matrix(a_policy, d)
+        A = _validate_a_matrix(a_policy, fit.beta_hat.dim)
 
     if threshold_source is None:
         raise BinarxError("no threshold source supplied")
@@ -229,22 +208,17 @@ def monitor_run(state: MonitorState, stream) -> MonitorResult:
 
     A stream that ends early with no alarm yields a truncated result.
     """
-    horizon = state.config.horizon_steps
     it = iter(stream)
-    while state.alarm_at is None and state.k < horizon:
-        try:
-            x_new, w_new = next(it)
-        except StopIteration:
-            return MonitorResult(
-                alarm_at=None,
-                statistic_history=tuple(state.statistic_history),
-                truncated=True,
-                k_final=state.k,
-            )
-        monitor_update(state, x_new, w_new)
+    truncated = False
+    while not state.terminated:
+        obs = next(it, None)
+        if obs is None:
+            truncated = True
+            break
+        monitor_update(state, *obs)
     return MonitorResult(
         alarm_at=state.alarm_at,
         statistic_history=tuple(state.statistic_history),
-        truncated=False,
+        truncated=truncated,
         k_final=state.k,
     )

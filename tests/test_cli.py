@@ -1,9 +1,26 @@
 import csv
 import json
+from pathlib import Path
 
 import numpy as np
-from binarx import default_model_spec, read_series_csv, simulate_series
+import pytest
+from binarx import (
+    CalibrationConfig,
+    ExperimentConfig,
+    default_model_spec,
+    monitor_init,
+    monitor_run,
+    read_series_csv,
+    simulate_series,
+)
 from binarx.cli import run_command
+from binarx.config import LoadedConfig, parse_calibrate, parse_experiment, parse_monitor
+from binarx.defaults import (
+    DEFAULT_HORIZON,
+    DEFAULT_MONITOR_ALPHA,
+    DEFAULT_MONITOR_GAMMA,
+    EXPERIMENT_DEFAULTS,
+)
 
 MODEL_SECTION = {
     "n": 10,
@@ -161,6 +178,100 @@ def test_monitor_stream_bad_rows_name_file_and_row(tmp_path, capsys):
         assert run_command(["--config", cfg, "--out", str(out), "--quiet", "monitor"]) == 1
         err = capsys.readouterr().err
         assert "stream.csv" in err and message in err, err
+
+
+def _monitor_setup(tmp_path, monitor, seed=16, stream_length=120):
+    """Simulate a training series and a stream continuing it; returns the config path."""
+    cfg = _write_config(
+        tmp_path / "cfg.json",
+        {"seed": seed, "model": MODEL_SECTION, "simulate": {"length": 100},
+         "monitor": {"training": "out/series.csv", "stream": "stream.csv", **monitor}},
+    )
+    assert run_command(["--config", cfg, "--out", str(tmp_path / "out"), "--quiet", "simulate"]) == 0
+    training = read_series_csv(tmp_path / "out" / "series.csv")
+    stream = simulate_series(default_model_spec(), stream_length, seed=seed + 100,
+                             init=int(training.x[-1]), burn_in=0)
+    _write_stream_csv(tmp_path / "stream.csv", stream)
+    return cfg, training, stream
+
+
+@pytest.mark.parametrize("monitor, code, truncated", [
+    ({"gamma": 0.25, "alpha": 0.1, "threshold_c": 2.0}, 3, False),
+    ({"gamma": 0.0, "alpha": 0.05, "threshold_c": 1e6, "horizon": 2.0}, 0, True),
+])
+def test_monitor_log_is_monitor_run_history(tmp_path, monitor, code, truncated):
+    cfg, training, stream = _monitor_setup(tmp_path, monitor)
+    out = tmp_path / "out"
+    assert run_command(["--config", cfg, "--out", str(out), "--quiet", "monitor"]) == code
+    state = monitor_init(training, 10, horizon=monitor.get("horizon", 3.0),
+                         gamma=monitor["gamma"], alpha=monitor["alpha"],
+                         threshold_source=monitor["threshold_c"])
+    expected = monitor_run(state, zip(stream.x[1:], stream.w))
+    assert expected.truncated is truncated
+    with open(out / "monitor_log.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [int(r["k"]) for r in rows] == list(range(1, len(expected.statistic_history) + 1))
+    assert [r["statistic"] for r in rows] == [repr(v) for v in expected.statistic_history]
+    assert {r["threshold"] for r in rows} == {repr(monitor["threshold_c"])}
+    assert [int(r["k"]) for r in rows if r["alarm"] == "True"] == (
+        [expected.alarm_at] if expected.alarm_at else [])
+    assert all(r["alarm"] in ("True", "False") for r in rows)
+    result = json.loads((out / "monitor_result.json").read_text())
+    assert (result["alarm_at"], result["k_final"], result["truncated"]) == (
+        expected.alarm_at, expected.k_final, expected.truncated)
+
+
+def test_monitor_bad_row_after_good_rows_names_file_and_row(tmp_path, capsys):
+    cfg, _, _ = _monitor_setup(tmp_path, {"threshold_c": 1e6})
+    lines = (tmp_path / "stream.csv").read_text().splitlines()
+    lines[6] = "6,2.5,1.0"
+    (tmp_path / "stream.csv").write_text("\n".join(lines) + "\n")
+    assert run_command(["--config", cfg, "--out", str(tmp_path / "out"), "--quiet", "monitor"]) == 1
+    err = capsys.readouterr().err
+    assert "stream.csv: row k=6: invalid literal" in err, err
+    (tmp_path / "stream.csv").write_text("t,x,w1\n1,4,1.0\n")
+    assert run_command(["--config", cfg, "--out", str(tmp_path / "out"), "--quiet", "monitor"]) == 1
+    assert "stream.csv: expected stream header k,x,w1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("policy", ["identity", "bogus", 5])
+def test_monitor_rejects_a_policy_other_than_inverse_sigma0(tmp_path, capsys, policy):
+    cfg, _, _ = _monitor_setup(tmp_path, {"threshold_c": 7.0, "a_policy": policy})
+    assert run_command(["--config", cfg, "--out", str(tmp_path / "out"), "--quiet", "monitor"]) == 2
+    err = capsys.readouterr().err
+    assert "config error: monitor.a_policy" in err, err
+    assert not (tmp_path / "out" / "monitor_log.csv").exists()
+
+
+@pytest.mark.parametrize("command, section, field", [
+    ("calibrate", {"calibrate": {"gammas": [0.0, "x"]}}, "calibrate.gammas"),
+    ("calibrate", {"calibrate": {"reps": 2.5}}, "calibrate.reps"),
+    ("experiment", {"experiment": {"kind": "size", "m_list": [60.5]}}, "experiment.m_list"),
+    ("experiment", {"experiment": {"kind": "size", "horizon": "long"}}, "experiment.horizon"),
+    ("simulate", {"simulate": {"length": 10},
+                  "model": {**MODEL_SECTION, "exo": {"sd": "wide"}}}, "model.exo.sd"),
+    ("monitor", {"monitor": {"training": "s.csv", "stream": "k.csv", "threshold_c": 7.0,
+                             "gamma": [0.1]}}, "monitor.gamma"),
+])
+def test_config_type_errors_name_the_field(tmp_path, capsys, command, section, field):
+    cfg = _write_config(tmp_path / "cfg.json", {"model": MODEL_SECTION, **section})
+    if command == "monitor":
+        (tmp_path / "s.csv").write_text("t,x,w1\n0,3,\n1,4,1.0\n2,3,1.1\n3,5,0.9\n4,4,1.0\n5,2,1.0\n")
+    assert run_command(["--config", cfg, "--out", str(tmp_path), "--quiet", command]) == 2
+    assert f"config error: {field}: expected" in capsys.readouterr().err
+
+
+def test_config_defaults_fill_absent_keys():
+    def loaded(raw):
+        return LoadedConfig(raw=raw, base_dir=Path("."), seed=5, threads=1)
+
+    assert parse_calibrate(loaded({"calibrate": {"reps": 200}})) == CalibrationConfig(
+        reps=200, master_seed=5)
+    kind, exp = parse_experiment(loaded({"experiment": {"kind": "size", "gammas": [0, 0.25]}}))
+    assert exp == ExperimentConfig(gammas=(0.0, 0.25), master_seed=5, **EXPERIMENT_DEFAULTS[kind])
+    assert parse_monitor(loaded({"monitor": {"threshold_c": 7}})) == {
+        "horizon": DEFAULT_HORIZON, "gamma": DEFAULT_MONITOR_GAMMA,
+        "alpha": DEFAULT_MONITOR_ALPHA, "threshold_source": 7.0}
 
 
 def test_experiment_command(tmp_path):

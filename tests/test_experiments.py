@@ -33,13 +33,7 @@ from binarx.experiments import (
     _aux_metric,
     _start,
     _start_cdf,
-    write_consistency_csv,
-    write_estimates_csv,
-    write_metadata_json,
-    write_normality_csv,
-    write_power_csv,
-    write_size_csv,
-    write_traces_csv,
+    write_report,
 )
 
 SPEC = default_model_spec()
@@ -309,8 +303,8 @@ def test_failures_by_class_in_metadata(tmp_path):
     assert set(by_class) == set(FAILURE_CLASSES)
     assert by_class["SeparationError"] > 0
     assert sum(by_class.values()) == failures == 60 - used
-    write_metadata_json(report, tmp_path / "meta.json")
-    meta = json.loads((tmp_path / "meta.json").read_text())
+    write_report(report, tmp_path)
+    meta = json.loads((tmp_path / "consistency_meta.json").read_text())
     assert meta["failures_by_class"] == {"10": by_class}
     assert meta["stream_contract"] == STREAM_CONTRACT == 2
     assert meta["block_size"] == BLOCK_SIZE == 256
@@ -318,25 +312,27 @@ def test_failures_by_class_in_metadata(tmp_path):
 
 def test_report_csv_writers(tmp_path, small_table):
     cons = run_consistency(ExperimentConfig(m_list=(100,), reps=3, master_seed=24))
-    write_consistency_csv(cons, tmp_path / "c.csv")
     norm = run_normality(ExperimentConfig(m_list=(100,), reps=25, master_seed=25))
-    write_normality_csv(norm, tmp_path / "n.csv")
-    write_estimates_csv(norm, tmp_path / "e.csv")
     size = run_size(
         ExperimentConfig(m_list=(80,), reps=10, gammas=(0.0,), alphas=(0.05,),
                          master_seed=26, thresholds=small_table, emit_traces=2)
     )
-    write_size_csv(size, tmp_path / "s.csv")
-    write_traces_csv(size.traces, tmp_path / "t.csv")
     power = run_power(
         ExperimentConfig(m_list=(80,), reps=10, gammas=(0.0,), alphas=(0.05,),
                          master_seed=27, thresholds=small_table, change=CHANGE)
     )
-    write_power_csv(power, tmp_path / "p.csv")
-    for name, lines in (("c.csv", 4), ("n.csv", 4), ("e.csv", 26), ("s.csv", 2), ("p.csv", 2)):
-        content = (tmp_path / name).read_text().strip().splitlines()
+    for report in (cons, norm, size, power):
+        write_report(report, tmp_path)
+    for name, lines in (("consistency_report", 4), ("normality_report", 4),
+                        ("normality_estimates", 26), ("size_report", 2), ("power_report", 2)):
+        content = (tmp_path / f"{name}.csv").read_text().strip().splitlines()
         assert len(content) == lines, name
-    traces = (tmp_path / "t.csv").read_text().strip().splitlines()
+    assert (tmp_path / "power_report.csv").read_text().splitlines()[0] == (
+        "m,gamma,alpha,threshold_c,detection_rate,mean_detect_k,median_detect_k,"
+        "reps_used,failures,flagged,drift_phi0,drift_phi1,drift_gamma1"
+    )
+    assert not (tmp_path / "power_traces.csv").exists()
+    traces = (tmp_path / "size_traces.csv").read_text().strip().splitlines()
     assert len(traces) == 1 + 2 * 240  # header + 2 reps x horizon 240
     for report, m in ((cons, "100"), (norm, "100"), (size, "80"), (power, "80")):
         meta = report.metadata()

@@ -99,14 +99,16 @@ def test_monitor_init_zero_score_identity():
 def test_monitor_init_a_policies():
     training = _training()
     ident = monitor_init(training, SPEC.n, horizon=2.0, gamma=0.0, alpha=0.05,
-                         a_policy="identity", threshold_source=math.inf)
+                         a_policy=np.eye(3), threshold_source=math.inf)
     np.testing.assert_array_equal(ident.config.a_matrix, np.eye(3))
     default = monitor_init(training, SPEC.n, horizon=2.0, gamma=0.0, alpha=0.05,
                            threshold_source=math.inf)
     assert np.linalg.eigvalsh(default.config.a_matrix).min() > 0
-    with pytest.raises(ValueError):
-        monitor_init(training, SPEC.n, horizon=2.0, gamma=0.0, alpha=0.05,
-                     a_policy="bogus", threshold_source=1.0)
+    # "identity" was dropped: its tables were calibrated for a different metric.
+    for bad in ("bogus", "identity"):
+        with pytest.raises(ValueError):
+            monitor_init(training, SPEC.n, horizon=2.0, gamma=0.0, alpha=0.05,
+                         a_policy=bad, threshold_source=1.0)
 
 
 def test_monitor_init_threshold_table_lookup():
@@ -123,7 +125,7 @@ def test_monitor_init_threshold_table_lookup():
 def test_identity_policy_statistic_is_weighted_norm():
     training = _training()
     state = monitor_init(training, SPEC.n, horizon=3.0, gamma=0.25, alpha=0.05,
-                         a_policy="identity", threshold_source=math.inf)
+                         a_policy=np.eye(3), threshold_source=math.inf)
     stream = _stream_sample(5, seed=81, init=int(training.x[-1]))
     stats = []
     for x_new, w_new in _stream_iter(stream):

@@ -1,0 +1,99 @@
+"""Property tests of the artifact formats: what a writer writes, its reader
+reads back bit for bit."""
+
+import csv
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+from binarx import (
+    SeriesSample,
+    ThresholdTable,
+    read_series_csv,
+    read_threshold_table,
+    write_series_csv,
+    write_threshold_table,
+)
+from binarx._artifacts import cell, write_csv
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+def _bits(values) -> list[str]:
+    return [float(v).hex() for v in np.asarray(values, dtype=float).ravel()]
+
+
+@st.composite
+def series_samples(draw):
+    n = draw(st.integers(1, 60))
+    m = draw(st.integers(1, 25))
+    l = draw(st.integers(0, 3))
+    x = draw(arrays(np.int64, m + 1, elements=st.integers(0, n)))
+    w = draw(arrays(np.float64, (m, l), elements=FINITE))
+    return SeriesSample(x=x, w=w)
+
+
+@settings(max_examples=80, deadline=None)
+@given(sample=series_samples())
+def test_series_csv_round_trip_is_exact(tmp_path_factory, sample):
+    path = tmp_path_factory.mktemp("series") / "series.csv"
+    write_series_csv(sample, path)
+    back = read_series_csv(path)
+    np.testing.assert_array_equal(back.x, sample.x)
+    assert back.w.shape == sample.w.shape
+    assert _bits(back.w) == _bits(sample.w)
+
+
+@st.composite
+def threshold_tables(draw):
+    gammas = draw(st.lists(FINITE, min_size=1, max_size=3, unique=True))
+    alphas = draw(st.lists(FINITE, min_size=1, max_size=4, unique=True))
+    entries = {(g, a): draw(FINITE) for g in gammas for a in alphas}
+    return ThresholdTable(
+        entries=entries,
+        reps=draw(st.integers(100, 10**6)),
+        grid_m=draw(st.integers(100, 10**5)),
+        horizon=draw(FINITE),
+        master_seed=draw(st.integers(0, 2**63)),
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(table=threshold_tables())
+def test_threshold_table_round_trip_is_exact(tmp_path_factory, table):
+    path = tmp_path_factory.mktemp("table") / "thresholds.csv"
+    write_threshold_table(table, path)
+    back = read_threshold_table(path)
+
+    def cells(t):
+        return sorted((float(g).hex(), float(a).hex(), float(c).hex())
+                      for (g, a), c in t.entries.items())
+
+    assert cells(back) == cells(table)
+    assert (back.reps, back.grid_m, back.master_seed) == (table.reps, table.grid_m,
+                                                           table.master_seed)
+    assert float(back.horizon).hex() == float(table.horizon).hex()
+
+
+@given(value=FINITE)
+def test_cell_rule_round_trips_every_finite_float64(value):
+    assert float(cell(value)).hex() == value.hex()
+    assert float(cell(np.float64(value))).hex() == value.hex()
+
+
+@settings(max_examples=50, deadline=None)
+@given(floats=st.lists(FINITE, min_size=1, max_size=12),
+       ints=st.lists(st.integers(-10**12, 10**12), max_size=4),
+       flag=st.booleans())
+def test_write_csv_cells_read_back(tmp_path_factory, floats, ints, flag):
+    path = tmp_path_factory.mktemp("csv") / "t.csv"
+    row = [*floats, *ints, flag]
+    write_csv(path, [f"c{i}" for i in range(len(row))], [row])
+    with open(path, newline="") as fh:
+        header, back = list(csv.reader(fh))
+    assert len(header) == len(back) == len(row)
+    assert _bits([float(v) for v in back[: len(floats)]]) == _bits(floats)
+    assert [int(v) for v in back[len(floats):-1]] == ints
+    assert back[-1] == str(flag)
