@@ -8,7 +8,6 @@ harnesses, and a deseasonalization pipeline for weekly rate panels.
 from .calibration import (
     CalibrationConfig,
     ThresholdTable,
-    compute_threshold,
     read_threshold_table,
     sample_sup_functional,
     threshold_table,

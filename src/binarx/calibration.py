@@ -9,18 +9,19 @@ vectors divided by sqrt(grid_m) simulate W1, and one extra draw simulates
 W2(1).  The critical value c(gamma, alpha) is the empirical (1 - alpha)
 quantile of the replicated suprema.
 
-With the default metric policy A = Sigma^{-1}, writing W = L B for the
-Cholesky factor L of Sigma turns the quadratic form into a plain squared norm
-of standard-normal partial sums, so the thresholds do not depend on Sigma at
-all.  Tables built under that policy use this whitened form directly, which
-makes the independence exact.
+Tables are calibrated for the metric A = Sigma^{-1} only: writing W = L B
+for the Cholesky factor L of Sigma turns the quadratic form into a plain
+squared norm of standard-normal partial sums, so the thresholds do not depend
+on Sigma at all.  Tables use this whitened form directly, which makes the
+independence exact.  A table's critical values hold only for that metric and
+for the horizon N it was calibrated at.
 """
 
 from __future__ import annotations
 
 import csv
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -58,20 +59,23 @@ def rho(s, gamma: float):
     return float(out) if out.ndim == 0 else out
 
 
+def horizon_steps(horizon: float, per_unit: int) -> int:
+    """Close-end horizon floor(N * per_unit), guarded against float rounding."""
+    return int(np.floor(horizon * per_unit + 1e-9))
+
+
 @dataclass(frozen=True)
 class CalibrationConfig:
     """Settings for one threshold computation.
 
     `dim` is the dimension of the score vector (coefficient count l + 2).
-    `sigma` is the Wiener covariance; `a_policy` is "inverse_sigma" (default,
-    metric A = sigma^{-1}, thresholds sigma-free) or "explicit" with
-    `a_matrix` supplied.  `horizon` is the close-end multiplier N.
+    `sigma` is the Wiener covariance of `sample_sup_functional`; the metric is
+    A = sigma^{-1}, so tables do not depend on it.  `horizon` is the
+    close-end multiplier N.
     """
 
     dim: int = 3
     sigma: np.ndarray | None = None
-    a_policy: str = "inverse_sigma"
-    a_matrix: np.ndarray | None = None
     horizon: float = DEFAULT_HORIZON
     grid_m: int = DEFAULT_GRID_M
     reps: int = DEFAULT_CALIBRATION_REPS
@@ -88,8 +92,6 @@ class CalibrationConfig:
             raise ValueError("reps must be >= 100")
         if self.horizon <= 0:
             raise ValueError("horizon must be > 0")
-        if self.a_policy not in ("inverse_sigma", "explicit"):
-            raise ValueError(f"unknown a_policy {self.a_policy!r}")
         for g in self.gammas:
             _check_gamma(g)
         for a in self.alphas:
@@ -102,17 +104,10 @@ class CalibrationConfig:
             if np.abs(sig - sig.T).max() > 1e-10:
                 raise ValueError("sigma must be symmetric")
             object.__setattr__(self, "sigma", sig)
-        if self.a_policy == "explicit":
-            if self.a_matrix is None:
-                raise ValueError("explicit a_policy requires a_matrix")
-            A = np.asarray(self.a_matrix, dtype=float)
-            if A.shape != (self.dim, self.dim):
-                raise ValueError(f"a_matrix must be {self.dim}x{self.dim}")
-            object.__setattr__(self, "a_matrix", A)
 
     @property
     def steps(self) -> int:
-        return int(np.floor(self.horizon * self.grid_m + 1e-9))
+        return horizon_steps(self.horizon, self.grid_m)
 
 
 @dataclass(frozen=True)
@@ -136,6 +131,13 @@ class ThresholdTable:
             f"no threshold for gamma={gamma}, alpha={alpha} in table"
         )
 
+    def check_horizon(self, horizon: float) -> None:
+        """Refuse a monitor whose horizon N is not the one this table was calibrated at."""
+        if float(horizon) != float(self.horizon):
+            raise ThresholdUnavailableError(
+                f"threshold table is calibrated for horizon N={self.horizon}, not {horizon}"
+            )
+
     def gammas(self) -> tuple[float, ...]:
         return tuple(sorted({g for g, _ in self.entries}))
 
@@ -153,47 +155,40 @@ def _rep_rng(master_seed: int, rep_index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence((master_seed, rep_index)))
 
 
-def _rep_quadratic_path(config: CalibrationConfig, rep_index: int) -> np.ndarray:
-    """Quadratic-form path q(k) = D_k' A D_k, D_k = W1(k/grid) - (k/grid) W2(1).
-
-    Shared by every gamma (common random numbers): the draw order is the W1
-    increment block followed by the single W2 vector, in both the whitened
-    and the explicit route.
-    """
+def _rep_normals(config: CalibrationConfig, rep_index: int) -> tuple[np.ndarray, np.ndarray]:
+    """Replication rep_index's draws: the (steps, dim) W1 increment block, then W2(1)."""
     rng = _rep_rng(config.master_seed, rep_index)
-    steps = config.steps
-    s = _grid(config)
-    eps = rng.standard_normal((steps, config.dim))
-    eps2 = rng.standard_normal(config.dim)
-    if config.a_policy == "inverse_sigma":
-        # Whitened route: algebraically identical to drawing Normal(0, sigma)
-        # increments and measuring with A = sigma^{-1}.
-        W1 = np.cumsum(eps, axis=0) / np.sqrt(config.grid_m)
-        D = W1 - s[:, None] * eps2
-        return np.einsum("kd,kd->k", D, D)
-    sigma = config.sigma if config.sigma is not None else np.eye(config.dim)
-    L = np.linalg.cholesky(sigma)
-    V = eps @ L.T
-    W1 = np.cumsum(V, axis=0) / np.sqrt(config.grid_m)
-    D = W1 - s[:, None] * (L @ eps2)
-    return np.einsum("kd,kd->k", D @ config.a_matrix, D)
+    return rng.standard_normal((config.steps, config.dim)), rng.standard_normal(config.dim)
+
+
+def _rep_quadratic_path(config: CalibrationConfig, rep_index: int) -> np.ndarray:
+    """Whitened quadratic-form path q(k) = |D_k|^2, D_k = B1(k/grid) - (k/grid) B2(1).
+
+    Algebraically identical to drawing Normal(0, sigma) increments and
+    measuring with A = sigma^{-1}; shared by every gamma (common random
+    numbers).
+    """
+    eps, eps2 = _rep_normals(config, rep_index)
+    W1 = np.cumsum(eps, axis=0) / np.sqrt(config.grid_m)
+    D = W1 - _grid(config)[:, None] * eps2
+    return np.einsum("kd,kd->k", D, D)
 
 
 def sample_sup_functional(config: CalibrationConfig, gamma: float, rep_index: int) -> float:
     """One replication of the supremum functional for the given gamma.
 
-    Always takes the explicit route (Cholesky draws, quadratic form in A) so
-    the whitened shortcut can be validated against it; with sigma = None the
-    covariance is the identity.
+    Takes the explicit route (Cholesky draws, quadratic form in
+    A = sigma^{-1}) so the whitened route of the tables can be validated
+    against it; with sigma = None the covariance is the identity.
     """
-    if config.a_policy == "explicit":
-        a_matrix = config.a_matrix
-    elif config.sigma is not None:
-        a_matrix = np.linalg.inv(config.sigma)
-    else:
-        a_matrix = np.eye(config.dim)
-    q = _rep_quadratic_path(replace(config, a_policy="explicit", a_matrix=a_matrix), rep_index)
-    return float((rho(_grid(config), gamma) ** 2 * q).max())
+    sigma = config.sigma if config.sigma is not None else np.eye(config.dim)
+    eps, eps2 = _rep_normals(config, rep_index)
+    s = _grid(config)
+    L = np.linalg.cholesky(sigma)
+    W1 = np.cumsum(eps @ L.T, axis=0) / np.sqrt(config.grid_m)
+    D = W1 - s[:, None] * (L @ eps2)
+    q = np.einsum("kd,kd->k", D @ np.linalg.inv(sigma), D)
+    return float((rho(s, gamma) ** 2 * q).max())
 
 
 def _sup_rep_worker(shared: tuple[CalibrationConfig, np.ndarray], rep_index: int) -> np.ndarray:
@@ -221,14 +216,6 @@ def quantile_higher(values: np.ndarray, q: float) -> float:
     u = np.sort(np.asarray(values, dtype=float))
     idx = int(np.ceil(q * u.size - 1e-9)) - 1
     return float(u[min(max(idx, 0), u.size - 1)])
-
-
-def compute_threshold(
-    config: CalibrationConfig, gamma: float, alpha: float, threads: int = 1
-) -> float:
-    """Critical value c(gamma, alpha): the empirical (1 - alpha) quantile."""
-    single = replace(config, gammas=(float(gamma),), alphas=(float(alpha),))
-    return threshold_table(single, threads).lookup(gamma, alpha)
 
 
 def threshold_table(config: CalibrationConfig, threads: int = 1) -> ThresholdTable:

@@ -72,10 +72,8 @@ def _cmd_simulate(loaded, out: Path, quiet: bool) -> int:
     spec, burn_in = cfgmod.parse_model(loaded)
     raw = loaded.raw
     length = cfgmod._typed(raw, "simulate.length", int)
-    init = cfgmod._get(raw, "simulate.init", None)
-    sample = simulate_series(
-        spec, length, seed=loaded.seed, init=None if init is None else int(init), burn_in=burn_in
-    )
+    init = cfgmod._typed(raw, "simulate.init", int, None)
+    sample = simulate_series(spec, length, seed=loaded.seed, init=init, burn_in=burn_in)
     path = out / "series.csv"
     write_series_csv(sample, path)
     _say(quiet, f"wrote {path} ({length} transitions, seed {loaded.seed})")

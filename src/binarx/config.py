@@ -255,21 +255,17 @@ def expand_window(start: tuple[int, int], end: tuple[int, int]) -> list[tuple[in
 def parse_prep(loaded: LoadedConfig) -> dict:
     cfg = loaded.raw
     rates = resolve_path(loaded, "prep.rates")
-    states = _typed(cfg, "prep.states", list)
-    if not states or not all(isinstance(s, str) for s in states):
+    states = _typed(cfg, "prep.states", (str,))
+    if not states:
         raise ConfigError("prep.states", "must be a non-empty list of state names")
-    years = _typed(cfg, "prep.baseline_years", list)
-    try:
-        years = [int(y) for y in years]
-    except (TypeError, ValueError):
-        raise ConfigError("prep.baseline_years", "must be a list of integers") from None
-    start = _typed(cfg, "prep.window_start", list)
-    end = _typed(cfg, "prep.window_end", list)
+    years = _typed(cfg, "prep.baseline_years", (int,))
+    start = _typed(cfg, "prep.window_start", (int,))
+    end = _typed(cfg, "prep.window_end", (int,))
     for name, value in (("window_start", start), ("window_end", end)):
         if len(value) != 2:
             raise ConfigError(f"prep.{name}", "must be [iso_year, week]")
     try:
-        window = expand_window(tuple(start), tuple(end))
+        window = expand_window(start, end)
     except ValueError as exc:
         raise ConfigError("prep.window_start", str(exc)) from None
     return {"rates": rates, "states": states, "baseline_years": years, "window": window}

@@ -23,11 +23,10 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import expit
-from scipy.stats import norm
+from scipy.special import expit, ndtri
 
 from ._artifacts import write_csv, write_json
-from .calibration import CalibrationConfig, ThresholdTable, threshold_table
+from .calibration import CalibrationConfig, ThresholdTable, horizon_steps, threshold_table
 from .defaults import (
     DEFAULT_ALPHAS,
     DEFAULT_BURN_IN,
@@ -48,7 +47,7 @@ from .model import (
     simulate_chain,
     stationary_oracle,
 )
-from .monitoring import weight
+from .monitoring import inverse_metric, weight
 from ._parallel import map_over_reps
 
 _KIND_CONSISTENCY = 0
@@ -344,7 +343,7 @@ def run_normality(config: ExperimentConfig, threads: int = 1) -> NormalityReport
         skew_p = np.array([_two_sided_normal_p(z) for z in skew_z])
         kurt_p = np.array([_two_sided_normal_p(z) for z in kurt_z])
         probs = (np.arange(1, reps_ok + 1) - 0.375) / (reps_ok + 0.25)
-        quantiles = norm.ppf(probs)
+        quantiles = ndtri(probs)
         qq = np.array(
             [np.corrcoef(np.sort(centered[:, j]) / math.sqrt(m2[j]), quantiles)[0, 1] for j in range(d)]
         )
@@ -399,8 +398,8 @@ def _monitor_block(task: _MonitorTask, b: int):
     beta = np.where(ok[:, None], fit.beta, 0.0).T
     if task.a_matrix is None:
         A = np.broadcast_to(np.eye(d), (size, d, d)).copy()
-        A[ok] = np.linalg.inv(fit.sigma0[ok])
-        A = (0.5 * (A + A.transpose(0, 2, 1))).transpose(1, 2, 0)
+        A[ok] = inverse_metric(fit.sigma0[ok])
+        A = A.transpose(1, 2, 0)
     else:
         A = task.a_matrix
     n_gamma, H = task.w2.shape
@@ -440,7 +439,7 @@ def _monitor_block(task: _MonitorTask, b: int):
 def _monitor_blocks(config: ExperimentConfig, kind: int, mi: int, m: int, cdf,
                     a_common, change, thresholds, threads: int):
     """Run every block at training length m; returns (per-block results, counts)."""
-    H = int(np.floor(config.horizon * m + 1e-9))
+    H = horizon_steps(config.horizon, m)
     if H < 1:
         raise ValueError(f"horizon {config.horizon} leaves no monitored point at m={m}")
     if change is not None and change.at_k > H:
@@ -479,13 +478,12 @@ def _aux_metric(config: ExperimentConfig, cdf) -> np.ndarray:
     )
     x0 = int(_start(config.spec, cdf, config.burn_in, rng, 1)[0])
     x, w = simulate_chain(config.spec, config.aux_length, rng, x0)
-    fit = fit_mple(SeriesSample(x=x, w=w), config.spec.n)
-    A = np.linalg.inv(fit.sigma0_hat)
-    return 0.5 * (A + A.T)
+    return inverse_metric(fit_mple(SeriesSample(x=x, w=w), config.spec.n).sigma0_hat)
 
 
 def _resolve_thresholds(config: ExperimentConfig, threads: int) -> ThresholdTable:
     if config.thresholds is not None:
+        config.thresholds.check_horizon(config.horizon)
         return config.thresholds
     calib = CalibrationConfig(
         dim=config.spec.beta.dim,

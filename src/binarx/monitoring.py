@@ -16,9 +16,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .calibration import ThresholdTable, _check_gamma, rho  # noqa: F401  (rho re-exported)
+from .calibration import ThresholdTable, _check_gamma, horizon_steps, rho  # noqa: F401 (rho re-exported)
 from .estimation import fit_mple
-from .exceptions import BinarxError, MonitoringTerminatedError
+from .exceptions import BinarxError, MonitoringTerminatedError, ThresholdUnavailableError
 from .model import ParamVector, SeriesSample, build_regressor, success_prob
 
 # The training residual identity sum_t G(x_t, beta_hat) = 0 must hold at init;
@@ -43,15 +43,13 @@ def weight(m, k, gamma: float):
     return float(out) if out.ndim == 0 else out
 
 
-def _validate_a_matrix(A: np.ndarray, dim: int) -> np.ndarray:
-    A = np.asarray(A, dtype=float)
-    if A.shape != (dim, dim):
-        raise ValueError(f"A must be {dim}x{dim}, got {A.shape}")
-    if np.abs(A - A.T).max() > 1e-10:
-        raise ValueError("A must be symmetric within 1e-10")
-    if np.linalg.eigvalsh(A).min() <= 0:
-        raise ValueError("A must be positive definite")
-    return 0.5 * (A + A.T)
+def inverse_metric(sigma0) -> np.ndarray:
+    """Metric A = Sigma0^{-1} of the statistic, symmetrized; over any leading batch axes.
+
+    The only metric that threshold tables are calibrated for.
+    """
+    A = np.linalg.inv(sigma0)
+    return 0.5 * (A + np.swapaxes(A, -1, -2))
 
 
 @dataclass(frozen=True)
@@ -68,20 +66,27 @@ class MonitorConfig:
     def __post_init__(self):
         if self.m < 1:
             raise ValueError("training length m must be >= 1")
-        if self.horizon <= 0:
-            raise ValueError("horizon multiplier must be > 0")
+        if self.horizon_steps < 1:
+            raise ValueError(f"horizon {self.horizon} leaves no monitored point at m={self.m}")
         _check_gamma(self.gamma)
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must lie in (0, 1)")
         if not self.threshold_c > 0:
             raise ValueError("threshold must be positive")
-        A = _validate_a_matrix(self.a_matrix, np.asarray(self.a_matrix).shape[0])
+        A = np.asarray(self.a_matrix, dtype=float)
+        if A.ndim != 2 or A.shape[0] != A.shape[1]:
+            raise ValueError(f"A must be a square matrix, got shape {A.shape}")
+        if np.abs(A - A.T).max() > 1e-10:
+            raise ValueError("A must be symmetric within 1e-10")
+        if np.linalg.eigvalsh(A).min() <= 0:
+            raise ValueError("A must be positive definite")
+        A = 0.5 * (A + A.T)
         A.setflags(write=False)
         object.__setattr__(self, "a_matrix", A)
 
     @property
     def horizon_steps(self) -> int:
-        return int(np.floor(self.horizon * self.m + 1e-9))
+        return horizon_steps(self.horizon, self.m)
 
 
 @dataclass
@@ -103,8 +108,11 @@ class MonitorState:
     alarm_at: int | None = None
 
     def __post_init__(self):
+        d = self.beta_hat.dim
+        if self.config.a_matrix.shape != (d, d):
+            raise ValueError(f"A must be {d}x{d}, got {self.config.a_matrix.shape}")
         if self.running_sum is None:
-            self.running_sum = np.zeros(self.beta_hat.dim)
+            self.running_sum = np.zeros(d)
 
     @property
     def terminated(self) -> bool:
@@ -125,38 +133,31 @@ def monitor_init(
     horizon: float,
     gamma: float,
     alpha: float,
-    a_policy="inverse_sigma0",
-    threshold_source: float | ThresholdTable | None = None,
+    threshold_source: float | ThresholdTable,
+    a_matrix=None,
 ) -> MonitorState:
     """Fit the training window and assemble a fresh monitor.
 
-    `a_policy` selects the statistic's metric: "inverse_sigma0" (default)
-    inverts the training outer-product score covariance, the metric that
-    threshold tables are calibrated for; an explicit symmetric positive
-    definite matrix is used as given.
     `threshold_source` is either a critical value or a threshold table to
-    look (gamma, alpha) up in.
+    look (gamma, alpha) up in; a table is used only at the horizon it was
+    calibrated at.  The statistic's metric is `inverse_metric` of the
+    training outer-product score covariance, the metric that tables are
+    calibrated for; an explicit symmetric positive definite `a_matrix`
+    replaces it, and then only a plain critical value is accepted.
     """
     fit = fit_mple(training, spec_n)
     if fit.final_score_norm >= _SCORE_IDENTITY_TOL:
         raise BinarxError(
             f"training score sum {fit.final_score_norm:.3e} violates the zero-score identity"
         )
-    if isinstance(a_policy, str):
-        if a_policy != "inverse_sigma0":
-            raise ValueError(f"unknown a_policy {a_policy!r}")
-        A = np.linalg.inv(fit.sigma0_hat)
-        A = 0.5 * (A + A.T)
-    else:
-        A = _validate_a_matrix(a_policy, fit.beta_hat.dim)
-
-    if threshold_source is None:
-        raise BinarxError("no threshold source supplied")
     if isinstance(threshold_source, ThresholdTable):
+        if a_matrix is not None:
+            raise ThresholdUnavailableError("a threshold table holds only for A = inverse Sigma0")
+        threshold_source.check_horizon(horizon)
         c = threshold_source.lookup(gamma, alpha)
     else:
         c = float(threshold_source)
-
+    A = inverse_metric(fit.sigma0_hat) if a_matrix is None else a_matrix
     config = MonitorConfig(
         m=training.m, horizon=horizon, gamma=gamma, alpha=alpha, threshold_c=c, a_matrix=A
     )

@@ -3,7 +3,6 @@ import pytest
 
 from binarx import (
     CalibrationConfig,
-    compute_threshold,
     read_threshold_table,
     sample_sup_functional,
     threshold_table,
@@ -57,11 +56,11 @@ def test_sample_sigma_invariance_under_inverse_metric():
 def test_compute_threshold_quantile_edges():
     cfg = _cfg(reps=200, gammas=(0.0,))
     samples = np.array([sample_sup_functional(cfg, 0.0, rep) for rep in range(200)])
-    low = compute_threshold(cfg, 0.0, 1.0 - 1.0 / 200)
-    assert low == pytest.approx(samples.min(), abs=1e-12)
+    low = threshold_table(_cfg(reps=200, gammas=(0.0,), alphas=(1.0 - 1.0 / 200,)))
+    assert low.lookup(0.0, 1.0 - 1.0 / 200) == pytest.approx(samples.min(), abs=1e-12)
     with pytest.warns(UserWarning):
-        high = compute_threshold(cfg, 0.0, 1e-9)
-    assert high == pytest.approx(samples.max(), abs=1e-12)
+        high = threshold_table(_cfg(reps=200, gammas=(0.0,), alphas=(1e-9,)))
+    assert high.lookup(0.0, 1e-9) == pytest.approx(samples.max(), abs=1e-12)
 
 
 def test_table_monotone_in_alpha_and_gamma():
@@ -114,8 +113,6 @@ def test_config_validation():
         CalibrationConfig(dim=3, gammas=(0.6,))
     with pytest.raises(ValueError):
         CalibrationConfig(dim=3, alphas=(1.2,))
-    with pytest.raises(ValueError):
-        CalibrationConfig(dim=3, a_policy="explicit")
     with pytest.raises(ValueError):
         CalibrationConfig(dim=3, sigma=np.eye(2))
 

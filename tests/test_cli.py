@@ -30,6 +30,10 @@ MODEL_SECTION = {
 }
 
 
+PREP_SECTION = {"rates": "rates.csv", "states": ["A", "B"], "baseline_years": [2019],
+                "window_start": [2020, 1], "window_end": [2020, 6]}
+
+
 def _write_config(path, payload):
     with open(path, "w") as fh:
         json.dump(payload, fh)
@@ -252,11 +256,16 @@ def test_monitor_rejects_a_policy_other_than_inverse_sigma0(tmp_path, capsys, po
                   "model": {**MODEL_SECTION, "exo": {"sd": "wide"}}}, "model.exo.sd"),
     ("monitor", {"monitor": {"training": "s.csv", "stream": "k.csv", "threshold_c": 7.0,
                              "gamma": [0.1]}}, "monitor.gamma"),
+    ("simulate", {"simulate": {"length": 10, "init": 3.7}}, "simulate.init"),
+    ("prep", {"prep": {**PREP_SECTION, "baseline_years": [2019.9]}}, "prep.baseline_years"),
+    ("prep", {"prep": {**PREP_SECTION, "window_start": [2020.7, 1]}}, "prep.window_start"),
 ])
 def test_config_type_errors_name_the_field(tmp_path, capsys, command, section, field):
     cfg = _write_config(tmp_path / "cfg.json", {"model": MODEL_SECTION, **section})
     if command == "monitor":
         (tmp_path / "s.csv").write_text("t,x,w1\n0,3,\n1,4,1.0\n2,3,1.1\n3,5,0.9\n4,4,1.0\n5,2,1.0\n")
+    if command == "prep":
+        _rates_fixture_csv(tmp_path / "rates.csv")
     assert run_command(["--config", cfg, "--out", str(tmp_path), "--quiet", command]) == 2
     assert f"config error: {field}: expected" in capsys.readouterr().err
 
@@ -301,8 +310,7 @@ def test_prep_and_compare_commands(tmp_path):
     cfg = _write_config(
         tmp_path / "cfg.json",
         {
-            "prep": {"rates": "rates.csv", "states": ["A", "B"], "baseline_years": [2019],
-                     "window_start": [2020, 1], "window_end": [2020, 6]},
+            "prep": PREP_SECTION,
             "compare": {"series": "out/binomial_series.csv"},
         },
     )
@@ -364,3 +372,12 @@ def test_console_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert (tmp_path / "o" / "series.csv").exists()
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    # scipy.stats is slow and large to import, and no module of binarx needs it.
+    import subprocess
+    import sys
+
+    code = "import sys, binarx; sys.exit('scipy.stats' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code]).returncode == 0

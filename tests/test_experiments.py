@@ -15,6 +15,7 @@ from binarx import (
     ParamVector,
     SeriesSample,
     ThresholdTable,
+    ThresholdUnavailableError,
     default_model_spec,
     fit_mple,
     monitor_init,
@@ -220,14 +221,25 @@ def test_power_delay_grows_with_training_size(small_table):
 
 
 def test_monitored_horizon_must_hold_a_point(small_table):
+    short = ThresholdTable(entries={(0.0, 0.05): 7.0}, reps=100, grid_m=1000, horizon=0.01,
+                           master_seed=0)
     cfg = ExperimentConfig(m_list=(20,), reps=3, gammas=(0.0,), alphas=(0.05,), horizon=0.01,
-                           thresholds=small_table)
+                           thresholds=short)
     with pytest.raises(ValueError, match="no monitored point at m=20"):
         run_size(cfg)
     late = ChangePoint(at_k=61, new_beta=CHANGE.new_beta)
     with pytest.raises(ValueError, match="beyond horizon 60"):
         run_power(ExperimentConfig(m_list=(20,), reps=3, gammas=(0.0,), alphas=(0.05,),
                                    thresholds=small_table, change=late))
+
+
+def test_studies_refuse_a_table_at_another_horizon(small_table):
+    # small_table is calibrated at N = 3; its critical values do not hold at N = 2.
+    cfg = ExperimentConfig(m_list=(20,), reps=3, gammas=(0.0,), alphas=(0.05,), horizon=2.0,
+                           thresholds=small_table, change=CHANGE)
+    for run in (run_size, run_power):
+        with pytest.raises(ThresholdUnavailableError, match="horizon N=3.0, not 2.0"):
+            run(cfg)
 
 
 def test_power_requires_change():
@@ -283,12 +295,12 @@ def test_streamed_statistic_matches_monitor_update(small_table, a_source):
     report = run_power(cfg)
     x, w = _contract_block(29, 4, 0, 0, size=3, steps=400, change_at=100 + CHANGE.at_k,
                            new_beta=CHANGE.new_beta)
-    policy = "inverse_sigma0" if a_source == "training" else _aux_metric(cfg, _start_cdf(SPEC))
+    a_matrix = None if a_source == "training" else _aux_metric(cfg, _start_cdf(SPEC))
     assert [(g, rep) for _, g, rep, _ in report.traces] == [(0.0, 0), (0.4, 0), (0.0, 1), (0.4, 1)]
     for _, g, rep, path in report.traces:
         training = SeriesSample(x=x[:101, rep], w=w[:100, rep])
         state = monitor_init(training, SPEC.n, horizon=3.0, gamma=g, alpha=0.05,
-                             a_policy=policy, threshold_source=math.inf)
+                             a_matrix=a_matrix, threshold_source=math.inf)
         stats = [monitor_update(state, x[100 + k, rep], w[99 + k, rep])[1] for k in range(1, 301)]
         np.testing.assert_allclose(path, stats, rtol=1e-10)
 

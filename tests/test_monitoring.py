@@ -8,6 +8,7 @@ from binarx import (
     ThresholdTable,
     ThresholdUnavailableError,
     default_model_spec,
+    fit_mple,
     monitor_init,
     monitor_run,
     monitor_update,
@@ -16,6 +17,7 @@ from binarx import (
     simulate_series,
     weight,
 )
+from binarx.monitoring import inverse_metric
 
 SPEC = default_model_spec()
 
@@ -99,16 +101,38 @@ def test_monitor_init_zero_score_identity():
 def test_monitor_init_a_policies():
     training = _training()
     ident = monitor_init(training, SPEC.n, horizon=2.0, gamma=0.0, alpha=0.05,
-                         a_policy=np.eye(3), threshold_source=math.inf)
+                         a_matrix=np.eye(3), threshold_source=math.inf)
     np.testing.assert_array_equal(ident.config.a_matrix, np.eye(3))
     default = monitor_init(training, SPEC.n, horizon=2.0, gamma=0.0, alpha=0.05,
                            threshold_source=math.inf)
     assert np.linalg.eigvalsh(default.config.a_matrix).min() > 0
+    np.testing.assert_array_equal(default.config.a_matrix,
+                                  inverse_metric(fit_mple(training, SPEC.n).sigma0_hat))
     # "identity" was dropped: its tables were calibrated for a different metric.
-    for bad in ("bogus", "identity"):
+    asymmetric = np.eye(3)
+    asymmetric[0, 1] = 0.5
+    for bad in ("bogus", "identity", np.eye(2), np.eye(3)[:2], asymmetric, -np.eye(3)):
         with pytest.raises(ValueError):
             monitor_init(training, SPEC.n, horizon=2.0, gamma=0.0, alpha=0.05,
-                         a_policy=bad, threshold_source=1.0)
+                         a_matrix=bad, threshold_source=1.0)
+
+
+def test_monitor_init_refuses_a_table_outside_its_recipe():
+    # A table's critical values hold only for A = inverse Sigma0 and for the
+    # horizon N it was calibrated at.
+    table = ThresholdTable(entries={(0.0, 0.05): 7.25}, reps=100, grid_m=1000,
+                           horizon=3.0, master_seed=1)
+    training = _training()
+    with pytest.raises(ThresholdUnavailableError, match="inverse Sigma0"):
+        monitor_init(training, SPEC.n, horizon=3.0, gamma=0.0, alpha=0.05,
+                     threshold_source=table, a_matrix=np.eye(3))
+    with pytest.raises(ThresholdUnavailableError, match="horizon N=3.0, not 1.0"):
+        monitor_init(training, SPEC.n, horizon=1.0, gamma=0.0, alpha=0.05,
+                     threshold_source=table)
+    # A plain critical value still goes with an explicit metric.
+    state = monitor_init(training, SPEC.n, horizon=1.0, gamma=0.0, alpha=0.05,
+                         threshold_source=7.25, a_matrix=np.eye(3))
+    assert state.config.threshold_c == 7.25
 
 
 def test_monitor_init_threshold_table_lookup():
@@ -125,7 +149,7 @@ def test_monitor_init_threshold_table_lookup():
 def test_identity_policy_statistic_is_weighted_norm():
     training = _training()
     state = monitor_init(training, SPEC.n, horizon=3.0, gamma=0.25, alpha=0.05,
-                         a_policy=np.eye(3), threshold_source=math.inf)
+                         a_matrix=np.eye(3), threshold_source=math.inf)
     stream = _stream_sample(5, seed=81, init=int(training.x[-1]))
     stats = []
     for x_new, w_new in _stream_iter(stream):
@@ -179,6 +203,11 @@ def test_monitor_update_rejects_after_horizon():
         monitor_update(state, int(x_new), w_new)
     with pytest.raises(MonitoringTerminatedError):
         monitor_update(state, int(pairs[2][0]), pairs[2][1])
+    # A horizon that holds no monitored point would end every run without a look.
+    for horizon in (0.05, 0.0, -1.0):
+        with pytest.raises(ValueError, match="no monitored point at m=10"):
+            monitor_init(training, SPEC.n, horizon=horizon, gamma=0.0, alpha=0.05,
+                         threshold_source=1e-12)
 
 
 def test_monitor_update_range_check():

@@ -1,9 +1,11 @@
-"""Property tests of the artifact formats: what a writer writes, its reader
-reads back bit for bit."""
+"""Property tests: what a writer writes, its reader reads back bit for bit,
+and the streaming monitor's state follows from its stream alone."""
 
 import csv
+import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -11,8 +13,15 @@ from hypothesis.extra.numpy import arrays
 from binarx import (
     SeriesSample,
     ThresholdTable,
+    build_regressor,
+    default_model_spec,
+    monitor_init,
+    monitor_update,
     read_series_csv,
     read_threshold_table,
+    simulate_series,
+    success_prob,
+    weight,
     write_series_csv,
     write_threshold_table,
 )
@@ -97,3 +106,44 @@ def test_write_csv_cells_read_back(tmp_path_factory, floats, ints, flag):
     assert _bits([float(v) for v in back[: len(floats)]]) == _bits(floats)
     assert [int(v) for v in back[len(floats):-1]] == ints
     assert back[-1] == str(flag)
+
+
+# ---------------------------------------------------------------------------
+# The streaming monitor
+
+SPEC = default_model_spec()
+TRAINING = simulate_series(SPEC, 100, seed=61)
+COUNTS = st.integers(0, SPEC.n)
+COVARIATES = st.floats(-10.0, 10.0)
+INVALID = st.sampled_from([(-1, 1.0), (SPEC.n + 1, 1.0), (2.5, 1.0), (3, np.nan), (3, np.inf)])
+
+
+def _snapshot(state):
+    return (state.k, _bits(state.running_sum), list(state.statistic_history), state.x_prev,
+            state.alarm_at)
+
+
+@settings(max_examples=60, deadline=None)
+@given(stream=st.lists(st.tuples(COUNTS, COVARIATES), min_size=1, max_size=40),
+       gamma=st.floats(0.0, 0.49), bad=INVALID, at=st.integers(0, 40))
+def test_monitor_state_is_recomputable_from_its_stream(stream, gamma, bad, at):
+    """running_sum and every statistic follow from the stream alone, and an
+    invalid observation anywhere leaves the monitor as it was."""
+    state = monitor_init(TRAINING, SPEC.n, horizon=3.0, gamma=gamma, alpha=0.05,
+                         threshold_source=math.inf)
+    A, m = state.config.a_matrix, state.config.m
+    S = np.zeros(3)
+    x_prev = int(TRAINING.x[-1])
+    for k, (x, w) in enumerate(stream, start=1):
+        if k - 1 == min(at, len(stream) - 1):
+            before = _snapshot(state)
+            with pytest.raises(ValueError, match=rf"k={k}\b"):
+                monitor_update(state, bad[0], np.array([bad[1]]))
+            assert _snapshot(state) == before
+        monitor_update(state, x, np.array([w]))
+        z = build_regressor(x_prev, np.array([w]))
+        S = S + z * (x - SPEC.n * success_prob(state.beta_hat, z))
+        x_prev = x
+        assert _bits(state.running_sum) == _bits(S)
+        assert state.statistic_history[k - 1] == weight(m, k, gamma) ** 2 * (S @ A @ S)
+    assert state.k == len(stream) and state.alarm_at is None

@@ -1,0 +1,150 @@
+"""Print the sha256 and exit code of every artifact of a fixed set of CLI runs.
+
+Usage: python tools/golden_digests.py OUTDIR
+
+OUTDIR must be empty or absent; every run writes below it.  The runs are:
+
+- the criterion-10 config (tests/test_acceptance.py) through all seven
+  subcommands, once at --threads 1 and once at --threads 2;
+- size and power experiments with `emit_traces: 2`, under both `a_source`
+  values, reading the threshold table of the calibrate run;
+- a normality experiment with enough replications for its diagnostics;
+- two `monitor` runs driven by that table, one whose stream alarms and one
+  whose stream ends before the horizon.
+
+Each output line is `<sha256> exit=<code> <run>/<file>`, sorted, so the
+lists of two checkouts can be compared with `diff`.  A refactor that must
+keep every artifact byte-identical runs this before and after the change.
+"""
+
+from __future__ import annotations
+
+import csv
+import hashlib
+import json
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+import numpy as np  # noqa: E402
+
+from binarx import ModelSpec, ParamVector, default_model_spec, simulate_series  # noqa: E402
+from binarx.cli import run_command  # noqa: E402
+from binarx.dataprep import BinomialSeries, write_binomial_series  # noqa: E402
+from binarx.defaults import DEFAULT_SEED  # noqa: E402
+
+MODEL = {
+    "n": 10,
+    "beta": [-1.0, 0.1, 0.4],
+    "exo": {"dist": "normal", "mean": 1.0, "sd": 0.1, "clamp_lo": 0.0, "clamp_hi": 10.0, "l": 1},
+    "burn_in": 200,
+}
+CHANGE = {"at_k": 11, "beta": [-1.0, 0.2, 0.4]}
+COMMANDS = ("simulate", "fit", "calibrate", "monitor", "experiment", "prep", "compare")
+
+
+def _write_stream(path: Path, sample) -> None:
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["k", "x", "w1"])
+        for k in range(sample.m):
+            writer.writerow([k + 1, int(sample.x[k + 1]), repr(float(sample.w[k, 0]))])
+
+
+def _inputs(root: Path) -> None:
+    """The rate panel, streams and binomial series the configs name."""
+    lines = ["state,iso_year,week,rate"]
+    for week in range(1, 7):
+        lines += [f"A,2019,{week},1.0", f"B,2019,{week},2.0",
+                  f"A,2020,{week},{1.0 + 0.1 * week}", f"B,2020,{week},{2.0 - 0.1 * week}"]
+    (root / "rates.csv").write_text("\n".join(lines) + "\n")
+    spec = default_model_spec()
+    training = simulate_series(spec, 120, seed=DEFAULT_SEED, burn_in=200)
+    x_last = int(training.x[-1])
+    _write_stream(root / "stream.csv",
+                  simulate_series(spec, 360, seed=DEFAULT_SEED + 1, init=x_last, burn_in=0))
+    changed = ModelSpec(n=spec.n, beta=ParamVector(-0.2, 0.1, (0.4,)), exo=spec.exo)
+    _write_stream(root / "stream_alarm.csv",
+                  simulate_series(changed, 360, seed=DEFAULT_SEED + 2, init=x_last, burn_in=0))
+    _write_stream(root / "stream_short.csv",
+                  simulate_series(spec, 50, seed=DEFAULT_SEED + 3, init=x_last, burn_in=0))
+    rng = np.random.default_rng(np.random.SeedSequence((DEFAULT_SEED, 10)))
+    write_binomial_series(
+        BinomialSeries(x=rng.binomial(6, 0.4, size=200), n=6,
+                       labels=[(2020, t % 52 + 1) for t in range(200)]),
+        root / "binser.csv",
+    )
+
+
+def _config(root: Path, name: str, **sections) -> Path:
+    path = root / f"{name}.json"
+    path.write_text(json.dumps({"seed": DEFAULT_SEED, "model": MODEL, **sections}))
+    return path
+
+
+def _run(root: Path, codes: dict, run: str, config: Path, command: str, *flags: str) -> None:
+    codes[run] = run_command(["--config", str(config), "--out", str(root / run), "--quiet",
+                              *flags, command])
+
+
+def main(argv) -> int:
+    if len(argv) != 1:
+        print(__doc__.splitlines()[2], file=sys.stderr)
+        return 2
+    root = Path(argv[0]).resolve()
+    root.mkdir(parents=True, exist_ok=True)
+    if any(root.iterdir()):
+        print(f"{root} is not empty", file=sys.stderr)
+        return 2
+    _inputs(root)
+    codes: dict[str, int] = {}
+
+    c10 = _config(
+        root, "criterion10",
+        simulate={"length": 120},
+        fit={"series": "c10_t1/simulate/series.csv"},
+        calibrate={"reps": 200, "gammas": [0.0], "alphas": [0.1, 0.05]},
+        monitor={"training": "c10_t1/simulate/series.csv", "stream": "stream.csv",
+                 "gamma": 0.0, "alpha": 0.05, "threshold_c": 50.0},
+        experiment={"kind": "consistency", "m_list": [60], "reps": 2},
+        prep={"rates": "rates.csv", "states": ["A", "B"], "baseline_years": [2019],
+              "window_start": [2020, 1], "window_end": [2020, 6]},
+        compare={"series": "binser.csv"},
+    )
+    for threads in ("1", "2"):
+        for command in COMMANDS:
+            _run(root, codes, f"c10_t{threads}/{command}", c10, command, "--threads", threads)
+
+    table = "c10_t1/calibrate/thresholds.csv"
+    studies = {"kind": "size", "m_list": [60], "reps": 4, "gammas": [0.0],
+               "alphas": [0.1, 0.05], "thresholds": table, "emit_traces": 2}
+    for kind in ("size", "power"):
+        for a_source in ("aux", "training"):
+            extra = {"change": CHANGE, "alphas": [0.05]} if kind == "power" else {}
+            cfg = _config(root, f"{kind}_{a_source}",
+                          experiment={**studies, "kind": kind, "a_source": a_source, **extra})
+            _run(root, codes, f"{kind}_{a_source}", cfg, "experiment")
+    cfg = _config(root, "normality", experiment={"kind": "normality", "m_list": [80], "reps": 40})
+    _run(root, codes, "normality", cfg, "experiment")
+
+    for name, stream in (("monitor_alarm", "stream_alarm.csv"), ("monitor_short", "stream_short.csv")):
+        cfg = _config(root, name, monitor={
+            "training": "c10_t1/simulate/series.csv", "stream": stream,
+            "gamma": 0.0, "alpha": 0.05, "horizon": 3.0, "thresholds": table})
+        _run(root, codes, name, cfg, "monitor")
+
+    lines = []
+    for run, code in codes.items():
+        files = sorted(p for p in (root / run).rglob("*") if p.is_file())
+        for p in files:
+            digest = hashlib.sha256(p.read_bytes()).hexdigest()
+            lines.append(f"{digest} exit={code} {p.relative_to(root)}")
+        if not files:
+            lines.append(f"{'-' * 64} exit={code} {run}/")
+    print("\n".join(sorted(lines, key=lambda line: line.split(" ", 2)[2])))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
