@@ -21,7 +21,6 @@ from .dataprep import (
     binarize_and_sum,
     chi2_sf,
     compute_baseline,
-    fit_iid_binomial,
     model_comparison,
     read_binomial_series,
     write_binomial_series,
@@ -29,9 +28,6 @@ from .dataprep import (
 from .defaults import DEFAULT_BURN_IN, DEFAULT_SEED, PARAM_BOX_BOUND, default_model_spec
 from .estimation import (
     FitResult,
-    SolverConfig,
-    estimate_covariance,
-    estimate_sigma0,
     fit_mple,
     fit_report,
     log_partial_likelihood,
@@ -68,8 +64,6 @@ from .model import (
     ParamVector,
     SeriesSample,
     build_regressor,
-    inverse_link,
-    link_eval,
     read_series_csv,
     simulate_chain,
     simulate_series,

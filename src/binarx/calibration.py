@@ -69,13 +69,10 @@ class CalibrationConfig:
     """Settings for one threshold computation.
 
     `dim` is the dimension of the score vector (coefficient count l + 2).
-    `sigma` is the Wiener covariance of `sample_sup_functional`; the metric is
-    A = sigma^{-1}, so tables do not depend on it.  `horizon` is the
-    close-end multiplier N.
+    `horizon` is the close-end multiplier N.
     """
 
     dim: int = 3
-    sigma: np.ndarray | None = None
     horizon: float = DEFAULT_HORIZON
     grid_m: int = DEFAULT_GRID_M
     reps: int = DEFAULT_CALIBRATION_REPS
@@ -97,13 +94,6 @@ class CalibrationConfig:
         for a in self.alphas:
             if not 0.0 < a < 1.0:
                 raise ValueError(f"alpha must lie in (0, 1), got {a}")
-        if self.sigma is not None:
-            sig = np.asarray(self.sigma, dtype=float)
-            if sig.shape != (self.dim, self.dim):
-                raise ValueError(f"sigma must be {self.dim}x{self.dim}")
-            if np.abs(sig - sig.T).max() > 1e-10:
-                raise ValueError("sigma must be symmetric")
-            object.__setattr__(self, "sigma", sig)
 
     @property
     def steps(self) -> int:
@@ -174,14 +164,15 @@ def _rep_quadratic_path(config: CalibrationConfig, rep_index: int) -> np.ndarray
     return np.einsum("kd,kd->k", D, D)
 
 
-def sample_sup_functional(config: CalibrationConfig, gamma: float, rep_index: int) -> float:
+def sample_sup_functional(config: CalibrationConfig, gamma: float, rep_index: int,
+                          sigma=None) -> float:
     """One replication of the supremum functional for the given gamma.
 
-    Takes the explicit route (Cholesky draws, quadratic form in
-    A = sigma^{-1}) so the whitened route of the tables can be validated
-    against it; with sigma = None the covariance is the identity.
+    Takes the explicit route (Cholesky draws of Wiener covariance `sigma`,
+    quadratic form in A = sigma^{-1}) so the whitened route of the tables can
+    be validated against it; with sigma = None the covariance is the identity.
     """
-    sigma = config.sigma if config.sigma is not None else np.eye(config.dim)
+    sigma = np.eye(config.dim) if sigma is None else sigma
     eps, eps2 = _rep_normals(config, rep_index)
     s = _grid(config)
     L = np.linalg.cholesky(sigma)

@@ -1,8 +1,10 @@
 """JSON config loading shared by every CLI subcommand.
 
 One documented schema covers all subcommands; each reads only its own
-section plus the shared `model`, `seed`, and `threads` keys.  Relative file
-paths inside a config resolve against the config file's directory.
+section plus the shared `model`, `seed`, and `threads` keys.  A key the
+schema does not know, in any section, is a config error naming it.
+Relative file paths inside a config resolve against the config file's
+directory.
 Environment variables BINARX_SEED and BINARX_THREADS override the config;
 command-line flags override both.
 """
@@ -37,8 +39,24 @@ _EXO_FIELDS = {"dist": str, "mean": float, "sd": float, "clamp_lo": float, "clam
 _CALIBRATE_FIELDS = {"dim": int, "horizon": float, "grid_m": int, "reps": int,
                      "gammas": (float,), "alphas": (float,)}
 _EXPERIMENT_FIELDS = {"m_list": (int,), "reps": int, "gammas": (float,), "alphas": (float,),
-                      "horizon": float, "a_source": str, "aux_length": int,
+                      "horizon": float, "a_source": str,
                       "calibration_reps": int, "calibration_grid": int, "emit_traces": int}
+_MONITOR_FIELDS = {"horizon": float, "gamma": float, "alpha": float}
+# Every key of the schema by section; "" is the top level.
+_KEYS = {
+    "": {"seed", "threads", "model", "simulate", "fit", "calibrate", "monitor", "experiment",
+         "prep", "compare"},
+    "model": {"n", "beta", "exo", "burn_in"},
+    "model.exo": set(_EXO_FIELDS),
+    "simulate": {"length", "init"},
+    "fit": {"series"},
+    "calibrate": set(_CALIBRATE_FIELDS),
+    "monitor": {"training", "stream", "a_policy", "thresholds", "threshold_c", *_MONITOR_FIELDS},
+    "experiment": {"kind", "change", "thresholds", *_EXPERIMENT_FIELDS},
+    "experiment.change": {"at_k", "beta"},
+    "prep": {"rates", "states", "baseline_years", "window_start", "window_end"},
+    "compare": {"series"},
+}
 
 
 @dataclass(frozen=True)
@@ -60,6 +78,7 @@ def load_config(path, seed_override=None, threads_override=None) -> LoadedConfig
         raise ConfigError(str(path), f"invalid JSON: {exc}") from None
     if not isinstance(raw, dict):
         raise ConfigError(str(path), "top level must be a JSON object")
+    _reject_unknown_keys(raw)
 
     seed = _opt_int(raw, "seed", DEFAULT_SEED)
     threads = _opt_int(raw, "threads", 1)
@@ -86,6 +105,15 @@ def _parse_env_int(name: str, value: str) -> int:
 
 
 _REQUIRED = object()
+
+
+def _reject_unknown_keys(raw: dict) -> None:
+    """Raise ConfigError naming the first key that the schema does not know."""
+    for section, known in _KEYS.items():
+        node = _get(raw, section, {}) if section else raw
+        for key in sorted(node) if isinstance(node, dict) else ():
+            if key not in known:
+                raise ConfigError(f"{section}.{key}" if section else key, "unknown key")
 
 
 def _get(cfg: dict, path: str, default=_REQUIRED):
@@ -225,31 +253,19 @@ def parse_monitor(loaded: LoadedConfig) -> dict:
         raise ConfigError("monitor.threshold_c", "need threshold_c or a thresholds table path")
     return {"horizon": DEFAULT_HORIZON, "gamma": DEFAULT_MONITOR_GAMMA,
             "alpha": DEFAULT_MONITOR_ALPHA,
-            **_present(cfg, "monitor", {"horizon": float, "gamma": float, "alpha": float}),
+            **_present(cfg, "monitor", _MONITOR_FIELDS),
             "threshold_source": source}
 
 
-def _weeks_in_iso_year(year: int) -> int:
+def _iso_monday(cfg: dict, path: str) -> datetime.date:
+    """Monday of the ISO week [iso_year, week] at `path`."""
+    label = _typed(cfg, path, (int,))
+    if len(label) != 2:
+        raise ConfigError(path, "must be [iso_year, week]")
     try:
-        datetime.date.fromisocalendar(year, 53, 1)
-        return 53
-    except ValueError:
-        return 52
-
-
-def expand_window(start: tuple[int, int], end: tuple[int, int]) -> list[tuple[int, int]]:
-    """Inclusive list of (iso_year, week) labels from start to end."""
-    year, week = int(start[0]), int(start[1])
-    end_year, end_week = int(end[0]), int(end[1])
-    if (year, week) > (end_year, end_week):
-        raise ValueError("window start is after window end")
-    out = []
-    while (year, week) <= (end_year, end_week):
-        out.append((year, week))
-        week += 1
-        if week > _weeks_in_iso_year(year):
-            year, week = year + 1, 1
-    return out
+        return datetime.date.fromisocalendar(*label, 1)
+    except ValueError as exc:
+        raise ConfigError(path, f"{list(label)} is not an ISO week: {exc}") from None
 
 
 def parse_prep(loaded: LoadedConfig) -> dict:
@@ -259,13 +275,11 @@ def parse_prep(loaded: LoadedConfig) -> dict:
     if not states:
         raise ConfigError("prep.states", "must be a non-empty list of state names")
     years = _typed(cfg, "prep.baseline_years", (int,))
-    start = _typed(cfg, "prep.window_start", (int,))
-    end = _typed(cfg, "prep.window_end", (int,))
-    for name, value in (("window_start", start), ("window_end", end)):
-        if len(value) != 2:
-            raise ConfigError(f"prep.{name}", "must be [iso_year, week]")
-    try:
-        window = expand_window(start, end)
-    except ValueError as exc:
-        raise ConfigError("prep.window_start", str(exc)) from None
+    start = _iso_monday(cfg, "prep.window_start")
+    end = _iso_monday(cfg, "prep.window_end")
+    if start > end:
+        raise ConfigError("prep.window_start", "window start is after window end")
+    # Inclusive (iso_year, week) labels, one per Monday from start to end.
+    window = [(start + datetime.timedelta(weeks=i)).isocalendar()[:2]
+              for i in range((end - start).days // 7 + 1)]
     return {"rates": rates, "states": states, "baseline_years": years, "window": window}

@@ -47,9 +47,6 @@ class RatePanel:
                 raise ValueError(f"duplicate panel entry for {key}")
             self._index[key] = row.rate
 
-    def __len__(self) -> int:
-        return len(self._index)
-
     def get(self, state: str, iso_year: int, week: int) -> float | None:
         return self._index.get((state, iso_year, week))
 
@@ -75,20 +72,9 @@ class RatePanel:
 
 @dataclass(frozen=True)
 class BaselineTable:
-    """Per (state, week-of-year) mean rate over the baseline years.
-
-    Lookups for weeks beyond 52 fall back to the week-52 entry (long ISO
-    years); a missing mapped entry raises MissingBaselineError.
-    """
+    """Per (state, week-of-year) mean rate over the baseline years."""
 
     entries: dict
-
-    def lookup(self, state: str, week: int) -> float:
-        mapped = min(week, 52)
-        try:
-            return self.entries[(state, mapped)]
-        except KeyError:
-            raise MissingBaselineError([(state, mapped)]) from None
 
 
 def compute_baseline(panel: RatePanel, baseline_years) -> BaselineTable:
@@ -127,7 +113,8 @@ def binarize_and_sum(
 ) -> BinomialSeries:
     """Count, week by week, the states whose rate strictly exceeds baseline.
 
-    Ties count as not exceeding.  `window` is an ordered sequence of
+    Ties count as not exceeding, and week 53 of a long ISO year is compared
+    against the week-52 baseline.  `window` is an ordered sequence of
     (iso_year, week) labels; any gap in panel coverage or baseline entries
     raises before a partial series can leak out.
     """
@@ -162,25 +149,6 @@ def _iid_fit(x: np.ndarray, n: int) -> tuple[float, float]:
     """Constant-probability estimate pi_hat = sum(x) / (n T) and its log likelihood."""
     pi = float(x.sum()) / (n * x.size)
     return pi, float(np.sum(log_binom(n, x) + xlogy(x, pi) + xlogy(n - x, 1.0 - pi)))
-
-
-def fit_iid_binomial(series: BinomialSeries) -> dict:
-    """Constant-probability fit: pi_hat = sum(x) / (n T), with AIC.
-
-    The log likelihood keeps the binomial coefficients, matching the AR(1)
-    partial-likelihood convention so the two AICs are comparable.  A boundary
-    pi_hat (all-zero or all-n data) is flagged rather than fatal.
-    """
-    x = series.x
-    if x.size == 0:
-        raise ValueError("series is empty")
-    pi_hat, log_lik = _iid_fit(x, series.n)
-    return {
-        "pi_hat": pi_hat,
-        "log_lik": log_lik,
-        "aic": 2.0 - 2.0 * log_lik,
-        "boundary": pi_hat in (0.0, 1.0),
-    }
 
 
 def chi2_sf(x: float, df: int = 1) -> float:

@@ -20,24 +20,18 @@ from .exceptions import NonConvergenceError, SeparationError, SingularHessianErr
 from .model import ParamVector, SeriesSample, log_binom
 
 
-@dataclass(frozen=True)
-class SolverConfig:
-    """Newton solver settings.
-
-    Convergence requires the sup-norm of the score to fall below `tol`; the
-    iteration also stops when the accepted step is shorter than `step_tol`.
-    Steps that would decrease the log partial likelihood are halved up to
-    `max_halvings` times, and iterates are projected back onto the coordinate
-    box [-box_bound, box_bound] (a boundary hit is reported, not fatal).
-    """
-
-    tol: float = 1e-8
-    step_tol: float = 1e-10
-    max_iter: int = 100
-    max_halvings: int = 30
-    box_bound: float = PARAM_BOX_BOUND
-    cond_limit: float = 1e12
-    raise_on_nonconvergence: bool = True
+# Newton solver settings.  Convergence requires the sup-norm of the score to
+# fall below _TOL; the iteration also stops when the accepted step is shorter
+# than _STEP_TOL.  Steps that would decrease the log partial likelihood are
+# halved up to _MAX_HALVINGS times, and iterates are projected back onto the
+# coordinate box [-PARAM_BOX_BOUND, PARAM_BOX_BOUND] (a boundary hit is
+# reported, not fatal).  A curvature matrix with condition number above
+# _COND_LIMIT counts as singular.
+_TOL = 1e-8
+_STEP_TOL = 1e-10
+_MAX_ITER = 100
+_MAX_HALVINGS = 30
+_COND_LIMIT = 1e12
 
 
 @dataclass(frozen=True)
@@ -46,9 +40,9 @@ class FitResult:
 
     `covariance` is the estimator of the limiting covariance of
     sqrt(m) (beta_hat - beta0), i.e. the inverse of the averaged negated
-    score gradient; divide by the sample size (see estimate_covariance) for
-    the covariance of beta_hat itself.  `sigma0_hat` is the outer-product
-    estimator sum_t G_t G_t' / m evaluated at beta_hat.
+    score gradient; `standard_errors` divides it by the sample size for
+    beta_hat itself.  `sigma0_hat` is the outer-product estimator
+    sum_t G_t G_t' / m evaluated at beta_hat.
     """
 
     beta_hat: ParamVector
@@ -170,15 +164,15 @@ def _narrow(keep: np.ndarray, *arrays):
     return tuple(a[keep] for a in arrays)
 
 
-def _newton(Z: np.ndarray, y: np.ndarray, spec_n: int, cfg: SolverConfig,
+def _newton(Z: np.ndarray, y: np.ndarray, spec_n: int,
             log_pl_trace: list | None = None) -> BatchFit:
     """Damped Newton from beta = 0 for each of the c stacked series at once.
 
     Z is (c, m, d) and y is (c, m).  Every replication keeps its own
     convergence, step-halving, box and condition-limit state; a replication
-    leaves the active set when it converges, stalls below `step_tol`, or
-    fails.  `log_pl_trace` records the accepted log-PL values of a batch of
-    one.
+    leaves the active set when it converges, stalls below _STEP_TOL, or
+    fails.  When a list is passed as `log_pl_trace`, the accepted log-PL
+    values of a batch of one are appended to it, one per iteration.
     """
     c, m, d = Z.shape
     errors: list = [None] * c
@@ -197,22 +191,22 @@ def _newton(Z: np.ndarray, y: np.ndarray, spec_n: int, cfg: SolverConfig,
     iterations = np.zeros(c, dtype=int)
     hit_boundary = np.zeros(c, dtype=bool)
     act = np.array([i for i, e in enumerate(errors) if e is None], dtype=int)
-    for it in range(1, cfg.max_iter + 1):
+    for it in range(1, _MAX_ITER + 1):
         if act.size == 0:
             break
         Za, ya, eta_a = (Z, y, eta) if act.size == c else (Z[act], y[act], eta[act])
         pi = expit(eta_a)
         g = np.matmul(np.swapaxes(Za, 1, 2), (ya - spec_n * pi)[:, :, None])[:, :, 0]
-        done = np.abs(g).max(axis=1) < cfg.tol
+        done = np.abs(g).max(axis=1) < _TOL
         iterations[act] = np.where(done, it - 1, it)
         act, Za, ya, pi, g = _narrow(~done, act, Za, ya, pi, g)
         if act.size == 0:
             break
         H = _gram(Za, spec_n * pi * (1.0 - pi))
-        singular = np.linalg.cond(H) > cfg.cond_limit
+        singular = np.linalg.cond(H) > _COND_LIMIT
         for i in act[singular]:
             errors[i] = SingularHessianError(
-                f"negated score gradient has condition number above {cfg.cond_limit:g}"
+                f"negated score gradient has condition number above {_COND_LIMIT:g}"
             )
         act, Za, ya, H, g = _narrow(~singular, act, Za, ya, H, g)
         if act.size == 0:
@@ -226,18 +220,18 @@ def _newton(Z: np.ndarray, y: np.ndarray, spec_n: int, cfg: SolverConfig,
         lp_cand = np.empty(act.size)
         eta_cand = np.empty((act.size, m))
         todo = np.ones(act.size, dtype=bool)
-        for h in range(cfg.max_halvings + 1):
+        for h in range(_MAX_HALVINGS + 1):
             Zt, yt = _narrow(todo, Za, ya)
             cand[todo] = np.clip(
-                b0[todo] + scale[todo, None] * step[todo], -cfg.box_bound, cfg.box_bound
+                b0[todo] + scale[todo, None] * step[todo], -PARAM_BOX_BOUND, PARAM_BOX_BOUND
             )
             lp_cand[todo], eta_cand[todo] = log_pl_at(Zt, yt, log_coef[act[todo]], cand[todo])
             todo &= lp_cand < floor
-            if not todo.any() or h == cfg.max_halvings:
+            if not todo.any() or h == _MAX_HALVINGS:
                 break
             scale[todo] *= 0.5
         hit_boundary[act] |= np.any(cand != b0 + scale[:, None] * step, axis=1)
-        stalled = np.abs(cand - b0).max(axis=1) < cfg.step_tol
+        stalled = np.abs(cand - b0).max(axis=1) < _STEP_TOL
         beta[act], lp[act], eta[act] = cand, lp_cand, eta_cand
         if log_pl_trace is not None:
             log_pl_trace.append(float(lp[0]))
@@ -246,19 +240,18 @@ def _newton(Z: np.ndarray, y: np.ndarray, spec_n: int, cfg: SolverConfig,
     pi = expit(eta)
     resid = y - spec_n * pi
     final_norm = np.abs(np.matmul(np.swapaxes(Z, 1, 2), resid[:, :, None])).max(axis=(1, 2))
-    converged = final_norm < cfg.tol
-    if cfg.raise_on_nonconvergence:
-        for i in np.nonzero(~converged)[0]:
-            if errors[i] is None:
-                errors[i] = NonConvergenceError(
-                    f"score norm {final_norm[i]:.3e} above tolerance {cfg.tol:g} "
-                    f"after {iterations[i]} iterations"
-                )
+    converged = final_norm < _TOL
+    for i in np.nonzero(~converged)[0]:
+        if errors[i] is None:
+            errors[i] = NonConvergenceError(
+                f"score norm {final_norm[i]:.3e} above tolerance {_TOL:g} "
+                f"after {iterations[i]} iterations"
+            )
     covariance = np.full((c, d, d), np.nan)
     live = np.array([e is None for e in errors], dtype=bool)
     Zl, pl = _narrow(live, Z, pi)
     H = _gram(Zl, spec_n * pl * (1.0 - pl))
-    singular = np.linalg.cond(H) > cfg.cond_limit
+    singular = np.linalg.cond(H) > _COND_LIMIT
     for i in np.nonzero(live)[0][singular]:
         errors[i] = SingularHessianError("curvature matrix singular at the optimum")
     live[live] = ~singular
@@ -278,8 +271,7 @@ def _newton(Z: np.ndarray, y: np.ndarray, spec_n: int, cfg: SolverConfig,
     )
 
 
-def fit_mple_batch(x: np.ndarray, w: np.ndarray, spec_n: int,
-                   solver: SolverConfig | None = None) -> BatchFit:
+def fit_mple_batch(x: np.ndarray, w: np.ndarray, spec_n: int) -> BatchFit:
     """Fit c series of equal length at once: x is (c, m + 1), w is (c, m, l).
 
     Row i gives the same result as fit_mple on SeriesSample(x[i], w[i]),
@@ -288,13 +280,12 @@ def fit_mple_batch(x: np.ndarray, w: np.ndarray, spec_n: int,
     does not grow with c.  Inputs are trusted: counts in {0..n}, finite
     covariates, m >= d + 1.
     """
-    cfg = solver or SolverConfig()
     c, m = x.shape[0], x.shape[1] - 1
     chunk = max(1, _CHUNK_ELEMENTS // (m * (2 + w.shape[2])))
     parts = []
     for lo in range(0, c, chunk):
         Z, y = _stack_design(x[lo:lo + chunk], w[lo:lo + chunk])
-        parts.append(_newton(Z, y, spec_n, cfg))
+        parts.append(_newton(Z, y, spec_n))
     if len(parts) == 1:
         return parts[0]
     return BatchFit(
@@ -307,28 +298,20 @@ def fit_mple_batch(x: np.ndarray, w: np.ndarray, spec_n: int,
     )
 
 
-def fit_mple(
-    series: SeriesSample,
-    spec_n: int,
-    solver: SolverConfig | None = None,
-    log_pl_trace: list | None = None,
-) -> FitResult:
+def fit_mple(series: SeriesSample, spec_n: int) -> FitResult:
     """Maximize the partial likelihood by damped Newton iteration from beta = 0.
 
     Raises SeparationError when every response sits at the same boundary
     (0 or n), SingularHessianError on a numerically singular curvature
     matrix, and NonConvergenceError when the score tolerance is not reached
-    within the iteration budget (unless the solver config opts out).  When a
-    list is passed as `log_pl_trace` the accepted log-PL values are appended
-    to it, one per iteration.  This is the batch-of-one case of the batched
-    Newton kernel that fit_mple_batch runs.
+    within the iteration budget.  This is the batch-of-one case of the
+    batched Newton kernel that fit_mple_batch runs.
     """
-    cfg = solver or SolverConfig()
     Z, y = _design(series, spec_n)
     m, d = Z.shape
     if m < d + 1:
         raise ValueError(f"need at least {d + 1} transitions to fit {d} coefficients, got {m}")
-    fit = _newton(Z[None], y[None], spec_n, cfg, log_pl_trace)
+    fit = _newton(Z[None], y[None], spec_n)
     if fit.errors[0] is not None:
         raise fit.errors[0]
     return FitResult(
@@ -343,20 +326,6 @@ def fit_mple(
         n=spec_n,
         n_obs=m,
     )
-
-
-def estimate_covariance(fit: FitResult, m: int) -> np.ndarray:
-    """Covariance estimate for beta_hat itself at sample size m (shrinks like 1/m)."""
-    if not fit.converged:
-        raise ValueError("covariance is only meaningful for a converged fit")
-    return fit.covariance / m
-
-
-def estimate_sigma0(series: SeriesSample, spec_n: int, beta_hat) -> np.ndarray:
-    """Outer-product score covariance sum_t G_t G_t' / m at the given coefficients."""
-    Z, y, eta = _linear(series, spec_n, beta_hat)
-    resid = y - spec_n * expit(eta)
-    return _gram(Z[None], (resid**2)[None])[0] / Z.shape[0]
 
 
 def fit_report(fit: FitResult) -> dict:

@@ -62,6 +62,8 @@ BLOCK_SIZE = 256
 STREAM_CONTRACT = 2
 # Fit failures counted per class in every report.
 FAILURE_CLASSES = ("SeparationError", "SingularHessianError", "NonConvergenceError")
+# Transitions in the auxiliary series that pins the shared monitoring metric.
+_AUX_LENGTH = 10_000
 
 
 @dataclass(frozen=True)
@@ -88,7 +90,6 @@ class ExperimentConfig:
     master_seed: int = DEFAULT_SEED
     burn_in: int = DEFAULT_BURN_IN
     a_source: str = "aux"
-    aux_length: int = 10_000
     calibration_reps: int = DEFAULT_CALIBRATION_REPS
     calibration_grid: int = DEFAULT_GRID_M
     thresholds: ThresholdTable | None = None
@@ -384,11 +385,13 @@ def _monitor_block(task: _MonitorTask, b: int):
     horizon in lockstep (the change, if any, switching the coefficients at
     monitored index at_k) while the running score sums, the sup of each
     gamma's statistic and the first passages are updated in place; no
-    whole-path array is kept.  The statistic uses the same arithmetic as the
-    streaming monitor.  Returns (failure class names, then for the fitted
-    reps in order: sups per gamma, first-passage indices per gamma (0 means
-    "no alarm"), post-change score drift or None, and (rep, paths) for the
-    kept reps).
+    whole-path array is kept.  The statistic agrees with the streaming
+    monitor's to rtol 1e-10, not bit for bit: the two paths order their
+    floating-point operations differently (array against scalar logistic,
+    (A S * S).sum against S @ A @ S).  Returns (failure class names, then
+    for the fitted reps in order: sups per gamma, first-passage indices per
+    gamma (0 means "no alarm"), post-change score drift or None, and (rep,
+    paths) for the kept reps).
     """
     rng, x_prev, fit = _train_block(task, b)
     spec = task.spec
@@ -436,14 +439,22 @@ def _monitor_block(task: _MonitorTask, b: int):
     return _failure_names(fit), sups.T[ok], passage.T[ok], drift, kept
 
 
-def _monitor_blocks(config: ExperimentConfig, kind: int, mi: int, m: int, cdf,
+def _horizons(config: ExperimentConfig, change) -> list[int]:
+    """Monitored points H per training length, each checked to hold a point
+    and the change; all are checked before any block runs."""
+    horizons = [horizon_steps(config.horizon, m) for m in config.m_list]
+    for m, H in zip(config.m_list, horizons):
+        if H < 1:
+            raise ValueError(f"horizon {config.horizon} leaves no monitored point at m={m}")
+        if change is not None and change.at_k > H:
+            raise ValueError(f"change at_k={change.at_k} beyond horizon {H}")
+    return horizons
+
+
+def _monitor_blocks(config: ExperimentConfig, kind: int, mi: int, m: int, H: int, cdf,
                     a_common, change, thresholds, threads: int):
-    """Run every block at training length m; returns (per-block results, counts)."""
-    H = horizon_steps(config.horizon, m)
-    if H < 1:
-        raise ValueError(f"horizon {config.horizon} leaves no monitored point at m={m}")
-    if change is not None and change.at_k > H:
-        raise ValueError(f"change at_k={change.at_k} beyond horizon {H}")
+    """Run every block at training length m with H monitored points; returns
+    (per-block results, counts)."""
     kk = np.arange(1, H + 1)
     task = _MonitorTask(
         spec=config.spec,
@@ -477,7 +488,7 @@ def _aux_metric(config: ExperimentConfig, cdf) -> np.ndarray:
         np.random.SeedSequence((config.master_seed, _KIND_AUX, 0))
     )
     x0 = int(_start(config.spec, cdf, config.burn_in, rng, 1)[0])
-    x, w = simulate_chain(config.spec, config.aux_length, rng, x0)
+    x, w = simulate_chain(config.spec, _AUX_LENGTH, rng, x0)
     return inverse_metric(fit_mple(SeriesSample(x=x, w=w), config.spec.n).sigma0_hat)
 
 
@@ -536,17 +547,20 @@ def run_size(config: ExperimentConfig, threads: int = 1) -> SizeReport:
     Every replication simulates a clean training stretch plus the monitored
     horizon, refits, and records whether the weighted statistic ever exceeds
     the calibrated critical value.  All gammas and alphas are evaluated on
-    common replication streams.
+    common replication streams.  Every horizon and table cell is checked
+    before any replication runs.
     """
+    horizons = _horizons(config, None)
     table = _resolve_thresholds(config, threads)
+    cells = {(g, a): table.lookup(g, a) for g in config.gammas for a in config.alphas}
     cdf = _start_cdf(config.spec)
     a_common = _aux_metric(config, cdf) if config.a_source == "aux" else None
     rows = []
     traces = []
     by_m = {}
-    for mi, m in enumerate(config.m_list):
+    for mi, (m, H) in enumerate(zip(config.m_list, horizons)):
         results, by_m[str(m)] = _monitor_blocks(
-            config, _KIND_SIZE, mi, m, cdf, a_common, None, None, threads
+            config, _KIND_SIZE, mi, m, H, cdf, a_common, None, None, threads
         )
         sups = np.vstack([r[1] for r in results])
         used = sups.shape[0]
@@ -554,7 +568,7 @@ def run_size(config: ExperimentConfig, threads: int = 1) -> SizeReport:
         flagged = failures > 0.01 * config.reps
         for j, g in enumerate(config.gammas):
             for a in config.alphas:
-                c = table.lookup(g, a)
+                c = cells[g, a]
                 n_reject = int((sups[:, j] >= c).sum())
                 rows.append(SizeRow(m, g, a, c, n_reject / used, n_reject, used, failures, flagged))
         traces += _traces(m, config.gammas, results)
@@ -611,22 +625,24 @@ def run_power(config: ExperimentConfig, threads: int = 1) -> PowerReport:
     is the first entry of config.alphas.  The report also carries the
     post-change empirical score drift: the average of the score terms over
     the monitored points from the change onward, a direct estimate of the
-    signal the statistic accumulates.
+    signal the statistic accumulates.  Every horizon and table cell is
+    checked before any replication runs.
     """
     if config.change is None:
         raise ValueError("run_power requires config.change")
     alpha = config.alphas[0]
+    horizons = _horizons(config, config.change)
     table = _resolve_thresholds(config, threads)
+    thresholds = tuple(table.lookup(g, alpha) for g in config.gammas)
     cdf = _start_cdf(config.spec)
     a_common = _aux_metric(config, cdf) if config.a_source == "aux" else None
     rows = []
     traces = []
     delays_map = {}
     by_m = {}
-    thresholds = tuple(table.lookup(g, alpha) for g in config.gammas)
-    for mi, m in enumerate(config.m_list):
+    for mi, (m, H) in enumerate(zip(config.m_list, horizons)):
         results, by_m[str(m)] = _monitor_blocks(
-            config, _KIND_POWER, mi, m, cdf, a_common, config.change,
+            config, _KIND_POWER, mi, m, H, cdf, a_common, config.change,
             np.array(thresholds), threads,
         )
         passages = np.vstack([r[2] for r in results])

@@ -140,7 +140,6 @@ class SeriesSample:
 
     x: np.ndarray
     w: np.ndarray
-    seed: int = 0
 
     def __post_init__(self):
         x = np.ascontiguousarray(np.asarray(self.x, dtype=np.int64))
@@ -166,18 +165,6 @@ class SeriesSample:
     @property
     def l(self) -> int:
         return self.w.shape[1]
-
-
-def link_eval(mu: float, n: int) -> float:
-    """Link g(mu) = log(mu / (n - mu)) for a conditional mean mu in (0, n)."""
-    if not 0 < mu < n:
-        raise ValueError(f"link domain error: need 0 < mu < n, got mu={mu}, n={n}")
-    return math.log(mu / (n - mu))
-
-
-def inverse_link(eta: float, n: int) -> float:
-    """Inverse link h(eta) = n / (1 + exp(-eta))."""
-    return n * float(_stable_prob(eta))
 
 
 def _stable_prob(eta):
@@ -279,7 +266,7 @@ def simulate_series(
     else:
         x0 = int(init)
     x, w = simulate_chain(spec, length, rng, x0)
-    return SeriesSample(x=x, w=w, seed=seed)
+    return SeriesSample(x=x, w=w)
 
 
 def _norm_cdf(z: float) -> float:

@@ -29,9 +29,10 @@ _SCORE_IDENTITY_TOL = 1e-8
 def weight(m, k, gamma: float):
     """Monitoring weight m^(-1/2) * (1 + k/m)^(-1) * (k/(m+k))^(-gamma).
 
-    Equals m^(-1/2) * rho(k/m, gamma).  Accepts scalar or array k so the
-    experiment harnesses can evaluate whole statistic paths with the exact
-    same arithmetic as the step-by-step monitor.
+    Equals m^(-1/2) * rho(k/m, gamma).  Accepts scalar or array k, so the
+    experiment harnesses weight whole paths at once.  Their statistic agrees
+    with the step-by-step monitor's to rtol 1e-10, not bit for bit: the two
+    paths order their floating-point operations differently.
     """
     _check_gamma(gamma)
     if m < 1:

@@ -49,6 +49,7 @@ from binarx import (
     stationary_oracle,
     threshold_table,
 )
+from binarx.calibration import quantile_higher
 from binarx.cli import run_command
 from binarx.dataprep import BinomialSeries, write_binomial_series
 from binarx.model import _exogenous_quadrature
@@ -209,15 +210,21 @@ def test_criterion_05_threshold_reproduction(table10k):
     sig2 = np.diag([4.0, 0.25, 1.0])
     small = dict(dim=3, reps=500, grid_m=500, horizon=3.0, master_seed=DEFAULT_SEED,
                  gammas=(0.0, 0.4), alphas=(0.1, 0.05))
-    t1 = threshold_table(CalibrationConfig(sigma=sig1, **small))
-    t2 = threshold_table(CalibrationConfig(sigma=sig2, **small))
-    free = t1.entries == t2.entries
+    cfg_std = CalibrationConfig(**small)
+    # Distribution-free: tables built from the explicit Cholesky route under
+    # two different Wiener covariances give the whitened table's cells.
+    whitened = threshold_table(cfg_std).entries
+    free = True
+    for sig in (sig1, sig2):
+        for g in cfg_std.gammas:
+            sups = [sample_sup_functional(cfg_std, g, rep, sigma=sig) for rep in range(cfg_std.reps)]
+            free &= all(abs(quantile_higher(sups, 1.0 - a) - whitened[g, a]) < 1e-10
+                        for a in cfg_std.alphas)
     # The whitening that makes the identity exact agrees with the explicit
     # Cholesky route replication by replication.
-    cfg_sig = CalibrationConfig(sigma=sig1, **small)
-    cfg_std = CalibrationConfig(**small)
     reduction_err = max(
-        abs(sample_sup_functional(cfg_sig, 0.4, rep) - sample_sup_functional(cfg_std, 0.4, rep))
+        abs(sample_sup_functional(cfg_std, 0.4, rep, sigma=sig1)
+            - sample_sup_functional(cfg_std, 0.4, rep))
         for rep in range(20)
     )
     ok = ok_a and ok_b and free and reduction_err < 1e-10

@@ -8,6 +8,7 @@ from binarx import (
     threshold_table,
     write_threshold_table,
 )
+from binarx.calibration import quantile_higher
 
 SIGMA = np.array([[2.0, 0.3, 0.1], [0.3, 1.5, -0.2], [0.1, -0.2, 0.9]])
 
@@ -17,6 +18,15 @@ def _cfg(**kw):
                 gammas=(0.0, 0.25, 0.4), alphas=(0.1, 0.05))
     base.update(kw)
     return CalibrationConfig(**base)
+
+
+def _explicit_table(cfg, sigma):
+    """Table cells from the explicit Cholesky route under Wiener covariance sigma."""
+    cells = {}
+    for g in cfg.gammas:
+        sups = [sample_sup_functional(cfg, g, rep, sigma=sigma) for rep in range(cfg.reps)]
+        cells.update({(g, a): quantile_higher(sups, 1.0 - a) for a in cfg.alphas})
+    return cells
 
 
 def test_sample_nonnegative():
@@ -45,10 +55,9 @@ def test_sample_matches_straight_line_reimplementation():
 def test_sample_sigma_invariance_under_inverse_metric():
     # With A = Sigma^{-1}, a replication computed with covariance Sigma must
     # equal the standard-normal replication to 1e-10 on the same stream.
-    with_sigma = _cfg(sigma=SIGMA)
     standard = _cfg()
     for rep in range(10):
-        a = sample_sup_functional(with_sigma, 0.25, rep)
+        a = sample_sup_functional(standard, 0.25, rep, sigma=SIGMA)
         b = sample_sup_functional(standard, 0.25, rep)
         assert a == pytest.approx(b, abs=1e-10)
 
@@ -83,11 +92,15 @@ def test_table_reproducible_and_schedule_independent():
 
 
 def test_distribution_freeness_identical_tables():
-    other = np.diag([5.0, 0.5, 2.0])
-    t1 = threshold_table(_cfg(sigma=SIGMA))
-    t2 = threshold_table(_cfg(sigma=other))
-    t3 = threshold_table(_cfg())
-    assert t1.entries == t2.entries == t3.entries
+    # The whitened table equals, cell by cell, the tables of the explicit
+    # route under two different Wiener covariances.
+    cfg = _cfg()
+    table = threshold_table(cfg).entries
+    for sigma in (SIGMA, np.diag([5.0, 0.5, 2.0])):
+        explicit = _explicit_table(cfg, sigma)
+        assert explicit.keys() == table.keys()
+        for key, c in table.items():
+            assert explicit[key] == pytest.approx(c, abs=1e-10)
 
 
 def test_threshold_csv_round_trip(tmp_path):
@@ -114,7 +127,7 @@ def test_config_validation():
     with pytest.raises(ValueError):
         CalibrationConfig(dim=3, alphas=(1.2,))
     with pytest.raises(ValueError):
-        CalibrationConfig(dim=3, sigma=np.eye(2))
+        sample_sup_functional(_cfg(), 0.0, 0, sigma=np.eye(2))
 
 
 def test_full_table_tracks_published_values():

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from binarx import (
     CalibrationConfig,
+    ConfigError,
     ExperimentConfig,
     default_model_spec,
     monitor_init,
@@ -14,7 +15,13 @@ from binarx import (
     simulate_series,
 )
 from binarx.cli import run_command
-from binarx.config import LoadedConfig, parse_calibrate, parse_experiment, parse_monitor
+from binarx.config import (
+    LoadedConfig,
+    parse_calibrate,
+    parse_experiment,
+    parse_monitor,
+    parse_prep,
+)
 from binarx.defaults import (
     DEFAULT_HORIZON,
     DEFAULT_MONITOR_ALPHA,
@@ -32,6 +39,10 @@ MODEL_SECTION = {
 
 PREP_SECTION = {"rates": "rates.csv", "states": ["A", "B"], "baseline_years": [2019],
                 "window_start": [2020, 1], "window_end": [2020, 6]}
+
+
+def _loaded(raw):
+    return LoadedConfig(raw=raw, base_dir=Path("."), seed=5, threads=1)
 
 
 def _write_config(path, payload):
@@ -270,15 +281,43 @@ def test_config_type_errors_name_the_field(tmp_path, capsys, command, section, f
     assert f"config error: {field}: expected" in capsys.readouterr().err
 
 
-def test_config_defaults_fill_absent_keys():
-    def loaded(raw):
-        return LoadedConfig(raw=raw, base_dir=Path("."), seed=5, threads=1)
+@pytest.mark.parametrize("command, section, field", [
+    ("calibrate", {"calibrate": {"rep": 150}}, "calibrate.rep"),
+    ("experiment", {"experiment": {"kind": "size", "aux_length": 10_000}}, "experiment.aux_length"),
+    ("experiment", {"experiment": {"kind": "power", "change": {"at_k": 5, "beta": [0, 0, 0],
+                                                               "at": 5}}}, "experiment.change.at"),
+    ("simulate", {"simulate": {"length": 10}, "sed": 3}, "sed"),
+    ("simulate", {"simulate": {"length": 10},
+                  "model": {**MODEL_SECTION, "exo": {"sdd": 0.1}}}, "model.exo.sdd"),
+    ("monitor", {"monitor": {"threshold_c": 7.0, "gama": 0.1}}, "monitor.gama"),
+    ("prep", {"prep": {**PREP_SECTION, "window": [2020, 1]}}, "prep.window"),
+])
+def test_config_unknown_keys_name_the_field(tmp_path, capsys, command, section, field):
+    cfg = _write_config(tmp_path / "cfg.json", {"model": MODEL_SECTION, **section})
+    assert run_command(["--config", cfg, "--out", str(tmp_path), "--quiet", command]) == 2
+    assert f"config error: {field}: unknown key" in capsys.readouterr().err
 
-    assert parse_calibrate(loaded({"calibrate": {"reps": 200}})) == CalibrationConfig(
+
+def test_prep_window_crosses_iso_week_53():
+    prep = parse_prep(_loaded({"prep": {**PREP_SECTION, "window_start": [2020, 52],
+                                        "window_end": [2021, 2]}}))
+    assert prep["window"] == [(2020, 52), (2020, 53), (2021, 1), (2021, 2)]
+
+
+@pytest.mark.parametrize("key, label", [
+    ("window_start", [2020, 0]), ("window_end", [2020, 60]), ("window_end", [2021, 53]),
+])
+def test_prep_window_labels_must_be_iso_weeks(key, label):
+    with pytest.raises(ConfigError, match=rf"prep\.{key}: \[{label[0]}, {label[1]}\] is not"):
+        parse_prep(_loaded({"prep": {**PREP_SECTION, key: label}}))
+
+
+def test_config_defaults_fill_absent_keys():
+    assert parse_calibrate(_loaded({"calibrate": {"reps": 200}})) == CalibrationConfig(
         reps=200, master_seed=5)
-    kind, exp = parse_experiment(loaded({"experiment": {"kind": "size", "gammas": [0, 0.25]}}))
+    kind, exp = parse_experiment(_loaded({"experiment": {"kind": "size", "gammas": [0, 0.25]}}))
     assert exp == ExperimentConfig(gammas=(0.0, 0.25), master_seed=5, **EXPERIMENT_DEFAULTS[kind])
-    assert parse_monitor(loaded({"monitor": {"threshold_c": 7}})) == {
+    assert parse_monitor(_loaded({"monitor": {"threshold_c": 7}})) == {
         "horizon": DEFAULT_HORIZON, "gamma": DEFAULT_MONITOR_GAMMA,
         "alpha": DEFAULT_MONITOR_ALPHA, "threshold_source": 7.0}
 

@@ -12,12 +12,12 @@ from binarx import (
     binarize_and_sum,
     chi2_sf,
     compute_baseline,
-    fit_iid_binomial,
     log_partial_likelihood,
     model_comparison,
     read_binomial_series,
     write_binomial_series,
 )
+from binarx.dataprep import _iid_fit
 from binarx.model import SeriesSample
 
 # Two states, one baseline year, six evaluation weeks; indicator sums
@@ -43,19 +43,19 @@ def _fixture_panel(scale=1.0):
 def test_baseline_single_year_identity():
     panel = RatePanel([("A", 2019, 1, 3.25)])
     table = compute_baseline(panel, {2019})
-    assert table.lookup("A", 1) == 3.25
+    assert table.entries[("A", 1)] == 3.25
 
 
 def test_baseline_two_year_mean():
     panel = RatePanel([("A", 2018, 1, 1.0), ("A", 2019, 1, 3.0)])
     table = compute_baseline(panel, {2018, 2019})
-    assert table.lookup("A", 1) == 2.0
+    assert table.entries[("A", 1)] == 2.0
 
 
 def test_baseline_missing_lookup():
-    table = compute_baseline(RatePanel([("A", 2019, 1, 1.0)]), {2019})
+    panel = RatePanel([("A", 2019, 1, 1.0), ("B", 2020, 1, 1.0)])
     with pytest.raises(MissingBaselineError):
-        table.lookup("B", 1)
+        binarize_and_sum(panel, compute_baseline(panel, {2019}), ["B"], [(2020, 1)])
 
 
 def test_binarize_fixture_hand_enumeration():
@@ -122,25 +122,21 @@ def test_panel_duplicate_rejected():
 
 
 def test_fit_iid_half():
-    series = BinomialSeries(x=np.full(20, 3), n=6, labels=[(2020, w % 52 + 1) for w in range(20)])
-    assert fit_iid_binomial(series)["pi_hat"] == 0.5
+    # The constant-probability fit that model_comparison tests the AR(1) fit against.
+    assert _iid_fit(np.full(20, 3), 6)[0] == 0.5
 
 
 def test_fit_iid_single_observation():
-    series = BinomialSeries(x=np.array([3]), n=6, labels=[(2020, 1)])
-    out = fit_iid_binomial(series)
-    assert out["pi_hat"] == 0.5
+    pi_hat, log_lik = _iid_fit(np.array([3]), 6)
+    assert pi_hat == 0.5
     expected = math.log(20.0) + 6.0 * math.log(0.5)
-    assert out["log_lik"] == pytest.approx(expected, abs=1e-12)
+    assert log_lik == pytest.approx(expected, abs=1e-12)
     assert expected == pytest.approx(-1.1631508098056809, abs=1e-12)
 
 
 def test_fit_iid_boundary_flag():
-    series = BinomialSeries(x=np.zeros(10, dtype=int), n=6,
-                            labels=[(2020, w + 1) for w in range(10)])
-    out = fit_iid_binomial(series)
-    assert out["boundary"]
-    assert out["log_lik"] == 0.0
+    # All-zero data puts pi_hat on the boundary, where the log likelihood is exactly 0.
+    assert _iid_fit(np.zeros(10, dtype=int), 6) == (0.0, 0.0)
 
 
 def _chi2_sf_df1_oracle(x, nodes=400):

@@ -9,10 +9,7 @@ from binarx import (
     SeparationError,
     SeriesSample,
     SingularHessianError,
-    SolverConfig,
     default_model_spec,
-    estimate_covariance,
-    estimate_sigma0,
     fit_mple,
     fit_report,
     log_partial_likelihood,
@@ -20,6 +17,7 @@ from binarx import (
     score_gradient,
     simulate_series,
 )
+from binarx import estimation
 from binarx.estimation import fit_mple_batch
 
 SPEC = default_model_spec()
@@ -32,6 +30,14 @@ def _sample(m, seed):
 def _no_exo_series(x):
     x = np.asarray(x, dtype=np.int64)
     return SeriesSample(x=x, w=np.empty((x.size - 1, 0)))
+
+
+def _newton_traced(sample, n):
+    """Batch-of-one Newton fit of `sample` and its accepted log-PL values."""
+    Z, y = estimation._design(sample, n)
+    trace: list[float] = []
+    fit = estimation._newton(Z[None], y[None], n, trace)
+    return fit, np.asarray(trace)
 
 
 def test_log_pl_constant_pi_closed_form():
@@ -127,7 +133,7 @@ def test_fit_three_sigma_self_consistency():
     for seed in range(20):
         sample = _sample(2000, seed=1000 + seed)
         fit = fit_mple(sample, SPEC.n)
-        se = np.sqrt(np.diag(estimate_covariance(fit, fit.n_obs)))
+        se = fit.standard_errors()
         misses += int(np.any(np.abs(fit.beta_hat.as_array() - beta0) >= 3.0 * se))
     assert misses <= 1
 
@@ -154,15 +160,10 @@ def test_fit_singular_design():
         fit_mple(_no_exo_series([3] * 40), 10)
 
 
-def test_fit_nonconvergence_paths():
-    sample = _sample(300, seed=13)
-    strict = SolverConfig(max_iter=1)
+def test_fit_nonconvergence_paths(monkeypatch):
+    monkeypatch.setattr(estimation, "_MAX_ITER", 1)
     with pytest.raises(NonConvergenceError):
-        fit_mple(sample, SPEC.n, strict)
-    lax = SolverConfig(max_iter=1, raise_on_nonconvergence=False)
-    fit = fit_mple(sample, SPEC.n, lax)
-    assert not fit.converged
-    assert fit.final_score_norm >= strict.tol
+        fit_mple(_sample(300, seed=13), SPEC.n)
 
 
 def test_fit_requires_enough_transitions():
@@ -173,10 +174,7 @@ def test_fit_requires_enough_transitions():
 
 def test_newton_log_pl_monotone():
     for seed in (3, 17, 90):
-        sample = _sample(250, seed=seed)
-        trace: list[float] = []
-        fit_mple(sample, SPEC.n, log_pl_trace=trace)
-        trace = np.asarray(trace)
+        _, trace = _newton_traced(_sample(250, seed=seed), SPEC.n)
         slack = 1e-8 * (1.0 + np.abs(trace[:-1]))
         assert np.all(np.diff(trace) >= -slack)
 
@@ -186,8 +184,7 @@ def test_sigma0_iid_moment():
     # Var(Bin(10, 1/2)) = n/4 = 2.5.
     rng = np.random.default_rng(77)
     x = rng.binomial(10, 0.5, size=20001)
-    series = _no_exo_series(x)
-    sig = estimate_sigma0(series, 10, np.zeros(2))
+    sig = fit_mple(_no_exo_series(x), 10).sigma0_hat
     assert sig[0, 0] == pytest.approx(2.5, abs=0.1)
 
 
@@ -202,9 +199,7 @@ def test_covariance_shrinks_like_one_over_m():
     for seed in range(5):
         small = fit_mple(_sample(500, seed=300 + seed), SPEC.n)
         big = fit_mple(_sample(2000, seed=600 + seed), SPEC.n)
-        cov_small = np.diag(estimate_covariance(small, small.n_obs))
-        cov_big = np.diag(estimate_covariance(big, big.n_obs))
-        ratios.append(cov_small / cov_big)
+        ratios.append(small.standard_errors() ** 2 / big.standard_errors() ** 2)
     mean_ratio = np.mean(ratios, axis=0)
     assert np.all(mean_ratio > 4.0 * 0.7)
     assert np.all(mean_ratio < 4.0 * 1.3)
@@ -218,24 +213,17 @@ def test_fit_report_round_trip():
     np.testing.assert_allclose(report["standard_errors"], fit.standard_errors())
 
 
-def test_estimate_covariance_requires_convergence():
-    lax = SolverConfig(max_iter=1, raise_on_nonconvergence=False)
-    fit = fit_mple(_sample(300, seed=14), SPEC.n, lax)
-    with pytest.raises(ValueError):
-        estimate_covariance(fit, fit.n_obs)
-
-
 def _stack(samples):
     return np.stack([s.x for s in samples]), np.stack([s.w for s in samples])
 
 
-def _assert_batch_row_matches_fit_mple(batch, i, sample, solver=None, n=SPEC.n):
+def _assert_batch_row_matches_fit_mple(batch, i, sample, n=SPEC.n):
     err = batch.errors[i]
     if err is not None:
         with pytest.raises(type(err)):
-            fit_mple(sample, n, solver)
+            fit_mple(sample, n)
         return
-    fit = fit_mple(sample, n, solver)
+    fit = fit_mple(sample, n)
     np.testing.assert_allclose(batch.beta[i], fit.beta_hat.as_array(), rtol=1e-10)
     np.testing.assert_allclose(batch.covariance[i], fit.covariance, rtol=1e-10)
     np.testing.assert_allclose(batch.sigma0[i], fit.sigma0_hat, rtol=1e-10)
@@ -260,32 +248,35 @@ def test_batched_fit_matches_fit_mple_per_rep_across_chunks():
         _assert_batch_row_matches_fit_mple(batch, i, sample)
 
 
-def test_batched_fit_nonconvergence_class():
+def test_batched_fit_nonconvergence_class(monkeypatch):
+    monkeypatch.setattr(estimation, "_MAX_ITER", 1)
     samples = [_sample(300, seed=13), _sample(300, seed=14)]
-    strict = SolverConfig(max_iter=1)
-    batch = fit_mple_batch(*_stack(samples), SPEC.n, strict)
+    batch = fit_mple_batch(*_stack(samples), SPEC.n)
     assert all(isinstance(e, NonConvergenceError) for e in batch.errors)
     for i, sample in enumerate(samples):
-        _assert_batch_row_matches_fit_mple(batch, i, sample, strict)
+        _assert_batch_row_matches_fit_mple(batch, i, sample)
 
 
-def test_step_halving_per_rep_in_a_batch():
+def test_step_halving_per_rep_in_a_batch(monkeypatch):
     # x_prev separates the responses completely, so the MPLE runs off to the
     # box and full Newton steps overshoot; step-halving keeps log PL rising.
-    lax = SolverConfig(raise_on_nonconvergence=False, cond_limit=1e300)
+    monkeypatch.setattr(estimation, "_COND_LIMIT", 1e300)
     x = np.array([4, 4, 4, 4, 4, 0, 0, 0, 0, 0, 0])
     w = np.array([-4.9, -2.0, -2.4, 1.0, 1.7, -1.1, -0.1, -0.5, -6.7, 0.1])[:, None]
     separated = SeriesSample(x=x, w=w)
-    trace: list[float] = []
-    fit = fit_mple(separated, 4, lax, log_pl_trace=trace)
-    trace = np.asarray(trace)
-    assert fit.hit_boundary and not fit.converged
+    solo, trace = _newton_traced(separated, 4)
+    assert solo.hit_boundary[0] and not solo.converged[0]
+    assert isinstance(solo.errors[0], NonConvergenceError)
     assert np.all(np.diff(trace) >= -1e-8 * (1.0 + np.abs(trace[:-1])))
     # Its neighbours in a batch keep their own step sizes.
     rng = np.random.default_rng(5)
     samples = [SeriesSample(x=rng.integers(0, 5, 11), w=rng.normal(1.0, 0.5, (10, 1)))
                for _ in range(2)]
     samples.insert(1, separated)
-    batch = fit_mple_batch(*_stack(samples), 4, lax)
-    for i, sample in enumerate(samples):
-        _assert_batch_row_matches_fit_mple(batch, i, sample, lax, n=4)
+    batch = fit_mple_batch(*_stack(samples), 4)
+    for i in (0, 2):
+        _assert_batch_row_matches_fit_mple(batch, i, samples[i], n=4)
+    for f in ("beta", "sigma0", "log_pl", "iterations", "final_score_norm", "converged",
+              "hit_boundary"):
+        np.testing.assert_allclose(getattr(batch, f)[1], getattr(solo, f)[0], rtol=1e-10)
+    assert type(batch.errors[1]) is type(solo.errors[0])

@@ -27,6 +27,7 @@ from binarx import (
     stationary_oracle,
     threshold_table,
 )
+from binarx import experiments
 from binarx.experiments import (
     BLOCK_SIZE,
     FAILURE_CLASSES,
@@ -231,6 +232,22 @@ def test_monitored_horizon_must_hold_a_point(small_table):
     with pytest.raises(ValueError, match="beyond horizon 60"):
         run_power(ExperimentConfig(m_list=(20,), reps=3, gammas=(0.0,), alphas=(0.05,),
                                    thresholds=small_table, change=late))
+
+
+def test_studies_check_cells_and_horizons_before_any_block(small_table, monkeypatch):
+    calls = []
+    monkeypatch.setattr(experiments, "_run_blocks", lambda *args: calls.append(args))
+    partial = ThresholdTable(entries={(0.0, 0.05): 7.0}, reps=100, grid_m=1000, horizon=3.0,
+                             master_seed=0)
+    with pytest.raises(ThresholdUnavailableError, match="gamma=0.25"):
+        run_size(ExperimentConfig(m_list=(20,), reps=3, gammas=(0.0, 0.25), alphas=(0.05,),
+                                  thresholds=partial))
+    # at_k = 61 fits the first m's horizon (120) but not the second's (60).
+    late = ChangePoint(at_k=61, new_beta=CHANGE.new_beta)
+    with pytest.raises(ValueError, match="beyond horizon 60"):
+        run_power(ExperimentConfig(m_list=(40, 20), reps=3, gammas=(0.0,), alphas=(0.05,),
+                                   thresholds=small_table, change=late))
+    assert calls == []
 
 
 def test_studies_refuse_a_table_at_another_horizon(small_table):

@@ -10,8 +10,6 @@ from binarx import (
     SeriesSample,
     build_regressor,
     default_model_spec,
-    inverse_link,
-    link_eval,
     read_series_csv,
     simulate_series,
     stationary_oracle,
@@ -26,29 +24,6 @@ def _no_exo_spec(phi0, phi1, n=10):
         beta=ParamVector(phi0=phi0, phi1=phi1, gamma_exo=()),
         exo=ExogenousSpec(l=0),
     )
-
-
-def test_link_symmetry_point():
-    assert link_eval(5.0, 10) == 0.0
-
-
-def test_link_log3_point():
-    assert link_eval(7.5, 10) == pytest.approx(math.log(3.0), abs=1e-15)
-
-
-def test_link_inverse_round_trip():
-    assert abs(inverse_link(link_eval(3.2, 10), 10) - 3.2) < 1e-12
-
-
-def test_link_round_trip_grid():
-    for mu in np.linspace(1e-6, 10 - 1e-6, 2001):
-        assert abs(inverse_link(link_eval(mu, 10), 10) - mu) < 1e-10
-
-
-def test_link_domain_errors():
-    for mu in (0.0, -1.0, 10.0, 11.0):
-        with pytest.raises(ValueError):
-            link_eval(mu, 10)
 
 
 def test_success_prob_half():
