@@ -63,12 +63,10 @@ from .model import (
     ModelSpec,
     ParamVector,
     SeriesSample,
-    build_regressor,
     read_series_csv,
     simulate_chain,
     simulate_series,
     stationary_oracle,
-    success_prob,
     write_series_csv,
 )
 from .monitoring import (

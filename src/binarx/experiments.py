@@ -388,7 +388,9 @@ def _monitor_block(task: _MonitorTask, b: int):
     whole-path array is kept.  The statistic agrees with the streaming
     monitor's to rtol 1e-10, not bit for bit: the two paths order their
     floating-point operations differently (array against scalar logistic,
-    (A S * S).sum against S @ A @ S).  Returns (failure class names, then
+    (A S * S).sum against S @ A @ S, and weights from numpy's vectorised
+    power against scalar pow, which differ in the last bits).  The streaming
+    path is the one pinned bit for bit.  Returns (failure class names, then
     for the fitted reps in order: sups per gamma, first-passage indices per
     gamma (0 means "no alarm"), post-change score drift or None, and (rep,
     paths) for the kept reps).

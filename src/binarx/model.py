@@ -27,8 +27,8 @@ from .defaults import DEFAULT_BURN_IN, PARAM_BOX_BOUND
 from .exceptions import NonConvergenceError
 
 # Smallest/largest probabilities representable strictly inside (0, 1).
-_PROB_FLOOR = np.nextafter(0.0, 1.0)
-_PROB_CEIL = np.nextafter(1.0, 0.0)
+_PROB_FLOOR = math.nextafter(0.0, 1.0)
+_PROB_CEIL = math.nextafter(1.0, 0.0)
 
 # Clamped-normal quadrature covers mean +- this many standard deviations;
 # the mass beyond it (~1e-15 per side) is folded in by renormalizing.
@@ -172,32 +172,14 @@ def _stable_prob(eta):
     return np.minimum(np.maximum(expit(eta), _PROB_FLOOR), _PROB_CEIL)
 
 
-def success_prob(beta: ParamVector | np.ndarray, z) -> float:
-    """Success probability pi = 1 / (1 + exp(-beta' z)) for one regressor z.
-
-    Strictly inside (0, 1): the clipped logistic keeps the bound even where
-    float64 would saturate.
-    """
-    b = beta.as_array() if isinstance(beta, ParamVector) else np.asarray(beta, dtype=float)
-    z = np.asarray(z, dtype=float)
-    if z.shape != b.shape:
-        raise ValueError(f"regressor has shape {z.shape}, expected {b.shape}")
-    return float(_stable_prob(b @ z))
+def _clamp_prob(p: float) -> float:
+    """_stable_prob's clip for one float: same bits, NaN passes through."""
+    return _PROB_FLOOR if p < _PROB_FLOOR else _PROB_CEIL if p > _PROB_CEIL else p
 
 
 def log_binom(n, x):
     """Log binomial coefficient log C(n, x), elementwise over array x."""
     return gammaln(n + 1) - gammaln(x + 1) - gammaln(n - x + 1)
-
-
-def build_regressor(x_prev: int, w_t) -> np.ndarray:
-    """Assemble the regressor (1, x_prev, w_t[0], ..., w_t[l-1])."""
-    w_t = np.asarray(w_t, dtype=float).reshape(-1)
-    out = np.empty(2 + w_t.size, dtype=float)
-    out[0] = 1.0
-    out[1] = x_prev
-    out[2:] = w_t
-    return out
 
 
 def _scalar_prob(eta: float) -> float:
@@ -207,11 +189,7 @@ def _scalar_prob(eta: float) -> float:
     else:
         e = math.exp(eta)
         p = e / (1.0 + e)
-    if p < _PROB_FLOOR:
-        return _PROB_FLOOR
-    if p > _PROB_CEIL:
-        return _PROB_CEIL
-    return p
+    return _clamp_prob(p)
 
 
 def simulate_chain(

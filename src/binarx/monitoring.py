@@ -12,36 +12,48 @@ if no alarm occurred.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
+from scipy.special import expit
 
 from .calibration import ThresholdTable, _check_gamma, horizon_steps, rho  # noqa: F401 (rho re-exported)
 from .estimation import fit_mple
-from .exceptions import BinarxError, MonitoringTerminatedError, ThresholdUnavailableError
-from .model import ParamVector, SeriesSample, build_regressor, success_prob
+from .exceptions import BinarxError, MonitoringTerminatedError
+from .model import ParamVector, SeriesSample, _clamp_prob
 
 # The training residual identity sum_t G(x_t, beta_hat) = 0 must hold at init;
 # it underpins the approximation the monitoring statistic relies on.
 _SCORE_IDENTITY_TOL = 1e-8
 
 
+def _weight(m: int, k, gamma: float):
+    # The formula's one home: Python floats for an int k, numpy for an array k.
+    return m ** (-0.5) * (1.0 + k / m) ** (-1.0) * (k / (m + k)) ** (-gamma)
+
+
 def weight(m, k, gamma: float):
     """Monitoring weight m^(-1/2) * (1 + k/m)^(-1) * (k/(m+k))^(-gamma).
 
-    Equals m^(-1/2) * rho(k/m, gamma).  Accepts scalar or array k, so the
-    experiment harnesses weight whole paths at once.  Their statistic agrees
-    with the step-by-step monitor's to rtol 1e-10, not bit for bit: the two
-    paths order their floating-point operations differently.
+    Equals m^(-1/2) * rho(k/m, gamma).  An int k is evaluated in Python
+    floats, whose scalar pow gives the same bits as a 0-d array: this is the
+    streaming monitor's path, pinned bit for bit.  An array k weights whole
+    paths at once for the block engine; numpy's vectorised power may differ
+    from scalar pow in the last bits, so the two paths' statistics agree to
+    rtol 1e-10, not bit for bit.
     """
     _check_gamma(gamma)
     if m < 1:
         raise ValueError("m must be >= 1")
-    k = np.asarray(k, dtype=float)
+    scalar = isinstance(k, int)
+    if not scalar:
+        k = np.asarray(k, dtype=float)
     if np.any(k < 1):
         raise ValueError("weight needs k >= 1")
-    out = m ** (-0.5) * (1.0 + k / m) ** (-1.0) * (k / (m + k)) ** (-gamma)
-    return float(out) if out.ndim == 0 else out
+    out = _weight(m, k, gamma)
+    return out if scalar or out.ndim else float(out)
 
 
 def inverse_metric(sigma0) -> np.ndarray:
@@ -85,7 +97,7 @@ class MonitorConfig:
         A.setflags(write=False)
         object.__setattr__(self, "a_matrix", A)
 
-    @property
+    @cached_property
     def horizon_steps(self) -> int:
         return horizon_steps(self.horizon, self.m)
 
@@ -96,7 +108,8 @@ class MonitorState:
 
     `running_sum` always equals the score sum over the k monitored points seen
     so far, recomputable from the stream.  Once `alarm_at` is set, further
-    updates are rejected.
+    updates are rejected.  `beta_hat` is frozen for the monitor's life: its
+    array is built once, at construction.
     """
 
     beta_hat: ParamVector
@@ -107,9 +120,12 @@ class MonitorState:
     running_sum: np.ndarray = None  # type: ignore[assignment]
     statistic_history: list[float] = field(default_factory=list)
     alarm_at: int | None = None
+    _beta: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         d = self.beta_hat.dim
+        self._beta = self.beta_hat.as_array()
+        self._beta.setflags(write=False)
         if self.config.a_matrix.shape != (d, d):
             raise ValueError(f"A must be {d}x{d}, got {self.config.a_matrix.shape}")
         if self.running_sum is None:
@@ -135,7 +151,6 @@ def monitor_init(
     gamma: float,
     alpha: float,
     threshold_source: float | ThresholdTable,
-    a_matrix=None,
 ) -> MonitorState:
     """Fit the training window and assemble a fresh monitor.
 
@@ -143,8 +158,7 @@ def monitor_init(
     look (gamma, alpha) up in; a table is used only at the horizon it was
     calibrated at.  The statistic's metric is `inverse_metric` of the
     training outer-product score covariance, the metric that tables are
-    calibrated for; an explicit symmetric positive definite `a_matrix`
-    replaces it, and then only a plain critical value is accepted.
+    calibrated for.
     """
     fit = fit_mple(training, spec_n)
     if fit.final_score_norm >= _SCORE_IDENTITY_TOL:
@@ -152,15 +166,13 @@ def monitor_init(
             f"training score sum {fit.final_score_norm:.3e} violates the zero-score identity"
         )
     if isinstance(threshold_source, ThresholdTable):
-        if a_matrix is not None:
-            raise ThresholdUnavailableError("a threshold table holds only for A = inverse Sigma0")
         threshold_source.check_horizon(horizon)
         c = threshold_source.lookup(gamma, alpha)
     else:
         c = float(threshold_source)
-    A = inverse_metric(fit.sigma0_hat) if a_matrix is None else a_matrix
     config = MonitorConfig(
-        m=training.m, horizon=horizon, gamma=gamma, alpha=alpha, threshold_c=c, a_matrix=A
+        m=training.m, horizon=horizon, gamma=gamma, alpha=alpha, threshold_c=c,
+        a_matrix=inverse_metric(fit.sigma0_hat),
     )
     return MonitorState(
         beta_hat=fit.beta_hat, n=spec_n, config=config, x_prev=int(training.x[-1])
@@ -172,8 +184,9 @@ def monitor_update(state: MonitorState, x_new: int, w_new) -> tuple[MonitorState
 
     Raises MonitoringTerminatedError once an alarm fired or the horizon was
     reached, and ValueError naming the monitored index k for a count that is
-    not an integer in {0..n} or a covariate that is not finite; a rejected
-    observation leaves the state untouched.
+    not an integer in {0..n} or a covariate row that is not l finite values;
+    a rejected observation leaves the state untouched.  Scalar-sized work:
+    the fit and horizon are cached and the weight is evaluated in floats.
     """
     cfg = state.config
     if state.alarm_at is not None:
@@ -190,13 +203,17 @@ def monitor_update(state: MonitorState, x_new: int, w_new) -> tuple[MonitorState
     if not 0 <= x_int <= state.n:
         raise ValueError(f"observation k={k}: count {x_int} outside {{0..{state.n}}}")
 
-    z = build_regressor(state.x_prev, w_new)
-    if not np.isfinite(z).all():
+    beta = state._beta
+    w = np.asarray(w_new, dtype=float).reshape(-1).tolist()
+    if len(w) != beta.size - 2:
+        raise ValueError(f"observation k={k}: {len(w)} covariates, expected {beta.size - 2}")
+    if not all(map(math.isfinite, w)):
         raise ValueError(f"observation k={k}: covariates {w_new!r} are not finite")
-    pi = success_prob(state.beta_hat, z)
+    z = np.array((1.0, state.x_prev, *w))
+    pi = _clamp_prob(float(expit(beta @ z)))
     state.running_sum = state.running_sum + z * (x_int - state.n * pi)
     state.k = k
-    w2 = weight(cfg.m, k, cfg.gamma) ** 2
+    w2 = _weight(cfg.m, k, cfg.gamma) ** 2
     statistic = float(w2 * (state.running_sum @ cfg.a_matrix @ state.running_sum))
     state.statistic_history.append(statistic)
     if statistic >= cfg.threshold_c:

@@ -37,6 +37,7 @@ from binarx.experiments import (
     _start_cdf,
     write_report,
 )
+from streaming_reference import state_with_metric
 
 SPEC = default_model_spec()
 CHANGE = ChangePoint(at_k=11, new_beta=ParamVector(-1.0, 0.2, (0.4,)))
@@ -316,8 +317,11 @@ def test_streamed_statistic_matches_monitor_update(small_table, a_source):
     assert [(g, rep) for _, g, rep, _ in report.traces] == [(0.0, 0), (0.4, 0), (0.0, 1), (0.4, 1)]
     for _, g, rep, path in report.traces:
         training = SeriesSample(x=x[:101, rep], w=w[:100, rep])
-        state = monitor_init(training, SPEC.n, horizon=3.0, gamma=g, alpha=0.05,
-                             a_matrix=a_matrix, threshold_source=math.inf)
+        if a_matrix is None:
+            state = monitor_init(training, SPEC.n, horizon=3.0, gamma=g, alpha=0.05,
+                                 threshold_source=math.inf)
+        else:
+            state = state_with_metric(training, SPEC.n, 3.0, g, a_matrix)
         stats = [monitor_update(state, x[100 + k, rep], w[99 + k, rep])[1] for k in range(1, 301)]
         np.testing.assert_allclose(path, stats, rtol=1e-10)
 

@@ -2,20 +2,23 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import expit
 
 from binarx import (
     ExogenousSpec,
     ModelSpec,
     ParamVector,
     SeriesSample,
-    build_regressor,
     default_model_spec,
     read_series_csv,
     simulate_series,
     stationary_oracle,
-    success_prob,
     write_series_csv,
 )
+from binarx.model import _clamp_prob
+# The monitor's logistic and regressor live inline in monitor_update; these
+# tests pin the reference copies that its exact-bit tests compare against.
+from streaming_reference import build_regressor, success_prob
 
 
 def _no_exo_spec(phi0, phi1, n=10):
@@ -64,6 +67,10 @@ def test_success_prob_strict_bounds_over_box():
         z = np.array([1.0, float(rng.integers(0, 11)), float(rng.uniform(0, 10))])
         p = success_prob(b, z)
         assert 0.0 < p < 1.0
+        # monitor_update's float clip gives the same bits, saturated or not.
+        assert _clamp_prob(float(expit(b @ z))) == p
+    for eta in (-1e4, -745.5, -40.0, 0.0, 40.0, 1e4):
+        assert _clamp_prob(float(expit(eta))) == success_prob([eta], [1.0])
 
 
 def test_build_regressor_examples():

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from binarx import (
+    ModelSpec,
     MonitoringTerminatedError,
+    ParamVector,
     ThresholdTable,
     ThresholdUnavailableError,
     default_model_spec,
@@ -18,6 +20,7 @@ from binarx import (
     weight,
 )
 from binarx.monitoring import inverse_metric
+from streaming_reference import replay, score_step, state_with_metric, weight_0d
 
 SPEC = default_model_spec()
 
@@ -80,6 +83,19 @@ def test_weight_domain_errors():
         weight(100, 0, 0.0)
     with pytest.raises(ValueError):
         weight(0, 1, 0.0)
+    with pytest.raises(ValueError):
+        weight(100, np.array([1, 0]), 0.0)
+
+
+def test_weight_int_k_matches_0d_array_bits():
+    # The streaming monitor's weight, evaluated in Python floats, must give
+    # exactly the bits of the same expression on a 0-d array.
+    for m in (50, 300, 1500):
+        for gamma in (0.0, 0.25, 0.4):
+            got = [weight(m, k, gamma) for k in range(1, 3 * m + 1)]
+            assert all(type(v) is float for v in got)
+            assert got == [weight_0d(m, k, gamma) for k in range(1, 3 * m + 1)]
+            assert got[m - 1] == weight(m, np.asarray(m), gamma)
 
 
 def test_monitor_init_fresh_state():
@@ -99,39 +115,34 @@ def test_monitor_init_zero_score_identity():
 
 
 def test_monitor_init_a_policies():
+    # monitor_init always measures with inverse Sigma0, the metric tables are
+    # calibrated for; a monitor assembled directly needs a 3x3 SPD metric.
     training = _training()
-    ident = monitor_init(training, SPEC.n, horizon=2.0, gamma=0.0, alpha=0.05,
-                         a_matrix=np.eye(3), threshold_source=math.inf)
-    np.testing.assert_array_equal(ident.config.a_matrix, np.eye(3))
     default = monitor_init(training, SPEC.n, horizon=2.0, gamma=0.0, alpha=0.05,
                            threshold_source=math.inf)
     assert np.linalg.eigvalsh(default.config.a_matrix).min() > 0
     np.testing.assert_array_equal(default.config.a_matrix,
                                   inverse_metric(fit_mple(training, SPEC.n).sigma0_hat))
-    # "identity" was dropped: its tables were calibrated for a different metric.
+    with pytest.raises(TypeError):
+        monitor_init(training, SPEC.n, horizon=2.0, gamma=0.0, alpha=0.05,
+                     a_matrix=np.eye(3), threshold_source=1.0)
     asymmetric = np.eye(3)
     asymmetric[0, 1] = 0.5
     for bad in ("bogus", "identity", np.eye(2), np.eye(3)[:2], asymmetric, -np.eye(3)):
         with pytest.raises(ValueError):
-            monitor_init(training, SPEC.n, horizon=2.0, gamma=0.0, alpha=0.05,
-                         a_matrix=bad, threshold_source=1.0)
+            state_with_metric(training, SPEC.n, 2.0, 0.0, bad)
 
 
 def test_monitor_init_refuses_a_table_outside_its_recipe():
-    # A table's critical values hold only for A = inverse Sigma0 and for the
-    # horizon N it was calibrated at.
+    # A table's critical values hold only for the horizon N it was calibrated at.
     table = ThresholdTable(entries={(0.0, 0.05): 7.25}, reps=100, grid_m=1000,
                            horizon=3.0, master_seed=1)
     training = _training()
-    with pytest.raises(ThresholdUnavailableError, match="inverse Sigma0"):
-        monitor_init(training, SPEC.n, horizon=3.0, gamma=0.0, alpha=0.05,
-                     threshold_source=table, a_matrix=np.eye(3))
     with pytest.raises(ThresholdUnavailableError, match="horizon N=3.0, not 1.0"):
         monitor_init(training, SPEC.n, horizon=1.0, gamma=0.0, alpha=0.05,
                      threshold_source=table)
-    # A plain critical value still goes with an explicit metric.
     state = monitor_init(training, SPEC.n, horizon=1.0, gamma=0.0, alpha=0.05,
-                         threshold_source=7.25, a_matrix=np.eye(3))
+                         threshold_source=7.25)
     assert state.config.threshold_c == 7.25
 
 
@@ -148,8 +159,7 @@ def test_monitor_init_threshold_table_lookup():
 
 def test_identity_policy_statistic_is_weighted_norm():
     training = _training()
-    state = monitor_init(training, SPEC.n, horizon=3.0, gamma=0.25, alpha=0.05,
-                         a_matrix=np.eye(3), threshold_source=math.inf)
+    state = state_with_metric(training, SPEC.n, 3.0, 0.25, np.eye(3))
     stream = _stream_sample(5, seed=81, init=int(training.x[-1]))
     stats = []
     for x_new, w_new in _stream_iter(stream):
@@ -172,10 +182,7 @@ def test_monitor_update_recomputability_exact():
     x_prev = int(training.x[-1])
     for x_new, w_new in _stream_iter(stream):
         monitor_update(state, int(x_new), w_new)
-        from binarx import build_regressor, success_prob
-
-        z = build_regressor(x_prev, w_new)
-        ref = ref + z * (int(x_new) - SPEC.n * success_prob(beta, z))
+        ref = score_step(ref, beta, SPEC.n, x_prev, x_new, w_new)
         x_prev = int(x_new)
         np.testing.assert_array_equal(state.running_sum, ref)
 
@@ -220,15 +227,17 @@ def test_monitor_update_range_check():
 
 def test_monitor_update_rejects_non_finite_covariate():
     # A NaN covariate used to turn every later statistic into NaN, so the
-    # monitor could never alarm again.
+    # monitor could never alarm again; a row of the wrong width used to fail
+    # deep in the logistic with a bare shape message naming no k.
     training = _training(m=300, seed=54)
     state = monitor_init(training, SPEC.n, horizon=3.0, gamma=0.0, alpha=0.05,
                          threshold_source=1.0)
     monitor_update(state, 2, np.array([1.0]))
     assert state.alarm_at is None
-    for bad in (np.nan, np.inf, -np.inf):
-        with pytest.raises(ValueError, match=r"k=2\b.*not finite"):
-            monitor_update(state, 3, np.array([bad]))
+    for bad, why in (([np.nan], "not finite"), ([np.inf], "not finite"), ([-np.inf], "not finite"),
+                     ([1.0, 0.5], "2 covariates, expected 1"), ([], "0 covariates, expected 1")):
+        with pytest.raises(ValueError, match=rf"k=2\b.*{why}"):
+            monitor_update(state, 3, np.array(bad))
     assert state.k == 1 and np.all(np.isfinite(state.running_sum))
     for _ in range(5):
         monitor_update(state, SPEC.n, np.array([1.0]))
@@ -309,3 +318,31 @@ def test_monitor_statistics_match_vectorized_reference():
     q = ((S @ A) * S).sum(axis=1)
     ref = weight(150, np.arange(1, 301), 0.4) ** 2 * q
     np.testing.assert_allclose(np.asarray(result.statistic_history), ref, rtol=1e-10)
+
+
+@pytest.mark.parametrize("gamma", [0.0, 0.25, 0.4])
+def test_streaming_statistic_full_horizon_exact(gamma):
+    # Every statistic of a full m = 300, H = 900 run, without and with the
+    # criterion-07 change, and the alarm index equal the reference arithmetic
+    # bit for bit: 0-d weight, np.minimum/np.maximum-clipped expit, S @ A @ S.
+    training = _training(m=300, seed=59)
+    x0 = int(training.x[-1])
+    calm = _stream_sample(900, seed=89, init=x0)
+    before = _stream_sample(10, seed=90, init=x0)
+    changed = ModelSpec(n=SPEC.n, beta=ParamVector(-1.0, 0.2, (0.4,)), exo=SPEC.exo)
+    after = simulate_series(changed, 890, seed=91, init=int(before.x[-1]), burn_in=0)
+    streams = {"calm": list(_stream_iter(calm)),
+               "change": list(_stream_iter(before)) + list(_stream_iter(after))}
+    for name, stream in streams.items():
+        for c in (math.inf, 7.0):
+            state = monitor_init(training, SPEC.n, horizon=3.0, gamma=gamma, alpha=0.05,
+                                 threshold_source=c)
+            assert state.config.horizon_steps == 900
+            ref_stats, ref_alarm = replay(state, stream, c)
+            result = monitor_run(state, stream)
+            assert list(result.statistic_history) == ref_stats, (name, c)
+            assert result.alarm_at == ref_alarm
+            if c == math.inf:
+                assert result.k_final == 900 and not result.truncated
+            elif name == "change":
+                assert result.alarm_at is not None

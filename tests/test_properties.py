@@ -13,19 +13,17 @@ from hypothesis.extra.numpy import arrays
 from binarx import (
     SeriesSample,
     ThresholdTable,
-    build_regressor,
     default_model_spec,
     monitor_init,
     monitor_update,
     read_series_csv,
     read_threshold_table,
     simulate_series,
-    success_prob,
-    weight,
     write_series_csv,
     write_threshold_table,
 )
 from binarx._artifacts import cell, write_csv
+from streaming_reference import score_step, statistic
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
 
@@ -115,7 +113,8 @@ SPEC = default_model_spec()
 TRAINING = simulate_series(SPEC, 100, seed=61)
 COUNTS = st.integers(0, SPEC.n)
 COVARIATES = st.floats(-10.0, 10.0)
-INVALID = st.sampled_from([(-1, 1.0), (SPEC.n + 1, 1.0), (2.5, 1.0), (3, np.nan), (3, np.inf)])
+INVALID = st.sampled_from([(-1, [1.0]), (SPEC.n + 1, [1.0]), (2.5, [1.0]), (3, [np.nan]),
+                          (3, [np.inf]), (3, [1.0, 0.5]), (3, [])])
 
 
 def _snapshot(state):
@@ -138,12 +137,11 @@ def test_monitor_state_is_recomputable_from_its_stream(stream, gamma, bad, at):
         if k - 1 == min(at, len(stream) - 1):
             before = _snapshot(state)
             with pytest.raises(ValueError, match=rf"k={k}\b"):
-                monitor_update(state, bad[0], np.array([bad[1]]))
+                monitor_update(state, bad[0], np.array(bad[1]))
             assert _snapshot(state) == before
         monitor_update(state, x, np.array([w]))
-        z = build_regressor(x_prev, np.array([w]))
-        S = S + z * (x - SPEC.n * success_prob(state.beta_hat, z))
+        S = score_step(S, state.beta_hat, SPEC.n, x_prev, x, np.array([w]))
         x_prev = x
         assert _bits(state.running_sum) == _bits(S)
-        assert state.statistic_history[k - 1] == weight(m, k, gamma) ** 2 * (S @ A @ S)
+        assert state.statistic_history[k - 1] == statistic(m, k, gamma, A, S)
     assert state.k == len(stream) and state.alarm_at is None
