@@ -1,4 +1,4 @@
-"""The two artifact formats every writer shares: CSV tables and JSON records.
+"""The two artifact formats, CSV tables and JSON records, and a checked CSV reader.
 
 A CSV cell holds a float as its round-trip `repr` and anything else as the
 csv module prints it, so a float column reads back bit for bit.
@@ -19,6 +19,30 @@ def write_csv(path, header, rows) -> None:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows([cell(v) for v in row] for row in rows)
+
+
+def read_rows(fh, path, header, parse, lines_before: int = 0) -> list:
+    """`parse(row)` for each non-empty row after the header of an open CSV file.
+
+    A missing or wrong header, a row without one cell per column, or a
+    ValueError from `parse` raises ValueError naming `path` and the line
+    (`lines_before` counts the lines read from `fh` before the header).
+    """
+    reader = csv.reader(fh)
+    found = next(reader, [])
+    if found != list(header):
+        raise ValueError(f"{path}: expected header {','.join(header)}, got {found}")
+    parsed = []
+    for row in reader:
+        if not row:
+            continue
+        try:
+            if len(row) != len(header):
+                raise ValueError(f"expected {len(header)} cells, got {len(row)}")
+            parsed.append(parse(row))
+        except ValueError as exc:
+            raise ValueError(f"{path}: line {lines_before + reader.line_num}: {exc}") from None
+    return parsed
 
 
 def write_json(path, record: dict) -> None:

@@ -19,13 +19,12 @@ for the horizon N it was calibrated at.
 
 from __future__ import annotations
 
-import csv
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._artifacts import write_csv
+from ._artifacts import read_rows, write_csv
 from .defaults import (
     DEFAULT_ALPHAS,
     DEFAULT_CALIBRATION_REPS,
@@ -246,21 +245,24 @@ def write_threshold_table(table: ThresholdTable, path) -> None:
 
 
 def read_threshold_table(path) -> ThresholdTable:
+    """Read a table written by write_threshold_table; every row must hold its
+    own (gamma, alpha) cell and the first row's recipe (reps, grid_m, N, seed)."""
     entries = {}
-    meta = None
+    recipes = []
+
+    def parse(row):
+        key = (float(row[0]), float(row[1]))
+        recipe = (int(row[3]), int(row[4]), float(row[5]), int(row[6]))
+        if key in entries:
+            raise ValueError(f"repeats the cell gamma={key[0]}, alpha={key[1]}")
+        if recipes and recipe != recipes[0]:
+            raise ValueError(f"recipe (reps, grid_m, N, seed) = {recipe} differs from the "
+                             f"first row's {recipes[0]}")
+        entries[key] = float(row[2])
+        recipes.append(recipe)
+
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != list(_TABLE_HEADER):
-            raise ValueError(f"{path}: expected header {list(_TABLE_HEADER)}, got {header}")
-        for row in reader:
-            if not row:
-                continue
-            entries[(float(row[0]), float(row[1]))] = float(row[2])
-            meta = (int(row[3]), int(row[4]), float(row[5]), int(row[6]))
+        read_rows(fh, path, _TABLE_HEADER, parse)
     if not entries:
         raise ValueError(f"{path}: threshold table is empty")
-    reps, grid_m, horizon, seed = meta
-    return ThresholdTable(
-        entries=entries, reps=reps, grid_m=grid_m, horizon=horizon, master_seed=seed
-    )
+    return ThresholdTable(entries, *recipes[0])

@@ -51,7 +51,7 @@ _KEYS = {
     "simulate": {"length", "init"},
     "fit": {"series"},
     "calibrate": set(_CALIBRATE_FIELDS),
-    "monitor": {"training", "stream", "a_policy", "thresholds", "threshold_c", *_MONITOR_FIELDS},
+    "monitor": {"training", "stream", "thresholds", "threshold_c", *_MONITOR_FIELDS},
     "experiment": {"kind", "change", "thresholds", *_EXPERIMENT_FIELDS},
     "experiment.change": {"at_k", "beta"},
     "prep": {"rates", "states", "baseline_years", "window_start", "window_end"},
@@ -241,9 +241,6 @@ def parse_monitor(loaded: LoadedConfig) -> dict:
     """monitor_init keywords from the `monitor` section: horizon, gamma, alpha
     and threshold_source (a critical value or a threshold table)."""
     cfg = loaded.raw
-    if _typed(cfg, "monitor.a_policy", str, "inverse_sigma0") != "inverse_sigma0":
-        raise ConfigError("monitor.a_policy", "must be 'inverse_sigma0', the metric that "
-                          "threshold tables are calibrated for")
     section = _get(cfg, "monitor")
     if "threshold_c" in section:
         source = _typed(cfg, "monitor.threshold_c", float)

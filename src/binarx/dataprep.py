@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaincc, xlogy
 
+from ._artifacts import read_rows
 from .estimation import fit_mple
 from .exceptions import MissingBaselineError, PanelCoverageError
 from .model import SeriesSample, log_binom
@@ -56,18 +57,10 @@ class RatePanel:
     @classmethod
     def from_csv(cls, path) -> "RatePanel":
         with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader)
-            if header != ["state", "iso_year", "week", "rate"]:
-                raise ValueError(
-                    f"{path}: expected header state,iso_year,week,rate, got {header}"
-                )
-            rows = [
-                RateRow(row[0], int(row[1]), int(row[2]), float(row[3]))
-                for row in reader
-                if row
-            ]
-        return cls(rows)
+            return cls(read_rows(
+                fh, path, ("state", "iso_year", "week", "rate"),
+                lambda row: RateRow(row[0], int(row[1]), int(row[2]), float(row[3])),
+            ))
 
 
 @dataclass(frozen=True)
@@ -208,16 +201,11 @@ def read_binomial_series(path) -> BinomialSeries:
         first = fh.readline().strip()
         if not first.startswith("# n="):
             raise ValueError(f"{path}: expected '# n=...' metadata line, got {first!r}")
-        n = int(first[4:])
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != ["iso_year", "week", "x"]:
-            raise ValueError(f"{path}: expected header iso_year,week,x, got {header}")
-        labels = []
-        counts = []
-        for row in reader:
-            if not row:
-                continue
-            labels.append((int(row[0]), int(row[1])))
-            counts.append(int(row[2]))
-    return BinomialSeries(x=np.array(counts, dtype=np.int64), n=n, labels=tuple(labels))
+        try:
+            n = int(first[4:])
+        except ValueError:
+            raise ValueError(f"{path}: line 1: n must be an integer, got {first[4:]!r}") from None
+        rows = read_rows(fh, path, ("iso_year", "week", "x"),
+                         lambda row: ((int(row[0]), int(row[1])), int(row[2])), lines_before=1)
+    return BinomialSeries(x=np.array([x for _, x in rows], dtype=np.int64), n=n,
+                          labels=tuple(label for label, _ in rows))

@@ -112,12 +112,33 @@ def _param_names(dim: int) -> list[str]:
     return ["phi0", "phi1"] + [f"gamma{i + 1}" for i in range(dim - 2)]
 
 
-def _contract_meta(failures_by_class: dict) -> dict:
-    return {
-        "stream_contract": STREAM_CONTRACT,
-        "block_size": BLOCK_SIZE,
-        "failures_by_class": failures_by_class,
-    }
+def _usage(reps: int, used: int) -> tuple[int, int, bool]:
+    """(reps used, failed fits, flagged): a training length is flagged when
+    more than 1% of its fits failed."""
+    failures = reps - used
+    return used, failures, failures > 0.01 * reps
+
+
+@dataclass(frozen=True)
+class _Report:
+    """What every experiment report records: its seed and its failed fits.
+
+    A report kind names itself in `experiment` and adds its own metadata
+    keys in `_meta()`.
+    """
+
+    master_seed: int
+    failures_by_class: dict  # str(m) -> {class name: count}
+
+    def metadata(self) -> dict:
+        return {
+            "experiment": self.experiment,
+            "master_seed": self.master_seed,
+            **self._meta(),
+            "stream_contract": STREAM_CONTRACT,
+            "block_size": BLOCK_SIZE,
+            "failures_by_class": self.failures_by_class,
+        }
 
 
 # ---------------------------------------------------------------------------
@@ -155,18 +176,11 @@ def _start(spec: ModelSpec, cdf, burn_in: int, rng: np.random.Generator, size: i
 
 @dataclass(frozen=True)
 class _BlockTask:
-    spec: ModelSpec
+    config: ExperimentConfig
     m: int
-    reps: int
-    master_seed: int
     kind: int
     m_index: int
-    burn_in: int
     start_cdf: np.ndarray | None
-
-    @property
-    def n_blocks(self) -> int:
-        return -(-self.reps // BLOCK_SIZE)
 
 
 def _train_block(task: _BlockTask, b: int) -> tuple[np.random.Generator, np.ndarray, BatchFit]:
@@ -175,15 +189,16 @@ def _train_block(task: _BlockTask, b: int) -> tuple[np.random.Generator, np.ndar
     Returns the block's generator (positioned after the training window), the
     chains' last counts, and the batched fit.
     """
-    size = min(BLOCK_SIZE, task.reps - b * BLOCK_SIZE)
+    config = task.config
+    size = min(BLOCK_SIZE, config.reps - b * BLOCK_SIZE)
     rng = np.random.default_rng(
-        np.random.SeedSequence((task.master_seed, task.kind, task.m_index, b))
+        np.random.SeedSequence((config.master_seed, task.kind, task.m_index, b))
     )
-    spec = task.spec
+    spec = config.spec
     coef = spec.beta.as_array()
     x = np.empty((task.m + 1, size), dtype=np.min_scalar_type(spec.n))
     w = np.empty((task.m, size, spec.exo.l))
-    x[0] = _start(spec, task.start_cdf, task.burn_in, rng, size)
+    x[0] = _start(spec, task.start_cdf, config.burn_in, rng, size)
     for t in range(task.m):
         w[t], x[t + 1] = _advance(spec, coef, x[t], rng)
     fit = fit_mple_batch(x.T, w.transpose(1, 0, 2), spec.n)
@@ -197,10 +212,14 @@ def _failure_names(fit: BatchFit) -> list[str]:
 def _run_blocks(worker, task: _BlockTask, threads: int) -> tuple[list, dict]:
     """Block results in replication order, plus fit failures counted per class.
 
-    Every worker returns its block's failure class names first.
+    Every worker returns its block's failure class names first.  A training
+    length at which every fit failed is an error.
     """
-    results = map_over_reps(worker, task, task.n_blocks, threads)
+    reps = task.config.reps
+    results = map_over_reps(worker, task, -(-reps // BLOCK_SIZE), threads)
     names = [name for r in results for name in r[0]]
+    if len(names) == reps:
+        raise BinarxError(f"all {reps} fits failed at m={task.m}")
     return results, {cls: names.count(cls) for cls in FAILURE_CLASSES}
 
 
@@ -214,31 +233,22 @@ def _fit_block(task: _BlockTask, b: int):
 
 def _fit_estimates(config: ExperimentConfig, kind: int, mi: int, m: int, cdf, threads: int):
     """(estimates of the fitted reps in rep order, failure counts per class)."""
-    task = _BlockTask(config.spec, m, config.reps, config.master_seed, kind, mi,
-                      config.burn_in, cdf)
-    results, by_class = _run_blocks(_fit_block, task, threads)
-    est = np.vstack([r[1] for r in results])
-    if not est.shape[0]:
-        raise BinarxError(f"all {config.reps} fits failed at m={m}")
-    return est, by_class
+    results, by_class = _run_blocks(_fit_block, _BlockTask(config, m, kind, mi, cdf), threads)
+    return np.vstack([r[1] for r in results]), by_class
 
 
 @dataclass(frozen=True)
-class ConsistencyReport:
+class ConsistencyReport(_Report):
     rows: tuple  # (m, mse vector, reps_used, failures, flagged)
     param_names: tuple[str, ...]
-    master_seed: int
     reps: int
-    failures_by_class: dict  # str(m) -> {class name: count}
+    experiment = "consistency"
 
-    def metadata(self) -> dict:
+    def _meta(self) -> dict:
         return {
-            "experiment": "consistency",
-            "master_seed": self.master_seed,
             "reps": self.reps,
             "m_list": [int(m) for m, *_ in self.rows],
             "failures": {str(m): int(f) for m, _, _, f, _ in self.rows},
-            **_contract_meta(self.failures_by_class),
         }
 
     def tables(self) -> dict:
@@ -256,20 +266,19 @@ def run_consistency(config: ExperimentConfig, threads: int = 1) -> ConsistencyRe
     by_m = {}
     for mi, m in enumerate(config.m_list):
         est, by_m[str(m)] = _fit_estimates(config, _KIND_CONSISTENCY, mi, m, cdf, threads)
-        failures = config.reps - est.shape[0]
         mse = ((est - beta0) ** 2).mean(axis=0)
-        rows.append((m, mse, est.shape[0], failures, failures > 0.01 * config.reps))
+        rows.append((m, mse, *_usage(config.reps, est.shape[0])))
     return ConsistencyReport(
+        master_seed=config.master_seed,
+        failures_by_class=by_m,
         rows=tuple(rows),
         param_names=tuple(_param_names(config.spec.beta.dim)),
-        master_seed=config.master_seed,
         reps=config.reps,
-        failures_by_class=by_m,
     )
 
 
 @dataclass(frozen=True)
-class NormalityReport:
+class NormalityReport(_Report):
     m: int
     estimates: np.ndarray
     mean: np.ndarray
@@ -282,18 +291,14 @@ class NormalityReport:
     insufficient_sample: bool
     failures: int
     param_names: tuple[str, ...]
-    master_seed: int
-    failures_by_class: dict  # str(m) -> {class name: count}
+    experiment = "normality"
 
-    def metadata(self) -> dict:
+    def _meta(self) -> dict:
         return {
-            "experiment": "normality",
-            "master_seed": self.master_seed,
             "m": self.m,
             "reps_used": int(self.estimates.shape[0]),
             "failures": self.failures,
             "insufficient_sample": self.insufficient_sample,
-            **_contract_meta(self.failures_by_class),
         }
 
     def tables(self) -> dict:
@@ -349,6 +354,8 @@ def run_normality(config: ExperimentConfig, threads: int = 1) -> NormalityReport
             [np.corrcoef(np.sort(centered[:, j]) / math.sqrt(m2[j]), quantiles)[0, 1] for j in range(d)]
         )
     return NormalityReport(
+        master_seed=config.master_seed,
+        failures_by_class={str(m): by_class},
         m=m,
         estimates=B,
         mean=mean,
@@ -361,8 +368,6 @@ def run_normality(config: ExperimentConfig, threads: int = 1) -> NormalityReport
         insufficient_sample=insufficient,
         failures=failures,
         param_names=tuple(_param_names(d)),
-        master_seed=config.master_seed,
-        failures_by_class={str(m): by_class},
     )
 
 
@@ -374,7 +379,6 @@ class _MonitorTask(_BlockTask):
     w2: np.ndarray  # (gammas, horizon) squared weights weight(m, k, gamma)^2
     a_matrix: np.ndarray | None  # None means per-replication training metric
     change: ChangePoint | None
-    keep_path: int  # reps below this index also return their statistic paths
     passage_thresholds: np.ndarray | None  # per gamma, for first passage
 
 
@@ -396,7 +400,7 @@ def _monitor_block(task: _MonitorTask, b: int):
     paths) for the kept reps).
     """
     rng, x_prev, fit = _train_block(task, b)
-    spec = task.spec
+    spec = task.config.spec
     ok = fit.ok
     size, d = fit.beta.shape
     # Replications run along the last axis: (d, size) sums, (gammas, size) sups.
@@ -408,7 +412,7 @@ def _monitor_block(task: _MonitorTask, b: int):
     else:
         A = task.a_matrix
     n_gamma, H = task.w2.shape
-    n_keep = min(size, max(0, task.keep_path - b * BLOCK_SIZE))
+    n_keep = min(size, max(0, task.config.emit_traces - b * BLOCK_SIZE))
     paths = np.empty((n_keep, n_gamma, H))
     sups = np.full((n_gamma, size), -np.inf)
     passage = np.zeros((n_gamma, size), dtype=int)
@@ -441,49 +445,6 @@ def _monitor_block(task: _MonitorTask, b: int):
     return _failure_names(fit), sups.T[ok], passage.T[ok], drift, kept
 
 
-def _horizons(config: ExperimentConfig, change) -> list[int]:
-    """Monitored points H per training length, each checked to hold a point
-    and the change; all are checked before any block runs."""
-    horizons = [horizon_steps(config.horizon, m) for m in config.m_list]
-    for m, H in zip(config.m_list, horizons):
-        if H < 1:
-            raise ValueError(f"horizon {config.horizon} leaves no monitored point at m={m}")
-        if change is not None and change.at_k > H:
-            raise ValueError(f"change at_k={change.at_k} beyond horizon {H}")
-    return horizons
-
-
-def _monitor_blocks(config: ExperimentConfig, kind: int, mi: int, m: int, H: int, cdf,
-                    a_common, change, thresholds, threads: int):
-    """Run every block at training length m with H monitored points; returns
-    (per-block results, counts)."""
-    kk = np.arange(1, H + 1)
-    task = _MonitorTask(
-        spec=config.spec,
-        m=m,
-        reps=config.reps,
-        master_seed=config.master_seed,
-        kind=kind,
-        m_index=mi,
-        burn_in=config.burn_in,
-        start_cdf=cdf,
-        w2=np.array([weight(m, kk, g) ** 2 for g in config.gammas]).reshape(-1, H),
-        a_matrix=a_common,
-        change=change,
-        keep_path=config.emit_traces,
-        passage_thresholds=thresholds,
-    )
-    results, by_class = _run_blocks(_monitor_block, task, threads)
-    if not sum(r[1].shape[0] for r in results):
-        raise BinarxError(f"all {config.reps} monitored fits failed at m={m}")
-    return results, by_class
-
-
-def _traces(m: int, gammas, results) -> list:
-    return [(m, g, rep, paths[j]) for r in results for rep, paths in r[4]
-            for j, g in enumerate(gammas)]
-
-
 def _aux_metric(config: ExperimentConfig, cdf) -> np.ndarray:
     """Metric A = inverse outer-product score covariance from one long series."""
     rng = np.random.default_rng(
@@ -494,20 +455,53 @@ def _aux_metric(config: ExperimentConfig, cdf) -> np.ndarray:
     return inverse_metric(fit_mple(SeriesSample(x=x, w=w), config.spec.n).sigma0_hat)
 
 
-def _resolve_thresholds(config: ExperimentConfig, threads: int) -> ThresholdTable:
-    if config.thresholds is not None:
-        config.thresholds.check_horizon(config.horizon)
-        return config.thresholds
-    calib = CalibrationConfig(
-        dim=config.spec.beta.dim,
-        horizon=config.horizon,
-        grid_m=config.calibration_grid,
-        reps=config.calibration_reps,
-        gammas=config.gammas,
-        alphas=config.alphas,
-        master_seed=config.master_seed,
-    )
-    return threshold_table(calib, threads)
+def _monitor_study(config: ExperimentConfig, kind: int, change, alphas, threads: int):
+    """Run the blocks of a size or power study at every training length.
+
+    Every horizon is checked to hold a monitored point and the change, and
+    every table cell is looked up, before any block runs; a table the config
+    does not give is calibrated here.  First passages are tracked only under
+    a change, at the first alpha.  Returns the cells {(gamma, alpha): c}; per
+    training length (m, sups, first-passage indices, score drifts or None),
+    one row per fitted rep; and the report fields both studies share.
+    """
+    horizons = [horizon_steps(config.horizon, m) for m in config.m_list]
+    for m, H in zip(config.m_list, horizons):
+        if H < 1:
+            raise ValueError(f"horizon {config.horizon} leaves no monitored point at m={m}")
+        if change is not None and change.at_k > H:
+            raise ValueError(f"change at_k={change.at_k} beyond horizon {H}")
+    table = config.thresholds
+    if table is None:
+        table = threshold_table(CalibrationConfig(
+            dim=config.spec.beta.dim,
+            horizon=config.horizon,
+            grid_m=config.calibration_grid,
+            reps=config.calibration_reps,
+            gammas=config.gammas,
+            alphas=config.alphas,
+            master_seed=config.master_seed,
+        ), threads)
+    table.check_horizon(config.horizon)
+    cells = {(g, a): table.lookup(g, a) for g in config.gammas for a in alphas}
+    cdf = _start_cdf(config.spec)
+    a_common = _aux_metric(config, cdf) if config.a_source == "aux" else None
+    passage = None
+    if change is not None:
+        passage = np.array([cells[g, alphas[0]] for g in config.gammas])
+    studies, traces, by_m = [], [], {}
+    for mi, (m, H) in enumerate(zip(config.m_list, horizons)):
+        kk = np.arange(1, H + 1)
+        w2 = np.array([weight(m, kk, g) ** 2 for g in config.gammas]).reshape(-1, H)
+        task = _MonitorTask(config, m, kind, mi, cdf, w2, a_common, change, passage)
+        results, by_m[str(m)] = _run_blocks(_monitor_block, task, threads)
+        sups, passages = (np.vstack([r[i] for r in results]) for i in (1, 2))
+        drifts = None if change is None else np.vstack([r[3] for r in results])
+        studies.append((m, sups, passages, drifts))
+        traces += [(m, g, rep, paths[j]) for r in results for rep, paths in r[4]
+                   for j, g in enumerate(config.gammas)]
+    return cells, studies, {"master_seed": config.master_seed, "failures_by_class": by_m,
+                            "traces": tuple(traces), "reps": config.reps}
 
 
 class SizeRow(NamedTuple):
@@ -523,21 +517,14 @@ class SizeRow(NamedTuple):
 
 
 @dataclass(frozen=True)
-class SizeReport:
+class SizeReport(_Report):
     rows: tuple[SizeRow, ...]
     traces: tuple
-    master_seed: int
     reps: int
-    failures_by_class: dict  # str(m) -> {class name: count}
+    experiment = "size"
 
-    def metadata(self) -> dict:
-        return {
-            "experiment": "size",
-            "master_seed": self.master_seed,
-            "reps": self.reps,
-            "cells": len(self.rows),
-            **_contract_meta(self.failures_by_class),
-        }
+    def _meta(self) -> dict:
+        return {"reps": self.reps, "cells": len(self.rows)}
 
     def tables(self) -> dict:
         return _monitor_tables(SizeRow._fields, self.rows, self.traces)
@@ -552,32 +539,16 @@ def run_size(config: ExperimentConfig, threads: int = 1) -> SizeReport:
     common replication streams.  Every horizon and table cell is checked
     before any replication runs.
     """
-    horizons = _horizons(config, None)
-    table = _resolve_thresholds(config, threads)
-    cells = {(g, a): table.lookup(g, a) for g in config.gammas for a in config.alphas}
-    cdf = _start_cdf(config.spec)
-    a_common = _aux_metric(config, cdf) if config.a_source == "aux" else None
+    cells, studies, fields = _monitor_study(config, _KIND_SIZE, None, config.alphas, threads)
     rows = []
-    traces = []
-    by_m = {}
-    for mi, (m, H) in enumerate(zip(config.m_list, horizons)):
-        results, by_m[str(m)] = _monitor_blocks(
-            config, _KIND_SIZE, mi, m, H, cdf, a_common, None, None, threads
-        )
-        sups = np.vstack([r[1] for r in results])
-        used = sups.shape[0]
-        failures = config.reps - used
-        flagged = failures > 0.01 * config.reps
+    for m, sups, _, _ in studies:
+        used, failures, flagged = _usage(config.reps, sups.shape[0])
         for j, g in enumerate(config.gammas):
             for a in config.alphas:
                 c = cells[g, a]
                 n_reject = int((sups[:, j] >= c).sum())
                 rows.append(SizeRow(m, g, a, c, n_reject / used, n_reject, used, failures, flagged))
-        traces += _traces(m, config.gammas, results)
-    return SizeReport(
-        rows=tuple(rows), traces=tuple(traces), master_seed=config.master_seed,
-        reps=config.reps, failures_by_class=by_m,
-    )
+    return SizeReport(rows=tuple(rows), **fields)
 
 
 class PowerRow(NamedTuple):
@@ -595,25 +566,17 @@ class PowerRow(NamedTuple):
 
 
 @dataclass(frozen=True)
-class PowerReport:
+class PowerReport(_Report):
     rows: tuple[PowerRow, ...]
     traces: tuple
     change_at: int
-    master_seed: int
     reps: int
     param_names: tuple[str, ...]
     delays: dict  # (m, gamma) -> np.ndarray of detection indices (detected reps only)
-    failures_by_class: dict  # str(m) -> {class name: count}
+    experiment = "power"
 
-    def metadata(self) -> dict:
-        return {
-            "experiment": "power",
-            "master_seed": self.master_seed,
-            "reps": self.reps,
-            "change_at": self.change_at,
-            "cells": len(self.rows),
-            **_contract_meta(self.failures_by_class),
-        }
+    def _meta(self) -> dict:
+        return {"reps": self.reps, "change_at": self.change_at, "cells": len(self.rows)}
 
     def tables(self) -> dict:
         header = PowerRow._fields[:-1] + tuple(f"drift_{name}" for name in self.param_names)
@@ -633,43 +596,26 @@ def run_power(config: ExperimentConfig, threads: int = 1) -> PowerReport:
     if config.change is None:
         raise ValueError("run_power requires config.change")
     alpha = config.alphas[0]
-    horizons = _horizons(config, config.change)
-    table = _resolve_thresholds(config, threads)
-    thresholds = tuple(table.lookup(g, alpha) for g in config.gammas)
-    cdf = _start_cdf(config.spec)
-    a_common = _aux_metric(config, cdf) if config.a_source == "aux" else None
+    cells, studies, fields = _monitor_study(config, _KIND_POWER, config.change, (alpha,), threads)
     rows = []
-    traces = []
     delays_map = {}
-    by_m = {}
-    for mi, (m, H) in enumerate(zip(config.m_list, horizons)):
-        results, by_m[str(m)] = _monitor_blocks(
-            config, _KIND_POWER, mi, m, H, cdf, a_common, config.change,
-            np.array(thresholds), threads,
-        )
-        passages = np.vstack([r[2] for r in results])
-        used = passages.shape[0]
-        failures = config.reps - used
-        flagged = failures > 0.01 * config.reps
-        drift = np.vstack([r[3] for r in results]).mean(axis=0)
+    for m, _, passages, drifts in studies:
+        used, failures, flagged = _usage(config.reps, passages.shape[0])
+        drift = drifts.mean(axis=0)
         for j, g in enumerate(config.gammas):
             delays = passages[passages[:, j] > 0, j].astype(float)
             rate = delays.size / used
             mean_k = float(np.mean(delays)) if delays.size else float("nan")
             median_k = float(np.median(delays)) if delays.size else float("nan")
-            rows.append(PowerRow(m, g, alpha, thresholds[j], rate, mean_k, median_k, used,
+            rows.append(PowerRow(m, g, alpha, cells[g, alpha], rate, mean_k, median_k, used,
                                  failures, flagged, drift))
             delays_map[(m, g)] = delays
-        traces += _traces(m, config.gammas, results)
     return PowerReport(
         rows=tuple(rows),
-        traces=tuple(traces),
         change_at=config.change.at_k,
-        master_seed=config.master_seed,
-        reps=config.reps,
         param_names=tuple(_param_names(config.spec.beta.dim)),
         delays=delays_map,
-        failures_by_class=by_m,
+        **fields,
     )
 
 

@@ -342,11 +342,13 @@ def read_series_csv(path) -> SeriesSample:
 
     Raises ValueError naming the file and the row t for a count that is not
     an integer, a covariate that is not a finite number, or a row with the
-    wrong number of cells.
+    wrong number of cells.  It parses its rows inline rather than through
+    `_artifacts.read_rows`, whose per-row call would slow every monitor
+    start, which reads its training series here.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, [])
         if len(header) < 2 or header[0] != "t" or header[1] != "x":
             raise ValueError(f"{path}: expected header t,x,w1,...  got {header!r}")
         l = len(header) - 2

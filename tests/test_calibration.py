@@ -117,6 +117,24 @@ def test_threshold_csv_round_trip(tmp_path):
     )
 
 
+@pytest.mark.parametrize("rows, message", [
+    # Rows calibrated at different N leave the table no one horizon to check.
+    (["0.0,0.05,7.0,100,1000,3.0,0", "0.0,0.01,9.0,100,1000,2.0,0"],
+     r"line 3: recipe \(reps, grid_m, N, seed\) = \(100, 1000, 2.0, 0\) differs"),
+    (["0.0,0.05,7.0,100,1000,3.0,0", "0.0,0.01,9.0,200,1000,3.0,0"], "line 3: recipe"),
+    (["0.0,0.05,7.0,100,1000,3.0,0", "0.0,0.05,8.0,100,1000,3.0,0"],
+     "line 3: repeats the cell gamma=0.0, alpha=0.05"),
+    (["0.0,0.05,seven,100,1000,3.0,0"], "line 2: could not convert"),
+    (["0.0,0.05,7.0"], "line 2: expected 7 cells, got 3"),
+    ([], "threshold table is empty"),
+], ids=["other-N", "other-reps", "repeated-cell", "non-numeric", "short-row", "empty"])
+def test_threshold_table_rows_must_agree(tmp_path, rows, message):
+    path = tmp_path / "thresholds.csv"
+    path.write_text("\n".join(["gamma,alpha,c,reps,grid_m,N,seed", *rows]) + "\n")
+    with pytest.raises(ValueError, match=rf"thresholds\.csv: {message}"):
+        read_threshold_table(path)
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         CalibrationConfig(dim=3, reps=50)

@@ -249,13 +249,46 @@ def test_monitor_bad_row_after_good_rows_names_file_and_row(tmp_path, capsys):
     assert "stream.csv: expected stream header k,x,w1" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("policy", ["identity", "bogus", 5])
+@pytest.mark.parametrize("policy", ["identity", "bogus", 5, "inverse_sigma0"])
 def test_monitor_rejects_a_policy_other_than_inverse_sigma0(tmp_path, capsys, policy):
-    cfg, _, _ = _monitor_setup(tmp_path, {"threshold_c": 7.0, "a_policy": policy})
+    # The key is unknown now, so every subcommand refuses the config; the
+    # training series is simulated before it is added.
+    cfg, _, _ = _monitor_setup(tmp_path, {"threshold_c": 7.0})
+    raw = json.loads(Path(cfg).read_text())
+    raw["monitor"]["a_policy"] = policy
+    _write_config(cfg, raw)
     assert run_command(["--config", cfg, "--out", str(tmp_path / "out"), "--quiet", "monitor"]) == 2
     err = capsys.readouterr().err
     assert "config error: monitor.a_policy" in err, err
     assert not (tmp_path / "out" / "monitor_log.csv").exists()
+
+
+@pytest.mark.parametrize("command, file, content, message", [
+    ("fit", "series.csv", "", "expected header t,x,w1,...  got []"),
+    ("monitor", "thresholds.csv", "gamma,alpha,c,reps,grid_m,N,seed\n0.0,0.05,7.0\n",
+     "line 2: expected 7 cells, got 3"),
+    ("prep", "rates.csv", "state,iso_year,week,rate\nA,2019,1,1.0\nA,2019\n",
+     "line 3: expected 4 cells, got 2"),
+    ("prep", "rates.csv", "", "expected header state,iso_year,week,rate, got []"),
+    ("compare", "binomial.csv", "# n=2\niso_year,week,x\n2020,1\n", "line 3: expected 3 cells"),
+    ("compare", "binomial.csv", "# n=x\niso_year,week,x\n2020,1,1\n",
+     "line 1: n must be an integer, got 'x'"),
+], ids=["fit-empty", "monitor-short-row", "prep-short-row", "prep-empty", "compare-short-row",
+        "compare-bad-n"])
+def test_malformed_csv_inputs_name_the_file(tmp_path, capsys, command, file, content, message):
+    (tmp_path / "training.csv").write_text("t,x,w1\n0,3,\n1,4,1.0\n2,3,1.1\n3,5,0.9\n")
+    (tmp_path / "stream.csv").write_text("k,x,w1\n1,4,1.0\n")
+    (tmp_path / file).write_text(content)
+    cfg = _write_config(tmp_path / "cfg.json", {
+        "model": MODEL_SECTION,
+        "fit": {"series": "series.csv"},
+        "monitor": {"training": "training.csv", "stream": "stream.csv",
+                    "thresholds": "thresholds.csv"},
+        "prep": PREP_SECTION,
+        "compare": {"series": "binomial.csv"},
+    })
+    assert run_command(["--config", cfg, "--out", str(tmp_path / "out"), "--quiet", command]) == 1
+    assert f"error: {tmp_path / file}: {message}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command, section, field", [
@@ -398,6 +431,17 @@ def test_seed_precedence(tmp_path, monkeypatch):
     np.testing.assert_array_equal(cfgseed.x, simulate_series(spec, 30, seed=1, burn_in=200).x)
 
 
+def _child_env():
+    """The environment of a child interpreter that imports the binarx under test,
+    installed or not."""
+    import os
+
+    import binarx
+
+    path = [str(Path(binarx.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in path if p)}
+
+
 def test_console_entry_point(tmp_path):
     import subprocess
     import sys
@@ -407,7 +451,7 @@ def test_console_entry_point(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "binarx.cli", "--config", cfg, "--out", str(tmp_path / "o"),
          "--quiet", "simulate"],
-        capture_output=True,
+        capture_output=True, env=_child_env(),
     )
     assert proc.returncode == 0
     assert (tmp_path / "o" / "series.csv").exists()
@@ -419,4 +463,4 @@ def test_import_leaves_scipy_stats_unloaded():
     import sys
 
     code = "import sys, binarx; sys.exit('scipy.stats' in sys.modules)"
-    assert subprocess.run([sys.executable, "-c", code]).returncode == 0
+    assert subprocess.run([sys.executable, "-c", code], env=_child_env()).returncode == 0

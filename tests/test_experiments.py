@@ -367,7 +367,12 @@ def test_report_csv_writers(tmp_path, small_table):
     assert not (tmp_path / "power_traces.csv").exists()
     traces = (tmp_path / "size_traces.csv").read_text().strip().splitlines()
     assert len(traces) == 1 + 2 * 240  # header + 2 reps x horizon 240
-    for report, m in ((cons, "100"), (norm, "100"), (size, "80"), (power, "80")):
+    shared = {"experiment", "master_seed", "stream_contract", "block_size", "failures_by_class"}
+    for report, m, own in ((cons, "100", {"reps", "m_list", "failures"}),
+                           (norm, "100", {"m", "reps_used", "failures", "insufficient_sample"}),
+                           (size, "80", {"reps", "cells"}),
+                           (power, "80", {"reps", "change_at", "cells"})):
         meta = report.metadata()
+        assert set(meta) == shared | own, meta["experiment"]
         assert (meta["stream_contract"], meta["block_size"]) == (2, 256)
         assert set(meta["failures_by_class"][m]) == set(FAILURE_CLASSES)
