@@ -3,38 +3,15 @@
 Simulation, maximum partial likelihood estimation, sequential change-point
 monitoring with Monte-Carlo-calibrated critical values, simulation-study
 harnesses, and a deseasonalization pipeline for weekly rate panels.
+
+The package exports what its workflows use: README's quick start, the
+benchmark and the golden-digest tool, plus the exception classes.
+Everything else is imported from its own module.
 """
 
-from .calibration import (
-    CalibrationConfig,
-    ThresholdTable,
-    read_threshold_table,
-    sample_sup_functional,
-    threshold_table,
-    write_threshold_table,
-)
-from .dataprep import (
-    BaselineTable,
-    BinomialSeries,
-    RatePanel,
-    RateRow,
-    binarize_and_sum,
-    chi2_sf,
-    compute_baseline,
-    model_comparison,
-    read_binomial_series,
-    write_binomial_series,
-)
-from .defaults import DEFAULT_BURN_IN, DEFAULT_SEED, PARAM_BOX_BOUND, default_model_spec
-from .estimation import (
-    FitResult,
-    fit_mple,
-    fit_report,
-    log_partial_likelihood,
-    score,
-    score_gradient,
-    write_fit_report,
-)
+from .calibration import CalibrationConfig, read_threshold_table, threshold_table
+from .defaults import default_model_spec
+from .estimation import fit_mple
 from .exceptions import (
     BinarxError,
     ConfigError,
@@ -46,38 +23,8 @@ from .exceptions import (
     SingularHessianError,
     ThresholdUnavailableError,
 )
-from .experiments import (
-    ChangePoint,
-    ConsistencyReport,
-    ExperimentConfig,
-    NormalityReport,
-    PowerReport,
-    SizeReport,
-    run_consistency,
-    run_normality,
-    run_power,
-    run_size,
-)
-from .model import (
-    ExogenousSpec,
-    ModelSpec,
-    ParamVector,
-    SeriesSample,
-    read_series_csv,
-    simulate_chain,
-    simulate_series,
-    stationary_oracle,
-    write_series_csv,
-)
-from .monitoring import (
-    MonitorConfig,
-    MonitorResult,
-    MonitorState,
-    monitor_init,
-    monitor_run,
-    monitor_update,
-    rho,
-    weight,
-)
+from .experiments import ChangePoint, ExperimentConfig, run_power, run_size
+from .model import ModelSpec, ParamVector, read_series_csv, simulate_series
+from .monitoring import monitor_init, monitor_run, monitor_update
 
 __version__ = "0.1.0"

@@ -127,12 +127,6 @@ class ThresholdTable:
                 f"threshold table is calibrated for horizon N={self.horizon}, not {horizon}"
             )
 
-    def gammas(self) -> tuple[float, ...]:
-        return tuple(sorted({g for g, _ in self.entries}))
-
-    def alphas(self) -> tuple[float, ...]:
-        return tuple(sorted({a for _, a in self.entries}, reverse=True))
-
 
 def _grid(config: CalibrationConfig) -> np.ndarray:
     return np.arange(1, config.steps + 1) / config.grid_m
@@ -236,12 +230,11 @@ def threshold_table(config: CalibrationConfig, threads: int = 1) -> ThresholdTab
 
 
 def write_threshold_table(table: ThresholdTable, path) -> None:
-    """CSV with columns gamma,alpha,c,reps,grid_m,N,seed (one row per cell)."""
+    """CSV with columns gamma,alpha,c,reps,grid_m,N,seed, one row per cell,
+    sorted by gamma ascending, then alpha descending."""
     meta = (table.reps, table.grid_m, float(table.horizon), table.master_seed)
-    write_csv(path, _TABLE_HEADER, (
-        (float(g), float(a), float(table.entries[(g, a)]), *meta)
-        for g in table.gammas() for a in table.alphas()
-    ))
+    cells = sorted(table.entries.items(), key=lambda cell: (cell[0][0], -cell[0][1]))
+    write_csv(path, _TABLE_HEADER, ((float(g), float(a), float(c), *meta) for (g, a), c in cells))
 
 
 def read_threshold_table(path) -> ThresholdTable:

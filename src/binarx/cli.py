@@ -26,7 +26,7 @@ from .dataprep import (
     read_binomial_series,
     write_binomial_series,
 )
-from .estimation import fit_mple, write_fit_report
+from .estimation import fit_mple, fit_report
 from .exceptions import BinarxError, ConfigError
 from .experiments import run_consistency, run_normality, run_power, run_size, write_report
 from .model import read_series_csv, simulate_series, write_series_csv
@@ -85,7 +85,7 @@ def _cmd_fit(loaded, out: Path, quiet: bool) -> int:
     sample = read_series_csv(cfgmod.resolve_path(loaded, "fit.series"))
     fit = fit_mple(sample, spec.n)
     path = out / "fit_report.json"
-    write_fit_report(fit, path)
+    write_json(path, fit_report(fit))
     _say(quiet, f"wrote {path} (converged={fit.converged}, iterations={fit.iterations})")
     return EXIT_OK
 

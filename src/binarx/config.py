@@ -39,8 +39,7 @@ _EXO_FIELDS = {"dist": str, "mean": float, "sd": float, "clamp_lo": float, "clam
 _CALIBRATE_FIELDS = {"dim": int, "horizon": float, "grid_m": int, "reps": int,
                      "gammas": (float,), "alphas": (float,)}
 _EXPERIMENT_FIELDS = {"m_list": (int,), "reps": int, "gammas": (float,), "alphas": (float,),
-                      "horizon": float, "a_source": str,
-                      "calibration_reps": int, "calibration_grid": int, "emit_traces": int}
+                      "horizon": float, "a_source": str, "emit_traces": int}
 _MONITOR_FIELDS = {"horizon": float, "gamma": float, "alpha": float}
 # Every key of the schema by section; "" is the top level.
 _KEYS = {

@@ -21,32 +21,25 @@ from .exceptions import MissingBaselineError, PanelCoverageError
 from .model import SeriesSample, log_binom
 
 
-@dataclass(frozen=True)
-class RateRow:
-    state: str
-    iso_year: int
-    week: int
-    rate: float
-
-    def __post_init__(self):
-        if not 1 <= self.week <= 53:
-            raise ValueError(f"week must be in 1..53, got {self.week}")
-        if not np.isfinite(self.rate) or self.rate < 0:
-            raise ValueError(f"rate must be finite and >= 0, got {self.rate}")
-
-
 class RatePanel:
     """Weekly rates keyed by (state, iso_year, week); duplicates rejected."""
 
-    def __init__(self, rows):
+    def __init__(self, rows=()):
         self._index: dict[tuple[str, int, int], float] = {}
         for row in rows:
-            if not isinstance(row, RateRow):
-                row = RateRow(*row)
-            key = (row.state, row.iso_year, row.week)
-            if key in self._index:
-                raise ValueError(f"duplicate panel entry for {key}")
-            self._index[key] = row.rate
+            self._add(row)
+
+    def _add(self, row) -> None:
+        """Check one (state, iso_year, week, rate) row and index its rate."""
+        state, year, week, rate = str(row[0]), int(row[1]), int(row[2]), float(row[3])
+        if not 1 <= week <= 53:
+            raise ValueError(f"week must be in 1..53, got {week}")
+        if not np.isfinite(rate) or rate < 0:
+            raise ValueError(f"rate must be finite and >= 0, got {rate}")
+        key = (state, year, week)
+        if key in self._index:
+            raise ValueError(f"duplicate panel entry for {key}")
+        self._index[key] = rate
 
     def get(self, state: str, iso_year: int, week: int) -> float | None:
         return self._index.get((state, iso_year, week))
@@ -56,21 +49,13 @@ class RatePanel:
 
     @classmethod
     def from_csv(cls, path) -> "RatePanel":
+        panel = cls()
         with open(path, newline="") as fh:
-            return cls(read_rows(
-                fh, path, ("state", "iso_year", "week", "rate"),
-                lambda row: RateRow(row[0], int(row[1]), int(row[2]), float(row[3])),
-            ))
+            read_rows(fh, path, ("state", "iso_year", "week", "rate"), panel._add)
+        return panel
 
 
-@dataclass(frozen=True)
-class BaselineTable:
-    """Per (state, week-of-year) mean rate over the baseline years."""
-
-    entries: dict
-
-
-def compute_baseline(panel: RatePanel, baseline_years) -> BaselineTable:
+def compute_baseline(panel: RatePanel, baseline_years) -> dict:
     """Arithmetic mean rate per (state, week-of-year) over the baseline years."""
     years = set(baseline_years)
     sums: dict[tuple[str, int], list[float]] = {}
@@ -79,7 +64,7 @@ def compute_baseline(panel: RatePanel, baseline_years) -> BaselineTable:
             sums.setdefault((state, week), []).append(rate)
     if not sums:
         raise MissingBaselineError([("<any>", 0)])
-    return BaselineTable(entries={key: float(np.mean(v)) for key, v in sums.items()})
+    return {key: float(np.mean(v)) for key, v in sums.items()}
 
 
 @dataclass(frozen=True)
@@ -101,13 +86,12 @@ class BinomialSeries:
         object.__setattr__(self, "labels", tuple((int(y), int(w)) for y, w in self.labels))
 
 
-def binarize_and_sum(
-    panel: RatePanel, baseline: BaselineTable, states, window
-) -> BinomialSeries:
+def binarize_and_sum(panel: RatePanel, baseline: dict, states, window) -> BinomialSeries:
     """Count, week by week, the states whose rate strictly exceeds baseline.
 
-    Ties count as not exceeding, and week 53 of a long ISO year is compared
-    against the week-52 baseline.  `window` is an ordered sequence of
+    `baseline` maps (state, week-of-year) to a rate, as compute_baseline
+    returns it.  Ties count as not exceeding, and week 53 of a long ISO year
+    is compared against the week-52 baseline.  `window` is an ordered sequence of
     (iso_year, week) labels; any gap in panel coverage or baseline entries
     raises before a partial series can leak out.
     """
@@ -125,7 +109,7 @@ def binarize_and_sum(
                 missing_rates.append((state, year, week))
                 continue
             mapped = min(week, 52)
-            base = baseline.entries.get((state, mapped))
+            base = baseline.get((state, mapped))
             if base is None:
                 missing_base.append((state, mapped))
                 continue
@@ -205,7 +189,13 @@ def read_binomial_series(path) -> BinomialSeries:
             n = int(first[4:])
         except ValueError:
             raise ValueError(f"{path}: line 1: n must be an integer, got {first[4:]!r}") from None
-        rows = read_rows(fh, path, ("iso_year", "week", "x"),
-                         lambda row: ((int(row[0]), int(row[1])), int(row[2])), lines_before=1)
+
+        def parse(row):
+            x = int(row[2])
+            if not 0 <= x <= n:
+                raise ValueError(f"count {x} outside 0..{n}")
+            return (int(row[0]), int(row[1])), x
+
+        rows = read_rows(fh, path, ("iso_year", "week", "x"), parse, lines_before=1)
     return BinomialSeries(x=np.array([x for _, x in rows], dtype=np.int64), n=n,
                           labels=tuple(label for label, _ in rows))

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit
 
-from ._artifacts import write_json
 from .defaults import PARAM_BOX_BOUND
 from .exceptions import NonConvergenceError, SeparationError, SingularHessianError
 from .model import ParamVector, SeriesSample, log_binom
@@ -344,7 +343,3 @@ def fit_report(fit: FitResult) -> dict:
         "n": fit.n,
         "n_obs": fit.n_obs,
     }
-
-
-def write_fit_report(fit: FitResult, path) -> None:
-    write_json(path, fit_report(fit))

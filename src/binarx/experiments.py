@@ -30,9 +30,7 @@ from .calibration import CalibrationConfig, ThresholdTable, horizon_steps, thres
 from .defaults import (
     DEFAULT_ALPHAS,
     DEFAULT_BURN_IN,
-    DEFAULT_CALIBRATION_REPS,
     DEFAULT_GAMMAS,
-    DEFAULT_GRID_M,
     DEFAULT_HORIZON,
     DEFAULT_SEED,
     default_model_spec,
@@ -90,8 +88,6 @@ class ExperimentConfig:
     master_seed: int = DEFAULT_SEED
     burn_in: int = DEFAULT_BURN_IN
     a_source: str = "aux"
-    calibration_reps: int = DEFAULT_CALIBRATION_REPS
-    calibration_grid: int = DEFAULT_GRID_M
     thresholds: ThresholdTable | None = None
     emit_traces: int = 0
 
@@ -460,7 +456,9 @@ def _monitor_study(config: ExperimentConfig, kind: int, change, alphas, threads:
 
     Every horizon is checked to hold a monitored point and the change, and
     every table cell is looked up, before any block runs; a table the config
-    does not give is calibrated here.  First passages are tracked only under
+    does not give is calibrated here, at the CalibrationConfig defaults for
+    reps and grid_m (any other recipe is built with threshold_table and
+    passed in as `thresholds`).  First passages are tracked only under
     a change, at the first alpha.  Returns the cells {(gamma, alpha): c}; per
     training length (m, sups, first-passage indices, score drifts or None),
     one row per fitted rep; and the report fields both studies share.
@@ -476,8 +474,6 @@ def _monitor_study(config: ExperimentConfig, kind: int, change, alphas, threads:
         table = threshold_table(CalibrationConfig(
             dim=config.spec.beta.dim,
             horizon=config.horizon,
-            grid_m=config.calibration_grid,
-            reps=config.calibration_reps,
             gammas=config.gammas,
             alphas=config.alphas,
             master_seed=config.master_seed,

@@ -33,6 +33,8 @@ _PROB_CEIL = math.nextafter(1.0, 0.0)
 # Clamped-normal quadrature covers mean +- this many standard deviations;
 # the mass beyond it (~1e-15 per side) is folded in by renormalizing.
 _QUAD_SPAN_SDS = 8.0
+# Gauss-Legendre nodes per covariate coordinate in the stationary oracle.
+_QUAD_NODES = 64
 
 
 @dataclass(frozen=True)
@@ -290,9 +292,7 @@ def _exogenous_quadrature(exo: ExogenousSpec, nodes: int) -> tuple[np.ndarray, n
     return pts, wts
 
 
-def stationary_oracle(
-    spec: ModelSpec, w_quadrature: int = 64
-) -> tuple[np.ndarray, np.ndarray]:
+def stationary_oracle(spec: ModelSpec) -> tuple[np.ndarray, np.ndarray]:
     """Transition matrix and stationary pmf of the chain, by direct numerics.
 
     P[j, i] is the probability of moving from count j to count i, obtained by
@@ -300,12 +300,12 @@ def stationary_oracle(
     distribution.  The stationary pmf solves mu = mu P and is found by power
     iteration (sup-norm tolerance 1e-12).  Intended for small n only; cost
     grows with (n+1)^2 times the quadrature size, which is itself
-    (w_quadrature + 2)^l.
+    (_QUAD_NODES + 2)^l.
     """
     n = spec.n
     if n > 30:
         raise ValueError("stationary_oracle is restricted to n <= 30")
-    pts, wts = _exogenous_quadrature(spec.exo, w_quadrature)
+    pts, wts = _exogenous_quadrature(spec.exo, _QUAD_NODES)
     b = spec.beta
     gamma = np.asarray(b.gamma_exo)
     counts = np.arange(n + 1)

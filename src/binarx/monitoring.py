@@ -19,7 +19,7 @@ from functools import cached_property
 import numpy as np
 from scipy.special import expit
 
-from .calibration import ThresholdTable, _check_gamma, horizon_steps, rho  # noqa: F401 (rho re-exported)
+from .calibration import ThresholdTable, _check_gamma, horizon_steps
 from .estimation import fit_mple
 from .exceptions import BinarxError, MonitoringTerminatedError
 from .model import ParamVector, SeriesSample, _clamp_prob

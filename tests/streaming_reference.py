@@ -12,7 +12,8 @@ import math
 import numpy as np
 from scipy.special import expit
 
-from binarx import MonitorConfig, MonitorState, ParamVector, fit_mple
+from binarx import ParamVector, fit_mple
+from binarx.monitoring import MonitorConfig, MonitorState
 
 PROB_FLOOR = np.nextafter(0.0, 1.0)
 PROB_CEIL = np.nextafter(1.0, 0.0)

@@ -270,11 +270,15 @@ def test_monitor_rejects_a_policy_other_than_inverse_sigma0(tmp_path, capsys, po
     ("prep", "rates.csv", "state,iso_year,week,rate\nA,2019,1,1.0\nA,2019\n",
      "line 3: expected 4 cells, got 2"),
     ("prep", "rates.csv", "", "expected header state,iso_year,week,rate, got []"),
+    ("prep", "rates.csv", "state,iso_year,week,rate\nA,2019,1,1.0\nA,2019,1,2.0\n",
+     "line 3: duplicate panel entry for ('A', 2019, 1)"),
     ("compare", "binomial.csv", "# n=2\niso_year,week,x\n2020,1\n", "line 3: expected 3 cells"),
     ("compare", "binomial.csv", "# n=x\niso_year,week,x\n2020,1,1\n",
      "line 1: n must be an integer, got 'x'"),
-], ids=["fit-empty", "monitor-short-row", "prep-short-row", "prep-empty", "compare-short-row",
-        "compare-bad-n"])
+    ("compare", "binomial.csv", "# n=2\niso_year,week,x\n2020,1,1\n2020,2,3\n",
+     "line 4: count 3 outside 0..2"),
+], ids=["fit-empty", "monitor-short-row", "prep-short-row", "prep-empty", "prep-repeated-row",
+        "compare-short-row", "compare-bad-n", "compare-count-above-n"])
 def test_malformed_csv_inputs_name_the_file(tmp_path, capsys, command, file, content, message):
     (tmp_path / "training.csv").write_text("t,x,w1\n0,3,\n1,4,1.0\n2,3,1.1\n3,5,0.9\n")
     (tmp_path / "stream.csv").write_text("k,x,w1\n1,4,1.0\n")

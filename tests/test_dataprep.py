@@ -4,20 +4,19 @@ import numpy as np
 import pytest
 from numpy.polynomial.legendre import leggauss
 
-from binarx import (
+from binarx import MissingBaselineError, PanelCoverageError
+from binarx.dataprep import (
     BinomialSeries,
-    MissingBaselineError,
-    PanelCoverageError,
     RatePanel,
     binarize_and_sum,
     chi2_sf,
     compute_baseline,
-    log_partial_likelihood,
     model_comparison,
     read_binomial_series,
     write_binomial_series,
 )
 from binarx.dataprep import _iid_fit
+from binarx.estimation import log_partial_likelihood
 from binarx.model import SeriesSample
 
 # Two states, one baseline year, six evaluation weeks; indicator sums
@@ -43,13 +42,13 @@ def _fixture_panel(scale=1.0):
 def test_baseline_single_year_identity():
     panel = RatePanel([("A", 2019, 1, 3.25)])
     table = compute_baseline(panel, {2019})
-    assert table.entries[("A", 1)] == 3.25
+    assert table[("A", 1)] == 3.25
 
 
 def test_baseline_two_year_mean():
     panel = RatePanel([("A", 2018, 1, 1.0), ("A", 2019, 1, 3.0)])
     table = compute_baseline(panel, {2018, 2019})
-    assert table.entries[("A", 1)] == 2.0
+    assert table[("A", 1)] == 2.0
 
 
 def test_baseline_missing_lookup():

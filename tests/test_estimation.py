@@ -7,18 +7,20 @@ from scipy.special import gammaln
 from binarx import (
     NonConvergenceError,
     SeparationError,
-    SeriesSample,
     SingularHessianError,
     default_model_spec,
     fit_mple,
+    simulate_series,
+)
+from binarx import estimation
+from binarx.estimation import (
+    fit_mple_batch,
     fit_report,
     log_partial_likelihood,
     score,
     score_gradient,
-    simulate_series,
 )
-from binarx import estimation
-from binarx.estimation import fit_mple_batch
+from binarx.model import SeriesSample
 
 SPEC = default_model_spec()
 

@@ -3,31 +3,29 @@ import pytest
 
 import json
 import math
+from dataclasses import replace
 
 from scipy.special import expit
 
 from binarx import (
     CalibrationConfig,
     ChangePoint,
-    ExogenousSpec,
     ExperimentConfig,
     ModelSpec,
     ParamVector,
-    SeriesSample,
-    ThresholdTable,
     ThresholdUnavailableError,
     default_model_spec,
     fit_mple,
     monitor_init,
     monitor_update,
-    run_consistency,
-    run_normality,
     run_power,
     run_size,
-    stationary_oracle,
     threshold_table,
 )
 from binarx import experiments
+from binarx.calibration import ThresholdTable
+from binarx.cli import run_command
+from binarx.defaults import DEFAULT_CALIBRATION_REPS, DEFAULT_GRID_M
 from binarx.experiments import (
     BLOCK_SIZE,
     FAILURE_CLASSES,
@@ -35,8 +33,11 @@ from binarx.experiments import (
     _aux_metric,
     _start,
     _start_cdf,
+    run_consistency,
+    run_normality,
     write_report,
 )
+from binarx.model import ExogenousSpec, SeriesSample, stationary_oracle
 from streaming_reference import state_with_metric
 
 SPEC = default_model_spec()
@@ -258,6 +259,31 @@ def test_studies_refuse_a_table_at_another_horizon(small_table):
     for run in (run_size, run_power):
         with pytest.raises(ThresholdUnavailableError, match="horizon N=3.0, not 2.0"):
             run(cfg)
+
+
+def test_study_without_a_table_calibrates_at_the_calibrate_defaults(
+        small_table, monkeypatch, tmp_path, capsys):
+    seen = []
+
+    def spy(config, threads=1):
+        seen.append(config)
+        return small_table
+
+    monkeypatch.setattr(experiments, "threshold_table", spy)
+    cfg = ExperimentConfig(m_list=(40,), reps=20, gammas=(0.0, 0.4), alphas=(0.1, 0.05),
+                           master_seed=23)
+    report = run_size(cfg)
+    assert seen == [CalibrationConfig(dim=3, horizon=3.0, gammas=(0.0, 0.4), alphas=(0.1, 0.05),
+                                      master_seed=23)]
+    assert (seen[0].reps, seen[0].grid_m) == (DEFAULT_CALIBRATION_REPS, DEFAULT_GRID_M)
+    assert report == run_size(replace(cfg, thresholds=small_table))
+    assert len(seen) == 1
+    # The recipe is not a study setting: other recipes come in as `thresholds`.
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"experiment": {"kind": "size", "calibration_reps": 500}}))
+    assert run_command(["--config", str(path), "--out", str(tmp_path), "--quiet",
+                        "experiment"]) == 2
+    assert "config error: experiment.calibration_reps: unknown key" in capsys.readouterr().err
 
 
 def test_power_requires_change():

@@ -4,18 +4,14 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
-from binarx import (
+from binarx import ModelSpec, ParamVector, default_model_spec, read_series_csv, simulate_series
+from binarx.model import (
     ExogenousSpec,
-    ModelSpec,
-    ParamVector,
     SeriesSample,
-    default_model_spec,
-    read_series_csv,
-    simulate_series,
+    _clamp_prob,
     stationary_oracle,
     write_series_csv,
 )
-from binarx.model import _clamp_prob
 # The monitor's logistic and regressor live inline in monitor_update; these
 # tests pin the reference copies that its exact-bit tests compare against.
 from streaming_reference import build_regressor, success_prob

@@ -7,19 +7,17 @@ from binarx import (
     ModelSpec,
     MonitoringTerminatedError,
     ParamVector,
-    ThresholdTable,
     ThresholdUnavailableError,
     default_model_spec,
     fit_mple,
     monitor_init,
     monitor_run,
     monitor_update,
-    rho,
-    score,
     simulate_series,
-    weight,
 )
-from binarx.monitoring import inverse_metric
+from binarx.calibration import ThresholdTable, rho
+from binarx.estimation import score
+from binarx.monitoring import inverse_metric, weight
 from streaming_reference import replay, score_step, state_with_metric, weight_0d
 
 SPEC = default_model_spec()

@@ -11,17 +11,15 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from binarx import (
-    SeriesSample,
-    ThresholdTable,
     default_model_spec,
     monitor_init,
     monitor_update,
     read_series_csv,
     read_threshold_table,
     simulate_series,
-    write_series_csv,
-    write_threshold_table,
 )
+from binarx.calibration import ThresholdTable, write_threshold_table
+from binarx.model import SeriesSample, write_series_csv
 from binarx._artifacts import cell, write_csv
 from streaming_reference import score_step, statistic
 
