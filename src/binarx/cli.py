@@ -86,7 +86,7 @@ def _cmd_fit(loaded, out: Path, quiet: bool) -> int:
     fit = fit_mple(sample, spec.n)
     path = out / "fit_report.json"
     write_json(path, fit_report(fit))
-    _say(quiet, f"wrote {path} (converged={fit.converged}, iterations={fit.iterations})")
+    _say(quiet, f"wrote {path} ({fit.iterations} iterations)")
     return EXIT_OK
 
 

@@ -4,16 +4,13 @@ One documented schema covers all subcommands; each reads only its own
 section plus the shared `model`, `seed`, and `threads` keys.  A key the
 schema does not know, in any section, is a config error naming it.
 Relative file paths inside a config resolve against the config file's
-directory.
-Environment variables BINARX_SEED and BINARX_THREADS override the config;
-command-line flags override both.
+directory.  The --seed and --threads flags override the config.
 """
 
 from __future__ import annotations
 
 import datetime
 import json
-import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -34,9 +31,8 @@ from .model import ExogenousSpec, ModelSpec, ParamVector
 # The optional keys of each section and their types; a list read as a tuple
 # is written (element type,).  Keys the config leaves out (or sets to null)
 # take the dataclass defaults.
-_EXO_FIELDS = {"dist": str, "mean": float, "sd": float, "clamp_lo": float, "clamp_hi": float,
-               "l": int}
-_CALIBRATE_FIELDS = {"dim": int, "horizon": float, "grid_m": int, "reps": int,
+_EXO_FIELDS = {"mean": float, "sd": float, "clamp_lo": float, "clamp_hi": float}
+_CALIBRATE_FIELDS = {"horizon": float, "grid_m": int, "reps": int,
                      "gammas": (float,), "alphas": (float,)}
 _EXPERIMENT_FIELDS = {"m_list": (int,), "reps": int, "gammas": (float,), "alphas": (float,),
                       "horizon": float, "a_source": str, "emit_traces": int}
@@ -81,12 +77,6 @@ def load_config(path, seed_override=None, threads_override=None) -> LoadedConfig
 
     seed = _opt_int(raw, "seed", DEFAULT_SEED)
     threads = _opt_int(raw, "threads", 1)
-    env_seed = os.environ.get("BINARX_SEED")
-    if env_seed is not None:
-        seed = _parse_env_int("BINARX_SEED", env_seed)
-    env_threads = os.environ.get("BINARX_THREADS")
-    if env_threads is not None:
-        threads = _parse_env_int("BINARX_THREADS", env_threads)
     if seed_override is not None:
         seed = int(seed_override)
     if threads_override is not None:
@@ -94,13 +84,6 @@ def load_config(path, seed_override=None, threads_override=None) -> LoadedConfig
     if threads < 1:
         raise ConfigError("threads", "must be >= 1")
     return LoadedConfig(raw=raw, base_dir=path.parent, seed=seed, threads=threads)
-
-
-def _parse_env_int(name: str, value: str) -> int:
-    try:
-        return int(value)
-    except ValueError:
-        raise ConfigError(name, f"environment override must be an integer, got {value!r}") from None
 
 
 _REQUIRED = object()
@@ -177,7 +160,7 @@ def parse_model(loaded: LoadedConfig) -> tuple[ModelSpec, int]:
         return default_model_spec(), DEFAULT_BURN_IN
     n = _typed(cfg, "model.n", int)
     beta = _typed(cfg, "model.beta", (float,))
-    exo = {"l": max(len(beta) - 2, 0), **_present(cfg, "model.exo", _EXO_FIELDS)}
+    exo = _present(cfg, "model.exo", _EXO_FIELDS)
     try:
         spec = ModelSpec(n=n, beta=ParamVector.from_array(beta), exo=ExogenousSpec(**exo))
     except ValueError as exc:
@@ -195,12 +178,11 @@ def resolve_path(loaded: LoadedConfig, key: str) -> Path:
 
 
 def parse_calibrate(loaded: LoadedConfig) -> CalibrationConfig:
-    cfg = loaded.raw
-    fields = _present(cfg, "calibrate", _CALIBRATE_FIELDS)
-    if "model" in cfg:
-        fields.setdefault("dim", parse_model(loaded)[0].beta.dim)
+    """The `calibrate` section; the score dimension is the model's."""
+    fields = _present(loaded.raw, "calibrate", _CALIBRATE_FIELDS)
     try:
-        return CalibrationConfig(**fields, master_seed=loaded.seed)
+        return CalibrationConfig(dim=parse_model(loaded)[0].beta.dim, **fields,
+                                 master_seed=loaded.seed)
     except ValueError as exc:
         raise ConfigError("calibrate", str(exc)) from None
 

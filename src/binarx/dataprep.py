@@ -128,13 +128,11 @@ def _iid_fit(x: np.ndarray, n: int) -> tuple[float, float]:
     return pi, float(np.sum(log_binom(n, x) + xlogy(x, pi) + xlogy(n - x, 1.0 - pi)))
 
 
-def chi2_sf(x: float, df: int = 1) -> float:
-    """Chi-square survival function via the regularized upper incomplete gamma."""
+def chi2_sf(x: float) -> float:
+    """Chi-square survival function at one degree of freedom, the LR test's."""
     if x < 0:
         raise ValueError("chi-square statistic must be >= 0")
-    if df <= 0:
-        raise ValueError("degrees of freedom must be positive")
-    return float(gammaincc(df / 2.0, x / 2.0))
+    return float(gammaincc(0.5, x / 2.0))
 
 
 def model_comparison(series: BinomialSeries) -> dict:
@@ -160,7 +158,7 @@ def model_comparison(series: BinomialSeries) -> dict:
         "aic_simple": 2.0 - 2.0 * ll_simple,
         "aic_ar1": 4.0 - 2.0 * ll_ar1,
         "lr_stat": lr,
-        "p_value": chi2_sf(max(lr, 0.0), df=1),
+        "p_value": chi2_sf(max(lr, 0.0)),
         "pi_hat": pi_hat,
         "ll_simple": ll_simple,
         "ll_ar1": ll_ar1,

@@ -45,5 +45,5 @@ def default_model_spec():
     return ModelSpec(
         n=10,
         beta=ParamVector(phi0=-1.0, phi1=0.1, gamma_exo=(0.4,)),
-        exo=ExogenousSpec(dist="normal", mean=1.0, sd=0.1, clamp_lo=0.0, clamp_hi=10.0, l=1),
+        exo=ExogenousSpec(mean=1.0, sd=0.1, clamp_lo=0.0, clamp_hi=10.0),
     )

@@ -9,7 +9,7 @@ score = 0 by a damped Newton iteration.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy.special import expit
@@ -41,7 +41,8 @@ class FitResult:
     sqrt(m) (beta_hat - beta0), i.e. the inverse of the averaged negated
     score gradient; `standard_errors` divides it by the sample size for
     beta_hat itself.  `sigma0_hat` is the outer-product estimator
-    sum_t G_t G_t' / m evaluated at beta_hat.
+    sum_t G_t G_t' / m evaluated at beta_hat.  fit_mple returns one only
+    for a converged fit: `final_score_norm` is below the score tolerance.
     """
 
     beta_hat: ParamVector
@@ -49,7 +50,6 @@ class FitResult:
     sigma0_hat: np.ndarray
     log_pl: float
     iterations: int
-    converged: bool
     final_score_norm: float
     hit_boundary: bool
     n: int
@@ -146,7 +146,6 @@ class BatchFit:
     log_pl: np.ndarray  # (c,)
     iterations: np.ndarray  # (c,)
     final_score_norm: np.ndarray  # (c,)
-    converged: np.ndarray  # (c,) bool
     hit_boundary: np.ndarray  # (c,) bool
     errors: tuple
 
@@ -239,8 +238,7 @@ def _newton(Z: np.ndarray, y: np.ndarray, spec_n: int,
     pi = expit(eta)
     resid = y - spec_n * pi
     final_norm = np.abs(np.matmul(np.swapaxes(Z, 1, 2), resid[:, :, None])).max(axis=(1, 2))
-    converged = final_norm < _TOL
-    for i in np.nonzero(~converged)[0]:
+    for i in np.nonzero(final_norm >= _TOL)[0]:
         if errors[i] is None:
             errors[i] = NonConvergenceError(
                 f"score norm {final_norm[i]:.3e} above tolerance {_TOL:g} "
@@ -264,7 +262,6 @@ def _newton(Z: np.ndarray, y: np.ndarray, spec_n: int,
         log_pl=lp,
         iterations=iterations,
         final_score_norm=final_norm,
-        converged=converged,
         hit_boundary=hit_boundary,
         errors=tuple(errors),
     )
@@ -288,11 +285,8 @@ def fit_mple_batch(x: np.ndarray, w: np.ndarray, spec_n: int) -> BatchFit:
     if len(parts) == 1:
         return parts[0]
     return BatchFit(
-        **{
-            f: np.concatenate([getattr(p, f) for p in parts])
-            for f in ("beta", "covariance", "sigma0", "log_pl", "iterations",
-                      "final_score_norm", "converged", "hit_boundary")
-        },
+        **{f.name: np.concatenate([getattr(p, f.name) for p in parts])
+           for f in fields(BatchFit) if f.name != "errors"},
         errors=sum((p.errors for p in parts), ()),
     )
 
@@ -319,7 +313,6 @@ def fit_mple(series: SeriesSample, spec_n: int) -> FitResult:
         sigma0_hat=fit.sigma0[0],
         log_pl=float(fit.log_pl[0]),
         iterations=int(fit.iterations[0]),
-        converged=bool(fit.converged[0]),
         final_score_norm=float(fit.final_score_norm[0]),
         hit_boundary=bool(fit.hit_boundary[0]),
         n=spec_n,
@@ -337,7 +330,6 @@ def fit_report(fit: FitResult) -> dict:
         "log_pl": fit.log_pl,
         "aic": fit.aic,
         "iterations": fit.iterations,
-        "converged": fit.converged,
         "final_score_norm": fit.final_score_norm,
         "hit_boundary": fit.hit_boundary,
         "n": fit.n,

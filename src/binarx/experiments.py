@@ -98,6 +98,9 @@ class ExperimentConfig:
             raise ValueError("reps must be >= 1")
         if not self.m_list:
             raise ValueError("m_list must not be empty")
+        if min(self.m_list) < self.spec.beta.dim + 1:
+            raise ValueError(f"m_list entry {min(self.m_list)} is below {self.spec.beta.dim + 1}, "
+                             "the fewest transitions that fit the model")
         if self.a_source not in ("aux", "training"):
             raise ValueError(f"a_source must be 'aux' or 'training', got {self.a_source!r}")
         if self.change is not None and self.change.new_beta.dim != self.spec.beta.dim:
@@ -146,7 +149,7 @@ def _start_cdf(spec: ModelSpec) -> np.ndarray | None:
     The oracle runs only for n <= 30 and l <= 2: its tensor quadrature has
     66^l points, 66x more at l = 3 than at l = 2.
     """
-    if spec.n > 30 or spec.exo.l > 2:
+    if spec.n > 30 or spec.beta.l > 2:
         return None
     _, pmf = stationary_oracle(spec)
     cdf = np.cumsum(pmf)
@@ -155,7 +158,7 @@ def _start_cdf(spec: ModelSpec) -> np.ndarray | None:
 
 def _advance(spec: ModelSpec, coef: np.ndarray, x: np.ndarray, rng: np.random.Generator):
     """One lockstep transition of a block's chains: covariate rows, then counts."""
-    w = spec.exo.draw(rng, x.size)
+    w = spec.exo.draw(rng, x.size, spec.beta.l)
     return w, rng.binomial(spec.n, _stable_prob(coef[0] + coef[1] * x + w @ coef[2:]))
 
 
@@ -193,7 +196,7 @@ def _train_block(task: _BlockTask, b: int) -> tuple[np.random.Generator, np.ndar
     spec = config.spec
     coef = spec.beta.as_array()
     x = np.empty((task.m + 1, size), dtype=np.min_scalar_type(spec.n))
-    w = np.empty((task.m, size, spec.exo.l))
+    w = np.empty((task.m, size, spec.beta.l))
     x[0] = _start(spec, task.start_cdf, config.burn_in, rng, size)
     for t in range(task.m):
         w[t], x[t + 1] = _advance(spec, coef, x[t], rng)

@@ -83,23 +83,17 @@ class ParamVector:
 class ExogenousSpec:
     """I.i.d. exogenous covariate distribution with clamping bounds.
 
-    Each of the l coordinates is drawn independently from the base
-    distribution and clamped to [clamp_lo, clamp_hi] afterwards, which keeps
-    the covariates bounded as the model requires.  Only dist="normal" ships.
+    Each of the l = `ParamVector.l` coordinates is drawn independently from
+    N(mean, sd^2) and clamped to [clamp_lo, clamp_hi] afterwards, which keeps
+    the covariates bounded as the model requires.
     """
 
-    dist: str = "normal"
     mean: float = 1.0
     sd: float = 0.1
     clamp_lo: float = 0.0
     clamp_hi: float = 10.0
-    l: int = 1
 
     def __post_init__(self):
-        if self.dist != "normal":
-            raise ValueError(f"unsupported exogenous distribution {self.dist!r}")
-        if self.l < 0:
-            raise ValueError("exogenous dimension l must be >= 0")
         if not (math.isfinite(self.clamp_lo) and math.isfinite(self.clamp_hi)):
             raise ValueError("clamp bounds must be finite")
         if not self.clamp_lo < self.clamp_hi:
@@ -107,11 +101,11 @@ class ExogenousSpec:
         if not (math.isfinite(self.mean) and self.sd > 0):
             raise ValueError("normal base distribution needs finite mean and sd > 0")
 
-    def draw(self, rng: np.random.Generator, size: int) -> np.ndarray:
+    def draw(self, rng: np.random.Generator, size: int, l: int) -> np.ndarray:
         """Draw a (size, l) matrix of clamped covariates."""
-        if self.l == 0:
+        if l == 0:
             return np.empty((size, 0), dtype=float)
-        raw = rng.normal(self.mean, self.sd, size=(size, self.l))
+        raw = rng.normal(self.mean, self.sd, size=(size, l))
         return np.minimum(np.maximum(raw, self.clamp_lo), self.clamp_hi)
 
 
@@ -126,10 +120,6 @@ class ModelSpec:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("binomial total n must be >= 1")
-        if self.beta.l != self.exo.l:
-            raise ValueError(
-                f"beta has {self.beta.l} exogenous coefficients but exo dimension is {self.exo.l}"
-            )
 
 
 @dataclass(frozen=True)
@@ -205,7 +195,7 @@ def simulate_chain(
     if not 0 <= x0 <= spec.n:
         raise ValueError(f"initial state {x0} outside {{0..{spec.n}}}")
     b = spec.beta
-    w = spec.exo.draw(rng, length)
+    w = spec.exo.draw(rng, length, b.l)
     # Exogenous part of the linear predictor, precomputed for the whole path.
     offset = b.phi0 + (w @ np.asarray(b.gamma_exo) if b.l else np.zeros(length))
     x = np.empty(length + 1, dtype=np.int64)
@@ -277,13 +267,13 @@ def _coordinate_quadrature(exo: ExogenousSpec, nodes: int) -> tuple[np.ndarray, 
     return pts, wts / wts.sum()
 
 
-def _exogenous_quadrature(exo: ExogenousSpec, nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Tensor-product quadrature over all l coordinates: ((Q, l) points, (Q,) weights)."""
-    if exo.l == 0:
+def _exogenous_quadrature(exo: ExogenousSpec, l: int, nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Tensor-product quadrature over l coordinates: ((Q, l) points, (Q,) weights)."""
+    if l == 0:
         return np.empty((1, 0), dtype=float), np.ones(1)
     pts1, wts1 = _coordinate_quadrature(exo, nodes)
     pts, wts = pts1.reshape(-1, 1), wts1
-    for _ in range(exo.l - 1):
+    for _ in range(l - 1):
         q = pts.shape[0]
         pts = np.hstack(
             [np.repeat(pts, pts1.size, axis=0), np.tile(pts1, q).reshape(-1, 1)]
@@ -305,8 +295,8 @@ def stationary_oracle(spec: ModelSpec) -> tuple[np.ndarray, np.ndarray]:
     n = spec.n
     if n > 30:
         raise ValueError("stationary_oracle is restricted to n <= 30")
-    pts, wts = _exogenous_quadrature(spec.exo, _QUAD_NODES)
     b = spec.beta
+    pts, wts = _exogenous_quadrature(spec.exo, b.l, _QUAD_NODES)
     gamma = np.asarray(b.gamma_exo)
     counts = np.arange(n + 1)
     log_coef = log_binom(n, counts)

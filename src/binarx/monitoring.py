@@ -21,12 +21,8 @@ from scipy.special import expit
 
 from .calibration import ThresholdTable, _check_gamma, horizon_steps
 from .estimation import fit_mple
-from .exceptions import BinarxError, MonitoringTerminatedError
+from .exceptions import MonitoringTerminatedError
 from .model import ParamVector, SeriesSample, _clamp_prob
-
-# The training residual identity sum_t G(x_t, beta_hat) = 0 must hold at init;
-# it underpins the approximation the monitoring statistic relies on.
-_SCORE_IDENTITY_TOL = 1e-8
 
 
 def _weight(m: int, k, gamma: float):
@@ -158,13 +154,10 @@ def monitor_init(
     look (gamma, alpha) up in; a table is used only at the horizon it was
     calibrated at.  The statistic's metric is `inverse_metric` of the
     training outer-product score covariance, the metric that tables are
-    calibrated for.
+    calibrated for.  The statistic needs the training score sum at zero:
+    fit_mple returns only fits whose score norm is below its tolerance.
     """
     fit = fit_mple(training, spec_n)
-    if fit.final_score_norm >= _SCORE_IDENTITY_TOL:
-        raise BinarxError(
-            f"training score sum {fit.final_score_norm:.3e} violates the zero-score identity"
-        )
     if isinstance(threshold_source, ThresholdTable):
         threshold_source.check_horizon(horizon)
         c = threshold_source.lookup(gamma, alpha)

@@ -32,7 +32,7 @@ from binarx.defaults import (
 MODEL_SECTION = {
     "n": 10,
     "beta": [-1.0, 0.1, 0.4],
-    "exo": {"dist": "normal", "mean": 1.0, "sd": 0.1, "clamp_lo": 0.0, "clamp_hi": 10.0, "l": 1},
+    "exo": {"mean": 1.0, "sd": 0.1, "clamp_lo": 0.0, "clamp_hi": 10.0},
     "burn_in": 200,
 }
 
@@ -94,7 +94,7 @@ def test_fit_command(tmp_path):
     assert run_command(["--config", cfg, "--out", str(tmp_path / "out"), "--quiet", "simulate"]) == 0
     assert run_command(["--config", cfg, "--out", str(tmp_path / "out"), "--quiet", "fit"]) == 0
     report = json.loads((tmp_path / "out" / "fit_report.json").read_text())
-    assert report["converged"] is True
+    assert "converged" not in report and report["final_score_norm"] < 1e-8
     assert len(report["beta_hat"]) == 3
 
 
@@ -328,6 +328,11 @@ def test_config_type_errors_name_the_field(tmp_path, capsys, command, section, f
                   "model": {**MODEL_SECTION, "exo": {"sdd": 0.1}}}, "model.exo.sdd"),
     ("monitor", {"monitor": {"threshold_c": 7.0, "gama": 0.1}}, "monitor.gama"),
     ("prep", {"prep": {**PREP_SECTION, "window": [2020, 1]}}, "prep.window"),
+    ("simulate", {"simulate": {"length": 10},
+                  "model": {**MODEL_SECTION, "exo": {"dist": "normal"}}}, "model.exo.dist"),
+    ("simulate", {"simulate": {"length": 10},
+                  "model": {**MODEL_SECTION, "exo": {"l": 1}}}, "model.exo.l"),
+    ("calibrate", {"calibrate": {"dim": 3}}, "calibrate.dim"),
 ])
 def test_config_unknown_keys_name_the_field(tmp_path, capsys, command, section, field):
     cfg = _write_config(tmp_path / "cfg.json", {"model": MODEL_SECTION, **section})
@@ -381,6 +386,19 @@ def test_experiment_command(tmp_path):
     }
 
 
+@pytest.mark.parametrize("m", [0, 3])
+def test_experiment_refuses_training_lengths_too_short_to_fit(tmp_path, capsys, m):
+    # d = 3 coefficients need at least 4 transitions, as fit_mple requires.
+    cfg = _write_config(tmp_path / "cfg.json", {
+        "model": MODEL_SECTION,
+        "experiment": {"kind": "consistency", "m_list": [m], "reps": 3},
+    })
+    out = tmp_path / "out"
+    assert run_command(["--config", cfg, "--out", str(out), "--quiet", "experiment"]) == 2
+    assert f"config error: experiment: m_list entry {m} is below 4" in capsys.readouterr().err
+    assert not list(out.iterdir())
+
+
 def test_prep_and_compare_commands(tmp_path):
     _rates_fixture_csv(tmp_path / "rates.csv")
     cfg = _write_config(
@@ -420,19 +438,19 @@ def test_runtime_error_exit(tmp_path):
 def test_seed_precedence(tmp_path, monkeypatch):
     cfg = _write_config(tmp_path / "cfg.json",
                         {"seed": 1, "model": MODEL_SECTION, "simulate": {"length": 30}})
-    monkeypatch.setenv("BINARX_SEED", "2")
-    run_command(["--config", cfg, "--out", str(tmp_path / "env"), "--quiet", "simulate"])
     run_command(["--config", cfg, "--out", str(tmp_path / "flag"), "--seed", "3",
                  "--quiet", "simulate"])
-    monkeypatch.delenv("BINARX_SEED")
     run_command(["--config", cfg, "--out", str(tmp_path / "cfgseed"), "--quiet", "simulate"])
-    env = read_series_csv(tmp_path / "env" / "series.csv")
+    # The environment is not a config layer: BINARX_SEED changes nothing.
+    monkeypatch.setenv("BINARX_SEED", "2")
+    run_command(["--config", cfg, "--out", str(tmp_path / "env"), "--quiet", "simulate"])
     flag = read_series_csv(tmp_path / "flag" / "series.csv")
     cfgseed = read_series_csv(tmp_path / "cfgseed" / "series.csv")
     spec = default_model_spec()
-    np.testing.assert_array_equal(env.x, simulate_series(spec, 30, seed=2, burn_in=200).x)
     np.testing.assert_array_equal(flag.x, simulate_series(spec, 30, seed=3, burn_in=200).x)
     np.testing.assert_array_equal(cfgseed.x, simulate_series(spec, 30, seed=1, burn_in=200).x)
+    env = (tmp_path / "env" / "series.csv").read_bytes()
+    assert env == (tmp_path / "cfgseed" / "series.csv").read_bytes()
 
 
 def _child_env():

@@ -54,7 +54,7 @@ def _contract_block(seed, kind, i, b, size, steps, spec=SPEC, burn_in=500, chang
     transition t (1-based) uses `new_beta` from t = change_at on.
     """
     rng = np.random.default_rng(np.random.SeedSequence((seed, kind, i, b)))
-    if spec.n <= 30 and spec.exo.l <= 2:
+    if spec.n <= 30 and spec.beta.l <= 2:
         _, pmf = stationary_oracle(spec)
         cdf = np.cumsum(pmf)
         cdf /= cdf[-1]
@@ -68,7 +68,7 @@ def _contract_block(seed, kind, i, b, size, steps, spec=SPEC, burn_in=500, chang
             xs.append(x)
         beta = spec.beta if change_at is None or t < change_at else new_beta
         c = beta.as_array()
-        w = spec.exo.draw(rng, size)
+        w = spec.exo.draw(rng, size, spec.beta.l)
         x = rng.binomial(spec.n, expit(c[0] + c[1] * x + w @ c[2:]))
         if t >= 1:
             xs.append(x)
@@ -355,7 +355,7 @@ def test_streamed_statistic_matches_monitor_update(small_table, a_source):
 def test_failures_by_class_in_metadata(tmp_path):
     # A rare-event chain with a short window: many windows hold no success
     # (SeparationError) and some put every success where x_prev is constant.
-    spec = ModelSpec(n=1, beta=ParamVector(-2.6, 0.0), exo=ExogenousSpec(l=0))
+    spec = ModelSpec(n=1, beta=ParamVector(-2.6, 0.0), exo=ExogenousSpec())
     report = run_consistency(ExperimentConfig(spec=spec, m_list=(10,), reps=60, master_seed=3))
     m, _, used, failures, _ = report.rows[0]
     by_class = report.failures_by_class["10"]

@@ -21,7 +21,7 @@ def _no_exo_spec(phi0, phi1, n=10):
     return ModelSpec(
         n=n,
         beta=ParamVector(phi0=phi0, phi1=phi1, gamma_exo=()),
-        exo=ExogenousSpec(l=0),
+        exo=ExogenousSpec(),
     )
 
 
@@ -89,18 +89,11 @@ def test_exogenous_spec_validation():
         ExogenousSpec(clamp_lo=0.0, clamp_hi=float("inf"))
     with pytest.raises(ValueError):
         ExogenousSpec(sd=0.0)
-    with pytest.raises(ValueError):
-        ExogenousSpec(dist="uniform")
-
-
-def test_model_spec_dimension_mismatch():
-    with pytest.raises(ValueError):
-        ModelSpec(n=10, beta=ParamVector(0.0, 0.0, (0.1, 0.2)), exo=ExogenousSpec(l=1))
 
 
 def test_exogenous_draws_clamped():
-    exo = ExogenousSpec(mean=0.0, sd=5.0, clamp_lo=-1.0, clamp_hi=1.0, l=2)
-    draws = exo.draw(np.random.default_rng(0), 500)
+    exo = ExogenousSpec(mean=0.0, sd=5.0, clamp_lo=-1.0, clamp_hi=1.0)
+    draws = exo.draw(np.random.default_rng(0), 500, 2)
     assert draws.shape == (500, 2)
     assert draws.min() >= -1.0 and draws.max() <= 1.0
 

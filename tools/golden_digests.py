@@ -37,7 +37,7 @@ from binarx.defaults import DEFAULT_SEED  # noqa: E402
 MODEL = {
     "n": 10,
     "beta": [-1.0, 0.1, 0.4],
-    "exo": {"dist": "normal", "mean": 1.0, "sd": 0.1, "clamp_lo": 0.0, "clamp_hi": 10.0, "l": 1},
+    "exo": {"mean": 1.0, "sd": 0.1, "clamp_lo": 0.0, "clamp_hi": 10.0},
     "burn_in": 200,
 }
 CHANGE = {"at_k": 11, "beta": [-1.0, 0.2, 0.4]}
