@@ -70,9 +70,7 @@ def _say(quiet: bool, message: str) -> None:
 
 def _cmd_simulate(loaded, out: Path, quiet: bool) -> int:
     spec, burn_in = cfgmod.parse_model(loaded)
-    raw = loaded.raw
-    length = cfgmod._typed(raw, "simulate.length", int)
-    init = cfgmod._typed(raw, "simulate.init", int, None)
+    length, init = cfgmod.parse_simulate(loaded, spec.n)
     sample = simulate_series(spec, length, seed=loaded.seed, init=init, burn_in=burn_in)
     path = out / "series.csv"
     write_series_csv(sample, path)

@@ -171,6 +171,17 @@ def parse_model(loaded: LoadedConfig) -> tuple[ModelSpec, int]:
     return spec, burn_in
 
 
+def parse_simulate(loaded: LoadedConfig, n: int) -> tuple[int, int | None]:
+    """Length and initial count of the `simulate` section; init must lie in 0..n."""
+    length = _typed(loaded.raw, "simulate.length", int)
+    if length < 1:
+        raise ConfigError("simulate.length", f"must be >= 1, got {length}")
+    init = _typed(loaded.raw, "simulate.init", int, None)
+    if init is not None and not 0 <= init <= n:
+        raise ConfigError("simulate.init", f"initial state {init} outside {{0..{n}}}")
+    return length, init
+
+
 def resolve_path(loaded: LoadedConfig, key: str) -> Path:
     """The file the config names at `key`; relative to the config's directory."""
     p = Path(_typed(loaded.raw, key, str))
@@ -208,6 +219,8 @@ def parse_experiment(loaded: LoadedConfig) -> tuple[str, ExperimentConfig]:
     if "thresholds" in section:
         thresholds = read_threshold_table(resolve_path(loaded, "experiment.thresholds"))
     fields = {**EXPERIMENT_DEFAULTS[kind], **_present(cfg, "experiment", _EXPERIMENT_FIELDS)}
+    if fields.get("emit_traces", 0) < 0:
+        raise ConfigError("experiment.emit_traces", f"must be >= 0, got {fields['emit_traces']}")
     try:
         exp = ExperimentConfig(spec=spec, change=change, master_seed=loaded.seed, burn_in=burn_in,
                                thresholds=thresholds, **fields)

@@ -174,7 +174,11 @@ def _newton(Z: np.ndarray, y: np.ndarray, spec_n: int,
     """
     c, m, d = Z.shape
     errors: list = [None] * c
-    log_coef = np.sum(log_binom(spec_n, y), axis=1)
+    # log C(n, y) once per count value, from a table over 0..max(y) when that
+    # is shorter than y; the values, and so the sums, are the elementwise ones.
+    top = int(y.max()) + 1
+    log_coef = np.sum(log_binom(spec_n, np.arange(top, dtype=float))[y.astype(np.intp)]
+                      if top < y.size else log_binom(spec_n, y), axis=1)
 
     def log_pl_at(Zs, ys, base, b):
         eta = np.matmul(Zs, b[:, :, None])[:, :, 0]

@@ -14,6 +14,7 @@ small-instance stationary-distribution oracle for cross-checking simulations.
 from __future__ import annotations
 
 import csv
+import io
 import itertools
 import math
 from dataclasses import dataclass
@@ -35,6 +36,8 @@ _PROB_CEIL = math.nextafter(1.0, 0.0)
 _QUAD_SPAN_SDS = 8.0
 # Gauss-Legendre nodes per covariate coordinate in the stationary oracle.
 _QUAD_NODES = 64
+# Unicode whitespace to numpy's number parsers, but not to int() and float().
+_NUMPY_ONLY_SPACE = "\x1c\x1d\x1e\x1f"
 
 
 @dataclass(frozen=True)
@@ -327,16 +330,54 @@ def write_series_csv(sample: SeriesSample, path) -> None:
     write_csv(path, ["t", "x"] + [f"w{i + 1}" for i in range(l)], itertools.chain([first], rows))
 
 
+def _read_plain(fh):
+    """(x, w) of a plain series file, or None for the row loop to read it.
+
+    Plain means: header t,x,w1..wl, a count-only first row with t <= 0, then
+    a non-empty body of rows with t >= 1 and l finite covariates.  The header
+    and first row go through csv and int() as in the row loop; numpy's C
+    reader parses the body.  On a body it accepts, it reads what int() and
+    float() read: its int parser takes a subset of int()'s syntax, its float
+    parser gives float()'s bits, both skip blank lines, and a cell it refuses
+    returns None.  Its one laxity, taking \\x1c-\\x1f for whitespace, is
+    refused up front, and an empty body, on which numpy warns, is left to
+    the row loop.
+    """
+    reader = csv.reader(fh)
+    header = next(reader, [])
+    first = next(reader, [])
+    body = fh.read()
+    if header[:2] != ["t", "x"] or not body.strip() or any(c in body for c in _NUMPY_ONLY_SPACE):
+        return None
+    try:
+        if int(first[0]) > 0:
+            return None
+        x0 = np.array([int(first[1])], dtype=np.int64)
+        rows = np.loadtxt(
+            io.StringIO(body), delimiter=",", comments=None, ndmin=1,
+            dtype=[("t", np.int64), ("x", np.int64), ("w", np.float64, (len(header) - 2,))],
+        )
+    except (ValueError, IndexError, OverflowError):
+        return None
+    if rows["t"].min() < 1 or not np.isfinite(rows["w"]).all():
+        return None
+    return np.concatenate((x0, rows["x"])), rows["w"]
+
+
 def read_series_csv(path) -> SeriesSample:
     """Read a sample written by write_series_csv.
 
-    Raises ValueError naming the file and the row t for a count that is not
+    A plain file (see `_read_plain`) is parsed in C; the row loop below
+    reads any other and would give the same sample for a plain one.  It
+    raises ValueError naming the file and the row t for a count that is not
     an integer, a covariate that is not a finite number, or a row with the
-    wrong number of cells.  It parses its rows inline rather than through
-    `_artifacts.read_rows`, whose per-row call would slow every monitor
-    start, which reads its training series here.
+    wrong number of cells.
     """
     with open(path, newline="") as fh:
+        plain = _read_plain(fh)
+        if plain is not None:
+            return SeriesSample(*plain)
+        fh.seek(0)
         reader = csv.reader(fh)
         header = next(reader, [])
         if len(header) < 2 or header[0] != "t" or header[1] != "x":

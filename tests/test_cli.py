@@ -340,6 +340,23 @@ def test_config_unknown_keys_name_the_field(tmp_path, capsys, command, section, 
     assert f"config error: {field}: unknown key" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, section, message", [
+    ("simulate", {"simulate": {"length": 0}}, "simulate.length: must be >= 1, got 0"),
+    ("simulate", {"simulate": {"length": 10, "init": 11}},
+     "simulate.init: initial state 11 outside {0..10}"),
+    ("simulate", {"simulate": {"length": 10, "init": -1}},
+     "simulate.init: initial state -1 outside {0..10}"),
+    ("experiment", {"experiment": {"kind": "size", "emit_traces": -1}},
+     "experiment.emit_traces: must be >= 0, got -1"),
+])
+def test_config_out_of_range_values_name_the_field(tmp_path, capsys, command, section, message):
+    cfg = _write_config(tmp_path / "cfg.json", {"model": MODEL_SECTION, **section})
+    out = tmp_path / "out"
+    assert run_command(["--config", cfg, "--out", str(out), "--quiet", command]) == 2
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert not list(out.iterdir())
+
+
 def test_prep_window_crosses_iso_week_53():
     prep = parse_prep(_loaded({"prep": {**PREP_SECTION, "window_start": [2020, 52],
                                         "window_end": [2021, 2]}}))

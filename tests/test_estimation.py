@@ -20,7 +20,7 @@ from binarx.estimation import (
     score,
     score_gradient,
 )
-from binarx.model import SeriesSample
+from binarx.model import SeriesSample, log_binom
 
 SPEC = default_model_spec()
 
@@ -49,6 +49,19 @@ def test_log_pl_constant_pi_closed_form():
     y = sample.x[1:]
     log_binom = float(np.sum(gammaln(n + 1) - gammaln(y + 1) - gammaln(n - y + 1)))
     assert got == pytest.approx(log_binom + m * n * math.log(0.5), rel=1e-13)
+
+
+@pytest.mark.parametrize("n", [1, 10, 30, 1000, 10**6])
+def test_newton_start_log_pl_keeps_elementwise_bits(n):
+    # The Newton kernel reads log C(n, y) from a table over 0..max(y) when
+    # that is shorter than y (every n here but 10**6); its log-PL at beta = 0
+    # must equal the elementwise sum bit for bit.
+    x = np.random.default_rng(n).binomial(n, 0.3, size=2001)
+    _, trace = _newton_traced(SeriesSample(x=x, w=np.ones((2000, 1))), n)
+    y = x[None, 1:].astype(float)
+    start = np.sum(log_binom(n, y), axis=1) + np.sum(
+        y * 0.0 - n * np.logaddexp(0.0, np.zeros_like(y)), axis=1)
+    assert trace[0] == start[0]
 
 
 def test_log_pl_single_observation():

@@ -1,10 +1,12 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from scipy.special import expit
 
 from binarx import ModelSpec, ParamVector, default_model_spec, read_series_csv, simulate_series
+from binarx import model
 from binarx.model import (
     ExogenousSpec,
     SeriesSample,
@@ -14,6 +16,7 @@ from binarx.model import (
 )
 # The monitor's logistic and regressor live inline in monitor_update; these
 # tests pin the reference copies that its exact-bit tests compare against.
+from series_reference import outcome, read_series_rows
 from streaming_reference import build_regressor, success_prob
 
 
@@ -188,6 +191,64 @@ def test_series_csv_bad_rows_name_file_and_row(tmp_path, row, message):
     path.write_text(f"t,x,w1\n0,4,\n1,5,1.0\n{row}\n3,4,1.1\n")
     with pytest.raises(ValueError, match=rf"series\.csv: {message}"):
         read_series_csv(path)
+
+
+_HEAD = "t,x,w1\n0,4,\n"
+
+
+# (file text, parsed by numpy): the numpy cases must take the fast path, the
+# rest must fall back to the row loop; either way the outcome is the loop's.
+@pytest.mark.parametrize(
+    "text, fast",
+    [
+        pytest.param("t,x,w1\r\n0,4,\r\n1,5,1.0\r\n2,3,0.9\r\n", True, id="crlf"),
+        pytest.param(_HEAD + "1,5,1.0\n2,3,0.9\n", True, id="lf"),
+        pytest.param(_HEAD + "1,5,1.0\n2,3,0.9", True, id="no-trailing-newline"),
+        pytest.param(_HEAD + "1,5,1.0\n\n2,3,0.9\n\n", True, id="blank-line"),
+        pytest.param(_HEAD + "1,5,1.0\n  \n2,3,0.9\n", False, id="whitespace-line"),
+        pytest.param(_HEAD + "1,5,1.0\r2,3,0.9\r", False, id="cr-line-ends"),
+        pytest.param(_HEAD + " 1 , 5 ,\xa00.9 \n2,+3,.5\n", True, id="padded-cells"),
+        pytest.param(_HEAD + '1,5,"1.0"\n', False, id="quoted-cell"),
+        pytest.param(_HEAD + '"1",5,1.0\n', False, id="quoted-t"),
+        pytest.param(_HEAD + "1,5,1.0#c\n", False, id="hash-in-cell"),
+        pytest.param(_HEAD + "1,3_0,1.0\n", False, id="underscore-count"),
+        pytest.param(_HEAD + "1,3,1_0.5\n", False, id="underscore-covariate"),
+        pytest.param(_HEAD + "1,\uff15,1.0\n", False, id="full-width-count"),
+        pytest.param(_HEAD + "1,3,1.0\x1f\n", False, id="unit-separator"),
+        pytest.param(_HEAD + "1,3,0x1p3\n", False, id="hex-covariate"),
+        pytest.param(_HEAD + "1,99999999999999999999,1.0\n", False, id="count-overflow"),
+        pytest.param(_HEAD + "1,5,1.0\n2,3,nan\n", False, id="nan"),
+        pytest.param(_HEAD + "1,5,-inf\n2,3,1.0\n", False, id="minus-inf"),
+        pytest.param(_HEAD + "1,5,1e400\n", False, id="overflowing-covariate"),
+        pytest.param(_HEAD + "1,5,\n", False, id="empty-covariate"),
+        pytest.param(_HEAD + "1,3.7,1.0\n", False, id="non-integer-count"),
+        pytest.param(_HEAD + "a,3,1.0\n", False, id="non-integer-t"),
+        pytest.param(_HEAD + "1,5,1.0\n2,3\n", False, id="short-row"),
+        pytest.param(_HEAD + "1,5,1.0,7\n", False, id="long-row"),
+        pytest.param(_HEAD + "1,-1,1.0\n", True, id="negative-count"),
+        pytest.param("t,x\n0,4\n1,5\n2,3\n", True, id="l=0"),
+        pytest.param("t,x,a,b\n0,4,,\n1,5,1.0,2.0\n", True, id="l=2"),
+        pytest.param("t,x,w1\n0,4,,9\n1,5,1.0\n", True, id="long-t0-row"),
+        pytest.param("t,x,w1\n-1,4,\n1,5,1.0\n", True, id="negative-t0"),
+        pytest.param("t,x,w1\n0\n1,5,1.0\n", False, id="short-t0-row"),
+        pytest.param("t,x,w1\n\n0,4,\n1,5,1.0\n", False, id="blank-before-t0"),
+        pytest.param("t,x,w1\n1,5,1.0\n2,3,0.9\n", False, id="no-t0-row"),
+        pytest.param(_HEAD + "1,5,1.0\n0,3,\n2,3,0.9\n", False, id="second-t0-row"),
+        pytest.param(_HEAD, False, id="header-and-t0-only"),
+        pytest.param(_HEAD + "\n\n", False, id="header-t0-and-blank-lines"),
+        pytest.param("t,x,w1\n", False, id="header-only"),
+        pytest.param("", False, id="empty-file"),
+        pytest.param("t,y,w1\n0,4,\n1,5,1.0\n", False, id="bad-header"),
+    ],
+)
+def test_series_csv_reader_matches_row_loop(tmp_path, text, fast):
+    path = tmp_path / "series.csv"
+    path.write_bytes(text.encode())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert outcome(read_series_csv, path) == outcome(read_series_rows, path)
+        with open(path, newline="") as fh:
+            assert (model._read_plain(fh) is not None) == fast
 
 
 def test_series_sample_validation():

@@ -21,6 +21,7 @@ from binarx import (
 from binarx.calibration import ThresholdTable, write_threshold_table
 from binarx.model import SeriesSample, write_series_csv
 from binarx._artifacts import cell, write_csv
+from series_reference import outcome, read_series_rows
 from streaming_reference import score_step, statistic
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
@@ -49,6 +50,28 @@ def test_series_csv_round_trip_is_exact(tmp_path_factory, sample):
     np.testing.assert_array_equal(back.x, sample.x)
     assert back.w.shape == sample.w.shape
     assert _bits(back.w) == _bits(sample.w)
+
+
+# Text a mutated cell may hold: the characters of numbers, the separators
+# the two parsers may read differently, and whole tokens of both grammars.
+CELL_TEXT = st.lists(st.sampled_from(list("0123456789+-.eE_ \t\"#,\r\n") + [
+    "\x1f", "\xa0", "\uff15", "nan", "inf", "0x1p3", "1e400", "99999999999999999999"]),
+    max_size=6).map("".join)
+
+
+@settings(max_examples=150, deadline=None)
+@given(sample=series_samples(), data=st.data())
+def test_series_csv_mutated_cell_reads_as_row_loop(tmp_path_factory, sample, data):
+    path = tmp_path_factory.mktemp("series") / "series.csv"
+    write_series_csv(sample, path)
+    lines = path.read_text().split("\r\n")
+    i = data.draw(st.integers(0, len(lines) - 1))
+    cells = lines[i].split(",")
+    j = data.draw(st.integers(0, len(cells) - 1))
+    cells[j] = data.draw(CELL_TEXT)
+    lines[i] = ",".join(cells)
+    path.write_bytes("\r\n".join(lines).encode())
+    assert outcome(read_series_csv, path) == outcome(read_series_rows, path)
 
 
 @st.composite
