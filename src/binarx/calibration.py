@@ -44,6 +44,11 @@ def _check_gamma(gamma: float) -> None:
         raise ValueError(f"gamma must lie in [0, 0.5), got {gamma}")
 
 
+def _check_alpha(alpha: float) -> None:
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
+
+
 def rho(s, gamma: float):
     """Weight shape rho(s, gamma) = s^(-gamma) * (s + 1)^(gamma - 1), s > 0.
 
@@ -91,8 +96,7 @@ class CalibrationConfig:
         for g in self.gammas:
             _check_gamma(g)
         for a in self.alphas:
-            if not 0.0 < a < 1.0:
-                raise ValueError(f"alpha must lie in (0, 1), got {a}")
+            _check_alpha(a)
 
     @property
     def steps(self) -> int:

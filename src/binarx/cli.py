@@ -120,9 +120,10 @@ def _stream_rows(fh, n_cells: int):
 
 def _cmd_monitor(loaded, out: Path, quiet: bool) -> int:
     spec, _ = cfgmod.parse_model(loaded)
+    settings = cfgmod.parse_monitor(loaded)
     training = read_series_csv(cfgmod.resolve_path(loaded, "monitor.training"))
     stream_path = cfgmod.resolve_path(loaded, "monitor.stream")
-    state = monitor_init(training, spec.n, **cfgmod.parse_monitor(loaded))
+    state = monitor_init(training, spec.n, **settings)
     try:
         with open(stream_path, newline="") as fh:
             result = monitor_run(state, _stream_rows(fh, training.l + 2))

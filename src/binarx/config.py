@@ -14,7 +14,13 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from .calibration import CalibrationConfig, read_threshold_table
+from .calibration import (
+    CalibrationConfig,
+    _check_alpha,
+    _check_gamma,
+    horizon_steps,
+    read_threshold_table,
+)
 from .defaults import (
     DEFAULT_BURN_IN,
     DEFAULT_HORIZON,
@@ -148,6 +154,15 @@ def _present(cfg: dict, section: str, fields: dict) -> dict:
             for key, kind in fields.items() if node.get(key) is not None}
 
 
+def _check_each(path: str, check, values) -> None:
+    """Run a model-side range check on each value; its ValueError names the field `path`."""
+    try:
+        for value in values:
+            check(value)
+    except ValueError as exc:
+        raise ConfigError(path, str(exc)) from None
+
+
 def _opt_int(cfg: dict, path: str, default: int) -> int:
     value = _get(cfg, path, None)
     return default if value is None else _typed(cfg, path, int)
@@ -191,6 +206,8 @@ def resolve_path(loaded: LoadedConfig, key: str) -> Path:
 def parse_calibrate(loaded: LoadedConfig) -> CalibrationConfig:
     """The `calibrate` section; the score dimension is the model's."""
     fields = _present(loaded.raw, "calibrate", _CALIBRATE_FIELDS)
+    _check_each("calibrate.gammas", _check_gamma, fields.get("gammas", ()))
+    _check_each("calibrate.alphas", _check_alpha, fields.get("alphas", ()))
     try:
         return CalibrationConfig(dim=parse_model(loaded)[0].beta.dim, **fields,
                                  master_seed=loaded.seed)
@@ -228,24 +245,42 @@ def parse_experiment(loaded: LoadedConfig) -> tuple[str, ExperimentConfig]:
         raise ConfigError("experiment", str(exc)) from None
     if kind == "power" and exp.change is None:
         raise ConfigError("experiment.change", "required for the power experiment")
+    _check_each("experiment.gammas", _check_gamma, exp.gammas)
+    _check_each("experiment.alphas", _check_alpha, exp.alphas)
+    if kind in ("size", "power"):
+        for m in exp.m_list:
+            H = horizon_steps(exp.horizon, m)
+            if H < 1:
+                raise ConfigError("experiment.horizon",
+                                  f"{exp.horizon} leaves no monitored point at m={m}")
+            if exp.change is not None and exp.change.at_k > H:
+                raise ConfigError("experiment.change.at_k",
+                                  f"{exp.change.at_k} is beyond the horizon {H} at m={m}")
     return kind, exp
 
 
 def parse_monitor(loaded: LoadedConfig) -> dict:
     """monitor_init keywords from the `monitor` section: horizon, gamma, alpha
-    and threshold_source (a critical value or a threshold table)."""
+    and threshold_source (a critical value or a threshold table).  Whether
+    the horizon holds a monitored point depends on the training length, and
+    is checked when the monitor is built."""
     cfg = loaded.raw
     section = _get(cfg, "monitor")
+    settings = {"horizon": DEFAULT_HORIZON, "gamma": DEFAULT_MONITOR_GAMMA,
+                "alpha": DEFAULT_MONITOR_ALPHA, **_present(cfg, "monitor", _MONITOR_FIELDS)}
+    if not settings["horizon"] > 0:
+        raise ConfigError("monitor.horizon", f"must be > 0, got {settings['horizon']}")
+    _check_each("monitor.gamma", _check_gamma, [settings["gamma"]])
+    _check_each("monitor.alpha", _check_alpha, [settings["alpha"]])
     if "threshold_c" in section:
         source = _typed(cfg, "monitor.threshold_c", float)
+        if not source > 0:
+            raise ConfigError("monitor.threshold_c", f"must be > 0, got {source}")
     elif "thresholds" in section:
         source = read_threshold_table(resolve_path(loaded, "monitor.thresholds"))
     else:
         raise ConfigError("monitor.threshold_c", "need threshold_c or a thresholds table path")
-    return {"horizon": DEFAULT_HORIZON, "gamma": DEFAULT_MONITOR_GAMMA,
-            "alpha": DEFAULT_MONITOR_ALPHA,
-            **_present(cfg, "monitor", _MONITOR_FIELDS),
-            "threshold_source": source}
+    return {**settings, "threshold_source": source}
 
 
 def _iso_monday(cfg: dict, path: str) -> datetime.date:

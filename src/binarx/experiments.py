@@ -35,7 +35,7 @@ from .defaults import (
     DEFAULT_SEED,
     default_model_spec,
 )
-from .estimation import BatchFit, fit_mple, fit_mple_batch
+from .estimation import _CHUNK_ELEMENTS, BatchFit, fit_mple, fit_mple_batch
 from .exceptions import BinarxError
 from .model import (
     ModelSpec,
@@ -156,10 +156,21 @@ def _start_cdf(spec: ModelSpec) -> np.ndarray | None:
     return cdf / cdf[-1]
 
 
-def _advance(spec: ModelSpec, coef: np.ndarray, x: np.ndarray, rng: np.random.Generator):
-    """One lockstep transition of a block's chains: covariate rows, then counts."""
+def _linear_table(n: int, beta: ParamVector) -> tuple[np.ndarray, np.ndarray]:
+    """What `_advance` reads of the coefficients: phi0 + phi1 * x for x = 0..n,
+    and the covariate coefficients."""
+    coef = beta.as_array()
+    return coef[0] + coef[1] * np.arange(n + 1), coef[2:]
+
+
+def _advance(spec: ModelSpec, table, x: np.ndarray, rng: np.random.Generator):
+    """One lockstep transition of a block's chains: covariate rows, then counts.
+
+    `table` is `_linear_table` of the coefficients in force.
+    """
+    base, gamma = table
     w = spec.exo.draw(rng, x.size, spec.beta.l)
-    return w, rng.binomial(spec.n, _stable_prob(coef[0] + coef[1] * x + w @ coef[2:]))
+    return w, rng.binomial(spec.n, _stable_prob(base[x] + w @ gamma))
 
 
 def _start(spec: ModelSpec, cdf, burn_in: int, rng: np.random.Generator, size: int) -> np.ndarray:
@@ -167,9 +178,9 @@ def _start(spec: ModelSpec, cdf, burn_in: int, rng: np.random.Generator, size: i
     if cdf is not None:
         return np.searchsorted(cdf, rng.random(size), side="right")
     x = rng.binomial(spec.n, 0.5, size)
-    coef = spec.beta.as_array()
+    table = _linear_table(spec.n, spec.beta)
     for _ in range(burn_in):
-        _, x = _advance(spec, coef, x, rng)
+        _, x = _advance(spec, table, x, rng)
     return x
 
 
@@ -194,12 +205,12 @@ def _train_block(task: _BlockTask, b: int) -> tuple[np.random.Generator, np.ndar
         np.random.SeedSequence((config.master_seed, task.kind, task.m_index, b))
     )
     spec = config.spec
-    coef = spec.beta.as_array()
+    table = _linear_table(spec.n, spec.beta)
     x = np.empty((task.m + 1, size), dtype=np.min_scalar_type(spec.n))
     w = np.empty((task.m, size, spec.beta.l))
     x[0] = _start(spec, task.start_cdf, config.burn_in, rng, size)
     for t in range(task.m):
-        w[t], x[t + 1] = _advance(spec, coef, x[t], rng)
+        w[t], x[t + 1] = _advance(spec, table, x[t], rng)
     fit = fit_mple_batch(x.T, w.transpose(1, 0, 2), spec.n)
     return rng, x[-1].copy(), fit
 
@@ -382,27 +393,33 @@ class _MonitorTask(_BlockTask):
 
 
 def _monitor_block(task: _MonitorTask, b: int):
-    """One block of monitored replications, scored step by step.
+    """One block of monitored replications, scored one pass at a time.
 
     After the batched training fit, the block's chains run through the
-    horizon in lockstep (the change, if any, switching the coefficients at
-    monitored index at_k) while the running score sums, the sup of each
-    gamma's statistic and the first passages are updated in place; no
-    whole-path array is kept.  The statistic agrees with the streaming
-    monitor's to rtol 1e-10, not bit for bit: the two paths order their
-    floating-point operations differently (array against scalar logistic,
-    (A S * S).sum against S @ A @ S, and weights from numpy's vectorised
-    power against scalar pow, which differ in the last bits).  The streaming
-    path is the one pinned bit for bit.  Returns (failure class names, then
-    for the fitted reps in order: sups per gamma, first-passage indices per
-    gamma (0 means "no alarm"), post-change score drift or None, and (rep,
-    paths) for the kept reps).
+    horizon in lockstep, one `_advance` per monitored point, the change (if
+    any) switching the coefficients at monitored index at_k.  A pass keeps
+    the counts and covariate rows of up to `steps` points, then scores them
+    at once: the score increments, the running sums as a cumsum seeded with
+    the carried S, each gamma's statistic, the sups, the first passages and
+    the kept paths.  A pass ends at at_k - 1, so the change and the sum
+    before it fall on a pass boundary.  Every reduction adds in the order of
+    the per-step loop it replaced (tests/loop_reference.py), so the results
+    are the same bits.  The statistic agrees with the streaming monitor's to
+    rtol 1e-10, not bit for bit: the two paths order their floating-point
+    operations differently (array against scalar logistic, (A S * S).sum
+    against S @ A @ S, and weights from numpy's vectorised power against
+    scalar pow, which differ in the last bits).  The streaming path is the
+    one pinned bit for bit.  Returns (failure class names, then for the
+    fitted reps in order: sups per gamma, first-passage indices per gamma
+    (0 means "no alarm"), post-change score drift or None, and (rep, paths)
+    for the kept reps).
     """
     rng, x_prev, fit = _train_block(task, b)
     spec = task.config.spec
     ok = fit.ok
     size, d = fit.beta.shape
-    # Replications run along the last axis: (d, size) sums, (gammas, size) sups.
+    # Replications run along the last axis: (d, size) sums, (gammas, size) sups,
+    # and a leading axis of monitored points within a pass.
     beta = np.where(ok[:, None], fit.beta, 0.0).T
     if task.a_matrix is None:
         A = np.broadcast_to(np.eye(d), (size, d, d)).copy()
@@ -417,26 +434,43 @@ def _monitor_block(task: _MonitorTask, b: int):
     passage = np.zeros((n_gamma, size), dtype=int)
     thresholds = task.passage_thresholds
     S = np.zeros((d, size))
-    z = np.empty((d, size))
-    z[0] = 1.0
-    coef = spec.beta.as_array()
+    # Points per pass: its largest array, the (steps, d, d, size) product of a
+    # per-replication metric, holds at most a Newton chunk's entries.
+    steps = max(1, _CHUNK_ELEMENTS // (d * d * size))
+    x = np.empty((steps + 1, size), dtype=np.int64)
+    z = np.empty((steps, d, size))
+    z[:, 0] = 1.0
+    x[0] = x_prev
+    table = _linear_table(spec.n, spec.beta)
     at_k = task.change.at_k if task.change is not None else H + 1
-    for k in range(1, H + 1):
+    k = 1
+    while k <= H:
         if k == at_k:
-            coef = task.change.new_beta.as_array()
-            S_before = S.copy()
-        w, x = _advance(spec, coef, x_prev, rng)
-        z[1] = x_prev
-        z[2:] = w.T
-        S += z * (x - spec.n * expit((z * beta).sum(axis=0)))
-        AS = A @ S if A.ndim == 2 else (A * S).sum(axis=1)
-        stat = task.w2[:, k - 1, None] * (AS * S).sum(axis=0)
-        np.maximum(sups, stat, out=sups)
+            table = _linear_table(spec.n, task.change.new_beta)
+            S_before = S
+        end = min(k + steps, at_k if k < at_k else H + 1, H + 1)
+        pts = end - k
+        for t in range(pts):
+            w, x[t + 1] = _advance(spec, table, x[t], rng)
+            z[t, 2:] = w.T
+        z[:pts, 1] = x[:pts]
+        eta = (z[:pts] * beta).sum(axis=1)
+        path = z[:pts] * (x[1:pts + 1] - spec.n * expit(eta))[:, None]
+        path[0] += S
+        np.cumsum(path, axis=0, out=path)
+        AS = A @ path if A.ndim == 2 else (A * path[:, None]).sum(axis=2)
+        AS *= path
+        stat = task.w2[:, k - 1:end - 1, None] * AS.sum(axis=1)
+        np.maximum(sups, stat.max(axis=1), out=sups)
         if thresholds is not None:
-            passage[(stat >= thresholds[:, None]) & (passage == 0)] = k
+            hit = stat >= thresholds[:, None, None]
+            first = (passage == 0) & hit.any(axis=1)
+            passage[first] = k + hit.argmax(axis=1)[first]
         if n_keep:
-            paths[:, :, k - 1] = stat[:, :n_keep].T
-        x_prev = x
+            paths[:, :, k - 1:end - 1] = stat[:, :, :n_keep].transpose(2, 0, 1)
+        S = path[-1].copy()
+        x[0] = x[pts]
+        k = end
     drift = None
     if task.change is not None:
         drift = ((S - S_before) / (H - at_k + 1)).T[ok]

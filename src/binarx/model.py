@@ -14,6 +14,7 @@ small-instance stationary-distribution oracle for cross-checking simulations.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import itertools
 import math
@@ -109,7 +110,7 @@ class ExogenousSpec:
         if l == 0:
             return np.empty((size, 0), dtype=float)
         raw = rng.normal(self.mean, self.sd, size=(size, l))
-        return np.minimum(np.maximum(raw, self.clamp_lo), self.clamp_hi)
+        return np.minimum(np.maximum(raw, self.clamp_lo, out=raw), self.clamp_hi, out=raw)
 
 
 @dataclass(frozen=True)
@@ -162,9 +163,10 @@ class SeriesSample:
         return self.w.shape[1]
 
 
-def _stable_prob(eta):
-    """Logistic probability, clipped strictly inside (0, 1) in float64."""
-    return np.minimum(np.maximum(expit(eta), _PROB_FLOOR), _PROB_CEIL)
+def _stable_prob(eta: np.ndarray) -> np.ndarray:
+    """Logistic probability of an array, clipped strictly inside (0, 1) in float64."""
+    p = expit(eta)
+    return np.minimum(np.maximum(p, _PROB_FLOOR, out=p), _PROB_CEIL, out=p)
 
 
 def _clamp_prob(p: float) -> float:
@@ -177,23 +179,14 @@ def log_binom(n, x):
     return gammaln(n + 1) - gammaln(x + 1) - gammaln(n - x + 1)
 
 
-def _scalar_prob(eta: float) -> float:
-    # Overflow-safe scalar logistic for the simulation hot loop.
-    if eta >= 0.0:
-        p = 1.0 / (1.0 + math.exp(-eta))
-    else:
-        e = math.exp(eta)
-        p = e / (1.0 + e)
-    return _clamp_prob(p)
-
-
 def simulate_chain(
     spec: ModelSpec, length: int, rng: np.random.Generator, x0: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Advance the chain `length` steps from x0 with an existing generator.
 
     Draws the covariate block first (one vectorized normal draw), then the
-    binomial transitions.  Returns (x, w) with x of length `length` + 1.
+    binomial transitions, one scalar draw each.  Returns (x, w) with x of
+    length `length` + 1.
     """
     if not 0 <= x0 <= spec.n:
         raise ValueError(f"initial state {x0} outside {{0..{spec.n}}}")
@@ -201,16 +194,21 @@ def simulate_chain(
     w = spec.exo.draw(rng, length, b.l)
     # Exogenous part of the linear predictor, precomputed for the whole path.
     offset = b.phi0 + (w @ np.asarray(b.gamma_exo) if b.l else np.zeros(length))
-    x = np.empty(length + 1, dtype=np.int64)
-    x[0] = x0
-    n = spec.n
-    phi1 = b.phi1
+    n, phi1, binomial = spec.n, b.phi1, rng.binomial
     state = int(x0)
-    for t in range(length):
-        p = _scalar_prob(offset[t] + phi1 * state)
-        state = int(rng.binomial(n, p))
-        x[t + 1] = state
-    return x, w
+    states = [state]
+    # A memoryview yields Python floats one at a time, without a list of all.
+    for off in memoryview(offset):
+        # An overflow-safe logistic, then _clamp_prob's clip.
+        eta = off + phi1 * state
+        if eta >= 0.0:
+            p = 1.0 / (1.0 + math.exp(-eta))
+        else:
+            e = math.exp(eta)
+            p = e / (1.0 + e)
+        state = binomial(n, _PROB_FLOOR if p < _PROB_FLOOR else _PROB_CEIL if p > _PROB_CEIL else p)
+        states.append(state)
+    return np.array(states, dtype=np.int64), w
 
 
 def simulate_series(
@@ -246,6 +244,15 @@ def _norm_cdf(z: float) -> float:
     return 0.5 * math.erfc(-z / math.sqrt(2.0))
 
 
+@functools.cache
+def _legendre(nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-1, 1], read-only, computed once per process."""
+    gx, gw = leggauss(nodes)
+    gx.setflags(write=False)
+    gw.setflags(write=False)
+    return gx, gw
+
+
 def _coordinate_quadrature(exo: ExogenousSpec, nodes: int) -> tuple[np.ndarray, np.ndarray]:
     """Quadrature for one clamped-normal coordinate: points and weights.
 
@@ -260,7 +267,7 @@ def _coordinate_quadrature(exo: ExogenousSpec, nodes: int) -> tuple[np.ndarray, 
     pts = [lo, hi]
     wts = [_norm_cdf((lo - mean) / sd), 1.0 - _norm_cdf((hi - mean) / sd)]
     if a < b:
-        gx, gw = leggauss(nodes)
+        gx, gw = _legendre(nodes)
         interior = 0.5 * (b - a) * gx + 0.5 * (b + a)
         density = np.exp(-0.5 * ((interior - mean) / sd) ** 2) / (sd * math.sqrt(2 * math.pi))
         pts = list(interior) + pts
@@ -334,9 +341,9 @@ def _read_plain(fh):
     """(x, w) of a plain series file, or None for the row loop to read it.
 
     Plain means: header t,x,w1..wl, a count-only first row with t <= 0, then
-    a non-empty body of rows with t >= 1 and l finite covariates.  The header
-    and first row go through csv and int() as in the row loop; numpy's C
-    reader parses the body.  On a body it accepts, it reads what int() and
+    a non-empty body of rows t = 1..T with l finite covariates, and no
+    negative count.  The header and first row go through csv and int() as
+    in the row loop; numpy's C reader parses the body.  On a body it accepts, it reads what int() and
     float() read: its int parser takes a subset of int()'s syntax, its float
     parser gives float()'s bits, both skip blank lines, and a cell it refuses
     returns None.  Its one laxity, taking \\x1c-\\x1f for whitespace, is
@@ -359,9 +366,11 @@ def _read_plain(fh):
         )
     except (ValueError, IndexError, OverflowError):
         return None
-    if rows["t"].min() < 1 or not np.isfinite(rows["w"]).all():
+    x = np.concatenate((x0, rows["x"]))
+    in_sequence = (rows["t"] == np.arange(1, x.size)).all()
+    if not in_sequence or x.min() < 0 or not np.isfinite(rows["w"]).all():
         return None
-    return np.concatenate((x0, rows["x"])), rows["w"]
+    return x, rows["w"]
 
 
 def read_series_csv(path) -> SeriesSample:
@@ -370,8 +379,9 @@ def read_series_csv(path) -> SeriesSample:
     A plain file (see `_read_plain`) is parsed in C; the row loop below
     reads any other and would give the same sample for a plain one.  It
     raises ValueError naming the file and the row t for a count that is not
-    an integer, a covariate that is not a finite number, or a row with the
-    wrong number of cells.
+    a non-negative integer, a covariate that is not a finite number, a row
+    with the wrong number of cells, or a t out of sequence: the first row
+    has t <= 0 and the rows after it t = 1, 2, ... in order.
     """
     with open(path, newline="") as fh:
         plain = _read_plain(fh)
@@ -384,7 +394,6 @@ def read_series_csv(path) -> SeriesSample:
             raise ValueError(f"{path}: expected header t,x,w1,...  got {header!r}")
         l = len(header) - 2
         xs: list[int] = []
-        ts: list[int] = []
         ws: list[list[float]] = []
         row = header
         try:
@@ -392,17 +401,24 @@ def read_series_csv(path) -> SeriesSample:
                 if not row:
                     continue
                 t = int(row[0])
+                if xs and t != len(xs):
+                    raise ValueError(f"expected t={len(xs)}")
+                if not xs and t > 0:
+                    raise ValueError("expected a first row with t <= 0")
                 if len(row) != l + 2 and (t > 0 or len(row) < 2):
                     raise ValueError(f"expected {l + 2} cells, got {len(row)}")
                 xs.append(int(row[1]))
+                if xs[-1] < 0:
+                    raise ValueError(f"count {xs[-1]} is negative")
                 if t > 0:
-                    ts.append(t)
                     ws.append([float(v) for v in row[2:]])
         except ValueError as exc:
             raise ValueError(f"{path}: row t={row[0]}: {exc}") from None
+    if not xs:
+        raise ValueError(f"{path}: no rows after the header")
     w = np.array(ws, dtype=float).reshape(len(ws), l)
     finite = np.isfinite(w).all(axis=1)
     if not finite.all():
         bad = int(np.argmin(finite))
-        raise ValueError(f"{path}: row t={ts[bad]}: covariates {w[bad].tolist()} are not finite")
+        raise ValueError(f"{path}: row t={bad + 1}: covariates {w[bad].tolist()} are not finite")
     return SeriesSample(x=np.array(xs, dtype=np.int64), w=w)

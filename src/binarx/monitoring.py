@@ -19,7 +19,7 @@ from functools import cached_property
 import numpy as np
 from scipy.special import expit
 
-from .calibration import ThresholdTable, _check_gamma, horizon_steps
+from .calibration import ThresholdTable, _check_alpha, _check_gamma, horizon_steps
 from .estimation import fit_mple
 from .exceptions import MonitoringTerminatedError
 from .model import ParamVector, SeriesSample, _clamp_prob
@@ -78,8 +78,7 @@ class MonitorConfig:
         if self.horizon_steps < 1:
             raise ValueError(f"horizon {self.horizon} leaves no monitored point at m={self.m}")
         _check_gamma(self.gamma)
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError("alpha must lie in (0, 1)")
+        _check_alpha(self.alpha)
         if not self.threshold_c > 0:
             raise ValueError("threshold must be positive")
         A = np.asarray(self.a_matrix, dtype=float)

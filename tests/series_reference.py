@@ -1,7 +1,8 @@
 """The series-CSV row loop, frozen as the reference for `read_series_csv`.
 
 This is the reader as it stood before plain files were parsed by numpy: one
-csv row, one int() and one float() per cell.  `read_series_csv` must return
+csv row, one int() and one float() per cell, with the checks on the t
+sequence and on negative counts added since.  `read_series_csv` must return
 the same sample for every file this accepts and raise the same ValueError
 text for every file it refuses.
 """
@@ -29,14 +30,22 @@ def read_series_rows(path) -> SeriesSample:
                 if not row:
                     continue
                 t = int(row[0])
+                if xs and t != len(xs):
+                    raise ValueError(f"expected t={len(xs)}")
+                if not xs and t > 0:
+                    raise ValueError("expected a first row with t <= 0")
                 if len(row) != l + 2 and (t > 0 or len(row) < 2):
                     raise ValueError(f"expected {l + 2} cells, got {len(row)}")
                 xs.append(int(row[1]))
+                if xs[-1] < 0:
+                    raise ValueError(f"count {xs[-1]} is negative")
                 if t > 0:
                     ts.append(t)
                     ws.append([float(v) for v in row[2:]])
         except ValueError as exc:
             raise ValueError(f"{path}: row t={row[0]}: {exc}") from None
+    if not xs:
+        raise ValueError(f"{path}: no rows after the header")
     w = np.array(ws, dtype=float).reshape(len(ws), l)
     finite = np.isfinite(w).all(axis=1)
     if not finite.all():

@@ -348,6 +348,26 @@ def test_config_unknown_keys_name_the_field(tmp_path, capsys, command, section, 
      "simulate.init: initial state -1 outside {0..10}"),
     ("experiment", {"experiment": {"kind": "size", "emit_traces": -1}},
      "experiment.emit_traces: must be >= 0, got -1"),
+    ("monitor", {"monitor": {"threshold_c": 7.0, "gamma": 0.7}},
+     "monitor.gamma: gamma must lie in [0, 0.5), got 0.7"),
+    ("monitor", {"monitor": {"threshold_c": 7.0, "alpha": 1.5}},
+     "monitor.alpha: alpha must lie in (0, 1), got 1.5"),
+    ("monitor", {"monitor": {"threshold_c": 7.0, "horizon": -1}},
+     "monitor.horizon: must be > 0, got -1.0"),
+    ("monitor", {"monitor": {"threshold_c": -7}}, "monitor.threshold_c: must be > 0, got -7.0"),
+    ("experiment", {"experiment": {"kind": "size", "gammas": [0.9]}},
+     "experiment.gammas: gamma must lie in [0, 0.5), got 0.9"),
+    ("experiment", {"experiment": {"kind": "size", "alphas": [0.0]}},
+     "experiment.alphas: alpha must lie in (0, 1), got 0.0"),
+    ("experiment", {"experiment": {"kind": "size", "horizon": 0.001, "m_list": [100]}},
+     "experiment.horizon: 0.001 leaves no monitored point at m=100"),
+    ("experiment", {"experiment": {"kind": "power", "m_list": [100], "horizon": 1.0,
+                                   "change": {"at_k": 101, "beta": [-1, 0.1, 0.4]}}},
+     "experiment.change.at_k: 101 is beyond the horizon 100 at m=100"),
+    ("calibrate", {"calibrate": {"gammas": [0.5]}},
+     "calibrate.gammas: gamma must lie in [0, 0.5), got 0.5"),
+    ("calibrate", {"calibrate": {"alphas": [1.0]}},
+     "calibrate.alphas: alpha must lie in (0, 1), got 1.0"),
 ])
 def test_config_out_of_range_values_name_the_field(tmp_path, capsys, command, section, message):
     cfg = _write_config(tmp_path / "cfg.json", {"model": MODEL_SECTION, **section})

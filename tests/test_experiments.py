@@ -38,6 +38,8 @@ from binarx.experiments import (
     write_report,
 )
 from binarx.model import ExogenousSpec, SeriesSample, stationary_oracle
+from binarx.monitoring import weight
+from loop_reference import monitor_block as per_step_monitor_block
 from streaming_reference import state_with_metric
 
 SPEC = default_model_spec()
@@ -330,7 +332,7 @@ def test_change_stream_shape_and_shift():
 
 @pytest.mark.parametrize("a_source", ["training", "aux"])
 def test_streamed_statistic_matches_monitor_update(small_table, a_source):
-    # The block engine scores the horizon step by step; a kept replication's
+    # The block engine scores the horizon in passes; a kept replication's
     # path must equal the streaming monitor fed the same observations.
     cfg = ExperimentConfig(
         m_list=(100,), reps=3, gammas=(0.0, 0.4), alphas=(0.05,), master_seed=29,
@@ -350,6 +352,44 @@ def test_streamed_statistic_matches_monitor_update(small_table, a_source):
             state = state_with_metric(training, SPEC.n, 3.0, g, a_matrix)
         stats = [monitor_update(state, x[100 + k, rep], w[99 + k, rep])[1] for k in range(1, 301)]
         np.testing.assert_allclose(path, stats, rtol=1e-10)
+
+
+# (points per pass, reps, change index, metric source, traces kept); m = 12
+# gives a horizon H of 36.  None keeps the pass length the block size gives.
+@pytest.mark.parametrize("steps, reps, at_k, a_source, emit_traces", [
+    pytest.param(5, 8, None, "aux", 3, id="H-not-a-multiple-of-the-pass"),
+    pytest.param(50, 8, None, "aux", 3, id="H-below-one-pass"),
+    pytest.param(5, 8, 1, "aux", 2, id="change-at-1"),
+    pytest.param(5, 8, 36, "aux", 2, id="change-at-H"),
+    pytest.param(5, 8, 6, "aux", 2, id="change-on-a-pass-boundary"),
+    pytest.param(5, 8, 5, "aux", 0, id="change-before-a-pass-boundary"),
+    pytest.param(5, 8, 7, "aux", 0, id="change-after-a-pass-boundary"),
+    pytest.param(5, 8, 7, "training", 2, id="training-metric"),
+    pytest.param(None, BLOCK_SIZE + 3, 30, "training", BLOCK_SIZE + 2, id="traces-span-two-blocks"),
+])
+def test_monitor_block_passes_match_the_per_step_loop(monkeypatch, steps, reps, at_k, a_source,
+                                                      emit_traces):
+    d = SPEC.beta.dim
+    if steps is not None:
+        monkeypatch.setattr(experiments, "_CHUNK_ELEMENTS", steps * d * d * reps)
+    change = None if at_k is None else ChangePoint(at_k, ParamVector(-0.7, 0.1, (0.4,)))
+    cfg = ExperimentConfig(m_list=(12,), reps=reps, master_seed=41, a_source=a_source,
+                           emit_traces=emit_traces)
+    H = 36
+    w2 = np.array([weight(12, np.arange(1, H + 1), g) ** 2 for g in cfg.gammas])
+    a_matrix = None if a_source == "training" else _aux_metric(cfg, _start_cdf(SPEC))
+    task = experiments._MonitorTask(cfg, 12, 4, 0, _start_cdf(SPEC), w2, a_matrix, change,
+                                    np.array([4.0, 8.0, 16.0]))
+    for b in range(-(-reps // BLOCK_SIZE)):
+        got, want = experiments._monitor_block(task, b), per_step_monitor_block(task, b)
+        assert got[0] == want[0]
+        for i in (1, 2, 3):
+            np.testing.assert_array_equal(got[i], want[i])
+        assert [rep for rep, _ in got[4]] == [rep for rep, _ in want[4]]
+        for (_, g), (_, w) in zip(got[4], want[4]):
+            np.testing.assert_array_equal(g, w)
+        assert (got[2] > 0).any()
+        assert len(got[4]) == min(max(0, emit_traces - b * BLOCK_SIZE), got[1].shape[0])
 
 
 def test_failures_by_class_in_metadata(tmp_path):

@@ -16,6 +16,7 @@ from binarx.model import (
 )
 # The monitor's logistic and regressor live inline in monitor_update; these
 # tests pin the reference copies that its exact-bit tests compare against.
+from loop_reference import simulate_chain as scalar_simulate_chain
 from series_reference import outcome, read_series_rows
 from streaming_reference import build_regressor, success_prob
 
@@ -118,6 +119,32 @@ def test_simulate_logistic_saturation():
     assert np.all(sample.x[1:] == 10)
 
 
+# Covariates near 100: a coefficient of -20 or 20 puts every linear
+# predictor near -2000 or 2000, where the clip to (0, 1) decides p.
+_FAR_EXO = ExogenousSpec(mean=100.0, sd=0.1, clamp_lo=0.0, clamp_hi=200.0)
+
+
+@pytest.mark.parametrize("beta, exo, x0, eta_in", [
+    pytest.param((-1.0, 0.3), ExogenousSpec(), 0, (-1.0, 2.0), id="l=0"),
+    pytest.param((-1.0, 0.1, 0.4, -0.3), ExogenousSpec(mean=2.0, sd=1.5), 5, (-6.0, 6.0),
+                 id="l=2"),
+    pytest.param((0.0, 0.1, -20.0), _FAR_EXO, 10, (-math.inf, -746.0), id="floor"),
+    pytest.param((0.0, 0.1, 20.0), _FAR_EXO, 0, (40.0, math.inf), id="ceiling"),
+])
+def test_simulate_chain_matches_scalar_loop(beta, exo, x0, eta_in):
+    spec = ModelSpec(n=10, beta=ParamVector.from_array(beta), exo=exo)
+    x, w = model.simulate_chain(spec, 3000, np.random.default_rng(8), x0)
+    want_x, want_w = scalar_simulate_chain(spec, 3000, np.random.default_rng(8), x0)
+    assert x.dtype == want_x.dtype
+    np.testing.assert_array_equal(x, want_x)
+    np.testing.assert_array_equal(w, want_w)
+    # The linear predictors span the range each case is meant to cover.
+    eta = beta[0] + beta[1] * x[:-1] + w @ np.array(beta[2:])
+    assert eta_in[0] <= eta.min() and eta.max() <= eta_in[1]
+    if math.isinf(eta_in[0]) == math.isinf(eta_in[1]):
+        assert eta.min() < 0 < eta.max()
+
+
 def test_simulate_matches_oracle_mean():
     spec = default_model_spec()
     _, mu = stationary_oracle(spec)
@@ -184,11 +211,24 @@ def test_series_csv_round_trip_no_exo(tmp_path):
 @pytest.mark.parametrize(
     "row, message",
     [("2,3.7,1.0", r"row t=2: .*3\.7"), ("2,3,nan", r"row t=2: covariates \[nan\] are not finite"),
-     ("2,3,-inf", r"row t=2: covariates \[-inf\] are not finite"), ("2,3", r"row t=2: expected 3 cells")],
+     ("2,3,-inf", r"row t=2: covariates \[-inf\] are not finite"), ("2,3", r"row t=2: expected 3 cells"),
+     ("2,-1,1.0", r"row t=2: count -1 is negative"), ("1,3,1.0", r"row t=1: expected t=2"),
+     ("7,3,1.0", r"row t=7: expected t=2"), ("0,3,", r"row t=0: expected t=2")],
 )
 def test_series_csv_bad_rows_name_file_and_row(tmp_path, row, message):
     path = tmp_path / "series.csv"
     path.write_text(f"t,x,w1\n0,4,\n1,5,1.0\n{row}\n3,4,1.1\n")
+    with pytest.raises(ValueError, match=rf"series\.csv: {message}"):
+        read_series_csv(path)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("t,x,w1\n1,5,1.0\n2,3,0.9\n", r"row t=1: expected a first row with t <= 0"),
+    ("t,x,w1\n\n", r"no rows after the header"),
+])
+def test_series_csv_without_a_start_row_names_the_file(tmp_path, text, message):
+    path = tmp_path / "series.csv"
+    path.write_text(text)
     with pytest.raises(ValueError, match=rf"series\.csv: {message}"):
         read_series_csv(path)
 
@@ -225,7 +265,11 @@ _HEAD = "t,x,w1\n0,4,\n"
         pytest.param(_HEAD + "a,3,1.0\n", False, id="non-integer-t"),
         pytest.param(_HEAD + "1,5,1.0\n2,3\n", False, id="short-row"),
         pytest.param(_HEAD + "1,5,1.0,7\n", False, id="long-row"),
-        pytest.param(_HEAD + "1,-1,1.0\n", True, id="negative-count"),
+        pytest.param(_HEAD + "1,-1,1.0\n", False, id="negative-count"),
+        pytest.param("t,x,w1\n0,-4,\n1,5,1.0\n", False, id="negative-t0-count"),
+        pytest.param(_HEAD + "1,5,1.0\n1,3,0.9\n7,3,0.9\n", False, id="repeated-t"),
+        pytest.param(_HEAD + "1,5,1.0\n3,3,0.9\n", False, id="skipped-t"),
+        pytest.param(_HEAD + "2,5,1.0\n1,3,0.9\n", False, id="descending-t"),
         pytest.param("t,x\n0,4\n1,5\n2,3\n", True, id="l=0"),
         pytest.param("t,x,a,b\n0,4,,\n1,5,1.0,2.0\n", True, id="l=2"),
         pytest.param("t,x,w1\n0,4,,9\n1,5,1.0\n", True, id="long-t0-row"),

@@ -4,10 +4,12 @@ The workflows are README's quick start, the benchmark's child process
 (`perfbench/child.py`: its API_NAMES and every `binarx.<Name>`) and the
 golden-digest tool.  They are read with `ast`, so a trim of the export list
 that would break one of them fails here first.  The exception classes are
-exported too.
+exported too.  The module attributes that the benchmark's traced run patches
+must exist as well.
 """
 
 import ast
+import importlib
 import importlib.util
 import types
 from pathlib import Path
@@ -67,3 +69,17 @@ def test_exports_are_the_workflow_names_and_the_exceptions():
     exported = {n for n, v in vars(binarx).items()
                 if not n.startswith("_") and not isinstance(v, types.ModuleType)}
     assert exported == used | errors
+
+
+def test_every_attribute_the_traced_benchmark_patches_exists():
+    # child.py patches `tracer.patch(<binarx module>, "<name>", ...)`; a
+    # missing name would fail only the traced benchmark run.
+    tree = ast.parse((ROOT / "perfbench" / "child.py").read_text())
+    targets = {(node.args[0].id, node.args[1].value) for node in ast.walk(tree)
+               if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+               and node.func.attr == "patch" and isinstance(node.func.value, ast.Name)
+               and node.func.value.id == "tracer"}
+    assert ("experiments", "simulate_chain") in targets
+    missing = sorted(f"binarx.{module}.{name}" for module, name in targets
+                     if not hasattr(importlib.import_module(f"binarx.{module}"), name))
+    assert not missing, f"perfbench/child.py patches {missing}"
