@@ -33,20 +33,25 @@ from .defaults import (
     DEFAULT_HORIZON,
     DEFAULT_SEED,
 )
-from .exceptions import ThresholdUnavailableError
+from .exceptions import ConfigError, ThresholdUnavailableError
 from ._parallel import map_over_reps
 
 _TABLE_HEADER = ("gamma", "alpha", "c", "reps", "grid_m", "N", "seed")
 
 
-def _check_gamma(gamma: float) -> None:
+def _check_gamma(gamma: float, field: str = "gamma") -> None:
     if not 0.0 <= gamma < 0.5:
-        raise ValueError(f"gamma must lie in [0, 0.5), got {gamma}")
+        raise ConfigError(field, f"gamma must lie in [0, 0.5), got {gamma}")
 
 
-def _check_alpha(alpha: float) -> None:
+def _check_alpha(alpha: float, field: str = "alpha") -> None:
     if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
+        raise ConfigError(field, f"alpha must lie in (0, 1), got {alpha}")
+
+
+def _check_positive(value: float, field: str) -> None:
+    if not value > 0:
+        raise ConfigError(field, f"must be > 0, got {value}")
 
 
 def rho(s, gamma: float):
@@ -68,6 +73,15 @@ def horizon_steps(horizon: float, per_unit: int) -> int:
     return int(np.floor(horizon * per_unit + 1e-9))
 
 
+def monitored_points(horizon: float, m: int) -> int:
+    """Monitored points floor(N * m) of a monitor trained on m points; a
+    horizon that holds none would end every run without a look."""
+    steps = horizon_steps(horizon, m)
+    if steps < 1:
+        raise ConfigError("horizon", f"{horizon} leaves no monitored point at m={m}")
+    return steps
+
+
 @dataclass(frozen=True)
 class CalibrationConfig:
     """Settings for one threshold computation.
@@ -85,18 +99,14 @@ class CalibrationConfig:
     master_seed: int = DEFAULT_SEED
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise ValueError("dim must be >= 1")
-        if self.grid_m < 100:
-            raise ValueError("grid_m must be >= 100")
-        if self.reps < 100:
-            raise ValueError("reps must be >= 100")
-        if self.horizon <= 0:
-            raise ValueError("horizon must be > 0")
+        for name, low in (("dim", 1), ("grid_m", 100), ("reps", 100)):
+            if getattr(self, name) < low:
+                raise ConfigError(name, f"must be >= {low}, got {getattr(self, name)}")
+        _check_positive(self.horizon, "horizon")
         for g in self.gammas:
-            _check_gamma(g)
+            _check_gamma(g, "gammas")
         for a in self.alphas:
-            _check_alpha(a)
+            _check_alpha(a, "alphas")
 
     @property
     def steps(self) -> int:

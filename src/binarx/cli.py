@@ -123,7 +123,8 @@ def _cmd_monitor(loaded, out: Path, quiet: bool) -> int:
     settings = cfgmod.parse_monitor(loaded)
     training = read_series_csv(cfgmod.resolve_path(loaded, "monitor.training"))
     stream_path = cfgmod.resolve_path(loaded, "monitor.stream")
-    state = monitor_init(training, spec.n, **settings)
+    with cfgmod.in_section("monitor"):
+        state = monitor_init(training, spec.n, **settings)
     try:
         with open(stream_path, newline="") as fh:
             result = monitor_run(state, _stream_rows(fh, training.l + 2))

@@ -2,15 +2,19 @@
 
 One documented schema covers all subcommands; each reads only its own
 section plus the shared `model`, `seed`, and `threads` keys.  A key the
-schema does not know, in any section, is a config error naming it.
-Relative file paths inside a config resolve against the config file's
-directory.  The --seed and --threads flags override the config.
+schema does not know, in any section, is a config error naming it.  This
+module reads each value with its type; the range rules live in the types
+that store the values, which raise ConfigError naming the field, and
+`in_section` puts the section in front.  Relative file paths inside a
+config resolve against the config file's directory.  The --seed and
+--threads flags override the config.
 """
 
 from __future__ import annotations
 
 import datetime
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -18,7 +22,7 @@ from .calibration import (
     CalibrationConfig,
     _check_alpha,
     _check_gamma,
-    horizon_steps,
+    _check_positive,
     read_threshold_table,
 )
 from .defaults import (
@@ -87,6 +91,8 @@ def load_config(path, seed_override=None, threads_override=None) -> LoadedConfig
         seed = int(seed_override)
     if threads_override is not None:
         threads = int(threads_override)
+    if seed < 0:
+        raise ConfigError("seed", f"must be >= 0, got {seed}")
     if threads < 1:
         raise ConfigError("threads", "must be >= 1")
     return LoadedConfig(raw=raw, base_dir=path.parent, seed=seed, threads=threads)
@@ -154,13 +160,14 @@ def _present(cfg: dict, section: str, fields: dict) -> dict:
             for key, kind in fields.items() if node.get(key) is not None}
 
 
-def _check_each(path: str, check, values) -> None:
-    """Run a model-side range check on each value; its ValueError names the field `path`."""
+@contextmanager
+def in_section(name: str):
+    """Put section `name` in front of the field a type's ConfigError names.
+    Typed reads stay outside: they name the whole path already."""
     try:
-        for value in values:
-            check(value)
-    except ValueError as exc:
-        raise ConfigError(path, str(exc)) from None
+        yield
+    except ConfigError as exc:
+        raise ConfigError(f"{name}.{exc.path}", exc.reason) from None
 
 
 def _opt_int(cfg: dict, path: str, default: int) -> int:
@@ -175,11 +182,11 @@ def parse_model(loaded: LoadedConfig) -> tuple[ModelSpec, int]:
         return default_model_spec(), DEFAULT_BURN_IN
     n = _typed(cfg, "model.n", int)
     beta = _typed(cfg, "model.beta", (float,))
-    exo = _present(cfg, "model.exo", _EXO_FIELDS)
-    try:
-        spec = ModelSpec(n=n, beta=ParamVector.from_array(beta), exo=ExogenousSpec(**exo))
-    except ValueError as exc:
-        raise ConfigError("model", str(exc)) from None
+    exo_fields = _present(cfg, "model.exo", _EXO_FIELDS)
+    with in_section("model.exo"):
+        exo = ExogenousSpec(**exo_fields)
+    with in_section("model"):
+        spec = ModelSpec(n=n, beta=ParamVector.from_array(beta), exo=exo)
     burn_in = _opt_int(cfg, "model.burn_in", DEFAULT_BURN_IN)
     if burn_in < 0:
         raise ConfigError("model.burn_in", "must be >= 0")
@@ -206,13 +213,9 @@ def resolve_path(loaded: LoadedConfig, key: str) -> Path:
 def parse_calibrate(loaded: LoadedConfig) -> CalibrationConfig:
     """The `calibrate` section; the score dimension is the model's."""
     fields = _present(loaded.raw, "calibrate", _CALIBRATE_FIELDS)
-    _check_each("calibrate.gammas", _check_gamma, fields.get("gammas", ()))
-    _check_each("calibrate.alphas", _check_alpha, fields.get("alphas", ()))
-    try:
-        return CalibrationConfig(dim=parse_model(loaded)[0].beta.dim, **fields,
-                                 master_seed=loaded.seed)
-    except ValueError as exc:
-        raise ConfigError("calibrate", str(exc)) from None
+    dim = parse_model(loaded)[0].beta.dim
+    with in_section("calibrate"):
+        return CalibrationConfig(dim=dim, **fields, master_seed=loaded.seed)
 
 
 def parse_experiment(loaded: LoadedConfig) -> tuple[str, ExperimentConfig]:
@@ -228,54 +231,34 @@ def parse_experiment(loaded: LoadedConfig) -> tuple[str, ExperimentConfig]:
     if "change" in section:
         at_k = _typed(cfg, "experiment.change.at_k", int)
         new_beta = _typed(cfg, "experiment.change.beta", (float,))
-        try:
+        with in_section("experiment.change"):
             change = ChangePoint(at_k=at_k, new_beta=ParamVector.from_array(new_beta))
-        except ValueError as exc:
-            raise ConfigError("experiment.change", str(exc)) from None
+    elif kind == "power":
+        raise ConfigError("experiment.change", "required for the power experiment")
     thresholds = None
     if "thresholds" in section:
         thresholds = read_threshold_table(resolve_path(loaded, "experiment.thresholds"))
     fields = {**EXPERIMENT_DEFAULTS[kind], **_present(cfg, "experiment", _EXPERIMENT_FIELDS)}
-    if fields.get("emit_traces", 0) < 0:
-        raise ConfigError("experiment.emit_traces", f"must be >= 0, got {fields['emit_traces']}")
-    try:
-        exp = ExperimentConfig(spec=spec, change=change, master_seed=loaded.seed, burn_in=burn_in,
-                               thresholds=thresholds, **fields)
-    except ValueError as exc:
-        raise ConfigError("experiment", str(exc)) from None
-    if kind == "power" and exp.change is None:
-        raise ConfigError("experiment.change", "required for the power experiment")
-    _check_each("experiment.gammas", _check_gamma, exp.gammas)
-    _check_each("experiment.alphas", _check_alpha, exp.alphas)
-    if kind in ("size", "power"):
-        for m in exp.m_list:
-            H = horizon_steps(exp.horizon, m)
-            if H < 1:
-                raise ConfigError("experiment.horizon",
-                                  f"{exp.horizon} leaves no monitored point at m={m}")
-            if exp.change is not None and exp.change.at_k > H:
-                raise ConfigError("experiment.change.at_k",
-                                  f"{exp.change.at_k} is beyond the horizon {H} at m={m}")
-    return kind, exp
+    with in_section("experiment"):
+        return kind, ExperimentConfig(spec=spec, change=change, master_seed=loaded.seed,
+                                      burn_in=burn_in, thresholds=thresholds, **fields)
 
 
 def parse_monitor(loaded: LoadedConfig) -> dict:
     """monitor_init keywords from the `monitor` section: horizon, gamma, alpha
     and threshold_source (a critical value or a threshold table).  Whether
     the horizon holds a monitored point depends on the training length, and
-    is checked when the monitor is built."""
+    MonitorConfig checks it when the monitor is built."""
     cfg = loaded.raw
     section = _get(cfg, "monitor")
     settings = {"horizon": DEFAULT_HORIZON, "gamma": DEFAULT_MONITOR_GAMMA,
                 "alpha": DEFAULT_MONITOR_ALPHA, **_present(cfg, "monitor", _MONITOR_FIELDS)}
-    if not settings["horizon"] > 0:
-        raise ConfigError("monitor.horizon", f"must be > 0, got {settings['horizon']}")
-    _check_each("monitor.gamma", _check_gamma, [settings["gamma"]])
-    _check_each("monitor.alpha", _check_alpha, [settings["alpha"]])
+    _check_positive(settings["horizon"], "monitor.horizon")
+    _check_gamma(settings["gamma"], "monitor.gamma")
+    _check_alpha(settings["alpha"], "monitor.alpha")
     if "threshold_c" in section:
         source = _typed(cfg, "monitor.threshold_c", float)
-        if not source > 0:
-            raise ConfigError("monitor.threshold_c", f"must be > 0, got {source}")
+        _check_positive(source, "monitor.threshold_c")
     elif "thresholds" in section:
         source = read_threshold_table(resolve_path(loaded, "monitor.thresholds"))
     else:

@@ -162,15 +162,13 @@ def _narrow(keep: np.ndarray, *arrays):
     return tuple(a[keep] for a in arrays)
 
 
-def _newton(Z: np.ndarray, y: np.ndarray, spec_n: int,
-            log_pl_trace: list | None = None) -> BatchFit:
+def _newton(Z: np.ndarray, y: np.ndarray, spec_n: int) -> BatchFit:
     """Damped Newton from beta = 0 for each of the c stacked series at once.
 
     Z is (c, m, d) and y is (c, m).  Every replication keeps its own
     convergence, step-halving, box and condition-limit state; a replication
     leaves the active set when it converges, stalls below _STEP_TOL, or
-    fails.  When a list is passed as `log_pl_trace`, the accepted log-PL
-    values of a batch of one are appended to it, one per iteration.
+    fails.
     """
     c, m, d = Z.shape
     errors: list = [None] * c
@@ -188,8 +186,6 @@ def _newton(Z: np.ndarray, y: np.ndarray, spec_n: int,
         errors[i] = SeparationError("all responses at the same boundary; the MPLE diverges")
     beta = np.zeros((c, d))
     lp, eta = log_pl_at(Z, y, log_coef, beta)
-    if log_pl_trace is not None:
-        log_pl_trace.append(float(lp[0]))
     iterations = np.zeros(c, dtype=int)
     hit_boundary = np.zeros(c, dtype=bool)
     act = np.array([i for i, e in enumerate(errors) if e is None], dtype=int)
@@ -235,8 +231,6 @@ def _newton(Z: np.ndarray, y: np.ndarray, spec_n: int,
         hit_boundary[act] |= np.any(cand != b0 + scale[:, None] * step, axis=1)
         stalled = np.abs(cand - b0).max(axis=1) < _STEP_TOL
         beta[act], lp[act], eta[act] = cand, lp_cand, eta_cand
-        if log_pl_trace is not None:
-            log_pl_trace.append(float(lp[0]))
         act, = _narrow(~stalled, act)
 
     pi = expit(eta)

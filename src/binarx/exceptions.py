@@ -45,9 +45,10 @@ class PanelCoverageError(BinarxError):
         super().__init__(f"panel has no rate for: {pairs}{more}")
 
 
-class ConfigError(BinarxError):
-    """A config file violates the documented schema.  Carries the offending field path."""
+class ConfigError(BinarxError, ValueError):
+    """A setting out of its range, or a config that breaks the schema; `path` names the field."""
 
-    def __init__(self, path: str, message: str):
+    def __init__(self, path: str, reason: str):
         self.path = path
-        super().__init__(f"{path}: {message}")
+        self.reason = reason
+        super().__init__(f"{path}: {reason}")

@@ -26,7 +26,8 @@ import numpy as np
 from scipy.special import expit, ndtri
 
 from ._artifacts import write_csv, write_json
-from .calibration import CalibrationConfig, ThresholdTable, horizon_steps, threshold_table
+from .calibration import (CalibrationConfig, ThresholdTable, _check_alpha, _check_gamma,
+                          horizon_steps, monitored_points, threshold_table)
 from .defaults import (
     DEFAULT_ALPHAS,
     DEFAULT_BURN_IN,
@@ -36,7 +37,7 @@ from .defaults import (
     default_model_spec,
 )
 from .estimation import _CHUNK_ELEMENTS, BatchFit, fit_mple, fit_mple_batch
-from .exceptions import BinarxError
+from .exceptions import BinarxError, ConfigError
 from .model import (
     ModelSpec,
     ParamVector,
@@ -73,11 +74,14 @@ class ChangePoint:
 
     def __post_init__(self):
         if self.at_k < 1:
-            raise ValueError("change point index at_k must be >= 1")
+            raise ConfigError("at_k", f"must be >= 1, got {self.at_k}")
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """Study settings.  Every m_list entry's horizon, of any kind of study,
+    must hold a monitored point and the change; ConfigError names the field."""
+
     spec: ModelSpec = field(default_factory=default_model_spec)
     m_list: tuple[int, ...] = (500, 1000, 1500)
     reps: int = 100
@@ -94,17 +98,29 @@ class ExperimentConfig:
     def __post_init__(self):
         object.__setattr__(self, "gammas", tuple(float(g) for g in self.gammas))
         object.__setattr__(self, "alphas", tuple(float(a) for a in self.alphas))
-        if self.reps < 1:
-            raise ValueError("reps must be >= 1")
+        d = self.spec.beta.dim
+        for name, low in (("reps", 1), ("burn_in", 0), ("emit_traces", 0)):
+            if getattr(self, name) < low:
+                raise ConfigError(name, f"must be >= {low}, got {getattr(self, name)}")
         if not self.m_list:
-            raise ValueError("m_list must not be empty")
-        if min(self.m_list) < self.spec.beta.dim + 1:
-            raise ValueError(f"m_list entry {min(self.m_list)} is below {self.spec.beta.dim + 1}, "
-                             "the fewest transitions that fit the model")
+            raise ConfigError("m_list", "must not be empty")
+        if min(self.m_list) < d + 1:
+            raise ConfigError("m_list", f"entry {min(self.m_list)} is below {d + 1}, "
+                                        "the fewest transitions that fit the model")
+        for g in self.gammas:
+            _check_gamma(g, "gammas")
+        for a in self.alphas:
+            _check_alpha(a, "alphas")
         if self.a_source not in ("aux", "training"):
-            raise ValueError(f"a_source must be 'aux' or 'training', got {self.a_source!r}")
-        if self.change is not None and self.change.new_beta.dim != self.spec.beta.dim:
-            raise ValueError("change.new_beta dimension must match the model")
+            raise ConfigError("a_source", f"must be 'aux' or 'training', got {self.a_source!r}")
+        change = self.change
+        if change is not None and change.new_beta.dim != d:
+            raise ConfigError("change.beta", f"{change.new_beta.dim} entries, the model has {d}")
+        for m in self.m_list:
+            H = monitored_points(self.horizon, m)
+            if change is not None and change.at_k > H:
+                raise ConfigError("change.at_k",
+                                  f"{change.at_k} is beyond the horizon {H} at m={m}")
 
 
 def _param_names(dim: int) -> list[str]:
@@ -491,21 +507,17 @@ def _aux_metric(config: ExperimentConfig, cdf) -> np.ndarray:
 def _monitor_study(config: ExperimentConfig, kind: int, change, alphas, threads: int):
     """Run the blocks of a size or power study at every training length.
 
-    Every horizon is checked to hold a monitored point and the change, and
-    every table cell is looked up, before any block runs; a table the config
-    does not give is calibrated here, at the CalibrationConfig defaults for
-    reps and grid_m (any other recipe is built with threshold_table and
-    passed in as `thresholds`).  First passages are tracked only under
-    a change, at the first alpha.  Returns the cells {(gamma, alpha): c}; per
-    training length (m, sups, first-passage indices, score drifts or None),
-    one row per fitted rep; and the report fields both studies share.
+    ExperimentConfig has checked that every horizon holds a monitored point
+    and the change.  Every table cell is looked up before any block runs; a
+    table the config does not give is calibrated here, at the
+    CalibrationConfig defaults for reps and grid_m (any other recipe is built
+    with threshold_table and passed in as `thresholds`).  First passages are
+    tracked only under a change, at the first alpha.  Returns the cells
+    {(gamma, alpha): c}; per training length (m, sups, first-passage
+    indices, score drifts or None), one row per fitted rep; and the report
+    fields both studies share.
     """
     horizons = [horizon_steps(config.horizon, m) for m in config.m_list]
-    for m, H in zip(config.m_list, horizons):
-        if H < 1:
-            raise ValueError(f"horizon {config.horizon} leaves no monitored point at m={m}")
-        if change is not None and change.at_k > H:
-            raise ValueError(f"change at_k={change.at_k} beyond horizon {H}")
     table = config.thresholds
     if table is None:
         table = threshold_table(CalibrationConfig(

@@ -26,7 +26,7 @@ from scipy.special import expit, gammaln
 
 from ._artifacts import write_csv
 from .defaults import DEFAULT_BURN_IN, PARAM_BOX_BOUND
-from .exceptions import NonConvergenceError
+from .exceptions import ConfigError, NonConvergenceError
 
 # Smallest/largest probabilities representable strictly inside (0, 1).
 _PROB_FLOOR = math.nextafter(0.0, 1.0)
@@ -47,7 +47,8 @@ class ParamVector:
 
     phi0 is the intercept, phi1 the coefficient on the previous count, and
     gamma_exo the coefficients on the exogenous covariates.  All entries must
-    be finite and lie in the compact box [-PARAM_BOX_BOUND, PARAM_BOX_BOUND].
+    be finite and lie in the compact box [-PARAM_BOX_BOUND, PARAM_BOX_BOUND];
+    an error names the vector `beta`, its key in every config section.
     """
 
     phi0: float
@@ -58,10 +59,10 @@ class ParamVector:
         object.__setattr__(self, "gamma_exo", tuple(float(g) for g in self.gamma_exo))
         vals = self.as_array()
         if not np.all(np.isfinite(vals)):
-            raise ValueError("parameter vector has non-finite entries")
+            raise ConfigError("beta", f"{vals.tolist()} has non-finite entries")
         if np.any(np.abs(vals) > PARAM_BOX_BOUND):
-            raise ValueError(
-                f"parameter vector leaves the box [-{PARAM_BOX_BOUND}, {PARAM_BOX_BOUND}]"
+            raise ConfigError(
+                "beta", f"{vals.tolist()} leaves the box [-{PARAM_BOX_BOUND}, {PARAM_BOX_BOUND}]"
             )
 
     @property
@@ -79,7 +80,7 @@ class ParamVector:
     def from_array(cls, values) -> "ParamVector":
         values = np.asarray(values, dtype=float)
         if values.ndim != 1 or values.size < 2:
-            raise ValueError("parameter array must be 1-d with at least 2 entries")
+            raise ConfigError("beta", "must be a 1-d array with at least 2 entries")
         return cls(phi0=float(values[0]), phi1=float(values[1]), gamma_exo=tuple(values[2:]))
 
 
@@ -98,12 +99,13 @@ class ExogenousSpec:
     clamp_hi: float = 10.0
 
     def __post_init__(self):
-        if not (math.isfinite(self.clamp_lo) and math.isfinite(self.clamp_hi)):
-            raise ValueError("clamp bounds must be finite")
+        for name in ("mean", "clamp_lo", "clamp_hi"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(name, f"must be finite, got {getattr(self, name)}")
+        if not self.sd > 0:
+            raise ConfigError("sd", f"must be > 0, got {self.sd}")
         if not self.clamp_lo < self.clamp_hi:
-            raise ValueError("clamp_lo must be strictly below clamp_hi")
-        if not (math.isfinite(self.mean) and self.sd > 0):
-            raise ValueError("normal base distribution needs finite mean and sd > 0")
+            raise ConfigError("clamp_hi", f"{self.clamp_hi} is not above clamp_lo {self.clamp_lo}")
 
     def draw(self, rng: np.random.Generator, size: int, l: int) -> np.ndarray:
         """Draw a (size, l) matrix of clamped covariates."""
@@ -123,7 +125,7 @@ class ModelSpec:
 
     def __post_init__(self):
         if self.n < 1:
-            raise ValueError("binomial total n must be >= 1")
+            raise ConfigError("n", f"binomial total must be >= 1, got {self.n}")
 
 
 @dataclass(frozen=True)

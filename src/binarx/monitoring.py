@@ -14,12 +14,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 from scipy.special import expit
 
-from .calibration import ThresholdTable, _check_alpha, _check_gamma, horizon_steps
+from .calibration import (ThresholdTable, _check_alpha, _check_gamma, _check_positive,
+                          monitored_points)
 from .estimation import fit_mple
 from .exceptions import MonitoringTerminatedError
 from .model import ParamVector, SeriesSample, _clamp_prob
@@ -71,16 +71,15 @@ class MonitorConfig:
     alpha: float
     threshold_c: float
     a_matrix: np.ndarray
+    horizon_steps: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.m < 1:
             raise ValueError("training length m must be >= 1")
-        if self.horizon_steps < 1:
-            raise ValueError(f"horizon {self.horizon} leaves no monitored point at m={self.m}")
+        object.__setattr__(self, "horizon_steps", monitored_points(self.horizon, self.m))
         _check_gamma(self.gamma)
         _check_alpha(self.alpha)
-        if not self.threshold_c > 0:
-            raise ValueError("threshold must be positive")
+        _check_positive(self.threshold_c, "threshold_c")
         A = np.asarray(self.a_matrix, dtype=float)
         if A.ndim != 2 or A.shape[0] != A.shape[1]:
             raise ValueError(f"A must be a square matrix, got shape {A.shape}")
@@ -91,10 +90,6 @@ class MonitorConfig:
         A = 0.5 * (A + A.T)
         A.setflags(write=False)
         object.__setattr__(self, "a_matrix", A)
-
-    @cached_property
-    def horizon_steps(self) -> int:
-        return horizon_steps(self.horizon, self.m)
 
 
 @dataclass

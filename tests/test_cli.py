@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 from pathlib import Path
 
@@ -16,6 +17,10 @@ from binarx import (
 )
 from binarx.cli import run_command
 from binarx.config import (
+    _CALIBRATE_FIELDS,
+    _EXO_FIELDS,
+    _EXPERIMENT_FIELDS,
+    _MONITOR_FIELDS,
     LoadedConfig,
     parse_calibrate,
     parse_experiment,
@@ -28,6 +33,8 @@ from binarx.defaults import (
     DEFAULT_MONITOR_GAMMA,
     EXPERIMENT_DEFAULTS,
 )
+from binarx.model import ExogenousSpec, write_series_csv
+from binarx.monitoring import MonitorConfig
 
 MODEL_SECTION = {
     "n": 10,
@@ -368,6 +375,30 @@ def test_config_unknown_keys_name_the_field(tmp_path, capsys, command, section, 
      "calibrate.gammas: gamma must lie in [0, 0.5), got 0.5"),
     ("calibrate", {"calibrate": {"alphas": [1.0]}},
      "calibrate.alphas: alpha must lie in (0, 1), got 1.0"),
+    ("calibrate", {"calibrate": {"reps": 50}}, "calibrate.reps: must be >= 100, got 50"),
+    ("calibrate", {"calibrate": {"grid_m": 10}}, "calibrate.grid_m: must be >= 100, got 10"),
+    ("calibrate", {"calibrate": {"horizon": 0}}, "calibrate.horizon: must be > 0, got 0.0"),
+    ("experiment", {"experiment": {"kind": "size", "reps": 0}},
+     "experiment.reps: must be >= 1, got 0"),
+    ("experiment", {"experiment": {"kind": "size", "m_list": []}},
+     "experiment.m_list: must not be empty"),
+    ("experiment", {"experiment": {"kind": "size", "a_source": "x"}},
+     "experiment.a_source: must be 'aux' or 'training', got 'x'"),
+    ("experiment", {"experiment": {"kind": "power",
+                                   "change": {"at_k": 0, "beta": [-1, 0.1, 0.4]}}},
+     "experiment.change.at_k: must be >= 1, got 0"),
+    ("experiment", {"experiment": {"kind": "power", "change": {"at_k": 5, "beta": [-1, 0.1]}}},
+     "experiment.change.beta: 2 entries, the model has 3"),
+    ("simulate", {"simulate": {"length": 10}, "model": {**MODEL_SECTION, "n": 0}},
+     "model.n: binomial total must be >= 1, got 0"),
+    ("simulate", {"simulate": {"length": 10}, "model": {**MODEL_SECTION, "beta": [-1, 25, 0.4]}},
+     "model.beta: [-1.0, 25.0, 0.4] leaves the box [-20.0, 20.0]"),
+    ("simulate", {"simulate": {"length": 10},
+                  "model": {**MODEL_SECTION, "exo": {"sd": 0}}},
+     "model.exo.sd: must be > 0, got 0.0"),
+    ("simulate", {"simulate": {"length": 10},
+                  "model": {**MODEL_SECTION, "exo": {"clamp_lo": 2.0, "clamp_hi": 1.0}}},
+     "model.exo.clamp_hi: 1.0 is not above clamp_lo 2.0"),
 ])
 def test_config_out_of_range_values_name_the_field(tmp_path, capsys, command, section, message):
     cfg = _write_config(tmp_path / "cfg.json", {"model": MODEL_SECTION, **section})
@@ -375,6 +406,44 @@ def test_config_out_of_range_values_name_the_field(tmp_path, capsys, command, se
     assert run_command(["--config", cfg, "--out", str(out), "--quiet", command]) == 2
     assert f"config error: {message}" in capsys.readouterr().err
     assert not list(out.iterdir())
+
+
+@pytest.mark.parametrize("config_seed, flags, seed", [(-3, [], -3), (1, ["--seed", "-2"], -2)])
+def test_negative_seed_names_the_field(tmp_path, capsys, config_seed, flags, seed):
+    cfg = _write_config(tmp_path / "cfg.json", {"seed": config_seed, "model": MODEL_SECTION,
+                                                "simulate": {"length": 10}})
+    out = tmp_path / "out"
+    assert run_command(["--config", cfg, "--out", str(out), *flags, "--quiet", "simulate"]) == 2
+    assert f"config error: seed: must be >= 0, got {seed}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_monitor_horizon_without_a_point_at_the_training_length_names_the_field(tmp_path,
+                                                                                capsys):
+    # 0.001 passes the early check (> 0); only the 100-transition training
+    # file shows that floor(0.001 * 100) leaves no monitored point.
+    training = simulate_series(default_model_spec(), 100, seed=3, burn_in=200)
+    write_series_csv(training, tmp_path / "train.csv")
+    cfg = _write_config(tmp_path / "cfg.json", {"model": MODEL_SECTION, "monitor": {
+        "training": "train.csv", "stream": "stream.csv", "threshold_c": 7.0, "horizon": 0.001}})
+    out = tmp_path / "out"
+    assert run_command(["--config", cfg, "--out", str(out), "--quiet", "monitor"]) == 2
+    err = capsys.readouterr().err
+    assert "config error: monitor.horizon: 0.001 leaves no monitored point at m=100" in err
+    assert not list(out.iterdir())
+
+
+@pytest.mark.parametrize("table, cls", [
+    (_EXO_FIELDS, ExogenousSpec), (_CALIBRATE_FIELDS, CalibrationConfig),
+    (_EXPERIMENT_FIELDS, ExperimentConfig), (_MONITOR_FIELDS, MonitorConfig),
+])
+def test_config_field_tables_name_fields_of_the_dataclass_they_feed(table, cls):
+    # A key is read with the type its field is annotated with.
+    annotation = {float: "float", int: "int", str: "str",
+                  (float,): "tuple[float, ...]", (int,): "tuple[int, ...]"}
+    fields = {f.name: f.type for f in dataclasses.fields(cls)}
+    assert {key: annotation[kind] for key, kind in table.items()} == {
+        key: fields.get(key) for key in table}
 
 
 def test_prep_window_crosses_iso_week_53():
@@ -432,7 +501,7 @@ def test_experiment_refuses_training_lengths_too_short_to_fit(tmp_path, capsys, 
     })
     out = tmp_path / "out"
     assert run_command(["--config", cfg, "--out", str(out), "--quiet", "experiment"]) == 2
-    assert f"config error: experiment: m_list entry {m} is below 4" in capsys.readouterr().err
+    assert f"config error: experiment.m_list: entry {m} is below 4" in capsys.readouterr().err
     assert not list(out.iterdir())
 
 

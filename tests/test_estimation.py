@@ -35,10 +35,15 @@ def _no_exo_series(x):
 
 
 def _newton_traced(sample, n):
-    """Batch-of-one Newton fit of `sample` and its accepted log-PL values."""
+    """Batch-of-one Newton fit of `sample` and its accepted log-PL values, one
+    per iteration: the log-PL of the same fit stopped after 0, 1, ... iterations."""
     Z, y = estimation._design(sample, n)
-    trace: list[float] = []
-    fit = estimation._newton(Z[None], y[None], n, trace)
+    fit = estimation._newton(Z[None], y[None], n)
+    trace = []
+    with pytest.MonkeyPatch.context() as mp:
+        for k in range(fit.iterations[0] + 1):
+            mp.setattr(estimation, "_MAX_ITER", k)
+            trace.append(estimation._newton(Z[None], y[None], n).log_pl[0])
     return fit, np.asarray(trace)
 
 

@@ -10,6 +10,7 @@ from scipy.special import expit
 from binarx import (
     CalibrationConfig,
     ChangePoint,
+    ConfigError,
     ExperimentConfig,
     ModelSpec,
     ParamVector,
@@ -228,12 +229,11 @@ def test_power_delay_grows_with_training_size(small_table):
 def test_monitored_horizon_must_hold_a_point(small_table):
     short = ThresholdTable(entries={(0.0, 0.05): 7.0}, reps=100, grid_m=1000, horizon=0.01,
                            master_seed=0)
-    cfg = ExperimentConfig(m_list=(20,), reps=3, gammas=(0.0,), alphas=(0.05,), horizon=0.01,
-                           thresholds=short)
     with pytest.raises(ValueError, match="no monitored point at m=20"):
-        run_size(cfg)
+        run_size(ExperimentConfig(m_list=(20,), reps=3, gammas=(0.0,), alphas=(0.05,),
+                                  horizon=0.01, thresholds=short))
     late = ChangePoint(at_k=61, new_beta=CHANGE.new_beta)
-    with pytest.raises(ValueError, match="beyond horizon 60"):
+    with pytest.raises(ValueError, match="beyond the horizon 60"):
         run_power(ExperimentConfig(m_list=(20,), reps=3, gammas=(0.0,), alphas=(0.05,),
                                    thresholds=small_table, change=late))
 
@@ -248,7 +248,7 @@ def test_studies_check_cells_and_horizons_before_any_block(small_table, monkeypa
                                   thresholds=partial))
     # at_k = 61 fits the first m's horizon (120) but not the second's (60).
     late = ChangePoint(at_k=61, new_beta=CHANGE.new_beta)
-    with pytest.raises(ValueError, match="beyond horizon 60"):
+    with pytest.raises(ValueError, match="beyond the horizon 60"):
         run_power(ExperimentConfig(m_list=(40, 20), reps=3, gammas=(0.0,), alphas=(0.05,),
                                    thresholds=small_table, change=late))
     assert calls == []
@@ -314,6 +314,20 @@ def test_experiment_config_validation():
         ChangePoint(at_k=0, new_beta=ParamVector(0.0, 0.0))
     with pytest.raises(ValueError):
         ExperimentConfig(change=ChangePoint(at_k=5, new_beta=ParamVector(0.0, 0.0)))
+
+
+@pytest.mark.parametrize("settings, field", [
+    ({"gammas": (0.9,)}, "gammas"),
+    ({"alphas": (0.0,)}, "alphas"),
+    ({"emit_traces": -1}, "emit_traces"),
+    ({"m_list": (20,), "horizon": 0.01}, "horizon"),
+    # n = 40 starts from Bin(n, 1/2) and burns in; range(-7) would skip that.
+    ({"spec": SPEC_N40, "m_list": (80,), "burn_in": -7}, "burn_in"),
+])
+def test_experiment_config_refuses_out_of_range_settings_when_built(settings, field):
+    with pytest.raises(ConfigError) as refused:
+        ExperimentConfig(**settings)
+    assert refused.value.path == field
 
 
 def test_change_stream_shape_and_shift():
