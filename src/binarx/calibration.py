@@ -103,6 +103,9 @@ class CalibrationConfig:
             if getattr(self, name) < low:
                 raise ConfigError(name, f"must be >= {low}, got {getattr(self, name)}")
         _check_positive(self.horizon, "horizon")
+        if self.steps < 1:
+            raise ConfigError("horizon",
+                              f"{self.horizon} leaves no grid point at grid_m={self.grid_m}")
         for g in self.gammas:
             _check_gamma(g, "gammas")
         for a in self.alphas:

@@ -70,8 +70,10 @@ def _say(quiet: bool, message: str) -> None:
 
 def _cmd_simulate(loaded, out: Path, quiet: bool) -> int:
     spec, burn_in = cfgmod.parse_model(loaded)
-    length, init = cfgmod.parse_simulate(loaded, spec.n)
-    sample = simulate_series(spec, length, seed=loaded.seed, init=init, burn_in=burn_in)
+    length = loaded.require("simulate.length")
+    with cfgmod.in_section("simulate"):
+        sample = simulate_series(spec, length, seed=loaded.seed,
+                                 init=loaded.get("simulate.init"), burn_in=burn_in)
     path = out / "series.csv"
     write_series_csv(sample, path)
     _say(quiet, f"wrote {path} ({length} transitions, seed {loaded.seed})")
@@ -80,7 +82,7 @@ def _cmd_simulate(loaded, out: Path, quiet: bool) -> int:
 
 def _cmd_fit(loaded, out: Path, quiet: bool) -> int:
     spec, _ = cfgmod.parse_model(loaded)
-    sample = read_series_csv(cfgmod.resolve_path(loaded, "fit.series"))
+    sample = read_series_csv(loaded.require("fit.series"))
     fit = fit_mple(sample, spec.n)
     path = out / "fit_report.json"
     write_json(path, fit_report(fit))
@@ -121,8 +123,8 @@ def _stream_rows(fh, n_cells: int):
 def _cmd_monitor(loaded, out: Path, quiet: bool) -> int:
     spec, _ = cfgmod.parse_model(loaded)
     settings = cfgmod.parse_monitor(loaded)
-    training = read_series_csv(cfgmod.resolve_path(loaded, "monitor.training"))
-    stream_path = cfgmod.resolve_path(loaded, "monitor.stream")
+    training = read_series_csv(loaded.require("monitor.training"))
+    stream_path = loaded.require("monitor.stream")
     with cfgmod.in_section("monitor"):
         state = monitor_init(training, spec.n, **settings)
     try:
@@ -174,7 +176,7 @@ def _cmd_prep(loaded, out: Path, quiet: bool) -> int:
 
 
 def _cmd_compare(loaded, out: Path, quiet: bool) -> int:
-    series = read_binomial_series(cfgmod.resolve_path(loaded, "compare.series"))
+    series = read_binomial_series(loaded.require("compare.series"))
     result = model_comparison(series)
     path = out / "comparison.json"
     write_json(path, result)

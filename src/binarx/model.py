@@ -227,7 +227,9 @@ def simulate_series(
     (effectively) from the stationary law.
     """
     if length < 1:
-        raise ValueError("length must be >= 1")
+        raise ConfigError("length", f"must be >= 1, got {length}")
+    if init is not None and not 0 <= init <= spec.n:
+        raise ConfigError("init", f"initial state {init} outside {{0..{spec.n}}}")
     if burn_in < 0:
         raise ValueError("burn_in must be >= 0")
     rng = np.random.default_rng(np.random.SeedSequence(seed))

@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -17,11 +18,14 @@ from binarx import (
 )
 from binarx.cli import run_command
 from binarx.config import (
-    _CALIBRATE_FIELDS,
-    _EXO_FIELDS,
-    _EXPERIMENT_FIELDS,
-    _MONITOR_FIELDS,
+    _CALIBRATE,
+    _EXO,
+    _MONITOR,
+    _SCHEMA,
+    _STUDY,
     LoadedConfig,
+    _read,
+    load_config,
     parse_calibrate,
     parse_experiment,
     parse_monitor,
@@ -49,7 +53,7 @@ PREP_SECTION = {"rates": "rates.csv", "states": ["A", "B"], "baseline_years": [2
 
 
 def _loaded(raw):
-    return LoadedConfig(raw=raw, base_dir=Path("."), seed=5, threads=1)
+    return LoadedConfig(values=_read(raw, _SCHEMA, Path(".")), seed=5, threads=1)
 
 
 def _write_config(path, payload):
@@ -90,6 +94,14 @@ def test_simulate_round_trip_and_determinism(tmp_path):
     sample = read_series_csv(tmp_path / "a" / "series.csv")
     expected = simulate_series(default_model_spec(), 60, seed=9, burn_in=200)
     np.testing.assert_array_equal(sample.x, expected.x)
+
+
+def test_null_model_section_is_the_reference_process(tmp_path):
+    cfg = _write_config(tmp_path / "cfg.json",
+                        {"seed": 9, "model": None, "simulate": {"length": 60}})
+    assert run_command(["--config", cfg, "--out", str(tmp_path), "--quiet", "simulate"]) == 0
+    expected = simulate_series(default_model_spec(), 60, seed=9)
+    np.testing.assert_array_equal(read_series_csv(tmp_path / "series.csv").x, expected.x)
 
 
 def test_fit_command(tmp_path):
@@ -314,6 +326,8 @@ def test_malformed_csv_inputs_name_the_file(tmp_path, capsys, command, file, con
     ("simulate", {"simulate": {"length": 10, "init": 3.7}}, "simulate.init"),
     ("prep", {"prep": {**PREP_SECTION, "baseline_years": [2019.9]}}, "prep.baseline_years"),
     ("prep", {"prep": {**PREP_SECTION, "window_start": [2020.7, 1]}}, "prep.window_start"),
+    ("simulate", {"simulate": {"length": 10}, "experiment": {"kind": "size", "reps": "x"}},
+     "experiment.reps"),
 ])
 def test_config_type_errors_name_the_field(tmp_path, capsys, command, section, field):
     cfg = _write_config(tmp_path / "cfg.json", {"model": MODEL_SECTION, **section})
@@ -399,6 +413,8 @@ def test_config_unknown_keys_name_the_field(tmp_path, capsys, command, section, 
     ("simulate", {"simulate": {"length": 10},
                   "model": {**MODEL_SECTION, "exo": {"clamp_lo": 2.0, "clamp_hi": 1.0}}},
      "model.exo.clamp_hi: 1.0 is not above clamp_lo 2.0"),
+    ("calibrate", {"calibrate": {"horizon": 0.0001, "reps": 100}},
+     "calibrate.horizon: 0.0001 leaves no grid point at grid_m=1000"),
 ])
 def test_config_out_of_range_values_name_the_field(tmp_path, capsys, command, section, message):
     cfg = _write_config(tmp_path / "cfg.json", {"model": MODEL_SECTION, **section})
@@ -434,8 +450,8 @@ def test_monitor_horizon_without_a_point_at_the_training_length_names_the_field(
 
 
 @pytest.mark.parametrize("table, cls", [
-    (_EXO_FIELDS, ExogenousSpec), (_CALIBRATE_FIELDS, CalibrationConfig),
-    (_EXPERIMENT_FIELDS, ExperimentConfig), (_MONITOR_FIELDS, MonitorConfig),
+    (_EXO, ExogenousSpec), (_CALIBRATE, CalibrationConfig),
+    (_STUDY, ExperimentConfig), (_MONITOR, MonitorConfig),
 ])
 def test_config_field_tables_name_fields_of_the_dataclass_they_feed(table, cls):
     # A key is read with the type its field is annotated with.
@@ -444,6 +460,23 @@ def test_config_field_tables_name_fields_of_the_dataclass_they_feed(table, cls):
     fields = {f.name: f.type for f in dataclasses.fields(cls)}
     assert {key: annotation[kind] for key, kind in table.items()} == {
         key: fields.get(key) for key in table}
+
+
+def test_readme_config_block_is_the_schema(tmp_path):
+    # The block, its // comments stripped, loads, so every key in it is in
+    # the schema and typed right; every schema key appears in its text.
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("```jsonc\n", 1)[1].split("```", 1)[0]
+    (tmp_path / "cfg.json").write_text(re.sub(r"//.*", "", block))
+    load_config(tmp_path / "cfg.json")
+
+    def keys(schema):
+        for key, kind in schema.items():
+            yield key
+            if isinstance(kind, dict):
+                yield from keys(kind)
+
+    assert [key for key in keys(_SCHEMA) if f'"{key}"' not in block] == []
 
 
 def test_prep_window_crosses_iso_week_53():
