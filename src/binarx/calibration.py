@@ -19,6 +19,7 @@ for the horizon N it was calibrated at.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -49,6 +50,16 @@ def _check_alpha(alpha: float, field: str = "alpha") -> None:
         raise ConfigError(field, f"alpha must lie in (0, 1), got {alpha}")
 
 
+def _check_levels(gammas, alphas) -> None:
+    """A study's or a table's level lists: neither empty, every entry in range."""
+    for name, values, check in (("gammas", gammas, _check_gamma),
+                                 ("alphas", alphas, _check_alpha)):
+        if not values:
+            raise ConfigError(name, "must not be empty")
+        for value in values:
+            check(value, name)
+
+
 def _check_positive(value: float, field: str) -> None:
     if not value > 0:
         raise ConfigError(field, f"must be > 0, got {value}")
@@ -70,6 +81,8 @@ def rho(s, gamma: float):
 
 def horizon_steps(horizon: float, per_unit: int) -> int:
     """Close-end horizon floor(N * per_unit), guarded against float rounding."""
+    if not math.isfinite(horizon):
+        raise ConfigError("horizon", f"must be finite, got {horizon}")
     return int(np.floor(horizon * per_unit + 1e-9))
 
 
@@ -106,10 +119,7 @@ class CalibrationConfig:
         if self.steps < 1:
             raise ConfigError("horizon",
                               f"{self.horizon} leaves no grid point at grid_m={self.grid_m}")
-        for g in self.gammas:
-            _check_gamma(g, "gammas")
-        for a in self.alphas:
-            _check_alpha(a, "alphas")
+        _check_levels(self.gammas, self.alphas)
 
     @property
     def steps(self) -> int:

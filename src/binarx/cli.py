@@ -50,15 +50,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--threads", type=int, default=None, help="worker process count")
     parser.add_argument("--quiet", action="store_true", help="suppress progress output")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, doc in [
-        ("simulate", "simulate a series and write it as CSV"),
-        ("fit", "fit the MPLE on a series CSV and write a JSON report"),
-        ("calibrate", "compute a critical-value table and write it as CSV"),
-        ("monitor", "run the sequential monitor over a stream CSV"),
-        ("experiment", "run a simulation study (consistency|normality|size|power)"),
-        ("prep", "deseasonalize a weekly rate panel into a binomial series"),
-        ("compare", "AIC / likelihood-ratio comparison against an i.i.d. binomial"),
-    ]:
+    for name, (_, doc) in _HANDLERS.items():
         sub.add_parser(name, help=doc)
     return parser
 
@@ -129,18 +121,18 @@ def _cmd_monitor(loaded, out: Path, quiet: bool) -> int:
         state = monitor_init(training, spec.n, **settings)
     try:
         with open(stream_path, newline="") as fh:
-            result = monitor_run(state, _stream_rows(fh, training.l + 2))
+            monitor_run(state, _stream_rows(fh, training.l + 2))
     except ValueError as exc:
         raise ValueError(f"{stream_path}: {exc}") from None
     cfg = state.config
     write_csv(out / "monitor_log.csv", ("k", "statistic", "threshold", "alarm"),
-              ((k, stat, cfg.threshold_c, k == result.alarm_at)
-               for k, stat in enumerate(result.statistic_history, start=1)))
+              ((k, stat, cfg.threshold_c, k == state.alarm_at)
+               for k, stat in enumerate(state.statistic_history, start=1)))
     result_path = out / "monitor_result.json"
     write_json(result_path, {
-        "alarm_at": result.alarm_at,
-        "k_final": result.k_final,
-        "truncated": result.truncated,
+        "alarm_at": state.alarm_at,
+        "k_final": state.k,
+        "truncated": not state.terminated,
         "horizon_steps": cfg.horizon_steps,
         "threshold_c": cfg.threshold_c,
         "gamma": cfg.gamma,
@@ -148,10 +140,10 @@ def _cmd_monitor(loaded, out: Path, quiet: bool) -> int:
         "m": cfg.m,
         "beta_hat": list(state.beta_hat.as_array()),
     })
-    if result.alarm_at is not None:
-        _say(quiet, f"ALARM at monitored index {result.alarm_at}; wrote {result_path}")
+    if state.alarm_at is not None:
+        _say(quiet, f"ALARM at monitored index {state.alarm_at}; wrote {result_path}")
         return EXIT_ALARM
-    _say(quiet, f"no alarm in {result.k_final} monitored points; wrote {result_path}")
+    _say(quiet, f"no alarm in {state.k} monitored points; wrote {result_path}")
     return EXIT_OK
 
 
@@ -159,7 +151,8 @@ def _cmd_experiment(loaded, out: Path, quiet: bool) -> int:
     kind, exp = cfgmod.parse_experiment(loaded)
     run = {"consistency": run_consistency, "normality": run_normality, "size": run_size,
            "power": run_power}[kind]
-    write_report(run(exp, loaded.threads), out)
+    with cfgmod.in_section("experiment"):
+        write_report(run(exp, loaded.threads), out)
     _say(quiet, f"wrote {kind} report to {out}")
     return EXIT_OK
 
@@ -187,14 +180,16 @@ def _cmd_compare(loaded, out: Path, quiet: bool) -> int:
     return EXIT_OK
 
 
+# Each subcommand's handler and its --help line.
 _HANDLERS = {
-    "simulate": _cmd_simulate,
-    "fit": _cmd_fit,
-    "calibrate": _cmd_calibrate,
-    "monitor": _cmd_monitor,
-    "experiment": _cmd_experiment,
-    "prep": _cmd_prep,
-    "compare": _cmd_compare,
+    "simulate": (_cmd_simulate, "simulate a series and write it as CSV"),
+    "fit": (_cmd_fit, "fit the MPLE on a series CSV and write a JSON report"),
+    "calibrate": (_cmd_calibrate, "compute a critical-value table and write it as CSV"),
+    "monitor": (_cmd_monitor, "run the sequential monitor over a stream CSV"),
+    "experiment": (_cmd_experiment,
+                   "run a simulation study (consistency|normality|size|power)"),
+    "prep": (_cmd_prep, "deseasonalize a weekly rate panel into a binomial series"),
+    "compare": (_cmd_compare, "AIC / likelihood-ratio comparison against an i.i.d. binomial"),
 }
 
 
@@ -208,7 +203,7 @@ def run_command(argv) -> int:
         loaded = cfgmod.load_config(args.config, args.seed, args.threads)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        return _HANDLERS[args.command](loaded, out, args.quiet)
+        return _HANDLERS[args.command][0](loaded, out, args.quiet)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -201,8 +201,6 @@ def parse_experiment(loaded: LoadedConfig) -> tuple[str, ExperimentConfig]:
         new_beta = loaded.require("experiment.change.beta")
         with in_section("experiment.change"):
             change = ChangePoint(at_k=at_k, new_beta=ParamVector.from_array(new_beta))
-    elif kind == "power":
-        raise ConfigError("experiment.change", "required for the power experiment")
     thresholds = read_threshold_table(section["thresholds"]) if "thresholds" in section else None
     fields = {**EXPERIMENT_DEFAULTS[kind], **{k: v for k, v in section.items() if k in _STUDY}}
     with in_section("experiment"):

@@ -26,8 +26,8 @@ import numpy as np
 from scipy.special import expit, ndtri
 
 from ._artifacts import write_csv, write_json
-from .calibration import (CalibrationConfig, ThresholdTable, _check_alpha, _check_gamma,
-                          horizon_steps, monitored_points, threshold_table)
+from .calibration import (CalibrationConfig, ThresholdTable, _check_levels, horizon_steps,
+                          monitored_points, threshold_table)
 from .defaults import (
     DEFAULT_ALPHAS,
     DEFAULT_BURN_IN,
@@ -107,10 +107,7 @@ class ExperimentConfig:
         if min(self.m_list) < d + 1:
             raise ConfigError("m_list", f"entry {min(self.m_list)} is below {d + 1}, "
                                         "the fewest transitions that fit the model")
-        for g in self.gammas:
-            _check_gamma(g, "gammas")
-        for a in self.alphas:
-            _check_alpha(a, "alphas")
+        _check_levels(self.gammas, self.alphas)
         if self.a_source not in ("aux", "training"):
             raise ConfigError("a_source", f"must be 'aux' or 'training', got {self.a_source!r}")
         change = self.change
@@ -350,7 +347,8 @@ def run_normality(config: ExperimentConfig, threads: int = 1) -> NormalityReport
     the sample as insufficient and skips the diagnostics.
     """
     if len(config.m_list) != 1:
-        raise ValueError("run_normality uses a single training length")
+        raise ConfigError("m_list", f"normality runs at one training length, got "
+                                    f"{list(config.m_list)}")
     m = config.m_list[0]
     B, by_class = _fit_estimates(
         config, _KIND_NORMALITY, 0, m, _start_cdf(config.spec), threads
@@ -639,7 +637,7 @@ def run_power(config: ExperimentConfig, threads: int = 1) -> PowerReport:
     checked before any replication runs.
     """
     if config.change is None:
-        raise ValueError("run_power requires config.change")
+        raise ConfigError("change", "required for the power experiment")
     alpha = config.alphas[0]
     cells, studies, fields = _monitor_study(config, _KIND_POWER, config.change, (alpha,), threads)
     rows = []

@@ -26,30 +26,28 @@ from .model import ParamVector, SeriesSample, _clamp_prob
 
 
 def _weight(m: int, k, gamma: float):
-    # The formula's one home: Python floats for an int k, numpy for an array k.
+    # The formula's one home: Python floats in monitor_update, arrays in weight.
     return m ** (-0.5) * (1.0 + k / m) ** (-1.0) * (k / (m + k)) ** (-gamma)
 
 
 def weight(m, k, gamma: float):
     """Monitoring weight m^(-1/2) * (1 + k/m)^(-1) * (k/(m+k))^(-gamma).
 
-    Equals m^(-1/2) * rho(k/m, gamma).  An int k is evaluated in Python
-    floats, whose scalar pow gives the same bits as a 0-d array: this is the
-    streaming monitor's path, pinned bit for bit.  An array k weights whole
-    paths at once for the block engine; numpy's vectorised power may differ
-    from scalar pow in the last bits, so the two paths' statistics agree to
-    rtol 1e-10, not bit for bit.
+    Equals m^(-1/2) * rho(k/m, gamma).  An array k weights whole paths at
+    once for the block engine; a scalar k goes through a 0-d array, whose
+    pow gives the same bits as the Python-float pow of the streaming monitor.
+    numpy's vectorised power may differ from scalar pow in the last bits, so
+    the block engine's and the streaming monitor's statistics agree to rtol
+    1e-10, not bit for bit.
     """
     _check_gamma(gamma)
     if m < 1:
         raise ValueError("m must be >= 1")
-    scalar = isinstance(k, int)
-    if not scalar:
-        k = np.asarray(k, dtype=float)
+    k = np.asarray(k, dtype=float)
     if np.any(k < 1):
         raise ValueError("weight needs k >= 1")
     out = _weight(m, k, gamma)
-    return out if scalar or out.ndim else float(out)
+    return out if out.ndim else float(out)
 
 
 def inverse_metric(sigma0) -> np.ndarray:
@@ -124,14 +122,6 @@ class MonitorState:
     @property
     def terminated(self) -> bool:
         return self.alarm_at is not None or self.k >= self.config.horizon_steps
-
-
-@dataclass(frozen=True)
-class MonitorResult:
-    alarm_at: int | None
-    statistic_history: tuple[float, ...]
-    truncated: bool
-    k_final: int
 
 
 def monitor_init(
@@ -209,22 +199,14 @@ def monitor_update(state: MonitorState, x_new: int, w_new) -> tuple[MonitorState
     return state, statistic
 
 
-def monitor_run(state: MonitorState, stream) -> MonitorResult:
-    """Consume (x, w) pairs until an alarm or the close-end horizon.
+def monitor_run(state: MonitorState, stream) -> MonitorState:
+    """Feed (x, w) pairs to monitor_update until an alarm, the close-end
+    horizon or the end of the stream; returns `state`.
 
-    A stream that ends early with no alarm yields a truncated result.
+    No pair is read once the monitor has terminated.  A stream that ends
+    first leaves the monitor unterminated: its run is truncated.
     """
     it = iter(stream)
-    truncated = False
-    while not state.terminated:
-        obs = next(it, None)
-        if obs is None:
-            truncated = True
-            break
+    while not state.terminated and (obs := next(it, None)) is not None:
         monitor_update(state, *obs)
-    return MonitorResult(
-        alarm_at=state.alarm_at,
-        statistic_history=tuple(state.statistic_history),
-        truncated=truncated,
-        k_final=state.k,
-    )
+    return state

@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import json
+import math
 import re
 from pathlib import Path
 
@@ -241,7 +242,7 @@ def test_monitor_log_is_monitor_run_history(tmp_path, monitor, code, truncated):
                          gamma=monitor["gamma"], alpha=monitor["alpha"],
                          threshold_source=monitor["threshold_c"])
     expected = monitor_run(state, zip(stream.x[1:], stream.w))
-    assert expected.truncated is truncated
+    assert (not expected.terminated) is truncated
     with open(out / "monitor_log.csv", newline="") as fh:
         rows = list(csv.DictReader(fh))
     assert [int(r["k"]) for r in rows] == list(range(1, len(expected.statistic_history) + 1))
@@ -252,7 +253,26 @@ def test_monitor_log_is_monitor_run_history(tmp_path, monitor, code, truncated):
     assert all(r["alarm"] in ("True", "False") for r in rows)
     result = json.loads((out / "monitor_result.json").read_text())
     assert (result["alarm_at"], result["k_final"], result["truncated"]) == (
-        expected.alarm_at, expected.k_final, expected.truncated)
+        expected.alarm_at, expected.k, not expected.terminated)
+
+
+def test_monitor_reads_no_row_after_the_alarm(tmp_path):
+    # A malformed row right after the alarming one is never read: the run
+    # still exits 3 and logs every statistic up to the alarm.
+    cfg, training, stream = _monitor_setup(tmp_path, {"gamma": 0.25, "alpha": 0.1,
+                                                      "threshold_c": 2.0})
+    state = monitor_init(training, 10, horizon=3.0, gamma=0.25, alpha=0.1, threshold_source=2.0)
+    monitor_run(state, zip(stream.x[1:], stream.w))
+    assert state.alarm_at < stream.m
+    lines = (tmp_path / "stream.csv").read_text().splitlines()
+    lines[state.alarm_at + 1] = f"{state.alarm_at + 1},2.5,1.0"
+    (tmp_path / "stream.csv").write_text("\n".join(lines) + "\n")
+    out = tmp_path / "out"
+    assert run_command(["--config", cfg, "--out", str(out), "--quiet", "monitor"]) == 3
+    with open(out / "monitor_log.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [r["statistic"] for r in rows] == [repr(v) for v in state.statistic_history]
+    assert [r["alarm"] for r in rows] == ["False"] * (state.alarm_at - 1) + ["True"]
 
 
 def test_monitor_bad_row_after_good_rows_names_file_and_row(tmp_path, capsys):
@@ -415,9 +435,34 @@ def test_config_unknown_keys_name_the_field(tmp_path, capsys, command, section, 
      "model.exo.clamp_hi: 1.0 is not above clamp_lo 2.0"),
     ("calibrate", {"calibrate": {"horizon": 0.0001, "reps": 100}},
      "calibrate.horizon: 0.0001 leaves no grid point at grid_m=1000"),
+    ("calibrate", {"calibrate": {"gammas": []}}, "calibrate.gammas: must not be empty"),
+    ("experiment", {"experiment": {"kind": "size", "gammas": []}},
+     "experiment.gammas: must not be empty"),
+    ("experiment", {"experiment": {"kind": "power", "alphas": [],
+                                   "change": {"at_k": 5, "beta": [-1, 0.2, 0.4]}}},
+     "experiment.alphas: must not be empty"),
+    ("calibrate", {"calibrate": {"horizon": math.inf}},
+     "calibrate.horizon: must be finite, got inf"),
+    ("experiment", {"experiment": {"kind": "size", "horizon": math.inf}},
+     "experiment.horizon: must be finite, got inf"),
+    ("monitor", {"monitor": {"training": "train.csv", "stream": "stream.csv", "threshold_c": 7.0,
+                             "horizon": math.inf}},
+     "monitor.horizon: must be finite, got inf"),
+    ("experiment", {"experiment": {"kind": "size", "horizon": math.nan}},
+     "experiment.horizon: must be finite, got nan"),
+    ("experiment", {"experiment": {"kind": "normality", "m_list": [100, 200]}},
+     "experiment.m_list: normality runs at one training length, got [100, 200]"),
+    ("experiment", {"experiment": {"kind": "size", "m_list": [20000], "horizon": 0.0001,
+                                   "reps": 1}},
+     "experiment.horizon: 0.0001 leaves no grid point at grid_m=1000"),
+    ("experiment", {"experiment": {"kind": "power"}},
+     "experiment.change: required for the power experiment"),
 ])
 def test_config_out_of_range_values_name_the_field(tmp_path, capsys, command, section, message):
     cfg = _write_config(tmp_path / "cfg.json", {"model": MODEL_SECTION, **section})
+    if command == "monitor":
+        write_series_csv(simulate_series(default_model_spec(), 100, seed=3, burn_in=200),
+                         tmp_path / "train.csv")
     out = tmp_path / "out"
     assert run_command(["--config", cfg, "--out", str(out), "--quiet", command]) == 2
     assert f"config error: {message}" in capsys.readouterr().err

@@ -17,7 +17,7 @@ from binarx import (
 )
 from binarx.calibration import ThresholdTable, rho
 from binarx.estimation import score
-from binarx.monitoring import inverse_metric, weight
+from binarx.monitoring import _weight, inverse_metric, weight
 from streaming_reference import replay, score_step, state_with_metric, weight_0d
 
 SPEC = default_model_spec()
@@ -86,13 +86,15 @@ def test_weight_domain_errors():
 
 
 def test_weight_int_k_matches_0d_array_bits():
-    # The streaming monitor's weight, evaluated in Python floats, must give
-    # exactly the bits of the same expression on a 0-d array.
+    # The streaming monitor's weight, `_weight` in Python floats, must give
+    # exactly the bits of the same expression on a 0-d array, which is
+    # weight's path for a scalar k.
     for m in (50, 300, 1500):
         for gamma in (0.0, 0.25, 0.4):
             got = [weight(m, k, gamma) for k in range(1, 3 * m + 1)]
             assert all(type(v) is float for v in got)
             assert got == [weight_0d(m, k, gamma) for k in range(1, 3 * m + 1)]
+            assert got == [_weight(m, k, gamma) for k in range(1, 3 * m + 1)]
             assert got[m - 1] == weight(m, np.asarray(m), gamma)
 
 
@@ -266,9 +268,10 @@ def test_monitor_run_no_alarm_full_history():
                          threshold_source=math.inf)
     stream = _stream_sample(300, seed=85, init=int(training.x[-1]))
     result = monitor_run(state, _stream_iter(stream))
+    assert result is state
     assert result.alarm_at is None
-    assert not result.truncated
-    assert result.k_final == 300
+    assert result.terminated
+    assert result.k == 300
     assert len(result.statistic_history) == 300
 
 
@@ -291,9 +294,9 @@ def test_monitor_run_truncated_stream():
                          threshold_source=math.inf)
     stream = _stream_sample(50, seed=87, init=int(training.x[-1]))
     result = monitor_run(state, _stream_iter(stream))
-    assert result.truncated
+    assert not result.terminated
     assert result.alarm_at is None
-    assert result.k_final == 50
+    assert result.k == 50
 
 
 def test_monitor_statistics_match_vectorized_reference():
@@ -341,6 +344,6 @@ def test_streaming_statistic_full_horizon_exact(gamma):
             assert list(result.statistic_history) == ref_stats, (name, c)
             assert result.alarm_at == ref_alarm
             if c == math.inf:
-                assert result.k_final == 900 and not result.truncated
+                assert result.k == 900 and result.terminated
             elif name == "change":
                 assert result.alarm_at is not None

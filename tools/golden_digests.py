@@ -8,6 +8,8 @@ OUTDIR must be empty or absent; every run writes below it.  The runs are:
   subcommands, once at --threads 1 and once at --threads 2;
 - size and power experiments with `emit_traces: 2`, under both `a_source`
   values, reading the threshold table of the calibrate run;
+- a size experiment with no `thresholds`, which calibrates its own table at
+  the default 10,000 replications;
 - a normality experiment with enough replications for its diagnostics;
 - two `monitor` runs driven by that table, one whose stream alarms and one
   whose stream ends before the horizon.
@@ -125,6 +127,9 @@ def main(argv) -> int:
             cfg = _config(root, f"{kind}_{a_source}",
                           experiment={**studies, "kind": kind, "a_source": a_source, **extra})
             _run(root, codes, f"{kind}_{a_source}", cfg, "experiment")
+    studies.pop("thresholds")
+    cfg = _config(root, "size_own_table", experiment=studies)
+    _run(root, codes, "size_own_table", cfg, "experiment")
     cfg = _config(root, "normality", experiment={"kind": "normality", "m_list": [80], "reps": 40})
     _run(root, codes, "normality", cfg, "experiment")
 
