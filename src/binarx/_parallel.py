@@ -8,6 +8,7 @@ calibration replication or one experiment block of replications.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 from functools import partial
 
@@ -16,11 +17,13 @@ def map_over_reps(worker, shared, n_tasks: int, threads: int = 1) -> list:
     """Evaluate worker(shared, i) for i = 0..n_tasks-1, in order.
 
     `threads` <= 1 runs serially; otherwise a process pool is used (the
-    worker must be a module-level function and `shared` picklable).
+    worker must be a module-level function and `shared` picklable).  The
+    pool has at most one worker per task and per CPU.
     """
     fn = partial(worker, shared)
     if threads <= 1 or n_tasks <= 1:
         return [fn(i) for i in range(n_tasks)]
-    chunk = max(1, n_tasks // (threads * 8))
-    with ProcessPoolExecutor(max_workers=threads) as pool:
+    workers = min(threads, n_tasks, os.cpu_count() or 1)
+    chunk = max(1, n_tasks // (workers * 8))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, range(n_tasks), chunksize=chunk))

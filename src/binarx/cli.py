@@ -72,9 +72,18 @@ def _cmd_simulate(loaded, out: Path, quiet: bool) -> int:
     return EXIT_OK
 
 
+def _read_counts(loaded, key: str, spec_n: int):
+    """The series file that config `key` names, its counts checked against model.n."""
+    path = loaded.require(key)
+    sample = read_series_csv(path)
+    if sample.x.max() > spec_n:
+        raise ValueError(f"{path}: count {sample.x.max()} above model.n={spec_n}")
+    return sample
+
+
 def _cmd_fit(loaded, out: Path, quiet: bool) -> int:
     spec, _ = cfgmod.parse_model(loaded)
-    sample = read_series_csv(loaded.require("fit.series"))
+    sample = _read_counts(loaded, "fit.series", spec.n)
     fit = fit_mple(sample, spec.n)
     path = out / "fit_report.json"
     write_json(path, fit_report(fit))
@@ -115,7 +124,7 @@ def _stream_rows(fh, n_cells: int):
 def _cmd_monitor(loaded, out: Path, quiet: bool) -> int:
     spec, _ = cfgmod.parse_model(loaded)
     settings = cfgmod.parse_monitor(loaded)
-    training = read_series_csv(loaded.require("monitor.training"))
+    training = _read_counts(loaded, "monitor.training", spec.n)
     stream_path = loaded.require("monitor.stream")
     with cfgmod.in_section("monitor"):
         state = monitor_init(training, spec.n, **settings)

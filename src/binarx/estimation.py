@@ -82,31 +82,6 @@ def _design(series: SeriesSample, spec_n: int) -> tuple[np.ndarray, np.ndarray]:
     return _stack_design(series.x, series.w)
 
 
-def _linear(series: SeriesSample, spec_n: int, beta) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Design Z, responses y and linear predictor eta = Z @ beta."""
-    Z, y = _design(series, spec_n)
-    b = beta.as_array() if isinstance(beta, ParamVector) else np.asarray(beta, dtype=float)
-    if b.shape != (Z.shape[1],):
-        raise ValueError(f"beta has shape {b.shape}, expected ({Z.shape[1]},)")
-    return Z, y, Z @ b
-
-
-def log_partial_likelihood(series: SeriesSample, spec_n: int, beta) -> float:
-    """Log partial likelihood over t = 1..m, binomial coefficients included.
-
-    Keeping the combinatorial term makes values comparable across different
-    models of the same data (as needed for AIC).
-    """
-    _, y, eta = _linear(series, spec_n, beta)
-    return float(np.sum(log_binom(spec_n, y) + y * eta - spec_n * np.logaddexp(0.0, eta)))
-
-
-def score(series: SeriesSample, spec_n: int, beta) -> np.ndarray:
-    """Score vector sum_t z_{t-1} (x_t - n pi_t), the gradient of the log PL."""
-    Z, y, eta = _linear(series, spec_n, beta)
-    return Z.T @ (y - spec_n * expit(eta))
-
-
 def _gram(Z: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Stacked weighted Gram matrices sum_t weights_t z_t z_t', exactly symmetric.
 
@@ -118,11 +93,34 @@ def _gram(Z: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return 0.5 * (M + np.swapaxes(M, 1, 2))
 
 
-def score_gradient(series: SeriesSample, spec_n: int, beta) -> np.ndarray:
-    """Gradient of the score: -n sum_t z z' pi (1 - pi).  Exactly symmetric, NSD."""
-    Z, _, eta = _linear(series, spec_n, beta)
-    pi = expit(eta)
-    return -_gram(Z[None], (spec_n * pi * (1.0 - pi))[None])[0]
+# The likelihood kernel.  Each helper works on c stacked series: Z is
+# (c, m, d), y, eta, pi and resid are (c, m), beta is (c, d).
+
+def _log_coef(y: np.ndarray, spec_n: int) -> np.ndarray:
+    """sum_t log C(n, y_t) of each series: once per count value, from a table
+    over 0..max(y) when that is shorter than y; the values, and so the sums,
+    are the elementwise ones."""
+    top = int(y.max()) + 1
+    return np.sum(log_binom(spec_n, np.arange(top, dtype=float))[y.astype(np.intp)]
+                  if top < y.size else log_binom(spec_n, y), axis=1)
+
+
+def _log_pl(Z, y, log_coef, beta, spec_n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Log partial likelihood of each series at its beta, and eta = Z beta.
+    `log_coef` is `_log_coef(y, n)`: the binomial coefficients stay in, so
+    values compare across models of the same data (as AIC needs)."""
+    eta = np.matmul(Z, beta[:, :, None])[:, :, 0]
+    return log_coef + np.sum(y * eta - spec_n * np.logaddexp(0.0, eta), axis=1), eta
+
+
+def _score(Z, resid) -> np.ndarray:
+    """Score sum_t z_{t-1} resid_t of each series, with resid = y - n pi."""
+    return np.matmul(np.swapaxes(Z, 1, 2), resid[:, :, None])[:, :, 0]
+
+
+def _curvature(Z, pi, spec_n: int) -> np.ndarray:
+    """Negated score gradient n sum_t z_{t-1} z_{t-1}' pi_t (1 - pi_t)."""
+    return _gram(Z, spec_n * pi * (1.0 - pi))
 
 
 # One Newton chunk holds at most this many design entries (reps x m x d),
@@ -172,20 +170,11 @@ def _newton(Z: np.ndarray, y: np.ndarray, spec_n: int) -> BatchFit:
     """
     c, m, d = Z.shape
     errors: list = [None] * c
-    # log C(n, y) once per count value, from a table over 0..max(y) when that
-    # is shorter than y; the values, and so the sums, are the elementwise ones.
-    top = int(y.max()) + 1
-    log_coef = np.sum(log_binom(spec_n, np.arange(top, dtype=float))[y.astype(np.intp)]
-                      if top < y.size else log_binom(spec_n, y), axis=1)
-
-    def log_pl_at(Zs, ys, base, b):
-        eta = np.matmul(Zs, b[:, :, None])[:, :, 0]
-        return base + np.sum(ys * eta - spec_n * np.logaddexp(0.0, eta), axis=1), eta
-
+    log_coef = _log_coef(y, spec_n)
     for i in np.nonzero(np.all(y == 0, axis=1) | np.all(y == spec_n, axis=1))[0]:
         errors[i] = SeparationError("all responses at the same boundary; the MPLE diverges")
     beta = np.zeros((c, d))
-    lp, eta = log_pl_at(Z, y, log_coef, beta)
+    lp, eta = _log_pl(Z, y, log_coef, beta, spec_n)
     iterations = np.zeros(c, dtype=int)
     hit_boundary = np.zeros(c, dtype=bool)
     act = np.array([i for i, e in enumerate(errors) if e is None], dtype=int)
@@ -194,13 +183,13 @@ def _newton(Z: np.ndarray, y: np.ndarray, spec_n: int) -> BatchFit:
             break
         Za, ya, eta_a = (Z, y, eta) if act.size == c else (Z[act], y[act], eta[act])
         pi = expit(eta_a)
-        g = np.matmul(np.swapaxes(Za, 1, 2), (ya - spec_n * pi)[:, :, None])[:, :, 0]
+        g = _score(Za, ya - spec_n * pi)
         done = np.abs(g).max(axis=1) < _TOL
         iterations[act] = np.where(done, it - 1, it)
         act, Za, ya, pi, g = _narrow(~done, act, Za, ya, pi, g)
         if act.size == 0:
             break
-        H = _gram(Za, spec_n * pi * (1.0 - pi))
+        H = _curvature(Za, pi, spec_n)
         singular = np.linalg.cond(H) > _COND_LIMIT
         for i in act[singular]:
             errors[i] = SingularHessianError(
@@ -223,7 +212,7 @@ def _newton(Z: np.ndarray, y: np.ndarray, spec_n: int) -> BatchFit:
             cand[todo] = np.clip(
                 b0[todo] + scale[todo, None] * step[todo], -PARAM_BOX_BOUND, PARAM_BOX_BOUND
             )
-            lp_cand[todo], eta_cand[todo] = log_pl_at(Zt, yt, log_coef[act[todo]], cand[todo])
+            lp_cand[todo], eta_cand[todo] = _log_pl(Zt, yt, log_coef[act[todo]], cand[todo], spec_n)
             todo &= lp_cand < floor
             if not todo.any() or h == _MAX_HALVINGS:
                 break
@@ -235,7 +224,7 @@ def _newton(Z: np.ndarray, y: np.ndarray, spec_n: int) -> BatchFit:
 
     pi = expit(eta)
     resid = y - spec_n * pi
-    final_norm = np.abs(np.matmul(np.swapaxes(Z, 1, 2), resid[:, :, None])).max(axis=(1, 2))
+    final_norm = np.abs(_score(Z, resid)).max(axis=1)
     for i in np.nonzero(final_norm >= _TOL)[0]:
         if errors[i] is None:
             errors[i] = NonConvergenceError(
@@ -245,7 +234,7 @@ def _newton(Z: np.ndarray, y: np.ndarray, spec_n: int) -> BatchFit:
     covariance = np.full((c, d, d), np.nan)
     live = np.array([e is None for e in errors], dtype=bool)
     Zl, pl = _narrow(live, Z, pi)
-    H = _gram(Zl, spec_n * pl * (1.0 - pl))
+    H = _curvature(Zl, pl, spec_n)
     singular = np.linalg.cond(H) > _COND_LIMIT
     for i in np.nonzero(live)[0][singular]:
         errors[i] = SingularHessianError("curvature matrix singular at the optimum")

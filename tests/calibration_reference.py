@@ -1,0 +1,24 @@
+"""Explicit-route draw of the calibration functional: the reference that
+tests check the whitened route of the tables against."""
+
+import numpy as np
+
+from binarx.calibration import CalibrationConfig, _grid, _rep_normals, rho
+
+
+def sample_sup_functional(config: CalibrationConfig, gamma: float, rep_index: int,
+                          sigma=None) -> float:
+    """One replication of the supremum functional for the given gamma.
+
+    Takes the explicit route (Cholesky draws of Wiener covariance `sigma`,
+    quadratic form in A = sigma^{-1}) so the whitened route of the tables can
+    be validated against it; with sigma = None the covariance is the identity.
+    """
+    sigma = np.eye(config.dim) if sigma is None else sigma
+    eps, eps2 = _rep_normals(config, rep_index)
+    s = _grid(config)
+    L = np.linalg.cholesky(sigma)
+    W1 = np.cumsum(eps @ L.T, axis=0) / np.sqrt(config.grid_m)
+    D = W1 - s[:, None] * (L @ eps2)
+    q = np.einsum("kd,kd->k", D @ np.linalg.inv(sigma), D)
+    return float((rho(s, gamma) ** 2 * q).max())

@@ -46,7 +46,7 @@ from binarx import (
     simulate_series,
     threshold_table,
 )
-from binarx.calibration import quantile_higher, sample_sup_functional
+from binarx.calibration import quantile_higher
 from binarx.cli import run_command
 from binarx.dataprep import (
     BinomialSeries,
@@ -57,9 +57,10 @@ from binarx.dataprep import (
     write_binomial_series,
 )
 from binarx.defaults import DEFAULT_SEED
-from binarx.estimation import log_partial_likelihood, score, score_gradient
 from binarx.experiments import run_consistency, run_normality
 from binarx.model import _QUAD_NODES, _exogenous_quadrature, stationary_oracle
+from calibration_reference import sample_sup_functional
+from series_kernel import curvature, log_pl, score
 
 SPEC = default_model_spec()
 PAPER_MEAN_BETA = np.array([-0.9931, 0.0980, 0.4036])
@@ -134,8 +135,8 @@ def test_bessel3_sup_series_matches_fine_grid_simulation():
 
 def test_stationary_information_matches_curvature():
     sample = simulate_series(SPEC, 10**5, seed=DEFAULT_SEED)
-    curvature = -score_gradient(sample, SPEC.n, SPEC.beta) / sample.m
-    np.testing.assert_allclose(curvature, _stationary_information(SPEC), rtol=1e-2)
+    averaged = curvature(sample, SPEC.n, SPEC.beta) / sample.m
+    np.testing.assert_allclose(averaged, _stationary_information(SPEC), rtol=1e-2)
 
 
 def _central_diff(f, b, h=1e-5):
@@ -149,17 +150,18 @@ def _central_diff(f, b, h=1e-5):
 
 
 def test_criterion_01_gradient_oracle():
+    # log_pl, score and curvature call the Newton kernel's own helpers.
     start = time.monotonic()
     rng = np.random.default_rng(np.random.SeedSequence((DEFAULT_SEED, 101)))
     worst = 0.0
     for i in range(50):
         sample = simulate_series(SPEC, 200, seed=100_000 + i)
         beta = rng.uniform(-2.0, 2.0, size=3)
-        fd_score = _central_diff(lambda b: log_partial_likelihood(sample, SPEC.n, b), beta)
+        fd_score = _central_diff(lambda b: log_pl(sample, SPEC.n, b), beta)
         s = score(sample, SPEC.n, beta)
         err_s = np.abs(fd_score - s) / np.maximum(1.0, np.abs(s))
         fd_grad = _central_diff(lambda b: score(sample, SPEC.n, b), beta)
-        g = score_gradient(sample, SPEC.n, beta)
+        g = -curvature(sample, SPEC.n, beta)
         err_g = np.abs(fd_grad - g) / np.maximum(1.0, np.abs(g))
         worst = max(worst, err_s.max(), err_g.max())
     elapsed = time.monotonic() - start

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from binarx import CalibrationConfig, read_threshold_table, threshold_table
-from binarx.calibration import quantile_higher, sample_sup_functional, write_threshold_table
+from binarx.calibration import quantile_higher, write_threshold_table
+from calibration_reference import sample_sup_functional
 
 SIGMA = np.array([[2.0, 0.3, 0.1], [0.3, 1.5, -0.2], [0.1, -0.2, 0.9]])
 

@@ -38,7 +38,7 @@ from binarx.defaults import (
     DEFAULT_MONITOR_GAMMA,
     EXPERIMENT_DEFAULTS,
 )
-from binarx.model import ExogenousSpec, write_series_csv
+from binarx.model import ExogenousSpec, SeriesSample, write_series_csv
 from binarx.monitoring import MonitorConfig
 
 MODEL_SECTION = {
@@ -116,6 +116,20 @@ def test_fit_command(tmp_path):
     report = json.loads((tmp_path / "out" / "fit_report.json").read_text())
     assert "converged" not in report and report["final_score_norm"] < 1e-8
     assert len(report["beta_hat"]) == 3
+
+
+@pytest.mark.parametrize("command, section", [
+    ("fit", {"fit": {"series": "series.csv"}}),
+    ("monitor", {"monitor": {"training": "series.csv", "stream": "stream.csv",
+                             "gamma": 0.0, "alpha": 0.05, "threshold_c": 7.0}}),
+], ids=["fit", "monitor"])
+def test_series_counts_above_n_name_the_file_and_model_n(tmp_path, capsys, command, section):
+    x = np.array([0, 1, 2, 5, 1, 0, 2, 1, 1, 0, 2])
+    write_series_csv(SeriesSample(x=x, w=np.ones((10, 1))), tmp_path / "series.csv")
+    cfg = _write_config(tmp_path / "cfg.json", {"model": {**MODEL_SECTION, "n": 2}, **section})
+    assert run_command(["--config", cfg, "--out", str(tmp_path / "out"), "--quiet", command]) == 1
+    err = capsys.readouterr().err
+    assert "series.csv" in err and "count 5 above model.n=2" in err, err
 
 
 def test_calibrate_then_monitor_threshold_round_trip(tmp_path):

@@ -16,8 +16,8 @@ from binarx.dataprep import (
     write_binomial_series,
 )
 from binarx.dataprep import _iid_fit
-from binarx.estimation import log_partial_likelihood
 from binarx.model import SeriesSample
+from series_kernel import log_pl
 
 # Two states, one baseline year, six evaluation weeks; indicator sums
 # enumerated by hand (week 4 exercises the tie-goes-to-zero convention).
@@ -138,12 +138,15 @@ def test_fit_iid_boundary_flag():
     assert _iid_fit(np.zeros(10, dtype=int), 6) == (0.0, 0.0)
 
 
-def _chi2_sf_df1_oracle(x, nodes=400):
+_LEGGAUSS_400 = leggauss(400)
+
+
+def _chi2_sf_df1_oracle(x):
     # Survival via the CDF with t = u^2: P(X <= x) = 2 * Phi-type integral of
-    # the standard normal density on [0, sqrt(x)].
+    # the standard normal density on [0, sqrt(x)], by 400-node Gauss-Legendre.
     if x == 0:
         return 1.0
-    gx, gw = leggauss(nodes)
+    gx, gw = _LEGGAUSS_400
     hi = math.sqrt(x)
     u = 0.5 * hi * (gx + 1.0)
     integrand = 2.0 * np.exp(-0.5 * u**2) / math.sqrt(2.0 * math.pi)
@@ -193,7 +196,7 @@ def test_model_comparison_nesting_and_constrained_identity():
         # Pinning the AR coefficient at zero with the matching intercept
         # reproduces the constant model's maximum exactly.
         pi = out["pi_hat"]
-        constrained = log_partial_likelihood(
+        constrained = log_pl(
             SeriesSample(x=x, w=np.empty((200, 0))), 6,
             np.array([math.log(pi / (1 - pi)), 0.0]),
         )

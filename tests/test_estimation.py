@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import gammaln
+from scipy.special import expit, gammaln
 
 from binarx import (
     NonConvergenceError,
@@ -13,14 +13,9 @@ from binarx import (
     simulate_series,
 )
 from binarx import estimation
-from binarx.estimation import (
-    fit_mple_batch,
-    fit_report,
-    log_partial_likelihood,
-    score,
-    score_gradient,
-)
+from binarx.estimation import fit_mple_batch, fit_report
 from binarx.model import SeriesSample, log_binom
+from series_kernel import curvature, log_pl, score
 
 SPEC = default_model_spec()
 
@@ -36,21 +31,33 @@ def _no_exo_series(x):
 
 def _newton_traced(sample, n):
     """Batch-of-one Newton fit of `sample` and its accepted log-PL values, one
-    per iteration: the log-PL of the same fit stopped after 0, 1, ... iterations."""
+    per iteration: the log-PL of the same fit stopped after 0, 1, ... iterations.
+
+    The fit takes pi = expit(eta) of its accepted iterate at the top of each
+    iteration and once at the end, so one run with expit recorded sees the
+    eta of every accepted iterate in order.
+    """
     Z, y = estimation._design(sample, n)
-    fit = estimation._newton(Z[None], y[None], n)
-    trace = []
+    Z, y = Z[None], y[None]
+    seen = []
+
+    def recorder(eta):
+        seen.append(eta.copy())  # the fit updates its eta in place
+        return expit(eta)
+
     with pytest.MonkeyPatch.context() as mp:
-        for k in range(fit.iterations[0] + 1):
-            mp.setattr(estimation, "_MAX_ITER", k)
-            trace.append(estimation._newton(Z[None], y[None], n).log_pl[0])
+        mp.setattr(estimation, "expit", recorder)
+        fit = estimation._newton(Z, y, n)
+    log_coef = estimation._log_coef(y, n)
+    trace = [(log_coef + np.sum(y * eta - n * np.logaddexp(0.0, eta), axis=1))[0]
+             for eta in seen[:fit.iterations[0] + 1]]
     return fit, np.asarray(trace)
 
 
 def test_log_pl_constant_pi_closed_form():
     sample = _sample(150, seed=4)
     n, m = SPEC.n, sample.m
-    got = log_partial_likelihood(sample, n, np.zeros(3))
+    got = log_pl(sample, n, np.zeros(3))
     y = sample.x[1:]
     log_binom = float(np.sum(gammaln(n + 1) - gammaln(y + 1) - gammaln(n - y + 1)))
     assert got == pytest.approx(log_binom + m * n * math.log(0.5), rel=1e-13)
@@ -74,21 +81,19 @@ def test_log_pl_single_observation():
     series = _no_exo_series([0, 1])
     beta = np.array([math.log(3.0), 0.0])
     expected = math.log(2.0) + math.log(0.75) + math.log(0.25)
-    assert log_partial_likelihood(series, 2, beta) == pytest.approx(expected, abs=1e-12)
+    assert log_pl(series, 2, beta) == pytest.approx(expected, abs=1e-12)
     assert expected == pytest.approx(-0.9808292530117262, abs=1e-12)
 
 
 def test_log_pl_maximizer_dominance():
     sample = _sample(400, seed=11)
     fit = fit_mple(sample, SPEC.n)
-    assert log_partial_likelihood(sample, SPEC.n, fit.beta_hat) >= log_partial_likelihood(
-        sample, SPEC.n, SPEC.beta
-    )
+    assert log_pl(sample, SPEC.n, fit.beta_hat) >= log_pl(sample, SPEC.n, SPEC.beta)
 
 
 def test_log_pl_requires_transitions():
     with pytest.raises(ValueError):
-        log_partial_likelihood(_no_exo_series([3]), 10, np.zeros(2))
+        log_pl(_no_exo_series([3]), 10, np.zeros(2))
 
 
 def test_score_zero_at_exact_conditional_means():
@@ -112,7 +117,7 @@ def test_score_matches_log_pl_finite_differences():
     for _ in range(8):
         sample = _sample(50, seed=int(rng.integers(1 << 30)))
         beta = rng.uniform(-1.5, 1.5, size=3)
-        fd = _central_diff(lambda b: log_partial_likelihood(sample, SPEC.n, b), beta)
+        fd = _central_diff(lambda b: log_pl(sample, SPEC.n, b), beta)
         s = score(sample, SPEC.n, beta)
         assert np.all(np.abs(fd - s) / np.maximum(1.0, np.abs(s)) < 1e-6)
 
@@ -123,27 +128,43 @@ def test_score_gradient_matches_score_finite_differences():
         sample = _sample(50, seed=int(rng.integers(1 << 30)))
         beta = rng.uniform(-1.5, 1.5, size=3)
         fd = _central_diff(lambda b: score(sample, SPEC.n, b), beta)
-        g = score_gradient(sample, SPEC.n, beta)
+        g = -curvature(sample, SPEC.n, beta)
         assert np.all(np.abs(fd - g) / np.maximum(1.0, np.abs(g)) < 1e-6)
 
 
 def test_score_gradient_single_term_quarter():
     series = _no_exo_series([3, 7])
     z = np.array([1.0, 3.0])
-    got = score_gradient(series, 10, np.zeros(2))
+    got = -curvature(series, 10, np.zeros(2))
     np.testing.assert_allclose(got, -10.0 * np.outer(z, z) / 4.0, rtol=1e-12)
 
 
 def test_score_gradient_exact_symmetry():
     sample = _sample(200, seed=6)
-    M = score_gradient(sample, SPEC.n, np.array([0.3, -0.05, 0.2]))
+    M = -curvature(sample, SPEC.n, np.array([0.3, -0.05, 0.2]))
     assert np.abs(M - M.T).max() == 0.0
 
 
 def test_score_gradient_negative_semidefinite():
     sample = _sample(200, seed=7)
-    M = score_gradient(sample, SPEC.n, SPEC.beta)
+    M = -curvature(sample, SPEC.n, SPEC.beta)
     assert np.linalg.eigvalsh(M).max() <= 1e-10
+
+
+def test_fit_mple_runs_the_kernel_that_criterion_01_checks(monkeypatch):
+    calls = dict.fromkeys(("_log_coef", "_log_pl", "_score", "_curvature"), 0)
+    for name in calls:
+        def recorder(*args, name=name, helper=getattr(estimation, name)):
+            calls[name] += 1
+            return helper(*args)
+        monkeypatch.setattr(estimation, name, recorder)
+    fit = fit_mple(_sample(300, seed=9), SPEC.n)
+    # One Hessian per iteration and one at the optimum; one score more, for
+    # the final norm; the start and at least one candidate per iteration.
+    assert calls["_log_coef"] == 1
+    assert calls["_curvature"] == fit.iterations + 1
+    assert calls["_score"] == fit.iterations + 2
+    assert calls["_log_pl"] >= fit.iterations + 1
 
 
 def test_fit_three_sigma_self_consistency():

@@ -23,7 +23,7 @@ from binarx import (
     run_size,
     threshold_table,
 )
-from binarx import experiments
+from binarx import _parallel, experiments
 from binarx.calibration import ThresholdTable
 from binarx.cli import run_command
 from binarx.defaults import DEFAULT_CALIBRATION_REPS, DEFAULT_GRID_M
@@ -456,3 +456,33 @@ def test_report_csv_writers(tmp_path, small_table):
         assert set(meta) == shared | own, meta["experiment"]
         assert (meta["stream_contract"], meta["block_size"]) == (2, 256)
         assert set(meta["failures_by_class"][m]) == set(FAILURE_CLASSES)
+
+
+@pytest.mark.parametrize("threads, n_tasks, cpus, workers", [
+    (10**6, 5, 2, 2),  # capped by the CPUs
+    (10**6, 3, 8, 3),  # capped by the tasks
+    (2, 100, 8, 2),
+    (4, 100, None, 1),  # CPU count unknown
+])
+def test_pool_workers_are_capped_by_tasks_and_cpus(monkeypatch, threads, n_tasks, cpus, workers):
+    # The recorder stands in for the pool, so no process is started.
+    seen = []
+
+    class Recorder:
+        def __init__(self, max_workers):
+            seen.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize):
+            return map(fn, items)
+
+    monkeypatch.setattr(_parallel, "ProcessPoolExecutor", Recorder)
+    monkeypatch.setattr(_parallel.os, "cpu_count", lambda: cpus)
+    got = _parallel.map_over_reps(lambda shared, i: shared * i, 3, n_tasks, threads=threads)
+    assert got == [3 * i for i in range(n_tasks)]
+    assert seen == [workers]

@@ -16,8 +16,8 @@ from binarx import (
     simulate_series,
 )
 from binarx.calibration import ThresholdTable, rho
-from binarx.estimation import score
 from binarx.monitoring import _weight, inverse_metric, weight
+from series_kernel import score
 from streaming_reference import replay, score_step, state_with_metric, weight_0d
 
 SPEC = default_model_spec()
