@@ -248,7 +248,8 @@ def write_threshold_table(table: ThresholdTable, path) -> None:
 
 def read_threshold_table(path) -> ThresholdTable:
     """Read a table written by write_threshold_table; every row must hold its
-    own (gamma, alpha) cell and the first row's recipe (reps, grid_m, N, seed)."""
+    own (gamma, alpha) cell, a c > 0 and the first row's recipe (reps, grid_m,
+    N, seed)."""
     entries = {}
     recipes = []
 
@@ -260,7 +261,9 @@ def read_threshold_table(path) -> ThresholdTable:
         if recipes and recipe != recipes[0]:
             raise ValueError(f"recipe (reps, grid_m, N, seed) = {recipe} differs from the "
                              f"first row's {recipes[0]}")
-        entries[key] = float(row[2])
+        c = float(row[2])
+        _check_positive(c, "c")
+        entries[key] = c
         recipes.append(recipe)
 
     with open(path, newline="") as fh:

@@ -163,7 +163,8 @@ def monitor_update(state: MonitorState, x_new: int, w_new) -> tuple[MonitorState
     reached, and ValueError naming the monitored index k for a count that is
     not an integer in {0..n} or a covariate row that is not l finite values;
     a rejected observation leaves the state untouched.  Scalar-sized work:
-    the fit and horizon are cached and the weight is evaluated in floats.
+    the fit and horizon are cached and the weight is evaluated in floats;
+    the products stay on BLAS and the logistic on expit, for their pinned bits.
     """
     cfg = state.config
     if state.alarm_at is not None:
@@ -181,17 +182,18 @@ def monitor_update(state: MonitorState, x_new: int, w_new) -> tuple[MonitorState
         raise ValueError(f"observation k={k}: count {x_int} outside {{0..{state.n}}}")
 
     beta = state._beta
-    w = np.asarray(w_new, dtype=float).reshape(-1).tolist()
+    w = np.asarray(w_new, dtype=float).ravel().tolist()
     if len(w) != beta.size - 2:
         raise ValueError(f"observation k={k}: {len(w)} covariates, expected {beta.size - 2}")
     if not all(map(math.isfinite, w)):
         raise ValueError(f"observation k={k}: covariates {w_new!r} are not finite")
     z = np.array((1.0, state.x_prev, *w))
-    pi = _clamp_prob(float(expit(beta @ z)))
-    state.running_sum = state.running_sum + z * (x_int - state.n * pi)
+    pi = _clamp_prob(float(expit(float(beta.dot(z)))))
+    z *= x_int - state.n * pi
+    S = state.running_sum = state.running_sum + z
     state.k = k
     w2 = _weight(cfg.m, k, cfg.gamma) ** 2
-    statistic = float(w2 * (state.running_sum @ cfg.a_matrix @ state.running_sum))
+    statistic = w2 * float(S.dot(cfg.a_matrix).dot(S))
     state.statistic_history.append(statistic)
     if statistic >= cfg.threshold_c:
         state.alarm_at = k

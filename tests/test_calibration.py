@@ -122,7 +122,13 @@ def test_threshold_csv_round_trip(tmp_path):
     (["0.0,0.05,seven,100,1000,3.0,0"], "line 2: could not convert"),
     (["0.0,0.05,7.0"], "line 2: expected 7 cells, got 3"),
     ([], "threshold table is empty"),
-], ids=["other-N", "other-reps", "repeated-cell", "non-numeric", "short-row", "empty"])
+    # A c that is not > 0 would switch the monitor off (NaN) or on at every step.
+    (["0.0,0.05,7.0,100,1000,3.0,0", "0.0,0.01,nan,100,1000,3.0,0"],
+     "line 3: c: must be > 0, got nan"),
+    (["0.0,0.05,0.0,100,1000,3.0,0"], "line 2: c: must be > 0, got 0.0"),
+    (["0.0,0.05,-1.0,100,1000,3.0,0"], "line 2: c: must be > 0, got -1.0"),
+], ids=["other-N", "other-reps", "repeated-cell", "non-numeric", "short-row", "empty",
+        "nan-c", "zero-c", "negative-c"])
 def test_threshold_table_rows_must_agree(tmp_path, rows, message):
     path = tmp_path / "thresholds.csv"
     path.write_text("\n".join(["gamma,alpha,c,reps,grid_m,N,seed", *rows]) + "\n")

@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from binarx import (
+    ModelSpec,
+    ParamVector,
     default_model_spec,
     monitor_init,
     monitor_update,
@@ -19,12 +21,13 @@ from binarx import (
     simulate_series,
 )
 from binarx.calibration import ThresholdTable, write_threshold_table
-from binarx.model import SeriesSample, write_series_csv
+from binarx.model import ExogenousSpec, SeriesSample, write_series_csv
 from binarx._artifacts import cell, write_csv
 from series_reference import outcome, read_series_rows
 from streaming_reference import score_step, statistic
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
+POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
 
 
 def _bits(values) -> list[str]:
@@ -78,7 +81,8 @@ def test_series_csv_mutated_cell_reads_as_row_loop(tmp_path_factory, sample, dat
 def threshold_tables(draw):
     gammas = draw(st.lists(FINITE, min_size=1, max_size=3, unique=True))
     alphas = draw(st.lists(FINITE, min_size=1, max_size=4, unique=True))
-    entries = {(g, a): draw(FINITE) for g in gammas for a in alphas}
+    # The reader refuses a c that is not > 0, which no calibration writes.
+    entries = {(g, a): draw(POSITIVE) for g in gammas for a in alphas}
     return ThresholdTable(
         entries=entries,
         reps=draw(st.integers(100, 10**6)),
@@ -165,4 +169,34 @@ def test_monitor_state_is_recomputable_from_its_stream(stream, gamma, bad, at):
         x_prev = x
         assert _bits(state.running_sum) == _bits(S)
         assert state.statistic_history[k - 1] == statistic(m, k, gamma, A, S)
+    assert state.k == len(stream) and state.alarm_at is None
+
+
+# d = 2 and d = 4: the products and the regressor at the other shapes a model takes.
+OTHER_DIMS = {l: (spec, simulate_series(spec, 100, seed=61)) for l, spec in (
+    (0, ModelSpec(n=10, beta=ParamVector(-1.0, 0.3), exo=ExogenousSpec())),
+    (2, ModelSpec(n=10, beta=ParamVector(-1.0, 0.1, (0.4, -0.3)),
+                  exo=ExogenousSpec(mean=2.0, sd=1.5))),
+)}
+
+
+@pytest.mark.parametrize("l", sorted(OTHER_DIMS), ids=lambda l: f"l={l}")
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), gamma=st.floats(0.0, 0.49))
+def test_monitor_state_is_recomputable_at_every_dimension(l, data, gamma):
+    spec, training = OTHER_DIMS[l]
+    stream = data.draw(st.lists(st.tuples(st.integers(0, spec.n),
+                                          st.lists(COVARIATES, min_size=l, max_size=l)),
+                                min_size=1, max_size=40))
+    state = monitor_init(training, spec.n, horizon=3.0, gamma=gamma, alpha=0.05,
+                         threshold_source=math.inf)
+    A, m = state.config.a_matrix, state.config.m
+    S = np.zeros(2 + l)
+    x_prev = int(training.x[-1])
+    for k, (x, w) in enumerate(stream, start=1):
+        monitor_update(state, x, np.array(w))
+        S = score_step(S, state.beta_hat, spec.n, x_prev, x, np.array(w))
+        x_prev = x
+        assert _bits(state.running_sum) == _bits(S)
+        assert _bits(state.statistic_history[k - 1:k]) == _bits([statistic(m, k, gamma, A, S)])
     assert state.k == len(stream) and state.alarm_at is None

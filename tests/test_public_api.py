@@ -1,10 +1,10 @@
 """`import binarx` exports what its workflows take from it, and nothing else.
 
 The workflows are README's quick start, the benchmark's child process
-(`perfbench/child.py`: its API_NAMES and every `binarx.<Name>`) and the
-golden-digest tool.  They are read with `ast`, so a trim of the export list
-that would break one of them fails here first.  The exception classes are
-exported too.  The module attributes that the benchmark's traced run patches
+(`perfbench/child.py`: its API_NAMES and every `binarx.<Name>`), the
+golden-digest tool and the layer bench.  They are read with `ast`, so a
+trim of the export list that would break one of them fails here first.  The
+exception classes are exported too.  The module attributes that the benchmark's traced run patches
 must exist as well.
 """
 
@@ -45,8 +45,8 @@ def _perfbench() -> set:
     return names
 
 
-def _golden_digests() -> set:
-    return _from_binarx(ast.parse((ROOT / "tools" / "golden_digests.py").read_text()))
+def _tool(name: str) -> set:
+    return _from_binarx(ast.parse((ROOT / "tools" / name).read_text()))
 
 
 def _is_submodule(name: str) -> bool:
@@ -56,14 +56,16 @@ def _is_submodule(name: str) -> bool:
 def test_every_name_the_workflows_take_from_binarx_resolves():
     for workflow, names in [("README quick start", _quick_start()),
                             ("perfbench/child.py", _perfbench()),
-                            ("tools/golden_digests.py", _golden_digests())]:
+                            ("tools/golden_digests.py", _tool("golden_digests.py")),
+                            ("tools/bench.py", _tool("bench.py"))]:
         assert names, workflow
         missing = sorted(n for n in names if not hasattr(binarx, n) and not _is_submodule(n))
         assert not missing, f"{workflow} takes {missing} from binarx"
 
 
 def test_exports_are_the_workflow_names_and_the_exceptions():
-    used = {n for n in _quick_start() | _perfbench() | _golden_digests() if not _is_submodule(n)}
+    used = {n for n in _quick_start() | _perfbench() | _tool("golden_digests.py")
+            | _tool("bench.py") if not _is_submodule(n)}
     errors = {n for n, v in vars(exceptions).items()
               if isinstance(v, type) and issubclass(v, Exception)}
     exported = {n for n, v in vars(binarx).items()
