@@ -9,7 +9,6 @@ calibration replication or one experiment block of replications.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from functools import partial
 
 
@@ -23,6 +22,8 @@ def map_over_reps(worker, shared, n_tasks: int, threads: int = 1) -> list:
     fn = partial(worker, shared)
     if threads <= 1 or n_tasks <= 1:
         return [fn(i) for i in range(n_tasks)]
+    from concurrent.futures import ProcessPoolExecutor
+
     workers = min(threads, n_tasks, os.cpu_count() or 1)
     chunk = max(1, n_tasks // (workers * 8))
     with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -33,6 +33,7 @@ from .defaults import (
     DEFAULT_GRID_M,
     DEFAULT_HORIZON,
     DEFAULT_SEED,
+    MAX_POINTS,
 )
 from .exceptions import ConfigError, ThresholdUnavailableError
 from ._parallel import map_over_reps
@@ -80,9 +81,13 @@ def rho(s, gamma: float):
 
 
 def horizon_steps(horizon: float, per_unit: int) -> int:
-    """Close-end horizon floor(N * per_unit), guarded against float rounding."""
+    """Close-end horizon floor(N * per_unit), guarded against float rounding;
+    at most MAX_POINTS, the budget of one replication."""
     if not math.isfinite(horizon):
         raise ConfigError("horizon", f"must be finite, got {horizon}")
+    if horizon * per_unit > MAX_POINTS:
+        raise ConfigError("horizon", f"{horizon} x {per_unit} = {horizon * per_unit:g} points, "
+                                     f"above the budget of {MAX_POINTS} per replication")
     return int(np.floor(horizon * per_unit + 1e-9))
 
 
@@ -128,13 +133,21 @@ class CalibrationConfig:
 
 @dataclass(frozen=True)
 class ThresholdTable:
-    """Critical values keyed by (gamma, alpha), with the recipe metadata."""
+    """Critical values keyed by (gamma, alpha), with the recipe metadata.
+
+    Every c must be > 0: a NaN would switch the monitor off, and a c <= 0
+    would alarm at the first point.  inf, a cell that never alarms, is allowed.
+    """
 
     entries: dict
     reps: int
     grid_m: int
     horizon: float
     master_seed: int
+
+    def __post_init__(self):
+        for (g, a), c in self.entries.items():
+            _check_positive(c, f"c at gamma={g}, alpha={a}")
 
     def lookup(self, gamma: float, alpha: float) -> float:
         key = (float(gamma), float(alpha))

@@ -33,6 +33,7 @@ from .defaults import (
     DEFAULT_MONITOR_GAMMA,
     DEFAULT_SEED,
     EXPERIMENT_DEFAULTS,
+    MAX_POINTS,
     default_model_spec,
 )
 from .exceptions import ConfigError
@@ -174,8 +175,8 @@ def parse_model(loaded: LoadedConfig) -> tuple[ModelSpec, int]:
     with in_section("model"):
         spec = ModelSpec(n=n, beta=ParamVector.from_array(beta), exo=exo)
     burn_in = loaded.get("model.burn_in", DEFAULT_BURN_IN)
-    if burn_in < 0:
-        raise ConfigError("model.burn_in", "must be >= 0")
+    if not 0 <= burn_in <= MAX_POINTS:
+        raise ConfigError("model.burn_in", f"must lie in [0, {MAX_POINTS}], got {burn_in}")
     return spec, burn_in
 
 

@@ -13,7 +13,7 @@ import csv
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaincc, xlogy
+import scipy
 
 from ._artifacts import read_rows
 from .estimation import fit_mple
@@ -125,14 +125,15 @@ def binarize_and_sum(panel: RatePanel, baseline: dict, states, window) -> Binomi
 def _iid_fit(x: np.ndarray, n: int) -> tuple[float, float]:
     """Constant-probability estimate pi_hat = sum(x) / (n T) and its log likelihood."""
     pi = float(x.sum()) / (n * x.size)
-    return pi, float(np.sum(log_binom(n, x) + xlogy(x, pi) + xlogy(n - x, 1.0 - pi)))
+    return pi, float(np.sum(log_binom(n, x) + scipy.special.xlogy(x, pi)
+                             + scipy.special.xlogy(n - x, 1.0 - pi)))
 
 
 def chi2_sf(x: float) -> float:
     """Chi-square survival function at one degree of freedom, the LR test's."""
     if x < 0:
         raise ValueError("chi-square statistic must be >= 0")
-    return float(gammaincc(0.5, x / 2.0))
+    return float(scipy.special.gammaincc(0.5, x / 2.0))
 
 
 def model_comparison(series: BinomialSeries) -> dict:

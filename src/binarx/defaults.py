@@ -16,6 +16,11 @@ DEFAULT_ALPHAS = (0.1, 0.05, 0.025, 0.01)
 # Close-end horizon multiplier N: monitoring stops at k = floor(N * m).
 DEFAULT_HORIZON = 3.0
 
+# The most time points one replication may hold: a simulated series, a
+# training window, a monitored horizon or a calibration grid.  At the budget
+# a d = 3 calibration replication draws 24 MB of normals.
+MAX_POINTS = 1_000_000
+
 # Monte-Carlo calibration: replications and grid points per unit time.
 DEFAULT_CALIBRATION_REPS = 10_000
 DEFAULT_GRID_M = 1000

@@ -12,11 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 
 import numpy as np
-from scipy.special import expit
 
 from .defaults import PARAM_BOX_BOUND
 from .exceptions import NonConvergenceError, SeparationError, SingularHessianError
-from .model import ParamVector, SeriesSample, log_binom
+from .model import ParamVector, SeriesSample, log_binom, logistic
 
 
 # Newton solver settings.  Convergence requires the sup-norm of the score to
@@ -97,12 +96,8 @@ def _gram(Z: np.ndarray, weights: np.ndarray) -> np.ndarray:
 # (c, m, d), y, eta, pi and resid are (c, m), beta is (c, d).
 
 def _log_coef(y: np.ndarray, spec_n: int) -> np.ndarray:
-    """sum_t log C(n, y_t) of each series: once per count value, from a table
-    over 0..max(y) when that is shorter than y; the values, and so the sums,
-    are the elementwise ones."""
-    top = int(y.max()) + 1
-    return np.sum(log_binom(spec_n, np.arange(top, dtype=float))[y.astype(np.intp)]
-                  if top < y.size else log_binom(spec_n, y), axis=1)
+    """sum_t log C(n, y_t) of each series."""
+    return np.sum(log_binom(spec_n, y), axis=1)
 
 
 def _log_pl(Z, y, log_coef, beta, spec_n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -182,7 +177,7 @@ def _newton(Z: np.ndarray, y: np.ndarray, spec_n: int) -> BatchFit:
         if act.size == 0:
             break
         Za, ya, eta_a = (Z, y, eta) if act.size == c else (Z[act], y[act], eta[act])
-        pi = expit(eta_a)
+        pi = logistic(eta_a)
         g = _score(Za, ya - spec_n * pi)
         done = np.abs(g).max(axis=1) < _TOL
         iterations[act] = np.where(done, it - 1, it)
@@ -222,7 +217,7 @@ def _newton(Z: np.ndarray, y: np.ndarray, spec_n: int) -> BatchFit:
         beta[act], lp[act], eta[act] = cand, lp_cand, eta_cand
         act, = _narrow(~stalled, act)
 
-    pi = expit(eta)
+    pi = logistic(eta)
     resid = y - spec_n * pi
     final_norm = np.abs(_score(Z, resid)).max(axis=1)
     for i in np.nonzero(final_norm >= _TOL)[0]:

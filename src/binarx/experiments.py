@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import expit, ndtri
+import scipy
 
 from ._artifacts import write_csv, write_json
 from .calibration import (CalibrationConfig, ThresholdTable, _check_levels, horizon_steps,
@@ -34,6 +34,7 @@ from .defaults import (
     DEFAULT_GAMMAS,
     DEFAULT_HORIZON,
     DEFAULT_SEED,
+    MAX_POINTS,
     default_model_spec,
 )
 from .estimation import _CHUNK_ELEMENTS, BatchFit, fit_mple, fit_mple_batch
@@ -43,6 +44,7 @@ from .model import (
     ParamVector,
     SeriesSample,
     _stable_prob,
+    logistic,
     simulate_chain,
     stationary_oracle,
 )
@@ -80,7 +82,8 @@ class ChangePoint:
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Study settings.  Every m_list entry's horizon, of any kind of study,
-    must hold a monitored point and the change; ConfigError names the field."""
+    must hold a monitored point and the change, and neither the entry nor its
+    horizon may exceed MAX_POINTS points; ConfigError names the field."""
 
     spec: ModelSpec = field(default_factory=default_model_spec)
     m_list: tuple[int, ...] = (500, 1000, 1500)
@@ -107,6 +110,9 @@ class ExperimentConfig:
         if min(self.m_list) < d + 1:
             raise ConfigError("m_list", f"entry {min(self.m_list)} is below {d + 1}, "
                                         "the fewest transitions that fit the model")
+        if max(self.m_list) > MAX_POINTS:
+            raise ConfigError("m_list", f"entry {max(self.m_list)} is above the budget of "
+                                        f"{MAX_POINTS} points")
         _check_levels(self.gammas, self.alphas)
         if self.a_source not in ("aux", "training"):
             raise ConfigError("a_source", f"must be 'aux' or 'training', got {self.a_source!r}")
@@ -373,7 +379,7 @@ def run_normality(config: ExperimentConfig, threads: int = 1) -> NormalityReport
         skew_p = np.array([_two_sided_normal_p(z) for z in skew_z])
         kurt_p = np.array([_two_sided_normal_p(z) for z in kurt_z])
         probs = (np.arange(1, reps_ok + 1) - 0.375) / (reps_ok + 0.25)
-        quantiles = ndtri(probs)
+        quantiles = scipy.special.ndtri(probs)
         qq = np.array(
             [np.corrcoef(np.sort(centered[:, j]) / math.sqrt(m2[j]), quantiles)[0, 1] for j in range(d)]
         )
@@ -469,7 +475,7 @@ def _monitor_block(task: _MonitorTask, b: int):
             z[t, 2:] = w.T
         z[:pts, 1] = x[:pts]
         eta = (z[:pts] * beta).sum(axis=1)
-        path = z[:pts] * (x[1:pts + 1] - spec.n * expit(eta))[:, None]
+        path = z[:pts] * (x[1:pts + 1] - spec.n * logistic(eta))[:, None]
         path[0] += S
         np.cumsum(path, axis=0, out=path)
         AS = A @ path if A.ndim == 2 else (A * path[:, None]).sum(axis=2)

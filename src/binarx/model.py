@@ -22,10 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.special import expit, gammaln
 
 from ._artifacts import write_csv
-from .defaults import DEFAULT_BURN_IN, PARAM_BOX_BOUND
+from .defaults import DEFAULT_BURN_IN, MAX_POINTS, PARAM_BOX_BOUND
 from .exceptions import ConfigError, NonConvergenceError
 
 # Smallest/largest probabilities representable strictly inside (0, 1).
@@ -165,9 +164,32 @@ class SeriesSample:
         return self.w.shape[1]
 
 
+def logistic(eta: np.ndarray) -> np.ndarray:
+    """1 / (1 + exp(-eta)) of a float array, as a new array.
+
+    Below eta = -709.78, exp(-eta) overflows to inf and p is 0, the limit;
+    that overflow is silenced, so no eta raises a warning.  numpy's vector
+    exp may differ from the C library's in the last bit, so p may differ
+    from `logistic_float` of the same eta in its last bits.
+    """
+    with np.errstate(over="ignore"):
+        p = np.exp(-eta)
+    p += 1.0
+    return np.reciprocal(p, out=p)
+
+
+def logistic_float(eta: float) -> float:
+    """1 / (1 + exp(-eta)) of one float, with the C library's exp: 0.0 where
+    exp(-eta) overflows, NaN for NaN."""
+    try:
+        return 1.0 / (1.0 + math.exp(-eta))
+    except OverflowError:
+        return 0.0
+
+
 def _stable_prob(eta: np.ndarray) -> np.ndarray:
     """Logistic probability of an array, clipped strictly inside (0, 1) in float64."""
-    p = expit(eta)
+    p = logistic(eta)
     return np.minimum(np.maximum(p, _PROB_FLOOR, out=p), _PROB_CEIL, out=p)
 
 
@@ -176,9 +198,23 @@ def _clamp_prob(p: float) -> float:
     return _PROB_FLOOR if p < _PROB_FLOOR else _PROB_CEIL if p > _PROB_CEIL else p
 
 
-def log_binom(n, x):
-    """Log binomial coefficient log C(n, x), elementwise over array x."""
-    return gammaln(n + 1) - gammaln(x + 1) - gammaln(n - x + 1)
+def log_binom(n: int, x) -> np.ndarray:
+    """Log binomial coefficient log C(n, x), elementwise over an array x of
+    integers in 0..n.
+
+    math.lgamma runs once per value: over a table of 0..max(x) when that is
+    shorter than x, and otherwise over the distinct values of x.
+    """
+    x = np.asarray(x)
+    top = int(x.max(initial=-1)) + 1
+    if top < x.size:
+        values, index = range(top), x.astype(np.intp)
+    else:
+        unique, index = np.unique(x, return_inverse=True)
+        values = unique.tolist()
+    lg, head = math.lgamma, math.lgamma(n + 1)
+    table = np.array([head - lg(k + 1) - lg(n - k + 1) for k in values], dtype=float)
+    return table[index].reshape(x.shape)
 
 
 def simulate_chain(
@@ -228,6 +264,8 @@ def simulate_series(
     """
     if length < 1:
         raise ConfigError("length", f"must be >= 1, got {length}")
+    if length > MAX_POINTS:
+        raise ConfigError("length", f"{length} is above the budget of {MAX_POINTS} points")
     if init is not None and not 0 <= init <= spec.n:
         raise ConfigError("init", f"initial state {init} outside {{0..{spec.n}}}")
     if burn_in < 0:

@@ -16,13 +16,12 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import expit
 
 from .calibration import (ThresholdTable, _check_alpha, _check_gamma, _check_positive,
                           monitored_points)
 from .estimation import fit_mple
 from .exceptions import MonitoringTerminatedError
-from .model import ParamVector, SeriesSample, _clamp_prob
+from .model import ParamVector, SeriesSample, _clamp_prob, logistic_float
 
 
 def _weight(m: int, k, gamma: float):
@@ -163,8 +162,8 @@ def monitor_update(state: MonitorState, x_new: int, w_new) -> tuple[MonitorState
     reached, and ValueError naming the monitored index k for a count that is
     not an integer in {0..n} or a covariate row that is not l finite values;
     a rejected observation leaves the state untouched.  Scalar-sized work:
-    the fit and horizon are cached and the weight is evaluated in floats;
-    the products stay on BLAS and the logistic on expit, for their pinned bits.
+    the fit and horizon are cached, and the weight and the logistic are
+    evaluated in floats; the products stay on BLAS, for their pinned bits.
     """
     cfg = state.config
     if state.alarm_at is not None:
@@ -188,7 +187,7 @@ def monitor_update(state: MonitorState, x_new: int, w_new) -> tuple[MonitorState
     if not all(map(math.isfinite, w)):
         raise ValueError(f"observation k={k}: covariates {w_new!r} are not finite")
     z = np.array((1.0, state.x_prev, *w))
-    pi = _clamp_prob(float(expit(float(beta.dot(z)))))
+    pi = _clamp_prob(logistic_float(float(beta.dot(z))))
     z *= x_int - state.n * pi
     S = state.running_sum = state.running_sum + z
     state.k = k

@@ -11,14 +11,13 @@ the engine's own `_train_block`; the monitored horizon is replayed here.
 import math
 
 import numpy as np
-from scipy.special import expit
 
 from binarx.experiments import (
     BLOCK_SIZE,
     _failure_names,
     _train_block,
 )
-from binarx.model import _clamp_prob
+from binarx.model import _clamp_prob, logistic
 from binarx.monitoring import inverse_metric
 from streaming_reference import PROB_CEIL, PROB_FLOOR
 
@@ -27,7 +26,7 @@ def advance(spec, coef, x, rng):
     """One lockstep transition: covariate rows, then counts."""
     w = spec.exo.draw(rng, x.size, spec.beta.l)
     eta = coef[0] + coef[1] * x + w @ coef[2:]
-    return w, rng.binomial(spec.n, np.minimum(np.maximum(expit(eta), PROB_FLOOR), PROB_CEIL))
+    return w, rng.binomial(spec.n, np.minimum(np.maximum(logistic(eta), PROB_FLOOR), PROB_CEIL))
 
 
 def monitor_block(task, b):
@@ -61,7 +60,7 @@ def monitor_block(task, b):
         w, x = advance(spec, coef, x_prev, rng)
         z[1] = x_prev
         z[2:] = w.T
-        S += z * (x - spec.n * expit((z * beta).sum(axis=0)))
+        S += z * (x - spec.n * logistic((z * beta).sum(axis=0)))
         AS = A @ S if A.ndim == 2 else (A * S).sum(axis=1)
         stat = task.w2[:, k - 1, None] * (AS * S).sum(axis=0)
         np.maximum(sups, stat, out=sups)

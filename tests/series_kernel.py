@@ -7,9 +7,9 @@ restate no formula.
 """
 
 import numpy as np
-from scipy.special import expit
 
 from binarx import ParamVector, estimation
+from binarx.model import logistic
 
 
 def _at(series, spec_n, beta):
@@ -18,7 +18,7 @@ def _at(series, spec_n, beta):
     Z, y = Z[None], y[None]
     b = beta.as_array() if isinstance(beta, ParamVector) else np.asarray(beta, dtype=float)
     lp, eta = estimation._log_pl(Z, y, estimation._log_coef(y, spec_n), b[None], spec_n)
-    return Z, y, lp, expit(eta)
+    return Z, y, lp, logistic(eta)
 
 
 def log_pl(series, spec_n, beta) -> float:

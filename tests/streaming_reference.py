@@ -10,9 +10,9 @@ not share its shortcuts.
 import math
 
 import numpy as np
-from scipy.special import expit
 
 from binarx import ParamVector, fit_mple
+from binarx.model import logistic_float
 from binarx.monitoring import MonitorConfig, MonitorState
 
 PROB_FLOOR = np.nextafter(0.0, 1.0)
@@ -35,7 +35,7 @@ def success_prob(beta, z) -> float:
     z = np.asarray(z, dtype=float)
     if z.shape != b.shape:
         raise ValueError(f"regressor has shape {z.shape}, expected {b.shape}")
-    return float(np.minimum(np.maximum(expit(b @ z), PROB_FLOOR), PROB_CEIL))
+    return float(np.minimum(np.maximum(logistic_float(float(b @ z)), PROB_FLOOR), PROB_CEIL))
 
 
 def weight_0d(m: int, k, gamma: float) -> float:

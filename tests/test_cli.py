@@ -471,6 +471,29 @@ def test_config_unknown_keys_name_the_field(tmp_path, capsys, command, section, 
      "experiment.horizon: 0.0001 leaves no grid point at grid_m=1000"),
     ("experiment", {"experiment": {"kind": "power"}},
      "experiment.change: required for the power experiment"),
+    # One replication holds at most MAX_POINTS = 10**6 points.
+    ("calibrate", {"calibrate": {"horizon": 1e300, "reps": 100}},
+     "calibrate.horizon: 1e+300 x 1000 = 1e+303 points, above the budget of 1000000 per "
+     "replication"),
+    ("calibrate", {"calibrate": {"horizon": 1e306, "reps": 100}},
+     "calibrate.horizon: 1e+306 x 1000 = inf points, above the budget"),
+    ("calibrate", {"calibrate": {"horizon": 500.0, "grid_m": 2001, "reps": 100}},
+     "calibrate.horizon: 500.0 x 2001 = 1.0005e+06 points, above the budget"),
+    ("experiment", {"experiment": {"kind": "size", "horizon": 1e300, "reps": 1}},
+     "experiment.horizon: 1e+300 x 100 = 1e+302 points, above the budget"),
+    ("experiment", {"experiment": {"kind": "size", "horizon": 3.0, "m_list": [100, 400000],
+                                   "reps": 1}},
+     "experiment.horizon: 3.0 x 400000 = 1.2e+06 points, above the budget"),
+    ("experiment", {"experiment": {"kind": "size", "horizon": 1e-6, "m_list": [2000000],
+                                   "reps": 1}},
+     "experiment.m_list: entry 2000000 is above the budget of 1000000 points"),
+    ("simulate", {"simulate": {"length": 10**12}},
+     "simulate.length: 1000000000000 is above the budget of 1000000 points"),
+    ("simulate", {"simulate": {"length": 10}, "model": {**MODEL_SECTION, "burn_in": 10**12}},
+     "model.burn_in: must lie in [0, 1000000], got 1000000000000"),
+    ("monitor", {"monitor": {"training": "train.csv", "stream": "stream.csv", "threshold_c": 7.0,
+                             "horizon": 1e306}},
+     "monitor.horizon: 1e+306 x 100 = 1e+308 points, above the budget"),
 ])
 def test_config_out_of_range_values_name_the_field(tmp_path, capsys, command, section, message):
     cfg = _write_config(tmp_path / "cfg.json", {"model": MODEL_SECTION, **section})
@@ -677,10 +700,32 @@ def test_console_entry_point(tmp_path):
     assert (tmp_path / "o" / "series.csv").exists()
 
 
+_IMPORT_GRAPH = """
+import sys
+import binarx
+from binarx.calibration import ThresholdTable
+
+SLOW = ("scipy.special", "scipy.stats", "concurrent.futures.process")
+print(*[m for m in SLOW if m in sys.modules], "scipy" in sys.modules, sep=",")
+spec = binarx.default_model_spec()
+table = ThresholdTable({(0.0, 0.05): 7.0}, 100, 1000, 1.0, 0)
+binarx.run_size(binarx.ExperimentConfig(m_list=(60,), reps=4, gammas=(0.0,), alphas=(0.05,),
+                                        horizon=1.0, thresholds=table))
+state = binarx.monitor_init(binarx.simulate_series(spec, 60, seed=1), spec.n, 1.0, 0.0, 0.05, 7.0)
+for x, w in ((2, [1.0]), (3, [0.9]), (1, [1.1])):
+    binarx.monitor_update(state, x, w)
+print(*[m for m in SLOW if m in sys.modules], "scipy" in sys.modules, sep=",")
+"""
+
+
 def test_import_leaves_scipy_stats_unloaded():
-    # scipy.stats is slow and large to import, and no module of binarx needs it.
+    # scipy.special, scipy.stats and the process pool are slow and large to
+    # import, and neither the import nor a one-thread study or a monitor
+    # needs them.  scipy itself is loaded: run records read its version.
     import subprocess
     import sys
 
-    code = "import sys, binarx; sys.exit('scipy.stats' in sys.modules)"
-    assert subprocess.run([sys.executable, "-c", code], env=_child_env()).returncode == 0
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_GRAPH], env=_child_env(),
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["True", "True"]

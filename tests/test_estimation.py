@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import expit, gammaln
+from scipy.special import gammaln
 
 from binarx import (
     NonConvergenceError,
@@ -14,7 +14,7 @@ from binarx import (
 )
 from binarx import estimation
 from binarx.estimation import fit_mple_batch, fit_report
-from binarx.model import SeriesSample, log_binom
+from binarx.model import SeriesSample, log_binom, logistic
 from series_kernel import curvature, log_pl, score
 
 SPEC = default_model_spec()
@@ -33,9 +33,9 @@ def _newton_traced(sample, n):
     """Batch-of-one Newton fit of `sample` and its accepted log-PL values, one
     per iteration: the log-PL of the same fit stopped after 0, 1, ... iterations.
 
-    The fit takes pi = expit(eta) of its accepted iterate at the top of each
-    iteration and once at the end, so one run with expit recorded sees the
-    eta of every accepted iterate in order.
+    The fit takes pi = logistic(eta) of its accepted iterate at the top of
+    each iteration and once at the end, so one run with the logistic recorded
+    sees the eta of every accepted iterate in order.
     """
     Z, y = estimation._design(sample, n)
     Z, y = Z[None], y[None]
@@ -43,10 +43,10 @@ def _newton_traced(sample, n):
 
     def recorder(eta):
         seen.append(eta.copy())  # the fit updates its eta in place
-        return expit(eta)
+        return logistic(eta)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(estimation, "expit", recorder)
+        mp.setattr(estimation, "logistic", recorder)
         fit = estimation._newton(Z, y, n)
     log_coef = estimation._log_coef(y, n)
     trace = [(log_coef + np.sum(y * eta - n * np.logaddexp(0.0, eta), axis=1))[0]

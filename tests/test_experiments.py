@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import concurrent.futures
 import json
 import math
 from dataclasses import replace
@@ -26,7 +27,7 @@ from binarx import (
 from binarx import _parallel, experiments
 from binarx.calibration import ThresholdTable
 from binarx.cli import run_command
-from binarx.defaults import DEFAULT_CALIBRATION_REPS, DEFAULT_GRID_M
+from binarx.defaults import DEFAULT_ALPHAS, DEFAULT_CALIBRATION_REPS, DEFAULT_GAMMAS, DEFAULT_GRID_M
 from binarx.experiments import (
     BLOCK_SIZE,
     FAILURE_CLASSES,
@@ -154,6 +155,14 @@ def test_normality_small_run():
     assert np.all(np.abs(report.bias) < 0.2)
     assert np.all(report.qq_corr > 0.95)
     assert not report.insufficient_sample
+
+
+def test_size_refuses_a_table_built_in_code_with_a_nan_cell():
+    # A NaN critical value never alarms: the study would report a size of 0.
+    cells = {(g, a): math.nan for g in DEFAULT_GAMMAS for a in DEFAULT_ALPHAS}
+    with pytest.raises(ConfigError, match="c at gamma=0.0, alpha=0.1: must be > 0, got nan"):
+        run_size(ExperimentConfig(m_list=(100,), reps=40, horizon=3.0,
+                                  thresholds=ThresholdTable(cells, 2000, 1000, 3.0, 0)))
 
 
 def test_size_zero_rejections_at_infinite_threshold():
@@ -481,7 +490,7 @@ def test_pool_workers_are_capped_by_tasks_and_cpus(monkeypatch, threads, n_tasks
         def map(self, fn, items, chunksize):
             return map(fn, items)
 
-    monkeypatch.setattr(_parallel, "ProcessPoolExecutor", Recorder)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorder)
     monkeypatch.setattr(_parallel.os, "cpu_count", lambda: cpus)
     got = _parallel.map_over_reps(lambda shared, i: shared * i, 3, n_tasks, threads=threads)
     assert got == [3 * i for i in range(n_tasks)]

@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy.special import expit
+from scipy.special import expit, gammaln
 
 from binarx import ModelSpec, ParamVector, default_model_spec, read_series_csv, simulate_series
 from binarx import model
@@ -11,11 +11,14 @@ from binarx.model import (
     ExogenousSpec,
     SeriesSample,
     _clamp_prob,
+    log_binom,
+    logistic,
+    logistic_float,
     stationary_oracle,
     write_series_csv,
 )
-# The monitor's logistic and regressor live inline in monitor_update; these
-# tests pin the reference copies that its exact-bit tests compare against.
+# The monitor's regressor lives inline in monitor_update; these tests pin
+# the reference copies that its exact-bit tests compare against.
 from loop_reference import simulate_chain as scalar_simulate_chain
 from series_reference import outcome, read_series_rows
 from streaming_reference import build_regressor, success_prob
@@ -71,6 +74,61 @@ def test_success_prob_strict_bounds_over_box():
         assert _clamp_prob(float(expit(b @ z))) == p
     for eta in (-1e4, -745.5, -40.0, 0.0, 40.0, 1e4):
         assert _clamp_prob(float(expit(eta))) == success_prob([eta], [1.0])
+
+
+def _logistic_draws() -> np.ndarray:
+    """10**6 + 9 etas: moderate, beyond |eta| = 709.78 where exp(-eta)
+    overflows, dense around eta = -37, heavy-tailed, and the special values."""
+    rng = np.random.default_rng(2024)
+    return np.concatenate([
+        rng.normal(0.0, 5.0, 300_000), rng.uniform(-800.0, 800.0, 300_000),
+        rng.uniform(-40.0, -30.0, 200_000), rng.standard_cauchy(200_000) * 50.0,
+        [np.inf, -np.inf, np.nan, -709.79, -709.78, 709.79, -745.2, 0.0, -1e308],
+    ])
+
+
+def test_logistic_float_is_scipy_expit_bit_for_bit():
+    # monitor_update's logistic: its bits are pinned, so it must be expit's.
+    eta = _logistic_draws()
+    got = np.array([logistic_float(e) for e in eta.tolist()])
+    np.testing.assert_array_equal(got.view(np.int64), expit(eta).view(np.int64))
+
+
+def test_array_logistic_within_4_ulp_of_scipy_expit_and_silent():
+    # numpy's vector exp differs from the C library's by at most 1 ulp.
+    # 1 / (1 + E) turns that into at most 2 ulp of p, except for E in
+    # [2**53, 2**54) (eta in [-37.4, -36.7]): there 1 + E is a tie, and
+    # rounding it to even can double the gap to 4 ulp.  Below eta = -709.78
+    # both give p = 0.
+    eta = _logistic_draws()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = logistic(eta)
+    want = expit(eta)
+    assert np.array_equal(np.isnan(got), np.isnan(want))
+    finite = ~np.isnan(want)
+    ulps = np.abs(got.view(np.int64) - want.view(np.int64))[finite]
+    assert ulps.max() <= 4
+    assert np.all(ulps[np.abs(eta[finite] + 37.05) > 0.4] <= 2)
+    assert np.all(got[eta < -709.79] == 0.0)
+
+
+def test_log_binom_matches_scipy_gammaln():
+    # Both evaluate lgamma(n + 1) - lgamma(k + 1) - lgamma(n - k + 1), each
+    # with its own lgamma, and the terms cancel for k near 0 or n.  So they
+    # agree to 1e-14 of the largest term, not of the result: at n = 10**4,
+    # k = 1 the two differ by 1.6e-12 relative.  Every k up to n = 100, then
+    # 10**6 draws with n up to 10**4.
+    def check(n, k):
+        want = gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1)
+        np.testing.assert_allclose(log_binom(n, k), want, rtol=0,
+                                   atol=1e-14 * max(1.0, gammaln(n + 1)))
+
+    for n in range(101):
+        check(n, np.arange(n + 1))
+    rng = np.random.default_rng(7)
+    for n in rng.integers(0, 10**4 + 1, 200).tolist():
+        check(n, rng.integers(0, n + 1, 5000))
 
 
 def test_build_regressor_examples():

@@ -5,9 +5,11 @@ Usage: python tools/bench.py N
 N numbers the file, so that a change can cite the medians of two BENCH files
 measured back to back on one host.  Every figure is the median of REPEATS
 timed repeats after one untimed warm-up, with the repeats listed beside it.
-Everything runs in this process at threads=1 and starts no worker process.
-The layers:
+Everything but the import layer runs in this process at threads=1 and starts
+no worker process.  The layers:
 
+- import: wall time and peak RSS (ru_maxrss) of `python -c "import binarx"`,
+  each in a fresh interpreter started one at a time;
 - model: µs per lockstep `_advance` step of a 256-chain block, and µs per
   `simulate_chain` transition;
 - estimation: `fit_mple` ms at m = 300 and at m = 2000;
@@ -28,7 +30,9 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 import statistics
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -75,6 +79,37 @@ def _clock(fn, *args):
     return perf_counter() - t, out
 
 
+# Times `import binarx` in REPEATS + 1 fresh interpreters, one at a time, and
+# prints [wall seconds, peak RSS in MB] of each.  It runs in a small
+# interpreter of its own: Linux carries a process's peak RSS across exec into
+# its child, so a child of this process would report this process's peak.
+_IMPORT_LAUNCHER = """
+import json, os, sys, time
+out = []
+for _ in range(int(sys.argv[1])):
+    t = time.perf_counter()
+    pid = os.posix_spawn(sys.executable, [sys.executable, "-c", "import binarx"], os.environ)
+    _, status, usage = os.wait4(pid, 0)
+    if os.waitstatus_to_exitcode(status):
+        sys.exit("import binarx failed")
+    out.append([time.perf_counter() - t, usage.ru_maxrss / 1024])
+print(json.dumps(out))
+"""
+
+
+def import_layers() -> dict:
+    """The import layer's two figures; the first interpreter is the warm-up."""
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_LAUNCHER, str(REPEATS + 1)], env=env,
+                          capture_output=True, text=True, check=True)
+    wall, rss = zip(*json.loads(proc.stdout)[1:])
+    what = 'python -c "import binarx" in a fresh interpreter'
+    return {"import.wall_s": {"unit": "s", "what": what, "median": statistics.median(wall),
+                              "repeats": list(wall)},
+            "import.peak_rss_mb": {"unit": "MB", "what": f"ru_maxrss of {what}",
+                                   "median": statistics.median(rss), "repeats": list(rss)}}
+
+
 def advance_us_per_step() -> float:
     rng = np.random.default_rng(1)
     table = _linear_table(SPEC.n, SPEC.beta)
@@ -113,6 +148,8 @@ def main(argv) -> int:
         layers[name] = {"unit": unit, "what": what, **_median(sample)}
         reference.sample(kernel_us)
 
+    layers.update(import_layers())
+    reference.sample(kernel_us)
     record("model.advance_us_per_step", "us",
            f"one lockstep _advance step of {BLOCK_SIZE} chains", advance_us_per_step)
     record("model.chain_us_per_transition", "us",
