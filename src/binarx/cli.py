@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -81,10 +82,23 @@ def _read_counts(loaded, key: str, spec_n: int):
     return sample
 
 
+@contextmanager
+def _naming(path):
+    """Put the series file `path` in front of a runtime error that fitting its
+    data raises (a ConfigError names its field already)."""
+    try:
+        yield
+    except ConfigError:
+        raise
+    except (BinarxError, ValueError) as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
 def _cmd_fit(loaded, out: Path, quiet: bool) -> int:
     spec, _ = cfgmod.parse_model(loaded)
     sample = _read_counts(loaded, "fit.series", spec.n)
-    fit = fit_mple(sample, spec.n)
+    with _naming(loaded.require("fit.series")):
+        fit = fit_mple(sample, spec.n)
     path = out / "fit_report.json"
     write_json(path, fit_report(fit))
     _say(quiet, f"wrote {path} ({fit.iterations} iterations)")
@@ -126,7 +140,7 @@ def _cmd_monitor(loaded, out: Path, quiet: bool) -> int:
     settings = cfgmod.parse_monitor(loaded)
     training = _read_counts(loaded, "monitor.training", spec.n)
     stream_path = loaded.require("monitor.stream")
-    with cfgmod.in_section("monitor"):
+    with cfgmod.in_section("monitor"), _naming(loaded.require("monitor.training")):
         state = monitor_init(training, spec.n, **settings)
     try:
         with open(stream_path, newline="") as fh:

@@ -24,7 +24,7 @@ from .model import ParamVector, SeriesSample, log_binom, logistic
 # halved up to _MAX_HALVINGS times, and iterates are projected back onto the
 # coordinate box [-PARAM_BOX_BOUND, PARAM_BOX_BOUND] (a boundary hit is
 # reported, not fatal).  A curvature matrix with condition number above
-# _COND_LIMIT counts as singular.
+# _COND_LIMIT counts as singular (see `_singular`).
 _TOL = 1e-8
 _STEP_TOL = 1e-10
 _MAX_ITER = 100
@@ -105,7 +105,13 @@ def _log_pl(Z, y, log_coef, beta, spec_n: int) -> tuple[np.ndarray, np.ndarray]:
     `log_coef` is `_log_coef(y, n)`: the binomial coefficients stay in, so
     values compare across models of the same data (as AIC needs)."""
     eta = np.matmul(Z, beta[:, :, None])[:, :, 0]
-    return log_coef + np.sum(y * eta - spec_n * np.logaddexp(0.0, eta), axis=1), eta
+    # log(1 + e^eta) as max(eta, 0) + log1p(e^-|eta|): np.logaddexp(0, eta)'s
+    # formula, in ufuncs that run several times faster.
+    soft = np.abs(eta)
+    np.negative(soft, out=soft)
+    np.log1p(np.exp(soft, out=soft), out=soft)
+    soft += np.maximum(eta, 0.0)
+    return log_coef + np.sum(y * eta - spec_n * soft, axis=1), eta
 
 
 def _score(Z, resid) -> np.ndarray:
@@ -116,6 +122,15 @@ def _score(Z, resid) -> np.ndarray:
 def _curvature(Z, pi, spec_n: int) -> np.ndarray:
     """Negated score gradient n sum_t z_{t-1} z_{t-1}' pi_t (1 - pi_t)."""
     return _gram(Z, spec_n * pi * (1.0 - pi))
+
+
+def _singular(H: np.ndarray) -> np.ndarray:
+    """Which of the stacked symmetric H count as singular: condition number
+    above _COND_LIMIT, read from the eigenvalues (an SVD costs twice as much).
+    H is positive semi-definite up to rounding, so an eigenvalue <= 0 is a
+    zero one and its condition number is infinite."""
+    lam = np.linalg.eigvalsh(H)
+    return (lam[:, 0] <= 0.0) | (lam[:, -1] > _COND_LIMIT * lam[:, 0])
 
 
 # One Newton chunk holds at most this many design entries (reps x m x d),
@@ -185,7 +200,7 @@ def _newton(Z: np.ndarray, y: np.ndarray, spec_n: int) -> BatchFit:
         if act.size == 0:
             break
         H = _curvature(Za, pi, spec_n)
-        singular = np.linalg.cond(H) > _COND_LIMIT
+        singular = _singular(H)
         for i in act[singular]:
             errors[i] = SingularHessianError(
                 f"negated score gradient has condition number above {_COND_LIMIT:g}"
@@ -194,24 +209,24 @@ def _newton(Z: np.ndarray, y: np.ndarray, spec_n: int) -> BatchFit:
         if act.size == 0:
             break
         step = np.linalg.solve(H, g[:, :, None])[:, :, 0]
-        # Step-halving: retreat whenever the full step would decrease log PL.
+        # Step-halving: the full step on every active series first, then
+        # halved steps wherever the log PL would decrease, down to 2^-30.
         b0, lp0 = beta[act], lp[act]
         floor = lp0 - 1e-10 * (1.0 + np.abs(lp0))
         scale = np.ones(act.size)
-        cand = np.empty_like(b0)
-        lp_cand = np.empty(act.size)
-        eta_cand = np.empty((act.size, m))
-        todo = np.ones(act.size, dtype=bool)
-        for h in range(_MAX_HALVINGS + 1):
+        cand = np.clip(b0 + step, -PARAM_BOX_BOUND, PARAM_BOX_BOUND)
+        lp_cand, eta_cand = _log_pl(Za, ya, log_coef[act], cand, spec_n)
+        todo = lp_cand < floor
+        for _ in range(_MAX_HALVINGS):
+            if not todo.any():
+                break
+            scale[todo] *= 0.5
             Zt, yt = _narrow(todo, Za, ya)
             cand[todo] = np.clip(
                 b0[todo] + scale[todo, None] * step[todo], -PARAM_BOX_BOUND, PARAM_BOX_BOUND
             )
             lp_cand[todo], eta_cand[todo] = _log_pl(Zt, yt, log_coef[act[todo]], cand[todo], spec_n)
             todo &= lp_cand < floor
-            if not todo.any() or h == _MAX_HALVINGS:
-                break
-            scale[todo] *= 0.5
         hit_boundary[act] |= np.any(cand != b0 + scale[:, None] * step, axis=1)
         stalled = np.abs(cand - b0).max(axis=1) < _STEP_TOL
         beta[act], lp[act], eta[act] = cand, lp_cand, eta_cand
@@ -230,7 +245,7 @@ def _newton(Z: np.ndarray, y: np.ndarray, spec_n: int) -> BatchFit:
     live = np.array([e is None for e in errors], dtype=bool)
     Zl, pl = _narrow(live, Z, pi)
     H = _curvature(Zl, pl, spec_n)
-    singular = np.linalg.cond(H) > _COND_LIMIT
+    singular = _singular(H)
     for i in np.nonzero(live)[0][singular]:
         errors[i] = SingularHessianError("curvature matrix singular at the optimum")
     live[live] = ~singular

@@ -21,10 +21,6 @@ class MonitoringTerminatedError(BinarxError):
     """The monitor received an update after an alarm or after the horizon was reached."""
 
 
-class ThresholdUnavailableError(BinarxError):
-    """No critical value is available for the requested (gamma, alpha) pair."""
-
-
 class MissingBaselineError(BinarxError):
     """Baseline lookup failed for one or more (state, week) pairs."""
 
@@ -52,3 +48,15 @@ class ConfigError(BinarxError, ValueError):
         self.path = path
         self.reason = reason
         super().__init__(f"{path}: {reason}")
+
+    def __reduce__(self):
+        # Raised in a pool worker, it is pickled back to the parent process.
+        return ConfigError, (self.path, self.reason)
+
+
+class ThresholdUnavailableError(ConfigError):
+    """The threshold table holds no critical value for the requested (gamma,
+    alpha) pair or horizon; it names the `thresholds` field."""
+
+    def __init__(self, reason: str):
+        super().__init__("thresholds", reason)

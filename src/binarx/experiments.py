@@ -43,7 +43,8 @@ from .model import (
     ModelSpec,
     ParamVector,
     SeriesSample,
-    _stable_prob,
+    _clip_prob,
+    _logistic_of_negated,
     logistic,
     simulate_chain,
     stationary_oracle,
@@ -176,20 +177,24 @@ def _start_cdf(spec: ModelSpec) -> np.ndarray | None:
 
 
 def _linear_table(n: int, beta: ParamVector) -> tuple[np.ndarray, np.ndarray]:
-    """What `_advance` reads of the coefficients: phi0 + phi1 * x for x = 0..n,
-    and the covariate coefficients."""
-    coef = beta.as_array()
+    """What `_advance` reads of the coefficients, negated: -(phi0 + phi1 * x)
+    for x = 0..n, and minus the covariate coefficients."""
+    coef = -beta.as_array()
     return coef[0] + coef[1] * np.arange(n + 1), coef[2:]
 
 
 def _advance(spec: ModelSpec, table, x: np.ndarray, rng: np.random.Generator):
     """One lockstep transition of a block's chains: covariate rows, then counts.
 
-    `table` is `_linear_table` of the coefficients in force.
+    `table` is `_linear_table` of the coefficients in force, so the sum below
+    is -eta, bit for bit the negation of phi0 + phi1 x + w'gamma.  The caller
+    holds np.errstate(over="ignore") for its whole loop.
     """
-    base, gamma = table
+    neg_base, neg_gamma = table
     w = spec.exo.draw(rng, x.size, spec.beta.l)
-    return w, rng.binomial(spec.n, _stable_prob(base[x] + w @ gamma))
+    u = neg_base[x]
+    u += w @ neg_gamma
+    return w, rng.binomial(spec.n, _clip_prob(_logistic_of_negated(u)))
 
 
 def _start(spec: ModelSpec, cdf, burn_in: int, rng: np.random.Generator, size: int) -> np.ndarray:
@@ -198,8 +203,9 @@ def _start(spec: ModelSpec, cdf, burn_in: int, rng: np.random.Generator, size: i
         return np.searchsorted(cdf, rng.random(size), side="right")
     x = rng.binomial(spec.n, 0.5, size)
     table = _linear_table(spec.n, spec.beta)
-    for _ in range(burn_in):
-        _, x = _advance(spec, table, x, rng)
+    with np.errstate(over="ignore"):
+        for _ in range(burn_in):
+            _, x = _advance(spec, table, x, rng)
     return x
 
 
@@ -228,8 +234,9 @@ def _train_block(task: _BlockTask, b: int) -> tuple[np.random.Generator, np.ndar
     x = np.empty((task.m + 1, size), dtype=np.min_scalar_type(spec.n))
     w = np.empty((task.m, size, spec.beta.l))
     x[0] = _start(spec, task.start_cdf, config.burn_in, rng, size)
-    for t in range(task.m):
-        w[t], x[t + 1] = _advance(spec, table, x[t], rng)
+    with np.errstate(over="ignore"):
+        for t in range(task.m):
+            w[t], x[t + 1] = _advance(spec, table, x[t], rng)
     fit = fit_mple_batch(x.T, w.transpose(1, 0, 2), spec.n)
     return rng, x[-1].copy(), fit
 
@@ -242,13 +249,13 @@ def _run_blocks(worker, task: _BlockTask, threads: int) -> tuple[list, dict]:
     """Block results in replication order, plus fit failures counted per class.
 
     Every worker returns its block's failure class names first.  A training
-    length at which every fit failed is an error.
+    length at which every fit failed is a ConfigError naming `m_list`.
     """
     reps = task.config.reps
     results = map_over_reps(worker, task, -(-reps // BLOCK_SIZE), threads)
     names = [name for r in results for name in r[0]]
     if len(names) == reps:
-        raise BinarxError(f"all {reps} fits failed at m={task.m}")
+        raise ConfigError("m_list", f"all {reps} fits failed at m={task.m}")
     return results, {cls: names.count(cls) for cls in FAILURE_CLASSES}
 
 
@@ -432,7 +439,8 @@ def _monitor_block(task: _MonitorTask, b: int):
     one pinned bit for bit.  Returns (failure class names, then for the
     fitted reps in order: sups per gamma, first-passage indices per gamma
     (0 means "no alarm"), post-change score drift or None, and (rep, paths)
-    for the kept reps).
+    for the kept reps).  A singular training metric is a ConfigError naming
+    `a_source`.
     """
     rng, x_prev, fit = _train_block(task, b)
     spec = task.config.spec
@@ -443,7 +451,11 @@ def _monitor_block(task: _MonitorTask, b: int):
     beta = np.where(ok[:, None], fit.beta, 0.0).T
     if task.a_matrix is None:
         A = np.broadcast_to(np.eye(d), (size, d, d)).copy()
-        A[ok] = inverse_metric(fit.sigma0[ok])
+        try:
+            A[ok] = inverse_metric(fit.sigma0[ok])
+        except np.linalg.LinAlgError:
+            raise ConfigError("a_source", f"a training metric at m={task.m} is singular; "
+                                          "'aux' pins one metric for every replication") from None
         A = A.transpose(1, 2, 0)
     else:
         A = task.a_matrix
@@ -470,9 +482,10 @@ def _monitor_block(task: _MonitorTask, b: int):
             S_before = S
         end = min(k + steps, at_k if k < at_k else H + 1, H + 1)
         pts = end - k
-        for t in range(pts):
-            w, x[t + 1] = _advance(spec, table, x[t], rng)
-            z[t, 2:] = w.T
+        with np.errstate(over="ignore"):
+            for t in range(pts):
+                w, x[t + 1] = _advance(spec, table, x[t], rng)
+                z[t, 2:] = w.T
         z[:pts, 1] = x[:pts]
         eta = (z[:pts] * beta).sum(axis=1)
         path = z[:pts] * (x[1:pts + 1] - spec.n * logistic(eta))[:, None]
@@ -499,13 +512,18 @@ def _monitor_block(task: _MonitorTask, b: int):
 
 
 def _aux_metric(config: ExperimentConfig, cdf) -> np.ndarray:
-    """Metric A = inverse outer-product score covariance from one long series."""
+    """Metric A = inverse outer-product score covariance from one long series.
+    A series the model cannot be fitted on is a ConfigError naming `a_source`."""
     rng = np.random.default_rng(
         np.random.SeedSequence((config.master_seed, _KIND_AUX, 0))
     )
     x0 = int(_start(config.spec, cdf, config.burn_in, rng, 1)[0])
     x, w = simulate_chain(config.spec, _AUX_LENGTH, rng, x0)
-    return inverse_metric(fit_mple(SeriesSample(x=x, w=w), config.spec.n).sigma0_hat)
+    try:
+        fit = fit_mple(SeriesSample(x=x, w=w), config.spec.n)
+    except BinarxError as exc:
+        raise ConfigError("a_source", f"the auxiliary series does not fit: {exc}") from None
+    return inverse_metric(fit.sigma0_hat)
 
 
 def _monitor_study(config: ExperimentConfig, kind: int, change, alphas, threads: int):

@@ -164,18 +164,27 @@ class SeriesSample:
         return self.w.shape[1]
 
 
+def _logistic_of_negated(u: np.ndarray) -> np.ndarray:
+    """1 / (1 + exp(u)) of a float array u = -eta, computed in u and returned.
+
+    The one home of the array logistic: exp, +1 and reciprocal in place.
+    Above u = 709.78, exp(u) overflows to inf and p is 0, the limit; the
+    caller runs it under np.errstate(over="ignore"), once per loop.
+    """
+    np.exp(u, out=u)
+    u += 1.0
+    return np.reciprocal(u, out=u)
+
+
 def logistic(eta: np.ndarray) -> np.ndarray:
     """1 / (1 + exp(-eta)) of a float array, as a new array.
 
-    Below eta = -709.78, exp(-eta) overflows to inf and p is 0, the limit;
-    that overflow is silenced, so no eta raises a warning.  numpy's vector
-    exp may differ from the C library's in the last bit, so p may differ
-    from `logistic_float` of the same eta in its last bits.
+    Below eta = -709.78 p is 0, the limit, and no eta raises a warning.
+    numpy's vector exp may differ from the C library's in the last bit, so p
+    may differ from `logistic_float` of the same eta in its last bits.
     """
     with np.errstate(over="ignore"):
-        p = np.exp(-eta)
-    p += 1.0
-    return np.reciprocal(p, out=p)
+        return _logistic_of_negated(np.negative(eta))
 
 
 def logistic_float(eta: float) -> float:
@@ -187,14 +196,13 @@ def logistic_float(eta: float) -> float:
         return 0.0
 
 
-def _stable_prob(eta: np.ndarray) -> np.ndarray:
-    """Logistic probability of an array, clipped strictly inside (0, 1) in float64."""
-    p = logistic(eta)
+def _clip_prob(p: np.ndarray) -> np.ndarray:
+    """Clip an array of probabilities strictly inside (0, 1) in float64, in place."""
     return np.minimum(np.maximum(p, _PROB_FLOOR, out=p), _PROB_CEIL, out=p)
 
 
 def _clamp_prob(p: float) -> float:
-    """_stable_prob's clip for one float: same bits, NaN passes through."""
+    """_clip_prob for one float: same bits, NaN passes through."""
     return _PROB_FLOOR if p < _PROB_FLOOR else _PROB_CEIL if p > _PROB_CEIL else p
 
 
@@ -355,7 +363,7 @@ def stationary_oracle(spec: ModelSpec) -> tuple[np.ndarray, np.ndarray]:
     P = np.empty((n + 1, n + 1), dtype=float)
     for j in range(n + 1):
         eta = b.phi0 + b.phi1 * j + (pts @ gamma if b.l else np.zeros(len(wts)))
-        p = _stable_prob(eta)
+        p = _clip_prob(logistic(eta))
         log_pmf = (
             log_coef[None, :]
             + counts[None, :] * np.log(p)[:, None]

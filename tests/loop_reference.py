@@ -1,11 +1,14 @@
 """Per-step loops of the simulation engine, frozen as exact-bit references.
 
-`experiments._monitor_block` scores a monitored horizon in array passes and
-`model.simulate_chain` runs its scalar chain on Python floats.  Both must
+`experiments._monitor_block` scores a monitored horizon in array passes,
+`experiments._advance` reads a negated coefficient table, and
+`model.simulate_chain` runs its scalar chain on Python floats.  All must
 give the same bits as the loops below, which are the code they replaced:
 one lockstep step at a time with the coefficients read from the vector,
-and one `_scalar_prob` call per transition.  The training window comes from
-the engine's own `_train_block`; the monitored horizon is replayed here.
+and one `_scalar_prob` call per transition.  `train_window` replays a
+block's start and training window; `monitor_block` takes the training
+window from the engine's own `_train_block` and replays the monitored
+horizon.
 """
 
 import math
@@ -26,7 +29,31 @@ def advance(spec, coef, x, rng):
     """One lockstep transition: covariate rows, then counts."""
     w = spec.exo.draw(rng, x.size, spec.beta.l)
     eta = coef[0] + coef[1] * x + w @ coef[2:]
-    return w, rng.binomial(spec.n, np.minimum(np.maximum(logistic(eta), PROB_FLOOR), PROB_CEIL))
+    with np.errstate(over="ignore"):
+        p = 1.0 / (1.0 + np.exp(-eta))
+    return w, rng.binomial(spec.n, np.minimum(np.maximum(p, PROB_FLOOR), PROB_CEIL))
+
+
+def train_window(task, b):
+    """Block b's counts (m + 1, size), covariate rows (m, size, l) and
+    generator after the training window, one `advance` per step."""
+    config, spec = task.config, task.config.spec
+    size = min(BLOCK_SIZE, config.reps - b * BLOCK_SIZE)
+    rng = np.random.default_rng(
+        np.random.SeedSequence((config.master_seed, task.kind, task.m_index, b)))
+    coef = spec.beta.as_array()
+    if task.start_cdf is not None:
+        x = np.searchsorted(task.start_cdf, rng.random(size), side="right")
+    else:
+        x = rng.binomial(spec.n, 0.5, size)
+        for _ in range(config.burn_in):
+            _, x = advance(spec, coef, x, rng)
+    xs, ws = [x], []
+    for _ in range(task.m):
+        w, x = advance(spec, coef, x, rng)
+        xs.append(x)
+        ws.append(w)
+    return np.array(xs), np.array(ws), rng
 
 
 def monitor_block(task, b):

@@ -1,12 +1,18 @@
+import contextlib
 import csv
 import dataclasses
+import io
 import json
 import math
+import os
+import pickle
 import re
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from binarx import (
     CalibrationConfig,
     ConfigError,
@@ -17,6 +23,7 @@ from binarx import (
     read_series_csv,
     simulate_series,
 )
+from binarx.calibration import ThresholdTable, write_threshold_table
 from binarx.cli import run_command
 from binarx.config import (
     _CALIBRATE,
@@ -33,6 +40,8 @@ from binarx.config import (
     parse_prep,
 )
 from binarx.defaults import (
+    DEFAULT_ALPHAS,
+    DEFAULT_GAMMAS,
     DEFAULT_HORIZON,
     DEFAULT_MONITOR_ALPHA,
     DEFAULT_MONITOR_GAMMA,
@@ -506,6 +515,64 @@ def test_config_out_of_range_values_name_the_field(tmp_path, capsys, command, se
     assert not list(out.iterdir())
 
 
+_CONSTANT_W = {**MODEL_SECTION, "exo": {"clamp_lo": 2.0}}  # w = 2: collinear with the intercept
+
+
+@pytest.mark.parametrize("command, model, section, message", [
+    ("experiment", MODEL_SECTION, {"kind": "size", "m_list": [20], "reps": 2, "horizon": 1.0,
+                                   "thresholds": "table.csv"},
+     "experiment.thresholds: threshold table is calibrated for horizon N=3.0, not 1.0"),
+    ("experiment", MODEL_SECTION, {"kind": "size", "m_list": [20], "reps": 2, "gammas": [0.1],
+                                   "thresholds": "table.csv"},
+     "experiment.thresholds: no threshold for gamma=0.1, alpha=0.1 in table"),
+    ("monitor", MODEL_SECTION, {"training": "train.csv", "stream": "stream.csv", "horizon": 1.0,
+                                "thresholds": "table.csv"},
+     "monitor.thresholds: threshold table is calibrated for horizon N=3.0, not 1.0"),
+    ("experiment", _CONSTANT_W, {"kind": "size", "m_list": [20], "reps": 2,
+                                 "thresholds": "table.csv"},
+     "experiment.a_source: the auxiliary series does not fit: negated score gradient"),
+    ("experiment", _CONSTANT_W, {"kind": "consistency", "m_list": [20], "reps": 2},
+     "experiment.m_list: all 2 fits failed at m=20"),
+    ("experiment", {**MODEL_SECTION, "beta": [-1.0, 0.1], "burn_in": 0},
+     {"kind": "size", "m_list": [4], "reps": 3, "a_source": "training",
+      "thresholds": "table.csv"},
+     "experiment.a_source: a training metric at m=4 is singular"),
+], ids=["study-table-horizon", "study-table-cell", "monitor-table-horizon", "aux-fit-fails",
+        "all-fits-fail", "training-metric-singular"])
+def test_study_and_monitor_refusals_name_the_field(tmp_path, capsys, command, model, section,
+                                                   message):
+    write_series_csv(simulate_series(default_model_spec(), 100, seed=3, burn_in=200),
+                     tmp_path / "train.csv")
+    cells = {(g, a): 7.0 for g in DEFAULT_GAMMAS for a in DEFAULT_ALPHAS}
+    write_threshold_table(ThresholdTable(cells, 100, 1000, 3.0, 0), tmp_path / "table.csv")
+    cfg = _write_config(tmp_path / "cfg.json", {"model": model, command: section})
+    out = tmp_path / "out"
+    assert run_command(["--config", cfg, "--out", str(out), "--quiet", command]) == 2
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert not list(out.iterdir())
+
+
+@pytest.mark.parametrize("command, section", [
+    ("fit", {"series": "flat.csv"}),
+    ("monitor", {"training": "flat.csv", "stream": "stream.csv", "threshold_c": 7.0}),
+])
+def test_a_series_that_does_not_fit_names_the_file(tmp_path, capsys, command, section):
+    # A constant count makes the lag column a multiple of the intercept.
+    (tmp_path / "flat.csv").write_text("t,x,w1\n0,3,\n" + "".join(
+        f"{t},3,{1.0 + 0.1 * (t % 3)}\n" for t in range(1, 11)))
+    cfg = _write_config(tmp_path / "cfg.json", {"model": MODEL_SECTION, command: section})
+    assert run_command(["--config", cfg, "--out", str(tmp_path / "out"), "--quiet", command]) == 1
+    err = capsys.readouterr().err
+    assert f"error: {tmp_path / 'flat.csv'}: negated score gradient has condition number" in err
+
+
+def test_config_error_survives_pickling():
+    # A ConfigError raised in a pool worker is pickled back to the parent.
+    exc = pickle.loads(pickle.dumps(ConfigError("a_source", "a training metric is singular")))
+    assert (type(exc), exc.path, exc.reason) == (ConfigError, "a_source",
+                                                 "a training metric is singular")
+
+
 @pytest.mark.parametrize("config_seed, flags, seed", [(-3, [], -3), (1, ["--seed", "-2"], -2)])
 def test_negative_seed_names_the_field(tmp_path, capsys, config_seed, flags, seed):
     cfg = _write_config(tmp_path / "cfg.json", {"seed": config_seed, "model": MODEL_SECTION,
@@ -729,3 +796,118 @@ def test_import_leaves_scipy_stats_unloaded():
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == ["True", "True"]
+
+
+# ---------------------------------------------------------------------------
+# Generated configs.  Every key takes one of a few values inside its range,
+# its bounds among them, or is left out (_ABSENT); at most one key takes a
+# value outside its range instead.  Sizes stay small, and a study always gets
+# a table: without one it calibrates its own at 10,000 reps.
+
+_ABSENT = object()
+# The files a config may name: `_config_files` writes all but missing.csv.
+_FILES = ("train.csv", "short.csv", "flat.csv", "stream.csv", "table.csv", "bad.csv",
+          "missing.csv")
+_BAD_FILES = ("bad.csv", "missing.csv")
+_HORIZONS_OUT = (0.0, -1.0, 0.001, math.inf, math.nan, 1e306)
+# section -> key -> (values inside the range, values outside it)
+_KEYS = {
+    "model": {
+        "n": ((1, 10, 40), (0,)),
+        "beta": (([-1.0, 0.1, 0.4], [0.0, 0.0, 0.0], [-1.0, 0.1], [-1.0, 20.0, 0.4]),
+                 ([21.0, 0.1, 0.4], [-1.0], [-1.0, math.nan, 0.4])),
+        "burn_in": ((0, 3), (-1, 10**7)),
+        "exo": ((_ABSENT, {"sd": 0.5}, {"clamp_lo": 2.0}), ({"sd": 0.0}, {"clamp_hi": 0.0})),
+    },
+    "simulate": {
+        "length": ((1, 5), (0, 10**7)),
+        "init": ((_ABSENT, 0, 1), (-1, 41)),
+    },
+    "fit": {
+        "series": (("train.csv", "short.csv", "flat.csv"), ("stream.csv",) + _BAD_FILES),
+    },
+    "calibrate": {
+        "horizon": ((0.05, 1.0, 3.0), _HORIZONS_OUT),
+        "grid_m": ((100, 200), (99,)),
+        "reps": ((100,), (99,)),
+        "gammas": ((_ABSENT, [0.0], [0.0, 0.49]), ([], [0.5], [-0.1])),
+        "alphas": ((_ABSENT, [0.05], [0.1, 0.99]), ([], [0.0], [1.0])),
+    },
+    "monitor": {
+        "training": (("train.csv", "short.csv", "flat.csv"), ("stream.csv",) + _BAD_FILES),
+        "stream": (("stream.csv",), ("train.csv",) + _BAD_FILES),
+        "horizon": ((_ABSENT, 0.05, 3.0), _HORIZONS_OUT),
+        "gamma": ((_ABSENT, 0.0, 0.25), (-0.1, 0.5)),
+        "alpha": ((_ABSENT, 0.05, 0.1), (0.0, 1.0)),
+        "threshold_c": ((_ABSENT, 1e-3, 7.0), (0.0, -1.0, math.inf)),
+        "thresholds": ((_ABSENT, "table.csv"), _BAD_FILES),
+    },
+    "experiment": {
+        "kind": (("size", "power", "consistency", "normality"), ("bogus",)),
+        "m_list": (([4], [30], [30, 40]), ([], [3], [10**7])),
+        "reps": ((1, 3), (0,)),
+        "thresholds": (("table.csv",), _BAD_FILES),
+        "a_source": ((_ABSENT, "training"), ("x",)),
+        "gammas": ((_ABSENT, [0.0], [0.0, 0.25]), ([], [0.5])),
+        "alphas": ((_ABSENT, [0.05], [0.05, 0.1]), ([], [1.0])),
+        "horizon": ((_ABSENT, 0.05, 3.0), _HORIZONS_OUT),
+        "emit_traces": ((_ABSENT, 0, 2), (-1,)),
+        "change": ((_ABSENT, {"at_k": 1, "beta": [-1.0, 0.2, 0.4]}),
+                   ({"at_k": 0, "beta": [-1.0, 0.2, 0.4]},
+                    {"at_k": 10**6, "beta": [-1.0, 0.2, 0.4]},
+                    {"at_k": 1, "beta": [-1.0, 0.2]})),
+    },
+}
+
+
+@st.composite
+def _configs(draw):
+    command = draw(st.sampled_from([c for c in _KEYS if c != "model"]))
+    keys = [(section, key) for section in ("model", command) for key in _KEYS[section]]
+    broken = draw(st.none() | st.sampled_from(keys))
+    payload = {}
+    for section, key in keys:
+        inside, outside = _KEYS[section][key]
+        value = draw(st.sampled_from(outside if (section, key) == broken else inside))
+        if value is not _ABSENT:
+            payload.setdefault(section, {})[key] = value
+    return command, payload
+
+
+@pytest.fixture(scope="module")
+def _config_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("generated")
+    spec = default_model_spec()
+    write_series_csv(simulate_series(spec, 30, seed=3, burn_in=0), root / "train.csv")
+    write_series_csv(simulate_series(spec, 4, seed=4, burn_in=0), root / "short.csv")
+    # A constant count: the lag column is a multiple of the intercept.
+    write_series_csv(SeriesSample(np.full(11, 3), np.linspace(0.9, 1.1, 10)[:, None]),
+                     root / "flat.csv")
+    _write_stream_csv(root / "stream.csv", simulate_series(spec, 40, seed=5, burn_in=0))
+    (root / "bad.csv").write_text("t,x,w1\n0,3,\n1,x,1.0\n")
+    cells = {(g, a): 7.0 for g in DEFAULT_GAMMAS for a in DEFAULT_ALPHAS}
+    write_threshold_table(ThresholdTable(cells, 100, 100, DEFAULT_HORIZON, 0), root / "table.csv")
+    return root
+
+
+def _no_process(*args, **kwargs):
+    raise AssertionError("a generated config started a process")
+
+
+@pytest.mark.filterwarnings("ignore:reps\\*alpha")
+@settings(max_examples=60, deadline=None)
+@given(case=_configs())
+def test_generated_configs_exit_cleanly(_config_files, case):
+    # Exit 0, 2 (a config error) or 3 (an alarm), or exit 1 naming a file;
+    # never a traceback, and never a worker process.
+    command, payload = case
+    cfg = _write_config(_config_files / "cfg.json", payload)
+    out = _config_files / "out"
+    err = io.StringIO()
+    with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stderr(err):
+        for name in ("fork", "posix_spawn", "posix_spawnp"):
+            mp.setattr(os, name, _no_process)
+        code = run_command(["--config", cfg, "--out", str(out), "--threads", "1", "--quiet",
+                            command])
+    message = err.getvalue()
+    assert code in (0, 2, 3) or (code == 1 and any(f in message for f in _FILES)), message

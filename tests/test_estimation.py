@@ -76,6 +76,45 @@ def test_newton_start_log_pl_keeps_elementwise_bits(n):
     assert trace[0] == start[0]
 
 
+def _logaddexp_log_pl(Z, y, log_coef, beta, n):
+    """_log_pl with log(1 + e^eta) from np.logaddexp, the form it replaced."""
+    eta = np.matmul(Z, beta[:, :, None])[:, :, 0]
+    return log_coef + np.sum(y * eta - n * np.logaddexp(0.0, eta), axis=1)
+
+
+def test_log_pl_softplus_within_2e_15_of_logaddexp():
+    # Edge values one per series (z = eta, beta = 1, y = 0), then random series.
+    edges = np.array([0.0, 1e-300, 36.7, 709.8, 800.0])
+    eta = np.concatenate([edges, -edges])[:, None, None]
+    y, log_coef, beta = np.zeros(eta.shape[:2]), np.zeros(eta.shape[0]), np.ones((eta.shape[0], 1))
+    got, got_eta = estimation._log_pl(eta, y, log_coef, beta, 7)
+    np.testing.assert_array_equal(got_eta, eta[:, :, 0])
+    np.testing.assert_allclose(got, _logaddexp_log_pl(eta, y, log_coef, beta, 7), rtol=2e-15)
+    rng = np.random.default_rng(12)
+    Z = np.concatenate([np.ones((64, 50, 1)), rng.normal(0.0, 3.0, (64, 50, 2))], axis=2)
+    beta = rng.normal(0.0, 2.0, (64, 3))
+    y = rng.integers(0, SPEC.n + 1, (64, 50)).astype(float)
+    log_coef = estimation._log_coef(y, SPEC.n)
+    np.testing.assert_allclose(estimation._log_pl(Z, y, log_coef, beta, SPEC.n)[0],
+                               _logaddexp_log_pl(Z, y, log_coef, beta, SPEC.n), rtol=2e-15)
+
+
+def test_singular_agrees_with_the_condition_number():
+    rank1 = np.outer([1.0, 2.0, 3.0], [1.0, 2.0, 3.0])
+    fixed = np.stack([np.zeros((3, 3)), rank1, np.diag([1.0, 1.0, 1e-11]),
+                      np.diag([1.0, 1.0, 1e-13])])
+    rng = np.random.default_rng(13)
+    # Column scales from 1e-9 to 1 spread the condition numbers over 1e1..1e18.
+    A = rng.normal(size=(400, 3, 3)) * 10.0 ** rng.uniform(-9.0, 0.0, size=(400, 1, 3))
+    spd = A @ np.swapaxes(A, 1, 2)
+    spd = 0.5 * (spd + np.swapaxes(spd, 1, 2))
+    for H in (fixed, spd):
+        np.testing.assert_array_equal(estimation._singular(H),
+                                      np.linalg.cond(H) > estimation._COND_LIMIT)
+    assert 0.2 < estimation._singular(spd).mean() < 0.5
+    assert estimation._singular(fixed).tolist() == [True, True, False, True]
+
+
 def test_log_pl_single_observation():
     # One transition with n=2, x1=1 and pi = 0.75: log 2 + log .75 + log .25.
     series = _no_exo_series([0, 1])

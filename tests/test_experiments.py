@@ -4,6 +4,7 @@ import pytest
 import concurrent.futures
 import json
 import math
+import warnings
 from dataclasses import replace
 
 from scipy.special import expit
@@ -42,6 +43,7 @@ from binarx.experiments import (
 from binarx.model import ExogenousSpec, SeriesSample, stationary_oracle
 from binarx.monitoring import weight
 from loop_reference import monitor_block as per_step_monitor_block
+from loop_reference import train_window as per_step_train_window
 from streaming_reference import state_with_metric
 
 SPEC = default_model_spec()
@@ -413,6 +415,39 @@ def test_monitor_block_passes_match_the_per_step_loop(monkeypatch, steps, reps, 
             np.testing.assert_array_equal(g, w)
         assert (got[2] > 0).any()
         assert len(got[4]) == min(max(0, emit_traces - b * BLOCK_SIZE), got[1].shape[0])
+
+
+# eta reaches below -709.78, where exp(-eta) overflows and p is 0 before the
+# clip; n > 30 takes the burn-in start.
+SPEC_OVERFLOW = ModelSpec(n=60, beta=ParamVector(10.0, -20.0, (0.4,)), exo=SPEC.exo)
+# eta reaches above 36.7, where p rounds to 1 and is clipped at the ceiling;
+# n <= 30 takes the exact start.
+SPEC_SATURATED = ModelSpec(n=20, beta=ParamVector(-1.0, 2.0, (0.4,)), exo=SPEC.exo)
+
+
+@pytest.mark.parametrize("spec, reaches", [
+    pytest.param(SPEC, lambda eta: True, id="default"),
+    pytest.param(SPEC_OVERFLOW, lambda eta: eta.min() < -709.78, id="exp-overflows"),
+    pytest.param(SPEC_SATURATED, lambda eta: eta.max() > 36.7, id="p-clipped-at-ceiling"),
+])
+def test_training_window_matches_the_per_step_loop(monkeypatch, spec, reaches):
+    # _start and _train_block's window, bit for bit the per-step replay, with
+    # the generator left at the same state and no floating-point warning.
+    seen = {}
+    monkeypatch.setattr(experiments, "fit_mple_batch",
+                        lambda x, w, n: seen.update(x=x.copy(), w=w.copy()))
+    cfg = ExperimentConfig(spec=spec, m_list=(40,), reps=9, master_seed=43)
+    task = experiments._BlockTask(cfg, 40, 2, 0, _start_cdf(spec))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rng, x_last, _ = experiments._train_block(task, 0)
+        x, w, want_rng = per_step_train_window(task, 0)
+    np.testing.assert_array_equal(seen["x"], x.T)
+    np.testing.assert_array_equal(seen["w"], w.transpose(1, 0, 2))
+    np.testing.assert_array_equal(x_last, x[-1])
+    assert rng.bit_generator.state == want_rng.bit_generator.state
+    c = spec.beta.as_array()
+    assert reaches(c[0] + c[1] * x[:-1] + w @ c[2:])
 
 
 def test_failures_by_class_in_metadata(tmp_path):

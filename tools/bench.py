@@ -10,9 +10,11 @@ no worker process.  The layers:
 
 - import: wall time and peak RSS (ru_maxrss) of `python -c "import binarx"`,
   each in a fresh interpreter started one at a time;
-- model: µs per lockstep `_advance` step of a 256-chain block, and µs per
-  `simulate_chain` transition;
-- estimation: `fit_mple` ms at m = 300 and at m = 2000;
+- model: µs per lockstep `_advance` step of a 256-chain block, inside one
+  `np.errstate` as the block engine runs it, and µs per `simulate_chain`
+  transition;
+- estimation: `fit_mple` ms at m = 300 and at m = 2000, and ms per
+  `fit_mple_batch` of a 256-series block at m = 300;
 - calibration: ms per replication of `threshold_table` (grid 1000, d = 3);
 - monitoring: `monitor_init` ms, `monitor_update` µs per observation over
   900 steps (m = 300, gamma = 0.25), and `read_series_csv` ms for 900 rows;
@@ -51,6 +53,7 @@ from run import metadata  # noqa: E402
 from binarx import (CalibrationConfig, ExperimentConfig, default_model_spec, fit_mple,  # noqa: E402
                     monitor_init, monitor_update, read_series_csv, run_size, simulate_series,
                     threshold_table)
+from binarx.estimation import fit_mple_batch  # noqa: E402
 from binarx.experiments import BLOCK_SIZE, _advance, _linear_table  # noqa: E402
 from binarx.model import SeriesSample, simulate_chain, write_series_csv  # noqa: E402
 
@@ -62,6 +65,7 @@ MONITOR_M = 300
 MONITOR_STEPS = int(HORIZON * MONITOR_M)  # the close-end horizon: 900 updates
 ADVANCE_STEPS, CHAIN_LENGTH = 500, 20_000
 FIT_CALLS = {300: 20, 2000: 4}
+BATCH_M, BATCH_CALLS = 300, 5
 CALIB_REPS, CSV_READS = 500, 20
 
 
@@ -115,8 +119,9 @@ def advance_us_per_step() -> float:
     table = _linear_table(SPEC.n, SPEC.beta)
     x = rng.binomial(SPEC.n, 0.5, BLOCK_SIZE)
     t = perf_counter()
-    for _ in range(ADVANCE_STEPS):
-        _, x = _advance(SPEC, table, x, rng)
+    with np.errstate(over="ignore"):
+        for _ in range(ADVANCE_STEPS):
+            _, x = _advance(SPEC, table, x, rng)
     return (perf_counter() - t) / ADVANCE_STEPS * 1e6
 
 
@@ -133,6 +138,18 @@ def fit_ms(m: int):
         for _ in range(FIT_CALLS[m]):
             fit_mple(series, SPEC.n)
         return (perf_counter() - t) / FIT_CALLS[m] * 1e3
+    return sample
+
+
+def fit_batch_ms():
+    samples = [simulate_series(SPEC, BATCH_M, seed=BATCH_M + i) for i in range(BLOCK_SIZE)]
+    x, w = np.stack([s.x for s in samples]), np.stack([s.w for s in samples])
+
+    def sample() -> float:
+        t = perf_counter()
+        for _ in range(BATCH_CALLS):
+            fit_mple_batch(x, w, SPEC.n)
+        return (perf_counter() - t) / BATCH_CALLS * 1e3
     return sample
 
 
@@ -156,6 +173,8 @@ def main(argv) -> int:
            f"simulate_chain, {CHAIN_LENGTH} transitions", chain_us_per_transition)
     for m in FIT_CALLS:
         record(f"estimation.fit_ms_m{m}", "ms", f"fit_mple at m={m}", fit_ms(m))
+    record("estimation.fit_batch_ms", "ms",
+           f"fit_mple_batch of {BLOCK_SIZE} series at m={BATCH_M}", fit_batch_ms())
 
     calib = CalibrationConfig(dim=3, horizon=HORIZON, grid_m=1000, reps=CALIB_REPS,
                               master_seed=5)
