@@ -151,14 +151,10 @@ class ThresholdTable:
 
     def lookup(self, gamma: float, alpha: float) -> float:
         key = (float(gamma), float(alpha))
-        if key in self.entries:
-            return self.entries[key]
-        for (g, a), c in self.entries.items():
-            if abs(g - key[0]) < 1e-12 and abs(a - key[1]) < 1e-12:
-                return c
-        raise ThresholdUnavailableError(
-            f"no threshold for gamma={gamma}, alpha={alpha} in table"
-        )
+        if key not in self.entries:
+            raise ThresholdUnavailableError(
+                f"no threshold for gamma={gamma}, alpha={alpha} in table")
+        return self.entries[key]
 
     def check_horizon(self, horizon: float) -> None:
         """Refuse a monitor whose horizon N is not the one this table was calibrated at."""
@@ -168,49 +164,27 @@ class ThresholdTable:
             )
 
 
-def _grid(config: CalibrationConfig) -> np.ndarray:
-    return np.arange(1, config.steps + 1) / config.grid_m
-
-
-def _rep_rng(master_seed: int, rep_index: int) -> np.random.Generator:
-    # Documented stream contract: replication r draws from (master_seed, r),
-    # so results are independent of evaluation order and worker count.
-    return np.random.default_rng(np.random.SeedSequence((master_seed, rep_index)))
-
-
-def _rep_normals(config: CalibrationConfig, rep_index: int) -> tuple[np.ndarray, np.ndarray]:
-    """Replication rep_index's draws: the (steps, dim) W1 increment block, then W2(1)."""
-    rng = _rep_rng(config.master_seed, rep_index)
-    return rng.standard_normal((config.steps, config.dim)), rng.standard_normal(config.dim)
-
-
-def _rep_quadratic_path(config: CalibrationConfig, rep_index: int) -> np.ndarray:
-    """Whitened quadratic-form path q(k) = |D_k|^2, D_k = B1(k/grid) - (k/grid) B2(1).
-
-    Algebraically identical to drawing Normal(0, sigma) increments and
-    measuring with A = sigma^{-1}; shared by every gamma (common random
-    numbers).
-    """
-    eps, eps2 = _rep_normals(config, rep_index)
-    W1 = np.cumsum(eps, axis=0) / np.sqrt(config.grid_m)
-    D = W1 - _grid(config)[:, None] * eps2
-    return np.einsum("kd,kd->k", D, D)
-
-
-def _sup_rep_worker(shared: tuple[CalibrationConfig, np.ndarray], rep_index: int) -> np.ndarray:
-    config, rho_sq = shared
-    return (rho_sq * _rep_quadratic_path(config, rep_index)).max(axis=1)
+def _sup_rep_worker(shared: tuple, rep_index: int) -> np.ndarray:
+    """Replication rep_index's supremum at every gamma.  Stream contract: it
+    draws from (master_seed, r), the (steps, dim) W1 increments, then W2(1).
+    The whitened path |B1(s) - s B2(1)|^2 equals the path of Normal(0, sigma)
+    draws in the metric A = sigma^{-1}; every gamma shares it."""
+    config, s, rho_sq = shared
+    rng = np.random.default_rng(np.random.SeedSequence((config.master_seed, rep_index)))
+    eps, eps2 = rng.standard_normal((config.steps, config.dim)), rng.standard_normal(config.dim)
+    D = np.cumsum(eps, axis=0) / np.sqrt(config.grid_m) - s[:, None] * eps2
+    return (rho_sq * np.einsum("kd,kd->k", D, D)).max(axis=1)
 
 
 def _sup_samples(config: CalibrationConfig, threads: int = 1) -> np.ndarray:
     """(reps, len(gammas)) matrix of supremum samples under common streams.
 
-    The squared weight shapes, one (gammas, steps) array, are computed once
-    and shared by every replication.
+    The grid s = k / grid_m and the squared weight shapes, one (gammas,
+    steps) array, are computed once and shared by every replication.
     """
-    s = _grid(config)
+    s = np.arange(1, config.steps + 1) / config.grid_m
     rho_sq = np.array([rho(s, g) ** 2 for g in config.gammas]).reshape(-1, s.size)
-    return np.vstack(map_over_reps(_sup_rep_worker, (config, rho_sq), config.reps, threads))
+    return np.vstack(map_over_reps(_sup_rep_worker, (config, s, rho_sq), config.reps, threads))
 
 
 def quantile_higher(values: np.ndarray, q: float) -> float:

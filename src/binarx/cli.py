@@ -84,8 +84,8 @@ def _read_counts(loaded, key: str, spec_n: int):
 
 @contextmanager
 def _naming(path):
-    """Put the series file `path` in front of a runtime error that fitting its
-    data raises (a ConfigError names its field already)."""
+    """Put the input file `path` in front of a runtime error that working on
+    its data raises (a ConfigError names its field already)."""
     try:
         yield
     except ConfigError:
@@ -115,18 +115,19 @@ def _cmd_calibrate(loaded, out: Path, quiet: bool) -> int:
 
 
 def _stream_rows(fh, n_cells: int):
-    """(x, w) pairs from an open stream CSV with header k,x,w1,...
+    """(x, w) pairs from an open stream CSV with header k,x,w1,..., read lazily.
 
-    A malformed row raises ValueError naming its k; monitor_update checks the
-    count's range and that the covariates are finite.
+    The rows must run k = 1, 2, ...; a malformed row raises ValueError naming
+    its k, and monitor_update checks the count's range and that the
+    covariates are finite.
     """
     reader = csv.reader(fh)
     if next(reader, [])[:2] != ["k", "x"]:
         raise ValueError("expected stream header k,x,w1,...")
-    for row in reader:
-        if not row:
-            continue
+    for k, row in enumerate(filter(None, reader), start=1):
         try:
+            if int(row[0]) != k:
+                raise ValueError(f"expected k={k}")
             if len(row) != n_cells:
                 raise ValueError(f"expected {n_cells} cells, got {len(row)}")
             x_new, w_new = int(row[1]), np.array([float(v) for v in row[2:]])
@@ -183,8 +184,9 @@ def _cmd_experiment(loaded, out: Path, quiet: bool) -> int:
 def _cmd_prep(loaded, out: Path, quiet: bool) -> int:
     prep = cfgmod.parse_prep(loaded)
     panel = RatePanel.from_csv(prep["rates"])
-    baseline = compute_baseline(panel, prep["baseline_years"])
-    series = binarize_and_sum(panel, baseline, prep["states"], prep["window"])
+    with _naming(prep["rates"]):
+        baseline = compute_baseline(panel, prep["baseline_years"])
+        series = binarize_and_sum(panel, baseline, prep["states"], prep["window"])
     path = out / "binomial_series.csv"
     write_binomial_series(series, path)
     _say(quiet, f"wrote {path} ({series.x.size} weeks, n={series.n})")
@@ -192,8 +194,10 @@ def _cmd_prep(loaded, out: Path, quiet: bool) -> int:
 
 
 def _cmd_compare(loaded, out: Path, quiet: bool) -> int:
-    series = read_binomial_series(loaded.require("compare.series"))
-    result = model_comparison(series)
+    source = loaded.require("compare.series")
+    series = read_binomial_series(source)
+    with _naming(source):
+        result = model_comparison(series)
     path = out / "comparison.json"
     write_json(path, result)
     _say(
@@ -230,10 +234,7 @@ def run_command(argv) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except BinarxError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
-    except (OSError, ValueError) as exc:
+    except (BinarxError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 

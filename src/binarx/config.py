@@ -148,6 +148,8 @@ def _convert(value, kind, base_dir: Path):
             raise ValueError
         return int(value)
     if kind is float:
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ValueError
         return float(value)
     if not isinstance(value, kind):
         raise ValueError

@@ -21,7 +21,8 @@ from .model import ParamVector, SeriesSample, log_binom, logistic
 # Newton solver settings.  Convergence requires the sup-norm of the score to
 # fall below _TOL; the iteration also stops when the accepted step is shorter
 # than _STEP_TOL.  Steps that would decrease the log partial likelihood are
-# halved up to _MAX_HALVINGS times, and iterates are projected back onto the
+# halved up to _MAX_HALVINGS times; a series whose last halving still goes
+# downhill takes that step and stops.  Iterates are projected back onto the
 # coordinate box [-PARAM_BOX_BOUND, PARAM_BOX_BOUND] (a boundary hit is
 # reported, not fatal).  A curvature matrix with condition number above
 # _COND_LIMIT counts as singular (see `_singular`).
@@ -175,8 +176,8 @@ def _newton(Z: np.ndarray, y: np.ndarray, spec_n: int) -> BatchFit:
 
     Z is (c, m, d) and y is (c, m).  Every replication keeps its own
     convergence, step-halving, box and condition-limit state; a replication
-    leaves the active set when it converges, stalls below _STEP_TOL, or
-    fails.
+    leaves the active set when it converges, stalls (a step below _STEP_TOL,
+    or one that no halving takes uphill), or fails.
     """
     c, m, d = Z.shape
     errors: list = [None] * c
@@ -228,7 +229,7 @@ def _newton(Z: np.ndarray, y: np.ndarray, spec_n: int) -> BatchFit:
             lp_cand[todo], eta_cand[todo] = _log_pl(Zt, yt, log_coef[act[todo]], cand[todo], spec_n)
             todo &= lp_cand < floor
         hit_boundary[act] |= np.any(cand != b0 + scale[:, None] * step, axis=1)
-        stalled = np.abs(cand - b0).max(axis=1) < _STEP_TOL
+        stalled = todo | (np.abs(cand - b0).max(axis=1) < _STEP_TOL)
         beta[act], lp[act], eta[act] = cand, lp_cand, eta_cand
         act, = _narrow(~stalled, act)
 
@@ -279,8 +280,6 @@ def fit_mple_batch(x: np.ndarray, w: np.ndarray, spec_n: int) -> BatchFit:
     for lo in range(0, c, chunk):
         Z, y = _stack_design(x[lo:lo + chunk], w[lo:lo + chunk])
         parts.append(_newton(Z, y, spec_n))
-    if len(parts) == 1:
-        return parts[0]
     return BatchFit(
         **{f.name: np.concatenate([getattr(p, f.name) for p in parts])
            for f in fields(BatchFit) if f.name != "errors"},

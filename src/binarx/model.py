@@ -108,8 +108,6 @@ class ExogenousSpec:
 
     def draw(self, rng: np.random.Generator, size: int, l: int) -> np.ndarray:
         """Draw a (size, l) matrix of clamped covariates."""
-        if l == 0:
-            return np.empty((size, 0), dtype=float)
         raw = rng.normal(self.mean, self.sd, size=(size, l))
         return np.minimum(np.maximum(raw, self.clamp_lo, out=raw), self.clamp_hi, out=raw)
 
@@ -239,7 +237,7 @@ def simulate_chain(
     b = spec.beta
     w = spec.exo.draw(rng, length, b.l)
     # Exogenous part of the linear predictor, precomputed for the whole path.
-    offset = b.phi0 + (w @ np.asarray(b.gamma_exo) if b.l else np.zeros(length))
+    offset = b.phi0 + w @ np.asarray(b.gamma_exo, dtype=float)
     n, phi1, binomial = spec.n, b.phi1, rng.binomial
     state = int(x0)
     states = [state]
@@ -357,12 +355,12 @@ def stationary_oracle(spec: ModelSpec) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("stationary_oracle is restricted to n <= 30")
     b = spec.beta
     pts, wts = _exogenous_quadrature(spec.exo, b.l, _QUAD_NODES)
-    gamma = np.asarray(b.gamma_exo)
+    gamma = np.asarray(b.gamma_exo, dtype=float)
     counts = np.arange(n + 1)
     log_coef = log_binom(n, counts)
     P = np.empty((n + 1, n + 1), dtype=float)
     for j in range(n + 1):
-        eta = b.phi0 + b.phi1 * j + (pts @ gamma if b.l else np.zeros(len(wts)))
+        eta = b.phi0 + b.phi1 * j + pts @ gamma
         p = _clip_prob(logistic(eta))
         log_pmf = (
             log_coef[None, :]

@@ -231,7 +231,12 @@ def test_monitor_stream_bad_rows_name_file_and_row(tmp_path, capsys):
     assert run_command(["--config", cfg, "--out", str(out), "--quiet", "simulate"]) == 0
     for bad_row, message in (("2,3.7,1.0", "row k=2: invalid literal"),
                              ("2,3,nan", "k=2: covariates"),
-                             ("2,3", "row k=2: expected 3 cells")):
+                             ("2,3", "row k=2: expected 3 cells"),
+                             ("1,3,1.0", "row k=1: expected k=2"),
+                             ("9,3,1.0", "row k=9: expected k=2"),
+                             ("-3,3,1.0", "row k=-3: expected k=2"),
+                             ("abc,3,1.0", "row k=abc: invalid literal"),
+                             ("", "row k=3: expected k=2")):
         (tmp_path / "stream.csv").write_text(f"k,x,w1\n1,4,1.0\n{bad_row}\n3,4,1.0\n")
         assert run_command(["--config", cfg, "--out", str(out), "--quiet", "monitor"]) == 1
         err = capsys.readouterr().err
@@ -371,6 +376,13 @@ def test_malformed_csv_inputs_name_the_file(tmp_path, capsys, command, file, con
     ("prep", {"prep": {**PREP_SECTION, "window_start": [2020.7, 1]}}, "prep.window_start"),
     ("simulate", {"simulate": {"length": 10}, "experiment": {"kind": "size", "reps": "x"}},
      "experiment.reps"),
+    ("monitor", {"monitor": {"training": "s.csv", "stream": "k.csv", "threshold_c": 7.0,
+                             "horizon": True}}, "monitor.horizon"),
+    ("monitor", {"monitor": {"training": "s.csv", "stream": "k.csv", "threshold_c": 7.0,
+                             "horizon": "3.0"}}, "monitor.horizon"),
+    ("calibrate", {"calibrate": {"alphas": [0.05, False]}}, "calibrate.alphas"),
+    ("simulate", {"simulate": {"length": 10},
+                  "model": {**MODEL_SECTION, "beta": ["-1.0", 0.1, 0.4]}}, "model.beta"),
 ])
 def test_config_type_errors_name_the_field(tmp_path, capsys, command, section, field):
     cfg = _write_config(tmp_path / "cfg.json", {"model": MODEL_SECTION, **section})
@@ -380,6 +392,18 @@ def test_config_type_errors_name_the_field(tmp_path, capsys, command, section, f
         _rates_fixture_csv(tmp_path / "rates.csv")
     assert run_command(["--config", cfg, "--out", str(tmp_path), "--quiet", command]) == 2
     assert f"config error: {field}: expected" in capsys.readouterr().err
+
+
+def test_float_keys_take_json_numbers_only(tmp_path):
+    # An int, a float and the NaN and Infinity literals read as floats; a
+    # bool or a string is refused, naming the value.
+    cfg = _write_config(tmp_path / "cfg.json", {"monitor": {"horizon": 3, "alpha": math.nan,
+                                                            "threshold_c": math.inf}})
+    values = load_config(cfg).values["monitor"]
+    assert [type(v) for v in values.values()] == [float] * 3 and math.isnan(values["alpha"])
+    for value, shown in ((True, "True"), ("3.0", "'3.0'")):
+        with pytest.raises(ConfigError, match=re.escape(f"horizon: expected float, got {shown}")):
+            _loaded({"monitor": {"horizon": value}})
 
 
 @pytest.mark.parametrize("command, section, field", [
@@ -564,6 +588,23 @@ def test_a_series_that_does_not_fit_names_the_file(tmp_path, capsys, command, se
     assert run_command(["--config", cfg, "--out", str(tmp_path / "out"), "--quiet", command]) == 1
     err = capsys.readouterr().err
     assert f"error: {tmp_path / 'flat.csv'}: negated score gradient has condition number" in err
+
+
+@pytest.mark.parametrize("command, section, file, message", [
+    ("compare", {"series": "zero.csv"}, "zero.csv", "all responses at the same boundary"),
+    ("compare", {"series": "one.csv"}, "one.csv", "need at least 2 observations"),
+    ("prep", {**PREP_SECTION, "states": ["A", "C"]}, "rates.csv", "panel has no rate for: (C,"),
+    ("prep", {**PREP_SECTION, "baseline_years": [2018]}, "rates.csv", "no baseline entry for"),
+], ids=["compare-constant", "compare-one-row", "prep-no-state", "prep-no-baseline"])
+def test_prep_and_compare_runtime_errors_name_the_file(tmp_path, capsys, command, section, file,
+                                                       message):
+    _rates_fixture_csv(tmp_path / "rates.csv")
+    (tmp_path / "zero.csv").write_text("# n=2\niso_year,week,x\n" + "".join(
+        f"2020,{week},0\n" for week in range(1, 9)))
+    (tmp_path / "one.csv").write_text("# n=2\niso_year,week,x\n2020,1,1\n")
+    cfg = _write_config(tmp_path / "cfg.json", {command: section})
+    assert run_command(["--config", cfg, "--out", str(tmp_path / "out"), "--quiet", command]) == 1
+    assert f"error: {tmp_path / file}: {message}" in capsys.readouterr().err
 
 
 def test_config_error_survives_pickling():
@@ -806,8 +847,8 @@ def test_import_leaves_scipy_stats_unloaded():
 
 _ABSENT = object()
 # The files a config may name: `_config_files` writes all but missing.csv.
-_FILES = ("train.csv", "short.csv", "flat.csv", "stream.csv", "table.csv", "bad.csv",
-          "missing.csv")
+_FILES = ("train.csv", "short.csv", "flat.csv", "stream.csv", "table.csv", "rates.csv",
+          "binomial.csv", "zero.csv", "one.csv", "bad.csv", "missing.csv")
 _BAD_FILES = ("bad.csv", "missing.csv")
 _HORIZONS_OUT = (0.0, -1.0, 0.001, math.inf, math.nan, 1e306)
 # section -> key -> (values inside the range, values outside it)
@@ -857,6 +898,16 @@ _KEYS = {
                     {"at_k": 10**6, "beta": [-1.0, 0.2, 0.4]},
                     {"at_k": 1, "beta": [-1.0, 0.2]})),
     },
+    "prep": {
+        "rates": (("rates.csv",), (_ABSENT, "train.csv") + _BAD_FILES),
+        "states": ((["A"], ["A", "B"], ["A", "C"]), (_ABSENT, [], [1])),
+        "baseline_years": (([2019], [2018, 2019], [2018]), (_ABSENT, [2019.5])),
+        "window_start": (([2020, 1], [2020, 4]), (_ABSENT, [2020, 0], [2020, 54], [2020])),
+        "window_end": (([2020, 6], [2020, 7]), (_ABSENT, [2019, 52], [2021, 53])),
+    },
+    "compare": {
+        "series": (("binomial.csv", "zero.csv", "one.csv"), (_ABSENT, "train.csv") + _BAD_FILES),
+    },
 }
 
 
@@ -887,6 +938,11 @@ def _config_files(tmp_path_factory):
     (root / "bad.csv").write_text("t,x,w1\n0,3,\n1,x,1.0\n")
     cells = {(g, a): 7.0 for g in DEFAULT_GAMMAS for a in DEFAULT_ALPHAS}
     write_threshold_table(ThresholdTable(cells, 100, 100, DEFAULT_HORIZON, 0), root / "table.csv")
+    _rates_fixture_csv(root / "rates.csv")
+    for name, counts in (("binomial.csv", [2, 1, 0, 1, 1, 1, 2, 0, 1, 2, 1, 0]),
+                         ("zero.csv", [0] * 8), ("one.csv", [1])):
+        (root / name).write_text("# n=2\niso_year,week,x\n" + "".join(
+            f"2020,{week},{x}\n" for week, x in enumerate(counts, start=1)))
     return root
 
 

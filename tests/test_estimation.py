@@ -14,7 +14,7 @@ from binarx import (
 )
 from binarx import estimation
 from binarx.estimation import fit_mple_batch, fit_report
-from binarx.model import SeriesSample, log_binom, logistic
+from binarx.model import ExogenousSpec, ModelSpec, SeriesSample, log_binom, logistic
 from series_kernel import curvature, log_pl, score
 
 SPEC = default_model_spec()
@@ -257,6 +257,36 @@ def test_newton_log_pl_monotone():
         _, trace = _newton_traced(_sample(250, seed=seed), SPEC.n)
         slack = 1e-8 * (1.0 + np.abs(trace[:-1]))
         assert np.all(np.diff(trace) >= -slack)
+
+
+def test_a_fit_no_trial_scale_takes_uphill_stops():
+    # w is nearly constant, so the intercept and w are almost collinear and
+    # the fit walks into the box, where all 1 + _MAX_HALVINGS trial scales
+    # lower the log PL.  The fit takes the last one and stops there instead
+    # of iterating on to _MAX_ITER.
+    spec = ModelSpec(n=10, beta=SPEC.beta, exo=ExogenousSpec(sd=1e-3))
+    sample = simulate_series(spec, 30, seed=30_000, burn_in=0)
+    Z, y = estimation._design(sample, 10)
+    events, log_pl_kernel = [], estimation._log_pl
+
+    def counted(*args):
+        events.append("log_pl")
+        return log_pl_kernel(*args)
+
+    def marked(eta):
+        events.append("|")
+        return logistic(eta)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(estimation, "_log_pl", counted)
+        mp.setattr(estimation, "logistic", marked)
+        fit = estimation._newton(Z[None], y[None], 10)
+    # One log PL at the start, then per iteration a logistic and its trial
+    # scales, and a last logistic after the loop.
+    per_iteration = [len(part.split()) for part in " ".join(events).split("|")[1:-1]]
+    assert isinstance(fit.errors[0], NonConvergenceError) and fit.hit_boundary[0]
+    assert len(per_iteration) == fit.iterations[0] < estimation._MAX_ITER
+    assert per_iteration[-1] == 1 + estimation._MAX_HALVINGS
 
 
 def test_sigma0_iid_moment():
