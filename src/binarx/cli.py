@@ -14,8 +14,6 @@ import sys
 from contextlib import contextmanager
 from pathlib import Path
 
-import numpy as np
-
 from . import config as cfgmod
 from ._artifacts import write_csv, write_json
 from .calibration import threshold_table, write_threshold_table
@@ -30,7 +28,7 @@ from .dataprep import (
 from .estimation import fit_mple, fit_report
 from .exceptions import BinarxError, ConfigError
 from .experiments import run_consistency, run_normality, run_power, run_size, write_report
-from .model import read_series_csv, simulate_series, write_series_csv
+from .model import count_rows, read_series_csv, simulate_series, write_series_csv
 from .monitoring import monitor_init, monitor_run
 
 EXIT_OK = 0
@@ -115,25 +113,12 @@ def _cmd_calibrate(loaded, out: Path, quiet: bool) -> int:
 
 
 def _stream_rows(fh, n_cells: int):
-    """(x, w) pairs from an open stream CSV with header k,x,w1,..., read lazily.
-
-    The rows must run k = 1, 2, ...; a malformed row raises ValueError naming
-    its k, and monitor_update checks the count's range and that the
-    covariates are finite.
-    """
+    """(x, w) pairs of an open stream CSV with header k,x,w1,..., read lazily by
+    `count_rows`; monitor_update checks the count's upper bound and finiteness."""
     reader = csv.reader(fh)
     if next(reader, [])[:2] != ["k", "x"]:
         raise ValueError("expected stream header k,x,w1,...")
-    for k, row in enumerate(filter(None, reader), start=1):
-        try:
-            if int(row[0]) != k:
-                raise ValueError(f"expected k={k}")
-            if len(row) != n_cells:
-                raise ValueError(f"expected {n_cells} cells, got {len(row)}")
-            x_new, w_new = int(row[1]), np.array([float(v) for v in row[2:]])
-        except ValueError as exc:
-            raise ValueError(f"row k={row[0]}: {exc}") from None
-        yield x_new, w_new
+    yield from count_rows(reader, "k", n_cells)
 
 
 def _cmd_monitor(loaded, out: Path, quiet: bool) -> int:
@@ -143,11 +128,8 @@ def _cmd_monitor(loaded, out: Path, quiet: bool) -> int:
     stream_path = loaded.require("monitor.stream")
     with cfgmod.in_section("monitor"), _naming(loaded.require("monitor.training")):
         state = monitor_init(training, spec.n, **settings)
-    try:
-        with open(stream_path, newline="") as fh:
-            monitor_run(state, _stream_rows(fh, training.l + 2))
-    except ValueError as exc:
-        raise ValueError(f"{stream_path}: {exc}") from None
+    with _naming(stream_path), open(stream_path, newline="") as fh:
+        monitor_run(state, _stream_rows(fh, training.l + 2))
     cfg = state.config
     write_csv(out / "monitor_log.csv", ("k", "statistic", "threshold", "alarm"),
               ((k, stat, cfg.threshold_c, k == state.alarm_at)

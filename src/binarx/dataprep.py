@@ -63,7 +63,7 @@ def compute_baseline(panel: RatePanel, baseline_years) -> dict:
         if year in years:
             sums.setdefault((state, week), []).append(rate)
     if not sums:
-        raise MissingBaselineError([("<any>", 0)])
+        raise MissingBaselineError((), years=sorted(years))
     return {key: float(np.mean(v)) for key, v in sums.items()}
 
 

@@ -21,14 +21,20 @@ class MonitoringTerminatedError(BinarxError):
     """The monitor received an update after an alarm or after the horizon was reached."""
 
 
-class MissingBaselineError(BinarxError):
-    """Baseline lookup failed for one or more (state, week) pairs."""
+def _listed(items: list) -> str:
+    """The first ten items, comma-separated, then "and N more" for the rest."""
+    return ", ".join(items[:10]) + (f" and {len(items) - 10} more" if len(items) > 10 else "")
 
-    def __init__(self, missing):
+
+class MissingBaselineError(BinarxError):
+    """Baseline lookup failed for one or more (state, week) pairs, or for all
+    of them when no panel row lies in the baseline `years`."""
+
+    def __init__(self, missing, years=()):
         self.missing = tuple(missing)
-        pairs = ", ".join(f"({s}, week {w})" for s, w in self.missing[:10])
-        more = "" if len(self.missing) <= 10 else f" and {len(self.missing) - 10} more"
-        super().__init__(f"no baseline entry for: {pairs}{more}")
+        what = _listed([f"({s}, week {w})" for s, w in self.missing]) or (
+            f"any state, as no panel row lies in baseline_years {list(years)}")
+        super().__init__(f"no baseline entry for: {what}")
 
 
 class PanelCoverageError(BinarxError):
@@ -36,9 +42,8 @@ class PanelCoverageError(BinarxError):
 
     def __init__(self, missing):
         self.missing = tuple(missing)
-        pairs = ", ".join(f"({s}, {y}-W{w:02d})" for s, y, w in self.missing[:10])
-        more = "" if len(self.missing) <= 10 else f" and {len(self.missing) - 10} more"
-        super().__init__(f"panel has no rate for: {pairs}{more}")
+        pairs = _listed([f"({s}, {y}-W{w:02d})" for s, y, w in self.missing])
+        super().__init__(f"panel has no rate for: {pairs}")
 
 
 class ConfigError(BinarxError, ValueError):

@@ -36,8 +36,6 @@ _PROB_CEIL = math.nextafter(1.0, 0.0)
 _QUAD_SPAN_SDS = 8.0
 # Gauss-Legendre nodes per covariate coordinate in the stationary oracle.
 _QUAD_NODES = 64
-# Unicode whitespace to numpy's number parsers, but not to int() and float().
-_NUMPY_ONLY_SPACE = "\x1c\x1d\x1e\x1f"
 
 
 @dataclass(frozen=True)
@@ -326,12 +324,11 @@ def _coordinate_quadrature(exo: ExogenousSpec, nodes: int) -> tuple[np.ndarray, 
 
 
 def _exogenous_quadrature(exo: ExogenousSpec, l: int, nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Tensor-product quadrature over l coordinates: ((Q, l) points, (Q,) weights)."""
-    if l == 0:
-        return np.empty((1, 0), dtype=float), np.ones(1)
+    """Tensor-product quadrature over l coordinates: ((Q, l) points, (Q,) weights),
+    built from the empty product (one point with no coordinates, weight 1)."""
     pts1, wts1 = _coordinate_quadrature(exo, nodes)
-    pts, wts = pts1.reshape(-1, 1), wts1
-    for _ in range(l - 1):
+    pts, wts = np.empty((1, 0)), np.ones(1)
+    for _ in range(l):
         q = pts.shape[0]
         pts = np.hstack(
             [np.repeat(pts, pts1.size, axis=0), np.tile(pts1, q).reshape(-1, 1)]
@@ -385,88 +382,85 @@ def write_series_csv(sample: SeriesSample, path) -> None:
     write_csv(path, ["t", "x"] + [f"w{i + 1}" for i in range(l)], itertools.chain([first], rows))
 
 
-def _read_plain(fh):
-    """(x, w) of a plain series file, or None for the row loop to read it.
-
-    Plain means: header t,x,w1..wl, a count-only first row with t <= 0, then
-    a non-empty body of rows t = 1..T with l finite covariates, and no
-    negative count.  The header and first row go through csv and int() as
-    in the row loop; numpy's C reader parses the body.  On a body it accepts, it reads what int() and
-    float() read: its int parser takes a subset of int()'s syntax, its float
-    parser gives float()'s bits, both skip blank lines, and a cell it refuses
-    returns None.  Its one laxity, taking \\x1c-\\x1f for whitespace, is
-    refused up front, and an empty body, on which numpy warns, is left to
-    the row loop.
+def count_rows(reader, name: str, n_cells: int):
+    """(x, w) of each non-empty row of the csv `reader`, read lazily.  The rows
+    are numbered 1, 2, ... in column `name` and hold `n_cells` cells: the
+    number, a count that is an integer >= 0 and float covariates (a list, not
+    checked finite).  A bad row raises ValueError `row <name>=<cell>: <reason>`.
     """
-    reader = csv.reader(fh)
-    header = next(reader, [])
-    first = next(reader, [])
-    body = fh.read()
-    if header[:2] != ["t", "x"] or not body.strip() or any(c in body for c in _NUMPY_ONLY_SPACE):
+    for i, row in enumerate(filter(None, reader), start=1):
+        try:
+            if int(row[0]) != i:
+                raise ValueError(f"expected {name}={i}")
+            if len(row) != n_cells:
+                raise ValueError(f"expected {n_cells} cells, got {len(row)}")
+            x = int(row[1])
+            if x < 0:
+                raise ValueError(f"count {x} is negative")
+            w = [float(v) for v in row[2:]]
+        except ValueError as exc:
+            raise ValueError(f"row {name}={row[0]}: {exc}") from None
+        yield x, w
+
+
+def _plain_body(body: str, l: int):
+    """The rows (t, x, w) of a plain series body, parsed by numpy's C reader,
+    or None for `count_rows` to read it.  Plain means: non-empty, parsed by
+    np.loadtxt, t = 1, 2, ... in order, no negative count and finite
+    covariates.  There numpy reads what int() and float() read (a subset of
+    int()'s grammar, float()'s bits, blank lines skipped), except that it
+    takes \\x1c-\\x1f for whitespace, which is refused up front.
+    """
+    if not body.strip() or any(c in body for c in "\x1c\x1d\x1e\x1f"):
         return None
     try:
-        if int(first[0]) > 0:
-            return None
-        x0 = np.array([int(first[1])], dtype=np.int64)
-        rows = np.loadtxt(
-            io.StringIO(body), delimiter=",", comments=None, ndmin=1,
-            dtype=[("t", np.int64), ("x", np.int64), ("w", np.float64, (len(header) - 2,))],
-        )
+        rows = np.loadtxt(io.StringIO(body), delimiter=",", comments=None, ndmin=1,
+                          dtype=[("t", np.int64), ("x", np.int64), ("w", np.float64, (l,))])
     except (ValueError, IndexError, OverflowError):
         return None
-    x = np.concatenate((x0, rows["x"]))
-    in_sequence = (rows["t"] == np.arange(1, x.size)).all()
-    if not in_sequence or x.min() < 0 or not np.isfinite(rows["w"]).all():
-        return None
-    return x, rows["w"]
+    plain = (rows["t"] == np.arange(1, rows.size + 1)).all() and rows["x"].min() >= 0
+    return rows if plain and np.isfinite(rows["w"]).all() else None
 
 
 def read_series_csv(path) -> SeriesSample:
-    """Read a sample written by write_series_csv.
-
-    A plain file (see `_read_plain`) is parsed in C; the row loop below
-    reads any other and would give the same sample for a plain one.  It
-    raises ValueError naming the file and the row t for a count that is not
-    a non-negative integer, a covariate that is not a finite number, a row
-    with the wrong number of cells, or a t out of sequence: the first row
-    has t <= 0 and the rows after it t = 1, 2, ... in order.
-    """
+    """Read a sample written by write_series_csv: the header t,x,w1..wl, a
+    first row with t <= 0 and a count (its other cells unread), then rows
+    t = 1, 2, ... as `count_rows` reads them, with finite covariates.  A plain
+    body (`_plain_body`) is parsed in C and any other by `count_rows`, to the
+    same sample.  ValueError names the file and, for a bad row, its t."""
     with open(path, newline="") as fh:
-        plain = _read_plain(fh)
-        if plain is not None:
-            return SeriesSample(*plain)
-        fh.seek(0)
         reader = csv.reader(fh)
         header = next(reader, [])
-        if len(header) < 2 or header[0] != "t" or header[1] != "x":
+        if header[:2] != ["t", "x"]:
             raise ValueError(f"{path}: expected header t,x,w1,...  got {header!r}")
         l = len(header) - 2
-        xs: list[int] = []
-        ws: list[list[float]] = []
-        row = header
+        first = next(filter(None, reader), None)
+        if first is None:
+            raise ValueError(f"{path}: no rows after the header")
         try:
-            for row in reader:
-                if not row:
-                    continue
-                t = int(row[0])
-                if xs and t != len(xs):
-                    raise ValueError(f"expected t={len(xs)}")
-                if not xs and t > 0:
-                    raise ValueError("expected a first row with t <= 0")
-                if len(row) != l + 2 and (t > 0 or len(row) < 2):
-                    raise ValueError(f"expected {l + 2} cells, got {len(row)}")
-                xs.append(int(row[1]))
-                if xs[-1] < 0:
-                    raise ValueError(f"count {xs[-1]} is negative")
-                if t > 0:
-                    ws.append([float(v) for v in row[2:]])
+            if int(first[0]) > 0:
+                raise ValueError("expected a first row with t <= 0")
+            if len(first) < 2:
+                raise ValueError(f"expected {l + 2} cells, got {len(first)}")
+            x0 = int(first[1])
+            if x0 < 0:
+                raise ValueError(f"count {x0} is negative")
         except ValueError as exc:
-            raise ValueError(f"{path}: row t={row[0]}: {exc}") from None
-    if not xs:
-        raise ValueError(f"{path}: no rows after the header")
-    w = np.array(ws, dtype=float).reshape(len(ws), l)
-    finite = np.isfinite(w).all(axis=1)
-    if not finite.all():
-        bad = int(np.argmin(finite))
-        raise ValueError(f"{path}: row t={bad + 1}: covariates {w[bad].tolist()} are not finite")
-    return SeriesSample(x=np.array(xs, dtype=np.int64), w=w)
+            raise ValueError(f"{path}: row t={first[0]}: {exc}") from None
+        body = fh.read()
+    rows = _plain_body(body, l)
+    if rows is not None:
+        counts, w = rows["x"], rows["w"]
+    else:
+        try:
+            pairs = list(count_rows(csv.reader(io.StringIO(body, newline="")), "t", l + 2))
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+        counts = [x for x, _ in pairs]
+        w = np.array([w for _, w in pairs], dtype=float).reshape(len(pairs), l)
+        finite = np.isfinite(w).all(axis=1)
+        if not finite.all():
+            i = int(np.argmin(finite))
+            raise ValueError(f"{path}: row t={i + 1}: covariates {w[i].tolist()} are not finite")
+    x = np.concatenate((np.array([x0], dtype=np.int64), np.asarray(counts, dtype=np.int64)))
+    return SeriesSample(x=x, w=w)

@@ -236,6 +236,7 @@ def test_monitor_stream_bad_rows_name_file_and_row(tmp_path, capsys):
                              ("9,3,1.0", "row k=9: expected k=2"),
                              ("-3,3,1.0", "row k=-3: expected k=2"),
                              ("abc,3,1.0", "row k=abc: invalid literal"),
+                             ("2,-1,1.0", "row k=2: count -1 is negative"),
                              ("", "row k=3: expected k=2")):
         (tmp_path / "stream.csv").write_text(f"k,x,w1\n1,4,1.0\n{bad_row}\n3,4,1.0\n")
         assert run_command(["--config", cfg, "--out", str(out), "--quiet", "monitor"]) == 1
@@ -527,6 +528,16 @@ def test_config_unknown_keys_name_the_field(tmp_path, capsys, command, section, 
     ("monitor", {"monitor": {"training": "train.csv", "stream": "stream.csv", "threshold_c": 7.0,
                              "horizon": 1e306}},
      "monitor.horizon: 1e+306 x 100 = 1e+308 points, above the budget"),
+    ("monitor", {"monitor": {"training": "train.csv", "stream": "stream.csv"}},
+     "monitor.threshold_c: need threshold_c or a thresholds table path"),
+    ("prep", {"prep": {**PREP_SECTION, "window_start": [2020, 1, 1]}},
+     "prep.window_start: must be [iso_year, week]"),
+    ("prep", {"prep": {**PREP_SECTION, "states": []}},
+     "prep.states: must be a non-empty list of state names"),
+    ("prep", {"prep": {**PREP_SECTION, "states": ["A", "B", "A"]}},
+     "prep.states: state 'A' is listed more than once"),
+    ("prep", {"prep": {**PREP_SECTION, "window_start": [2020, 7]}},
+     "prep.window_start: window start is after window end"),
 ])
 def test_config_out_of_range_values_name_the_field(tmp_path, capsys, command, section, message):
     cfg = _write_config(tmp_path / "cfg.json", {"model": MODEL_SECTION, **section})
@@ -537,6 +548,24 @@ def test_config_out_of_range_values_name_the_field(tmp_path, capsys, command, se
     assert run_command(["--config", cfg, "--out", str(out), "--quiet", command]) == 2
     assert f"config error: {message}" in capsys.readouterr().err
     assert not list(out.iterdir())
+
+
+@pytest.mark.parametrize("text, in_file, message", [
+    ('{"simulate": ', True, "invalid JSON: Expecting value"),
+    ('[{"simulate": {"length": 10}}]', True, "top level must be a JSON object"),
+    ('{"threads": 0, "simulate": {"length": 10}}', False, "threads: must be >= 1"),
+    ('{"simulate": "length=10"}', False, "simulate: must be an object"),
+], ids=["invalid-json", "top-level-list", "threads-0", "section-string"])
+def test_config_file_refusals_come_before_any_output(tmp_path, capsys, text, in_file, message):
+    # These refusals come from reading the file, before --out is made; the
+    # first two name the config file, the others the field.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    out = tmp_path / "out"
+    assert run_command(["--config", str(cfg), "--out", str(out), "--quiet", "simulate"]) == 2
+    where = f"{cfg}: " if in_file else ""
+    assert f"config error: {where}{message}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 _CONSTANT_W = {**MODEL_SECTION, "exo": {"clamp_lo": 2.0}}  # w = 2: collinear with the intercept

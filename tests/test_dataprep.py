@@ -57,6 +57,22 @@ def test_baseline_missing_lookup():
         binarize_and_sum(panel, compute_baseline(panel, {2019}), ["B"], [(2020, 1)])
 
 
+def test_empty_baseline_names_the_baseline_years():
+    # No panel row lies in any baseline year: the error lists those years,
+    # sorted and each once.
+    panel = RatePanel([("A", 2019, 1, 1.0)])
+    with pytest.raises(MissingBaselineError, match=r"^no baseline entry for: any state, as no "
+                       r"panel row lies in baseline_years \[2017, 2018\]$"):
+        compute_baseline(panel, [2018, 2017, 2018])
+
+
+def test_missing_lists_show_ten_then_how_many_more():
+    pairs = MissingBaselineError([("A", w) for w in range(1, 13)])
+    assert str(pairs).endswith("(A, week 9), (A, week 10) and 2 more")
+    rates = PanelCoverageError([("A", 2020, w) for w in range(1, 11)])
+    assert str(rates).endswith("(A, 2020-W09), (A, 2020-W10)")
+
+
 def test_binarize_fixture_hand_enumeration():
     panel = _fixture_panel()
     baseline = compute_baseline(panel, {2019})

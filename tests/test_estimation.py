@@ -240,6 +240,15 @@ def test_fit_singular_design():
         fit_mple(_no_exo_series([3] * 40), 10)
 
 
+def test_fit_singular_curvature_at_the_optimum():
+    # x = 1 of n = 2 and w = 1 throughout: beta = 0 zeroes the score before
+    # any step, and every design row is (1, 1, 1), so the curvature there has
+    # rank one.
+    sample = SeriesSample(x=np.ones(11, dtype=np.int64), w=np.ones((10, 1)))
+    with pytest.raises(SingularHessianError, match="curvature matrix singular at the optimum"):
+        fit_mple(sample, 2)
+
+
 def test_fit_nonconvergence_paths(monkeypatch):
     monkeypatch.setattr(estimation, "_MAX_ITER", 1)
     with pytest.raises(NonConvergenceError):

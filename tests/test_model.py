@@ -241,6 +241,25 @@ def test_oracle_fixed_point():
     assert abs(mu.sum() - 1.0) < 1e-12
 
 
+def test_two_covariate_quadrature_is_the_outer_product_and_the_oracle_holds():
+    # At l = 2 the tensor rule is the outer product of the one-coordinate
+    # rule, and the oracle it feeds matches a long chain.  The exact start
+    # of every l <= 2 study runs through it.
+    exo = ExogenousSpec(mean=1.0, sd=0.5, clamp_lo=0.2, clamp_hi=1.6)
+    pts1, wts1 = model._coordinate_quadrature(exo, model._QUAD_NODES)
+    pts, wts = model._exogenous_quadrature(exo, 2, model._QUAD_NODES)
+    q = pts1.size
+    np.testing.assert_array_equal(pts.reshape(q, q, 2)[:, :, 0], np.repeat(pts1[:, None], q, 1))
+    np.testing.assert_array_equal(pts.reshape(q, q, 2)[:, :, 1], np.repeat(pts1[None, :], q, 0))
+    np.testing.assert_array_equal(wts.reshape(q, q), np.outer(wts1, wts1))
+    assert abs(wts.sum() - 1.0) < 1e-12
+    spec = ModelSpec(n=5, beta=ParamVector(-1.0, 0.3, (0.8, -0.5)), exo=exo)
+    _, mu = stationary_oracle(spec)
+    x = simulate_series(spec, 100_000, seed=41).x
+    empirical = np.bincount(x, minlength=spec.n + 1) / x.size
+    assert 0.5 * np.abs(empirical - mu).sum() < 0.01
+
+
 def test_oracle_rejects_large_n():
     spec = default_model_spec()
     big = ModelSpec(n=31, beta=spec.beta, exo=spec.exo)
@@ -294,8 +313,9 @@ def test_series_csv_without_a_start_row_names_the_file(tmp_path, text, message):
 _HEAD = "t,x,w1\n0,4,\n"
 
 
-# (file text, parsed by numpy): the numpy cases must take the fast path, the
-# rest must fall back to the row loop; either way the outcome is the loop's.
+# (file text, body parsed by numpy): the numpy cases must take the fast path,
+# the rest go to count_rows or are refused before the body; either way the
+# outcome is the reference row loop's.
 @pytest.mark.parametrize(
     "text, fast",
     [
@@ -333,7 +353,7 @@ _HEAD = "t,x,w1\n0,4,\n"
         pytest.param("t,x,w1\n0,4,,9\n1,5,1.0\n", True, id="long-t0-row"),
         pytest.param("t,x,w1\n-1,4,\n1,5,1.0\n", True, id="negative-t0"),
         pytest.param("t,x,w1\n0\n1,5,1.0\n", False, id="short-t0-row"),
-        pytest.param("t,x,w1\n\n0,4,\n1,5,1.0\n", False, id="blank-before-t0"),
+        pytest.param("t,x,w1\n\n0,4,\n1,5,1.0\n", True, id="blank-before-t0"),
         pytest.param("t,x,w1\n1,5,1.0\n2,3,0.9\n", False, id="no-t0-row"),
         pytest.param(_HEAD + "1,5,1.0\n0,3,\n2,3,0.9\n", False, id="second-t0-row"),
         pytest.param(_HEAD, False, id="header-and-t0-only"),
@@ -343,14 +363,15 @@ _HEAD = "t,x,w1\n0,4,\n"
         pytest.param("t,y,w1\n0,4,\n1,5,1.0\n", False, id="bad-header"),
     ],
 )
-def test_series_csv_reader_matches_row_loop(tmp_path, text, fast):
+def test_series_csv_reader_matches_row_loop(tmp_path, monkeypatch, text, fast):
     path = tmp_path / "series.csv"
     path.write_bytes(text.encode())
+    parsed, parse = [], model._plain_body
+    monkeypatch.setattr(model, "_plain_body", lambda *a: parsed.append(parse(*a)) or parsed[-1])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert outcome(read_series_csv, path) == outcome(read_series_rows, path)
-        with open(path, newline="") as fh:
-            assert (model._read_plain(fh) is not None) == fast
+    assert any(rows is not None for rows in parsed) == fast
 
 
 def test_series_sample_validation():

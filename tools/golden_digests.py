@@ -12,7 +12,12 @@ OUTDIR must be empty or absent; every run writes below it.  The runs are:
   the default 10,000 replications;
 - a normality experiment with enough replications for its diagnostics;
 - two `monitor` runs driven by that table, one whose stream alarms and one
-  whose stream ends before the horizon.
+  whose stream ends before the horizon, and the second again on the same
+  stream with blank lines among its rows;
+- `fit` on the criterion-10 training series written with every cell quoted,
+  which numpy's reader refuses and the csv row parser reads;
+- 2-replication consistency studies at an l = 2 model (exact stationary
+  start, through the tensor quadrature) and at n = 40 (burn-in start).
 
 Each output line is `<sha256> exit=<code> <run>/<file>`, sorted, so the
 lists of two checkouts can be compared with `diff`.  A refactor that must
@@ -71,6 +76,15 @@ def _inputs(root: Path) -> None:
                   simulate_series(changed, 360, seed=DEFAULT_SEED + 2, init=x_last, burn_in=0))
     _write_stream(root / "stream_short.csv",
                   simulate_series(spec, 50, seed=DEFAULT_SEED + 3, init=x_last, burn_in=0))
+    short = (root / "stream_short.csv").read_text().splitlines(keepends=True)
+    (root / "stream_blank.csv").write_text(
+        "".join(line + ("\n" if k % 7 == 0 else "") for k, line in enumerate(short)) + "\n\n")
+    with open(root / "series_quoted.csv", "w", newline="") as fh:
+        writer = csv.writer(fh, quoting=csv.QUOTE_ALL)
+        writer.writerow(["t", "x", "w1"])
+        writer.writerow([0, int(training.x[0]), ""])
+        writer.writerows([t, int(training.x[t]), repr(float(training.w[t - 1, 0]))]
+                         for t in range(1, training.x.size))
     rng = np.random.default_rng(np.random.SeedSequence((DEFAULT_SEED, 10)))
     write_binomial_series(
         BinomialSeries(x=rng.binomial(6, 0.4, size=200), n=6,
@@ -133,11 +147,21 @@ def main(argv) -> int:
     cfg = _config(root, "normality", experiment={"kind": "normality", "m_list": [80], "reps": 40})
     _run(root, codes, "normality", cfg, "experiment")
 
-    for name, stream in (("monitor_alarm", "stream_alarm.csv"), ("monitor_short", "stream_short.csv")):
+    for name, stream in (("monitor_alarm", "stream_alarm.csv"),
+                         ("monitor_short", "stream_short.csv"),
+                         ("monitor_blank", "stream_blank.csv")):
         cfg = _config(root, name, monitor={
             "training": "c10_t1/simulate/series.csv", "stream": stream,
             "gamma": 0.0, "alpha": 0.05, "horizon": 3.0, "thresholds": table})
         _run(root, codes, name, cfg, "monitor")
+
+    cfg = _config(root, "fit_quoted", fit={"series": "series_quoted.csv"})
+    _run(root, codes, "fit_quoted", cfg, "fit")
+    consistency = {"kind": "consistency", "m_list": [60], "reps": 2}
+    for name, model in (("consistency_l2", {**MODEL, "beta": [-1.0, 0.1, 0.4, -0.3]}),
+                        ("consistency_n40", {**MODEL, "n": 40})):
+        cfg = _config(root, name, model=model, experiment=consistency)
+        _run(root, codes, name, cfg, "experiment")
 
     lines = []
     for run, code in codes.items():
