@@ -1,4 +1,4 @@
-"""The two artifact formats, CSV tables and JSON records, and a checked CSV reader.
+"""The two artifact formats, CSV tables and JSON records, and checked CSV reading.
 
 A CSV cell holds a float as its round-trip `repr` and anything else as the
 csv module prints it, so a float column reads back bit for bit.
@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import csv
 import json
+from contextlib import contextmanager
 
 
 def cell(value):
@@ -19,6 +20,18 @@ def write_csv(path, header, rows) -> None:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows([cell(v) for v in row] for row in rows)
+
+
+@contextmanager
+def open_csv(path):
+    """`path` opened for the csv module to read.  A byte that the text
+    encoding cannot decode raises ValueError naming the file."""
+    with open(path, newline="") as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: byte 0x{exc.object[exc.start]:02x} is not "
+                             f"{exc.encoding} text: {exc.reason}") from None
 
 
 def read_rows(fh, path, header, parse, lines_before: int = 0) -> list:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._artifacts import read_rows, write_csv
+from ._artifacts import open_csv, read_rows, write_csv
 from .defaults import (
     DEFAULT_ALPHAS,
     DEFAULT_CALIBRATION_REPS,
@@ -253,7 +253,7 @@ def read_threshold_table(path) -> ThresholdTable:
         entries[key] = c
         recipes.append(recipe)
 
-    with open(path, newline="") as fh:
+    with open_csv(path) as fh:
         read_rows(fh, path, _TABLE_HEADER, parse)
     if not entries:
         raise ValueError(f"{path}: threshold table is empty")

@@ -99,7 +99,7 @@ def load_config(path, seed_override=None, threads_override=None) -> LoadedConfig
             raw = json.load(fh)
     except FileNotFoundError:
         raise ConfigError(str(path), "config file not found") from None
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigError(str(path), f"invalid JSON: {exc}") from None
     if not isinstance(raw, dict):
         raise ConfigError(str(path), "top level must be a JSON object")

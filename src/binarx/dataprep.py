@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy
 
-from ._artifacts import read_rows
+from ._artifacts import open_csv, read_rows
 from .estimation import fit_mple
 from .exceptions import MissingBaselineError, PanelCoverageError
 from .model import SeriesSample, log_binom
@@ -50,7 +50,7 @@ class RatePanel:
     @classmethod
     def from_csv(cls, path) -> "RatePanel":
         panel = cls()
-        with open(path, newline="") as fh:
+        with open_csv(path) as fh:
             read_rows(fh, path, ("state", "iso_year", "week", "rate"), panel._add)
         return panel
 
@@ -180,7 +180,7 @@ def write_binomial_series(series: BinomialSeries, path) -> None:
 
 
 def read_binomial_series(path) -> BinomialSeries:
-    with open(path, newline="") as fh:
+    with open_csv(path) as fh:
         first = fh.readline().strip()
         if not first.startswith("# n="):
             raise ValueError(f"{path}: expected '# n=...' metadata line, got {first!r}")

@@ -1,19 +1,21 @@
 """Simulation-study harnesses: consistency, normality, size, and power.
 
-Every harness is deterministic given its master seed (stream contract 2).
-Replications run in blocks of BLOCK_SIZE; the last block of a training
-length holds the remainder.  Block b at the i-th training length draws from
+Every harness is deterministic given its master seed (stream contract 3).
+Replications run in blocks of BLOCK_SIZE, each drawn whole: a study keeps
+its first `reps` replications, so their draws do not depend on `reps`.
+Block b at the i-th training length draws from
 SeedSequence((master_seed, kind, i, b)) with kind 0=consistency,
 1=normality, 2=size, 4=power.  Its chains advance in lockstep: X0 for the
-whole block, then at every step the block's covariate rows followed by one
-binomial draw over the block.  X0 is drawn from the exact stationary pmf
-(inverse CDF of one uniform per chain) when n <= 30 and l <= 2, and from
-Bin(n, 1/2) followed by `burn_in` lockstep steps otherwise.  The shared
-auxiliary series that pins the monitoring metric uses (master_seed, 3, 0)
-with the same start rule, and internally computed threshold tables use the
-calibration module's (master_seed, rep) streams.  Workers receive whole
-blocks and never share generator state, so thread counts change only wall
-time.
+whole block, then at every step the block's covariate rows followed by the
+counts, each the number of its chain's n uniforms below p when
+n <= N_MAX_BERNOULLI, and one binomial draw over the block otherwise.  X0 is
+drawn from the exact stationary pmf (inverse CDF of one uniform per chain)
+when n <= 30 and l <= 2, and from Bin(n, 1/2) followed by `burn_in` lockstep
+steps otherwise.  The shared auxiliary series that pins the
+monitoring metric uses (master_seed, 3, 0) with the same start rule, and
+internally computed threshold tables use the calibration module's
+(master_seed, rep) streams.  Workers receive whole blocks and never share
+generator state, so thread counts change only wall time.
 """
 
 from __future__ import annotations
@@ -58,10 +60,16 @@ _KIND_SIZE = 2
 _KIND_AUX = 3
 _KIND_POWER = 4
 
-# Replications per block, the unit of work and of random streams.
+# Replications per block, the unit of work and of random streams.  Every
+# block is drawn whole.
 BLOCK_SIZE = 256
+# Largest n whose counts are drawn as sums of n Bernoulli trials; larger n
+# takes one binomial draw.  Both are Bin(n, p) in law.  Measured for 256
+# chains, the sum is the faster draw up to n = 60 for p in U(0.2, 0.5), to
+# n = 40 in U(0.5, 0.8) and to n = 30 in U(0.05, 0.2).
+N_MAX_BERNOULLI = 40
 # Version of the documented random-stream derivation (README).
-STREAM_CONTRACT = 2
+STREAM_CONTRACT = 3
 # Fit failures counted per class in every report.
 FAILURE_CLASSES = ("SeparationError", "SingularHessianError", "NonConvergenceError")
 # Transitions in the auxiliary series that pins the shared monitoring metric.
@@ -187,14 +195,20 @@ def _advance(spec: ModelSpec, table, x: np.ndarray, rng: np.random.Generator):
     """One lockstep transition of a block's chains: covariate rows, then counts.
 
     `table` is `_linear_table` of the coefficients in force, so the sum below
-    is -eta, bit for bit the negation of phi0 + phi1 x + w'gamma.  The caller
-    holds np.errstate(over="ignore") for its whole loop.
+    is -eta, bit for bit the negation of phi0 + phi1 x + w'gamma.  Up to
+    N_MAX_BERNOULLI a count is the number of a chain's n uniforms, drawn as
+    an (n, chains) array, that fall below its p; above it, one binomial draw
+    over the block, whose parameter check wants p clipped inside (0, 1).
+    The caller holds np.errstate(over="ignore") for its whole loop.
     """
     neg_base, neg_gamma = table
     w = spec.exo.draw(rng, x.size, spec.beta.l)
     u = neg_base[x]
     u += w @ neg_gamma
-    return w, rng.binomial(spec.n, _clip_prob(_logistic_of_negated(u)))
+    p = _logistic_of_negated(u)
+    if spec.n <= N_MAX_BERNOULLI:
+        return w, (rng.random((spec.n, x.size)) < p).sum(axis=0)
+    return w, rng.binomial(spec.n, _clip_prob(p))
 
 
 def _start(spec: ModelSpec, cdf, burn_in: int, rng: np.random.Generator, size: int) -> np.ndarray:
@@ -219,25 +233,26 @@ class _BlockTask:
 
 
 def _train_block(task: _BlockTask, b: int) -> tuple[np.random.Generator, np.ndarray, BatchFit]:
-    """Simulate block b's training windows and fit them all.
+    """Simulate block b's training windows, all BLOCK_SIZE of them, and fit
+    the ones below `reps`.
 
-    Returns the block's generator (positioned after the training window), the
-    chains' last counts, and the batched fit.
+    Returns the block's generator (positioned after the training window),
+    every chain's last count, and the batched fit of the kept replications.
     """
     config = task.config
-    size = min(BLOCK_SIZE, config.reps - b * BLOCK_SIZE)
     rng = np.random.default_rng(
         np.random.SeedSequence((config.master_seed, task.kind, task.m_index, b))
     )
     spec = config.spec
     table = _linear_table(spec.n, spec.beta)
-    x = np.empty((task.m + 1, size), dtype=np.min_scalar_type(spec.n))
-    w = np.empty((task.m, size, spec.beta.l))
-    x[0] = _start(spec, task.start_cdf, config.burn_in, rng, size)
+    x = np.empty((task.m + 1, BLOCK_SIZE), dtype=np.min_scalar_type(spec.n))
+    w = np.empty((task.m, BLOCK_SIZE, spec.beta.l))
+    x[0] = _start(spec, task.start_cdf, config.burn_in, rng, BLOCK_SIZE)
     with np.errstate(over="ignore"):
         for t in range(task.m):
             w[t], x[t + 1] = _advance(spec, table, x[t], rng)
-    fit = fit_mple_batch(x.T, w.transpose(1, 0, 2), spec.n)
+    kept = config.reps - b * BLOCK_SIZE
+    fit = fit_mple_batch(x[:, :kept].T, w[:, :kept].transpose(1, 0, 2), spec.n)
     return rng, x[-1].copy(), fit
 
 
@@ -422,13 +437,13 @@ class _MonitorTask(_BlockTask):
 def _monitor_block(task: _MonitorTask, b: int):
     """One block of monitored replications, scored one pass at a time.
 
-    After the batched training fit, the block's chains run through the
+    After the batched training fit, all the block's chains run through the
     horizon in lockstep, one `_advance` per monitored point, the change (if
     any) switching the coefficients at monitored index at_k.  A pass keeps
-    the counts and covariate rows of up to `steps` points, then scores them
-    at once: the score increments, the running sums as a cumsum seeded with
-    the carried S, each gamma's statistic, the sups, the first passages and
-    the kept paths.  A pass ends at at_k - 1, so the change and the sum
+    the counts and covariate rows of up to `steps` points, then scores the
+    kept replications at once: the score increments, the running sums as a
+    cumsum seeded with the carried S, each gamma's statistic, the sups, the
+    first passages and the kept paths.  A pass ends at at_k - 1, so the change and the sum
     before it fall on a pass boundary.  Every reduction adds in the order of
     the per-step loop it replaced (tests/loop_reference.py), so the results
     are the same bits.  The statistic agrees with the streaming monitor's to
@@ -445,7 +460,7 @@ def _monitor_block(task: _MonitorTask, b: int):
     rng, x_prev, fit = _train_block(task, b)
     spec = task.config.spec
     ok = fit.ok
-    size, d = fit.beta.shape
+    size, d = fit.beta.shape  # the kept replications
     # Replications run along the last axis: (d, size) sums, (gammas, size) sups,
     # and a leading axis of monitored points within a pass.
     beta = np.where(ok[:, None], fit.beta, 0.0).T
@@ -469,7 +484,7 @@ def _monitor_block(task: _MonitorTask, b: int):
     # Points per pass: its largest array, the (steps, d, d, size) product of a
     # per-replication metric, holds at most a Newton chunk's entries.
     steps = max(1, _CHUNK_ELEMENTS // (d * d * size))
-    x = np.empty((steps + 1, size), dtype=np.int64)
+    x = np.empty((steps + 1, BLOCK_SIZE), dtype=np.int64)
     z = np.empty((steps, d, size))
     z[:, 0] = 1.0
     x[0] = x_prev
@@ -485,10 +500,10 @@ def _monitor_block(task: _MonitorTask, b: int):
         with np.errstate(over="ignore"):
             for t in range(pts):
                 w, x[t + 1] = _advance(spec, table, x[t], rng)
-                z[t, 2:] = w.T
-        z[:pts, 1] = x[:pts]
+                z[t, 2:] = w[:size].T
+        z[:pts, 1] = x[:pts, :size]
         eta = (z[:pts] * beta).sum(axis=1)
-        path = z[:pts] * (x[1:pts + 1] - spec.n * logistic(eta))[:, None]
+        path = z[:pts] * (x[1:pts + 1, :size] - spec.n * logistic(eta))[:, None]
         path[0] += S
         np.cumsum(path, axis=0, out=path)
         AS = A @ path if A.ndim == 2 else (A * path[:, None]).sum(axis=2)

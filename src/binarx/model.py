@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from ._artifacts import write_csv
+from ._artifacts import open_csv, write_csv
 from .defaults import DEFAULT_BURN_IN, MAX_POINTS, PARAM_BOX_BOUND
 from .exceptions import ConfigError, NonConvergenceError
 
@@ -382,11 +382,21 @@ def write_series_csv(sample: SeriesSample, path) -> None:
     write_csv(path, ["t", "x"] + [f"w{i + 1}" for i in range(l)], itertools.chain([first], rows))
 
 
+def _count(text: str) -> int:
+    """A count cell: an integer in the int64 range and >= 0, or ValueError."""
+    x = int(text)
+    if x < 0:
+        raise ValueError(f"count {x} is negative")
+    if x >= 2**63:
+        raise ValueError(f"count {x} is above the int64 range")
+    return x
+
+
 def count_rows(reader, name: str, n_cells: int):
     """(x, w) of each non-empty row of the csv `reader`, read lazily.  The rows
     are numbered 1, 2, ... in column `name` and hold `n_cells` cells: the
-    number, a count that is an integer >= 0 and float covariates (a list, not
-    checked finite).  A bad row raises ValueError `row <name>=<cell>: <reason>`.
+    number, a count (`_count`) and float covariates (a list, not checked
+    finite).  A bad row raises ValueError `row <name>=<cell>: <reason>`.
     """
     for i, row in enumerate(filter(None, reader), start=1):
         try:
@@ -394,9 +404,7 @@ def count_rows(reader, name: str, n_cells: int):
                 raise ValueError(f"expected {name}={i}")
             if len(row) != n_cells:
                 raise ValueError(f"expected {n_cells} cells, got {len(row)}")
-            x = int(row[1])
-            if x < 0:
-                raise ValueError(f"count {x} is negative")
+            x = _count(row[1])
             w = [float(v) for v in row[2:]]
         except ValueError as exc:
             raise ValueError(f"row {name}={row[0]}: {exc}") from None
@@ -428,7 +436,7 @@ def read_series_csv(path) -> SeriesSample:
     t = 1, 2, ... as `count_rows` reads them, with finite covariates.  A plain
     body (`_plain_body`) is parsed in C and any other by `count_rows`, to the
     same sample.  ValueError names the file and, for a bad row, its t."""
-    with open(path, newline="") as fh:
+    with open_csv(path) as fh:
         reader = csv.reader(fh)
         header = next(reader, [])
         if header[:2] != ["t", "x"]:
@@ -442,9 +450,7 @@ def read_series_csv(path) -> SeriesSample:
                 raise ValueError("expected a first row with t <= 0")
             if len(first) < 2:
                 raise ValueError(f"expected {l + 2} cells, got {len(first)}")
-            x0 = int(first[1])
-            if x0 < 0:
-                raise ValueError(f"count {x0} is negative")
+            x0 = _count(first[1])
         except ValueError as exc:
             raise ValueError(f"{path}: row t={first[0]}: {exc}") from None
         body = fh.read()

@@ -8,7 +8,8 @@ one lockstep step at a time with the coefficients read from the vector,
 and one `_scalar_prob` call per transition.  `train_window` replays a
 block's start and training window; `monitor_block` takes the training
 window from the engine's own `_train_block` and replays the monitored
-horizon.
+horizon.  Both draw every block whole, BLOCK_SIZE chains, and score only the
+replications the study keeps.
 """
 
 import math
@@ -17,6 +18,7 @@ import numpy as np
 
 from binarx.experiments import (
     BLOCK_SIZE,
+    N_MAX_BERNOULLI,
     _failure_names,
     _train_block,
 )
@@ -26,26 +28,28 @@ from streaming_reference import PROB_CEIL, PROB_FLOOR
 
 
 def advance(spec, coef, x, rng):
-    """One lockstep transition: covariate rows, then counts."""
+    """One lockstep transition: covariate rows, then counts, as sums of n
+    Bernoulli trials up to N_MAX_BERNOULLI and as binomial draws above it."""
     w = spec.exo.draw(rng, x.size, spec.beta.l)
     eta = coef[0] + coef[1] * x + w @ coef[2:]
     with np.errstate(over="ignore"):
         p = 1.0 / (1.0 + np.exp(-eta))
+    if spec.n <= N_MAX_BERNOULLI:
+        return w, (rng.random((spec.n, x.size)) < p).sum(axis=0)
     return w, rng.binomial(spec.n, np.minimum(np.maximum(p, PROB_FLOOR), PROB_CEIL))
 
 
 def train_window(task, b):
-    """Block b's counts (m + 1, size), covariate rows (m, size, l) and
-    generator after the training window, one `advance` per step."""
+    """Block b's counts (m + 1, BLOCK_SIZE), covariate rows (m, BLOCK_SIZE, l)
+    and generator after the training window, one `advance` per step."""
     config, spec = task.config, task.config.spec
-    size = min(BLOCK_SIZE, config.reps - b * BLOCK_SIZE)
     rng = np.random.default_rng(
         np.random.SeedSequence((config.master_seed, task.kind, task.m_index, b)))
     coef = spec.beta.as_array()
     if task.start_cdf is not None:
-        x = np.searchsorted(task.start_cdf, rng.random(size), side="right")
+        x = np.searchsorted(task.start_cdf, rng.random(BLOCK_SIZE), side="right")
     else:
-        x = rng.binomial(spec.n, 0.5, size)
+        x = rng.binomial(spec.n, 0.5, BLOCK_SIZE)
         for _ in range(config.burn_in):
             _, x = advance(spec, coef, x, rng)
     xs, ws = [x], []
@@ -61,7 +65,7 @@ def monitor_block(task, b):
     rng, x_prev, fit = _train_block(task, b)
     spec = task.config.spec
     ok = fit.ok
-    size, d = fit.beta.shape
+    size, d = fit.beta.shape  # the kept replications
     beta = np.where(ok[:, None], fit.beta, 0.0).T
     if task.a_matrix is None:
         A = np.broadcast_to(np.eye(d), (size, d, d)).copy()
@@ -85,9 +89,9 @@ def monitor_block(task, b):
             coef = task.change.new_beta.as_array()
             S_before = S.copy()
         w, x = advance(spec, coef, x_prev, rng)
-        z[1] = x_prev
-        z[2:] = w.T
-        S += z * (x - spec.n * logistic((z * beta).sum(axis=0)))
+        z[1] = x_prev[:size]
+        z[2:] = w[:size].T
+        S += z * (x[:size] - spec.n * logistic((z * beta).sum(axis=0)))
         AS = A @ S if A.ndim == 2 else (A * S).sum(axis=1)
         stat = task.w2[:, k - 1, None] * (AS * S).sum(axis=0)
         np.maximum(sups, stat, out=sups)

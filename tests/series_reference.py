@@ -2,7 +2,8 @@
 
 This is the reader as it stood before plain files were parsed by numpy: one
 csv row, one int() and one float() per cell, with the checks on the t
-sequence and on negative counts added since.  `read_series_csv` must return
+sequence, on negative counts and on counts above the int64 range added
+since.  `read_series_csv` must return
 the same sample for every file this accepts and raise the same ValueError
 text for every file it refuses.
 """
@@ -39,6 +40,8 @@ def read_series_rows(path) -> SeriesSample:
                 xs.append(int(row[1]))
                 if xs[-1] < 0:
                     raise ValueError(f"count {xs[-1]} is negative")
+                if xs[-1] >= 2**63:
+                    raise ValueError(f"count {xs[-1]} is above the int64 range")
                 if t > 0:
                     ts.append(t)
                     ws.append([float(v) for v in row[2:]])
@@ -59,6 +62,6 @@ def outcome(read, path):
     or the type and text of the error it raises."""
     try:
         sample = read(path)
-    except (ValueError, OverflowError) as exc:
+    except ValueError as exc:
         return type(exc).__name__, str(exc)
     return sample.x.tolist(), sample.w.shape, [float(v).hex() for v in sample.w.ravel()]

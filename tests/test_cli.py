@@ -345,8 +345,10 @@ def test_monitor_rejects_a_policy_other_than_inverse_sigma0(tmp_path, capsys, po
      "line 1: n must be an integer, got 'x'"),
     ("compare", "binomial.csv", "# n=2\niso_year,week,x\n2020,1,1\n2020,2,3\n",
      "line 4: count 3 outside 0..2"),
+    ("fit", "series.csv", "t,x,w1\n0,3,\n1,99999999999999999999,1.0\n",
+     "row t=1: count 99999999999999999999 is above the int64 range"),
 ], ids=["fit-empty", "monitor-short-row", "prep-short-row", "prep-empty", "prep-repeated-row",
-        "compare-short-row", "compare-bad-n", "compare-count-above-n"])
+        "compare-short-row", "compare-bad-n", "compare-count-above-n", "fit-count-above-int64"])
 def test_malformed_csv_inputs_name_the_file(tmp_path, capsys, command, file, content, message):
     (tmp_path / "training.csv").write_text("t,x,w1\n0,3,\n1,4,1.0\n2,3,1.1\n3,5,0.9\n")
     (tmp_path / "stream.csv").write_text("k,x,w1\n1,4,1.0\n")
@@ -361,6 +363,30 @@ def test_malformed_csv_inputs_name_the_file(tmp_path, capsys, command, file, con
     })
     assert run_command(["--config", cfg, "--out", str(tmp_path / "out"), "--quiet", command]) == 1
     assert f"error: {tmp_path / file}: {message}" in capsys.readouterr().err
+
+
+# One file per reader, each valid UTF-8 up to a 0xff byte in its first row.
+@pytest.mark.parametrize("command, file, content", [
+    ("fit", "series.csv", b"t,x,w1\n0,3,\xff\n1,4,1.0\n"),
+    ("monitor", "thresholds.csv", b"gamma,alpha,c,reps,grid_m,N,seed\n0.0,0.05,7.0\xff,1,1,3.0,0\n"),
+    ("prep", "rates.csv", b"state,iso_year,week,rate\nA\xff,2019,1,1.0\n"),
+    ("compare", "binomial.csv", b"# n=2\niso_year,week,x\n2020,1,\xff\n"),
+], ids=["read_series_csv", "read_threshold_table", "RatePanel.from_csv", "read_binomial_series"])
+def test_non_utf8_inputs_name_the_file(tmp_path, capsys, command, file, content):
+    (tmp_path / "training.csv").write_text("t,x,w1\n0,3,\n1,4,1.0\n2,3,1.1\n3,5,0.9\n")
+    (tmp_path / "stream.csv").write_text("k,x,w1\n1,4,1.0\n")
+    (tmp_path / file).write_bytes(content)
+    cfg = _write_config(tmp_path / "cfg.json", {
+        "model": MODEL_SECTION,
+        "fit": {"series": "series.csv"},
+        "monitor": {"training": "training.csv", "stream": "stream.csv",
+                    "thresholds": "thresholds.csv"},
+        "prep": PREP_SECTION,
+        "compare": {"series": "binomial.csv"},
+    })
+    assert run_command(["--config", cfg, "--out", str(tmp_path / "out"), "--quiet", command]) == 1
+    assert (f"error: {tmp_path / file}: byte 0xff is not utf-8 text: invalid start byte"
+            in capsys.readouterr().err)
 
 
 @pytest.mark.parametrize("command, section, field", [
@@ -552,15 +578,17 @@ def test_config_out_of_range_values_name_the_field(tmp_path, capsys, command, se
 
 @pytest.mark.parametrize("text, in_file, message", [
     ('{"simulate": ', True, "invalid JSON: Expecting value"),
+    ('{"simulate": "\xff"}', True, "invalid JSON: 'utf-8' codec can't decode byte 0xff"),
     ('[{"simulate": {"length": 10}}]', True, "top level must be a JSON object"),
     ('{"threads": 0, "simulate": {"length": 10}}', False, "threads: must be >= 1"),
     ('{"simulate": "length=10"}', False, "simulate: must be an object"),
-], ids=["invalid-json", "top-level-list", "threads-0", "section-string"])
+], ids=["invalid-json", "not-utf8", "top-level-list", "threads-0", "section-string"])
 def test_config_file_refusals_come_before_any_output(tmp_path, capsys, text, in_file, message):
     # These refusals come from reading the file, before --out is made; the
-    # first two name the config file, the others the field.
+    # first three name the config file, the others the field.  Each character
+    # of `text` is written as one byte.
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(text)
+    cfg.write_bytes(text.encode("latin-1"))
     out = tmp_path / "out"
     assert run_command(["--config", str(cfg), "--out", str(out), "--quiet", "simulate"]) == 2
     where = f"{cfg}: " if in_file else ""
@@ -738,7 +766,7 @@ def test_experiment_command(tmp_path):
     assert len(lines) == 4
     meta = json.loads((out / "consistency_meta.json").read_text())
     assert meta["experiment"] == "consistency"
-    assert meta["stream_contract"] == 2 and meta["block_size"] == 256
+    assert meta["stream_contract"] == 3 and meta["block_size"] == 256
     assert meta["failures_by_class"] == {
         "80": {"SeparationError": 0, "SingularHessianError": 0, "NonConvergenceError": 0}
     }

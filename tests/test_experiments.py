@@ -8,6 +8,7 @@ import warnings
 from dataclasses import replace
 
 from scipy.special import expit
+from scipy.stats import binom, chi2
 
 from binarx import (
     CalibrationConfig,
@@ -32,6 +33,7 @@ from binarx.defaults import DEFAULT_ALPHAS, DEFAULT_CALIBRATION_REPS, DEFAULT_GA
 from binarx.experiments import (
     BLOCK_SIZE,
     FAILURE_CLASSES,
+    N_MAX_BERNOULLI,
     STREAM_CONTRACT,
     _aux_metric,
     _start,
@@ -50,32 +52,40 @@ SPEC = default_model_spec()
 CHANGE = ChangePoint(at_k=11, new_beta=ParamVector(-1.0, 0.2, (0.4,)))
 # n > 30 takes the burn-in start instead of the exact stationary one.
 SPEC_N40 = ModelSpec(n=40, beta=ParamVector(-1.0, 0.02, (0.4,)), exo=SPEC.exo)
+# The smallest n whose counts come from one binomial draw, not Bernoulli sums.
+SPEC_BINOMIAL = ModelSpec(n=N_MAX_BERNOULLI + 1, beta=ParamVector(-1.0, 0.02, (0.4,)),
+                          exo=SPEC.exo)
 
 
-def _contract_block(seed, kind, i, b, size, steps, spec=SPEC, burn_in=500, change_at=None,
+def _contract_block(seed, kind, i, b, steps, spec=SPEC, burn_in=500, change_at=None,
                     new_beta=None):
-    """Block b's chains under stream contract 2, rebuilt with numpy alone.
+    """Block b's chains under stream contract 3, rebuilt with numpy alone.
 
-    Returns x of shape (steps + 1, size) and w of shape (steps, size, l);
-    transition t (1-based) uses `new_beta` from t = change_at on.
+    Every block is drawn whole.  Returns x of shape (steps + 1, BLOCK_SIZE)
+    and w of shape (steps, BLOCK_SIZE, l); transition t (1-based) uses
+    `new_beta` from t = change_at on.
     """
     rng = np.random.default_rng(np.random.SeedSequence((seed, kind, i, b)))
     if spec.n <= 30 and spec.beta.l <= 2:
         _, pmf = stationary_oracle(spec)
         cdf = np.cumsum(pmf)
         cdf /= cdf[-1]
-        x = np.searchsorted(cdf, rng.random(size), side="right")
+        x = np.searchsorted(cdf, rng.random(BLOCK_SIZE), side="right")
         burn_in = 0
     else:
-        x = rng.binomial(spec.n, 0.5, size)
+        x = rng.binomial(spec.n, 0.5, BLOCK_SIZE)
     xs, ws = [], []
     for t in range(1 - burn_in, steps + 1):
         if t == 1:
             xs.append(x)
         beta = spec.beta if change_at is None or t < change_at else new_beta
         c = beta.as_array()
-        w = spec.exo.draw(rng, size, spec.beta.l)
-        x = rng.binomial(spec.n, expit(c[0] + c[1] * x + w @ c[2:]))
+        w = spec.exo.draw(rng, BLOCK_SIZE, spec.beta.l)
+        p = expit(c[0] + c[1] * x + w @ c[2:])
+        if spec.n <= N_MAX_BERNOULLI:
+            x = (rng.random((spec.n, BLOCK_SIZE)) < p).sum(axis=0)
+        else:
+            x = rng.binomial(spec.n, p)
         if t >= 1:
             xs.append(x)
             ws.append(w)
@@ -94,18 +104,18 @@ def test_consistency_single_rep_equals_squared_error():
     m, mse, used, failures, flagged = report.rows[0]
     assert (used, failures, flagged) == (1, 0, False)
     # Reproduce the single replication through the documented stream contract.
-    x, w = _contract_block(5, 0, 0, 0, size=1, steps=120)
+    x, w = _contract_block(5, 0, 0, 0, steps=120)
     fit = fit_mple(SeriesSample(x=x[:, 0], w=w[:, 0]), SPEC.n)
     err = fit.beta_hat.as_array() - SPEC.beta.as_array()
     np.testing.assert_allclose(mse, err**2, rtol=1e-12)
 
 
 def test_later_blocks_follow_the_contract():
-    # Reps from BLOCK_SIZE on come from block 1's own stream, sized by the
-    # remainder; the estimates keep replication order across blocks.
+    # Reps from BLOCK_SIZE on come from block 1's own stream, drawn whole;
+    # the estimates keep replication order across blocks.
     report = run_normality(ExperimentConfig(m_list=(100,), reps=BLOCK_SIZE + 3, master_seed=8))
     assert report.failures == 0
-    x, w = _contract_block(8, 1, 0, 1, size=3, steps=100)
+    x, w = _contract_block(8, 1, 0, 1, steps=100)
     for r in range(3):
         fit = fit_mple(SeriesSample(x=x[:, r], w=w[:, r]), SPEC.n)
         np.testing.assert_allclose(report.estimates[BLOCK_SIZE + r], fit.beta_hat.as_array(),
@@ -118,7 +128,7 @@ def test_burn_in_start_reproduces_contract():
     assert _start_cdf(SPEC_N40) is None
     report = run_consistency(cfg)
     assert report.rows[0][2] == 3
-    x, w = _contract_block(6, 0, 0, 0, size=3, steps=80, spec=SPEC_N40, burn_in=50)
+    x, w = _contract_block(6, 0, 0, 0, steps=80, spec=SPEC_N40, burn_in=50)
     errs = [
         fit_mple(SeriesSample(x=x[:, r], w=w[:, r]), SPEC_N40.n).beta_hat.as_array()
         - SPEC_N40.beta.as_array()
@@ -191,8 +201,66 @@ def test_size_report_shape_and_determinism(small_table):
         assert 0.0 <= row[4] <= 1.0
 
 
+@pytest.mark.parametrize("n", [N_MAX_BERNOULLI, N_MAX_BERNOULLI + 1],
+                         ids=["bernoulli-sums", "binomial-draw"])
+def test_advance_counts_follow_the_binomial_law(n):
+    # No covariate and phi1 = 0, so every chain has p = logistic(-0.5).  The
+    # pmf of 10^5 counts against Bin(n, p), cells with expectation below 5
+    # pooled into the tails, by a chi-square test at a fixed seed.
+    spec = ModelSpec(n=n, beta=ParamVector(-0.5, 0.0), exo=ExogenousSpec())
+    rng = np.random.default_rng(47)
+    table = experiments._linear_table(n, spec.beta)
+    x = np.zeros(25_000, dtype=np.int64)
+    counts = np.concatenate([experiments._advance(spec, table, x, rng)[1] for _ in range(4)])
+    pmf = binom.pmf(np.arange(n + 1), n, expit(-0.5))
+    expected = counts.size * pmf
+    live = np.nonzero(expected >= 5)[0]
+    lo, hi = live[0], live[-1]
+    observed = np.bincount(counts, minlength=n + 1)
+    obs = np.concatenate([[observed[:lo + 1].sum()], observed[lo + 1:hi], [observed[hi:].sum()]])
+    exp = np.concatenate([[expected[:lo + 1].sum()], expected[lo + 1:hi], [expected[hi:].sum()]])
+    stat = ((obs - exp) ** 2 / exp).sum()
+    assert chi2.sf(stat, obs.size - 1) > 1e-3
+
+
+def test_binomial_branch_study_matches_the_loop_and_thread_counts(small_table):
+    # n = N_MAX_BERNOULLI + 1 draws its counts with rng.binomial, through the
+    # burn-in start, the training window and the monitored horizon.
+    cfg = ExperimentConfig(spec=SPEC_BINOMIAL, m_list=(40,), reps=BLOCK_SIZE + 7,
+                           gammas=(0.0, 0.4), alphas=(0.05,), burn_in=50, master_seed=44,
+                           thresholds=small_table)
+    one = run_size(cfg, threads=1)
+    assert one.rows == run_size(cfg, threads=2).rows
+    assert one.rows[0].reps_used + one.rows[0].failures == BLOCK_SIZE + 7
+    H = 120
+    w2 = np.array([weight(40, np.arange(1, H + 1), g) ** 2 for g in cfg.gammas])
+    task = experiments._MonitorTask(cfg, 40, 2, 0, None, w2, _aux_metric(cfg, None), None,
+                                    np.array([4.0, 8.0]))
+    for b in (0, 1):
+        got, want = experiments._monitor_block(task, b), per_step_monitor_block(task, b)
+        assert got[0] == want[0]
+        for i in (1, 2):
+            np.testing.assert_array_equal(got[i], want[i])
+
+
+def test_first_reps_do_not_depend_on_the_rep_count(small_table, tmp_path):
+    # Every block is drawn whole, so the first 100 replications of a 300-rep
+    # study are those of a 100-rep study, row for row of their traces.
+    def traces(reps):
+        cfg = ExperimentConfig(m_list=(40,), reps=reps, gammas=(0.0, 0.4), alphas=(0.05,),
+                               master_seed=45, thresholds=small_table, emit_traces=100)
+        out = tmp_path / str(reps)
+        out.mkdir()
+        write_report(run_size(cfg), out)
+        return (out / "size_traces.csv").read_text().splitlines()
+
+    first = traces(100)
+    assert len(first) == 1 + 100 * 2 * 120
+    assert traces(300) == first
+
+
 def test_size_thread_count_invariance(small_table):
-    # One full block plus a partial one, so the pool splits work by blocks.
+    # Two blocks, the second mostly dropped, so the pool splits work by blocks.
     cfg = ExperimentConfig(
         m_list=(80,), reps=BLOCK_SIZE + 7, gammas=(0.0,), alphas=(0.05,),
         master_seed=16, thresholds=small_table,
@@ -343,7 +411,7 @@ def test_experiment_config_refuses_out_of_range_settings_when_built(settings, fi
 
 def test_change_stream_shape_and_shift():
     change = ChangePoint(at_k=11, new_beta=ParamVector(-1.0, 0.3, (0.4,)))
-    args = dict(size=1, steps=400, change_at=100 + change.at_k, new_beta=change.new_beta)
+    args = dict(steps=400, change_at=100 + change.at_k, new_beta=change.new_beta)
     x1, w1 = _contract_block(23, 4, 0, 0, **args)
     x2, w2 = _contract_block(23, 4, 0, 0, **args)
     np.testing.assert_array_equal(x1, x2)
@@ -364,7 +432,7 @@ def test_streamed_statistic_matches_monitor_update(small_table, a_source):
         thresholds=small_table, change=CHANGE, a_source=a_source, emit_traces=2,
     )
     report = run_power(cfg)
-    x, w = _contract_block(29, 4, 0, 0, size=3, steps=400, change_at=100 + CHANGE.at_k,
+    x, w = _contract_block(29, 4, 0, 0, steps=400, change_at=100 + CHANGE.at_k,
                            new_beta=CHANGE.new_beta)
     a_matrix = None if a_source == "training" else _aux_metric(cfg, _start_cdf(SPEC))
     assert [(g, rep) for _, g, rep, _ in report.traces] == [(0.0, 0), (0.4, 0), (0.0, 1), (0.4, 1)]
@@ -442,8 +510,9 @@ def test_training_window_matches_the_per_step_loop(monkeypatch, spec, reaches):
         warnings.simplefilter("error")
         rng, x_last, _ = experiments._train_block(task, 0)
         x, w, want_rng = per_step_train_window(task, 0)
-    np.testing.assert_array_equal(seen["x"], x.T)
-    np.testing.assert_array_equal(seen["w"], w.transpose(1, 0, 2))
+    # The block is drawn whole and its first `reps` windows are fitted.
+    np.testing.assert_array_equal(seen["x"], x[:, :9].T)
+    np.testing.assert_array_equal(seen["w"], w[:, :9].transpose(1, 0, 2))
     np.testing.assert_array_equal(x_last, x[-1])
     assert rng.bit_generator.state == want_rng.bit_generator.state
     c = spec.beta.as_array()
@@ -463,7 +532,7 @@ def test_failures_by_class_in_metadata(tmp_path):
     write_report(report, tmp_path)
     meta = json.loads((tmp_path / "consistency_meta.json").read_text())
     assert meta["failures_by_class"] == {"10": by_class}
-    assert meta["stream_contract"] == STREAM_CONTRACT == 2
+    assert meta["stream_contract"] == STREAM_CONTRACT == 3
     assert meta["block_size"] == BLOCK_SIZE == 256
 
 
@@ -498,7 +567,7 @@ def test_report_csv_writers(tmp_path, small_table):
                            (power, "80", {"reps", "change_at", "cells"})):
         meta = report.metadata()
         assert set(meta) == shared | own, meta["experiment"]
-        assert (meta["stream_contract"], meta["block_size"]) == (2, 256)
+        assert (meta["stream_contract"], meta["block_size"]) == (3, 256)
         assert set(meta["failures_by_class"][m]) == set(FAILURE_CLASSES)
 
 

@@ -335,6 +335,8 @@ _HEAD = "t,x,w1\n0,4,\n"
         pytest.param(_HEAD + "1,3,1.0\x1f\n", False, id="unit-separator"),
         pytest.param(_HEAD + "1,3,0x1p3\n", False, id="hex-covariate"),
         pytest.param(_HEAD + "1,99999999999999999999,1.0\n", False, id="count-overflow"),
+        pytest.param(_HEAD + "1,9223372036854775807,1.0\n", True, id="count-at-int64-max"),
+        pytest.param("t,x,w1\n0,9223372036854775808,\n1,5,1.0\n", False, id="t0-count-overflow"),
         pytest.param(_HEAD + "1,5,1.0\n2,3,nan\n", False, id="nan"),
         pytest.param(_HEAD + "1,5,-inf\n2,3,1.0\n", False, id="minus-inf"),
         pytest.param(_HEAD + "1,5,1e400\n", False, id="overflowing-covariate"),

@@ -11,7 +11,8 @@ no worker process.  The layers:
 - import: wall time and peak RSS (ru_maxrss) of `python -c "import binarx"`,
   each in a fresh interpreter started one at a time;
 - model: µs per lockstep `_advance` step of a 256-chain block, inside one
-  `np.errstate` as the block engine runs it, and µs per `simulate_chain`
+  `np.errstate` as the block engine runs it, at n = 10 (Bernoulli sums) and
+  at n = N_MAX_BERNOULLI + 1 (one binomial draw), and µs per `simulate_chain`
   transition;
 - estimation: `fit_mple` ms at m = 300 and at m = 2000, and ms per
   `fit_mple_batch` of a 256-series block at m = 300;
@@ -50,16 +51,19 @@ import scipy  # noqa: E402
 import reference  # noqa: E402
 from run import metadata  # noqa: E402
 
-from binarx import (CalibrationConfig, ExperimentConfig, default_model_spec, fit_mple,  # noqa: E402
-                    monitor_init, monitor_update, read_series_csv, run_size, simulate_series,
-                    threshold_table)
+from binarx import (CalibrationConfig, ExperimentConfig, ModelSpec, ParamVector,  # noqa: E402
+                    default_model_spec, fit_mple, monitor_init, monitor_update, read_series_csv,
+                    run_size, simulate_series, threshold_table)
 from binarx.estimation import fit_mple_batch  # noqa: E402
-from binarx.experiments import BLOCK_SIZE, _advance, _linear_table  # noqa: E402
+from binarx.experiments import BLOCK_SIZE, N_MAX_BERNOULLI, _advance, _linear_table  # noqa: E402
 from binarx.model import SeriesSample, simulate_chain, write_series_csv  # noqa: E402
 
 REPEATS = 5
 THREADS = 1
 SPEC = default_model_spec()
+# The smallest n whose counts `_advance` draws with rng.binomial.
+BINOMIAL_SPEC = ModelSpec(n=N_MAX_BERNOULLI + 1, beta=ParamVector(-1.0, 0.02, (0.4,)),
+                          exo=SPEC.exo)
 HORIZON, GAMMA, ALPHA = 3.0, 0.25, 0.05
 MONITOR_M = 300
 MONITOR_STEPS = int(HORIZON * MONITOR_M)  # the close-end horizon: 900 updates
@@ -114,15 +118,17 @@ def import_layers() -> dict:
                                    "median": statistics.median(rss), "repeats": list(rss)}}
 
 
-def advance_us_per_step() -> float:
-    rng = np.random.default_rng(1)
-    table = _linear_table(SPEC.n, SPEC.beta)
-    x = rng.binomial(SPEC.n, 0.5, BLOCK_SIZE)
-    t = perf_counter()
-    with np.errstate(over="ignore"):
-        for _ in range(ADVANCE_STEPS):
-            _, x = _advance(SPEC, table, x, rng)
-    return (perf_counter() - t) / ADVANCE_STEPS * 1e6
+def advance_us_per_step(spec: ModelSpec):
+    def sample() -> float:
+        rng = np.random.default_rng(1)
+        table = _linear_table(spec.n, spec.beta)
+        x = rng.binomial(spec.n, 0.5, BLOCK_SIZE)
+        t = perf_counter()
+        with np.errstate(over="ignore"):
+            for _ in range(ADVANCE_STEPS):
+                _, x = _advance(spec, table, x, rng)
+        return (perf_counter() - t) / ADVANCE_STEPS * 1e6
+    return sample
 
 
 def chain_us_per_transition() -> float:
@@ -168,7 +174,11 @@ def main(argv) -> int:
     layers.update(import_layers())
     reference.sample(kernel_us)
     record("model.advance_us_per_step", "us",
-           f"one lockstep _advance step of {BLOCK_SIZE} chains", advance_us_per_step)
+           f"one lockstep _advance step of {BLOCK_SIZE} chains at n={SPEC.n}",
+           advance_us_per_step(SPEC))
+    record(f"model.advance_us_per_step_n{BINOMIAL_SPEC.n}", "us",
+           f"one lockstep _advance step of {BLOCK_SIZE} chains at n={BINOMIAL_SPEC.n}",
+           advance_us_per_step(BINOMIAL_SPEC))
     record("model.chain_us_per_transition", "us",
            f"simulate_chain, {CHAIN_LENGTH} transitions", chain_us_per_transition)
     for m in FIT_CALLS:
