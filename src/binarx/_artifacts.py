@@ -1,4 +1,4 @@
-"""The two artifact formats, CSV tables and JSON records, and checked CSV reading.
+"""The two artifact formats, CSV tables and JSON records, and checked input reading.
 
 A CSV cell holds a float as its round-trip `repr` and anything else as the
 csv module prints it, so a float column reads back bit for bit.
@@ -9,6 +9,8 @@ from __future__ import annotations
 import csv
 import json
 from contextlib import contextmanager
+
+from .exceptions import BinarxError, ConfigError
 
 
 def cell(value):
@@ -23,28 +25,40 @@ def write_csv(path, header, rows) -> None:
 
 
 @contextmanager
+def naming(path):
+    """Put the input file `path` in front of an error that reading or working
+    on its data raises: a byte the text encoding cannot decode, a ValueError
+    or a BinarxError becomes a ValueError naming the file.  A ConfigError
+    names its field already and passes through."""
+    try:
+        yield
+    except ConfigError:
+        raise
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: byte 0x{exc.object[exc.start]:02x} is not "
+                         f"{exc.encoding} text: {exc.reason}") from None
+    except (BinarxError, ValueError) as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
+@contextmanager
 def open_csv(path):
-    """`path` opened for the csv module to read.  A byte that the text
-    encoding cannot decode raises ValueError naming the file."""
-    with open(path, newline="") as fh:
-        try:
-            yield fh
-        except UnicodeDecodeError as exc:
-            raise ValueError(f"{path}: byte 0x{exc.object[exc.start]:02x} is not "
-                             f"{exc.encoding} text: {exc.reason}") from None
+    """`path` opened for the csv module to read, inside `naming(path)`."""
+    with naming(path), open(path, newline="") as fh:
+        yield fh
 
 
-def read_rows(fh, path, header, parse, lines_before: int = 0) -> list:
+def read_rows(fh, header, parse, lines_before: int = 0) -> list:
     """`parse(row)` for each non-empty row after the header of an open CSV file.
 
     A missing or wrong header, a row without one cell per column, or a
-    ValueError from `parse` raises ValueError naming `path` and the line
+    ValueError from `parse` raises ValueError, naming the line for a row
     (`lines_before` counts the lines read from `fh` before the header).
     """
     reader = csv.reader(fh)
     found = next(reader, [])
     if found != list(header):
-        raise ValueError(f"{path}: expected header {','.join(header)}, got {found}")
+        raise ValueError(f"expected header {','.join(header)}, got {found}")
     parsed = []
     for row in reader:
         if not row:
@@ -54,7 +68,7 @@ def read_rows(fh, path, header, parse, lines_before: int = 0) -> list:
                 raise ValueError(f"expected {len(header)} cells, got {len(row)}")
             parsed.append(parse(row))
         except ValueError as exc:
-            raise ValueError(f"{path}: line {lines_before + reader.line_num}: {exc}") from None
+            raise ValueError(f"line {lines_before + reader.line_num}: {exc}") from None
     return parsed
 
 

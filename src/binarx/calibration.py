@@ -51,14 +51,22 @@ def _check_alpha(alpha: float, field: str = "alpha") -> None:
         raise ConfigError(field, f"alpha must lie in (0, 1), got {alpha}")
 
 
+def _check_listed_once(values, field: str) -> None:
+    repeated = next((v for i, v in enumerate(values) if v in values[:i]), None)
+    if repeated is not None:
+        raise ConfigError(field, f"entry {repeated} is listed more than once")
+
+
 def _check_levels(gammas, alphas) -> None:
-    """A study's or a table's level lists: neither empty, every entry in range."""
+    """A study's or a table's level lists: neither empty, every entry in range
+    and listed once."""
     for name, values, check in (("gammas", gammas, _check_gamma),
                                  ("alphas", alphas, _check_alpha)):
         if not values:
             raise ConfigError(name, "must not be empty")
         for value in values:
             check(value, name)
+        _check_listed_once(values, name)
 
 
 def _check_positive(value: float, field: str) -> None:
@@ -66,18 +74,11 @@ def _check_positive(value: float, field: str) -> None:
         raise ConfigError(field, f"must be > 0, got {value}")
 
 
-def rho(s, gamma: float):
-    """Weight shape rho(s, gamma) = s^(-gamma) * (s + 1)^(gamma - 1), s > 0.
-
-    Strictly decreasing in s; gamma in [0, 1/2) tunes how much early
-    monitoring points are amplified.  Accepts scalar or array s.
-    """
-    _check_gamma(gamma)
-    s = np.asarray(s, dtype=float)
-    if np.any(s <= 0):
-        raise ValueError(f"rho needs s > 0, got {s}")
-    out = s ** (-gamma) * (s + 1.0) ** (gamma - 1.0)
-    return float(out) if out.ndim == 0 else out
+def _rho(s, gamma: float):
+    """Weight shape rho(s, gamma) = s^(-gamma) * (s + 1)^(gamma - 1), s > 0:
+    strictly decreasing in s; gamma in [0, 1/2) tunes how much early
+    monitoring points are amplified."""
+    return s ** (-gamma) * (s + 1.0) ** (gamma - 1.0)
 
 
 def horizon_steps(horizon: float, per_unit: int) -> int:
@@ -183,7 +184,7 @@ def _sup_samples(config: CalibrationConfig, threads: int = 1) -> np.ndarray:
     steps) array, are computed once and shared by every replication.
     """
     s = np.arange(1, config.steps + 1) / config.grid_m
-    rho_sq = np.array([rho(s, g) ** 2 for g in config.gammas]).reshape(-1, s.size)
+    rho_sq = np.array([_rho(s, g) ** 2 for g in config.gammas]).reshape(-1, s.size)
     return np.vstack(map_over_reps(_sup_rep_worker, (config, s, rho_sq), config.reps, threads))
 
 
@@ -254,7 +255,7 @@ def read_threshold_table(path) -> ThresholdTable:
         recipes.append(recipe)
 
     with open_csv(path) as fh:
-        read_rows(fh, path, _TABLE_HEADER, parse)
-    if not entries:
-        raise ValueError(f"{path}: threshold table is empty")
+        read_rows(fh, _TABLE_HEADER, parse)
+        if not entries:
+            raise ValueError("threshold table is empty")
     return ThresholdTable(entries, *recipes[0])

@@ -11,11 +11,10 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
-from contextlib import contextmanager
 from pathlib import Path
 
 from . import config as cfgmod
-from ._artifacts import write_csv, write_json
+from ._artifacts import naming, open_csv, write_csv, write_json
 from .calibration import threshold_table, write_threshold_table
 from .dataprep import (
     RatePanel,
@@ -75,27 +74,16 @@ def _read_counts(loaded, key: str, spec_n: int):
     """The series file that config `key` names, its counts checked against model.n."""
     path = loaded.require(key)
     sample = read_series_csv(path)
-    if sample.x.max() > spec_n:
-        raise ValueError(f"{path}: count {sample.x.max()} above model.n={spec_n}")
+    with naming(path):
+        if sample.x.max() > spec_n:
+            raise ValueError(f"count {sample.x.max()} above model.n={spec_n}")
     return sample
-
-
-@contextmanager
-def _naming(path):
-    """Put the input file `path` in front of a runtime error that working on
-    its data raises (a ConfigError names its field already)."""
-    try:
-        yield
-    except ConfigError:
-        raise
-    except (BinarxError, ValueError) as exc:
-        raise ValueError(f"{path}: {exc}") from None
 
 
 def _cmd_fit(loaded, out: Path, quiet: bool) -> int:
     spec, _ = cfgmod.parse_model(loaded)
     sample = _read_counts(loaded, "fit.series", spec.n)
-    with _naming(loaded.require("fit.series")):
+    with naming(loaded.require("fit.series")):
         fit = fit_mple(sample, spec.n)
     path = out / "fit_report.json"
     write_json(path, fit_report(fit))
@@ -126,9 +114,9 @@ def _cmd_monitor(loaded, out: Path, quiet: bool) -> int:
     settings = cfgmod.parse_monitor(loaded)
     training = _read_counts(loaded, "monitor.training", spec.n)
     stream_path = loaded.require("monitor.stream")
-    with cfgmod.in_section("monitor"), _naming(loaded.require("monitor.training")):
+    with cfgmod.in_section("monitor"), naming(loaded.require("monitor.training")):
         state = monitor_init(training, spec.n, **settings)
-    with _naming(stream_path), open(stream_path, newline="") as fh:
+    with open_csv(stream_path) as fh:
         monitor_run(state, _stream_rows(fh, training.l + 2))
     cfg = state.config
     write_csv(out / "monitor_log.csv", ("k", "statistic", "threshold", "alarm"),
@@ -166,7 +154,7 @@ def _cmd_experiment(loaded, out: Path, quiet: bool) -> int:
 def _cmd_prep(loaded, out: Path, quiet: bool) -> int:
     prep = cfgmod.parse_prep(loaded)
     panel = RatePanel.from_csv(prep["rates"])
-    with _naming(prep["rates"]):
+    with naming(prep["rates"]):
         baseline = compute_baseline(panel, prep["baseline_years"])
         series = binarize_and_sum(panel, baseline, prep["states"], prep["window"])
     path = out / "binomial_series.csv"
@@ -178,7 +166,7 @@ def _cmd_prep(loaded, out: Path, quiet: bool) -> int:
 def _cmd_compare(loaded, out: Path, quiet: bool) -> int:
     source = loaded.require("compare.series")
     series = read_binomial_series(source)
-    with _naming(source):
+    with naming(source):
         result = model_comparison(series)
     path = out / "comparison.json"
     write_json(path, result)

@@ -51,7 +51,7 @@ class RatePanel:
     def from_csv(cls, path) -> "RatePanel":
         panel = cls()
         with open_csv(path) as fh:
-            read_rows(fh, path, ("state", "iso_year", "week", "rate"), panel._add)
+            read_rows(fh, ("state", "iso_year", "week", "rate"), panel._add)
         return panel
 
 
@@ -183,11 +183,11 @@ def read_binomial_series(path) -> BinomialSeries:
     with open_csv(path) as fh:
         first = fh.readline().strip()
         if not first.startswith("# n="):
-            raise ValueError(f"{path}: expected '# n=...' metadata line, got {first!r}")
+            raise ValueError(f"expected '# n=...' metadata line, got {first!r}")
         try:
             n = int(first[4:])
         except ValueError:
-            raise ValueError(f"{path}: line 1: n must be an integer, got {first[4:]!r}") from None
+            raise ValueError(f"line 1: n must be an integer, got {first[4:]!r}") from None
 
         def parse(row):
             x = int(row[2])
@@ -195,6 +195,6 @@ def read_binomial_series(path) -> BinomialSeries:
                 raise ValueError(f"count {x} outside 0..{n}")
             return (int(row[0]), int(row[1])), x
 
-        rows = read_rows(fh, path, ("iso_year", "week", "x"), parse, lines_before=1)
+        rows = read_rows(fh, ("iso_year", "week", "x"), parse, lines_before=1)
     return BinomialSeries(x=np.array([x for _, x in rows], dtype=np.int64), n=n,
                           labels=tuple(label for label, _ in rows))

@@ -28,8 +28,8 @@ import numpy as np
 import scipy
 
 from ._artifacts import write_csv, write_json
-from .calibration import (CalibrationConfig, ThresholdTable, _check_levels, horizon_steps,
-                          monitored_points, threshold_table)
+from .calibration import (CalibrationConfig, ThresholdTable, _check_levels, _check_listed_once,
+                          horizon_steps, monitored_points, threshold_table)
 from .defaults import (
     DEFAULT_ALPHAS,
     DEFAULT_BURN_IN,
@@ -51,7 +51,7 @@ from .model import (
     simulate_chain,
     stationary_oracle,
 )
-from .monitoring import inverse_metric, weight
+from .monitoring import _weight, inverse_metric
 from ._parallel import map_over_reps
 
 _KIND_CONSISTENCY = 0
@@ -122,6 +122,7 @@ class ExperimentConfig:
         if max(self.m_list) > MAX_POINTS:
             raise ConfigError("m_list", f"entry {max(self.m_list)} is above the budget of "
                                         f"{MAX_POINTS} points")
+        _check_listed_once(self.m_list, "m_list")
         _check_levels(self.gammas, self.alphas)
         if self.a_source not in ("aux", "training"):
             raise ConfigError("a_source", f"must be 'aux' or 'training', got {self.a_source!r}")
@@ -428,7 +429,7 @@ def run_normality(config: ExperimentConfig, threads: int = 1) -> NormalityReport
 
 @dataclass(frozen=True)
 class _MonitorTask(_BlockTask):
-    w2: np.ndarray  # (gammas, horizon) squared weights weight(m, k, gamma)^2
+    w2: np.ndarray  # (gammas, horizon) squared weights _weight(m, k, gamma)^2
     a_matrix: np.ndarray | None  # None means per-replication training metric
     change: ChangePoint | None
     passage_thresholds: np.ndarray | None  # per gamma, for first passage
@@ -574,7 +575,7 @@ def _monitor_study(config: ExperimentConfig, kind: int, change, alphas, threads:
     studies, traces, by_m = [], [], {}
     for mi, (m, H) in enumerate(zip(config.m_list, horizons)):
         kk = np.arange(1, H + 1)
-        w2 = np.array([weight(m, kk, g) ** 2 for g in config.gammas]).reshape(-1, H)
+        w2 = np.array([_weight(m, kk, g) ** 2 for g in config.gammas]).reshape(-1, H)
         task = _MonitorTask(config, m, kind, mi, cdf, w2, a_common, change, passage)
         results, by_m[str(m)] = _run_blocks(_monitor_block, task, threads)
         sups, passages = (np.vstack([r[i] for r in results]) for i in (1, 2))

@@ -440,11 +440,11 @@ def read_series_csv(path) -> SeriesSample:
         reader = csv.reader(fh)
         header = next(reader, [])
         if header[:2] != ["t", "x"]:
-            raise ValueError(f"{path}: expected header t,x,w1,...  got {header!r}")
+            raise ValueError(f"expected header t,x,w1,...  got {header!r}")
         l = len(header) - 2
         first = next(filter(None, reader), None)
         if first is None:
-            raise ValueError(f"{path}: no rows after the header")
+            raise ValueError("no rows after the header")
         try:
             if int(first[0]) > 0:
                 raise ValueError("expected a first row with t <= 0")
@@ -452,21 +452,18 @@ def read_series_csv(path) -> SeriesSample:
                 raise ValueError(f"expected {l + 2} cells, got {len(first)}")
             x0 = _count(first[1])
         except ValueError as exc:
-            raise ValueError(f"{path}: row t={first[0]}: {exc}") from None
+            raise ValueError(f"row t={first[0]}: {exc}") from None
         body = fh.read()
-    rows = _plain_body(body, l)
-    if rows is not None:
-        counts, w = rows["x"], rows["w"]
-    else:
-        try:
+        rows = _plain_body(body, l)
+        if rows is not None:
+            counts, w = rows["x"], rows["w"]
+        else:
             pairs = list(count_rows(csv.reader(io.StringIO(body, newline="")), "t", l + 2))
-        except ValueError as exc:
-            raise ValueError(f"{path}: {exc}") from None
-        counts = [x for x, _ in pairs]
-        w = np.array([w for _, w in pairs], dtype=float).reshape(len(pairs), l)
-        finite = np.isfinite(w).all(axis=1)
-        if not finite.all():
-            i = int(np.argmin(finite))
-            raise ValueError(f"{path}: row t={i + 1}: covariates {w[i].tolist()} are not finite")
+            counts = [x for x, _ in pairs]
+            w = np.array([w for _, w in pairs], dtype=float).reshape(len(pairs), l)
+            finite = np.isfinite(w).all(axis=1)
+            if not finite.all():
+                i = int(np.argmin(finite))
+                raise ValueError(f"row t={i + 1}: covariates {w[i].tolist()} are not finite")
     x = np.concatenate((np.array([x0], dtype=np.int64), np.asarray(counts, dtype=np.int64)))
     return SeriesSample(x=x, w=w)

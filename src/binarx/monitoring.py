@@ -4,7 +4,7 @@ After fitting coefficients on m clean training points, the monitor tracks the
 running score sum S(k) = sum_{t=m+1}^{m+k} z_{t-1} (x_t - n pi_t(beta_hat))
 and raises an alarm the first time the weighted quadratic statistic
 
-    weight(m, k, gamma)^2 * S(k)' A S(k)
+    _weight(m, k, gamma)^2 * S(k)' A S(k)
 
 exceeds a critical value.  Monitoring stops at the horizon k = floor(N * m)
 if no alarm occurred.
@@ -25,28 +25,13 @@ from .model import ParamVector, SeriesSample, _clamp_prob, logistic_float
 
 
 def _weight(m: int, k, gamma: float):
-    # The formula's one home: Python floats in monitor_update, arrays in weight.
+    """Monitoring weight m^(-1/2) * (1 + k/m)^(-1) * (k/(m+k))^(-gamma), which
+    equals m^(-1/2) * rho(k/m, gamma), for k >= 1: in Python floats in
+    monitor_update, on a k array for the block engine.  numpy's vectorised
+    power may differ from scalar pow in the last bits, so the block engine's
+    and the streaming monitor's statistics agree to rtol 1e-10, not bit for
+    bit."""
     return m ** (-0.5) * (1.0 + k / m) ** (-1.0) * (k / (m + k)) ** (-gamma)
-
-
-def weight(m, k, gamma: float):
-    """Monitoring weight m^(-1/2) * (1 + k/m)^(-1) * (k/(m+k))^(-gamma).
-
-    Equals m^(-1/2) * rho(k/m, gamma).  An array k weights whole paths at
-    once for the block engine; a scalar k goes through a 0-d array, whose
-    pow gives the same bits as the Python-float pow of the streaming monitor.
-    numpy's vectorised power may differ from scalar pow in the last bits, so
-    the block engine's and the streaming monitor's statistics agree to rtol
-    1e-10, not bit for bit.
-    """
-    _check_gamma(gamma)
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    k = np.asarray(k, dtype=float)
-    if np.any(k < 1):
-        raise ValueError("weight needs k >= 1")
-    out = _weight(m, k, gamma)
-    return out if out.ndim else float(out)
 
 
 def inverse_metric(sigma0) -> np.ndarray:

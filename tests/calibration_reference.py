@@ -3,7 +3,7 @@ tests check the whitened route of the tables against."""
 
 import numpy as np
 
-from binarx.calibration import CalibrationConfig, rho
+from binarx.calibration import CalibrationConfig, _rho
 
 
 def sample_sup_functional(config: CalibrationConfig, gamma: float, rep_index: int,
@@ -25,4 +25,4 @@ def sample_sup_functional(config: CalibrationConfig, gamma: float, rep_index: in
     W1 = np.cumsum(eps @ L.T, axis=0) / np.sqrt(config.grid_m)
     D = W1 - s[:, None] * (L @ eps2)
     q = np.einsum("kd,kd->k", D @ np.linalg.inv(sigma), D)
-    return float((rho(s, gamma) ** 2 * q).max())
+    return float((_rho(s, gamma) ** 2 * q).max())

@@ -331,6 +331,26 @@ def test_monitor_rejects_a_policy_other_than_inverse_sigma0(tmp_path, capsys, po
     assert not (tmp_path / "out" / "monitor_log.csv").exists()
 
 
+def _reader_config(tmp_path):
+    """A config naming one input file per reader.  The monitor's training
+    series, stream and table are valid, so that a broken one of them is the
+    first refusal; the test writes the file it breaks."""
+    write_series_csv(simulate_series(default_model_spec(), 100, seed=3, burn_in=200),
+                     tmp_path / "training.csv")
+    (tmp_path / "stream.csv").write_text("k,x,w1\n1,4,1.0\n")
+    cells = {(g, a): 7.0 for g in DEFAULT_GAMMAS for a in DEFAULT_ALPHAS}
+    write_threshold_table(ThresholdTable(cells, 100, 100, DEFAULT_HORIZON, 0),
+                          tmp_path / "thresholds.csv")
+    return _write_config(tmp_path / "cfg.json", {
+        "model": MODEL_SECTION,
+        "fit": {"series": "series.csv"},
+        "monitor": {"training": "training.csv", "stream": "stream.csv",
+                    "thresholds": "thresholds.csv"},
+        "prep": PREP_SECTION,
+        "compare": {"series": "binomial.csv"},
+    })
+
+
 @pytest.mark.parametrize("command, file, content, message", [
     ("fit", "series.csv", "", "expected header t,x,w1,...  got []"),
     ("monitor", "thresholds.csv", "gamma,alpha,c,reps,grid_m,N,seed\n0.0,0.05,7.0\n",
@@ -347,20 +367,13 @@ def test_monitor_rejects_a_policy_other_than_inverse_sigma0(tmp_path, capsys, po
      "line 4: count 3 outside 0..2"),
     ("fit", "series.csv", "t,x,w1\n0,3,\n1,99999999999999999999,1.0\n",
      "row t=1: count 99999999999999999999 is above the int64 range"),
+    ("monitor", "stream.csv", "t,x,w1\n1,4,1.0\n", "expected stream header k,x,w1,..."),
 ], ids=["fit-empty", "monitor-short-row", "prep-short-row", "prep-empty", "prep-repeated-row",
-        "compare-short-row", "compare-bad-n", "compare-count-above-n", "fit-count-above-int64"])
+        "compare-short-row", "compare-bad-n", "compare-count-above-n", "fit-count-above-int64",
+        "monitor-stream-header"])
 def test_malformed_csv_inputs_name_the_file(tmp_path, capsys, command, file, content, message):
-    (tmp_path / "training.csv").write_text("t,x,w1\n0,3,\n1,4,1.0\n2,3,1.1\n3,5,0.9\n")
-    (tmp_path / "stream.csv").write_text("k,x,w1\n1,4,1.0\n")
+    cfg = _reader_config(tmp_path)
     (tmp_path / file).write_text(content)
-    cfg = _write_config(tmp_path / "cfg.json", {
-        "model": MODEL_SECTION,
-        "fit": {"series": "series.csv"},
-        "monitor": {"training": "training.csv", "stream": "stream.csv",
-                    "thresholds": "thresholds.csv"},
-        "prep": PREP_SECTION,
-        "compare": {"series": "binomial.csv"},
-    })
     assert run_command(["--config", cfg, "--out", str(tmp_path / "out"), "--quiet", command]) == 1
     assert f"error: {tmp_path / file}: {message}" in capsys.readouterr().err
 
@@ -371,19 +384,12 @@ def test_malformed_csv_inputs_name_the_file(tmp_path, capsys, command, file, con
     ("monitor", "thresholds.csv", b"gamma,alpha,c,reps,grid_m,N,seed\n0.0,0.05,7.0\xff,1,1,3.0,0\n"),
     ("prep", "rates.csv", b"state,iso_year,week,rate\nA\xff,2019,1,1.0\n"),
     ("compare", "binomial.csv", b"# n=2\niso_year,week,x\n2020,1,\xff\n"),
-], ids=["read_series_csv", "read_threshold_table", "RatePanel.from_csv", "read_binomial_series"])
+    ("monitor", "stream.csv", b"k,x,w1\n1,4,1.0\xff\n"),
+], ids=["read_series_csv", "read_threshold_table", "RatePanel.from_csv", "read_binomial_series",
+        "monitor-stream"])
 def test_non_utf8_inputs_name_the_file(tmp_path, capsys, command, file, content):
-    (tmp_path / "training.csv").write_text("t,x,w1\n0,3,\n1,4,1.0\n2,3,1.1\n3,5,0.9\n")
-    (tmp_path / "stream.csv").write_text("k,x,w1\n1,4,1.0\n")
+    cfg = _reader_config(tmp_path)
     (tmp_path / file).write_bytes(content)
-    cfg = _write_config(tmp_path / "cfg.json", {
-        "model": MODEL_SECTION,
-        "fit": {"series": "series.csv"},
-        "monitor": {"training": "training.csv", "stream": "stream.csv",
-                    "thresholds": "thresholds.csv"},
-        "prep": PREP_SECTION,
-        "compare": {"series": "binomial.csv"},
-    })
     assert run_command(["--config", cfg, "--out", str(tmp_path / "out"), "--quiet", command]) == 1
     assert (f"error: {tmp_path / file}: byte 0xff is not utf-8 text: invalid start byte"
             in capsys.readouterr().err)
@@ -564,6 +570,16 @@ def test_config_unknown_keys_name_the_field(tmp_path, capsys, command, section, 
      "prep.states: state 'A' is listed more than once"),
     ("prep", {"prep": {**PREP_SECTION, "window_start": [2020, 7]}},
      "prep.window_start: window start is after window end"),
+    ("experiment", {"experiment": {"kind": "size", "m_list": [30, 30]}},
+     "experiment.m_list: entry 30 is listed more than once"),
+    ("experiment", {"experiment": {"kind": "size", "gammas": [0.0, 0.25, 0.0]}},
+     "experiment.gammas: entry 0.0 is listed more than once"),
+    ("experiment", {"experiment": {"kind": "size", "alphas": [0.1, 0.1]}},
+     "experiment.alphas: entry 0.1 is listed more than once"),
+    ("calibrate", {"calibrate": {"gammas": [0.0, 0.0]}},
+     "calibrate.gammas: entry 0.0 is listed more than once"),
+    ("calibrate", {"calibrate": {"alphas": [0.1, 0.05, 0.1]}},
+     "calibrate.alphas: entry 0.1 is listed more than once"),
 ])
 def test_config_out_of_range_values_name_the_field(tmp_path, capsys, command, section, message):
     cfg = _write_config(tmp_path / "cfg.json", {"model": MODEL_SECTION, **section})
@@ -928,8 +944,8 @@ _KEYS = {
         "horizon": ((0.05, 1.0, 3.0), _HORIZONS_OUT),
         "grid_m": ((100, 200), (99,)),
         "reps": ((100,), (99,)),
-        "gammas": ((_ABSENT, [0.0], [0.0, 0.49]), ([], [0.5], [-0.1])),
-        "alphas": ((_ABSENT, [0.05], [0.1, 0.99]), ([], [0.0], [1.0])),
+        "gammas": ((_ABSENT, [0.0], [0.0, 0.49]), ([], [0.5], [-0.1], [0.0, 0.0])),
+        "alphas": ((_ABSENT, [0.05], [0.1, 0.99]), ([], [0.0], [1.0], [0.1, 0.1])),
     },
     "monitor": {
         "training": (("train.csv", "short.csv", "flat.csv"), ("stream.csv",) + _BAD_FILES),
@@ -942,12 +958,12 @@ _KEYS = {
     },
     "experiment": {
         "kind": (("size", "power", "consistency", "normality"), ("bogus",)),
-        "m_list": (([4], [30], [30, 40]), ([], [3], [10**7])),
+        "m_list": (([4], [30], [30, 40]), ([], [3], [10**7], [30, 30])),
         "reps": ((1, 3), (0,)),
         "thresholds": (("table.csv",), _BAD_FILES),
         "a_source": ((_ABSENT, "training"), ("x",)),
-        "gammas": ((_ABSENT, [0.0], [0.0, 0.25]), ([], [0.5])),
-        "alphas": ((_ABSENT, [0.05], [0.05, 0.1]), ([], [1.0])),
+        "gammas": ((_ABSENT, [0.0], [0.0, 0.25]), ([], [0.5], [0.25, 0.25])),
+        "alphas": ((_ABSENT, [0.05], [0.05, 0.1]), ([], [1.0], [0.05, 0.05])),
         "horizon": ((_ABSENT, 0.05, 3.0), _HORIZONS_OUT),
         "emit_traces": ((_ABSENT, 0, 2), (-1,)),
         "change": ((_ABSENT, {"at_k": 1, "beta": [-1.0, 0.2, 0.4]}),

@@ -43,7 +43,7 @@ from binarx.experiments import (
     write_report,
 )
 from binarx.model import ExogenousSpec, SeriesSample, stationary_oracle
-from binarx.monitoring import weight
+from binarx.monitoring import _weight
 from loop_reference import monitor_block as per_step_monitor_block
 from loop_reference import train_window as per_step_train_window
 from streaming_reference import state_with_metric
@@ -233,7 +233,7 @@ def test_binomial_branch_study_matches_the_loop_and_thread_counts(small_table):
     assert one.rows == run_size(cfg, threads=2).rows
     assert one.rows[0].reps_used + one.rows[0].failures == BLOCK_SIZE + 7
     H = 120
-    w2 = np.array([weight(40, np.arange(1, H + 1), g) ** 2 for g in cfg.gammas])
+    w2 = np.array([_weight(40, np.arange(1, H + 1), g) ** 2 for g in cfg.gammas])
     task = experiments._MonitorTask(cfg, 40, 2, 0, None, w2, _aux_metric(cfg, None), None,
                                     np.array([4.0, 8.0]))
     for b in (0, 1):
@@ -469,7 +469,7 @@ def test_monitor_block_passes_match_the_per_step_loop(monkeypatch, steps, reps, 
     cfg = ExperimentConfig(m_list=(12,), reps=reps, master_seed=41, a_source=a_source,
                            emit_traces=emit_traces)
     H = 36
-    w2 = np.array([weight(12, np.arange(1, H + 1), g) ** 2 for g in cfg.gammas])
+    w2 = np.array([_weight(12, np.arange(1, H + 1), g) ** 2 for g in cfg.gammas])
     a_matrix = None if a_source == "training" else _aux_metric(cfg, _start_cdf(SPEC))
     task = experiments._MonitorTask(cfg, 12, 4, 0, _start_cdf(SPEC), w2, a_matrix, change,
                                     np.array([4.0, 8.0, 16.0]))

@@ -18,7 +18,8 @@ no worker process.  The layers:
   `fit_mple_batch` of a 256-series block at m = 300;
 - calibration: ms per replication of `threshold_table` (grid 1000, d = 3);
 - monitoring: `monitor_init` ms, `monitor_update` µs per observation over
-  900 steps (m = 300, gamma = 0.25), and `read_series_csv` ms for 900 rows;
+  900 steps (m = 300, gamma = 0.25), `read_series_csv` ms for 900 rows, and
+  `read_threshold_table` µs for the calibration layer's 12-cell table;
 - experiments: `run_size` ms per replication at m = 300.
 
 The file also holds the run's metadata as perfbench/run.py records it (git
@@ -53,7 +54,8 @@ from run import metadata  # noqa: E402
 
 from binarx import (CalibrationConfig, ExperimentConfig, ModelSpec, ParamVector,  # noqa: E402
                     default_model_spec, fit_mple, monitor_init, monitor_update, read_series_csv,
-                    run_size, simulate_series, threshold_table)
+                    read_threshold_table, run_size, simulate_series, threshold_table)
+from binarx.calibration import write_threshold_table  # noqa: E402
 from binarx.estimation import fit_mple_batch  # noqa: E402
 from binarx.experiments import BLOCK_SIZE, N_MAX_BERNOULLI, _advance, _linear_table  # noqa: E402
 from binarx.model import SeriesSample, simulate_chain, write_series_csv  # noqa: E402
@@ -233,6 +235,17 @@ def main(argv) -> int:
             return (perf_counter() - t) / CSV_READS * 1e3
         record("monitoring.read_series_csv_ms", "ms",
                f"read_series_csv of a {MONITOR_STEPS}-row series", read_ms)
+
+        table_path = Path(tmp) / "thresholds.csv"
+        write_threshold_table(tables[-1], table_path)
+
+        def read_table_us() -> float:
+            t = perf_counter()
+            for _ in range(CSV_READS):
+                read_threshold_table(table_path)
+            return (perf_counter() - t) / CSV_READS * 1e6
+        record("monitoring.read_threshold_table_us", "us",
+               f"read_threshold_table of a {len(tables[-1].entries)}-cell table", read_table_us)
 
     size_config = ExperimentConfig(m_list=(MONITOR_M,), reps=BLOCK_SIZE, horizon=HORIZON,
                                    thresholds=tables[-1], master_seed=7)
