@@ -52,9 +52,11 @@ def _check_alpha(alpha: float, field: str = "alpha") -> None:
 
 
 def _check_listed_once(values, field: str) -> None:
+    """Refuse the first repeated entry, a name quoted and a number as is."""
     repeated = next((v for i, v in enumerate(values) if v in values[:i]), None)
     if repeated is not None:
-        raise ConfigError(field, f"entry {repeated} is listed more than once")
+        shown = repr(repeated) if isinstance(repeated, str) else repeated
+        raise ConfigError(field, f"entry {shown} is listed more than once")
 
 
 def _check_levels(gammas, alphas) -> None:

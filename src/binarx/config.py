@@ -23,6 +23,7 @@ from .calibration import (
     CalibrationConfig,
     _check_alpha,
     _check_gamma,
+    _check_listed_once,
     _check_positive,
     read_threshold_table,
 )
@@ -249,9 +250,7 @@ def parse_prep(loaded: LoadedConfig) -> dict:
     states = loaded.require("prep.states")
     if not states:
         raise ConfigError("prep.states", "must be a non-empty list of state names")
-    repeated = next((s for i, s in enumerate(states) if s in states[:i]), None)
-    if repeated is not None:
-        raise ConfigError("prep.states", f"state {repeated!r} is listed more than once")
+    _check_listed_once(states, "prep.states")
     years = loaded.require("prep.baseline_years")
     start = _iso_monday(loaded, "prep.window_start")
     end = _iso_monday(loaded, "prep.window_end")

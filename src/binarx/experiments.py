@@ -47,7 +47,6 @@ from .model import (
     SeriesSample,
     _clip_prob,
     _logistic_of_negated,
-    logistic,
     simulate_chain,
     stationary_oracle,
 )
@@ -196,19 +195,21 @@ def _advance(spec: ModelSpec, table, x: np.ndarray, rng: np.random.Generator):
     """One lockstep transition of a block's chains: covariate rows, then counts.
 
     `table` is `_linear_table` of the coefficients in force, so the sum below
-    is -eta, bit for bit the negation of phi0 + phi1 x + w'gamma.  Up to
-    N_MAX_BERNOULLI a count is the number of a chain's n uniforms, drawn as
-    an (n, chains) array, that fall below its p; above it, one binomial draw
-    over the block, whose parameter check wants p clipped inside (0, 1).
-    The caller holds np.errstate(over="ignore") for its whole loop.
+    is -eta, bit for bit the negation of phi0 + phi1 x + w'gamma (np.dot
+    adds the products as `@` does, in fewer calls).  Up to N_MAX_BERNOULLI a
+    count is the number of a chain's n uniforms, drawn as an (n, chains)
+    array, that fall below its p, summed as uint8 (n <= 40 fits); above it,
+    one binomial draw over the block, whose parameter check wants p clipped
+    inside (0, 1).  The caller holds np.errstate(over="ignore") for its
+    whole loop.
     """
     neg_base, neg_gamma = table
     w = spec.exo.draw(rng, x.size, spec.beta.l)
     u = neg_base[x]
-    u += w @ neg_gamma
+    u += np.dot(w, neg_gamma)
     p = _logistic_of_negated(u)
     if spec.n <= N_MAX_BERNOULLI:
-        return w, (rng.random((spec.n, x.size)) < p).sum(axis=0)
+        return w, np.add.reduce(rng.random((spec.n, x.size)) < p, axis=0, dtype=np.uint8)
     return w, rng.binomial(spec.n, _clip_prob(p))
 
 
@@ -441,18 +442,19 @@ def _monitor_block(task: _MonitorTask, b: int):
     After the batched training fit, all the block's chains run through the
     horizon in lockstep, one `_advance` per monitored point, the change (if
     any) switching the coefficients at monitored index at_k.  A pass keeps
-    the counts and covariate rows of up to `steps` points, then scores the
-    kept replications at once: the score increments, the running sums as a
-    cumsum seeded with the carried S, each gamma's statistic, the sups, the
-    first passages and the kept paths.  A pass ends at at_k - 1, so the change and the sum
-    before it fall on a pass boundary.  Every reduction adds in the order of
-    the per-step loop it replaced (tests/loop_reference.py), so the results
-    are the same bits.  The statistic agrees with the streaming monitor's to
-    rtol 1e-10, not bit for bit: the two paths order their floating-point
-    operations differently (array against scalar logistic, (A S * S).sum
-    against S @ A @ S, and weights from numpy's vectorised power against
-    scalar pow, which differ in the last bits).  The streaming path is the
-    one pinned bit for bit.  Returns (failure class names, then for the
+    the counts and covariate rows of up to `steps` points in reused buffers,
+    then scores the kept replications at once: -eta term by term, the score
+    increments r, x r and w_j r into one reused buffer, the running sums
+    added row by row from the carried S, each gamma's statistic, the sups,
+    the first passages and the kept paths.  A pass ends at at_k - 1, so the
+    change and the sum before it fall on a pass boundary.  Every sum adds in
+    the order of the per-step loop it replaced (tests/loop_reference.py), so
+    the results are the same bits.  The statistic agrees with the streaming
+    monitor's to rtol 1e-10, not bit for bit: the two paths order their
+    floating-point operations differently (array against scalar logistic,
+    (A S * S).sum against S @ A @ S, and weights from numpy's vectorised
+    power against scalar pow, which differ in the last bits).  The streaming
+    path is the one pinned bit for bit.  Returns (failure class names, then for the
     fitted reps in order: sups per gamma, first-passage indices per gamma
     (0 means "no alarm"), post-change score drift or None, and (rep, paths)
     for the kept reps).  A singular training metric is a ConfigError naming
@@ -464,7 +466,7 @@ def _monitor_block(task: _MonitorTask, b: int):
     size, d = fit.beta.shape  # the kept replications
     # Replications run along the last axis: (d, size) sums, (gammas, size) sups,
     # and a leading axis of monitored points within a pass.
-    beta = np.where(ok[:, None], fit.beta, 0.0).T
+    neg_beta = -np.where(ok[:, None], fit.beta, 0.0).T
     if task.a_matrix is None:
         A = np.broadcast_to(np.eye(d), (size, d, d)).copy()
         try:
@@ -486,8 +488,8 @@ def _monitor_block(task: _MonitorTask, b: int):
     # per-replication metric, holds at most a Newton chunk's entries.
     steps = max(1, _CHUNK_ELEMENTS // (d * d * size))
     x = np.empty((steps + 1, BLOCK_SIZE), dtype=np.int64)
-    z = np.empty((steps, d, size))
-    z[:, 0] = 1.0
+    w = np.empty((steps, BLOCK_SIZE, d - 2))
+    path_buffer = np.empty((steps, d, size))
     x[0] = x_prev
     table = _linear_table(spec.n, spec.beta)
     at_k = task.change.at_k if task.change is not None else H + 1
@@ -498,15 +500,27 @@ def _monitor_block(task: _MonitorTask, b: int):
             S_before = S
         end = min(k + steps, at_k if k < at_k else H + 1, H + 1)
         pts = end - k
+        xs, y, path = x[:pts, :size], x[1:pts + 1, :size], path_buffer[:pts]
         with np.errstate(over="ignore"):
             for t in range(pts):
-                w, x[t + 1] = _advance(spec, table, x[t], rng)
-                z[t, 2:] = w[:size].T
-        z[:pts, 1] = x[:pts, :size]
-        eta = (z[:pts] * beta).sum(axis=1)
-        path = z[:pts] * (x[1:pts + 1, :size] - spec.n * logistic(eta))[:, None]
+                w[t], x[t + 1] = _advance(spec, table, x[t], rng)
+            # -eta term by term, in the order in which the per-step loop sums
+            # z beta over z = (1, x, w): negating each term is exact, so these
+            # are that sum's bits, negated.
+            u = xs * neg_beta[1]
+            u += neg_beta[0]
+            for j in range(2, d):
+                u += w[:pts, :size, j - 2] * neg_beta[j]
+            p = _logistic_of_negated(u)
+        p *= spec.n
+        r = np.subtract(y, p, out=path[:, 0])
+        np.multiply(xs, r, out=path[:, 1])
+        for j in range(2, d):
+            np.multiply(w[:pts, :size, j - 2], r, out=path[:, j])
+        # The running sums, one row at a time: cumsum's additions, in its order.
         path[0] += S
-        np.cumsum(path, axis=0, out=path)
+        for t in range(1, pts):
+            path[t] += path[t - 1]
         AS = A @ path if A.ndim == 2 else (A * path[:, None]).sum(axis=2)
         AS *= path
         stat = task.w2[:, k - 1:end - 1, None] * AS.sum(axis=1)

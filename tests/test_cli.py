@@ -567,7 +567,7 @@ def test_config_unknown_keys_name_the_field(tmp_path, capsys, command, section, 
     ("prep", {"prep": {**PREP_SECTION, "states": []}},
      "prep.states: must be a non-empty list of state names"),
     ("prep", {"prep": {**PREP_SECTION, "states": ["A", "B", "A"]}},
-     "prep.states: state 'A' is listed more than once"),
+     "prep.states: entry 'A' is listed more than once"),
     ("prep", {"prep": {**PREP_SECTION, "window_start": [2020, 7]}},
      "prep.window_start: window start is after window end"),
     ("experiment", {"experiment": {"kind": "size", "m_list": [30, 30]}},

@@ -447,31 +447,41 @@ def test_streamed_statistic_matches_monitor_update(small_table, a_source):
         np.testing.assert_allclose(path, stats, rtol=1e-10)
 
 
-# (points per pass, reps, change index, metric source, traces kept); m = 12
-# gives a horizon H of 36.  None keeps the pass length the block size gives.
-@pytest.mark.parametrize("steps, reps, at_k, a_source, emit_traces", [
-    pytest.param(5, 8, None, "aux", 3, id="H-not-a-multiple-of-the-pass"),
-    pytest.param(50, 8, None, "aux", 3, id="H-below-one-pass"),
-    pytest.param(5, 8, 1, "aux", 2, id="change-at-1"),
-    pytest.param(5, 8, 36, "aux", 2, id="change-at-H"),
-    pytest.param(5, 8, 6, "aux", 2, id="change-on-a-pass-boundary"),
-    pytest.param(5, 8, 5, "aux", 0, id="change-before-a-pass-boundary"),
-    pytest.param(5, 8, 7, "aux", 0, id="change-after-a-pass-boundary"),
-    pytest.param(5, 8, 7, "training", 2, id="training-metric"),
-    pytest.param(None, BLOCK_SIZE + 3, 30, "training", BLOCK_SIZE + 2, id="traces-span-two-blocks"),
+# Models without a covariate (d = 2) and with two (d = 4), beside SPEC's one.
+SPEC_L0 = ModelSpec(n=10, beta=ParamVector(-1.0, 0.1), exo=SPEC.exo)
+SPEC_L2 = ModelSpec(n=10, beta=ParamVector(-1.0, 0.1, (0.4, -0.3)), exo=SPEC.exo)
+
+
+# (points per pass, reps, change index, metric source, traces kept, model);
+# m = 12 gives a horizon H of 36.  None keeps the pass length the block size
+# gives.
+@pytest.mark.parametrize("steps, reps, at_k, a_source, emit_traces, spec", [
+    pytest.param(5, 8, None, "aux", 3, SPEC, id="H-not-a-multiple-of-the-pass"),
+    pytest.param(50, 8, None, "aux", 3, SPEC, id="H-below-one-pass"),
+    pytest.param(5, 8, 1, "aux", 2, SPEC, id="change-at-1"),
+    pytest.param(5, 8, 36, "aux", 2, SPEC, id="change-at-H"),
+    pytest.param(5, 8, 6, "aux", 2, SPEC, id="change-on-a-pass-boundary"),
+    pytest.param(5, 8, 5, "aux", 0, SPEC, id="change-before-a-pass-boundary"),
+    pytest.param(5, 8, 7, "aux", 0, SPEC, id="change-after-a-pass-boundary"),
+    pytest.param(5, 8, 7, "training", 2, SPEC, id="training-metric"),
+    pytest.param(None, BLOCK_SIZE + 3, 30, "training", BLOCK_SIZE + 2, SPEC,
+                 id="traces-span-two-blocks"),
+    pytest.param(5, 8, 6, "aux", 2, SPEC_L0, id="no-covariate"),
+    pytest.param(5, 8, 7, "training", 2, SPEC_L2, id="two-covariates-training-metric"),
 ])
 def test_monitor_block_passes_match_the_per_step_loop(monkeypatch, steps, reps, at_k, a_source,
-                                                      emit_traces):
-    d = SPEC.beta.dim
+                                                      emit_traces, spec):
+    d = spec.beta.dim
     if steps is not None:
         monkeypatch.setattr(experiments, "_CHUNK_ELEMENTS", steps * d * d * reps)
-    change = None if at_k is None else ChangePoint(at_k, ParamVector(-0.7, 0.1, (0.4,)))
-    cfg = ExperimentConfig(m_list=(12,), reps=reps, master_seed=41, a_source=a_source,
+    new_beta = ParamVector(-0.7, 0.1, spec.beta.gamma_exo)
+    change = None if at_k is None else ChangePoint(at_k, new_beta)
+    cfg = ExperimentConfig(spec=spec, m_list=(12,), reps=reps, master_seed=41, a_source=a_source,
                            emit_traces=emit_traces)
     H = 36
     w2 = np.array([_weight(12, np.arange(1, H + 1), g) ** 2 for g in cfg.gammas])
-    a_matrix = None if a_source == "training" else _aux_metric(cfg, _start_cdf(SPEC))
-    task = experiments._MonitorTask(cfg, 12, 4, 0, _start_cdf(SPEC), w2, a_matrix, change,
+    a_matrix = None if a_source == "training" else _aux_metric(cfg, _start_cdf(spec))
+    task = experiments._MonitorTask(cfg, 12, 4, 0, _start_cdf(spec), w2, a_matrix, change,
                                     np.array([4.0, 8.0, 16.0]))
     for b in range(-(-reps // BLOCK_SIZE)):
         got, want = experiments._monitor_block(task, b), per_step_monitor_block(task, b)
@@ -497,6 +507,8 @@ SPEC_SATURATED = ModelSpec(n=20, beta=ParamVector(-1.0, 2.0, (0.4,)), exo=SPEC.e
     pytest.param(SPEC, lambda eta: True, id="default"),
     pytest.param(SPEC_OVERFLOW, lambda eta: eta.min() < -709.78, id="exp-overflows"),
     pytest.param(SPEC_SATURATED, lambda eta: eta.max() > 36.7, id="p-clipped-at-ceiling"),
+    pytest.param(SPEC_L0, lambda eta: True, id="no-covariate"),
+    pytest.param(SPEC_L2, lambda eta: True, id="two-covariates"),
 ])
 def test_training_window_matches_the_per_step_loop(monkeypatch, spec, reaches):
     # _start and _train_block's window, bit for bit the per-step replay, with

@@ -1,18 +1,30 @@
 """Time each layer of binarx in-process and write BENCH_<n>.json at the repo root.
 
-Usage: python tools/bench.py N
+Usage: python tools/bench.py N [--parent DIR]
 
 N numbers the file, so that a change can cite the medians of two BENCH files
 measured back to back on one host.  Every figure is the median of REPEATS
 timed repeats after one untimed warm-up, with the repeats listed beside it.
 Everything but the import layer runs in this process at threads=1 and starts
-no worker process.  The layers:
+no worker process.
+
+With --parent DIR, the layers of DIR/src (a checkout of the parent commit)
+and of this tree's src are timed in ROUNDS rounds instead.  Each round
+starts a fresh interpreter per tree (`--serve SRC`, which times one repeat
+of a layer on request) and takes the two trees' repeats of each layer in
+turn, the first of each pair swapping every repeat and every round: the
+host's speed drifts within seconds, and a repeat of each tree a fraction of
+a second apart shares that drift.  BENCH_<n>_parent.json and BENCH_<n>.json
+then hold, per layer, the median over the rounds of each round's median,
+with the round medians listed beside it; their metadata gives the round
+count and the sha256 of the sources each file measured.  The layers:
 
 - import: wall time and peak RSS (ru_maxrss) of `python -c "import binarx"`,
   each in a fresh interpreter started one at a time;
 - model: µs per lockstep `_advance` step of a 256-chain block, inside one
-  `np.errstate` as the block engine runs it, at n = 10 (Bernoulli sums) and
-  at n = N_MAX_BERNOULLI + 1 (one binomial draw), and µs per `simulate_chain`
+  `np.errstate` and with each step's counts stored in an int64 row, as a
+  monitored pass runs it, at n = 10 (Bernoulli sums) and at
+  n = N_MAX_BERNOULLI + 1 (one binomial draw), and µs per `simulate_chain`
   transition;
 - estimation: `fit_mple` ms at m = 300 and at m = 2000, and ms per
   `fit_mple_batch` of a 256-series block at m = 300;
@@ -43,7 +55,10 @@ from pathlib import Path
 from time import perf_counter
 
 ROOT = Path(__file__).resolve().parents[1]
-sys.path.insert(0, str(ROOT / "src"))
+# The sources measured: this tree's, or those named by `--serve SRC`.
+SRC = (Path(sys.argv[sys.argv.index("--serve") + 1]) if "--serve" in sys.argv[1:-1]
+       else ROOT / "src")
+sys.path.insert(0, str(SRC))
 sys.path.insert(0, str(ROOT / "perfbench"))
 
 import numpy as np  # noqa: E402
@@ -61,6 +76,7 @@ from binarx.experiments import BLOCK_SIZE, N_MAX_BERNOULLI, _advance, _linear_ta
 from binarx.model import SeriesSample, simulate_chain, write_series_csv  # noqa: E402
 
 REPEATS = 5
+ROUNDS = 10  # rounds of both trees with --parent
 THREADS = 1
 SPEC = default_model_spec()
 # The smallest n whose counts `_advance` draws with rng.binomial.
@@ -75,195 +91,178 @@ BATCH_M, BATCH_CALLS = 300, 5
 CALIB_REPS, CSV_READS = 500, 20
 
 
-def _median(sample) -> dict:
-    """Median and list of REPEATS calls of `sample`, which returns one timed
-    figure; one untimed call comes first."""
-    sample()
-    values = [sample() for _ in range(REPEATS)]
-    return {"median": statistics.median(values), "repeats": values}
-
-
 def _clock(fn, *args):
     t = perf_counter()
     out = fn(*args)
     return perf_counter() - t, out
 
 
-# Times `import binarx` in REPEATS + 1 fresh interpreters, one at a time, and
-# prints [wall seconds, peak RSS in MB] of each.  It runs in a small
-# interpreter of its own: Linux carries a process's peak RSS across exec into
-# its child, so a child of this process would report this process's peak.
+# Times `import binarx` in one fresh interpreter and prints [wall seconds,
+# peak RSS in MB].  It runs in a small interpreter of its own: Linux carries a
+# process's peak RSS across exec into its child, so a child of this process
+# would report this process's peak.
 _IMPORT_LAUNCHER = """
 import json, os, sys, time
-out = []
-for _ in range(int(sys.argv[1])):
-    t = time.perf_counter()
-    pid = os.posix_spawn(sys.executable, [sys.executable, "-c", "import binarx"], os.environ)
-    _, status, usage = os.wait4(pid, 0)
-    if os.waitstatus_to_exitcode(status):
-        sys.exit("import binarx failed")
-    out.append([time.perf_counter() - t, usage.ru_maxrss / 1024])
-print(json.dumps(out))
+t = time.perf_counter()
+pid = os.posix_spawn(sys.executable, [sys.executable, "-c", "import binarx"], os.environ)
+_, status, usage = os.wait4(pid, 0)
+if os.waitstatus_to_exitcode(status):
+    sys.exit("import binarx failed")
+print(json.dumps([time.perf_counter() - t, usage.ru_maxrss / 1024]))
 """
 
 
-def import_layers() -> dict:
-    """The import layer's two figures; the first interpreter is the warm-up."""
-    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    proc = subprocess.run([sys.executable, "-c", _IMPORT_LAUNCHER, str(REPEATS + 1)], env=env,
+def import_once() -> dict:
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_LAUNCHER], env=env,
                           capture_output=True, text=True, check=True)
-    wall, rss = zip(*json.loads(proc.stdout)[1:])
-    what = 'python -c "import binarx" in a fresh interpreter'
-    return {"import.wall_s": {"unit": "s", "what": what, "median": statistics.median(wall),
-                              "repeats": list(wall)},
-            "import.peak_rss_mb": {"unit": "MB", "what": f"ru_maxrss of {what}",
-                                   "median": statistics.median(rss), "repeats": list(rss)}}
+    wall, rss = json.loads(proc.stdout)
+    return {"import.wall_s": wall, "import.peak_rss_mb": rss}
 
 
-def advance_us_per_step(spec: ModelSpec):
-    def sample() -> float:
+def advance_us_per_step(name: str, spec: ModelSpec):
+    def sample() -> dict:
         rng = np.random.default_rng(1)
         table = _linear_table(spec.n, spec.beta)
-        x = rng.binomial(spec.n, 0.5, BLOCK_SIZE)
+        x = np.empty((ADVANCE_STEPS + 1, BLOCK_SIZE), dtype=np.int64)
+        x[0] = rng.binomial(spec.n, 0.5, BLOCK_SIZE)
         t = perf_counter()
         with np.errstate(over="ignore"):
-            for _ in range(ADVANCE_STEPS):
-                _, x = _advance(spec, table, x, rng)
-        return (perf_counter() - t) / ADVANCE_STEPS * 1e6
+            for s in range(ADVANCE_STEPS):
+                _, x[s + 1] = _advance(spec, table, x[s], rng)
+        return {name: (perf_counter() - t) / ADVANCE_STEPS * 1e6}
     return sample
 
 
-def chain_us_per_transition() -> float:
+def chain_us_per_transition() -> dict:
     seconds, _ = _clock(simulate_chain, SPEC, CHAIN_LENGTH, np.random.default_rng(2), 3)
-    return seconds / CHAIN_LENGTH * 1e6
+    return {"model.chain_us_per_transition": seconds / CHAIN_LENGTH * 1e6}
 
 
-def fit_ms(m: int):
-    series = simulate_series(SPEC, m, seed=m)
-
-    def sample() -> float:
+def per_call(name: str, scale: float, calls: int, fn, *args):
+    """A sample of the mean time of `calls` calls of fn(*args), times `scale`."""
+    def sample() -> dict:
         t = perf_counter()
-        for _ in range(FIT_CALLS[m]):
-            fit_mple(series, SPEC.n)
-        return (perf_counter() - t) / FIT_CALLS[m] * 1e3
+        for _ in range(calls):
+            fn(*args)
+        return {name: (perf_counter() - t) / calls * scale}
     return sample
 
 
-def fit_batch_ms():
-    samples = [simulate_series(SPEC, BATCH_M, seed=BATCH_M + i) for i in range(BLOCK_SIZE)]
-    x, w = np.stack([s.x for s in samples]), np.stack([s.w for s in samples])
-
-    def sample() -> float:
-        t = perf_counter()
-        for _ in range(BATCH_CALLS):
-            fit_mple_batch(x, w, SPEC.n)
-        return (perf_counter() - t) / BATCH_CALLS * 1e3
-    return sample
-
-
-def main(argv) -> int:
-    if len(argv) != 1 or not argv[0].isdigit():
-        print(__doc__.split("\n\n")[1], file=sys.stderr)
-        return 2
-    out = ROOT / f"BENCH_{argv[0]}.json"
-    kernel_us: list = []
-    layers = {}
-
-    def record(name: str, unit: str, what: str, sample) -> None:
-        layers[name] = {"unit": unit, "what": what, **_median(sample)}
-        reference.sample(kernel_us)
-
-    layers.update(import_layers())
-    reference.sample(kernel_us)
-    record("model.advance_us_per_step", "us",
-           f"one lockstep _advance step of {BLOCK_SIZE} chains at n={SPEC.n}",
-           advance_us_per_step(SPEC))
-    record(f"model.advance_us_per_step_n{BINOMIAL_SPEC.n}", "us",
-           f"one lockstep _advance step of {BLOCK_SIZE} chains at n={BINOMIAL_SPEC.n}",
-           advance_us_per_step(BINOMIAL_SPEC))
-    record("model.chain_us_per_transition", "us",
-           f"simulate_chain, {CHAIN_LENGTH} transitions", chain_us_per_transition)
-    for m in FIT_CALLS:
-        record(f"estimation.fit_ms_m{m}", "ms", f"fit_mple at m={m}", fit_ms(m))
-    record("estimation.fit_batch_ms", "ms",
-           f"fit_mple_batch of {BLOCK_SIZE} series at m={BATCH_M}", fit_batch_ms())
+def samplers(tmp: Path) -> list:
+    """Every layer's timer, in timing order, as (figures, sample): `figures`
+    maps each layer name the timer gives to its (unit, what), and one call of
+    `sample` times one repeat and returns {name: figure}.  The timers after
+    the calibration one read its last table, so they run in this order;
+    files go to `tmp`."""
+    timers = [
+        ({"import.wall_s": ("s", 'python -c "import binarx" in a fresh interpreter'),
+          "import.peak_rss_mb": ("MB", 'ru_maxrss of python -c "import binarx" in a fresh '
+                                       'interpreter')}, import_once),
+    ]
+    for name, spec in (("model.advance_us_per_step", SPEC),
+                       (f"model.advance_us_per_step_n{BINOMIAL_SPEC.n}", BINOMIAL_SPEC)):
+        timers.append(({name: ("us", f"one lockstep _advance step of {BLOCK_SIZE} chains at "
+                                     f"n={spec.n}")}, advance_us_per_step(name, spec)))
+    timers.append(({"model.chain_us_per_transition": (
+        "us", f"simulate_chain, {CHAIN_LENGTH} transitions")}, chain_us_per_transition))
+    for m, calls in FIT_CALLS.items():
+        name = f"estimation.fit_ms_m{m}"
+        timers.append(({name: ("ms", f"fit_mple at m={m}")},
+                       per_call(name, 1e3, calls, fit_mple, simulate_series(SPEC, m, seed=m),
+                                SPEC.n)))
+    batch = [simulate_series(SPEC, BATCH_M, seed=BATCH_M + i) for i in range(BLOCK_SIZE)]
+    timers.append(({"estimation.fit_batch_ms": (
+        "ms", f"fit_mple_batch of {BLOCK_SIZE} series at m={BATCH_M}")},
+        per_call("estimation.fit_batch_ms", 1e3, BATCH_CALLS, fit_mple_batch,
+                 np.stack([s.x for s in batch]), np.stack([s.w for s in batch]), SPEC.n)))
 
     calib = CalibrationConfig(dim=3, horizon=HORIZON, grid_m=1000, reps=CALIB_REPS,
                               master_seed=5)
+    table_path = tmp / "thresholds.csv"
     tables = []
 
-    def calibration_ms_per_rep() -> float:
+    def calibration_ms_per_rep() -> dict:
         seconds, table = _clock(threshold_table, calib, THREADS)
         tables.append(table)
-        return seconds / CALIB_REPS * 1e3
-    record("calibration.ms_per_rep", "ms",
-           f"threshold_table at grid 1000, d=3, N={HORIZON}, {CALIB_REPS} reps",
-           calibration_ms_per_rep)
+        write_threshold_table(table, table_path)
+        return {"calibration.ms_per_rep": seconds / CALIB_REPS * 1e3}
+    timers.append(({"calibration.ms_per_rep": (
+        "ms", f"threshold_table at grid 1000, d=3, N={HORIZON}, {CALIB_REPS} reps")},
+        calibration_ms_per_rep))
 
     path = simulate_series(SPEC, MONITOR_M + MONITOR_STEPS, seed=6)
     training = SeriesSample(path.x[:MONITOR_M + 1], path.w[:MONITOR_M])
     stream = list(zip(path.x[MONITOR_M + 1:].tolist(), path.w[MONITOR_M:]))
-    init_ms = []
 
-    def update_us() -> float:
-        seconds, state = _clock(monitor_init, training, SPEC.n, HORIZON, GAMMA, ALPHA, math.inf)
-        init_ms.append(seconds * 1e3)
+    def update_us() -> dict:
+        init_s, state = _clock(monitor_init, training, SPEC.n, HORIZON, GAMMA, ALPHA, math.inf)
         t = perf_counter()
         for x, w in stream:
             monitor_update(state, x, w)
         seconds = perf_counter() - t
         if state.k != MONITOR_STEPS:
             raise RuntimeError(f"monitor stopped at k={state.k}, not {MONITOR_STEPS}")
-        return seconds / MONITOR_STEPS * 1e6
-    record("monitoring.update_us", "us",
-           f"monitor_update per observation, {MONITOR_STEPS} steps, m={MONITOR_M}, "
-           f"gamma={GAMMA}, no alarm", update_us)
-    layers["monitoring.init_ms"] = {
-        "unit": "ms", "what": f"monitor_init at m={MONITOR_M}, repeats of the update figure",
-        "median": statistics.median(init_ms[1:]), "repeats": init_ms[1:]}
+        return {"monitoring.update_us": seconds / MONITOR_STEPS * 1e6,
+                "monitoring.init_ms": init_s * 1e3}
+    timers.append(({"monitoring.update_us": (
+        "us", f"monitor_update per observation, {MONITOR_STEPS} steps, m={MONITOR_M}, "
+              f"gamma={GAMMA}, no alarm"),
+        "monitoring.init_ms": ("ms", f"monitor_init at m={MONITOR_M}, before each update run")},
+        update_us))
 
+    csv_path = tmp / "series.csv"
+    # 900 rows: t = 0 .. 899.
+    write_series_csv(SeriesSample(path.x[:MONITOR_STEPS], path.w[:MONITOR_STEPS - 1]), csv_path)
+    timers.append(({"monitoring.read_series_csv_ms": (
+        "ms", f"read_series_csv of a {MONITOR_STEPS}-row series")},
+        per_call("monitoring.read_series_csv_ms", 1e3, CSV_READS, read_series_csv, csv_path)))
+    cells = len(calib.gammas) * len(calib.alphas)
+    timers.append(({"monitoring.read_threshold_table_us": (
+        "us", f"read_threshold_table of a {cells}-cell table")},
+        per_call("monitoring.read_threshold_table_us", 1e6, CSV_READS, read_threshold_table,
+                 table_path)))
+
+    def size_ms_per_rep() -> dict:
+        config = ExperimentConfig(m_list=(MONITOR_M,), reps=BLOCK_SIZE, horizon=HORIZON,
+                                  thresholds=tables[-1], master_seed=7)
+        seconds, _ = _clock(run_size, config, THREADS)
+        return {"experiments.size_ms_per_rep": seconds / BLOCK_SIZE * 1e3}
+    timers.append(({"experiments.size_ms_per_rep": (
+        "ms", f"run_size at m={MONITOR_M}, {BLOCK_SIZE} reps, a pre-built table")},
+        size_ms_per_rep))
+    return timers
+
+
+def measure() -> tuple[dict, list]:
+    """Every layer's figure, the median of REPEATS timed repeats after one
+    untimed call, and the reference kernel's samples timed after each layer."""
+    kernel_us: list = []
+    layers = {}
     with tempfile.TemporaryDirectory() as tmp:
-        csv_path = Path(tmp) / "series.csv"
-        # 900 rows: t = 0 .. 899.
-        write_series_csv(SeriesSample(path.x[:MONITOR_STEPS], path.w[:MONITOR_STEPS - 1]),
-                         csv_path)
+        for figures, sample in samplers(Path(tmp)):
+            sample()
+            repeats = [sample() for _ in range(REPEATS)]
+            for name, (unit, what) in figures.items():
+                values = [r[name] for r in repeats]
+                layers[name] = {"unit": unit, "what": what,
+                                "median": statistics.median(values), "repeats": values}
+            reference.sample(kernel_us)
+    return layers, kernel_us
 
-        def read_ms() -> float:
-            t = perf_counter()
-            for _ in range(CSV_READS):
-                read_series_csv(csv_path)
-            return (perf_counter() - t) / CSV_READS * 1e3
-        record("monitoring.read_series_csv_ms", "ms",
-               f"read_series_csv of a {MONITOR_STEPS}-row series", read_ms)
 
-        table_path = Path(tmp) / "thresholds.csv"
-        write_threshold_table(tables[-1], table_path)
-
-        def read_table_us() -> float:
-            t = perf_counter()
-            for _ in range(CSV_READS):
-                read_threshold_table(table_path)
-            return (perf_counter() - t) / CSV_READS * 1e6
-        record("monitoring.read_threshold_table_us", "us",
-               f"read_threshold_table of a {len(tables[-1].entries)}-cell table", read_table_us)
-
-    size_config = ExperimentConfig(m_list=(MONITOR_M,), reps=BLOCK_SIZE, horizon=HORIZON,
-                                   thresholds=tables[-1], master_seed=7)
-
-    def size_ms_per_rep() -> float:
-        seconds, _ = _clock(run_size, size_config, THREADS)
-        return seconds / BLOCK_SIZE * 1e3
-    record("experiments.size_ms_per_rep", "ms",
-           f"run_size at m={MONITOR_M}, {BLOCK_SIZE} reps, a pre-built table", size_ms_per_rep)
-
-    sources = sorted((ROOT / "src" / "binarx").glob("*.py"))
+def write(out: Path, src: Path, layers: dict, kernel_us: list, **extra) -> None:
+    """BENCH file `out` of the layers measured on `src`."""
+    sources = sorted((src / "binarx").glob("*.py"))
     meta = {
         **metadata({"versions": {"python": sys.version.split()[0], "numpy": np.__version__,
                                  "scipy": scipy.__version__}}),
         # The measured sources, also when they differ from the commit at git_sha.
+        "src_binarx_lines": sum(len(p.read_text().splitlines()) for p in sources),
         "src_binarx_sha256": hashlib.sha256(b"".join(p.read_bytes() for p in sources)).hexdigest(),
         "threads": THREADS,
         "repeats": REPEATS,
+        **extra,
     }
     result = {
         "meta": meta,
@@ -273,9 +272,110 @@ def main(argv) -> int:
         "layers": layers,
     }
     out.write_text(json.dumps(result, indent=2, sort_keys=True) + "\n")
+    print(f"reference slowdown {result['reference_kernel']['slowdown']:.4g}; wrote {out}")
+
+
+def serve() -> None:
+    """Time SRC's layers on request, for a --parent run: first the layers'
+    figures as one JSON line, then for each line read, a timer's index or
+    "kernel", one JSON line of what it returns or of reference kernel times."""
+    with tempfile.TemporaryDirectory() as tmp:
+        timers = samplers(Path(tmp))
+        print(json.dumps([figures for figures, _ in timers]), flush=True)
+        for line in sys.stdin:
+            if line.strip() == "kernel":
+                out: list = []
+                reference.sample(out)
+            else:
+                out = timers[int(line)][1]()
+            print(json.dumps(out), flush=True)
+
+
+class _Timing:
+    """A fresh interpreter that times one tree's sources (`serve`)."""
+
+    def __init__(self, src: Path):
+        self.src = src
+        self.proc = subprocess.Popen([sys.executable, __file__, "--serve", str(src)],
+                                     stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True)
+        self.figures = self._read()
+
+    def _read(self):
+        line = self.proc.stdout.readline()
+        if not line:
+            raise RuntimeError(f"timing {self.src} failed with exit code {self.proc.wait()}")
+        return json.loads(line)
+
+    def ask(self, command):
+        self.proc.stdin.write(f"{command}\n")
+        self.proc.stdin.flush()
+        return self._read()
+
+    def close(self) -> None:
+        self.proc.stdin.close()
+        self.proc.wait()
+
+
+def alternate(n: str, parent: Path) -> None:
+    """ROUNDS rounds of the parent's sources and this tree's, interleaved
+    repeat by repeat, each round in a fresh interpreter per tree."""
+    trees = {"parent": parent / "src", "this": ROOT / "src"}
+    rounds = {tree: [] for tree in trees}  # per round, {layer: median}
+    kernel_us = {tree: [] for tree in trees}
+    for r in range(ROUNDS):
+        order = ["parent", "this"] if r % 2 == 0 else ["this", "parent"]
+        timing = {}
+        try:
+            for tree in order:
+                timing[tree] = _Timing(trees[tree])
+            figures = timing["this"].figures
+            repeats = {tree: {} for tree in trees}
+            for i, layer in enumerate(figures):
+                for tree in order:
+                    timing[tree].ask(i)
+                for k in range(REPEATS):
+                    for tree in order[::1 if k % 2 == 0 else -1]:
+                        for name, value in timing[tree].ask(i).items():
+                            repeats[tree].setdefault(name, []).append(value)
+                for tree in order:
+                    kernel_us[tree] += timing[tree].ask("kernel")
+        finally:
+            for t in timing.values():
+                t.close()
+        for tree in trees:
+            rounds[tree].append({name: statistics.median(v) for name, v in repeats[tree].items()})
+    medians = {}
+    for tree in trees:
+        medians[tree] = {
+            name: {"unit": unit, "what": what,
+                   "median": statistics.median(r[name] for r in rounds[tree]),
+                   "rounds": [r[name] for r in rounds[tree]]}
+            for layer in figures for name, (unit, what) in layer.items()}
+        suffix = "_parent" if tree == "parent" else ""
+        write(ROOT / f"BENCH_{n}{suffix}.json", trees[tree], medians[tree], kernel_us[tree],
+              rounds=ROUNDS)
+    for name, figure in medians["this"].items():
+        before = medians["parent"][name]
+        ratios = [b / a for a, b in zip(before["rounds"], figure["rounds"])]
+        print(f"{name} {before['median']:.6g} -> {figure['median']:.6g} {figure['unit']}; "
+              f"per round this/parent: median {statistics.median(ratios):.3f}, "
+              f"below 1 in {sum(x < 1 for x in ratios)} of {ROUNDS}")
+
+
+def main(argv) -> int:
+    if argv[:1] == ["--serve"] and len(argv) == 2:
+        serve()
+        return 0
+    if len(argv) == 3 and argv[0].isdigit() and argv[1] == "--parent":
+        alternate(argv[0], Path(argv[2]).resolve())
+        return 0
+    if len(argv) != 1 or not argv[0].isdigit():
+        print(__doc__.split("\n\n")[1], file=sys.stderr)
+        return 2
+    layers, kernel_us = measure()
     for name, figure in layers.items():
         print(f"{name} {figure['median']:.6g} {figure['unit']}")
-    print(f"reference slowdown {result['reference_kernel']['slowdown']:.4g}; wrote {out}")
+    write(ROOT / f"BENCH_{argv[0]}.json", SRC, layers, kernel_us)
     return 0
 
 
