@@ -19,9 +19,12 @@ OUTDIR must be empty or absent; every run writes below it.  The runs are:
 - 2-replication consistency studies at an l = 2 model (exact stationary
   start, through the tensor quadrature) and at n = 40 (burn-in start).
 
-Each output line is `<sha256> exit=<code> <run>/<file>`, sorted, so the
-lists of two checkouts can be compared with `diff`.  A refactor that must
-keep every artifact byte-identical runs this before and after the change.
+The first output line is `header()`: the stream contract and the numpy and
+python versions.  Each further line is `<sha256> exit=<code> <run>/<file>`,
+sorted, so the lists of two checkouts can be compared with `diff`.  The
+list of the current stream contract is pinned in
+tests/golden/contract_<N>.txt, and a Tier-1 test reruns these workflows and
+compares; a change to a digest updates that file.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import platform
 import sys
 from pathlib import Path
 
@@ -40,6 +44,7 @@ from binarx import ModelSpec, ParamVector, default_model_spec, simulate_series  
 from binarx.cli import run_command  # noqa: E402
 from binarx.dataprep import BinomialSeries, write_binomial_series  # noqa: E402
 from binarx.defaults import DEFAULT_SEED  # noqa: E402
+from binarx.experiments import STREAM_CONTRACT  # noqa: E402
 
 MODEL = {
     "n": 10,
@@ -104,15 +109,16 @@ def _run(root: Path, codes: dict, run: str, config: Path, command: str, *flags: 
                               *flags, command])
 
 
-def main(argv) -> int:
-    if len(argv) != 1:
-        print(__doc__.splitlines()[2], file=sys.stderr)
-        return 2
-    root = Path(argv[0]).resolve()
-    root.mkdir(parents=True, exist_ok=True)
-    if any(root.iterdir()):
-        print(f"{root} is not empty", file=sys.stderr)
-        return 2
+def header() -> str:
+    """The line above the digests: what the artifacts' bits depend on besides
+    the code (README, "Reproducibility contract")."""
+    return (f"# stream_contract={STREAM_CONTRACT} numpy={np.__version__} "
+            f"python={platform.python_version()}")
+
+
+def digests(root: Path) -> list[str]:
+    """Run every workflow into the empty directory `root` and return the
+    digest lines, sorted by artifact path."""
     _inputs(root)
     codes: dict[str, int] = {}
 
@@ -171,7 +177,19 @@ def main(argv) -> int:
             lines.append(f"{digest} exit={code} {p.relative_to(root)}")
         if not files:
             lines.append(f"{'-' * 64} exit={code} {run}/")
-    print("\n".join(sorted(lines, key=lambda line: line.split(" ", 2)[2])))
+    return sorted(lines, key=lambda line: line.split(" ", 2)[2])
+
+
+def main(argv) -> int:
+    if len(argv) != 1:
+        print(__doc__.splitlines()[2], file=sys.stderr)
+        return 2
+    root = Path(argv[0]).resolve()
+    root.mkdir(parents=True, exist_ok=True)
+    if any(root.iterdir()):
+        print(f"{root} is not empty", file=sys.stderr)
+        return 2
+    print("\n".join([header(), *digests(root)]))
     return 0
 
 
