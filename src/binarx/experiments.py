@@ -1,6 +1,6 @@
 """Simulation-study harnesses: consistency, normality, size, and power.
 
-Every harness is deterministic given its master seed (stream contract 3).
+Every harness is deterministic given its master seed (stream contract 4).
 Replications run in blocks of BLOCK_SIZE, each drawn whole: a study keeps
 its first `reps` replications, so their draws do not depend on `reps`.
 Block b at the i-th training length draws from
@@ -42,6 +42,7 @@ from .defaults import (
 from .estimation import _CHUNK_ELEMENTS, BatchFit, fit_mple, fit_mple_batch
 from .exceptions import BinarxError, ConfigError
 from .model import (
+    N_MAX_BERNOULLI,
     ModelSpec,
     ParamVector,
     SeriesSample,
@@ -62,13 +63,8 @@ _KIND_POWER = 4
 # Replications per block, the unit of work and of random streams.  Every
 # block is drawn whole.
 BLOCK_SIZE = 256
-# Largest n whose counts are drawn as sums of n Bernoulli trials; larger n
-# takes one binomial draw.  Both are Bin(n, p) in law.  Measured for 256
-# chains, the sum is the faster draw up to n = 60 for p in U(0.2, 0.5), to
-# n = 40 in U(0.5, 0.8) and to n = 30 in U(0.05, 0.2).
-N_MAX_BERNOULLI = 40
 # Version of the documented random-stream derivation (README).
-STREAM_CONTRACT = 3
+STREAM_CONTRACT = 4
 # Fit failures counted per class in every report.
 FAILURE_CLASSES = ("SeparationError", "SingularHessianError", "NonConvergenceError")
 # Transitions in the auxiliary series that pins the shared monitoring metric.

@@ -18,6 +18,7 @@ import functools
 import io
 import itertools
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +37,14 @@ _PROB_CEIL = math.nextafter(1.0, 0.0)
 _QUAD_SPAN_SDS = 8.0
 # Gauss-Legendre nodes per covariate coordinate in the stationary oracle.
 _QUAD_NODES = 64
+# Largest n whose counts are drawn as sums of n Bernoulli trials, by both
+# simulators; larger n takes binomial draws.  Both are Bin(n, p) in law.
+# Measured for 256 chains, the sum is the faster draw up to n = 60 for p in
+# U(0.2, 0.5), to n = 40 in U(0.5, 0.8) and to n = 30 in U(0.05, 0.2).
+N_MAX_BERNOULLI = 40
+# Uniforms per chunk of `simulate_chain`'s Bernoulli sums (128 KB), so its
+# memory does not grow with the path.  The draws do not depend on it.
+_CHAIN_CHUNK_UNIFORMS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -227,8 +236,12 @@ def simulate_chain(
     """Advance the chain `length` steps from x0 with an existing generator.
 
     Draws the covariate block first (one vectorized normal draw), then the
-    binomial transitions, one scalar draw each.  Returns (x, w) with x of
-    length `length` + 1.
+    counts.  Up to N_MAX_BERNOULLI, the path's n uniforms per step follow in
+    row-major order, drawn in chunks of whole steps, and a count is the
+    number of its step's n uniforms below p: `bisect_left` on the sorted
+    row.  Above it, one scalar binomial draw per step, whose parameter check
+    wants p clipped inside (0, 1).  Returns (x, w) with x of length
+    `length` + 1.
     """
     if not 0 <= x0 <= spec.n:
         raise ValueError(f"initial state {x0} outside {{0..{spec.n}}}")
@@ -236,20 +249,33 @@ def simulate_chain(
     w = spec.exo.draw(rng, length, b.l)
     # Exogenous part of the linear predictor, precomputed for the whole path.
     offset = b.phi0 + w @ np.asarray(b.gamma_exo, dtype=float)
-    n, phi1, binomial = spec.n, b.phi1, rng.binomial
+    n, phi1, exp, binomial = spec.n, b.phi1, math.exp, rng.binomial
+    bernoulli = n <= N_MAX_BERNOULLI
+    steps = max(1, _CHAIN_CHUNK_UNIFORMS // n)
     state = int(x0)
     states = [state]
-    # A memoryview yields Python floats one at a time, without a list of all.
-    for off in memoryview(offset):
-        # An overflow-safe logistic, then _clamp_prob's clip.
-        eta = off + phi1 * state
-        if eta >= 0.0:
-            p = 1.0 / (1.0 + math.exp(-eta))
-        else:
-            e = math.exp(eta)
-            p = e / (1.0 + e)
-        state = binomial(n, _PROB_FLOOR if p < _PROB_FLOOR else _PROB_CEIL if p > _PROB_CEIL else p)
-        states.append(state)
+    for start in range(0, length, steps):
+        # A memoryview yields Python floats one at a time, without a list of all.
+        offsets = memoryview(offset[start:start + steps])
+        if bernoulli:
+            u = rng.random((len(offsets), n))
+            u.sort(axis=1)
+            rows, lo = memoryview(u.reshape(-1)), 0
+        for off in offsets:
+            # An overflow-safe logistic.
+            eta = off + phi1 * state
+            if eta >= 0.0:
+                p = 1.0 / (1.0 + exp(-eta))
+            else:
+                e = exp(eta)
+                p = e / (1.0 + e)
+            if bernoulli:
+                state = bisect_left(rows, p, lo, lo + n) - lo
+                lo += n
+            else:
+                state = binomial(n, _PROB_FLOOR if p < _PROB_FLOOR
+                                 else _PROB_CEIL if p > _PROB_CEIL else p)
+            states.append(state)
     return np.array(states, dtype=np.int64), w
 
 

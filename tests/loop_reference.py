@@ -2,14 +2,15 @@
 
 `experiments._monitor_block` scores a monitored horizon in array passes,
 `experiments._advance` reads a negated coefficient table, and
-`model.simulate_chain` runs its scalar chain on Python floats.  All must
-give the same bits as the loops below, which are the code they replaced:
-one lockstep step at a time with the coefficients read from the vector,
-and one `_scalar_prob` call per transition.  `train_window` replays a
-block's start and training window; `monitor_block` takes the training
-window from the engine's own `_train_block` and replays the monitored
-horizon.  Both draw every block whole, BLOCK_SIZE chains, and score only the
-replications the study keeps.
+`model.simulate_chain` runs its scalar chain on Python floats over chunks
+of sorted uniforms.  All must give the same bits as the loops below: one
+lockstep step at a time with the coefficients read from the vector, and
+one `_scalar_logistic` call per transition, its count summed from a row of
+all the path's uniforms, drawn at once, or drawn by `rng.binomial`.
+`train_window` replays a block's start and training window; `monitor_block`
+takes the training window from the engine's own `_train_block` and replays
+the monitored horizon.  Both draw every block whole, BLOCK_SIZE chains, and
+score only the replications the study keeps.
 """
 
 import math
@@ -18,11 +19,10 @@ import numpy as np
 
 from binarx.experiments import (
     BLOCK_SIZE,
-    N_MAX_BERNOULLI,
     _failure_names,
     _train_block,
 )
-from binarx.model import _clamp_prob, logistic
+from binarx.model import N_MAX_BERNOULLI, _clamp_prob, logistic
 from binarx.monitoring import inverse_metric
 from streaming_reference import PROB_CEIL, PROB_FLOOR
 
@@ -107,28 +107,33 @@ def monitor_block(task, b):
     return _failure_names(fit), sups.T[ok], passage.T[ok], drift, kept
 
 
-def _scalar_prob(eta: float) -> float:
+def _scalar_logistic(eta: float) -> float:
     # Overflow-safe scalar logistic for the simulation hot loop.
     if eta >= 0.0:
-        p = 1.0 / (1.0 + math.exp(-eta))
-    else:
-        e = math.exp(eta)
-        p = e / (1.0 + e)
-    return _clamp_prob(p)
+        return 1.0 / (1.0 + math.exp(-eta))
+    e = math.exp(eta)
+    return e / (1.0 + e)
 
 
 def simulate_chain(spec, length, rng, x0):
-    """`model.simulate_chain` with one numpy-scalar step per transition."""
+    """`model.simulate_chain` with one numpy-scalar step per transition: the
+    covariate block, then up to N_MAX_BERNOULLI a (length, n) block of
+    uniforms, a count being the number of its row's entries below p, and
+    above it one binomial draw per step at p clipped inside (0, 1)."""
     b = spec.beta
     w = spec.exo.draw(rng, length, b.l)
     offset = b.phi0 + (w @ np.asarray(b.gamma_exo) if b.l else np.zeros(length))
+    n = spec.n
+    u = rng.random((length, n)) if n <= N_MAX_BERNOULLI else None
     x = np.empty(length + 1, dtype=np.int64)
     x[0] = x0
-    n = spec.n
     phi1 = b.phi1
     state = int(x0)
     for t in range(length):
-        p = _scalar_prob(offset[t] + phi1 * state)
-        state = int(rng.binomial(n, p))
+        p = _scalar_logistic(offset[t] + phi1 * state)
+        if u is not None:
+            state = int((u[t] < p).sum())
+        else:
+            state = int(rng.binomial(n, _clamp_prob(p)))
         x[t + 1] = state
     return x, w

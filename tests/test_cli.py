@@ -782,7 +782,7 @@ def test_experiment_command(tmp_path):
     assert len(lines) == 4
     meta = json.loads((out / "consistency_meta.json").read_text())
     assert meta["experiment"] == "consistency"
-    assert meta["stream_contract"] == 3 and meta["block_size"] == 256
+    assert meta["stream_contract"] == 4 and meta["block_size"] == 256
     assert meta["failures_by_class"] == {
         "80": {"SeparationError": 0, "SingularHessianError": 0, "NonConvergenceError": 0}
     }

@@ -274,7 +274,7 @@ def test_a_fit_no_trial_scale_takes_uphill_stops():
     # lower the log PL.  The fit takes the last one and stops there instead
     # of iterating on to _MAX_ITER.
     spec = ModelSpec(n=10, beta=SPEC.beta, exo=ExogenousSpec(sd=1e-3))
-    sample = simulate_series(spec, 30, seed=30_000, burn_in=0)
+    sample = simulate_series(spec, 30, seed=30_002, burn_in=0)
     Z, y = estimation._design(sample, 10)
     events, log_pl_kernel = [], estimation._log_pl
 

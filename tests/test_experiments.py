@@ -42,7 +42,7 @@ from binarx.experiments import (
     run_normality,
     write_report,
 )
-from binarx.model import ExogenousSpec, SeriesSample, stationary_oracle
+from binarx.model import ExogenousSpec, SeriesSample, simulate_chain, stationary_oracle
 from binarx.monitoring import _weight
 from loop_reference import monitor_block as per_step_monitor_block
 from loop_reference import train_window as per_step_train_window
@@ -59,7 +59,7 @@ SPEC_BINOMIAL = ModelSpec(n=N_MAX_BERNOULLI + 1, beta=ParamVector(-1.0, 0.02, (0
 
 def _contract_block(seed, kind, i, b, steps, spec=SPEC, burn_in=500, change_at=None,
                     new_beta=None):
-    """Block b's chains under stream contract 3, rebuilt with numpy alone.
+    """Block b's chains under stream contract 4, rebuilt with numpy alone.
 
     Every block is drawn whole.  Returns x of shape (steps + 1, BLOCK_SIZE)
     and w of shape (steps, BLOCK_SIZE, l); transition t (1-based) uses
@@ -201,17 +201,30 @@ def test_size_report_shape_and_determinism(small_table):
         assert 0.0 <= row[4] <= 1.0
 
 
-@pytest.mark.parametrize("n", [N_MAX_BERNOULLI, N_MAX_BERNOULLI + 1],
-                         ids=["bernoulli-sums", "binomial-draw"])
-def test_advance_counts_follow_the_binomial_law(n):
-    # No covariate and phi1 = 0, so every chain has p = logistic(-0.5).  The
-    # pmf of 10^5 counts against Bin(n, p), cells with expectation below 5
-    # pooled into the tails, by a chi-square test at a fixed seed.
+def _advance_counts(spec, rng, size):
+    table = experiments._linear_table(spec.n, spec.beta)
+    x = np.zeros(size // 4, dtype=np.int64)
+    return np.concatenate([experiments._advance(spec, table, x, rng)[1] for _ in range(4)])
+
+
+def _chain_counts(spec, rng, size):
+    return simulate_chain(spec, size, rng, 0)[0][1:]
+
+
+@pytest.mark.parametrize("n, simulator", [
+    pytest.param(N_MAX_BERNOULLI, _advance_counts, id="bernoulli-sums"),
+    pytest.param(N_MAX_BERNOULLI + 1, _advance_counts, id="binomial-draw"),
+    pytest.param(N_MAX_BERNOULLI, _chain_counts, id="chain-bernoulli-sums"),
+    pytest.param(N_MAX_BERNOULLI + 1, _chain_counts, id="chain-binomial-draw"),
+])
+def test_advance_counts_follow_the_binomial_law(n, simulator):
+    # No covariate and phi1 = 0, so every step of every chain has
+    # p = logistic(-0.5).  The pmf of 10^5 counts, from the block engine's
+    # lockstep steps or from one scalar chain, against Bin(n, p), cells with
+    # expectation below 5 pooled into the tails, by a chi-square test at a
+    # fixed seed.
     spec = ModelSpec(n=n, beta=ParamVector(-0.5, 0.0), exo=ExogenousSpec())
-    rng = np.random.default_rng(47)
-    table = experiments._linear_table(n, spec.beta)
-    x = np.zeros(25_000, dtype=np.int64)
-    counts = np.concatenate([experiments._advance(spec, table, x, rng)[1] for _ in range(4)])
+    counts = simulator(spec, np.random.default_rng(47), 100_000)
     pmf = binom.pmf(np.arange(n + 1), n, expit(-0.5))
     expected = counts.size * pmf
     live = np.nonzero(expected >= 5)[0]
@@ -544,7 +557,7 @@ def test_failures_by_class_in_metadata(tmp_path):
     write_report(report, tmp_path)
     meta = json.loads((tmp_path / "consistency_meta.json").read_text())
     assert meta["failures_by_class"] == {"10": by_class}
-    assert meta["stream_contract"] == STREAM_CONTRACT == 3
+    assert meta["stream_contract"] == STREAM_CONTRACT == 4
     assert meta["block_size"] == BLOCK_SIZE == 256
 
 
@@ -579,7 +592,7 @@ def test_report_csv_writers(tmp_path, small_table):
                            (power, "80", {"reps", "change_at", "cells"})):
         meta = report.metadata()
         assert set(meta) == shared | own, meta["experiment"]
-        assert (meta["stream_contract"], meta["block_size"]) == (3, 256)
+        assert (meta["stream_contract"], meta["block_size"]) == (4, 256)
         assert set(meta["failures_by_class"][m]) == set(FAILURE_CLASSES)
 
 

@@ -182,15 +182,27 @@ def test_simulate_logistic_saturation():
 _FAR_EXO = ExogenousSpec(mean=100.0, sd=0.1, clamp_lo=0.0, clamp_hi=200.0)
 
 
-@pytest.mark.parametrize("beta, exo, x0, eta_in", [
-    pytest.param((-1.0, 0.3), ExogenousSpec(), 0, (-1.0, 2.0), id="l=0"),
-    pytest.param((-1.0, 0.1, 0.4, -0.3), ExogenousSpec(mean=2.0, sd=1.5), 5, (-6.0, 6.0),
+# The smallest n whose counts simulate_chain draws with rng.binomial.
+_N_BINOMIAL = model.N_MAX_BERNOULLI + 1
+
+
+@pytest.mark.parametrize("beta, exo, x0, eta_in, n", [
+    pytest.param((-1.0, 0.3), ExogenousSpec(), 0, (-1.0, 2.0), 10, id="l=0"),
+    pytest.param((-1.0, 0.1, 0.4, -0.3), ExogenousSpec(mean=2.0, sd=1.5), 5, (-6.0, 6.0), 10,
                  id="l=2"),
-    pytest.param((0.0, 0.1, -20.0), _FAR_EXO, 10, (-math.inf, -746.0), id="floor"),
-    pytest.param((0.0, 0.1, 20.0), _FAR_EXO, 0, (40.0, math.inf), id="ceiling"),
+    pytest.param((0.0, 0.1, -20.0), _FAR_EXO, 10, (-math.inf, -746.0), 10, id="floor"),
+    pytest.param((0.0, 0.1, 20.0), _FAR_EXO, 0, (40.0, math.inf), 10, id="ceiling"),
+    pytest.param((-1.0, 0.02, 0.4), ExogenousSpec(mean=2.0, sd=1.5), 7, (-1.0, 3.8),
+                 model.N_MAX_BERNOULLI, id="l=1-bernoulli-bound"),
+    pytest.param((-1.0, 0.02, 0.4), ExogenousSpec(mean=2.0, sd=1.5), 7, (-1.0, 3.8),
+                 _N_BINOMIAL, id="l=1-binomial"),
+    pytest.param((0.0, 0.1, -20.0), _FAR_EXO, 10, (-math.inf, -746.0), _N_BINOMIAL,
+                 id="floor-binomial"),
+    pytest.param((0.0, 0.1, 20.0), _FAR_EXO, 0, (40.0, math.inf), _N_BINOMIAL,
+                 id="ceiling-binomial"),
 ])
-def test_simulate_chain_matches_scalar_loop(beta, exo, x0, eta_in):
-    spec = ModelSpec(n=10, beta=ParamVector.from_array(beta), exo=exo)
+def test_simulate_chain_matches_scalar_loop(beta, exo, x0, eta_in, n):
+    spec = ModelSpec(n=n, beta=ParamVector.from_array(beta), exo=exo)
     x, w = model.simulate_chain(spec, 3000, np.random.default_rng(8), x0)
     want_x, want_w = scalar_simulate_chain(spec, 3000, np.random.default_rng(8), x0)
     assert x.dtype == want_x.dtype
@@ -201,6 +213,18 @@ def test_simulate_chain_matches_scalar_loop(beta, exo, x0, eta_in):
     assert eta_in[0] <= eta.min() and eta.max() <= eta_in[1]
     if math.isinf(eta_in[0]) == math.isinf(eta_in[1]):
         assert eta.min() < 0 < eta.max()
+
+
+def test_simulate_chain_draws_do_not_depend_on_its_chunk_size(monkeypatch):
+    # 1,000 steps: a multiple of neither 3 nor the default steps per chunk.
+    spec = default_model_spec()
+    default_x, default_w = model.simulate_chain(spec, 1000, rng := np.random.default_rng(9), 4)
+    default_state = rng.bit_generator.state
+    monkeypatch.setattr(model, "_CHAIN_CHUNK_UNIFORMS", 3 * spec.n)
+    x, w = model.simulate_chain(spec, 1000, rng := np.random.default_rng(9), 4)
+    np.testing.assert_array_equal(x, default_x)
+    np.testing.assert_array_equal(w, default_w)
+    assert rng.bit_generator.state == default_state
 
 
 def test_simulate_matches_oracle_mean():
