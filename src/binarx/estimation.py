@@ -87,9 +87,14 @@ def _gram(Z: np.ndarray, weights: np.ndarray) -> np.ndarray:
 
     Z is (k, m, d) and weights (k, m); the result is (k, d, d).  With weights
     n pi (1 - pi) it is the negated score gradient, with squared residuals
-    m times the outer-product score covariance.
+    m times the outer-product score covariance.  The weighted design is
+    written one column at a time: `Z * weights[:, :, None]` runs numpy's
+    inner loop over d alone, and took most of the call.
     """
-    M = np.matmul(np.swapaxes(Z, 1, 2), Z * weights[:, :, None])
+    weighted = np.empty_like(Z)
+    for j in range(Z.shape[2]):
+        np.multiply(Z[:, :, j], weights, out=weighted[:, :, j])
+    M = np.matmul(np.swapaxes(Z, 1, 2), weighted)
     return 0.5 * (M + np.swapaxes(M, 1, 2))
 
 
