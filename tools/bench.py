@@ -23,9 +23,10 @@ count and the sha256 of the sources each file measured.  The layers:
   each in a fresh interpreter started one at a time;
 - model: µs per lockstep `_advance` step of a 256-chain block, inside one
   `np.errstate` and with each step's counts stored in an int64 row, as a
-  monitored pass runs it, at n = 10 (Bernoulli sums) and at
-  n = N_MAX_BERNOULLI + 1 (one binomial draw), and µs per `simulate_chain`
-  transition;
+  monitored pass runs it, and µs per transition of a 10,000-step
+  `simulate_chain`, the auxiliary series of every size and power study;
+  each at n = 10 (Bernoulli sums) and at n = N_MAX_BERNOULLI + 1 (binomial
+  draws);
 - estimation: `fit_mple` ms at m = 300 and at m = 2000, and ms per
   `fit_mple_batch` of a 256-series block at m = 300;
 - calibration: ms per replication of `threshold_table` (grid 1000, d = 3);
@@ -79,13 +80,13 @@ REPEATS = 5
 ROUNDS = 10  # rounds of both trees with --parent
 THREADS = 1
 SPEC = default_model_spec()
-# The smallest n whose counts `_advance` draws with rng.binomial.
+# The smallest n whose counts both simulators draw with rng.binomial.
 BINOMIAL_SPEC = ModelSpec(n=N_MAX_BERNOULLI + 1, beta=ParamVector(-1.0, 0.02, (0.4,)),
                           exo=SPEC.exo)
 HORIZON, GAMMA, ALPHA = 3.0, 0.25, 0.05
 MONITOR_M = 300
 MONITOR_STEPS = int(HORIZON * MONITOR_M)  # the close-end horizon: 900 updates
-ADVANCE_STEPS, CHAIN_LENGTH = 500, 20_000
+ADVANCE_STEPS, CHAIN_LENGTH = 500, 10_000
 FIT_CALLS = {300: 20, 2000: 4}
 BATCH_M, BATCH_CALLS = 300, 5
 CALIB_REPS, CSV_READS = 500, 20
@@ -134,9 +135,11 @@ def advance_us_per_step(name: str, spec: ModelSpec):
     return sample
 
 
-def chain_us_per_transition() -> dict:
-    seconds, _ = _clock(simulate_chain, SPEC, CHAIN_LENGTH, np.random.default_rng(2), 3)
-    return {"model.chain_us_per_transition": seconds / CHAIN_LENGTH * 1e6}
+def chain_us_per_transition(name: str, spec: ModelSpec):
+    def sample() -> dict:
+        seconds, _ = _clock(simulate_chain, spec, CHAIN_LENGTH, np.random.default_rng(2), 3)
+        return {name: seconds / CHAIN_LENGTH * 1e6}
+    return sample
 
 
 def per_call(name: str, scale: float, calls: int, fn, *args):
@@ -160,12 +163,13 @@ def samplers(tmp: Path) -> list:
           "import.peak_rss_mb": ("MB", 'ru_maxrss of python -c "import binarx" in a fresh '
                                        'interpreter')}, import_once),
     ]
-    for name, spec in (("model.advance_us_per_step", SPEC),
-                       (f"model.advance_us_per_step_n{BINOMIAL_SPEC.n}", BINOMIAL_SPEC)):
+    for suffix, spec in (("", SPEC), (f"_n{BINOMIAL_SPEC.n}", BINOMIAL_SPEC)):
+        name = f"model.advance_us_per_step{suffix}"
         timers.append(({name: ("us", f"one lockstep _advance step of {BLOCK_SIZE} chains at "
                                      f"n={spec.n}")}, advance_us_per_step(name, spec)))
-    timers.append(({"model.chain_us_per_transition": (
-        "us", f"simulate_chain, {CHAIN_LENGTH} transitions")}, chain_us_per_transition))
+        name = f"model.simulate_chain_us_per_transition{suffix}"
+        timers.append(({name: ("us", f"simulate_chain, {CHAIN_LENGTH} transitions at "
+                                     f"n={spec.n}")}, chain_us_per_transition(name, spec)))
     for m, calls in FIT_CALLS.items():
         name = f"estimation.fit_ms_m{m}"
         timers.append(({name: ("ms", f"fit_mple at m={m}")},
