@@ -82,30 +82,14 @@ def _design(series: SeriesSample, spec_n: int) -> tuple[np.ndarray, np.ndarray]:
     return _stack_design(series.x, series.w)
 
 
-# Fewest design rows (series x points) that `_gram` weights one column at a
-# time.  Measured at d = 3: one call per column costs more than the broadcast
-# on a single series of 300 points, and less from about 2,000 rows on.
-_COLUMNWISE_ROWS = 2048
-
-
 def _gram(Z: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Stacked weighted Gram matrices sum_t weights_t z_t z_t', exactly symmetric.
 
     Z is (k, m, d) and weights (k, m); the result is (k, d, d).  With weights
     n pi (1 - pi) it is the negated score gradient, with squared residuals
-    m times the outer-product score covariance.  The weighted design holds
-    the same products either way: one broadcast multiply below
-    _COLUMNWISE_ROWS rows (k m), and one column at a time from there on,
-    where the broadcast runs numpy's inner loop over d alone and took most of
-    the call.
+    m times the outer-product score covariance.
     """
-    if Z.shape[0] * Z.shape[1] < _COLUMNWISE_ROWS:
-        weighted = Z * weights[:, :, None]
-    else:
-        weighted = np.empty_like(Z)
-        for j in range(Z.shape[2]):
-            np.multiply(Z[:, :, j], weights, out=weighted[:, :, j])
-    M = np.matmul(np.swapaxes(Z, 1, 2), weighted)
+    M = np.matmul(np.swapaxes(Z, 1, 2), Z * weights[:, :, None])
     return 0.5 * (M + np.swapaxes(M, 1, 2))
 
 

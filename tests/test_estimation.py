@@ -63,18 +63,6 @@ def test_log_pl_constant_pi_closed_form():
     assert got == pytest.approx(log_binom + m * n * math.log(0.5), rel=1e-13)
 
 
-@pytest.mark.parametrize("shape", [(1, 300, 3), (72, 300, 3), (3, 50, 5)])
-def test_gram_weights_its_design_alike_by_column_and_by_broadcast(shape, monkeypatch):
-    # The same products either way, so the same Gram bits, on each side of
-    # _COLUMNWISE_ROWS.
-    rng = np.random.default_rng(11)
-    Z, weights = rng.normal(size=shape), rng.random(shape[:2])
-    monkeypatch.setattr(estimation, "_COLUMNWISE_ROWS", 0)
-    by_column = estimation._gram(Z, weights)
-    monkeypatch.setattr(estimation, "_COLUMNWISE_ROWS", Z.shape[0] * Z.shape[1] + 1)
-    np.testing.assert_array_equal(by_column, estimation._gram(Z, weights))
-
-
 @pytest.mark.parametrize("n", [1, 10, 30, 1000, 10**6])
 def test_newton_start_log_pl_keeps_elementwise_bits(n):
     # The Newton kernel reads log C(n, y) from a table over 0..max(y) when
