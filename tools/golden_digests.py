@@ -20,11 +20,12 @@ OUTDIR must be empty or absent; every run writes below it.  The runs are:
   start, through the tensor quadrature) and at n = 40 (burn-in start).
 
 The first output line is `header()`: the stream contract and the numpy and
-python versions.  Each further line is `<sha256> exit=<code> <run>/<file>`,
-sorted, so the lists of two checkouts can be compared with `diff`.  The
-list of the current stream contract is pinned in
-tests/golden/contract_<N>.txt, and a Tier-1 test reruns these workflows and
-compares; a change to a digest updates that file.
+python versions.  The second is `host()`: numpy's SIMD targets on this CPU
+and the BLAS build, which fitted floats also follow.  Each further line is
+`<sha256> exit=<code> <run>/<file>`, sorted, so the lists of two checkouts
+can be compared with `diff`.  The list of the current stream contract is
+pinned in tests/golden/contract_<N>.txt, and a Tier-1 test reruns these
+workflows and compares; a change to a digest updates that file.
 """
 
 from __future__ import annotations
@@ -116,6 +117,29 @@ def header() -> str:
             f"python={platform.python_version()}")
 
 
+def host() -> str:
+    """The second header line: what else the bits of fitted floats and
+    threshold tables depend on.  numpy's vector exp and power take the code
+    path of the SIMD targets it finds on the CPU, and matmul and the solves
+    run in the BLAS build (README, "Reproducibility contract")."""
+    config = np.show_config(mode="dicts")
+    blas = config["Build Dependencies"]["blas"]
+    return (f"# host simd={','.join(config['SIMD Extensions']['found'])} "
+            f"blas={blas['name']}-{blas['version']}")
+
+
+# Artifacts whose bytes the random streams alone fix, on any host: counts
+# drawn by comparing uniforms with p, and covariates and binarized rates from
+# plain arithmetic.  Every other artifact holds threshold tables or fitted
+# floats, whose last bits may move with `host()`.
+STREAM_ARTIFACTS = ("series.csv", "binomial_series.csv")
+
+
+def host_independent(path: str) -> bool:
+    """Whether the artifact at `<run>/<file>` keeps its bytes on any host."""
+    return path.rsplit("/", 1)[-1] in STREAM_ARTIFACTS
+
+
 def digests(root: Path) -> list[str]:
     """Run every workflow into the empty directory `root` and return the
     digest lines, sorted by artifact path."""
@@ -189,7 +213,7 @@ def main(argv) -> int:
     if any(root.iterdir()):
         print(f"{root} is not empty", file=sys.stderr)
         return 2
-    print("\n".join([header(), *digests(root)]))
+    print("\n".join([header(), host(), *digests(root)]))
     return 0
 
 
