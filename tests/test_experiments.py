@@ -218,11 +218,15 @@ def _chain_counts(spec, rng, size):
     pytest.param(N_MAX_BERNOULLI + 1, _chain_counts, id="chain-binomial-draw"),
 ])
 def test_advance_counts_follow_the_binomial_law(n, simulator):
-    # No covariate and phi1 = 0, so every step of every chain has
-    # p = logistic(-0.5).  The pmf of 10^5 counts, from the block engine's
-    # lockstep steps or from one scalar chain, against Bin(n, p), cells with
-    # expectation below 5 pooled into the tails, by a chi-square test at a
-    # fixed seed.
+    """Both simulators' counts follow Bin(n, p), on both draw branches: the
+    block engine's `_advance` (ids without a prefix, kept from when it was
+    the only one tested) and the scalar `simulate_chain` (ids `chain-`).
+
+    No covariate and phi1 = 0, so every step of every chain has
+    p = logistic(-0.5).  The pmf of 10^5 counts against Bin(n, p), cells
+    with expectation below 5 pooled into the tails, by a chi-square test at
+    a fixed seed.
+    """
     spec = ModelSpec(n=n, beta=ParamVector(-0.5, 0.0), exo=ExogenousSpec())
     counts = simulator(spec, np.random.default_rng(47), 100_000)
     pmf = binom.pmf(np.arange(n + 1), n, expit(-0.5))
