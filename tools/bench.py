@@ -23,10 +23,9 @@ count and the sha256 of the sources each file measured.  The layers:
   each in a fresh interpreter started one at a time;
 - model: µs per lockstep `_advance` step of a 256-chain block, inside one
   `np.errstate` and with each step's counts stored in an int64 row, as a
-  monitored pass runs it, and µs per transition of a 10,000-step
-  `simulate_chain`, the auxiliary series of every size and power study;
-  each at n = 10 (Bernoulli sums) and at n = N_MAX_BERNOULLI + 1 (binomial
-  draws);
+  monitored pass runs it, and µs per transition of a 20,000-step
+  `simulate_chain`; each at n = 10 (Bernoulli sums) and at
+  n = N_MAX_BERNOULLI + 1 (binomial draws);
 - estimation: `fit_mple` ms at m = 300 and at m = 2000, and ms per
   `fit_mple_batch` of a 256-series block at m = 300;
 - calibration: ms per replication of `threshold_table` (grid 1000, d = 3);
@@ -86,7 +85,7 @@ BINOMIAL_SPEC = ModelSpec(n=N_MAX_BERNOULLI + 1, beta=ParamVector(-1.0, 0.02, (0
 HORIZON, GAMMA, ALPHA = 3.0, 0.25, 0.05
 MONITOR_M = 300
 MONITOR_STEPS = int(HORIZON * MONITOR_M)  # the close-end horizon: 900 updates
-ADVANCE_STEPS, CHAIN_LENGTH = 500, 10_000
+ADVANCE_STEPS, CHAIN_LENGTH = 500, 20_000
 FIT_CALLS = {300: 20, 2000: 4}
 BATCH_M, BATCH_CALLS = 300, 5
 CALIB_REPS, CSV_READS = 500, 20
@@ -167,7 +166,7 @@ def samplers(tmp: Path) -> list:
         name = f"model.advance_us_per_step{suffix}"
         timers.append(({name: ("us", f"one lockstep _advance step of {BLOCK_SIZE} chains at "
                                      f"n={spec.n}")}, advance_us_per_step(name, spec)))
-        name = f"model.simulate_chain_us_per_transition{suffix}"
+        name = f"model.chain_us_per_transition{suffix}"
         timers.append(({name: ("us", f"simulate_chain, {CHAIN_LENGTH} transitions at "
                                      f"n={spec.n}")}, chain_us_per_transition(name, spec)))
     for m, calls in FIT_CALLS.items():
