@@ -157,7 +157,7 @@ def model_comparison(series: BinomialSeries) -> dict:
     lr = 2.0 * (ll_ar1 - ll_simple)
     return {
         "aic_simple": 2.0 - 2.0 * ll_simple,
-        "aic_ar1": 4.0 - 2.0 * ll_ar1,
+        "aic_ar1": fit.aic,
         "lr_stat": lr,
         "p_value": chi2_sf(max(lr, 0.0)),
         "pi_hat": pi_hat,

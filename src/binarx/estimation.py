@@ -73,15 +73,6 @@ def _stack_design(x: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return Z, x[..., 1:].astype(float)
 
 
-def _design(series: SeriesSample, spec_n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Design matrix Z (rows z_{t-1}) and responses y = x[1:], counts checked."""
-    if series.m < 1:
-        raise ValueError("series has no transitions")
-    if np.any(series.x > spec_n):
-        raise ValueError(f"series contains counts above n={spec_n}")
-    return _stack_design(series.x, series.w)
-
-
 def _gram(Z: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Stacked weighted Gram matrices sum_t weights_t z_t z_t', exactly symmetric.
 
@@ -276,10 +267,10 @@ def fit_mple_batch(x: np.ndarray, w: np.ndarray, spec_n: int) -> BatchFit:
     """
     c, m = x.shape[0], x.shape[1] - 1
     chunk = max(1, _CHUNK_ELEMENTS // (m * (2 + w.shape[2])))
-    parts = []
-    for lo in range(0, c, chunk):
-        Z, y = _stack_design(x[lo:lo + chunk], w[lo:lo + chunk])
-        parts.append(_newton(Z, y, spec_n))
+    parts = [_newton(*_stack_design(x[lo:lo + chunk], w[lo:lo + chunk]), spec_n)
+             for lo in range(0, c, chunk)]
+    if len(parts) == 1:  # every fit_mple call: return it without copying
+        return parts[0]
     return BatchFit(
         **{f.name: np.concatenate([getattr(p, f.name) for p in parts])
            for f in fields(BatchFit) if f.name != "errors"},
@@ -293,14 +284,17 @@ def fit_mple(series: SeriesSample, spec_n: int) -> FitResult:
     Raises SeparationError when every response sits at the same boundary
     (0 or n), SingularHessianError on a numerically singular curvature
     matrix, and NonConvergenceError when the score tolerance is not reached
-    within the iteration budget.  This is the batch-of-one case of the
-    batched Newton kernel that fit_mple_batch runs.
+    within the iteration budget.  It checks the series, then fits it as
+    fit_mple_batch's batch of one.
     """
-    Z, y = _design(series, spec_n)
-    m, d = Z.shape
+    m, d = series.m, 2 + series.l
+    if m < 1:
+        raise ValueError("series has no transitions")
+    if np.any(series.x > spec_n):
+        raise ValueError(f"series contains counts above n={spec_n}")
     if m < d + 1:
         raise ValueError(f"need at least {d + 1} transitions to fit {d} coefficients, got {m}")
-    fit = _newton(Z[None], y[None], spec_n)
+    fit = fit_mple_batch(series.x[None], series.w[None], spec_n)
     if fit.errors[0] is not None:
         raise fit.errors[0]
     return FitResult(

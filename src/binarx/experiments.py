@@ -170,8 +170,8 @@ class _Report:
 def _start_cdf(spec: ModelSpec) -> np.ndarray | None:
     """CDF of the stationary pmf for the exact start, or None for burn-in.
 
-    The oracle runs only for n <= 30 and l <= 2: its tensor quadrature has
-    66^l points, 66x more at l = 3 than at l = 2.
+    `stationary_oracle` solves for the pmf exactly; it runs only for n <= 30
+    and l <= 2: its tensor quadrature has 66^l points, 66x more at l = 3.
     """
     if spec.n > 30 or spec.beta.l > 2:
         return None

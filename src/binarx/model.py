@@ -26,7 +26,7 @@ from numpy.polynomial.legendre import leggauss
 
 from ._artifacts import open_csv, write_csv
 from .defaults import DEFAULT_BURN_IN, MAX_POINTS, PARAM_BOX_BOUND
-from .exceptions import ConfigError, NonConvergenceError
+from .exceptions import ConfigError
 
 # Smallest/largest probabilities representable strictly inside (0, 1).
 _PROB_FLOOR = math.nextafter(0.0, 1.0)
@@ -368,10 +368,10 @@ def stationary_oracle(spec: ModelSpec) -> tuple[np.ndarray, np.ndarray]:
 
     P[j, i] is the probability of moving from count j to count i, obtained by
     integrating the binomial transition kernel over the clamped covariate
-    distribution.  The stationary pmf solves mu = mu P and is found by power
-    iteration (sup-norm tolerance 1e-12).  Intended for small n only; cost
-    grows with (n+1)^2 times the quadrature size, which is itself
-    (_QUAD_NODES + 2)^l.
+    distribution.  The stationary pmf solves mu = mu P by Grassmann-Taksar-
+    Heyman elimination, which subtracts nothing: every mass keeps its relative
+    accuracy however slowly the chain mixes.  Intended for small n only;
+    building P costs (n+1)^2 times the quadrature size, (_QUAD_NODES + 2)^l.
     """
     n = spec.n
     if n > 30:
@@ -385,19 +385,24 @@ def stationary_oracle(spec: ModelSpec) -> tuple[np.ndarray, np.ndarray]:
     for j in range(n + 1):
         eta = b.phi0 + b.phi1 * j + pts @ gamma
         p = _clip_prob(logistic(eta))
-        log_pmf = (
-            log_coef[None, :]
-            + counts[None, :] * np.log(p)[:, None]
-            + (n - counts)[None, :] * np.log1p(-p)[:, None]
-        )
+        log_pmf = log_coef + counts * np.log(p)[:, None] + (n - counts) * np.log1p(-p)[:, None]
         P[j] = wts @ np.exp(log_pmf)
-    mu = np.full(n + 1, 1.0 / (n + 1))
-    for _ in range(10**6):
-        nxt = mu @ P
-        if np.abs(nxt - mu).max() < 1e-12:
-            return P, nxt
-        mu = nxt
-    raise NonConvergenceError("power iteration for the stationary pmf did not converge")
+    # Censor states n, ..., 1 in turn: s[i] is the probability that the chain
+    # watched on 0..i steps from i to below i, row i the law of where it lands.
+    A, s = P.copy(), np.zeros(n + 1)
+    for i in range(n, 0, -1):
+        s[i] = A[i, :i].sum()
+        A[i, :i] /= max(s[i], _PROB_FLOOR)  # all zero when s[i] is
+        A[:i, :i] += np.outer(A[:i, i], A[i, :i])
+    # Back-substitute mu[i] s[i] = mu[:i] @ A[:i, i], scaling mu[:i] by s[i]
+    # rather than dividing by it: where P underflows, s[i] can be tiny or 0.
+    # At 0 the chain never gets from i back below it, so those carry no mass.
+    mu = np.ones(n + 1)  # mu[0] = 1; the loop sets the rest in order
+    for i in range(1, n + 1):
+        mu[i] = mu[:i] @ A[:i, i] if s[i] else 1.0
+        mu[:i] *= s[i]
+        mu[:i + 1] /= mu[:i + 1].max()
+    return P, mu / mu.sum()
 
 
 def write_series_csv(sample: SeriesSample, path) -> None:

@@ -2,8 +2,8 @@
 
 `estimation._log_pl`, `_score` and `_curvature` work on stacked designs.
 These wrappers hand them one series as a batch of one, built by
-`estimation._design`, so a test checks the code that `fit_mple` runs.  They
-restate no formula.
+`estimation._stack_design`, so a test checks the code that `fit_mple` runs.
+They restate no formula.
 """
 
 import numpy as np
@@ -14,8 +14,7 @@ from binarx.model import logistic
 
 def _at(series, spec_n, beta):
     """Batch-of-one design Z, responses y, log PL and pi at beta."""
-    Z, y = estimation._design(series, spec_n)
-    Z, y = Z[None], y[None]
+    Z, y = estimation._stack_design(series.x[None], series.w[None])
     b = beta.as_array() if isinstance(beta, ParamVector) else np.asarray(beta, dtype=float)
     lp, eta = estimation._log_pl(Z, y, estimation._log_coef(y, spec_n), b[None], spec_n)
     return Z, y, lp, logistic(eta)

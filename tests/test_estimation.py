@@ -37,8 +37,7 @@ def _newton_traced(sample, n):
     each iteration and once at the end, so one run with the logistic recorded
     sees the eta of every accepted iterate in order.
     """
-    Z, y = estimation._design(sample, n)
-    Z, y = Z[None], y[None]
+    Z, y = estimation._stack_design(sample.x[None], sample.w[None])
     seen = []
 
     def recorder(eta):
@@ -130,9 +129,9 @@ def test_log_pl_maximizer_dominance():
     assert log_pl(sample, SPEC.n, fit.beta_hat) >= log_pl(sample, SPEC.n, SPEC.beta)
 
 
-def test_log_pl_requires_transitions():
-    with pytest.raises(ValueError):
-        log_pl(_no_exo_series([3]), 10, np.zeros(2))
+def test_fit_requires_transitions():
+    with pytest.raises(ValueError, match="no transitions"):
+        fit_mple(_no_exo_series([3]), 10)
 
 
 def test_score_zero_at_exact_conditional_means():
@@ -275,7 +274,7 @@ def test_a_fit_no_trial_scale_takes_uphill_stops():
     # of iterating on to _MAX_ITER.
     spec = ModelSpec(n=10, beta=SPEC.beta, exo=ExogenousSpec(sd=1e-3))
     sample = simulate_series(spec, 30, seed=30_002, burn_in=0)
-    Z, y = estimation._design(sample, 10)
+    Z, y = estimation._stack_design(sample.x[None], sample.w[None])
     events, log_pl_kernel = [], estimation._log_pl
 
     def counted(*args):
@@ -289,7 +288,7 @@ def test_a_fit_no_trial_scale_takes_uphill_stops():
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(estimation, "_log_pl", counted)
         mp.setattr(estimation, "logistic", marked)
-        fit = estimation._newton(Z[None], y[None], 10)
+        fit = estimation._newton(Z, y, 10)
     # One log PL at the start, then per iteration a logistic and its trial
     # scales, and a last logistic after the loop.
     per_iteration = [len(part.split()) for part in " ".join(events).split("|")[1:-1]]

@@ -265,6 +265,41 @@ def test_oracle_fixed_point():
     assert abs(mu.sum() - 1.0) < 1e-12
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [
+        default_model_spec(),
+        ModelSpec(n=30, beta=ParamVector(-8.5, 0.55, (0.0,)), exo=ExogenousSpec()),
+        ModelSpec(n=30, beta=ParamVector(-8.0, 0.55, (0.0,)), exo=ExogenousSpec()),
+        ModelSpec(n=30, beta=ParamVector(20.0, 20.0, (0.4,)), exo=ExogenousSpec()),
+    ],
+    ids=["default", "metastable-low", "metastable-high", "saturated"],
+)
+def test_oracle_matches_a_row_of_a_high_power_of_p(spec):
+    # A row of P^(2^k), from k squarings with rows renormalised, subtracts
+    # nothing, so it is the stationary law to rounding even where the chain
+    # almost never moves between its two modes (n = 30, phi1 = 0.55).  There
+    # a pmf far from stationarity can still have a residual |mu P - mu| of
+    # 1e-13, so only a reference of this kind tells them apart.  In the
+    # saturated chain every P[x, y] with x >= 1 and y < 10 underflows to 0,
+    # so counts 0..9 are never re-entered and carry no mass.
+    P, mu = stationary_oracle(spec)
+    power = P.copy()
+    for _ in range(420):
+        power = power @ power
+        power /= power.sum(axis=1, keepdims=True)
+    np.testing.assert_allclose(mu, power[0], rtol=0, atol=1e-12)
+
+
+def test_oracle_solves_a_chain_of_period_two():
+    # p is near 1 at x = 0 and near 0 at x = 30, so the chain alternates
+    # between them: P^k has no limit, but the stationary law puts 1/2 on each.
+    P, mu = stationary_oracle(ModelSpec(n=30, beta=ParamVector(20.0, -20.0, (0.4,)),
+                                        exo=ExogenousSpec()))
+    assert mu[0] == pytest.approx(0.5, abs=1e-7) and mu[30] == pytest.approx(0.5, abs=1e-7)
+    assert np.abs(mu @ P - mu).max() < 1e-15
+
+
 def test_two_covariate_quadrature_is_the_outer_product_and_the_oracle_holds():
     # At l = 2 the tensor rule is the outer product of the one-coordinate
     # rule, and the oracle it feeds matches a long chain.  The exact start
