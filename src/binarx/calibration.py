@@ -13,8 +13,8 @@ Tables are calibrated for the metric A = Sigma^{-1} only: writing W = L B
 for the Cholesky factor L of Sigma turns the quadratic form into a plain
 squared norm of standard-normal partial sums, so the thresholds do not depend
 on Sigma at all.  Tables use this whitened form directly, which makes the
-independence exact.  A table's critical values hold only for that metric and
-for the horizon N it was calibrated at.
+independence exact.  A table's critical values hold only for that metric; at
+any horizon they follow from its N by Brownian scaling (ThresholdTable.lookup).
 """
 
 from __future__ import annotations
@@ -74,6 +74,11 @@ def _check_levels(gammas, alphas) -> None:
 def _check_positive(value: float, field: str) -> None:
     if not value > 0:
         raise ConfigError(field, f"must be > 0, got {value}")
+
+
+def _check_finite_positive(value: float, field: str) -> None:
+    if not 0 < value < math.inf:
+        raise ConfigError(field, f"must be finite and > 0, got {value}")
 
 
 def _rho(s, gamma: float):
@@ -140,6 +145,7 @@ class ThresholdTable:
 
     Every c must be > 0: a NaN would switch the monitor off, and a c <= 0
     would alarm at the first point.  inf, a cell that never alarms, is allowed.
+    N, which scales every cell to another horizon, must be finite and > 0.
     """
 
     entries: dict
@@ -149,22 +155,23 @@ class ThresholdTable:
     master_seed: int
 
     def __post_init__(self):
+        _check_finite_positive(self.horizon, "N")
         for (g, a), c in self.entries.items():
             _check_positive(c, f"c at gamma={g}, alpha={a}")
 
-    def lookup(self, gamma: float, alpha: float) -> float:
+    def lookup(self, gamma: float, alpha: float, horizon: float | None = None) -> float:
+        """c(gamma, alpha) at `horizon` (None: the stored cell, at N).  The
+        no-change limit is sup_{u <= T} u^(-2 gamma) |W_d(u)|^2, T = N / (1 + N)
+        (Horvath, Huskova, Kokoszka & Steinebach, JSPI 2004), so by Brownian
+        scaling the cell at N' is the cell at N times (T'/T)^(1 - 2 gamma)."""
         key = (float(gamma), float(alpha))
         if key not in self.entries:
             raise ThresholdUnavailableError(
                 f"no threshold for gamma={gamma}, alpha={alpha} in table")
-        return self.entries[key]
-
-    def check_horizon(self, horizon: float) -> None:
-        """Refuse a monitor whose horizon N is not the one this table was calibrated at."""
-        if float(horizon) != float(self.horizon):
-            raise ThresholdUnavailableError(
-                f"threshold table is calibrated for horizon N={self.horizon}, not {horizon}"
-            )
+        horizon = self.horizon if horizon is None else horizon
+        _check_finite_positive(horizon, "horizon")
+        ratio = horizon * (1.0 + self.horizon) / (self.horizon * (1.0 + horizon))
+        return self.entries[key] * ratio ** (1.0 - 2.0 * key[0])
 
 
 def _sup_rep_worker(shared: tuple, rep_index: int) -> np.ndarray:
@@ -238,8 +245,8 @@ def write_threshold_table(table: ThresholdTable, path) -> None:
 
 def read_threshold_table(path) -> ThresholdTable:
     """Read a table written by write_threshold_table; every row must hold its
-    own (gamma, alpha) cell, a c > 0 and the first row's recipe (reps, grid_m,
-    N, seed)."""
+    own (gamma, alpha) cell, a c > 0, a finite N > 0 and the first row's
+    recipe (reps, grid_m, N, seed)."""
     entries = {}
     recipes = []
 
@@ -248,6 +255,7 @@ def read_threshold_table(path) -> ThresholdTable:
         recipe = (int(row[3]), int(row[4]), float(row[5]), int(row[6]))
         if key in entries:
             raise ValueError(f"repeats the cell gamma={key[0]}, alpha={key[1]}")
+        _check_finite_positive(recipe[2], "N")
         if recipes and recipe != recipes[0]:
             raise ValueError(f"recipe (reps, grid_m, N, seed) = {recipe} differs from the "
                              f"first row's {recipes[0]}")

@@ -61,7 +61,7 @@ class ConfigError(BinarxError, ValueError):
 
 class ThresholdUnavailableError(ConfigError):
     """The threshold table holds no critical value for the requested (gamma,
-    alpha) pair or horizon; it names the `thresholds` field."""
+    alpha) pair; it names the `thresholds` field."""
 
     def __init__(self, reason: str):
         super().__init__("thresholds", reason)

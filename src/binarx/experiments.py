@@ -86,8 +86,8 @@ class ChangePoint:
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Study settings.  Every m_list entry's horizon, of any kind of study,
-    must hold a monitored point and the change, and neither the entry nor its
-    horizon may exceed MAX_POINTS points; ConfigError names the field."""
+    must hold a monitored point and the change; no entry, horizon or binomial
+    total n may exceed MAX_POINTS points; ConfigError names the field."""
 
     spec: ModelSpec = field(default_factory=default_model_spec)
     m_list: tuple[int, ...] = (500, 1000, 1500)
@@ -114,6 +114,9 @@ class ExperimentConfig:
         if min(self.m_list) < d + 1:
             raise ConfigError("m_list", f"entry {min(self.m_list)} is below {d + 1}, "
                                         "the fewest transitions that fit the model")
+        if self.spec.n > MAX_POINTS:
+            raise ConfigError("spec.n", f"binomial total {self.spec.n} is above the budget of "
+                                        f"{MAX_POINTS} points")
         if max(self.m_list) > MAX_POINTS:
             raise ConfigError("m_list", f"entry {max(self.m_list)} is above the budget of "
                                         f"{MAX_POINTS} points")
@@ -556,14 +559,14 @@ def _monitor_study(config: ExperimentConfig, kind: int, change, alphas, threads:
     """Run the blocks of a size or power study at every training length.
 
     ExperimentConfig has checked that every horizon holds a monitored point
-    and the change.  Every table cell is looked up before any block runs; a
-    table the config does not give is calibrated here, at the
-    CalibrationConfig defaults for reps and grid_m (any other recipe is built
-    with threshold_table and passed in as `thresholds`).  First passages are
-    tracked only under a change, at the first alpha.  Returns the cells
-    {(gamma, alpha): c}; per training length (m, sups, first-passage
-    indices, score drifts or None), one row per fitted rep; and the report
-    fields both studies share.
+    and the change.  Every table cell is looked up at the study's horizon
+    before any block runs; a table the config does not give is calibrated
+    here, at the CalibrationConfig defaults for reps and grid_m (any other
+    recipe is built with threshold_table and passed in as `thresholds`).
+    First passages are tracked only under a change, at the first alpha.
+    Returns the cells {(gamma, alpha): c}; per training length (m, sups,
+    first-passage indices, score drifts or None), one row per fitted rep;
+    and the report fields both studies share.
     """
     horizons = [horizon_steps(config.horizon, m) for m in config.m_list]
     table = config.thresholds
@@ -575,8 +578,7 @@ def _monitor_study(config: ExperimentConfig, kind: int, change, alphas, threads:
             alphas=config.alphas,
             master_seed=config.master_seed,
         ), threads)
-    table.check_horizon(config.horizon)
-    cells = {(g, a): table.lookup(g, a) for g in config.gammas for a in alphas}
+    cells = {(g, a): table.lookup(g, a, config.horizon) for g in config.gammas for a in alphas}
     cdf = _start_cdf(config.spec)
     a_common = _aux_metric(config, cdf) if config.a_source == "aux" else None
     passage = None

@@ -118,17 +118,15 @@ def monitor_init(
 ) -> MonitorState:
     """Fit the training window and assemble a fresh monitor.
 
-    `threshold_source` is either a critical value or a threshold table to
-    look (gamma, alpha) up in; a table is used only at the horizon it was
-    calibrated at.  The statistic's metric is `inverse_metric` of the
-    training outer-product score covariance, the metric that tables are
-    calibrated for.  The statistic needs the training score sum at zero:
-    fit_mple returns only fits whose score norm is below its tolerance.
+    `threshold_source` is a critical value or a threshold table to look
+    (gamma, alpha) up in at `horizon`.  The metric is `inverse_metric` of the
+    training outer-product score covariance, the one tables are calibrated
+    for.  The statistic needs the training score sum at zero: fit_mple
+    returns only fits whose score norm is below its tolerance.
     """
     fit = fit_mple(training, spec_n)
     if isinstance(threshold_source, ThresholdTable):
-        threshold_source.check_horizon(horizon)
-        c = threshold_source.lookup(gamma, alpha)
+        c = threshold_source.lookup(gamma, alpha, horizon)
     else:
         c = float(threshold_source)
     config = MonitorConfig(

@@ -16,7 +16,7 @@ in the two-sided 0.999 chi-square band chi2_reps / reps, [0.599, 1.532] at
 oracle value 0.000103; the criterion prints that ratio and does not assert it.
 
 Criterion 05 checks the gamma = 0 critical values against their exact law
-(`_bessel3_sup_tail`, pinned to a fine-grid simulation by
+(`bessel3_sup_tail`, pinned to a fine-grid simulation by
 `test_bessel3_sup_series_matches_fine_grid_simulation`): the exact tail
 probability at each calibrated c(0, alpha) must lie in the two-sided 0.999
 binomial band of alpha at the table's reps.  The published gamma = 0 cells
@@ -59,7 +59,7 @@ from binarx.dataprep import (
 from binarx.defaults import DEFAULT_SEED
 from binarx.experiments import run_consistency, run_normality
 from binarx.model import _QUAD_NODES, _exogenous_quadrature, stationary_oracle
-from calibration_reference import sample_sup_functional
+from calibration_reference import bessel3_sup_tail, sample_sup_functional
 from series_kernel import curvature, log_pl, score
 
 SPEC = default_model_spec()
@@ -69,20 +69,6 @@ PAPER_MEAN_BETA = np.array([-0.9931, 0.0980, 0.4036])
 def _criterion(num: int, name: str, ok: bool, detail: str) -> None:
     print(f"ACCEPTANCE {num:02d} {name}: {'PASS' if ok else 'FAIL'} ({detail})")
     assert ok, f"criterion {num} failed: {detail}"
-
-
-@pytest.fixture(scope="module")
-def table10k():
-    config = CalibrationConfig(
-        dim=3,
-        reps=10_000,
-        grid_m=1000,
-        horizon=3.0,
-        gammas=(0.0, 0.25, 0.4),
-        alphas=(0.1, 0.05, 0.025, 0.01),
-        master_seed=DEFAULT_SEED,
-    )
-    return threshold_table(config)
 
 
 def _stationary_information(spec) -> np.ndarray:
@@ -103,22 +89,6 @@ def _stationary_information(spec) -> np.ndarray:
     return G
 
 
-def _bessel3_sup_tail(c: float) -> float:
-    """P(sup_{u <= 3/4} |W_3(u)|^2 >= c) for a standard 3-d Wiener process W_3.
-
-    This is the law of the gamma = 0 calibration functional at d = 3, N = 3.
-    V(s) = W1(s) - s W2(1) has covariance min(s, t) - st, so V(s) / (1 + s)
-    is a standard Wiener process in the time u = s / (1 + s), and
-    rho^2(s, 0) = (1 + s)^-2; the sup over s <= N is the sup over
-    u <= N / (1 + N) = 3/4 of |W(u)|^2.  For d = 3, Ciesielski & Taylor
-    (1962) give P(sup_{u <= t} |W_3(u)|^2 < c) =
-    2 sum_k (-1)^(k+1) exp(-k^2 pi^2 t / (2c)).
-    """
-    k = np.arange(1, 61)
-    terms = (-1.0) ** (k + 1) * np.exp(-((k * math.pi) ** 2) * 0.75 / (2.0 * c))
-    return 1.0 - 2.0 * float(terms.sum())
-
-
 def test_bessel3_sup_series_matches_fine_grid_simulation():
     # 4000 paths of W_3 on 1000 steps over [0, 3/4].  The discrete maximum
     # sits slightly below the supremum; that bias is well inside 4 MC sd.
@@ -129,7 +99,7 @@ def test_bessel3_sup_series_matches_fine_grid_simulation():
         sups.append(np.einsum("pkd,pkd->pk", W, W).max(axis=1))
     sups = np.concatenate(sups)
     for c in (3.0, 5.6724, 6.854, 8.0107, 9.5141):
-        tail = _bessel3_sup_tail(c)
+        tail = bessel3_sup_tail(c)
         assert abs((sups >= c).mean() - tail) <= 4.0 * math.sqrt(tail * (1.0 - tail) / sups.size), c
 
 
@@ -245,10 +215,10 @@ def test_criterion_05_threshold_reproduction(table10k):
     # Exact tail at each calibrated gamma = 0 cell against the two-sided
     # 0.999 binomial band of alpha at the table's reps.
     alphas = (0.1, 0.05, 0.025, 0.01)
-    tails = [_bessel3_sup_tail(table10k.lookup(0.0, a)) for a in alphas]
+    tails = [bessel3_sup_tail(table10k.lookup(0.0, a)) for a in alphas]
     bands = [binom.ppf((0.0005, 0.9995), table10k.reps, a) / table10k.reps for a in alphas]
     ok_a = all(lo <= tail <= hi for tail, (lo, hi) in zip(tails, bands))
-    published_tails = [_bessel3_sup_tail(c) for c in (5.6145, 7.2195, 8.6995, 10.0376)]
+    published_tails = [bessel3_sup_tail(c) for c in (5.6145, 7.2195, 8.6995, 10.0376)]
     c_401 = table10k.lookup(0.4, 0.01)
     ok_b = abs(c_401 - 13.7854) <= 0.8
 

@@ -1,9 +1,13 @@
+import math
+
 import numpy as np
 import pytest
+from scipy.stats import binom
 
-from binarx import CalibrationConfig, read_threshold_table, threshold_table
-from binarx.calibration import _sup_samples, quantile_higher, write_threshold_table
-from calibration_reference import sample_sup_functional
+from binarx import CalibrationConfig, ConfigError, read_threshold_table, threshold_table
+from binarx.calibration import (ThresholdTable, _sup_samples, quantile_higher,
+                                write_threshold_table)
+from calibration_reference import bessel3_sup_tail, sample_sup_functional
 
 SIGMA = np.array([[2.0, 0.3, 0.1], [0.3, 1.5, -0.2], [0.1, -0.2, 0.9]])
 
@@ -127,13 +131,58 @@ def test_threshold_csv_round_trip(tmp_path):
      "line 3: c: must be > 0, got nan"),
     (["0.0,0.05,0.0,100,1000,3.0,0"], "line 2: c: must be > 0, got 0.0"),
     (["0.0,0.05,-1.0,100,1000,3.0,0"], "line 2: c: must be > 0, got -1.0"),
+    # N scales every cell to another horizon: N = 0 divides by zero, inf and
+    # nan give a NaN cell that never alarms, and N in (-1, 0) a complex one.
+    (["0.0,0.05,7.0,100,1000,0.0,0"], "line 2: N: must be finite and > 0, got 0.0"),
+    (["0.0,0.05,7.0,100,1000,-0.5,0"], "line 2: N: must be finite and > 0, got -0.5"),
+    (["0.0,0.05,7.0,100,1000,nan,0"], "line 2: N: must be finite and > 0, got nan"),
+    (["0.0,0.05,7.0,100,1000,inf,0"], "line 2: N: must be finite and > 0, got inf"),
 ], ids=["other-N", "other-reps", "repeated-cell", "non-numeric", "short-row", "empty",
-        "nan-c", "zero-c", "negative-c"])
+        "nan-c", "zero-c", "negative-c", "zero-N", "negative-N", "nan-N", "inf-N"])
 def test_threshold_table_rows_must_agree(tmp_path, rows, message):
     path = tmp_path / "thresholds.csv"
     path.write_text("\n".join(["gamma,alpha,c,reps,grid_m,N,seed", *rows]) + "\n")
     with pytest.raises(ValueError, match=rf"thresholds\.csv: {message}"):
         read_threshold_table(path)
+
+
+@pytest.mark.parametrize("horizon", [0.0, -0.5, math.nan, math.inf])
+def test_a_table_and_its_lookup_refuse_a_horizon_they_cannot_scale(horizon):
+    with pytest.raises(ConfigError, match=f"N: must be finite and > 0, got {horizon}"):
+        ThresholdTable({(0.0, 0.05): 7.0}, 100, 1000, horizon, 0)
+    table = ThresholdTable({(0.0, 0.05): 7.0}, 100, 1000, 3.0, 0)
+    with pytest.raises(ConfigError, match=f"horizon: must be finite and > 0, got {horizon}"):
+        table.lookup(0.0, 0.05, horizon)
+
+
+def test_lookup_keeps_the_stored_cells_at_the_table_horizon():
+    table = threshold_table(_cfg(reps=100))
+    for (g, a), c in table.entries.items():
+        assert table.lookup(g, a) == c
+        assert table.lookup(g, a, 3.0) == c
+        assert table.lookup(g, a, 3) == c
+
+
+@pytest.mark.parametrize("horizon", [1.0, 10.0])
+def test_gamma_zero_cells_rescale_to_the_exact_law_at_another_horizon(table10k, horizon):
+    # At gamma = 0 the cell at N' is the N = 3 cell times T'/T, T = N / (1 + N).
+    # Its exact tail over u <= T' must lie in the band that criterion 05 holds
+    # the stored cell to; the factor N'/N puts it far outside.
+    t = horizon / (1.0 + horizon)
+    for a in (0.1, 0.05, 0.025, 0.01):
+        lo, hi = binom.ppf((0.0005, 0.9995), table10k.reps, a) / table10k.reps
+        assert lo <= bessel3_sup_tail(table10k.lookup(0.0, a, horizon), t) <= hi, a
+
+
+def test_rescaled_cells_match_a_table_calibrated_at_the_new_horizon():
+    # At gamma > 0 the factor is (T'/T)^(1 - 2 gamma): 0.82 at gamma = 0.25
+    # and 0.92 at 0.4 for N = 3 to N' = 1.  The exponent 1 in its place reads
+    # 16% to 28% low; Monte-Carlo noise at these reps stays within 5%.
+    shared = dict(dim=3, reps=4000, grid_m=100, gammas=(0.25, 0.4), alphas=(0.1, 0.05))
+    at_3 = threshold_table(CalibrationConfig(horizon=3.0, **shared))
+    at_1 = threshold_table(CalibrationConfig(horizon=1.0, **shared))
+    for (g, a), c in at_1.entries.items():
+        assert at_3.lookup(g, a, 1.0) == pytest.approx(c, rel=0.08), (g, a)
 
 
 def test_config_validation():

@@ -580,6 +580,10 @@ def test_config_unknown_keys_name_the_field(tmp_path, capsys, command, section, 
      "calibrate.gammas: entry 0.0 is listed more than once"),
     ("calibrate", {"calibrate": {"alphas": [0.1, 0.05, 0.1]}},
      "calibrate.alphas: entry 0.1 is listed more than once"),
+    # A study block tabulates -eta at every count 0..n: 7 PiB at n = 10^15.
+    ("experiment", {"model": {"n": 10**15, "beta": [-1.0, 0.0, 0.4], "burn_in": 2},
+                    "experiment": {"kind": "consistency", "m_list": [10], "reps": 2}},
+     "experiment.spec.n: binomial total 1000000000000000 is above the budget of 1000000"),
 ])
 def test_config_out_of_range_values_name_the_field(tmp_path, capsys, command, section, message):
     cfg = _write_config(tmp_path / "cfg.json", {"model": MODEL_SECTION, **section})
@@ -616,15 +620,9 @@ _CONSTANT_W = {**MODEL_SECTION, "exo": {"clamp_lo": 2.0}}  # w = 2: collinear wi
 
 
 @pytest.mark.parametrize("command, model, section, message", [
-    ("experiment", MODEL_SECTION, {"kind": "size", "m_list": [20], "reps": 2, "horizon": 1.0,
-                                   "thresholds": "table.csv"},
-     "experiment.thresholds: threshold table is calibrated for horizon N=3.0, not 1.0"),
     ("experiment", MODEL_SECTION, {"kind": "size", "m_list": [20], "reps": 2, "gammas": [0.1],
                                    "thresholds": "table.csv"},
      "experiment.thresholds: no threshold for gamma=0.1, alpha=0.1 in table"),
-    ("monitor", MODEL_SECTION, {"training": "train.csv", "stream": "stream.csv", "horizon": 1.0,
-                                "thresholds": "table.csv"},
-     "monitor.thresholds: threshold table is calibrated for horizon N=3.0, not 1.0"),
     ("experiment", _CONSTANT_W, {"kind": "size", "m_list": [20], "reps": 2,
                                  "thresholds": "table.csv"},
      "experiment.a_source: the auxiliary series does not fit: negated score gradient"),
@@ -634,8 +632,7 @@ _CONSTANT_W = {**MODEL_SECTION, "exo": {"clamp_lo": 2.0}}  # w = 2: collinear wi
      {"kind": "size", "m_list": [4], "reps": 3, "a_source": "training",
       "thresholds": "table.csv"},
      "experiment.a_source: a training metric at m=4 is singular"),
-], ids=["study-table-horizon", "study-table-cell", "monitor-table-horizon", "aux-fit-fails",
-        "all-fits-fail", "training-metric-singular"])
+], ids=["study-table-cell", "aux-fit-fails", "all-fits-fail", "training-metric-singular"])
 def test_study_and_monitor_refusals_name_the_field(tmp_path, capsys, command, model, section,
                                                    message):
     write_series_csv(simulate_series(default_model_spec(), 100, seed=3, burn_in=200),
@@ -647,6 +644,24 @@ def test_study_and_monitor_refusals_name_the_field(tmp_path, capsys, command, mo
     assert run_command(["--config", cfg, "--out", str(out), "--quiet", command]) == 2
     assert f"config error: {message}" in capsys.readouterr().err
     assert not list(out.iterdir())
+
+
+def test_monitor_rescales_a_table_to_its_horizon(tmp_path):
+    # The table is calibrated at N = 3; the monitor runs at N' = 1, so its
+    # critical value is the cell times (T'/T)^(1 - 2 gamma), T = N / (1 + N).
+    training = simulate_series(default_model_spec(), 100, seed=3, burn_in=200)
+    write_series_csv(training, tmp_path / "train.csv")
+    (tmp_path / "stream.csv").write_text("k,x,w1\n1,2,1.0\n")
+    write_threshold_table(ThresholdTable({(0.25, 0.05): 7.0}, 100, 1000, 3.0, 0),
+                          tmp_path / "table.csv")
+    cfg = _write_config(tmp_path / "cfg.json", {"model": MODEL_SECTION, "monitor": {
+        "training": "train.csv", "stream": "stream.csv", "horizon": 1.0, "gamma": 0.25,
+        "alpha": 0.05, "thresholds": "table.csv"}})
+    out = tmp_path / "out"
+    assert run_command(["--config", cfg, "--out", str(out), "--quiet", "monitor"]) == 0
+    result = json.loads((out / "monitor_result.json").read_text())
+    assert result["threshold_c"] == pytest.approx(7.0 * (0.5 / 0.75) ** 0.5, rel=1e-15)
+    assert result["horizon_steps"] == 100
 
 
 @pytest.mark.parametrize("command, section", [

@@ -350,13 +350,14 @@ def test_studies_check_cells_and_horizons_before_any_block(small_table, monkeypa
     assert calls == []
 
 
-def test_studies_refuse_a_table_at_another_horizon(small_table):
-    # small_table is calibrated at N = 3; its critical values do not hold at N = 2.
-    cfg = ExperimentConfig(m_list=(20,), reps=3, gammas=(0.0,), alphas=(0.05,), horizon=2.0,
-                           thresholds=small_table, change=CHANGE)
+def test_studies_rescale_a_table_at_another_horizon(small_table):
+    # small_table is calibrated at N = 3; at N' = 1 a study multiplies every
+    # cell by (T'/T)^(1 - 2 gamma), T = N / (1 + N).
+    cfg = ExperimentConfig(m_list=(20,), reps=3, gammas=(0.0, 0.25, 0.4), alphas=(0.05,),
+                           horizon=1.0, thresholds=small_table, change=CHANGE)
+    cells = [small_table.lookup(g, 0.05) * (0.5 / 0.75) ** (1.0 - 2.0 * g) for g in cfg.gammas]
     for run in (run_size, run_power):
-        with pytest.raises(ThresholdUnavailableError, match="horizon N=3.0, not 2.0"):
-            run(cfg)
+        assert [r.threshold_c for r in run(cfg).rows] == pytest.approx(cells, rel=1e-15)
 
 
 def test_study_without_a_table_calibrates_at_the_calibrate_defaults(

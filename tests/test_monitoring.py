@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from binarx import (
+    ConfigError,
     ModelSpec,
     MonitoringTerminatedError,
     ParamVector,
@@ -114,16 +115,21 @@ def test_monitor_init_a_policies():
 
 
 def test_monitor_init_refuses_a_table_outside_its_recipe():
-    # A table's critical values hold only for the horizon N it was calibrated at.
+    # A table calibrated at N = 3 is rescaled to the monitor's horizon N' = 1 by
+    # (T'/T)^(1 - 2 gamma), T = N / (1 + N); a plain critical value is used as is.
+    # A horizon that no factor reaches is refused, naming the field.
     table = ThresholdTable(entries={(0.0, 0.05): 7.25}, reps=100, grid_m=1000,
                            horizon=3.0, master_seed=1)
     training = _training()
-    with pytest.raises(ThresholdUnavailableError, match="horizon N=3.0, not 1.0"):
-        monitor_init(training, SPEC.n, horizon=1.0, gamma=0.0, alpha=0.05,
-                     threshold_source=table)
+    state = monitor_init(training, SPEC.n, horizon=1.0, gamma=0.0, alpha=0.05,
+                         threshold_source=table)
+    assert state.config.threshold_c == pytest.approx(7.25 * (0.5 / 0.75), rel=1e-15)
     state = monitor_init(training, SPEC.n, horizon=1.0, gamma=0.0, alpha=0.05,
                          threshold_source=7.25)
     assert state.config.threshold_c == 7.25
+    with pytest.raises(ConfigError, match="horizon: must be finite and > 0, got -1.0"):
+        monitor_init(training, SPEC.n, horizon=-1.0, gamma=0.0, alpha=0.05,
+                     threshold_source=table)
 
 
 def test_monitor_init_threshold_table_lookup():

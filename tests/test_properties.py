@@ -81,13 +81,14 @@ def test_series_csv_mutated_cell_reads_as_row_loop(tmp_path_factory, sample, dat
 def threshold_tables(draw):
     gammas = draw(st.lists(FINITE, min_size=1, max_size=3, unique=True))
     alphas = draw(st.lists(FINITE, min_size=1, max_size=4, unique=True))
-    # The reader refuses a c that is not > 0, which no calibration writes.
+    # A table refuses a c that is not > 0 and an N that is not finite and > 0,
+    # neither of which a calibration writes.
     entries = {(g, a): draw(POSITIVE) for g in gammas for a in alphas}
     return ThresholdTable(
         entries=entries,
         reps=draw(st.integers(100, 10**6)),
         grid_m=draw(st.integers(100, 10**5)),
-        horizon=draw(FINITE),
+        horizon=draw(POSITIVE),
         master_seed=draw(st.integers(0, 2**63)),
     )
 

@@ -14,6 +14,8 @@ OUTDIR must be empty or absent; every run writes below it.  The runs are:
 - two `monitor` runs driven by that table, one whose stream alarms and one
   whose stream ends before the horizon, and the second again on the same
   stream with blank lines among its rows;
+- a `monitor` run at horizon 1.0 that reads the same N = 3 table, so its
+  critical value is the cell rescaled to that horizon;
 - `fit` on the criterion-10 training series written with every cell quoted,
   which numpy's reader refuses and the csv row parser reads;
 - 2-replication consistency studies at an l = 2 model (exact stationary
@@ -184,6 +186,10 @@ def digests(root: Path) -> list[str]:
             "training": "c10_t1/simulate/series.csv", "stream": stream,
             "gamma": 0.0, "alpha": 0.05, "horizon": 3.0, "thresholds": table})
         _run(root, codes, name, cfg, "monitor")
+    cfg = _config(root, "monitor_horizon1", monitor={
+        "training": "c10_t1/simulate/series.csv", "stream": "stream.csv",
+        "gamma": 0.0, "alpha": 0.05, "horizon": 1.0, "thresholds": table})
+    _run(root, codes, "monitor_horizon1", cfg, "monitor")
 
     cfg = _config(root, "fit_quoted", fit={"series": "series_quoted.csv"})
     _run(root, codes, "fit_quoted", cfg, "fit")
