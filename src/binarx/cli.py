@@ -59,11 +59,10 @@ def _say(quiet: bool, message: str) -> None:
 
 
 def _cmd_simulate(loaded, out: Path, quiet: bool) -> int:
-    spec, burn_in = cfgmod.parse_model(loaded)
+    spec = cfgmod.parse_model(loaded)
     length = loaded.require("simulate.length")
     with cfgmod.in_section("simulate"):
-        sample = simulate_series(spec, length, seed=loaded.seed,
-                                 init=loaded.get("simulate.init"), burn_in=burn_in)
+        sample = simulate_series(spec, length, seed=loaded.seed, init=loaded.get("simulate.init"))
     path = out / "series.csv"
     write_series_csv(sample, path)
     _say(quiet, f"wrote {path} ({length} transitions, seed {loaded.seed})")
@@ -81,7 +80,7 @@ def _read_counts(loaded, key: str, spec_n: int):
 
 
 def _cmd_fit(loaded, out: Path, quiet: bool) -> int:
-    spec, _ = cfgmod.parse_model(loaded)
+    spec = cfgmod.parse_model(loaded)
     sample = _read_counts(loaded, "fit.series", spec.n)
     with naming(loaded.require("fit.series")):
         fit = fit_mple(sample, spec.n)
@@ -110,7 +109,7 @@ def _stream_rows(fh, n_cells: int):
 
 
 def _cmd_monitor(loaded, out: Path, quiet: bool) -> int:
-    spec, _ = cfgmod.parse_model(loaded)
+    spec = cfgmod.parse_model(loaded)
     settings = cfgmod.parse_monitor(loaded)
     training = _read_counts(loaded, "monitor.training", spec.n)
     stream_path = loaded.require("monitor.stream")

@@ -28,13 +28,11 @@ from .calibration import (
     read_threshold_table,
 )
 from .defaults import (
-    DEFAULT_BURN_IN,
     DEFAULT_HORIZON,
     DEFAULT_MONITOR_ALPHA,
     DEFAULT_MONITOR_GAMMA,
     DEFAULT_SEED,
     EXPERIMENT_DEFAULTS,
-    MAX_POINTS,
     default_model_spec,
 )
 from .exceptions import ConfigError
@@ -159,33 +157,33 @@ def _convert(value, kind, base_dir: Path):
 
 @contextmanager
 def in_section(name: str):
-    """Put section `name` in front of the field a type's ConfigError names.
+    """Put section `name` in front of the field a type's ConfigError names,
+    unless that field is named from its own section already (`model.n`).
     `require` stays outside: it names the whole path already."""
     try:
         yield
     except ConfigError as exc:
+        if isinstance(_SCHEMA.get(exc.path.split(".")[0]), dict):
+            raise
         raise ConfigError(f"{name}.{exc.path}", exc.reason) from None
 
 
-def parse_model(loaded: LoadedConfig) -> tuple[ModelSpec, int]:
-    """ModelSpec and burn-in from the `model` section (reference model if absent)."""
+def parse_model(loaded: LoadedConfig) -> ModelSpec:
+    """The `model` section (the reference model if absent)."""
     if "model" not in loaded.values:
-        return default_model_spec(), DEFAULT_BURN_IN
-    n = loaded.require("model.n")
+        return default_model_spec()
+    section = loaded.values["model"]
+    loaded.require("model.n")
     beta = loaded.require("model.beta")
     with in_section("model.exo"):
-        exo = ExogenousSpec(**loaded.get("model.exo", {}))
+        exo = ExogenousSpec(**section.get("exo", {}))
     with in_section("model"):
-        spec = ModelSpec(n=n, beta=ParamVector.from_array(beta), exo=exo)
-    burn_in = loaded.get("model.burn_in", DEFAULT_BURN_IN)
-    if not 0 <= burn_in <= MAX_POINTS:
-        raise ConfigError("model.burn_in", f"must lie in [0, {MAX_POINTS}], got {burn_in}")
-    return spec, burn_in
+        return ModelSpec(**{**section, "beta": ParamVector.from_array(beta), "exo": exo})
 
 
 def parse_calibrate(loaded: LoadedConfig) -> CalibrationConfig:
     """The `calibrate` section; the score dimension is the model's."""
-    dim = parse_model(loaded)[0].beta.dim
+    dim = parse_model(loaded).beta.dim
     with in_section("calibrate"):
         return CalibrationConfig(dim=dim, **loaded.get("calibrate", {}),
                                  master_seed=loaded.seed)
@@ -198,7 +196,7 @@ def parse_experiment(loaded: LoadedConfig) -> tuple[str, ExperimentConfig]:
             "experiment.kind", f"must be one of {sorted(EXPERIMENT_DEFAULTS)}, got {kind!r}"
         )
     section = loaded.require("experiment")
-    spec, burn_in = parse_model(loaded)
+    spec = parse_model(loaded)
     change = None
     if "change" in section:
         at_k = loaded.require("experiment.change.at_k")
@@ -209,7 +207,7 @@ def parse_experiment(loaded: LoadedConfig) -> tuple[str, ExperimentConfig]:
     fields = {**EXPERIMENT_DEFAULTS[kind], **{k: v for k, v in section.items() if k in _STUDY}}
     with in_section("experiment"):
         return kind, ExperimentConfig(spec=spec, change=change, master_seed=loaded.seed,
-                                      burn_in=burn_in, thresholds=thresholds, **fields)
+                                      thresholds=thresholds, **fields)
 
 
 def parse_monitor(loaded: LoadedConfig) -> dict:

@@ -10,8 +10,8 @@ whole block, then at every step the block's covariate rows followed by the
 counts, each the number of its chain's n uniforms below p when
 n <= N_MAX_BERNOULLI, and one binomial draw over the block otherwise.  X0 is
 drawn from the exact stationary pmf (inverse CDF of one uniform per chain)
-when n <= 30 and l <= 2, and from Bin(n, 1/2) followed by `burn_in` lockstep
-steps otherwise.  The shared auxiliary series that pins the
+when n <= 30 and l <= 2, and from Bin(n, 1/2) followed by `spec.burn_in`
+lockstep steps otherwise.  The shared auxiliary series that pins the
 monitoring metric uses (master_seed, 3, 0) with the same start rule, and
 internally computed threshold tables use the calibration module's
 (master_seed, rep) streams.  Workers receive whole blocks and never share
@@ -32,7 +32,6 @@ from .calibration import (CalibrationConfig, ThresholdTable, _check_levels, _che
                           horizon_steps, monitored_points, threshold_table)
 from .defaults import (
     DEFAULT_ALPHAS,
-    DEFAULT_BURN_IN,
     DEFAULT_GAMMAS,
     DEFAULT_HORIZON,
     DEFAULT_SEED,
@@ -85,9 +84,10 @@ class ChangePoint:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Study settings.  Every m_list entry's horizon, of any kind of study,
-    must hold a monitored point and the change; no entry, horizon or binomial
-    total n may exceed MAX_POINTS points; ConfigError names the field."""
+    """Study settings; `spec` holds the model and its burn-in.  Every m_list
+    entry's horizon, in any kind of study, must hold a monitored point and
+    the change; no entry, horizon or binomial total n may exceed MAX_POINTS
+    points; ConfigError names the field (n as the config's `model.n`)."""
 
     spec: ModelSpec = field(default_factory=default_model_spec)
     m_list: tuple[int, ...] = (500, 1000, 1500)
@@ -97,7 +97,6 @@ class ExperimentConfig:
     horizon: float = DEFAULT_HORIZON
     change: ChangePoint | None = None
     master_seed: int = DEFAULT_SEED
-    burn_in: int = DEFAULT_BURN_IN
     a_source: str = "aux"
     thresholds: ThresholdTable | None = None
     emit_traces: int = 0
@@ -106,7 +105,7 @@ class ExperimentConfig:
         object.__setattr__(self, "gammas", tuple(float(g) for g in self.gammas))
         object.__setattr__(self, "alphas", tuple(float(a) for a in self.alphas))
         d = self.spec.beta.dim
-        for name, low in (("reps", 1), ("burn_in", 0), ("emit_traces", 0)):
+        for name, low in (("reps", 1), ("emit_traces", 0)):
             if getattr(self, name) < low:
                 raise ConfigError(name, f"must be >= {low}, got {getattr(self, name)}")
         if not self.m_list:
@@ -115,7 +114,7 @@ class ExperimentConfig:
             raise ConfigError("m_list", f"entry {min(self.m_list)} is below {d + 1}, "
                                         "the fewest transitions that fit the model")
         if self.spec.n > MAX_POINTS:
-            raise ConfigError("spec.n", f"binomial total {self.spec.n} is above the budget of "
+            raise ConfigError("model.n", f"binomial total {self.spec.n} is above the budget of "
                                         f"{MAX_POINTS} points")
         if max(self.m_list) > MAX_POINTS:
             raise ConfigError("m_list", f"entry {max(self.m_list)} is above the budget of "
@@ -212,14 +211,14 @@ def _advance(spec: ModelSpec, table, x: np.ndarray, rng: np.random.Generator):
     return w, rng.binomial(spec.n, _clip_prob(p))
 
 
-def _start(spec: ModelSpec, cdf, burn_in: int, rng: np.random.Generator, size: int) -> np.ndarray:
-    """X0 of `size` chains: exact stationary draws, or Bin(n, 1/2) then burn-in."""
+def _start(spec: ModelSpec, cdf, rng: np.random.Generator, size: int) -> np.ndarray:
+    """X0 of `size` chains: exact stationary draws, or Bin(n, 1/2) then `spec.burn_in` steps."""
     if cdf is not None:
         return np.searchsorted(cdf, rng.random(size), side="right")
     x = rng.binomial(spec.n, 0.5, size)
     table = _linear_table(spec.n, spec.beta)
     with np.errstate(over="ignore"):
-        for _ in range(burn_in):
+        for _ in range(spec.burn_in):
             _, x = _advance(spec, table, x, rng)
     return x
 
@@ -248,7 +247,7 @@ def _train_block(task: _BlockTask, b: int) -> tuple[np.random.Generator, np.ndar
     table = _linear_table(spec.n, spec.beta)
     x = np.empty((task.m + 1, BLOCK_SIZE), dtype=np.min_scalar_type(spec.n))
     w = np.empty((task.m, BLOCK_SIZE, spec.beta.l))
-    x[0] = _start(spec, task.start_cdf, config.burn_in, rng, BLOCK_SIZE)
+    x[0] = _start(spec, task.start_cdf, rng, BLOCK_SIZE)
     with np.errstate(over="ignore"):
         for t in range(task.m):
             w[t], x[t + 1] = _advance(spec, table, x[t], rng)
@@ -546,7 +545,7 @@ def _aux_metric(config: ExperimentConfig, cdf) -> np.ndarray:
     rng = np.random.default_rng(
         np.random.SeedSequence((config.master_seed, _KIND_AUX, 0))
     )
-    x0 = int(_start(config.spec, cdf, config.burn_in, rng, 1)[0])
+    x0 = int(_start(config.spec, cdf, rng, 1)[0])
     x, w = simulate_chain(config.spec, _AUX_LENGTH, rng, x0)
     try:
         fit = fit_mple(SeriesSample(x=x, w=w), config.spec.n)

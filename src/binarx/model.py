@@ -121,15 +121,19 @@ class ExogenousSpec:
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """Complete data-generating process: binomial total, coefficients, covariates."""
+    """Complete data-generating process: binomial total, coefficients, covariates,
+    and the `burn_in` steps, at most MAX_POINTS, discarded after X0 ~ Bin(n, 1/2)."""
 
     n: int
     beta: ParamVector
     exo: ExogenousSpec
+    burn_in: int = DEFAULT_BURN_IN
 
     def __post_init__(self):
         if self.n < 1:
             raise ConfigError("n", f"binomial total must be >= 1, got {self.n}")
+        if not 0 <= self.burn_in <= MAX_POINTS:
+            raise ConfigError("burn_in", f"must lie in [0, {MAX_POINTS}], got {self.burn_in}")
 
 
 @dataclass(frozen=True)
@@ -284,13 +288,12 @@ def simulate_series(
     length: int,
     seed: int,
     init: int | None = None,
-    burn_in: int = DEFAULT_BURN_IN,
 ) -> SeriesSample:
     """Simulate a path of `length` transitions, deterministic given the seed.
 
     When `init` is given it is used as X0 directly.  Otherwise X0 is drawn
-    Bin(n, 1/2) and a burn-in stretch is discarded so the returned path starts
-    (effectively) from the stationary law.
+    Bin(n, 1/2) and `spec.burn_in` steps are discarded so the returned path
+    starts (effectively) from the stationary law.
     """
     if length < 1:
         raise ConfigError("length", f"must be >= 1, got {length}")
@@ -298,13 +301,11 @@ def simulate_series(
         raise ConfigError("length", f"{length} is above the budget of {MAX_POINTS} points")
     if init is not None and not 0 <= init <= spec.n:
         raise ConfigError("init", f"initial state {init} outside {{0..{spec.n}}}")
-    if burn_in < 0:
-        raise ValueError("burn_in must be >= 0")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     if init is None:
         x0 = int(rng.binomial(spec.n, 0.5))
-        if burn_in:
-            xb, _ = simulate_chain(spec, burn_in, rng, x0)
+        if spec.burn_in:
+            xb, _ = simulate_chain(spec, spec.burn_in, rng, x0)
             x0 = int(xb[-1])
     else:
         x0 = int(init)

@@ -50,7 +50,7 @@ def train_window(task, b):
         x = np.searchsorted(task.start_cdf, rng.random(BLOCK_SIZE), side="right")
     else:
         x = rng.binomial(spec.n, 0.5, BLOCK_SIZE)
-        for _ in range(config.burn_in):
+        for _ in range(spec.burn_in):
             _, x = advance(spec, coef, x, rng)
     xs, ws = [x], []
     for _ in range(task.m):

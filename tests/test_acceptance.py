@@ -27,6 +27,7 @@ alphas; the criterion prints them and does not assert them.
 import json
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -135,12 +136,9 @@ def test_criterion_01_gradient_oracle():
         err_g = np.abs(fd_grad - g) / np.maximum(1.0, np.abs(g))
         worst = max(worst, err_s.max(), err_g.max())
     elapsed = time.monotonic() - start
-    _criterion(
-        1,
-        "gradient-oracle",
-        worst < 1e-6 and elapsed < 10.0,
-        f"max rel err {worst:.2e} over 50 pairs in {elapsed:.1f}s",
-    )
+    # The wall time stays out of the ACCEPTANCE line, which depends on the code alone.
+    _criterion(1, "gradient-oracle", worst < 1e-6, f"max rel err {worst:.2e} over 50 pairs")
+    assert elapsed < 10.0, f"criterion 1 took {elapsed:.1f}s, over 10s"
 
 
 def test_criterion_02_estimating_equation():
@@ -306,7 +304,7 @@ def test_criterion_07_power_and_delay(table10k):
 
 def test_criterion_08_stationarity_oracle():
     _, mu = stationary_oracle(SPEC)
-    sample = simulate_series(SPEC, 10**5, seed=DEFAULT_SEED, burn_in=500)
+    sample = simulate_series(SPEC, 10**5, seed=DEFAULT_SEED)
     empirical = np.bincount(sample.x[1:], minlength=SPEC.n + 1) / sample.m
     tv = 0.5 * float(np.abs(empirical - mu).sum())
     _criterion(8, "stationarity-oracle", tv < 0.05, f"TV distance {tv:.4f} < 0.05")
@@ -394,9 +392,8 @@ def test_criterion_10_cli_determinism(tmp_path):
 
     sim_first = _run_cli(tmp_path, tmp_path / "sim1", "simulate")
 
-    training = simulate_series(SPEC, 120, seed=DEFAULT_SEED, burn_in=200)
-    stream = simulate_series(SPEC, 360, seed=DEFAULT_SEED + 1, init=int(training.x[-1]),
-                             burn_in=0)
+    training = simulate_series(replace(SPEC, burn_in=200), 120, seed=DEFAULT_SEED)
+    stream = simulate_series(SPEC, 360, seed=DEFAULT_SEED + 1, init=int(training.x[-1]))
     import csv as _csv
 
     with open(tmp_path / "stream.csv", "w", newline="") as fh:

@@ -17,6 +17,7 @@ from binarx import (
     CalibrationConfig,
     ConfigError,
     ExperimentConfig,
+    ModelSpec,
     default_model_spec,
     monitor_init,
     monitor_run,
@@ -56,6 +57,8 @@ MODEL_SECTION = {
     "exo": {"mean": 1.0, "sd": 0.1, "clamp_lo": 0.0, "clamp_hi": 10.0},
     "burn_in": 200,
 }
+# The model MODEL_SECTION configures.
+MODEL_SPEC = dataclasses.replace(default_model_spec(), burn_in=200)
 
 
 PREP_SECTION = {"rates": "rates.csv", "states": ["A", "B"], "baseline_years": [2019],
@@ -102,7 +105,7 @@ def test_simulate_round_trip_and_determinism(tmp_path):
     b = (tmp_path / "b" / "series.csv").read_bytes()
     assert a == b
     sample = read_series_csv(tmp_path / "a" / "series.csv")
-    expected = simulate_series(default_model_spec(), 60, seed=9, burn_in=200)
+    expected = simulate_series(MODEL_SPEC, 60, seed=9)
     np.testing.assert_array_equal(sample.x, expected.x)
 
 
@@ -158,7 +161,7 @@ def test_calibrate_then_monitor_threshold_round_trip(tmp_path):
     assert run_command(["--config", cfg, "--out", str(out), "--quiet", "calibrate"]) == 0
     training = read_series_csv(out / "series.csv")
     stream = simulate_series(default_model_spec(), 450, seed=77,
-                             init=int(training.x[-1]), burn_in=0)
+                             init=int(training.x[-1]))
     _write_stream_csv(tmp_path / "stream.csv", stream)
     code = run_command(["--config", cfg, "--out", str(out), "--quiet", "monitor"])
     result = json.loads((out / "monitor_result.json").read_text())
@@ -186,7 +189,7 @@ def test_monitor_infinite_threshold_no_alarm(tmp_path):
     assert run_command(["--config", cfg, "--out", str(out), "--quiet", "simulate"]) == 0
     training = read_series_csv(out / "series.csv")
     stream = simulate_series(default_model_spec(), 300, seed=78,
-                             init=int(training.x[-1]), burn_in=0)
+                             init=int(training.x[-1]))
     _write_stream_csv(tmp_path / "stream.csv", stream)
     assert run_command(["--config", cfg, "--out", str(out), "--quiet", "monitor"]) == 0
     result = json.loads((out / "monitor_result.json").read_text())
@@ -209,7 +212,7 @@ def test_monitor_alarm_exit_code(tmp_path):
     assert run_command(["--config", cfg, "--out", str(out), "--quiet", "simulate"]) == 0
     training = read_series_csv(out / "series.csv")
     stream = simulate_series(default_model_spec(), 10, seed=79,
-                             init=int(training.x[-1]), burn_in=0)
+                             init=int(training.x[-1]))
     _write_stream_csv(tmp_path / "stream.csv", stream)
     assert run_command(["--config", cfg, "--out", str(out), "--quiet", "monitor"]) == 3
     result = json.loads((out / "monitor_result.json").read_text())
@@ -254,7 +257,7 @@ def _monitor_setup(tmp_path, monitor, seed=16, stream_length=120):
     assert run_command(["--config", cfg, "--out", str(tmp_path / "out"), "--quiet", "simulate"]) == 0
     training = read_series_csv(tmp_path / "out" / "series.csv")
     stream = simulate_series(default_model_spec(), stream_length, seed=seed + 100,
-                             init=int(training.x[-1]), burn_in=0)
+                             init=int(training.x[-1]))
     _write_stream_csv(tmp_path / "stream.csv", stream)
     return cfg, training, stream
 
@@ -335,7 +338,7 @@ def _reader_config(tmp_path):
     """A config naming one input file per reader.  The monitor's training
     series, stream and table are valid, so that a broken one of them is the
     first refusal; the test writes the file it breaks."""
-    write_series_csv(simulate_series(default_model_spec(), 100, seed=3, burn_in=200),
+    write_series_csv(simulate_series(MODEL_SPEC, 100, seed=3),
                      tmp_path / "training.csv")
     (tmp_path / "stream.csv").write_text("k,x,w1\n1,4,1.0\n")
     cells = {(g, a): 7.0 for g in DEFAULT_GAMMAS for a in DEFAULT_ALPHAS}
@@ -583,12 +586,12 @@ def test_config_unknown_keys_name_the_field(tmp_path, capsys, command, section, 
     # A study block tabulates -eta at every count 0..n: 7 PiB at n = 10^15.
     ("experiment", {"model": {"n": 10**15, "beta": [-1.0, 0.0, 0.4], "burn_in": 2},
                     "experiment": {"kind": "consistency", "m_list": [10], "reps": 2}},
-     "experiment.spec.n: binomial total 1000000000000000 is above the budget of 1000000"),
+     "model.n: binomial total 1000000000000000 is above the budget of 1000000 points"),
 ])
 def test_config_out_of_range_values_name_the_field(tmp_path, capsys, command, section, message):
     cfg = _write_config(tmp_path / "cfg.json", {"model": MODEL_SECTION, **section})
     if command == "monitor":
-        write_series_csv(simulate_series(default_model_spec(), 100, seed=3, burn_in=200),
+        write_series_csv(simulate_series(MODEL_SPEC, 100, seed=3),
                          tmp_path / "train.csv")
     out = tmp_path / "out"
     assert run_command(["--config", cfg, "--out", str(out), "--quiet", command]) == 2
@@ -635,7 +638,7 @@ _CONSTANT_W = {**MODEL_SECTION, "exo": {"clamp_lo": 2.0}}  # w = 2: collinear wi
 ], ids=["study-table-cell", "aux-fit-fails", "all-fits-fail", "training-metric-singular"])
 def test_study_and_monitor_refusals_name_the_field(tmp_path, capsys, command, model, section,
                                                    message):
-    write_series_csv(simulate_series(default_model_spec(), 100, seed=3, burn_in=200),
+    write_series_csv(simulate_series(MODEL_SPEC, 100, seed=3),
                      tmp_path / "train.csv")
     cells = {(g, a): 7.0 for g in DEFAULT_GAMMAS for a in DEFAULT_ALPHAS}
     write_threshold_table(ThresholdTable(cells, 100, 1000, 3.0, 0), tmp_path / "table.csv")
@@ -649,7 +652,7 @@ def test_study_and_monitor_refusals_name_the_field(tmp_path, capsys, command, mo
 def test_monitor_rescales_a_table_to_its_horizon(tmp_path):
     # The table is calibrated at N = 3; the monitor runs at N' = 1, so its
     # critical value is the cell times (T'/T)^(1 - 2 gamma), T = N / (1 + N).
-    training = simulate_series(default_model_spec(), 100, seed=3, burn_in=200)
+    training = simulate_series(MODEL_SPEC, 100, seed=3)
     write_series_csv(training, tmp_path / "train.csv")
     (tmp_path / "stream.csv").write_text("k,x,w1\n1,2,1.0\n")
     write_threshold_table(ThresholdTable({(0.25, 0.05): 7.0}, 100, 1000, 3.0, 0),
@@ -716,7 +719,7 @@ def test_monitor_horizon_without_a_point_at_the_training_length_names_the_field(
                                                                                 capsys):
     # 0.001 passes the early check (> 0); only the 100-transition training
     # file shows that floor(0.001 * 100) leaves no monitored point.
-    training = simulate_series(default_model_spec(), 100, seed=3, burn_in=200)
+    training = simulate_series(MODEL_SPEC, 100, seed=3)
     write_series_csv(training, tmp_path / "train.csv")
     cfg = _write_config(tmp_path / "cfg.json", {"model": MODEL_SECTION, "monitor": {
         "training": "train.csv", "stream": "stream.csv", "threshold_c": 7.0, "horizon": 0.001}})
@@ -738,6 +741,11 @@ def test_config_field_tables_name_fields_of_the_dataclass_they_feed(table, cls):
     fields = {f.name: f.type for f in dataclasses.fields(cls)}
     assert {key: annotation[kind] for key, kind in table.items()} == {
         key: fields.get(key) for key in table}
+
+
+def test_the_model_section_holds_the_fields_of_model_spec():
+    # parse_model passes the section to ModelSpec whole, burn_in included.
+    assert list(_SCHEMA["model"]) == [f.name for f in dataclasses.fields(ModelSpec)]
 
 
 def test_readme_config_block_is_the_schema(tmp_path):
@@ -863,9 +871,8 @@ def test_seed_precedence(tmp_path, monkeypatch):
     run_command(["--config", cfg, "--out", str(tmp_path / "env"), "--quiet", "simulate"])
     flag = read_series_csv(tmp_path / "flag" / "series.csv")
     cfgseed = read_series_csv(tmp_path / "cfgseed" / "series.csv")
-    spec = default_model_spec()
-    np.testing.assert_array_equal(flag.x, simulate_series(spec, 30, seed=3, burn_in=200).x)
-    np.testing.assert_array_equal(cfgseed.x, simulate_series(spec, 30, seed=1, burn_in=200).x)
+    np.testing.assert_array_equal(flag.x, simulate_series(MODEL_SPEC, 30, seed=3).x)
+    np.testing.assert_array_equal(cfgseed.x, simulate_series(MODEL_SPEC, 30, seed=1).x)
     env = (tmp_path / "env" / "series.csv").read_bytes()
     assert env == (tmp_path / "cfgseed" / "series.csv").read_bytes()
 
@@ -1016,13 +1023,13 @@ def _configs(draw):
 @pytest.fixture(scope="module")
 def _config_files(tmp_path_factory):
     root = tmp_path_factory.mktemp("generated")
-    spec = default_model_spec()
-    write_series_csv(simulate_series(spec, 30, seed=3, burn_in=0), root / "train.csv")
-    write_series_csv(simulate_series(spec, 4, seed=4, burn_in=0), root / "short.csv")
+    spec = dataclasses.replace(default_model_spec(), burn_in=0)
+    write_series_csv(simulate_series(spec, 30, seed=3), root / "train.csv")
+    write_series_csv(simulate_series(spec, 4, seed=4), root / "short.csv")
     # A constant count: the lag column is a multiple of the intercept.
     write_series_csv(SeriesSample(np.full(11, 3), np.linspace(0.9, 1.1, 10)[:, None]),
                      root / "flat.csv")
-    _write_stream_csv(root / "stream.csv", simulate_series(spec, 40, seed=5, burn_in=0))
+    _write_stream_csv(root / "stream.csv", simulate_series(spec, 40, seed=5))
     (root / "bad.csv").write_text("t,x,w1\n0,3,\n1,x,1.0\n")
     cells = {(g, a): 7.0 for g in DEFAULT_GAMMAS for a in DEFAULT_ALPHAS}
     write_threshold_table(ThresholdTable(cells, 100, 100, DEFAULT_HORIZON, 0), root / "table.csv")

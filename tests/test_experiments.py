@@ -57,8 +57,7 @@ SPEC_BINOMIAL = ModelSpec(n=N_MAX_BERNOULLI + 1, beta=ParamVector(-1.0, 0.02, (0
                           exo=SPEC.exo)
 
 
-def _contract_block(seed, kind, i, b, steps, spec=SPEC, burn_in=500, change_at=None,
-                    new_beta=None):
+def _contract_block(seed, kind, i, b, steps, spec=SPEC, change_at=None, new_beta=None):
     """Block b's chains under stream contract 4, rebuilt with numpy alone.
 
     Every block is drawn whole.  Returns x of shape (steps + 1, BLOCK_SIZE)
@@ -66,6 +65,7 @@ def _contract_block(seed, kind, i, b, steps, spec=SPEC, burn_in=500, change_at=N
     `new_beta` from t = change_at on.
     """
     rng = np.random.default_rng(np.random.SeedSequence((seed, kind, i, b)))
+    burn_in = spec.burn_in
     if spec.n <= 30 and spec.beta.l <= 2:
         _, pmf = stationary_oracle(spec)
         cdf = np.cumsum(pmf)
@@ -124,11 +124,12 @@ def test_later_blocks_follow_the_contract():
 
 def test_burn_in_start_reproduces_contract():
     # n = 40 > 30: X0 ~ Bin(n, 1/2), then burn_in lockstep steps over the block.
-    cfg = ExperimentConfig(spec=SPEC_N40, m_list=(80,), reps=3, burn_in=50, master_seed=6)
-    assert _start_cdf(SPEC_N40) is None
+    spec = replace(SPEC_N40, burn_in=50)
+    cfg = ExperimentConfig(spec=spec, m_list=(80,), reps=3, master_seed=6)
+    assert _start_cdf(spec) is None
     report = run_consistency(cfg)
     assert report.rows[0][2] == 3
-    x, w = _contract_block(6, 0, 0, 0, steps=80, spec=SPEC_N40, burn_in=50)
+    x, w = _contract_block(6, 0, 0, 0, steps=80, spec=spec)
     errs = [
         fit_mple(SeriesSample(x=x[:, r], w=w[:, r]), SPEC_N40.n).beta_hat.as_array()
         - SPEC_N40.beta.as_array()
@@ -140,7 +141,7 @@ def test_burn_in_start_reproduces_contract():
 def test_exact_start_matches_oracle_pmf():
     _, pmf = stationary_oracle(SPEC)
     rng = np.random.default_rng(41)
-    x0 = _start(SPEC, _start_cdf(SPEC), 0, rng, 20_000)
+    x0 = _start(SPEC, _start_cdf(SPEC), rng, 20_000)
     empirical = np.bincount(x0, minlength=SPEC.n + 1) / x0.size
     assert 0.5 * np.abs(empirical - pmf).sum() < 0.02
 
@@ -243,8 +244,8 @@ def test_advance_counts_follow_the_binomial_law(n, simulator):
 def test_binomial_branch_study_matches_the_loop_and_thread_counts(small_table):
     # n = N_MAX_BERNOULLI + 1 draws its counts with rng.binomial, through the
     # burn-in start, the training window and the monitored horizon.
-    cfg = ExperimentConfig(spec=SPEC_BINOMIAL, m_list=(40,), reps=BLOCK_SIZE + 7,
-                           gammas=(0.0, 0.4), alphas=(0.05,), burn_in=50, master_seed=44,
+    cfg = ExperimentConfig(spec=replace(SPEC_BINOMIAL, burn_in=50), m_list=(40,),
+                           reps=BLOCK_SIZE + 7, gammas=(0.0, 0.4), alphas=(0.05,), master_seed=44,
                            thresholds=small_table)
     one = run_size(cfg, threads=1)
     assert one.rows == run_size(cfg, threads=2).rows
@@ -400,6 +401,12 @@ def test_power_training_a_source(small_table):
     assert report.rows[0][4] > 0.9
 
 
+def test_a_study_takes_its_burn_in_from_the_model_spec():
+    with pytest.raises(TypeError):
+        ExperimentConfig(spec=SPEC_N40, burn_in=50)
+    assert ExperimentConfig(spec=replace(SPEC_N40, burn_in=50)).spec.burn_in == 50
+
+
 def test_experiment_config_validation():
     with pytest.raises(ValueError):
         ExperimentConfig(reps=0)
@@ -418,8 +425,8 @@ def test_experiment_config_validation():
     ({"alphas": (0.0,)}, "alphas"),
     ({"emit_traces": -1}, "emit_traces"),
     ({"m_list": (20,), "horizon": 0.01}, "horizon"),
-    # n = 40 starts from Bin(n, 1/2) and burns in; range(-7) would skip that.
-    ({"spec": SPEC_N40, "m_list": (80,), "burn_in": -7}, "burn_in"),
+    # Named as the config names it: the field is `spec.n`, the key `model.n`.
+    ({"spec": replace(SPEC, n=10**15)}, "model.n"),
 ])
 def test_experiment_config_refuses_out_of_range_settings_when_built(settings, field):
     with pytest.raises(ConfigError) as refused:

@@ -1,12 +1,15 @@
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy.special import expit, gammaln
 
-from binarx import ModelSpec, ParamVector, default_model_spec, read_series_csv, simulate_series
+from binarx import (ConfigError, ModelSpec, ParamVector, default_model_spec, read_series_csv,
+                    simulate_series)
 from binarx import model
+from binarx.defaults import MAX_POINTS
 from binarx.model import (
     ExogenousSpec,
     SeriesSample,
@@ -151,6 +154,37 @@ def test_exogenous_spec_validation():
         ExogenousSpec(clamp_lo=0.0, clamp_hi=float("inf"))
     with pytest.raises(ValueError):
         ExogenousSpec(sd=0.0)
+
+
+# -7: at n = 40 a study starts from Bin(n, 1/2) and burns in, and range(-7)
+# would skip that silently.
+@pytest.mark.parametrize("burn_in", [-7, -1, MAX_POINTS + 1])
+def test_model_spec_refuses_a_burn_in_outside_the_budget(burn_in):
+    spec = default_model_spec()
+    for build in (lambda: ModelSpec(n=40, beta=spec.beta, exo=spec.exo, burn_in=burn_in),
+                  lambda: replace(spec, burn_in=burn_in)):
+        with pytest.raises(ConfigError) as refused:
+            build()
+        assert refused.value.path == "burn_in"
+        assert str(refused.value) == f"burn_in: must lie in [0, {MAX_POINTS}], got {burn_in}"
+    assert replace(spec, burn_in=0).burn_in == 0
+    assert replace(spec, burn_in=MAX_POINTS).burn_in == MAX_POINTS
+
+
+def test_simulate_series_discards_the_burn_in_of_its_spec():
+    # X0 ~ Bin(n, 1/2), a chain of spec.burn_in steps, then `length` steps;
+    # an X0 given as `init` runs no burn-in at all.
+    spec = replace(default_model_spec(), burn_in=7)
+    rng = np.random.default_rng(np.random.SeedSequence(4))
+    burnt, _ = model.simulate_chain(spec, 7, rng, int(rng.binomial(spec.n, 0.5)))
+    x, w = model.simulate_chain(spec, 20, rng, int(burnt[-1]))
+    sample = simulate_series(spec, 20, seed=4)
+    np.testing.assert_array_equal(sample.x, x)
+    np.testing.assert_array_equal(sample.w, w)
+    x, w = model.simulate_chain(spec, 20, np.random.default_rng(np.random.SeedSequence(4)), 3)
+    np.testing.assert_array_equal(simulate_series(spec, 20, seed=4, init=3).x, x)
+    with pytest.raises(TypeError):
+        simulate_series(spec, 20, seed=4, burn_in=7)
 
 
 def test_exogenous_draws_clamped():

@@ -29,7 +29,7 @@ def _training(m=300, seed=50):
 
 
 def _stream_sample(length, seed, init):
-    return simulate_series(SPEC, length, seed=seed, init=init, burn_in=0)
+    return simulate_series(SPEC, length, seed=seed, init=init)
 
 
 def _stream_iter(sample):
@@ -317,7 +317,7 @@ def test_streaming_statistic_full_horizon_exact(gamma):
     calm = _stream_sample(900, seed=89, init=x0)
     before = _stream_sample(10, seed=90, init=x0)
     changed = ModelSpec(n=SPEC.n, beta=ParamVector(-1.0, 0.2, (0.4,)), exo=SPEC.exo)
-    after = simulate_series(changed, 890, seed=91, init=int(before.x[-1]), burn_in=0)
+    after = simulate_series(changed, 890, seed=91, init=int(before.x[-1]))
     streams = {"calm": list(_stream_iter(calm)),
                "change": list(_stream_iter(before)) + list(_stream_iter(after))}
     for name, stream in streams.items():

@@ -37,6 +37,7 @@ import hashlib
 import json
 import platform
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
@@ -75,15 +76,15 @@ def _inputs(root: Path) -> None:
                   f"A,2020,{week},{1.0 + 0.1 * week}", f"B,2020,{week},{2.0 - 0.1 * week}"]
     (root / "rates.csv").write_text("\n".join(lines) + "\n")
     spec = default_model_spec()
-    training = simulate_series(spec, 120, seed=DEFAULT_SEED, burn_in=200)
+    training = simulate_series(replace(spec, burn_in=200), 120, seed=DEFAULT_SEED)
     x_last = int(training.x[-1])
     _write_stream(root / "stream.csv",
-                  simulate_series(spec, 360, seed=DEFAULT_SEED + 1, init=x_last, burn_in=0))
+                  simulate_series(spec, 360, seed=DEFAULT_SEED + 1, init=x_last))
     changed = ModelSpec(n=spec.n, beta=ParamVector(-0.2, 0.1, (0.4,)), exo=spec.exo)
     _write_stream(root / "stream_alarm.csv",
-                  simulate_series(changed, 360, seed=DEFAULT_SEED + 2, init=x_last, burn_in=0))
+                  simulate_series(changed, 360, seed=DEFAULT_SEED + 2, init=x_last))
     _write_stream(root / "stream_short.csv",
-                  simulate_series(spec, 50, seed=DEFAULT_SEED + 3, init=x_last, burn_in=0))
+                  simulate_series(spec, 50, seed=DEFAULT_SEED + 3, init=x_last))
     short = (root / "stream_short.csv").read_text().splitlines(keepends=True)
     (root / "stream_blank.csv").write_text(
         "".join(line + ("\n" if k % 7 == 0 else "") for k, line in enumerate(short)) + "\n\n")
