@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -88,23 +88,17 @@ def _rho(s, gamma: float):
     return s ** (-gamma) * (s + 1.0) ** (gamma - 1.0)
 
 
-def horizon_steps(horizon: float, per_unit: int) -> int:
-    """Close-end horizon floor(N * per_unit), guarded against float rounding;
-    at most MAX_POINTS, the budget of one replication."""
-    if not math.isfinite(horizon):
-        raise ConfigError("horizon", f"must be finite, got {horizon}")
+def horizon_steps(horizon: float, per_unit: int, point: str = "monitored point at m") -> int:
+    """Close-end horizon floor(N * per_unit), guarded against float rounding.
+    The one horizon rule: N finite and > 0, and from 1 to MAX_POINTS points
+    (the budget of one replication); `point` names the unit in the refusal."""
+    _check_finite_positive(horizon, "horizon")
     if horizon * per_unit > MAX_POINTS:
         raise ConfigError("horizon", f"{horizon} x {per_unit} = {horizon * per_unit:g} points, "
                                      f"above the budget of {MAX_POINTS} per replication")
-    return int(np.floor(horizon * per_unit + 1e-9))
-
-
-def monitored_points(horizon: float, m: int) -> int:
-    """Monitored points floor(N * m) of a monitor trained on m points; a
-    horizon that holds none would end every run without a look."""
-    steps = horizon_steps(horizon, m)
+    steps = int(np.floor(horizon * per_unit + 1e-9))
     if steps < 1:
-        raise ConfigError("horizon", f"{horizon} leaves no monitored point at m={m}")
+        raise ConfigError("horizon", f"{horizon} leaves no {point}={per_unit}")
     return steps
 
 
@@ -113,7 +107,8 @@ class CalibrationConfig:
     """Settings for one threshold computation.
 
     `dim` is the dimension of the score vector (coefficient count l + 2).
-    `horizon` is the close-end multiplier N.
+    `horizon` is the table's N; consumers rescale it to their own horizon
+    (ThresholdTable.lookup), so `binarx calibrate` and studies use N = 3.
     """
 
     dim: int = 3
@@ -123,20 +118,15 @@ class CalibrationConfig:
     gammas: tuple[float, ...] = DEFAULT_GAMMAS
     alphas: tuple[float, ...] = DEFAULT_ALPHAS
     master_seed: int = DEFAULT_SEED
+    steps: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name, low in (("dim", 1), ("grid_m", 100), ("reps", 100)):
             if getattr(self, name) < low:
                 raise ConfigError(name, f"must be >= {low}, got {getattr(self, name)}")
-        _check_positive(self.horizon, "horizon")
-        if self.steps < 1:
-            raise ConfigError("horizon",
-                              f"{self.horizon} leaves no grid point at grid_m={self.grid_m}")
+        object.__setattr__(self, "steps",
+                           horizon_steps(self.horizon, self.grid_m, "grid point at grid_m"))
         _check_levels(self.gammas, self.alphas)
-
-    @property
-    def steps(self) -> int:
-        return horizon_steps(self.horizon, self.grid_m)
 
 
 @dataclass(frozen=True)

@@ -22,6 +22,7 @@ from pathlib import Path
 from .calibration import (
     CalibrationConfig,
     _check_alpha,
+    _check_finite_positive,
     _check_gamma,
     _check_listed_once,
     _check_positive,
@@ -44,8 +45,7 @@ from .model import ExogenousSpec, ModelSpec, ParamVector
 # The four small tables are the keywords of the dataclass each feeds; keys
 # the config leaves out take the dataclass defaults.
 _EXO = {"mean": float, "sd": float, "clamp_lo": float, "clamp_hi": float}
-_CALIBRATE = {"horizon": float, "grid_m": int, "reps": int, "gammas": (float,),
-              "alphas": (float,)}
+_CALIBRATE = {"grid_m": int, "reps": int, "gammas": (float,), "alphas": (float,)}
 _STUDY = {"m_list": (int,), "reps": int, "gammas": (float,), "alphas": (float,),
           "horizon": float, "a_source": str, "emit_traces": int}
 _MONITOR = {"horizon": float, "gamma": float, "alpha": float}
@@ -182,11 +182,16 @@ def parse_model(loaded: LoadedConfig) -> ModelSpec:
 
 
 def parse_calibrate(loaded: LoadedConfig) -> CalibrationConfig:
-    """The `calibrate` section; the score dimension is the model's."""
+    """The `calibrate` section at the default N = 3, which is not a key, so a
+    grid above the point budget is refused naming `grid_m`; d is the model's."""
     dim = parse_model(loaded).beta.dim
     with in_section("calibrate"):
-        return CalibrationConfig(dim=dim, **loaded.get("calibrate", {}),
-                                 master_seed=loaded.seed)
+        try:
+            return CalibrationConfig(dim, **loaded.get("calibrate", {}), master_seed=loaded.seed)
+        except ConfigError as exc:
+            if exc.path != "horizon":
+                raise
+            raise ConfigError("grid_m", exc.reason) from None
 
 
 def parse_experiment(loaded: LoadedConfig) -> tuple[str, ExperimentConfig]:
@@ -212,14 +217,14 @@ def parse_experiment(loaded: LoadedConfig) -> tuple[str, ExperimentConfig]:
 
 def parse_monitor(loaded: LoadedConfig) -> dict:
     """monitor_init keywords from the `monitor` section: horizon, gamma, alpha
-    and threshold_source (a critical value or a threshold table).  Whether
-    the horizon holds a monitored point depends on the training length, and
-    MonitorConfig checks it when the monitor is built."""
+    and threshold_source (a critical value, which wins, or a threshold table).
+    N must be finite and > 0 before the training file is read; MonitorConfig
+    checks the rest of horizon_steps' rule, which depends on the training length."""
     section = loaded.require("monitor")
     settings = {"horizon": DEFAULT_HORIZON, "gamma": DEFAULT_MONITOR_GAMMA,
                 "alpha": DEFAULT_MONITOR_ALPHA,
                 **{k: v for k, v in section.items() if k in _MONITOR}}
-    _check_positive(settings["horizon"], "monitor.horizon")
+    _check_finite_positive(settings["horizon"], "monitor.horizon")
     _check_gamma(settings["gamma"], "monitor.gamma")
     _check_alpha(settings["alpha"], "monitor.alpha")
     if "threshold_c" in section:

@@ -34,7 +34,7 @@ EXPERIMENT_DEFAULTS = {
     "consistency": {"reps": 100, "m_list": (500, 1000, 1500)},
     "normality": {"reps": 1000, "m_list": (400,)},
     "size": {"reps": 1000, "m_list": (100, 200, 300)},
-    "power": {"reps": 500, "m_list": (100, 200, 300)},
+    "power": {"reps": 500, "m_list": (100, 200, 300), "alphas": DEFAULT_ALPHAS[:1]},
 }
 
 

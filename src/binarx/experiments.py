@@ -29,7 +29,7 @@ import scipy
 
 from ._artifacts import write_csv, write_json
 from .calibration import (CalibrationConfig, ThresholdTable, _check_levels, _check_listed_once,
-                          horizon_steps, monitored_points, threshold_table)
+                          horizon_steps, threshold_table)
 from .defaults import (
     DEFAULT_ALPHAS,
     DEFAULT_GAMMAS,
@@ -127,7 +127,7 @@ class ExperimentConfig:
         if change is not None and change.new_beta.dim != d:
             raise ConfigError("change.beta", f"{change.new_beta.dim} entries, the model has {d}")
         for m in self.m_list:
-            H = monitored_points(self.horizon, m)
+            H = horizon_steps(self.horizon, m)
             if change is not None and change.at_k > H:
                 raise ConfigError("change.at_k",
                                   f"{change.at_k} is beyond the horizon {H} at m={m}")
@@ -554,15 +554,15 @@ def _aux_metric(config: ExperimentConfig, cdf) -> np.ndarray:
     return inverse_metric(fit.sigma0_hat)
 
 
-def _monitor_study(config: ExperimentConfig, kind: int, change, alphas, threads: int):
+def _monitor_study(config: ExperimentConfig, kind: int, change, threads: int):
     """Run the blocks of a size or power study at every training length.
 
     ExperimentConfig has checked that every horizon holds a monitored point
     and the change.  Every table cell is looked up at the study's horizon
     before any block runs; a table the config does not give is calibrated
-    here, at the CalibrationConfig defaults for reps and grid_m (any other
-    recipe is built with threshold_table and passed in as `thresholds`).
-    First passages are tracked only under a change, at the first alpha.
+    here, at the CalibrationConfig defaults (N = 3, reps, grid_m; another
+    recipe is passed in as `thresholds`).  First passages are tracked only
+    under a change, at a power study's one level.
     Returns the cells {(gamma, alpha): c}; per training length (m, sups,
     first-passage indices, score drifts or None), one row per fitted rep;
     and the report fields both studies share.
@@ -572,17 +572,17 @@ def _monitor_study(config: ExperimentConfig, kind: int, change, alphas, threads:
     if table is None:
         table = threshold_table(CalibrationConfig(
             dim=config.spec.beta.dim,
-            horizon=config.horizon,
             gammas=config.gammas,
             alphas=config.alphas,
             master_seed=config.master_seed,
         ), threads)
-    cells = {(g, a): table.lookup(g, a, config.horizon) for g in config.gammas for a in alphas}
+    cells = {(g, a): table.lookup(g, a, config.horizon)
+             for g in config.gammas for a in config.alphas}
     cdf = _start_cdf(config.spec)
     a_common = _aux_metric(config, cdf) if config.a_source == "aux" else None
     passage = None
     if change is not None:
-        passage = np.array([cells[g, alphas[0]] for g in config.gammas])
+        passage = np.array([cells[g, config.alphas[0]] for g in config.gammas])
     studies, traces, by_m = [], [], {}
     for mi, (m, H) in enumerate(zip(config.m_list, horizons)):
         kk = np.arange(1, H + 1)
@@ -633,7 +633,7 @@ def run_size(config: ExperimentConfig, threads: int = 1) -> SizeReport:
     common replication streams.  Every horizon and table cell is checked
     before any replication runs.
     """
-    cells, studies, fields = _monitor_study(config, _KIND_SIZE, None, config.alphas, threads)
+    cells, studies, fields = _monitor_study(config, _KIND_SIZE, None, threads)
     rows = []
     for m, sups, _, _ in studies:
         used, failures, flagged = _usage(config.reps, sups.shape[0])
@@ -680,8 +680,9 @@ class PowerReport(_Report):
 def run_power(config: ExperimentConfig, threads: int = 1) -> PowerReport:
     """Detection rate and first-passage delay under a coefficient change.
 
-    The change is injected at monitored index `change.at_k`; the alarm level
-    is the first entry of config.alphas.  The report also carries the
+    The change is injected at monitored index `change.at_k`.  A power study
+    runs at one level: config.alphas holds one entry, and more than one is a
+    ConfigError naming `alphas`.  The report also carries the
     post-change empirical score drift: the average of the score terms over
     the monitored points from the change onward, a direct estimate of the
     signal the statistic accumulates.  Every horizon and table cell is
@@ -689,8 +690,10 @@ def run_power(config: ExperimentConfig, threads: int = 1) -> PowerReport:
     """
     if config.change is None:
         raise ConfigError("change", "required for the power experiment")
+    if len(config.alphas) != 1:
+        raise ConfigError("alphas", f"a power study runs at one level, got {list(config.alphas)}")
     alpha = config.alphas[0]
-    cells, studies, fields = _monitor_study(config, _KIND_POWER, config.change, (alpha,), threads)
+    cells, studies, fields = _monitor_study(config, _KIND_POWER, config.change, threads)
     rows = []
     delays_map = {}
     for m, _, passages, drifts in studies:

@@ -17,8 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .calibration import (ThresholdTable, _check_alpha, _check_gamma, _check_positive,
-                          monitored_points)
+from .calibration import ThresholdTable, _check_alpha, _check_gamma, _check_positive, horizon_steps
 from .estimation import fit_mple
 from .exceptions import MonitoringTerminatedError
 from .model import ParamVector, SeriesSample, _clamp_prob, logistic_float
@@ -58,7 +57,7 @@ class MonitorConfig:
     def __post_init__(self):
         if self.m < 1:
             raise ValueError("training length m must be >= 1")
-        object.__setattr__(self, "horizon_steps", monitored_points(self.horizon, self.m))
+        object.__setattr__(self, "horizon_steps", horizon_steps(self.horizon, self.m))
         _check_gamma(self.gamma)
         _check_alpha(self.alpha)
         _check_positive(self.threshold_c, "threshold_c")

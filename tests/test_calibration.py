@@ -146,6 +146,25 @@ def test_threshold_table_rows_must_agree(tmp_path, rows, message):
         read_threshold_table(path)
 
 
+@pytest.mark.parametrize("settings, message", [
+    ({"horizon": 0.0}, "horizon: must be finite and > 0, got 0.0"),
+    ({"horizon": math.inf}, "horizon: must be finite and > 0, got inf"),
+    ({"horizon": 0.0001}, "horizon: 0.0001 leaves no grid point at grid_m=1000"),
+    # One replication holds at most MAX_POINTS = 10**6 points.
+    ({"horizon": 1e300}, "horizon: 1e+300 x 1000 = 1e+303 points, above the budget of 1000000 "
+                         "per replication"),
+    ({"horizon": 1e306}, "horizon: 1e+306 x 1000 = inf points, above the budget"),
+    ({"horizon": 500.0, "grid_m": 2001},
+     "horizon: 500.0 x 2001 = 1.0005e+06 points, above the budget"),
+], ids=["zero", "inf", "no-grid-point", "1e300", "1e306", "500x2001"])
+def test_calibration_config_holds_the_horizon_rule(settings, message):
+    # Only the API sets a table's horizon; it refuses what horizon_steps
+    # refuses, naming the field.
+    with pytest.raises(ConfigError) as refused:
+        CalibrationConfig(reps=100, **settings)
+    assert str(refused.value).startswith(message)
+
+
 @pytest.mark.parametrize("horizon", [0.0, -0.5, math.nan, math.inf])
 def test_a_table_and_its_lookup_refuse_a_horizon_they_cannot_scale(horizon):
     with pytest.raises(ConfigError, match=f"N: must be finite and > 0, got {horizon}"):

@@ -457,6 +457,8 @@ def test_float_keys_take_json_numbers_only(tmp_path):
     ("simulate", {"simulate": {"length": 10},
                   "model": {**MODEL_SECTION, "exo": {"l": 1}}}, "model.exo.l"),
     ("calibrate", {"calibrate": {"dim": 3}}, "calibrate.dim"),
+    # Tables are written at N = 3 and rescaled by every consumer.
+    ("calibrate", {"calibrate": {"horizon": 3.0}}, "calibrate.horizon"),
 ])
 def test_config_unknown_keys_name_the_field(tmp_path, capsys, command, section, field):
     cfg = _write_config(tmp_path / "cfg.json", {"model": MODEL_SECTION, **section})
@@ -477,7 +479,7 @@ def test_config_unknown_keys_name_the_field(tmp_path, capsys, command, section, 
     ("monitor", {"monitor": {"threshold_c": 7.0, "alpha": 1.5}},
      "monitor.alpha: alpha must lie in (0, 1), got 1.5"),
     ("monitor", {"monitor": {"threshold_c": 7.0, "horizon": -1}},
-     "monitor.horizon: must be > 0, got -1.0"),
+     "monitor.horizon: must be finite and > 0, got -1.0"),
     ("monitor", {"monitor": {"threshold_c": -7}}, "monitor.threshold_c: must be > 0, got -7.0"),
     ("experiment", {"experiment": {"kind": "size", "gammas": [0.9]}},
      "experiment.gammas: gamma must lie in [0, 0.5), got 0.9"),
@@ -494,7 +496,10 @@ def test_config_unknown_keys_name_the_field(tmp_path, capsys, command, section, 
      "calibrate.alphas: alpha must lie in (0, 1), got 1.0"),
     ("calibrate", {"calibrate": {"reps": 50}}, "calibrate.reps: must be >= 100, got 50"),
     ("calibrate", {"calibrate": {"grid_m": 10}}, "calibrate.grid_m: must be >= 100, got 10"),
-    ("calibrate", {"calibrate": {"horizon": 0}}, "calibrate.horizon: must be > 0, got 0.0"),
+    # `calibrate` writes its table at N = 3, so the grid takes the budget's refusal.
+    ("calibrate", {"calibrate": {"grid_m": 400000}},
+     "calibrate.grid_m: 3.0 x 400000 = 1.2e+06 points, above the budget of 1000000 per "
+     "replication"),
     ("experiment", {"experiment": {"kind": "size", "reps": 0}},
      "experiment.reps: must be >= 1, got 0"),
     ("experiment", {"experiment": {"kind": "size", "m_list": []}},
@@ -516,38 +521,39 @@ def test_config_unknown_keys_name_the_field(tmp_path, capsys, command, section, 
     ("simulate", {"simulate": {"length": 10},
                   "model": {**MODEL_SECTION, "exo": {"clamp_lo": 2.0, "clamp_hi": 1.0}}},
      "model.exo.clamp_hi: 1.0 is not above clamp_lo 2.0"),
-    ("calibrate", {"calibrate": {"horizon": 0.0001, "reps": 100}},
-     "calibrate.horizon: 0.0001 leaves no grid point at grid_m=1000"),
+    ("experiment", {"experiment": {"kind": "size", "horizon": 0}},
+     "experiment.horizon: must be finite and > 0, got 0.0"),
     ("calibrate", {"calibrate": {"gammas": []}}, "calibrate.gammas: must not be empty"),
     ("experiment", {"experiment": {"kind": "size", "gammas": []}},
      "experiment.gammas: must not be empty"),
     ("experiment", {"experiment": {"kind": "power", "alphas": [],
                                    "change": {"at_k": 5, "beta": [-1, 0.2, 0.4]}}},
      "experiment.alphas: must not be empty"),
-    ("calibrate", {"calibrate": {"horizon": math.inf}},
-     "calibrate.horizon: must be finite, got inf"),
+    ("experiment", {"experiment": {"kind": "size", "horizon": -1}},
+     "experiment.horizon: must be finite and > 0, got -1.0"),
     ("experiment", {"experiment": {"kind": "size", "horizon": math.inf}},
-     "experiment.horizon: must be finite, got inf"),
+     "experiment.horizon: must be finite and > 0, got inf"),
     ("monitor", {"monitor": {"training": "train.csv", "stream": "stream.csv", "threshold_c": 7.0,
                              "horizon": math.inf}},
-     "monitor.horizon: must be finite, got inf"),
+     "monitor.horizon: must be finite and > 0, got inf"),
     ("experiment", {"experiment": {"kind": "size", "horizon": math.nan}},
-     "experiment.horizon: must be finite, got nan"),
+     "experiment.horizon: must be finite and > 0, got nan"),
     ("experiment", {"experiment": {"kind": "normality", "m_list": [100, 200]}},
      "experiment.m_list: normality runs at one training length, got [100, 200]"),
-    ("experiment", {"experiment": {"kind": "size", "m_list": [20000], "horizon": 0.0001,
-                                   "reps": 1}},
-     "experiment.horizon: 0.0001 leaves no grid point at grid_m=1000"),
+    ("experiment", {"experiment": {"kind": "power", "alphas": [0.1, 0.05],
+                                   "change": {"at_k": 5, "beta": [-1, 0.2, 0.4]}}},
+     "experiment.alphas: a power study runs at one level, got [0.1, 0.05]"),
     ("experiment", {"experiment": {"kind": "power"}},
      "experiment.change: required for the power experiment"),
     # One replication holds at most MAX_POINTS = 10**6 points.
-    ("calibrate", {"calibrate": {"horizon": 1e300, "reps": 100}},
-     "calibrate.horizon: 1e+300 x 1000 = 1e+303 points, above the budget of 1000000 per "
-     "replication"),
-    ("calibrate", {"calibrate": {"horizon": 1e306, "reps": 100}},
-     "calibrate.horizon: 1e+306 x 1000 = inf points, above the budget"),
-    ("calibrate", {"calibrate": {"horizon": 500.0, "grid_m": 2001, "reps": 100}},
-     "calibrate.horizon: 500.0 x 2001 = 1.0005e+06 points, above the budget"),
+    ("monitor", {"monitor": {"training": "train.csv", "stream": "stream.csv", "threshold_c": 7.0,
+                             "horizon": 0}},
+     "monitor.horizon: must be finite and > 0, got 0.0"),
+    ("monitor", {"monitor": {"training": "train.csv", "stream": "stream.csv", "threshold_c": 7.0,
+                             "horizon": math.nan}},
+     "monitor.horizon: must be finite and > 0, got nan"),
+    # The smallest grid above the budget: 3 x 333333 = 999999 points fit.
+    ("calibrate", {"calibrate": {"grid_m": 333334}}, "calibrate.grid_m: 3.0 x 333334 = "),
     ("experiment", {"experiment": {"kind": "size", "horizon": 1e300, "reps": 1}},
      "experiment.horizon: 1e+300 x 100 = 1e+302 points, above the budget"),
     ("experiment", {"experiment": {"kind": "size", "horizon": 3.0, "m_list": [100, 400000],
@@ -717,7 +723,7 @@ def test_negative_seed_names_the_field(tmp_path, capsys, config_seed, flags, see
 
 def test_monitor_horizon_without_a_point_at_the_training_length_names_the_field(tmp_path,
                                                                                 capsys):
-    # 0.001 passes the early check (> 0); only the 100-transition training
+    # 0.001 passes the early check (finite and > 0); only the 100-transition training
     # file shows that floor(0.001 * 100) leaves no monitored point.
     training = simulate_series(MODEL_SPEC, 100, seed=3)
     write_series_csv(training, tmp_path / "train.csv")
@@ -809,6 +815,26 @@ def test_experiment_command(tmp_path):
     assert meta["failures_by_class"] == {
         "80": {"SeparationError": 0, "SingularHessianError": 0, "NonConvergenceError": 0}
     }
+
+
+def test_power_study_without_alphas_reports_the_first_default_level(tmp_path):
+    # A power study runs at one level; without `alphas` that is 0.1, and its
+    # artifacts are those of `alphas: [0.1]`.
+    cells = {(0.0, a): 7.0 for a in DEFAULT_ALPHAS}
+    write_threshold_table(ThresholdTable(cells, 100, 100, DEFAULT_HORIZON, 0),
+                          tmp_path / "table.csv")
+    study = {"kind": "power", "m_list": [30], "reps": 2, "gammas": [0.0],
+             "thresholds": "table.csv", "change": {"at_k": 5, "beta": [-1.0, 0.2, 0.4]}}
+    outputs = []
+    for name, extra in (("default", {}), ("explicit", {"alphas": [0.1]})):
+        cfg = _write_config(tmp_path / f"{name}.json",
+                            {"model": MODEL_SECTION, "experiment": {**study, **extra}})
+        out = tmp_path / name
+        assert run_command(["--config", cfg, "--out", str(out), "--quiet", "experiment"]) == 0
+        outputs.append({p.name: p.read_bytes() for p in out.iterdir()})
+    assert outputs[0] == outputs[1]
+    rows = outputs[0]["power_report.csv"].decode().splitlines()
+    assert [row.split(",")[2] for row in rows] == ["alpha", "0.1"]
 
 
 @pytest.mark.parametrize("m", [0, 3])
@@ -963,7 +989,6 @@ _KEYS = {
         "series": (("train.csv", "short.csv", "flat.csv"), ("stream.csv",) + _BAD_FILES),
     },
     "calibrate": {
-        "horizon": ((0.05, 1.0, 3.0), _HORIZONS_OUT),
         "grid_m": ((100, 200), (99,)),
         "reps": ((100,), (99,)),
         "gammas": ((_ABSENT, [0.0], [0.0, 0.49]), ([], [0.5], [-0.1], [0.0, 0.0])),
@@ -1004,6 +1029,15 @@ _KEYS = {
         "series": (("binomial.csv", "zero.csv", "one.csv"), (_ABSENT, "train.csv") + _BAD_FILES),
     },
 }
+
+
+def test_generated_config_keys_are_the_schema_keys():
+    # A schema key missing here is never generated; a key here that the
+    # schema dropped makes every generated config of its section an
+    # unknown-key refusal, which the generated test accepts, so that
+    # section's coverage would be lost without any failure.
+    assert {section: set(keys) for section, keys in _KEYS.items()} == {
+        section: set(keys) for section, keys in _SCHEMA.items() if isinstance(keys, dict)}
 
 
 @st.composite

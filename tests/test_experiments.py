@@ -348,6 +348,11 @@ def test_studies_check_cells_and_horizons_before_any_block(small_table, monkeypa
     with pytest.raises(ValueError, match="beyond the horizon 60"):
         run_power(ExperimentConfig(m_list=(40, 20), reps=3, gammas=(0.0,), alphas=(0.05,),
                                    thresholds=small_table, change=late))
+    # A power report holds one row per (m, gamma): a second level would be dropped.
+    with pytest.raises(ConfigError, match=r"^alphas: a power study runs at one level, "
+                                          r"got \[0.1, 0.05\]$"):
+        run_power(ExperimentConfig(m_list=(20,), reps=3, gammas=(0.0,), alphas=(0.1, 0.05),
+                                   thresholds=small_table, change=CHANGE))
     assert calls == []
 
 
@@ -370,12 +375,16 @@ def test_study_without_a_table_calibrates_at_the_calibrate_defaults(
         return small_table
 
     monkeypatch.setattr(experiments, "threshold_table", spy)
+    # No table is calibrated at a study's horizon: its own table is the N = 3
+    # table, and its cells are looked up at the study's horizon, N' = 1.
     cfg = ExperimentConfig(m_list=(40,), reps=20, gammas=(0.0, 0.4), alphas=(0.1, 0.05),
-                           master_seed=23)
+                           horizon=1.0, master_seed=23)
     report = run_size(cfg)
     assert seen == [CalibrationConfig(dim=3, horizon=3.0, gammas=(0.0, 0.4), alphas=(0.1, 0.05),
                                       master_seed=23)]
     assert (seen[0].reps, seen[0].grid_m) == (DEFAULT_CALIBRATION_REPS, DEFAULT_GRID_M)
+    assert [r.threshold_c for r in report.rows] == [
+        small_table.lookup(g, a, 1.0) for g in cfg.gammas for a in cfg.alphas]
     assert report == run_size(replace(cfg, thresholds=small_table))
     assert len(seen) == 1
     # The recipe is not a study setting: other recipes come in as `thresholds`.

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from binarx import (
+    CalibrationConfig,
     ConfigError,
+    ExperimentConfig,
     ModelSpec,
     MonitoringTerminatedError,
     ParamVector,
@@ -197,10 +199,23 @@ def test_monitor_update_rejects_after_horizon():
     with pytest.raises(MonitoringTerminatedError):
         monitor_update(state, int(pairs[2][0]), pairs[2][1])
     # A horizon that holds no monitored point would end every run without a look.
-    for horizon in (0.05, 0.0, -1.0):
-        with pytest.raises(ValueError, match="no monitored point at m=10"):
-            monitor_init(training, SPEC.n, horizon=horizon, gamma=0.0, alpha=0.05,
-                         threshold_source=1e-12)
+    # 0 and -1 are refused by the horizon rule itself (the test below).
+    with pytest.raises(ConfigError, match="horizon: 0.05 leaves no monitored point at m=10"):
+        monitor_init(training, SPEC.n, horizon=0.05, gamma=0.0, alpha=0.05,
+                     threshold_source=1e-12)
+
+
+@pytest.mark.parametrize("horizon", [0.0, -1.0, math.inf, math.nan])
+def test_every_type_refuses_a_horizon_by_one_rule(horizon):
+    # calibration.horizon_steps holds the rule for the calibration grid, a
+    # study's training lengths and a monitor, with one message.
+    message = f"^horizon: must be finite and > 0, got {horizon}$"
+    for build in (lambda: CalibrationConfig(horizon=horizon),
+                  lambda: ExperimentConfig(horizon=horizon),
+                  lambda: monitor_init(_training(m=10, seed=53), SPEC.n, horizon=horizon,
+                                       gamma=0.0, alpha=0.05, threshold_source=7.0)):
+        with pytest.raises(ConfigError, match=message):
+            build()
 
 
 def test_monitor_update_range_check():
