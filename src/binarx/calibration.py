@@ -93,8 +93,11 @@ def horizon_steps(horizon: float, per_unit: int, point: str = "monitored point a
     The one horizon rule: N finite and > 0, and from 1 to MAX_POINTS points
     (the budget of one replication); `point` names the unit in the refusal."""
     _check_finite_positive(horizon, "horizon")
-    if horizon * per_unit > MAX_POINTS:
-        raise ConfigError("horizon", f"{horizon} x {per_unit} = {horizon * per_unit:g} points, "
+    points = horizon * per_unit
+    if points > MAX_POINTS:
+        # The shortest repr that reads back as `points`: a count just above
+        # the budget never prints as the budget itself.
+        raise ConfigError("horizon", f"{horizon} x {per_unit} = {points!r} points, "
                                      f"above the budget of {MAX_POINTS} per replication")
     steps = int(np.floor(horizon * per_unit + 1e-9))
     if steps < 1:

@@ -5,11 +5,23 @@ transition contributes log C(n, X_t) + X_t log pi_t + (n - X_t) log(1 - pi_t).
 Its gradient has the closed form sum_t z_{t-1} (X_t - n pi_t), and the score
 gradient is -n sum_t z_{t-1} z_{t-1}' pi_t (1 - pi_t).  The estimator solves
 score = 0 by a damped Newton iteration.
+
+The batched solver works on chunks of at most _CHUNK_ELEMENTS design
+entries, and writes every chunk-sized array (the design, the responses,
+eta, pi, residuals, weights and their temporaries) into one workspace per
+thread: flat float64 buffers, one per role, grown on demand and reused by
+every later fit in that thread, so repeated fits fault in no new pages.  No
+buffer is kept above _CHUNK_ELEMENTS entries: a single series whose design
+is larger gets new arrays for its call.  Process-pool workers each hold
+their own.  No result a fit returns is a view of the workspace.
 """
 
 from __future__ import annotations
 
+import math
+import threading
 from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 import numpy as np
 
@@ -63,47 +75,123 @@ class FitResult:
         return 2.0 * self.beta_hat.dim - 2.0 * self.log_pl
 
 
+# One Newton chunk holds at most this many design entries (reps x m x d),
+# so its working arrays stay near half a megabyte whatever the block size.
+_CHUNK_ELEMENTS = 1 << 16
+
+
+class _Views(NamedTuple):
+    """The workspace arrays for a chunk of c series, by role."""
+
+    Z: np.ndarray  # (c, m, d): the design (_stack_design)
+    y: np.ndarray  # (c, m): the responses (_stack_design)
+    Za: np.ndarray  # (c, m, d): the active series' design
+    Zt: np.ndarray  # (c, m, d): halved series' design; the weighted design
+    eta: np.ndarray  # (c, m): eta at every series' accepted beta
+    ya: np.ndarray  # (c, m): the active series' responses
+    pi: np.ndarray  # (c, m)
+    resid: np.ndarray  # (c, m): y - n pi, then pi of the series left active
+    eta_cand: np.ndarray  # (c, m): eta at the candidate beta
+    yt: np.ndarray  # (c, m): halved series' responses
+    eta_t: np.ndarray  # (c, m): eta at halved series' candidates
+    s1: np.ndarray  # (c, m): temporaries
+    s2: np.ndarray  # (c, m): temporaries
+
+    def head(self, k: int) -> "_Views":
+        """Views of the first k rows."""
+        return self if k == len(self.eta) else _Views(*(a[:k] for a in self))
+
+
+class _Workspace(threading.local):
+    """The calling thread's kernel buffers: one flat float64 array per role."""
+
+    def __init__(self):
+        self.flat: dict[str, np.ndarray] = {}
+        self.last: tuple = (None, None)  # (design shape, views) of the last call
+
+    def views(self, shape: tuple) -> _Views:
+        """The roles' arrays for a design of `shape`: of that shape for the
+        roles named Z..., and of shape[:-1] for the others.  Each is a view
+        of its role's buffer, grown to fit, or a new array when the design is
+        above _CHUNK_ELEMENTS.  A call at the last shape gets the same views."""
+        if shape == self.last[0]:
+            return self.last[1]
+        shapes = [shape if role.startswith("Z") else shape[:-1] for role in _Views._fields]
+        if math.prod(shape) > _CHUNK_ELEMENTS:
+            return _Views(*map(np.empty, shapes))
+        arrays = []
+        for role, role_shape in zip(_Views._fields, shapes):
+            size = math.prod(role_shape)
+            buf = self.flat.get(role)
+            if buf is None or buf.size < size:
+                buf = self.flat[role] = np.empty(size)
+            arrays.append(buf[:size].reshape(role_shape))
+        self.last = (shape, _Views(*arrays))
+        return self.last[1]
+
+
+_WORKSPACE = _Workspace()
+
+
 def _stack_design(x: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Design Z (rows z_{t-1} = (1, x_{t-1}, w_t)) and responses y = x[1:] of
-    one series or of stacked ones: x is (..., m + 1) and w is (..., m, l)."""
-    Z = np.empty(w.shape[:-1] + (2 + w.shape[-1],))
+    one series or of stacked ones: x is (..., m + 1) and w is (..., m, l).
+    Both are views of the thread's workspace (see the module docstring), so
+    they hold until the thread's next _stack_design (new arrays above
+    _CHUNK_ELEMENTS design entries)."""
+    Z, y = _WORKSPACE.views(w.shape[:-1] + (2 + w.shape[-1],))[:2]
     Z[..., 0] = 1.0
     Z[..., 1] = x[..., :-1]
     Z[..., 2:] = w
-    return Z, x[..., 1:].astype(float)
+    np.copyto(y, x[..., 1:])
+    return Z, y
 
 
-def _gram(Z: np.ndarray, weights: np.ndarray) -> np.ndarray:
+def _gram(Z: np.ndarray, weights: np.ndarray, wide: np.ndarray | None = None) -> np.ndarray:
     """Stacked weighted Gram matrices sum_t weights_t z_t z_t', exactly symmetric.
 
     Z is (k, m, d) and weights (k, m); the result is (k, d, d).  With weights
     n pi (1 - pi) it is the negated score gradient, with squared residuals
-    m times the outer-product score covariance.
+    m times the outer-product score covariance.  `wide`, Z's shape, holds the
+    weighted design when given.
     """
-    M = np.matmul(np.swapaxes(Z, 1, 2), Z * weights[:, :, None])
+    M = np.matmul(np.swapaxes(Z, 1, 2), np.multiply(Z, weights[:, :, None], out=wide))
     return 0.5 * (M + np.swapaxes(M, 1, 2))
 
 
 # The likelihood kernel.  Each helper works on c stacked series: Z is
-# (c, m, d), y, eta, pi and resid are (c, m), beta is (c, d).
+# (c, m, d), y, eta, pi and resid are (c, m), beta is (c, d).  The optional
+# trailing arrays are (c, m) (or Z's shape) and take the helper's output and
+# temporaries in place of new arrays; each helper runs the same ufuncs in the
+# same order either way, so the bits do not depend on them.
 
-def _log_coef(y: np.ndarray, spec_n: int) -> np.ndarray:
+def _log_coef(y: np.ndarray, spec_n: int, index=None, terms=None) -> np.ndarray:
     """sum_t log C(n, y_t) of each series."""
-    return np.sum(log_binom(spec_n, y), axis=1)
+    return np.sum(log_binom(spec_n, y, terms, index), axis=1)
 
 
-def _log_pl(Z, y, log_coef, beta, spec_n: int) -> tuple[np.ndarray, np.ndarray]:
+def _log_pl(Z, y, log_coef, beta, spec_n: int, eta=None, soft=None,
+            tmp=None) -> tuple[np.ndarray, np.ndarray]:
     """Log partial likelihood of each series at its beta, and eta = Z beta.
     `log_coef` is `_log_coef(y, n)`: the binomial coefficients stay in, so
     values compare across models of the same data (as AIC needs)."""
-    eta = np.matmul(Z, beta[:, :, None])[:, :, 0]
+    eta = np.matmul(Z, beta[:, :, None], out=None if eta is None else eta[:, :, None])[:, :, 0]
     # log(1 + e^eta) as max(eta, 0) + log1p(e^-|eta|): np.logaddexp(0, eta)'s
     # formula, in ufuncs that run several times faster.
-    soft = np.abs(eta)
+    soft = np.abs(eta, out=soft)
     np.negative(soft, out=soft)
     np.log1p(np.exp(soft, out=soft), out=soft)
-    soft += np.maximum(eta, 0.0)
-    return log_coef + np.sum(y * eta - spec_n * soft, axis=1), eta
+    tmp = np.maximum(eta, 0.0, out=tmp)
+    soft += tmp
+    np.multiply(y, eta, out=tmp)
+    soft *= spec_n
+    tmp -= soft
+    return log_coef + np.sum(tmp, axis=1), eta
+
+
+def _residual(y, pi, spec_n: int, out=None) -> np.ndarray:
+    """y - n pi."""
+    return np.subtract(y, np.multiply(spec_n, pi, out=out), out=out)
 
 
 def _score(Z, resid) -> np.ndarray:
@@ -111,9 +199,11 @@ def _score(Z, resid) -> np.ndarray:
     return np.matmul(np.swapaxes(Z, 1, 2), resid[:, :, None])[:, :, 0]
 
 
-def _curvature(Z, pi, spec_n: int) -> np.ndarray:
+def _curvature(Z, pi, spec_n: int, weights=None, spare=None, wide=None) -> np.ndarray:
     """Negated score gradient n sum_t z_{t-1} z_{t-1}' pi_t (1 - pi_t)."""
-    return _gram(Z, spec_n * pi * (1.0 - pi))
+    weights = np.multiply(spec_n, pi, out=weights)
+    weights *= np.subtract(1.0, pi, out=spare)
+    return _gram(Z, weights, wide)
 
 
 def _singular(H: np.ndarray) -> np.ndarray:
@@ -123,11 +213,6 @@ def _singular(H: np.ndarray) -> np.ndarray:
     zero one and its condition number is infinite."""
     lam = np.linalg.eigvalsh(H)
     return (lam[:, 0] <= 0.0) | (lam[:, -1] > _COND_LIMIT * lam[:, 0])
-
-
-# One Newton chunk holds at most this many design entries (reps x m x d),
-# so its working arrays stay near half a megabyte whatever the block size.
-_CHUNK_ELEMENTS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -154,12 +239,19 @@ class BatchFit:
         return np.array([e is None for e in self.errors], dtype=bool)
 
 
-def _narrow(keep: np.ndarray, *arrays):
-    """Rows of each array where `keep` holds; the arrays themselves (no copy)
-    when it holds everywhere."""
-    if keep.all():
-        return arrays
-    return tuple(a[keep] for a in arrays)
+def _rows(a: np.ndarray, index: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """a[index], written into `out` (memory apart from a's).  mode="clip"
+    lets take write there directly; every index is in range."""
+    return np.take(a, index, axis=0, out=out, mode="clip")
+
+
+def _active(Z, y, act, ws: _Views) -> tuple[_Views, np.ndarray, np.ndarray]:
+    """The views of act.size rows, and the design and responses of the
+    series in `act`: Z and y themselves when it holds all of them."""
+    v = ws.head(act.size)
+    if act.size == len(Z):
+        return v, Z, y
+    return v, _rows(Z, act, v.Za), _rows(y, act, v.ya)
 
 
 def _newton(Z: np.ndarray, y: np.ndarray, spec_n: int) -> BatchFit:
@@ -168,38 +260,47 @@ def _newton(Z: np.ndarray, y: np.ndarray, spec_n: int) -> BatchFit:
     Z is (c, m, d) and y is (c, m).  Every replication keeps its own
     convergence, step-halving, box and condition-limit state; a replication
     leaves the active set when it converges, stalls (a step below _STEP_TOL,
-    or one that no halving takes uphill), or fails.
+    or one that no halving takes uphill), or fails.  While fewer than c
+    series are active, their rows of Z and y are copied into the workspace.
     """
     c, m, d = Z.shape
+    ws = _WORKSPACE.views(Z.shape)
     errors: list = [None] * c
-    log_coef = _log_coef(y, spec_n)
+    log_coef = _log_coef(y, spec_n, ws.s1, ws.s2)
     for i in np.nonzero(np.all(y == 0, axis=1) | np.all(y == spec_n, axis=1))[0]:
         errors[i] = SeparationError("all responses at the same boundary; the MPLE diverges")
     beta = np.zeros((c, d))
-    lp, eta = _log_pl(Z, y, log_coef, beta, spec_n)
+    lp, eta = _log_pl(Z, y, log_coef, beta, spec_n, ws.eta, ws.s1, ws.s2)
     iterations = np.zeros(c, dtype=int)
     hit_boundary = np.zeros(c, dtype=bool)
     act = np.array([i for i, e in enumerate(errors) if e is None], dtype=int)
     for it in range(1, _MAX_ITER + 1):
         if act.size == 0:
             break
-        Za, ya, eta_a = (Z, y, eta) if act.size == c else (Z[act], y[act], eta[act])
-        pi = logistic(eta_a)
-        g = _score(Za, ya - spec_n * pi)
+        v, Za, ya = _active(Z, y, act, ws)
+        pi = logistic(eta if act.size == c else _rows(eta, act, v.s1), v.pi)
+        g = _score(Za, _residual(ya, pi, spec_n, v.resid))
         done = np.abs(g).max(axis=1) < _TOL
         iterations[act] = np.where(done, it - 1, it)
-        act, Za, ya, pi, g = _narrow(~done, act, Za, ya, pi, g)
-        if act.size == 0:
-            break
-        H = _curvature(Za, pi, spec_n)
+        if done.any():
+            keep = ~done
+            act, g = act[keep], g[keep]
+            if act.size == 0:
+                break
+            v, Za, ya = _active(Z, y, act, ws)
+            pi = _rows(pi, np.flatnonzero(keep), v.resid)
+        H = _curvature(Za, pi, spec_n, v.s1, v.s2, v.Zt)
         singular = _singular(H)
         for i in act[singular]:
             errors[i] = SingularHessianError(
                 f"negated score gradient has condition number above {_COND_LIMIT:g}"
             )
-        act, Za, ya, H, g = _narrow(~singular, act, Za, ya, H, g)
-        if act.size == 0:
-            break
+        if singular.any():
+            keep = ~singular
+            act, H, g = act[keep], H[keep], g[keep]
+            if act.size == 0:
+                break
+            v, Za, ya = _active(Z, y, act, ws)
         step = np.linalg.solve(H, g[:, :, None])[:, :, 0]
         # Step-halving: the full step on every active series first, then
         # halved steps wherever the log PL would decrease, down to 2^-30.
@@ -207,25 +308,31 @@ def _newton(Z: np.ndarray, y: np.ndarray, spec_n: int) -> BatchFit:
         floor = lp0 - 1e-10 * (1.0 + np.abs(lp0))
         scale = np.ones(act.size)
         cand = np.clip(b0 + step, -PARAM_BOX_BOUND, PARAM_BOX_BOUND)
-        lp_cand, eta_cand = _log_pl(Za, ya, log_coef[act], cand, spec_n)
+        lp_cand, eta_cand = _log_pl(Za, ya, log_coef[act], cand, spec_n, v.eta_cand, v.s1, v.s2)
         todo = lp_cand < floor
         for _ in range(_MAX_HALVINGS):
             if not todo.any():
                 break
             scale[todo] *= 0.5
-            Zt, yt = _narrow(todo, Za, ya)
+            t = ws.head(np.count_nonzero(todo))
+            if todo.all():
+                Zt, yt = Za, ya
+            else:
+                rows = np.flatnonzero(todo)
+                Zt, yt = _rows(Za, rows, t.Zt), _rows(ya, rows, t.yt)
             cand[todo] = np.clip(
                 b0[todo] + scale[todo, None] * step[todo], -PARAM_BOX_BOUND, PARAM_BOX_BOUND
             )
-            lp_cand[todo], eta_cand[todo] = _log_pl(Zt, yt, log_coef[act[todo]], cand[todo], spec_n)
+            lp_cand[todo], eta_cand[todo] = _log_pl(Zt, yt, log_coef[act[todo]], cand[todo],
+                                                    spec_n, t.eta_t, t.s1, t.s2)
             todo &= lp_cand < floor
         hit_boundary[act] |= np.any(cand != b0 + scale[:, None] * step, axis=1)
         stalled = todo | (np.abs(cand - b0).max(axis=1) < _STEP_TOL)
         beta[act], lp[act], eta[act] = cand, lp_cand, eta_cand
-        act, = _narrow(~stalled, act)
+        act = act[~stalled]
 
-    pi = logistic(eta)
-    resid = y - spec_n * pi
+    pi = logistic(eta, ws.pi)
+    resid = _residual(y, pi, spec_n, ws.resid)
     final_norm = np.abs(_score(Z, resid)).max(axis=1)
     for i in np.nonzero(final_norm >= _TOL)[0]:
         if errors[i] is None:
@@ -235,15 +342,20 @@ def _newton(Z: np.ndarray, y: np.ndarray, spec_n: int) -> BatchFit:
             )
     covariance = np.full((c, d, d), np.nan)
     live = np.array([e is None for e in errors], dtype=bool)
-    Zl, pl = _narrow(live, Z, pi)
-    H = _curvature(Zl, pl, spec_n)
+    v = ws.head(np.count_nonzero(live))
+    if live.all():
+        Zl, pl = Z, pi
+    else:
+        rows = np.flatnonzero(live)
+        Zl, pl = _rows(Z, rows, v.Za), _rows(pi, rows, v.ya)
+    H = _curvature(Zl, pl, spec_n, v.s1, v.s2, v.Zt)
     singular = _singular(H)
     for i in np.nonzero(live)[0][singular]:
         errors[i] = SingularHessianError("curvature matrix singular at the optimum")
     live[live] = ~singular
     cov = np.linalg.inv(H[~singular] / m)
     covariance[live] = 0.5 * (cov + np.swapaxes(cov, 1, 2))
-    sigma0 = _gram(Z, resid**2) / m
+    sigma0 = _gram(Z, np.square(resid, out=resid), ws.Zt) / m
     return BatchFit(
         beta=beta,
         covariance=covariance,

@@ -185,15 +185,15 @@ def _logistic_of_negated(u: np.ndarray) -> np.ndarray:
     return np.reciprocal(u, out=u)
 
 
-def logistic(eta: np.ndarray) -> np.ndarray:
-    """1 / (1 + exp(-eta)) of a float array, as a new array.
+def logistic(eta: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """1 / (1 + exp(-eta)) of a float array, as a new array or in `out`.
 
     Below eta = -709.78 p is 0, the limit, and no eta raises a warning.
     numpy's vector exp may differ from the C library's in the last bit, so p
     may differ from `logistic_float` of the same eta in its last bits.
     """
     with np.errstate(over="ignore"):
-        return _logistic_of_negated(np.negative(eta))
+        return _logistic_of_negated(np.negative(eta, out=out))
 
 
 def logistic_float(eta: float) -> float:
@@ -215,23 +215,32 @@ def _clamp_prob(p: float) -> float:
     return _PROB_FLOOR if p < _PROB_FLOOR else _PROB_CEIL if p > _PROB_CEIL else p
 
 
-def log_binom(n: int, x) -> np.ndarray:
+def log_binom(n: int, x, out: np.ndarray | None = None,
+              index: np.ndarray | None = None) -> np.ndarray:
     """Log binomial coefficient log C(n, x), elementwise over an array x of
     integers in 0..n.
 
     math.lgamma runs once per value: over a table of 0..max(x) when that is
-    shorter than x, and otherwise over the distinct values of x.
+    shorter than x, and otherwise over the distinct values of x.  `out` and
+    `index`, C-contiguous float64 arrays of x's shape when given, receive the
+    result and the table index (as intp) in place of new arrays.
     """
     x = np.asarray(x)
     top = int(x.max(initial=-1)) + 1
     if top < x.size:
-        values, index = range(top), x.astype(np.intp)
+        values = range(top)
+        if index is None:
+            index = x.astype(np.intp)
+        else:
+            index = index.view(np.intp)
+            np.copyto(index, x, casting="unsafe")
     else:
         unique, index = np.unique(x, return_inverse=True)
         values = unique.tolist()
     lg, head = math.lgamma, math.lgamma(n + 1)
     table = np.array([head - lg(k + 1) - lg(n - k + 1) for k in values], dtype=float)
-    return table[index].reshape(x.shape)
+    # mode="clip" lets take write straight into `out`; every index is in range.
+    return np.take(table, index.reshape(x.shape), out=out, mode="clip")
 
 
 def simulate_chain(

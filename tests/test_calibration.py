@@ -155,7 +155,7 @@ def test_threshold_table_rows_must_agree(tmp_path, rows, message):
                          "per replication"),
     ({"horizon": 1e306}, "horizon: 1e+306 x 1000 = inf points, above the budget"),
     ({"horizon": 500.0, "grid_m": 2001},
-     "horizon: 500.0 x 2001 = 1.0005e+06 points, above the budget"),
+     "horizon: 500.0 x 2001 = 1000500.0 points, above the budget"),
 ], ids=["zero", "inf", "no-grid-point", "1e300", "1e306", "500x2001"])
 def test_calibration_config_holds_the_horizon_rule(settings, message):
     # Only the API sets a table's horizon; it refuses what horizon_steps

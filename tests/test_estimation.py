@@ -1,4 +1,7 @@
+import dataclasses
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -13,7 +16,7 @@ from binarx import (
     simulate_series,
 )
 from binarx import estimation
-from binarx.estimation import fit_mple_batch, fit_report
+from binarx.estimation import BatchFit, fit_mple_batch, fit_report
 from binarx.model import ExogenousSpec, ModelSpec, SeriesSample, log_binom, logistic
 from series_kernel import curvature, log_pl, score
 
@@ -40,9 +43,9 @@ def _newton_traced(sample, n):
     Z, y = estimation._stack_design(sample.x[None], sample.w[None])
     seen = []
 
-    def recorder(eta):
+    def recorder(eta, *out):
         seen.append(eta.copy())  # the fit updates its eta in place
-        return logistic(eta)
+        return logistic(eta, *out)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(estimation, "logistic", recorder)
@@ -281,9 +284,9 @@ def test_a_fit_no_trial_scale_takes_uphill_stops():
         events.append("log_pl")
         return log_pl_kernel(*args)
 
-    def marked(eta):
+    def marked(eta, *out):
         events.append("|")
-        return logistic(eta)
+        return logistic(eta, *out)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(estimation, "_log_pl", counted)
@@ -397,3 +400,81 @@ def test_step_halving_per_rep_in_a_batch(monkeypatch):
     for f in ("beta", "sigma0", "log_pl", "iterations", "final_score_norm", "hit_boundary"):
         np.testing.assert_allclose(getattr(batch, f)[1], getattr(solo, f)[0], rtol=1e-10)
     assert type(batch.errors[1]) is type(solo.errors[0])
+
+
+def _in_thread(work):
+    """work() run in a new thread, whose kernel workspace starts empty."""
+    out = []
+
+    def run():
+        assert estimation._WORKSPACE.flat == {}
+        out.append(work())
+
+    thread = threading.Thread(target=run)
+    thread.start()
+    thread.join(timeout=120)
+    assert not thread.is_alive() and len(out) == 1
+    return out[0]
+
+
+def _assert_same_bits(got, want):
+    for f in dataclasses.fields(BatchFit):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        if f.name == "errors":
+            assert [(type(e), str(e)) for e in a] == [(type(e), str(e)) for e in b]
+        else:
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), f.name
+
+
+def test_workspace_reuse_leaks_no_state():
+    # A size-study block, the aux metric's long series, a batch of one, the
+    # block again, then a series above the chunk bound, fitted back to back
+    # in one thread: each fit and every field it returned, read after the
+    # last fit, equals the same fit alone on an empty workspace.
+    block = [_sample(300, seed=2000 + i) for i in range(256)]
+    block[5] = SeriesSample(x=np.full(301, 3), w=block[5].w)  # singular: NaN covariance
+    long_m = estimation._CHUNK_ELEMENTS // 3 + 1
+    batches = [_stack(block), _stack([_sample(10_000, seed=2300)]),
+               _stack([_sample(30, seed=2301)]), _stack(block),
+               _stack([_sample(long_m, seed=2302)])]
+
+    def back_to_back():
+        fits = [fit_mple_batch(x, w, SPEC.n) for x, w in batches]
+        return fits, {role: buf.size for role, buf in estimation._WORKSPACE.flat.items()}
+
+    fits, sizes = _in_thread(back_to_back)
+    for (x, w), fit in zip(batches, fits):
+        _assert_same_bits(fit, _in_thread(lambda: fit_mple_batch(x, w, SPEC.n)))
+    assert isinstance(fits[0].errors[5], SingularHessianError)
+    assert 0 < max(sizes.values()) <= estimation._CHUNK_ELEMENTS
+
+
+def test_threads_fitting_at_once_get_their_serial_results():
+    # More threads than cores, each with its own batch shape, switching
+    # every microsecond: a workspace shared between threads would mix rows.
+    batches = [_stack([_sample(m, seed=2500 + 7 * m + i) for i in range(reps)])
+               for m, reps in ((300, 100), (200, 64), (30, 16))]
+    serial = [fit_mple_batch(x, w, SPEC.n) for x, w in batches]
+    fits = {k: [] for k in range(len(batches))}
+    start = threading.Barrier(len(batches))
+
+    def work(k):
+        start.wait(timeout=30)
+        for _ in range(4):
+            fits[k].append(fit_mple_batch(*batches[k], SPEC.n))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in fits]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for k, want in enumerate(serial):
+        assert len(fits[k]) == 4
+        for fit in fits[k]:
+            _assert_same_bits(fit, want)

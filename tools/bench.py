@@ -32,7 +32,8 @@ count and the sha256 of the sources each file measured.  The layers:
 - monitoring: `monitor_init` ms, `monitor_update` µs per observation over
   900 steps (m = 300, gamma = 0.25), `read_series_csv` ms for 900 rows, and
   `read_threshold_table` µs for the calibration layer's 12-cell table;
-- experiments: `run_size` ms per replication at m = 300.
+- experiments: `run_size` ms per replication at m = 300, and the minor page
+  faults (the ru_minflt delta) of that one call.
 
 The file also holds the run's metadata as perfbench/run.py records it (git
 sha, `src/binarx` line count, stream contract, versions) and the slowdown
@@ -47,6 +48,7 @@ import hashlib
 import json
 import math
 import os
+import resource
 import statistics
 import subprocess
 import sys
@@ -229,11 +231,16 @@ def samplers(tmp: Path) -> list:
     def size_ms_per_rep() -> dict:
         config = ExperimentConfig(m_list=(MONITOR_M,), reps=BLOCK_SIZE, horizon=HORIZON,
                                   thresholds=tables[-1], master_seed=7)
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         seconds, _ = _clock(run_size, config, THREADS)
-        return {"experiments.size_ms_per_rep": seconds / BLOCK_SIZE * 1e3}
-    timers.append(({"experiments.size_ms_per_rep": (
-        "ms", f"run_size at m={MONITOR_M}, {BLOCK_SIZE} reps, a pre-built table")},
-        size_ms_per_rep))
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
+        return {"experiments.size_ms_per_rep": seconds / BLOCK_SIZE * 1e3,
+                "experiments.size_minflt_per_call": faults}
+    study = f"run_size at m={MONITOR_M}, {BLOCK_SIZE} reps, a pre-built table"
+    timers.append(({"experiments.size_ms_per_rep": ("ms", study),
+                    "experiments.size_minflt_per_call": (
+                        "count", f"minor page faults (ru_minflt) of one {study}")},
+                   size_ms_per_rep))
     return timers
 
 
@@ -359,10 +366,12 @@ def alternate(n: str, parent: Path) -> None:
               rounds=ROUNDS)
     for name, figure in medians["this"].items():
         before = medians["parent"][name]
-        ratios = [b / a for a, b in zip(before["rounds"], figure["rounds"])]
+        # A round whose parent figure is 0 (a fault count) has no ratio.
+        ratios = [b / a for a, b in zip(before["rounds"], figure["rounds"]) if a]
         print(f"{name} {before['median']:.6g} -> {figure['median']:.6g} {figure['unit']}; "
-              f"per round this/parent: median {statistics.median(ratios):.3f}, "
-              f"below 1 in {sum(x < 1 for x in ratios)} of {ROUNDS}")
+              f"per round this/parent: median "
+              f"{statistics.median(ratios) if ratios else math.nan:.3f}, "
+              f"below 1 in {sum(x < 1 for x in ratios)} of {len(ratios)}")
 
 
 def main(argv) -> int:
