@@ -156,15 +156,24 @@ class ThresholdTable:
         """c(gamma, alpha) at `horizon` (None: the stored cell, at N).  The
         no-change limit is sup_{u <= T} u^(-2 gamma) |W_d(u)|^2, T = N / (1 + N)
         (Horvath, Huskova, Kokoszka & Steinebach, JSPI 2004), so by Brownian
-        scaling the cell at N' is the cell at N times (T'/T)^(1 - 2 gamma)."""
+        scaling the cell at N' is the cell at N times (T'/T)^(1 - 2 gamma).
+        A finite cell whose rescale is not finite and > 0 (at an N so small
+        that T'/T overflows) is refused."""
         key = (float(gamma), float(alpha))
         if key not in self.entries:
             raise ThresholdUnavailableError(
                 f"no threshold for gamma={gamma}, alpha={alpha} in table")
         horizon = self.horizon if horizon is None else horizon
         _check_finite_positive(horizon, "horizon")
-        ratio = horizon * (1.0 + self.horizon) / (self.horizon * (1.0 + horizon))
-        return self.entries[key] * ratio ** (1.0 - 2.0 * key[0])
+        c = self.entries[key]
+        # Each T in (0, 1) on its own, so no product overflows at a huge N.
+        ratio = (horizon / (1.0 + horizon)) / (self.horizon / (1.0 + self.horizon))
+        rescaled = c * ratio ** (1.0 - 2.0 * key[0])
+        if c < math.inf and not 0 < rescaled < math.inf:
+            raise ThresholdUnavailableError(
+                f"c={c} at gamma={gamma}, alpha={alpha} rescales from N={self.horizon} "
+                f"to horizon {horizon} as {rescaled}")
+        return rescaled
 
 
 def _sup_rep_worker(shared: tuple, rep_index: int) -> np.ndarray:

@@ -86,14 +86,12 @@ class _Views(NamedTuple):
     Z: np.ndarray  # (c, m, d): the design (_stack_design)
     y: np.ndarray  # (c, m): the responses (_stack_design)
     Za: np.ndarray  # (c, m, d): the active series' design
-    Zt: np.ndarray  # (c, m, d): halved series' design; the weighted design
+    Zw: np.ndarray  # (c, m, d): the weighted design (_gram)
     eta: np.ndarray  # (c, m): eta at every series' accepted beta
     ya: np.ndarray  # (c, m): the active series' responses
     pi: np.ndarray  # (c, m)
     resid: np.ndarray  # (c, m): y - n pi, then pi of the series left active
     eta_cand: np.ndarray  # (c, m): eta at the candidate beta
-    yt: np.ndarray  # (c, m): halved series' responses
-    eta_t: np.ndarray  # (c, m): eta at halved series' candidates
     s1: np.ndarray  # (c, m): temporaries
     s2: np.ndarray  # (c, m): temporaries
 
@@ -240,17 +238,18 @@ class BatchFit:
 
 
 def _rows(a: np.ndarray, index: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """a[index], written into `out` (memory apart from a's).  mode="clip"
-    lets take write there directly; every index is in range."""
+    """a[index] for increasing indices: a itself when they are every row, and
+    otherwise written into `out` (memory apart from a's).  mode="clip" lets
+    take write there directly; every index is in range."""
+    if index.size == len(a):
+        return a
     return np.take(a, index, axis=0, out=out, mode="clip")
 
 
 def _active(Z, y, act, ws: _Views) -> tuple[_Views, np.ndarray, np.ndarray]:
     """The views of act.size rows, and the design and responses of the
-    series in `act`: Z and y themselves when it holds all of them."""
+    series in `act`."""
     v = ws.head(act.size)
-    if act.size == len(Z):
-        return v, Z, y
     return v, _rows(Z, act, v.Za), _rows(y, act, v.ya)
 
 
@@ -278,7 +277,7 @@ def _newton(Z: np.ndarray, y: np.ndarray, spec_n: int) -> BatchFit:
         if act.size == 0:
             break
         v, Za, ya = _active(Z, y, act, ws)
-        pi = logistic(eta if act.size == c else _rows(eta, act, v.s1), v.pi)
+        pi = logistic(_rows(eta, act, v.s1), v.pi)
         g = _score(Za, _residual(ya, pi, spec_n, v.resid))
         done = np.abs(g).max(axis=1) < _TOL
         iterations[act] = np.where(done, it - 1, it)
@@ -289,7 +288,7 @@ def _newton(Z: np.ndarray, y: np.ndarray, spec_n: int) -> BatchFit:
                 break
             v, Za, ya = _active(Z, y, act, ws)
             pi = _rows(pi, np.flatnonzero(keep), v.resid)
-        H = _curvature(Za, pi, spec_n, v.s1, v.s2, v.Zt)
+        H = _curvature(Za, pi, spec_n, v.s1, v.s2, v.Zw)
         singular = _singular(H)
         for i in act[singular]:
             errors[i] = SingularHessianError(
@@ -304,29 +303,21 @@ def _newton(Z: np.ndarray, y: np.ndarray, spec_n: int) -> BatchFit:
         step = np.linalg.solve(H, g[:, :, None])[:, :, 0]
         # Step-halving: the full step on every active series first, then
         # halved steps wherever the log PL would decrease, down to 2^-30.
-        b0, lp0 = beta[act], lp[act]
+        # Each trial scores every active series; one whose scale is kept has
+        # the same candidate, so its log PL and eta keep their bits.
+        b0, lp0, lc = beta[act], lp[act], log_coef[act]
         floor = lp0 - 1e-10 * (1.0 + np.abs(lp0))
         scale = np.ones(act.size)
-        cand = np.clip(b0 + step, -PARAM_BOX_BOUND, PARAM_BOX_BOUND)
-        lp_cand, eta_cand = _log_pl(Za, ya, log_coef[act], cand, spec_n, v.eta_cand, v.s1, v.s2)
-        todo = lp_cand < floor
-        for _ in range(_MAX_HALVINGS):
+        todo = np.zeros(act.size, dtype=bool)
+        for _ in range(1 + _MAX_HALVINGS):
+            scale[todo] *= 0.5
+            trial = b0 + scale[:, None] * step
+            cand = np.clip(trial, -PARAM_BOX_BOUND, PARAM_BOX_BOUND)
+            lp_cand, eta_cand = _log_pl(Za, ya, lc, cand, spec_n, v.eta_cand, v.s1, v.s2)
+            todo = lp_cand < floor
             if not todo.any():
                 break
-            scale[todo] *= 0.5
-            t = ws.head(np.count_nonzero(todo))
-            if todo.all():
-                Zt, yt = Za, ya
-            else:
-                rows = np.flatnonzero(todo)
-                Zt, yt = _rows(Za, rows, t.Zt), _rows(ya, rows, t.yt)
-            cand[todo] = np.clip(
-                b0[todo] + scale[todo, None] * step[todo], -PARAM_BOX_BOUND, PARAM_BOX_BOUND
-            )
-            lp_cand[todo], eta_cand[todo] = _log_pl(Zt, yt, log_coef[act[todo]], cand[todo],
-                                                    spec_n, t.eta_t, t.s1, t.s2)
-            todo &= lp_cand < floor
-        hit_boundary[act] |= np.any(cand != b0 + scale[:, None] * step, axis=1)
+        hit_boundary[act] |= np.any(cand != trial, axis=1)
         stalled = todo | (np.abs(cand - b0).max(axis=1) < _STEP_TOL)
         beta[act], lp[act], eta[act] = cand, lp_cand, eta_cand
         act = act[~stalled]
@@ -340,22 +331,15 @@ def _newton(Z: np.ndarray, y: np.ndarray, spec_n: int) -> BatchFit:
                 f"score norm {final_norm[i]:.3e} above tolerance {_TOL:g} "
                 f"after {iterations[i]} iterations"
             )
-    covariance = np.full((c, d, d), np.nan)
+    H = _curvature(Z, pi, spec_n, ws.s1, ws.s2, ws.Zw)
     live = np.array([e is None for e in errors], dtype=bool)
-    v = ws.head(np.count_nonzero(live))
-    if live.all():
-        Zl, pl = Z, pi
-    else:
-        rows = np.flatnonzero(live)
-        Zl, pl = _rows(Z, rows, v.Za), _rows(pi, rows, v.ya)
-    H = _curvature(Zl, pl, spec_n, v.s1, v.s2, v.Zt)
-    singular = _singular(H)
-    for i in np.nonzero(live)[0][singular]:
+    for i in np.flatnonzero(live)[_singular(H[live])]:
         errors[i] = SingularHessianError("curvature matrix singular at the optimum")
-    live[live] = ~singular
-    cov = np.linalg.inv(H[~singular] / m)
+        live[i] = False
+    covariance = np.full((c, d, d), np.nan)
+    cov = np.linalg.inv(H[live] / m)
     covariance[live] = 0.5 * (cov + np.swapaxes(cov, 1, 2))
-    sigma0 = _gram(Z, np.square(resid, out=resid), ws.Zt) / m
+    sigma0 = _gram(Z, np.square(resid, out=resid), ws.Zw) / m
     return BatchFit(
         beta=beta,
         covariance=covariance,

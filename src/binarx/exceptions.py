@@ -60,8 +60,8 @@ class ConfigError(BinarxError, ValueError):
 
 
 class ThresholdUnavailableError(ConfigError):
-    """The threshold table holds no critical value for the requested (gamma,
-    alpha) pair; it names the `thresholds` field."""
+    """The threshold table holds no usable critical value for the requested
+    (gamma, alpha) pair at the horizon; it names the `thresholds` field."""
 
     def __init__(self, reason: str):
         super().__init__("thresholds", reason)

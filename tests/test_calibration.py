@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from scipy.stats import binom
 
-from binarx import CalibrationConfig, ConfigError, read_threshold_table, threshold_table
+from binarx import (CalibrationConfig, ConfigError, ThresholdUnavailableError,
+                    read_threshold_table, threshold_table)
 from binarx.calibration import (ThresholdTable, _sup_samples, quantile_higher,
                                 write_threshold_table)
 from calibration_reference import bessel3_sup_tail, sample_sup_functional
@@ -180,6 +181,25 @@ def test_lookup_keeps_the_stored_cells_at_the_table_horizon():
         assert table.lookup(g, a) == c
         assert table.lookup(g, a, 3.0) == c
         assert table.lookup(g, a, 3) == c
+
+
+@pytest.mark.parametrize("table_n", [1e308, 5e307])
+def test_lookup_rescales_a_table_at_a_huge_n(table_n):
+    # T = N / (1 + N) rounds to 1, so the cell at N' = 3 is c (3/4)^(1 - 2 gamma).
+    table = ThresholdTable({(0.0, 0.05): 7.0, (0.25, 0.05): 7.0}, 100, 1000, table_n, 0)
+    assert table.lookup(0.0, 0.05, 3.0) == 5.25
+    assert table.lookup(0.25, 0.05, 3.0) == pytest.approx(7.0 * 0.75 ** 0.5, rel=1e-15)
+
+
+def test_lookup_refuses_a_finite_cell_it_rescales_out_of_range():
+    # At a subnormal N, T'/T overflows: the cell would read inf and never
+    # alarm.  An inf cell never alarms at any horizon, so it stays inf.
+    table = ThresholdTable({(0.0, 0.05): 7.0, (0.25, 0.05): math.inf}, 100, 1000, 5e-324, 0)
+    with pytest.raises(ThresholdUnavailableError) as refused:
+        table.lookup(0.0, 0.05, 3.0)
+    assert str(refused.value) == ("thresholds: c=7.0 at gamma=0.0, alpha=0.05 rescales from "
+                                  "N=5e-324 to horizon 3.0 as inf")
+    assert table.lookup(0.25, 0.05, 3.0) == math.inf
 
 
 @pytest.mark.parametrize("horizon", [1.0, 10.0])

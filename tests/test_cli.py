@@ -675,6 +675,37 @@ def test_monitor_rescales_a_table_to_its_horizon(tmp_path):
     assert result["horizon_steps"] == 100
 
 
+@pytest.mark.parametrize("table_n, message", [
+    (1e308, None),
+    (5e307, None),
+    (5e-324, "experiment.thresholds: c=7.0 at gamma=0.0, alpha=0.1 rescales from N=5e-324 "
+             "to horizon 3.0 as inf"),
+], ids=["1e308", "5e307", "subnormal"])
+def test_a_study_rescales_a_table_at_any_finite_n_or_refuses_it(tmp_path, capsys, table_n,
+                                                                message):
+    # At a huge N, T = N / (1 + N) rounds to 1, so the cells at N' = 3 are
+    # 7 (3/4)^(1 - 2 gamma); forming N (1 + N') instead overflows, to a NaN
+    # cell that never alarms or a 0 that alarms at once.  At a subnormal N,
+    # T'/T overflows and every finite cell would read inf.
+    cells = {(g, a): 7.0 for g in DEFAULT_GAMMAS for a in DEFAULT_ALPHAS}
+    write_threshold_table(ThresholdTable(cells, 100, 1000, table_n, 0), tmp_path / "table.csv")
+    cfg = _write_config(tmp_path / "cfg.json", {"model": MODEL_SECTION, "experiment": {
+        "kind": "size", "m_list": [30], "reps": 4, "thresholds": "table.csv"}})
+    out = tmp_path / "out"
+    code = run_command(["--config", cfg, "--out", str(out), "--quiet", "experiment"])
+    if message is not None:
+        assert code == 2 and f"config error: {message}" in capsys.readouterr().err
+        assert not list(out.iterdir())
+        return
+    assert code == 0
+    with open(out / "size_report.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == len(cells)
+    for row in rows:
+        want = 7.0 * 0.75 ** (1.0 - 2.0 * float(row["gamma"]))
+        assert float(row["threshold_c"]) == pytest.approx(want, rel=1e-15), row
+
+
 @pytest.mark.parametrize("command, section", [
     ("fit", {"series": "flat.csv"}),
     ("monitor", {"training": "flat.csv", "stream": "stream.csv", "threshold_c": 7.0}),

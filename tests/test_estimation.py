@@ -338,18 +338,25 @@ def _stack(samples):
     return np.stack([s.x for s in samples]), np.stack([s.w for s in samples])
 
 
+def _assert_same_bits(got, want):
+    for f in dataclasses.fields(BatchFit):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        if f.name == "errors":
+            assert [(type(e), str(e)) for e in a] == [(type(e), str(e)) for e in b]
+        else:
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), f.name
+
+
 def _assert_batch_row_matches_fit_mple(batch, i, sample, n=SPEC.n):
-    err = batch.errors[i]
-    if err is not None:
-        with pytest.raises(type(err)):
+    """Row i of `batch` holds, in every field, the bytes of `sample` fitted
+    alone (the batch of one that fit_mple runs); a failed row's error is the
+    one fit_mple raises."""
+    row = BatchFit(**{f.name: getattr(batch, f.name)[i:i + 1]
+                      for f in dataclasses.fields(BatchFit)})
+    _assert_same_bits(row, fit_mple_batch(sample.x[None], sample.w[None], n))
+    if batch.errors[i] is not None:
+        with pytest.raises(type(batch.errors[i])):
             fit_mple(sample, n)
-        return
-    fit = fit_mple(sample, n)
-    np.testing.assert_allclose(batch.beta[i], fit.beta_hat.as_array(), rtol=1e-10)
-    np.testing.assert_allclose(batch.covariance[i], fit.covariance, rtol=1e-10)
-    np.testing.assert_allclose(batch.sigma0[i], fit.sigma0_hat, rtol=1e-10)
-    assert (batch.iterations[i], batch.hit_boundary[i]) == (fit.iterations, fit.hit_boundary)
-    assert batch.log_pl[i] == pytest.approx(fit.log_pl, rel=1e-12)
 
 
 def test_batched_fit_matches_fit_mple_per_rep_across_chunks():
@@ -395,11 +402,38 @@ def test_step_halving_per_rep_in_a_batch(monkeypatch):
                for _ in range(2)]
     samples.insert(1, separated)
     batch = fit_mple_batch(*_stack(samples), 4)
-    for i in (0, 2):
-        _assert_batch_row_matches_fit_mple(batch, i, samples[i], n=4)
-    for f in ("beta", "sigma0", "log_pl", "iterations", "final_score_norm", "hit_boundary"):
-        np.testing.assert_allclose(getattr(batch, f)[1], getattr(solo, f)[0], rtol=1e-10)
-    assert type(batch.errors[1]) is type(solo.errors[0])
+    for i, sample in enumerate(samples):
+        _assert_batch_row_matches_fit_mple(batch, i, sample, n=4)
+
+
+@pytest.mark.parametrize("m", [30, 100])
+def test_a_batch_whose_rows_mostly_halve_keeps_every_rows_bits(m):
+    # w is nearly constant, so most of the 64 series walk into the box,
+    # halve their steps and end unconverged, beside series that converge.
+    # Each trial scale re-scores every active series, those whose scale is
+    # kept from their unchanged candidates; each row must equal its fit alone.
+    spec = dataclasses.replace(SPEC, exo=ExogenousSpec(sd=1e-3))
+    samples = [simulate_series(spec, m, seed=1000 * m + i) for i in range(64)]
+    events, log_pl_kernel = [], estimation._log_pl
+
+    def counted(*args):
+        events.append("log_pl")
+        return log_pl_kernel(*args)
+
+    def marked(eta, *out):
+        events.append("|")
+        return logistic(eta, *out)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(estimation, "_log_pl", counted)
+        mp.setattr(estimation, "logistic", marked)
+        batch = fit_mple_batch(*_stack(samples), spec.n)
+    # Per iteration a logistic, the full step's log PL, then one per halving.
+    halvings = sum(max(len(part.split()) - 1, 0) for part in " ".join(events).split("|")[1:-1])
+    unconverged = sum(isinstance(e, NonConvergenceError) for e in batch.errors)
+    assert halvings >= estimation._MAX_HALVINGS and 32 < unconverged < 64
+    for i, sample in enumerate(samples):
+        _assert_batch_row_matches_fit_mple(batch, i, sample)
 
 
 def _in_thread(work):
@@ -415,15 +449,6 @@ def _in_thread(work):
     thread.join(timeout=120)
     assert not thread.is_alive() and len(out) == 1
     return out[0]
-
-
-def _assert_same_bits(got, want):
-    for f in dataclasses.fields(BatchFit):
-        a, b = getattr(got, f.name), getattr(want, f.name)
-        if f.name == "errors":
-            assert [(type(e), str(e)) for e in a] == [(type(e), str(e)) for e in b]
-        else:
-            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), f.name
 
 
 def test_workspace_reuse_leaks_no_state():

@@ -26,8 +26,11 @@ count and the sha256 of the sources each file measured.  The layers:
   monitored pass runs it, and µs per transition of a 20,000-step
   `simulate_chain`; each at n = 10 (Bernoulli sums) and at
   n = N_MAX_BERNOULLI + 1 (binomial draws);
-- estimation: `fit_mple` ms at m = 300 and at m = 2000, and ms per
-  `fit_mple_batch` of a 256-series block at m = 300;
+- estimation: `fit_mple` ms at m = 300 and at m = 2000, ms per
+  `fit_mple_batch` of a 256-series block at m = 300, and ms per
+  `fit_mple_batch` of 64 series at m = 30 whose covariate is nearly
+  constant (exo sd 1e-3), so that most of them walk into the parameter box
+  and halve their steps;
 - calibration: ms per replication of `threshold_table` (grid 1000, d = 3);
 - monitoring: `monitor_init` ms, `monitor_update` µs per observation over
   900 steps (m = 300, gamma = 0.25), `read_series_csv` ms for 900 rows, and
@@ -75,7 +78,8 @@ from binarx import (CalibrationConfig, ExperimentConfig, ModelSpec, ParamVector,
 from binarx.calibration import write_threshold_table  # noqa: E402
 from binarx.estimation import fit_mple_batch  # noqa: E402
 from binarx.experiments import BLOCK_SIZE, N_MAX_BERNOULLI, _advance, _linear_table  # noqa: E402
-from binarx.model import SeriesSample, simulate_chain, write_series_csv  # noqa: E402
+from binarx.model import (ExogenousSpec, SeriesSample, simulate_chain,  # noqa: E402
+                          write_series_csv)
 
 REPEATS = 5
 ROUNDS = 10  # rounds of both trees with --parent
@@ -90,6 +94,8 @@ MONITOR_STEPS = int(HORIZON * MONITOR_M)  # the close-end horizon: 900 updates
 ADVANCE_STEPS, CHAIN_LENGTH = 500, 20_000
 FIT_CALLS = {300: 20, 2000: 4}
 BATCH_M, BATCH_CALLS = 300, 5
+HALVING_SPEC = ModelSpec(n=SPEC.n, beta=SPEC.beta, exo=ExogenousSpec(sd=1e-3))
+HALVING_M, HALVING_SERIES, HALVING_CALLS = 30, 64, 2
 CALIB_REPS, CSV_READS = 500, 20
 
 
@@ -180,6 +186,12 @@ def samplers(tmp: Path) -> list:
     timers.append(({"estimation.fit_batch_ms": (
         "ms", f"fit_mple_batch of {BLOCK_SIZE} series at m={BATCH_M}")},
         per_call("estimation.fit_batch_ms", 1e3, BATCH_CALLS, fit_mple_batch,
+                 np.stack([s.x for s in batch]), np.stack([s.w for s in batch]), SPEC.n)))
+    batch = [simulate_series(HALVING_SPEC, HALVING_M, seed=1000 * HALVING_M + i)
+             for i in range(HALVING_SERIES)]
+    timers.append(({"estimation.fit_halving_ms": (
+        "ms", f"fit_mple_batch of {HALVING_SERIES} series at m={HALVING_M}, exo sd 1e-3")},
+        per_call("estimation.fit_halving_ms", 1e3, HALVING_CALLS, fit_mple_batch,
                  np.stack([s.x for s in batch]), np.stack([s.w for s in batch]), SPEC.n)))
 
     calib = CalibrationConfig(dim=3, horizon=HORIZON, grid_m=1000, reps=CALIB_REPS,
