@@ -133,10 +133,6 @@ class ExperimentConfig:
                                   f"{change.at_k} is beyond the horizon {H} at m={m}")
 
 
-def _param_names(dim: int) -> list[str]:
-    return ["phi0", "phi1"] + [f"gamma{i + 1}" for i in range(dim - 2)]
-
-
 def _usage(reps: int, used: int) -> tuple[int, int, bool]:
     """(reps used, failed fits, flagged): a training length is flagged when
     more than 1% of its fits failed."""
@@ -146,19 +142,23 @@ def _usage(reps: int, used: int) -> tuple[int, int, bool]:
 
 @dataclass(frozen=True)
 class _Report:
-    """What every experiment report records: its seed and its failed fits.
+    """What every experiment report records: its config and its failed fits.
 
     A report kind names itself in `experiment` and adds its own metadata
     keys in `_meta()`.
     """
 
-    master_seed: int
+    config: ExperimentConfig
     failures_by_class: dict  # str(m) -> {class name: count}
+
+    @property
+    def param_names(self) -> tuple[str, ...]:
+        return ("phi0", "phi1") + tuple(f"gamma{i + 1}" for i in range(self.config.spec.beta.dim - 2))
 
     def metadata(self) -> dict:
         return {
             "experiment": self.experiment,
-            "master_seed": self.master_seed,
+            "master_seed": self.config.master_seed,
             **self._meta(),
             "stream_contract": STREAM_CONTRACT,
             "block_size": BLOCK_SIZE,
@@ -291,13 +291,11 @@ def _fit_estimates(config: ExperimentConfig, kind: int, mi: int, m: int, cdf, th
 @dataclass(frozen=True)
 class ConsistencyReport(_Report):
     rows: tuple  # (m, mse vector, reps_used, failures, flagged)
-    param_names: tuple[str, ...]
-    reps: int
     experiment = "consistency"
 
     def _meta(self) -> dict:
         return {
-            "reps": self.reps,
+            "reps": self.config.reps,
             "m_list": [int(m) for m, *_ in self.rows],
             "failures": {str(m): int(f) for m, _, _, f, _ in self.rows},
         }
@@ -319,18 +317,11 @@ def run_consistency(config: ExperimentConfig, threads: int = 1) -> ConsistencyRe
         est, by_m[str(m)] = _fit_estimates(config, _KIND_CONSISTENCY, mi, m, cdf, threads)
         mse = ((est - beta0) ** 2).mean(axis=0)
         rows.append((m, mse, *_usage(config.reps, est.shape[0])))
-    return ConsistencyReport(
-        master_seed=config.master_seed,
-        failures_by_class=by_m,
-        rows=tuple(rows),
-        param_names=tuple(_param_names(config.spec.beta.dim)),
-        reps=config.reps,
-    )
+    return ConsistencyReport(config=config, failures_by_class=by_m, rows=tuple(rows))
 
 
 @dataclass(frozen=True)
 class NormalityReport(_Report):
-    m: int
     estimates: np.ndarray
     mean: np.ndarray
     bias: np.ndarray
@@ -341,12 +332,11 @@ class NormalityReport(_Report):
     qq_corr: np.ndarray
     insufficient_sample: bool
     failures: int
-    param_names: tuple[str, ...]
     experiment = "normality"
 
     def _meta(self) -> dict:
         return {
-            "m": self.m,
+            "m": self.config.m_list[0],
             "reps_used": int(self.estimates.shape[0]),
             "failures": self.failures,
             "insufficient_sample": self.insufficient_sample,
@@ -406,9 +396,8 @@ def run_normality(config: ExperimentConfig, threads: int = 1) -> NormalityReport
             [np.corrcoef(np.sort(centered[:, j]) / math.sqrt(m2[j]), quantiles)[0, 1] for j in range(d)]
         )
     return NormalityReport(
-        master_seed=config.master_seed,
+        config=config,
         failures_by_class={str(m): by_class},
-        m=m,
         estimates=B,
         mean=mean,
         bias=bias,
@@ -419,7 +408,6 @@ def run_normality(config: ExperimentConfig, threads: int = 1) -> NormalityReport
         qq_corr=qq,
         insufficient_sample=insufficient,
         failures=failures,
-        param_names=tuple(_param_names(d)),
     )
 
 
@@ -594,8 +582,7 @@ def _monitor_study(config: ExperimentConfig, kind: int, change, threads: int):
         studies.append((m, sups, passages, drifts))
         traces += [(m, g, rep, paths[j]) for r in results for rep, paths in r[4]
                    for j, g in enumerate(config.gammas)]
-    return cells, studies, {"master_seed": config.master_seed, "failures_by_class": by_m,
-                            "traces": tuple(traces), "reps": config.reps}
+    return cells, studies, {"config": config, "failures_by_class": by_m, "traces": tuple(traces)}
 
 
 class SizeRow(NamedTuple):
@@ -614,11 +601,10 @@ class SizeRow(NamedTuple):
 class SizeReport(_Report):
     rows: tuple[SizeRow, ...]
     traces: tuple
-    reps: int
     experiment = "size"
 
     def _meta(self) -> dict:
-        return {"reps": self.reps, "cells": len(self.rows)}
+        return {"reps": self.config.reps, "cells": len(self.rows)}
 
     def tables(self) -> dict:
         return _monitor_tables(SizeRow._fields, self.rows, self.traces)
@@ -663,14 +649,12 @@ class PowerRow(NamedTuple):
 class PowerReport(_Report):
     rows: tuple[PowerRow, ...]
     traces: tuple
-    change_at: int
-    reps: int
-    param_names: tuple[str, ...]
     delays: dict  # (m, gamma) -> np.ndarray of detection indices (detected reps only)
     experiment = "power"
 
     def _meta(self) -> dict:
-        return {"reps": self.reps, "change_at": self.change_at, "cells": len(self.rows)}
+        return {"reps": self.config.reps, "change_at": self.config.change.at_k,
+                "cells": len(self.rows)}
 
     def tables(self) -> dict:
         header = PowerRow._fields[:-1] + tuple(f"drift_{name}" for name in self.param_names)
@@ -707,13 +691,7 @@ def run_power(config: ExperimentConfig, threads: int = 1) -> PowerReport:
             rows.append(PowerRow(m, g, alpha, cells[g, alpha], rate, mean_k, median_k, used,
                                  failures, flagged, drift))
             delays_map[(m, g)] = delays
-    return PowerReport(
-        rows=tuple(rows),
-        change_at=config.change.at_k,
-        param_names=tuple(_param_names(config.spec.beta.dim)),
-        delays=delays_map,
-        **fields,
-    )
+    return PowerReport(rows=tuple(rows), delays=delays_map, **fields)
 
 
 # ---------------------------------------------------------------------------

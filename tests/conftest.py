@@ -1,5 +1,8 @@
 """Fixtures shared by several test modules."""
 
+import importlib.util
+from pathlib import Path
+
 import pytest
 
 from binarx import CalibrationConfig, threshold_table
@@ -19,3 +22,13 @@ def table10k():
         master_seed=DEFAULT_SEED,
     )
     return threshold_table(config)
+
+
+@pytest.fixture(scope="session")
+def golden_digests():
+    """tools/golden_digests.py, loaded as a module: its workflows and their digests."""
+    path = Path(__file__).resolve().parents[1] / "tools" / "golden_digests.py"
+    spec = importlib.util.spec_from_file_location("golden_digests", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module

@@ -24,10 +24,8 @@ have exact tails 0.103, 0.040, 0.016 and 0.007 rather than the nominal
 alphas; the criterion prints them and does not assert them.
 """
 
-import json
 import math
 import time
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -55,7 +53,6 @@ from binarx.dataprep import (
     binarize_and_sum,
     compute_baseline,
     model_comparison,
-    write_binomial_series,
 )
 from binarx.defaults import DEFAULT_SEED
 from binarx.experiments import run_consistency, run_normality
@@ -353,74 +350,30 @@ def test_criterion_09_data_pipeline():
     )
 
 
-def _run_cli(workdir, outdir, command, extra=()):
-    code = run_command(
-        ["--config", str(workdir / "config.json"), "--out", str(outdir), "--quiet", *extra,
-         command]
-    )
+def _run_cli(root, config, run, command, extra=()):
+    code = run_command(["--config", str(config), "--out", str(root / run), "--quiet", *extra,
+                        command])
     assert code in (0, 3), f"{command} exited {code}"
-    return {p.name: p.read_bytes() for p in sorted(outdir.iterdir())}
+    return {p.name: p.read_bytes() for p in sorted((root / run).iterdir())}
 
 
-def test_criterion_10_cli_determinism(tmp_path):
-    config = {
-        "seed": DEFAULT_SEED,
-        "model": {
-            "n": 10,
-            "beta": [-1.0, 0.1, 0.4],
-            "exo": {"mean": 1.0, "sd": 0.1, "clamp_lo": 0.0, "clamp_hi": 10.0},
-            "burn_in": 200,
-        },
-        "simulate": {"length": 120},
-        "fit": {"series": "sim1/series.csv"},
-        "calibrate": {"reps": 200, "gammas": [0.0], "alphas": [0.1, 0.05]},
-        "monitor": {"training": "sim1/series.csv", "stream": "stream.csv",
-                    "gamma": 0.0, "alpha": 0.05, "threshold_c": 50.0},
-        "experiment": {"kind": "consistency", "m_list": [60], "reps": 2},
-        "prep": {"rates": "rates.csv", "states": ["A", "B"], "baseline_years": [2019],
-                 "window_start": [2020, 1], "window_end": [2020, 6]},
-        "compare": {"series": "binser.csv"},
-    }
-    with open(tmp_path / "config.json", "w") as fh:
-        json.dump(config, fh)
-
-    lines = ["state,iso_year,week,rate"]
-    for week in range(1, 7):
-        lines += [f"A,2019,{week},1.0", f"B,2019,{week},2.0",
-                  f"A,2020,{week},{1.0 + 0.1 * week}", f"B,2020,{week},{2.0 - 0.1 * week}"]
-    (tmp_path / "rates.csv").write_text("\n".join(lines) + "\n")
-
-    sim_first = _run_cli(tmp_path, tmp_path / "sim1", "simulate")
-
-    training = simulate_series(replace(SPEC, burn_in=200), 120, seed=DEFAULT_SEED)
-    stream = simulate_series(SPEC, 360, seed=DEFAULT_SEED + 1, init=int(training.x[-1]))
-    import csv as _csv
-
-    with open(tmp_path / "stream.csv", "w", newline="") as fh:
-        writer = _csv.writer(fh)
-        writer.writerow(["k", "x", "w1"])
-        for k in range(stream.m):
-            writer.writerow([k + 1, int(stream.x[k + 1]), repr(float(stream.w[k, 0]))])
-
-    rng = np.random.default_rng(np.random.SeedSequence((DEFAULT_SEED, 10)))
-    x = rng.binomial(6, 0.4, size=200)
-    write_binomial_series(
-        BinomialSeries(x=x, n=6, labels=[(2020, t % 52 + 1) for t in range(200)]),
-        tmp_path / "binser.csv",
-    )
-
+def test_criterion_10_cli_determinism(tmp_path, golden_digests):
+    # The criterion-10 workflow of tools/golden_digests.py, whose digests
+    # tests/golden pins: `fit` and `monitor` read its first simulated series.
+    config = golden_digests.criterion_10(tmp_path)
+    sim_first = _run_cli(tmp_path, config, golden_digests.C10_FIRST_SIMULATE, "simulate")
     mismatches = []
     pairs = {}
-    for command in ("simulate", "fit", "calibrate", "monitor", "experiment", "prep", "compare"):
-        a = _run_cli(tmp_path, tmp_path / f"{command}_a", command)
-        b = _run_cli(tmp_path, tmp_path / f"{command}_b", command)
+    for command in golden_digests.COMMANDS:
+        a = _run_cli(tmp_path, config, f"{command}_a", command)
+        b = _run_cli(tmp_path, config, f"{command}_b", command)
         pairs[command] = a
         if a != b:
             mismatches.append(command)
     if sim_first != pairs["simulate"]:
         mismatches.append("simulate-vs-first")
     for command in ("calibrate", "experiment"):
-        threaded = _run_cli(tmp_path, tmp_path / f"{command}_t2", command, ("--threads", "2"))
+        threaded = _run_cli(tmp_path, config, f"{command}_t2", command, ("--threads", "2"))
         if threaded != pairs[command]:
             mismatches.append(f"{command}-threads")
     _criterion(

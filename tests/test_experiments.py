@@ -385,7 +385,10 @@ def test_study_without_a_table_calibrates_at_the_calibrate_defaults(
     assert (seen[0].reps, seen[0].grid_m) == (DEFAULT_CALIBRATION_REPS, DEFAULT_GRID_M)
     assert [r.threshold_c for r in report.rows] == [
         small_table.lookup(g, a, 1.0) for g in cfg.gammas for a in cfg.alphas]
-    assert report == run_size(replace(cfg, thresholds=small_table))
+    # The configs differ in `thresholds` alone, so every other field agrees.
+    given = run_size(replace(cfg, thresholds=small_table))
+    assert (report.rows, report.traces, report.failures_by_class) == (
+        given.rows, given.traces, given.failures_by_class)
     assert len(seen) == 1
     # The recipe is not a study setting: other recipes come in as `thresholds`.
     path = tmp_path / "cfg.json"
@@ -607,12 +610,17 @@ def test_report_csv_writers(tmp_path, small_table):
     traces = (tmp_path / "size_traces.csv").read_text().strip().splitlines()
     assert len(traces) == 1 + 2 * 240  # header + 2 reps x horizon 240
     shared = {"experiment", "master_seed", "stream_contract", "block_size", "failures_by_class"}
-    for report, m, own in ((cons, "100", {"reps", "m_list", "failures"}),
-                           (norm, "100", {"m", "reps_used", "failures", "insufficient_sample"}),
-                           (size, "80", {"reps", "cells"}),
-                           (power, "80", {"reps", "change_at", "cells"})):
+    # The values each study's config fixes, then the keys its outcome fills.
+    for report, m, fixed, outcome in (
+            (cons, "100", {"master_seed": 24, "reps": 3, "m_list": [100]}, {"failures"}),
+            (norm, "100", {"master_seed": 25, "m": 100},
+             {"reps_used", "failures", "insufficient_sample"}),
+            (size, "80", {"master_seed": 26, "reps": 10, "cells": 1}, set()),
+            (power, "80", {"master_seed": 27, "reps": 10, "change_at": CHANGE.at_k, "cells": 1},
+             set())):
         meta = report.metadata()
-        assert set(meta) == shared | own, meta["experiment"]
+        assert set(meta) == shared | set(fixed) | outcome, meta["experiment"]
+        assert {k: meta[k] for k in fixed} == fixed, meta["experiment"]
         assert (meta["stream_contract"], meta["block_size"]) == (4, 256)
         assert set(meta["failures_by_class"][m]) == set(FAILURE_CLASSES)
 

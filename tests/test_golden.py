@@ -13,21 +13,12 @@ change that moves a digest updates the file, and a change to the random
 streams bumps the contract and renames it.
 """
 
-import importlib.util
 from pathlib import Path
 
 from binarx.experiments import STREAM_CONTRACT
 
 ROOT = Path(__file__).resolve().parents[1]
 PINNED = ROOT / "tests" / "golden" / f"contract_{STREAM_CONTRACT}.txt"
-
-
-def _golden_digests():
-    spec = importlib.util.spec_from_file_location("golden_digests",
-                                                  ROOT / "tools" / "golden_digests.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 def _differ(pinned, got, held) -> list[str]:
@@ -40,8 +31,8 @@ def _differ(pinned, got, held) -> list[str]:
     return sorted(f for f in want.keys() | have.keys() if want.get(f) != have.get(f))
 
 
-def test_golden_digests_match_the_pinned_stream_contract(tmp_path):
-    tool = _golden_digests()
+def test_golden_digests_match_the_pinned_stream_contract(tmp_path, golden_digests):
+    tool = golden_digests
     header, host, *pinned = PINNED.read_text().splitlines()
     assert tool.header() == header, (
         f"{PINNED.name} was pinned under '{header}'; this run is '{tool.header()}'")

@@ -1,23 +1,21 @@
-"""Time each layer of binarx in-process and write BENCH_<n>.json at the repo root.
+"""Time each layer of binarx in fresh interpreters; write BENCH_<n>.json at the repo root.
 
 Usage: python tools/bench.py N [--parent DIR]
 
-N numbers the file, so that a change can cite the medians of two BENCH files
-measured back to back on one host.  Every figure is the median of REPEATS
-timed repeats after one untimed warm-up, with the repeats listed beside it.
-Everything but the import layer runs in this process at threads=1 and starts
-no worker process.
-
-With --parent DIR, the layers of DIR/src (a checkout of the parent commit)
-and of this tree's src are timed in ROUNDS rounds instead.  Each round
-starts a fresh interpreter per tree (`--serve SRC`, which times one repeat
-of a layer on request) and takes the two trees' repeats of each layer in
+N numbers the file.  The layers of this tree's src, and with --parent DIR
+those of DIR/src (a checkout of the parent commit), are timed in ROUNDS
+rounds.  Each round starts a fresh interpreter per tree (`--serve SRC`,
+which times one repeat of a layer on request, at threads=1 and with no
+worker process) and takes every layer's REPEATS timed repeats after one
+untimed call.  With two trees, it takes the trees' repeats of each layer in
 turn, the first of each pair swapping every repeat and every round: the
 host's speed drifts within seconds, and a repeat of each tree a fraction of
-a second apart shares that drift.  BENCH_<n>_parent.json and BENCH_<n>.json
-then hold, per layer, the median over the rounds of each round's median,
-with the round medians listed beside it; their metadata gives the round
-count and the sha256 of the sources each file measured.  The layers:
+a second apart shares that drift.  BENCH_<n>.json (and BENCH_<n>_parent.json
+with --parent) then hold, per layer, the median over the rounds of each
+round's median, with the round medians listed beside it; their metadata
+gives the round count and the sha256 of the sources each file measured.
+Layer medians of two separate runs can differ severalfold with the host's
+drift, so a change cites a --parent pair.  The layers:
 
 - import: wall time and peak RSS (ru_maxrss) of `python -c "import binarx"`,
   each in a fresh interpreter started one at a time;
@@ -256,23 +254,6 @@ def samplers(tmp: Path) -> list:
     return timers
 
 
-def measure() -> tuple[dict, list]:
-    """Every layer's figure, the median of REPEATS timed repeats after one
-    untimed call, and the reference kernel's samples timed after each layer."""
-    kernel_us: list = []
-    layers = {}
-    with tempfile.TemporaryDirectory() as tmp:
-        for figures, sample in samplers(Path(tmp)):
-            sample()
-            repeats = [sample() for _ in range(REPEATS)]
-            for name, (unit, what) in figures.items():
-                values = [r[name] for r in repeats]
-                layers[name] = {"unit": unit, "what": what,
-                                "median": statistics.median(values), "repeats": values}
-            reference.sample(kernel_us)
-    return layers, kernel_us
-
-
 def write(out: Path, src: Path, layers: dict, kernel_us: list, **extra) -> None:
     """BENCH file `out` of the layers measured on `src`."""
     sources = sorted((src / "binarx").glob("*.py"))
@@ -338,14 +319,16 @@ class _Timing:
         self.proc.wait()
 
 
-def alternate(n: str, parent: Path) -> None:
-    """ROUNDS rounds of the parent's sources and this tree's, interleaved
-    repeat by repeat, each round in a fresh interpreter per tree."""
-    trees = {"parent": parent / "src", "this": ROOT / "src"}
+def time_rounds(n: str, parent: Path | None) -> None:
+    """ROUNDS rounds of this tree's sources, and of the parent's if given,
+    interleaved repeat by repeat, each round in a fresh interpreter per tree."""
+    trees = {"this": ROOT / "src"}
+    if parent is not None:
+        trees = {"parent": parent / "src", **trees}
     rounds = {tree: [] for tree in trees}  # per round, {layer: median}
     kernel_us = {tree: [] for tree in trees}
     for r in range(ROUNDS):
-        order = ["parent", "this"] if r % 2 == 0 else ["this", "parent"]
+        order = list(trees) if r % 2 == 0 else list(trees)[::-1]
         timing = {}
         try:
             for tree in order:
@@ -376,6 +359,10 @@ def alternate(n: str, parent: Path) -> None:
         suffix = "_parent" if tree == "parent" else ""
         write(ROOT / f"BENCH_{n}{suffix}.json", trees[tree], medians[tree], kernel_us[tree],
               rounds=ROUNDS)
+    if parent is None:
+        for name, figure in medians["this"].items():
+            print(f"{name} {figure['median']:.6g} {figure['unit']}")
+        return
     for name, figure in medians["this"].items():
         before = medians["parent"][name]
         # A round whose parent figure is 0 (a fault count) has no ratio.
@@ -390,16 +377,10 @@ def main(argv) -> int:
     if argv[:1] == ["--serve"] and len(argv) == 2:
         serve()
         return 0
-    if len(argv) == 3 and argv[0].isdigit() and argv[1] == "--parent":
-        alternate(argv[0], Path(argv[2]).resolve())
-        return 0
-    if len(argv) != 1 or not argv[0].isdigit():
+    if len(argv) not in (1, 3) or not argv[0].isdigit() or argv[1:2] not in ([], ["--parent"]):
         print(__doc__.split("\n\n")[1], file=sys.stderr)
         return 2
-    layers, kernel_us = measure()
-    for name, figure in layers.items():
-        print(f"{name} {figure['median']:.6g} {figure['unit']}")
-    write(ROOT / f"BENCH_{argv[0]}.json", SRC, layers, kernel_us)
+    time_rounds(argv[0], Path(argv[2]).resolve() if len(argv) == 3 else None)
     return 0
 
 

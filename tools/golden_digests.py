@@ -4,8 +4,9 @@ Usage: python tools/golden_digests.py OUTDIR
 
 OUTDIR must be empty or absent; every run writes below it.  The runs are:
 
-- the criterion-10 config (tests/test_acceptance.py) through all seven
-  subcommands, once at --threads 1 and once at --threads 2;
+- the criterion-10 config (`CRITERION_10`, which tests/test_acceptance.py
+  runs too) through all seven subcommands, once at --threads 1 and once at
+  --threads 2;
 - size and power experiments with `emit_traces: 2`, under both `a_source`
   values, reading the threshold table of the calibrate run;
 - a size experiment with no `thresholds`, which calibrates its own table at
@@ -108,6 +109,29 @@ def _config(root: Path, name: str, **sections) -> Path:
     return path
 
 
+# The criterion-10 workflow: one config through all seven subcommands, whose
+# `fit` and `monitor` read the series of its first `simulate` run, written
+# to C10_FIRST_SIMULATE, and whose other inputs are `_inputs`' files.
+C10_FIRST_SIMULATE = "c10_t1/simulate"
+CRITERION_10 = {
+    "simulate": {"length": 120},
+    "fit": {"series": f"{C10_FIRST_SIMULATE}/series.csv"},
+    "calibrate": {"reps": 200, "gammas": [0.0], "alphas": [0.1, 0.05]},
+    "monitor": {"training": f"{C10_FIRST_SIMULATE}/series.csv", "stream": "stream.csv",
+                "gamma": 0.0, "alpha": 0.05, "threshold_c": 50.0},
+    "experiment": {"kind": "consistency", "m_list": [60], "reps": 2},
+    "prep": {"rates": "rates.csv", "states": ["A", "B"], "baseline_years": [2019],
+             "window_start": [2020, 1], "window_end": [2020, 6]},
+    "compare": {"series": "binser.csv"},
+}
+
+
+def criterion_10(root: Path) -> Path:
+    """Write the inputs and the criterion-10 config into `root`; return the config's path."""
+    _inputs(root)
+    return _config(root, "criterion10", **CRITERION_10)
+
+
 def _run(root: Path, codes: dict, run: str, config: Path, command: str, *flags: str) -> None:
     codes[run] = run_command(["--config", str(config), "--out", str(root / run), "--quiet",
                               *flags, command])
@@ -146,21 +170,8 @@ def host_independent(path: str) -> bool:
 def digests(root: Path) -> list[str]:
     """Run every workflow into the empty directory `root` and return the
     digest lines, sorted by artifact path."""
-    _inputs(root)
     codes: dict[str, int] = {}
-
-    c10 = _config(
-        root, "criterion10",
-        simulate={"length": 120},
-        fit={"series": "c10_t1/simulate/series.csv"},
-        calibrate={"reps": 200, "gammas": [0.0], "alphas": [0.1, 0.05]},
-        monitor={"training": "c10_t1/simulate/series.csv", "stream": "stream.csv",
-                 "gamma": 0.0, "alpha": 0.05, "threshold_c": 50.0},
-        experiment={"kind": "consistency", "m_list": [60], "reps": 2},
-        prep={"rates": "rates.csv", "states": ["A", "B"], "baseline_years": [2019],
-              "window_start": [2020, 1], "window_end": [2020, 6]},
-        compare={"series": "binser.csv"},
-    )
+    c10 = criterion_10(root)
     for threads in ("1", "2"):
         for command in COMMANDS:
             _run(root, codes, f"c10_t{threads}/{command}", c10, command, "--threads", threads)
