@@ -20,7 +20,10 @@ OUTDIR must be empty or absent; every run writes below it.  The runs are:
 - `fit` on the criterion-10 training series written with every cell quoted,
   which numpy's reader refuses and the csv row parser reads;
 - 2-replication consistency studies at an l = 2 model (exact stationary
-  start, through the tensor quadrature) and at n = 40 (burn-in start).
+  start, through the tensor quadrature) and at n = 40 (burn-in start);
+- at n = 41, the smallest n whose counts both simulators draw with
+  rng.binomial, a `simulate` of 120 transitions and a 2-replication
+  consistency study, at `BINOMIAL_BETA` so the chain does not saturate.
 
 The first output line is `header()`: the stream contract and the numpy and
 python versions.  The second is `host()`: numpy's SIMD targets on this CPU
@@ -58,6 +61,9 @@ MODEL = {
     "burn_in": 200,
 }
 CHANGE = {"at_k": 11, "beta": [-1.0, 0.2, 0.4]}
+# tools/bench.py's BINOMIAL_SPEC coefficients: at n = 41 the chain's mean
+# stays near 18, where the default beta would hold it near n.
+BINOMIAL_BETA = [-1.0, 0.02, 0.4]
 COMMANDS = ("simulate", "fit", "calibrate", "monitor", "experiment", "prep", "compare")
 
 
@@ -210,6 +216,11 @@ def digests(root: Path) -> list[str]:
                         ("consistency_n40", {**MODEL, "n": 40})):
         cfg = _config(root, name, model=model, experiment=consistency)
         _run(root, codes, name, cfg, "experiment")
+    binomial = {**MODEL, "n": 41, "beta": BINOMIAL_BETA}
+    cfg = _config(root, "simulate_n41", model=binomial, simulate={"length": 120})
+    _run(root, codes, "simulate_n41", cfg, "simulate")
+    cfg = _config(root, "consistency_n41", model=binomial, experiment=consistency)
+    _run(root, codes, "consistency_n41", cfg, "experiment")
 
     lines = []
     for run, code in codes.items():
