@@ -255,6 +255,7 @@ def parse_prep(loaded: LoadedConfig) -> dict:
         raise ConfigError("prep.states", "must be a non-empty list of state names")
     _check_listed_once(states, "prep.states")
     years = loaded.require("prep.baseline_years")
+    _check_listed_once(years, "prep.baseline_years")
     start = _iso_monday(loaded, "prep.window_start")
     end = _iso_monday(loaded, "prep.window_end")
     if start > end:

@@ -157,6 +157,14 @@ def _gram(Z: np.ndarray, weights: np.ndarray, wide: np.ndarray | None = None) ->
     return 0.5 * (M + np.swapaxes(M, 1, 2))
 
 
+def inverse_metric(sigma0) -> np.ndarray:
+    """Symmetrized inverse of a matrix over any leading batch axes: the
+    covariance H^{-1} of a fit, and the metric A = Sigma0^{-1} of the
+    monitoring statistic, the only metric threshold tables are calibrated for."""
+    A = np.linalg.inv(sigma0)
+    return 0.5 * (A + np.swapaxes(A, -1, -2))
+
+
 # The likelihood kernel.  Each helper works on c stacked series: Z is
 # (c, m, d), y, eta, pi and resid are (c, m), beta is (c, d).  The optional
 # trailing arrays are (c, m) (or Z's shape) and take the helper's output and
@@ -337,8 +345,7 @@ def _newton(Z: np.ndarray, y: np.ndarray, spec_n: int) -> BatchFit:
         errors[i] = SingularHessianError("curvature matrix singular at the optimum")
         live[i] = False
     covariance = np.full((c, d, d), np.nan)
-    cov = np.linalg.inv(H[live] / m)
-    covariance[live] = 0.5 * (cov + np.swapaxes(cov, 1, 2))
+    covariance[live] = inverse_metric(H[live] / m)
     sigma0 = _gram(Z, np.square(resid, out=resid), ws.Zw) / m
     return BatchFit(
         beta=beta,

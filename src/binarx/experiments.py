@@ -10,8 +10,8 @@ whole block, then at every step the block's covariate rows followed by the
 counts, each the number of its chain's n uniforms below p when
 n <= N_MAX_BERNOULLI, and one binomial draw over the block otherwise.  X0 is
 drawn from the exact stationary pmf (inverse CDF of one uniform per chain)
-when n <= 30 and l <= 2, and from Bin(n, 1/2) followed by `spec.burn_in`
-lockstep steps otherwise.  The shared auxiliary series that pins the
+wherever `stationary_oracle` accepts the model, and from Bin(n, 1/2)
+followed by `spec.burn_in` lockstep steps otherwise.  The shared auxiliary series that pins the
 monitoring metric uses (master_seed, 3, 0) with the same start rule, and
 internally computed threshold tables use the calibration module's
 (master_seed, rep) streams.  Workers receive whole blocks and never share
@@ -38,7 +38,8 @@ from .defaults import (
     MAX_POINTS,
     default_model_spec,
 )
-from .estimation import _CHUNK_ELEMENTS, BatchFit, fit_mple, fit_mple_batch
+from .estimation import (_CHUNK_ELEMENTS, BatchFit, _residual, fit_mple, fit_mple_batch,
+                         inverse_metric)
 from .exceptions import BinarxError, ConfigError
 from .model import (
     N_MAX_BERNOULLI,
@@ -50,7 +51,7 @@ from .model import (
     simulate_chain,
     stationary_oracle,
 )
-from .monitoring import _weight, inverse_metric
+from .monitoring import _weight
 from ._parallel import map_over_reps
 
 _KIND_CONSISTENCY = 0
@@ -170,14 +171,12 @@ class _Report:
 # Block engine
 
 def _start_cdf(spec: ModelSpec) -> np.ndarray | None:
-    """CDF of the stationary pmf for the exact start, or None for burn-in.
-
-    `stationary_oracle` solves for the pmf exactly; it runs only for n <= 30
-    and l <= 2: its tensor quadrature has 66^l points, 66x more at l = 3.
-    """
-    if spec.n > 30 or spec.beta.l > 2:
+    """CDF of the stationary pmf for the exact start, or None for burn-in:
+    the start is exact wherever `stationary_oracle` accepts the model."""
+    try:
+        _, pmf = stationary_oracle(spec)
+    except ValueError:
         return None
-    _, pmf = stationary_oracle(spec)
     cdf = np.cumsum(pmf)
     return cdf / cdf[-1]
 
@@ -498,8 +497,7 @@ def _monitor_block(task: _MonitorTask, b: int):
             for j in range(2, d):
                 u += w[:pts, :size, j - 2] * neg_beta[j]
             p = _logistic_of_negated(u)
-        p *= spec.n
-        r = np.subtract(y, p, out=path[:, 0])
+        r = _residual(y, p, spec.n, path[:, 0])
         np.multiply(xs, r, out=path[:, 1])
         for j in range(2, d):
             np.multiply(w[:pts, :size, j - 2], r, out=path[:, j])

@@ -286,8 +286,7 @@ def simulate_chain(
                 state = bisect_left(rows, p, lo, lo + n) - lo
                 lo += n
             else:
-                state = binomial(n, _PROB_FLOOR if p < _PROB_FLOOR
-                                 else _PROB_CEIL if p > _PROB_CEIL else p)
+                state = binomial(n, _clamp_prob(p))
             states.append(state)
     return np.array(states, dtype=np.int64), w
 
@@ -380,13 +379,14 @@ def stationary_oracle(spec: ModelSpec) -> tuple[np.ndarray, np.ndarray]:
     integrating the binomial transition kernel over the clamped covariate
     distribution.  The stationary pmf solves mu = mu P by Grassmann-Taksar-
     Heyman elimination, which subtracts nothing: every mass keeps its relative
-    accuracy however slowly the chain mixes.  Intended for small n only;
-    building P costs (n+1)^2 times the quadrature size, (_QUAD_NODES + 2)^l.
+    accuracy however slowly the chain mixes.  Building P costs (n+1)^2 times
+    the quadrature size, (_QUAD_NODES + 2)^l, so the check below refuses
+    larger models with a ValueError; it is also the exact start's domain.
     """
-    n = spec.n
-    if n > 30:
-        raise ValueError("stationary_oracle is restricted to n <= 30")
-    b = spec.beta
+    n, b = spec.n, spec.beta
+    if n > 30 or b.l > 2:
+        raise ValueError(f"stationary_oracle runs only for n <= 30 and l <= 2, "
+                         f"got n={n}, l={b.l}")
     pts, wts = _exogenous_quadrature(spec.exo, b.l, _QUAD_NODES)
     gamma = np.asarray(b.gamma_exo, dtype=float)
     counts = np.arange(n + 1)

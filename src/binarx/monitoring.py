@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .calibration import ThresholdTable, _check_alpha, _check_gamma, _check_positive, horizon_steps
-from .estimation import fit_mple
+from .estimation import fit_mple, inverse_metric
 from .exceptions import MonitoringTerminatedError
 from .model import ParamVector, SeriesSample, _clamp_prob, logistic_float
 
@@ -31,15 +31,6 @@ def _weight(m: int, k, gamma: float):
     and the streaming monitor's statistics agree to rtol 1e-10, not bit for
     bit."""
     return m ** (-0.5) * (1.0 + k / m) ** (-1.0) * (k / (m + k)) ** (-gamma)
-
-
-def inverse_metric(sigma0) -> np.ndarray:
-    """Metric A = Sigma0^{-1} of the statistic, symmetrized; over any leading batch axes.
-
-    The only metric that threshold tables are calibrated for.
-    """
-    A = np.linalg.inv(sigma0)
-    return 0.5 * (A + np.swapaxes(A, -1, -2))
 
 
 @dataclass(frozen=True)

@@ -17,13 +17,13 @@ import math
 
 import numpy as np
 
+from binarx.estimation import inverse_metric
 from binarx.experiments import (
     BLOCK_SIZE,
     _failure_names,
     _train_block,
 )
 from binarx.model import N_MAX_BERNOULLI, _clamp_prob, logistic
-from binarx.monitoring import inverse_metric
 from streaming_reference import PROB_CEIL, PROB_FLOOR
 
 

@@ -579,6 +579,8 @@ def test_config_unknown_keys_name_the_field(tmp_path, capsys, command, section, 
      "prep.states: must be a non-empty list of state names"),
     ("prep", {"prep": {**PREP_SECTION, "states": ["A", "B", "A"]}},
      "prep.states: entry 'A' is listed more than once"),
+    ("prep", {"prep": {**PREP_SECTION, "baseline_years": [2019, 2019]}},
+     "prep.baseline_years: entry 2019 is listed more than once"),
     ("prep", {"prep": {**PREP_SECTION, "window_start": [2020, 7]}},
      "prep.window_start: window start is after window end"),
     ("experiment", {"experiment": {"kind": "size", "m_list": [30, 30]}},
@@ -1054,7 +1056,7 @@ _KEYS = {
     "prep": {
         "rates": (("rates.csv",), (_ABSENT, "train.csv") + _BAD_FILES),
         "states": ((["A"], ["A", "B"], ["A", "C"]), (_ABSENT, [], [1])),
-        "baseline_years": (([2019], [2018, 2019], [2018]), (_ABSENT, [2019.5])),
+        "baseline_years": (([2019], [2018, 2019], [2018]), (_ABSENT, [2019.5], [2019, 2019])),
         "window_start": (([2020, 1], [2020, 4]), (_ABSENT, [2020, 0], [2020, 54], [2020])),
         "window_end": (([2020, 6], [2020, 7]), (_ABSENT, [2019, 52], [2021, 53])),
     },

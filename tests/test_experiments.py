@@ -146,6 +146,23 @@ def test_exact_start_matches_oracle_pmf():
     assert 0.5 * np.abs(empirical - pmf).sum() < 0.02
 
 
+@pytest.mark.parametrize("n, l, exact", [(30, 2, True), (31, 1, False), (10, 3, False)])
+def test_the_exact_start_is_the_oracles_domain(n, l, exact):
+    # stationary_oracle states the bound once, naming both limits; the block
+    # engine starts exactly wherever the oracle accepts and burns in elsewhere.
+    spec = ModelSpec(n=n, beta=ParamVector(-1.0, 0.02, (0.4, -0.3, 0.2)[:l]), exo=SPEC.exo)
+    if exact:
+        _, pmf = stationary_oracle(spec)
+        x0 = _start(spec, _start_cdf(spec), np.random.default_rng(41), 20_000)
+        empirical = np.bincount(x0, minlength=n + 1) / x0.size
+        assert 0.5 * np.abs(empirical - pmf).sum() < 0.02
+    else:
+        with pytest.raises(ValueError, match=rf"^stationary_oracle runs only for n <= 30 and "
+                                             rf"l <= 2, got n={n}, l={l}$"):
+            stationary_oracle(spec)
+        assert _start_cdf(spec) is None
+
+
 def test_consistency_mse_decreases():
     cfg = ExperimentConfig(m_list=(150, 600), reps=25, master_seed=11)
     report = run_consistency(cfg)

@@ -19,7 +19,8 @@ from binarx import (
     simulate_series,
 )
 from binarx.calibration import ThresholdTable, _rho
-from binarx.monitoring import _weight, inverse_metric
+from binarx.estimation import inverse_metric
+from binarx.monitoring import _weight
 from series_kernel import score
 from streaming_reference import replay, score_step, state_with_metric, weight_0d
 
