@@ -11,11 +11,11 @@ counts, each the number of its chain's n uniforms below p when
 n <= N_MAX_BERNOULLI, and one binomial draw over the block otherwise.  X0 is
 drawn from the exact stationary pmf (inverse CDF of one uniform per chain)
 wherever `stationary_oracle` accepts the model, and from Bin(n, 1/2)
-followed by `spec.burn_in` lockstep steps otherwise.  The shared auxiliary series that pins the
-monitoring metric uses (master_seed, 3, 0) with the same start rule, and
-internally computed threshold tables use the calibration module's
-(master_seed, rep) streams.  Workers receive whole blocks and never share
-generator state, so thread counts change only wall time.
+followed by `spec.burn_in` lockstep steps otherwise.  The shared auxiliary
+series that pins the monitoring metric uses (master_seed, 3, 0) with the
+same start rule, and internally computed threshold tables use the
+calibration module's (master_seed, rep) streams.  Workers get whole blocks
+and share no generator state, so thread counts change only wall time.
 """
 
 from __future__ import annotations

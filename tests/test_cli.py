@@ -579,8 +579,6 @@ def test_config_unknown_keys_name_the_field(tmp_path, capsys, command, section, 
      "prep.states: must be a non-empty list of state names"),
     ("prep", {"prep": {**PREP_SECTION, "states": ["A", "B", "A"]}},
      "prep.states: entry 'A' is listed more than once"),
-    ("prep", {"prep": {**PREP_SECTION, "baseline_years": [2019, 2019]}},
-     "prep.baseline_years: entry 2019 is listed more than once"),
     ("prep", {"prep": {**PREP_SECTION, "window_start": [2020, 7]}},
      "prep.window_start: window start is after window end"),
     ("experiment", {"experiment": {"kind": "size", "m_list": [30, 30]}},
@@ -597,6 +595,8 @@ def test_config_unknown_keys_name_the_field(tmp_path, capsys, command, section, 
     ("experiment", {"model": {"n": 10**15, "beta": [-1.0, 0.0, 0.4], "burn_in": 2},
                     "experiment": {"kind": "consistency", "m_list": [10], "reps": 2}},
      "model.n: binomial total 1000000000000000 is above the budget of 1000000 points"),
+    ("prep", {"prep": {**PREP_SECTION, "baseline_years": [2019, 2019]}},
+     "prep.baseline_years: entry 2019 is listed more than once"),
 ])
 def test_config_out_of_range_values_name_the_field(tmp_path, capsys, command, section, message):
     cfg = _write_config(tmp_path / "cfg.json", {"model": MODEL_SECTION, **section})

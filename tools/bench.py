@@ -22,8 +22,8 @@ drift, so a change cites a --parent pair.  The layers:
 - model: µs per lockstep `_advance` step of a 256-chain block, inside one
   `np.errstate` and with each step's counts stored in an int64 row, as a
   monitored pass runs it, and µs per transition of a 20,000-step
-  `simulate_chain`; each at n = 10 (Bernoulli sums) and at
-  n = N_MAX_BERNOULLI + 1 (binomial draws);
+  `simulate_chain`; each at n = 10 (Bernoulli sums) and at n = 41 (binomial
+  draws);
 - estimation: `fit_mple` ms at m = 300 and at m = 2000, ms per
   `fit_mple_batch` of a 256-series block at m = 300, and ms per
   `fit_mple_batch` of 64 series at m = 30 whose covariate is nearly
@@ -41,11 +41,18 @@ sha, `src/binarx` line count, stream contract, versions) and the slowdown
 factor of perfbench's reference kernel, timed after each layer: the host's
 speed drifts (perfbench/README.md, "Noise"), so compare two files only when
 their factors are close.  Whole-run and Tier-1 timings are not measured here.
+
+Module level takes only `binarx`'s exports.  Every other binarx name is
+read from the served tree when a layer samples (`_binarx`), so a layer whose
+names a tree lacks (a --parent run of a change that renames one) is
+recorded as missing for that tree, {"missing": "binarx.<module>.<name>"} in
+place of its median and rounds, and the run goes on without it.
 """
 
 from __future__ import annotations
 
 import hashlib
+import importlib
 import json
 import math
 import os
@@ -54,6 +61,7 @@ import statistics
 import subprocess
 import sys
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 from time import perf_counter
 
@@ -73,28 +81,40 @@ from run import metadata  # noqa: E402
 from binarx import (CalibrationConfig, ExperimentConfig, ModelSpec, ParamVector,  # noqa: E402
                     default_model_spec, fit_mple, monitor_init, monitor_update, read_series_csv,
                     read_threshold_table, run_size, simulate_series, threshold_table)
-from binarx.calibration import write_threshold_table  # noqa: E402
-from binarx.estimation import fit_mple_batch  # noqa: E402
-from binarx.experiments import BLOCK_SIZE, N_MAX_BERNOULLI, _advance, _linear_table  # noqa: E402
-from binarx.model import (ExogenousSpec, SeriesSample, simulate_chain,  # noqa: E402
-                          write_series_csv)
 
 REPEATS = 5
 ROUNDS = 10  # rounds of both trees with --parent
 THREADS = 1
+# Chains of one block (experiments.BLOCK_SIZE), fixed here so both trees
+# time the same inputs.
+BLOCK_SIZE = 256
 SPEC = default_model_spec()
-# The smallest n whose counts both simulators draw with rng.binomial.
-BINOMIAL_SPEC = ModelSpec(n=N_MAX_BERNOULLI + 1, beta=ParamVector(-1.0, 0.02, (0.4,)),
-                          exo=SPEC.exo)
+# The smallest n whose counts both simulators draw with rng.binomial
+# (model.N_MAX_BERNOULLI + 1).
+BINOMIAL_SPEC = ModelSpec(n=41, beta=ParamVector(-1.0, 0.02, (0.4,)), exo=SPEC.exo)
 HORIZON, GAMMA, ALPHA = 3.0, 0.25, 0.05
 MONITOR_M = 300
 MONITOR_STEPS = int(HORIZON * MONITOR_M)  # the close-end horizon: 900 updates
 ADVANCE_STEPS, CHAIN_LENGTH = 500, 20_000
 FIT_CALLS = {300: 20, 2000: 4}
 BATCH_M, BATCH_CALLS = 300, 5
-HALVING_SPEC = ModelSpec(n=SPEC.n, beta=SPEC.beta, exo=ExogenousSpec(sd=1e-3))
+HALVING_SPEC = replace(SPEC, exo=replace(SPEC.exo, sd=1e-3))
 HALVING_M, HALVING_SERIES, HALVING_CALLS = 30, 64, 2
 CALIB_REPS, CSV_READS = 500, 20
+
+
+class _Missing(Exception):
+    """The served tree lacks a binarx name that a layer reads."""
+
+
+def _binarx(path: str):
+    """binarx.<module>.<name> of the served tree, read when a layer samples;
+    _Missing if the tree lacks it."""
+    module, name = path.split(".")
+    try:
+        return getattr(importlib.import_module(f"binarx.{module}"), name)
+    except AttributeError:
+        raise _Missing(f"binarx.{path}") from None
 
 
 def _clock(fn, *args):
@@ -128,31 +148,35 @@ def import_once() -> dict:
 
 def advance_us_per_step(name: str, spec: ModelSpec):
     def sample() -> dict:
+        advance = _binarx("experiments._advance")
         rng = np.random.default_rng(1)
-        table = _linear_table(spec.n, spec.beta)
+        table = _binarx("experiments._linear_table")(spec.n, spec.beta)
         x = np.empty((ADVANCE_STEPS + 1, BLOCK_SIZE), dtype=np.int64)
         x[0] = rng.binomial(spec.n, 0.5, BLOCK_SIZE)
         t = perf_counter()
         with np.errstate(over="ignore"):
             for s in range(ADVANCE_STEPS):
-                _, x[s + 1] = _advance(spec, table, x[s], rng)
+                _, x[s + 1] = advance(spec, table, x[s], rng)
         return {name: (perf_counter() - t) / ADVANCE_STEPS * 1e6}
     return sample
 
 
 def chain_us_per_transition(name: str, spec: ModelSpec):
     def sample() -> dict:
-        seconds, _ = _clock(simulate_chain, spec, CHAIN_LENGTH, np.random.default_rng(2), 3)
+        seconds, _ = _clock(_binarx("model.simulate_chain"), spec, CHAIN_LENGTH,
+                            np.random.default_rng(2), 3)
         return {name: seconds / CHAIN_LENGTH * 1e6}
     return sample
 
 
 def per_call(name: str, scale: float, calls: int, fn, *args):
-    """A sample of the mean time of `calls` calls of fn(*args), times `scale`."""
+    """A sample of the mean time of `calls` calls of fn(*args), times `scale`;
+    a str `fn` names it for `_binarx`."""
     def sample() -> dict:
+        f = _binarx(fn) if isinstance(fn, str) else fn
         t = perf_counter()
         for _ in range(calls):
-            fn(*args)
+            f(*args)
         return {name: (perf_counter() - t) / calls * scale}
     return sample
 
@@ -183,13 +207,13 @@ def samplers(tmp: Path) -> list:
     batch = [simulate_series(SPEC, BATCH_M, seed=BATCH_M + i) for i in range(BLOCK_SIZE)]
     timers.append(({"estimation.fit_batch_ms": (
         "ms", f"fit_mple_batch of {BLOCK_SIZE} series at m={BATCH_M}")},
-        per_call("estimation.fit_batch_ms", 1e3, BATCH_CALLS, fit_mple_batch,
+        per_call("estimation.fit_batch_ms", 1e3, BATCH_CALLS, "estimation.fit_mple_batch",
                  np.stack([s.x for s in batch]), np.stack([s.w for s in batch]), SPEC.n)))
     batch = [simulate_series(HALVING_SPEC, HALVING_M, seed=1000 * HALVING_M + i)
              for i in range(HALVING_SERIES)]
     timers.append(({"estimation.fit_halving_ms": (
         "ms", f"fit_mple_batch of {HALVING_SERIES} series at m={HALVING_M}, exo sd 1e-3")},
-        per_call("estimation.fit_halving_ms", 1e3, HALVING_CALLS, fit_mple_batch,
+        per_call("estimation.fit_halving_ms", 1e3, HALVING_CALLS, "estimation.fit_mple_batch",
                  np.stack([s.x for s in batch]), np.stack([s.w for s in batch]), SPEC.n)))
 
     calib = CalibrationConfig(dim=3, horizon=HORIZON, grid_m=1000, reps=CALIB_REPS,
@@ -200,17 +224,17 @@ def samplers(tmp: Path) -> list:
     def calibration_ms_per_rep() -> dict:
         seconds, table = _clock(threshold_table, calib, THREADS)
         tables.append(table)
-        write_threshold_table(table, table_path)
+        _binarx("calibration.write_threshold_table")(table, table_path)
         return {"calibration.ms_per_rep": seconds / CALIB_REPS * 1e3}
     timers.append(({"calibration.ms_per_rep": (
         "ms", f"threshold_table at grid 1000, d=3, N={HORIZON}, {CALIB_REPS} reps")},
         calibration_ms_per_rep))
 
     path = simulate_series(SPEC, MONITOR_M + MONITOR_STEPS, seed=6)
-    training = SeriesSample(path.x[:MONITOR_M + 1], path.w[:MONITOR_M])
     stream = list(zip(path.x[MONITOR_M + 1:].tolist(), path.w[MONITOR_M:]))
 
     def update_us() -> dict:
+        training = _binarx("model.SeriesSample")(path.x[:MONITOR_M + 1], path.w[:MONITOR_M])
         init_s, state = _clock(monitor_init, training, SPEC.n, HORIZON, GAMMA, ALPHA, math.inf)
         t = perf_counter()
         for x, w in stream:
@@ -227,11 +251,16 @@ def samplers(tmp: Path) -> list:
         update_us))
 
     csv_path = tmp / "series.csv"
-    # 900 rows: t = 0 .. 899.
-    write_series_csv(SeriesSample(path.x[:MONITOR_STEPS], path.w[:MONITOR_STEPS - 1]), csv_path)
+    read_csv = per_call("monitoring.read_series_csv_ms", 1e3, CSV_READS, read_series_csv,
+                        csv_path)
+
+    def read_series_csv_ms() -> dict:
+        # 900 rows: t = 0 .. 899.
+        _binarx("model.write_series_csv")(_binarx("model.SeriesSample")(
+            path.x[:MONITOR_STEPS], path.w[:MONITOR_STEPS - 1]), csv_path)
+        return read_csv()
     timers.append(({"monitoring.read_series_csv_ms": (
-        "ms", f"read_series_csv of a {MONITOR_STEPS}-row series")},
-        per_call("monitoring.read_series_csv_ms", 1e3, CSV_READS, read_series_csv, csv_path)))
+        "ms", f"read_series_csv of a {MONITOR_STEPS}-row series")}, read_series_csv_ms))
     cells = len(calib.gammas) * len(calib.alphas)
     timers.append(({"monitoring.read_threshold_table_us": (
         "us", f"read_threshold_table of a {cells}-cell table")},
@@ -279,9 +308,10 @@ def write(out: Path, src: Path, layers: dict, kernel_us: list, **extra) -> None:
 
 
 def serve() -> None:
-    """Time SRC's layers on request, for a --parent run: first the layers'
-    figures as one JSON line, then for each line read, a timer's index or
-    "kernel", one JSON line of what it returns or of reference kernel times."""
+    """Time SRC's layers on request: first the layers' figures as one JSON
+    line, then for each line read, a timer's index or "kernel", one JSON line
+    of what it returns ({"missing": name} if SRC lacks a name it reads) or
+    of reference kernel times."""
     with tempfile.TemporaryDirectory() as tmp:
         timers = samplers(Path(tmp))
         print(json.dumps([figures for figures, _ in timers]), flush=True)
@@ -290,7 +320,10 @@ def serve() -> None:
                 out: list = []
                 reference.sample(out)
             else:
-                out = timers[int(line)][1]()
+                try:
+                    out = timers[int(line)][1]()
+                except _Missing as exc:
+                    out = {"missing": str(exc)}
             print(json.dumps(out), flush=True)
 
 
@@ -319,14 +352,20 @@ class _Timing:
         self.proc.wait()
 
 
+def _shown(figure: dict) -> str:
+    return f"{figure['median']:.6g}" if "median" in figure else f"missing ({figure['missing']})"
+
+
 def time_rounds(n: str, parent: Path | None) -> None:
     """ROUNDS rounds of this tree's sources, and of the parent's if given,
-    interleaved repeat by repeat, each round in a fresh interpreter per tree."""
+    interleaved repeat by repeat, each round in a fresh interpreter per tree.
+    A layer that reads a name a tree lacks is recorded as missing there."""
     trees = {"this": ROOT / "src"}
     if parent is not None:
         trees = {"parent": parent / "src", **trees}
     rounds = {tree: [] for tree in trees}  # per round, {layer: median}
     kernel_us = {tree: [] for tree in trees}
+    missing = {tree: {} for tree in trees}  # {layer: the binarx name the tree lacks}
     for r in range(ROUNDS):
         order = list(trees) if r % 2 == 0 else list(trees)[::-1]
         timing = {}
@@ -340,7 +379,11 @@ def time_rounds(n: str, parent: Path | None) -> None:
                     timing[tree].ask(i)
                 for k in range(REPEATS):
                     for tree in order[::1 if k % 2 == 0 else -1]:
-                        for name, value in timing[tree].ask(i).items():
+                        out = timing[tree].ask(i)
+                        if "missing" in out:
+                            missing[tree].update(dict.fromkeys(layer, out["missing"]))
+                            continue
+                        for name, value in out.items():
                             repeats[tree].setdefault(name, []).append(value)
                 for tree in order:
                     kernel_us[tree] += timing[tree].ask("kernel")
@@ -352,19 +395,24 @@ def time_rounds(n: str, parent: Path | None) -> None:
     medians = {}
     for tree in trees:
         medians[tree] = {
-            name: {"unit": unit, "what": what,
-                   "median": statistics.median(r[name] for r in rounds[tree]),
-                   "rounds": [r[name] for r in rounds[tree]]}
+            name: {"unit": unit, "what": what, "missing": missing[tree][name]}
+            if name in missing[tree] else
+            {"unit": unit, "what": what,
+             "median": statistics.median(r[name] for r in rounds[tree]),
+             "rounds": [r[name] for r in rounds[tree]]}
             for layer in figures for name, (unit, what) in layer.items()}
         suffix = "_parent" if tree == "parent" else ""
         write(ROOT / f"BENCH_{n}{suffix}.json", trees[tree], medians[tree], kernel_us[tree],
               rounds=ROUNDS)
     if parent is None:
         for name, figure in medians["this"].items():
-            print(f"{name} {figure['median']:.6g} {figure['unit']}")
+            print(f"{name} {_shown(figure)} {figure['unit']}")
         return
     for name, figure in medians["this"].items():
         before = medians["parent"][name]
+        if "median" not in before or "median" not in figure:
+            print(f"{name} {_shown(before)} -> {_shown(figure)} {figure['unit']}")
+            continue
         # A round whose parent figure is 0 (a fault count) has no ratio.
         ratios = [b / a for a, b in zip(before["rounds"], figure["rounds"]) if a]
         print(f"{name} {before['median']:.6g} -> {figure['median']:.6g} {figure['unit']}; "
