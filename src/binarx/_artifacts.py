@@ -48,12 +48,11 @@ def open_csv(path):
         yield fh
 
 
-def read_rows(fh, header, parse, lines_before: int = 0) -> list:
+def read_rows(fh, header, parse) -> list:
     """`parse(row)` for each non-empty row after the header of an open CSV file.
 
     A missing or wrong header, a row without one cell per column, or a
-    ValueError from `parse` raises ValueError, naming the line for a row
-    (`lines_before` counts the lines read from `fh` before the header).
+    ValueError from `parse` raises ValueError, naming the line for a row.
     """
     reader = csv.reader(fh)
     found = next(reader, [])
@@ -68,7 +67,7 @@ def read_rows(fh, header, parse, lines_before: int = 0) -> list:
                 raise ValueError(f"expected {len(header)} cells, got {len(row)}")
             parsed.append(parse(row))
         except ValueError as exc:
-            raise ValueError(f"line {lines_before + reader.line_num}: {exc}") from None
+            raise ValueError(f"line {reader.line_num}: {exc}") from None
     return parsed
 
 

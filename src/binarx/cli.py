@@ -13,21 +13,16 @@ import csv
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import config as cfgmod
 from ._artifacts import naming, open_csv, write_csv, write_json
 from .calibration import threshold_table, write_threshold_table
-from .dataprep import (
-    RatePanel,
-    binarize_and_sum,
-    compute_baseline,
-    model_comparison,
-    read_binomial_series,
-    write_binomial_series,
-)
+from .dataprep import RatePanel, binarize_and_sum, compute_baseline, model_comparison
 from .estimation import fit_mple, fit_report
 from .exceptions import BinarxError, ConfigError
 from .experiments import run_consistency, run_normality, run_power, run_size, write_report
-from .model import count_rows, read_series_csv, simulate_series, write_series_csv
+from .model import SeriesSample, count_rows, read_series_csv, simulate_series, write_series_csv
 from .monitoring import monitor_init, monitor_run
 
 EXIT_OK = 0
@@ -69,20 +64,11 @@ def _cmd_simulate(loaded, out: Path, quiet: bool) -> int:
     return EXIT_OK
 
 
-def _read_counts(loaded, key: str, spec_n: int):
-    """The series file that config `key` names, its counts checked against model.n."""
-    path = loaded.require(key)
-    sample = read_series_csv(path)
-    with naming(path):
-        if sample.x.max() > spec_n:
-            raise ValueError(f"count {sample.x.max()} above model.n={spec_n}")
-    return sample
-
-
 def _cmd_fit(loaded, out: Path, quiet: bool) -> int:
     spec = cfgmod.parse_model(loaded)
-    sample = _read_counts(loaded, "fit.series", spec.n)
-    with naming(loaded.require("fit.series")):
+    source = loaded.require("fit.series")
+    sample = read_series_csv(source)
+    with naming(source):
         fit = fit_mple(sample, spec.n)
     path = out / "fit_report.json"
     write_json(path, fit_report(fit))
@@ -111,9 +97,10 @@ def _stream_rows(fh, n_cells: int):
 def _cmd_monitor(loaded, out: Path, quiet: bool) -> int:
     spec = cfgmod.parse_model(loaded)
     settings = cfgmod.parse_monitor(loaded)
-    training = _read_counts(loaded, "monitor.training", spec.n)
+    source = loaded.require("monitor.training")
+    training = read_series_csv(source)
     stream_path = loaded.require("monitor.stream")
-    with cfgmod.in_section("monitor"), naming(loaded.require("monitor.training")):
+    with cfgmod.in_section("monitor"), naming(source):
         state = monitor_init(training, spec.n, **settings)
     with open_csv(stream_path) as fh:
         monitor_run(state, _stream_rows(fh, training.l + 2))
@@ -155,18 +142,19 @@ def _cmd_prep(loaded, out: Path, quiet: bool) -> int:
     panel = RatePanel.from_csv(prep["rates"])
     with naming(prep["rates"]):
         baseline = compute_baseline(panel, prep["baseline_years"])
-        series = binarize_and_sum(panel, baseline, prep["states"], prep["window"])
-    path = out / "binomial_series.csv"
-    write_binomial_series(series, path)
-    _say(quiet, f"wrote {path} ({series.x.size} weeks, n={series.n})")
+        x = binarize_and_sum(panel, baseline, prep["states"], prep["window"])
+    path = out / "series.csv"
+    write_series_csv(SeriesSample(x, w=np.empty((x.size - 1, 0))), path)
+    _say(quiet, f"wrote {path} ({x.size} weeks, n={len(prep['states'])})")
     return EXIT_OK
 
 
 def _cmd_compare(loaded, out: Path, quiet: bool) -> int:
+    spec = cfgmod.parse_model(loaded)
     source = loaded.require("compare.series")
-    series = read_binomial_series(source)
+    sample = read_series_csv(source)
     with naming(source):
-        result = model_comparison(series)
+        result = model_comparison(sample.x, spec.n)
     path = out / "comparison.json"
     write_json(path, result)
     _say(
@@ -184,7 +172,7 @@ _HANDLERS = {
     "monitor": (_cmd_monitor, "run the sequential monitor over a stream CSV"),
     "experiment": (_cmd_experiment,
                    "run a simulation study (consistency|normality|size|power)"),
-    "prep": (_cmd_prep, "deseasonalize a weekly rate panel into a binomial series"),
+    "prep": (_cmd_prep, "deseasonalize a weekly rate panel into a count series CSV"),
     "compare": (_cmd_compare, "AIC / likelihood-ratio comparison against an i.i.d. binomial"),
 }
 

@@ -3,14 +3,11 @@
 A panel of per-state weekly rates is reduced to a binomial count series by
 comparing each observation against that state's same-week multi-year average:
 the count at a week is the number of states whose rate strictly exceeds their
-baseline.  The resulting series can then be compared against an i.i.d.
+baseline.  The resulting counts can then be compared against an i.i.d.
 binomial null via AIC and a likelihood-ratio test.
 """
 
 from __future__ import annotations
-
-import csv
-from dataclasses import dataclass
 
 import numpy as np
 import scipy
@@ -67,27 +64,9 @@ def compute_baseline(panel: RatePanel, baseline_years) -> dict:
     return {key: float(np.mean(v)) for key, v in sums.items()}
 
 
-@dataclass(frozen=True)
-class BinomialSeries:
-    """Counts in {0..n} with (iso_year, week) labels; n = number of states."""
-
-    x: np.ndarray
-    n: int
-    labels: tuple
-
-    def __post_init__(self):
-        x = np.asarray(self.x, dtype=np.int64)
-        if np.any(x < 0) or np.any(x > self.n):
-            raise ValueError(f"counts must lie in 0..{self.n}")
-        if len(self.labels) != x.size:
-            raise ValueError("labels must match the series length")
-        x.setflags(write=False)
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "labels", tuple((int(y), int(w)) for y, w in self.labels))
-
-
-def binarize_and_sum(panel: RatePanel, baseline: dict, states, window) -> BinomialSeries:
-    """Count, week by week, the states whose rate strictly exceeds baseline.
+def binarize_and_sum(panel: RatePanel, baseline: dict, states, window) -> np.ndarray:
+    """Count, week by week, the states whose rate strictly exceeds baseline:
+    an int64 array with one entry per week of `window`, each in 0..len(states).
 
     `baseline` maps (state, week-of-year) to a rate, as compute_baseline
     returns it.  Ties count as not exceeding, and week 53 of a long ISO year
@@ -119,7 +98,7 @@ def binarize_and_sum(panel: RatePanel, baseline: dict, states, window) -> Binomi
         raise PanelCoverageError(missing_rates)
     if missing_base:
         raise MissingBaselineError(sorted(set(missing_base)))
-    return BinomialSeries(x=np.array(counts, dtype=np.int64), n=len(states), labels=tuple(window))
+    return np.array(counts, dtype=np.int64)
 
 
 def _iid_fit(x: np.ndarray, n: int) -> tuple[float, float]:
@@ -136,23 +115,22 @@ def chi2_sf(x: float) -> float:
     return float(scipy.special.gammaincc(0.5, x / 2.0))
 
 
-def model_comparison(series: BinomialSeries) -> dict:
-    """AIC comparison and LR test: AR(1) on (1, x_{t-1}) vs constant pi.
+def model_comparison(x: np.ndarray, n: int) -> dict:
+    """AIC comparison and LR test of the counts `x` in 0..n: AR(1) on
+    (1, x_{t-1}) vs constant pi.
 
     Both likelihoods run over the transitions t = 1..T (the AR(1) model
     conditions on x_0, and the constant model is evaluated on the same range
     so the comparison is like for like).  The LR statistic has one degree of
     freedom: the constant model is the AR(1) family pinned at phi1 = 0.
     """
-    x = series.x
     if x.size < 2:
         raise ValueError("need at least 2 observations to compare models")
-    sample = SeriesSample(x=x, w=np.empty((x.size - 1, 0)))
-    fit = fit_mple(sample, series.n)
+    fit = fit_mple(SeriesSample(x=x, w=np.empty((x.size - 1, 0))), n)
     ll_ar1 = fit.log_pl
 
     tail = x[1:]
-    pi_hat, ll_simple = _iid_fit(tail, series.n)
+    pi_hat, ll_simple = _iid_fit(tail, n)
 
     lr = 2.0 * (ll_ar1 - ll_simple)
     return {
@@ -164,37 +142,7 @@ def model_comparison(series: BinomialSeries) -> dict:
         "ll_simple": ll_simple,
         "ll_ar1": ll_ar1,
         "beta_hat_ar1": list(fit.beta_hat.as_array()),
-        "n": series.n,
+        "n": n,
         "n_obs_compared": int(tail.size),
     }
 
-
-def write_binomial_series(series: BinomialSeries, path) -> None:
-    """CSV with a `# n=...` metadata line, then iso_year,week,x rows."""
-    with open(path, "w", newline="") as fh:
-        fh.write(f"# n={series.n}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["iso_year", "week", "x"])
-        for (year, week), count in zip(series.labels, series.x):
-            writer.writerow([year, week, int(count)])
-
-
-def read_binomial_series(path) -> BinomialSeries:
-    with open_csv(path) as fh:
-        first = fh.readline().strip()
-        if not first.startswith("# n="):
-            raise ValueError(f"expected '# n=...' metadata line, got {first!r}")
-        try:
-            n = int(first[4:])
-        except ValueError:
-            raise ValueError(f"line 1: n must be an integer, got {first[4:]!r}") from None
-
-        def parse(row):
-            x = int(row[2])
-            if not 0 <= x <= n:
-                raise ValueError(f"count {x} outside 0..{n}")
-            return (int(row[0]), int(row[1])), x
-
-        rows = read_rows(fh, ("iso_year", "week", "x"), parse, lines_before=1)
-    return BinomialSeries(x=np.array([x for _, x in rows], dtype=np.int64), n=n,
-                          labels=tuple(label for label, _ in rows))

@@ -393,8 +393,8 @@ def fit_mple(series: SeriesSample, spec_n: int) -> FitResult:
     m, d = series.m, 2 + series.l
     if m < 1:
         raise ValueError("series has no transitions")
-    if np.any(series.x > spec_n):
-        raise ValueError(f"series contains counts above n={spec_n}")
+    if (top := series.x.max()) > spec_n:
+        raise ValueError(f"count {top} above n={spec_n}")
     if m < d + 1:
         raise ValueError(f"need at least {d + 1} transitions to fit {d} coefficients, got {m}")
     fit = fit_mple_batch(series.x[None], series.w[None], spec_n)

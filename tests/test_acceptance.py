@@ -47,13 +47,7 @@ from binarx import (
 )
 from binarx.calibration import quantile_higher
 from binarx.cli import run_command
-from binarx.dataprep import (
-    BinomialSeries,
-    RatePanel,
-    binarize_and_sum,
-    compute_baseline,
-    model_comparison,
-)
+from binarx.dataprep import RatePanel, binarize_and_sum, compute_baseline, model_comparison
 from binarx.defaults import DEFAULT_SEED
 from binarx.experiments import run_consistency, run_normality
 from binarx.model import _QUAD_NODES, _exogenous_quadrature, stationary_oracle
@@ -320,14 +314,14 @@ def test_criterion_09_data_pipeline():
     window = [(2020, w) for w in range(1, 7)]
 
     panel = RatePanel(rows)
-    series = binarize_and_sum(panel, compute_baseline(panel, {2019}), ["A", "B"], window)
-    fixture_ok = series.x.tolist() == [2, 1, 0, 1, 1, 1]
+    counts = binarize_and_sum(panel, compute_baseline(panel, {2019}), ["A", "B"], window)
+    fixture_ok = counts.tolist() == [2, 1, 0, 1, 1, 1]
 
     scaled_panel = RatePanel([(s, y, w, 7.5 * r) for (s, y, w), r in panel.items()])
     scaled = binarize_and_sum(
         scaled_panel, compute_baseline(scaled_panel, {2019}), ["A", "B"], window
     )
-    equivariant = scaled.x.tolist() == series.x.tolist()
+    equivariant = scaled.tolist() == counts.tolist()
 
     # LR test null behaviour plus the nesting inequality over 100 seeded
     # i.i.d. Bin(6, 0.4) series.
@@ -336,8 +330,7 @@ def test_criterion_09_data_pipeline():
     for i in range(100):
         rng = np.random.default_rng(np.random.SeedSequence((DEFAULT_SEED, 9, i)))
         x = rng.binomial(6, 0.4, size=251)
-        null_series = BinomialSeries(x=x, n=6, labels=[(2020, t % 52 + 1) for t in range(251)])
-        out = model_comparison(null_series)
+        out = model_comparison(x, 6)
         over_05 += out["p_value"] > 0.05
         nesting_ok &= out["ll_ar1"] >= out["ll_simple"] - 1e-6
     ok = fixture_ok and equivariant and nesting_ok and over_05 >= 90
@@ -359,7 +352,8 @@ def _run_cli(root, config, run, command, extra=()):
 
 def test_criterion_10_cli_determinism(tmp_path, golden_digests):
     # The criterion-10 workflow of tools/golden_digests.py, whose digests
-    # tests/golden pins: `fit` and `monitor` read its first simulated series.
+    # tests/golden pins: `fit`, `monitor` and `compare` read its first
+    # simulated series.
     config = golden_digests.criterion_10(tmp_path)
     sim_first = _run_cli(tmp_path, config, golden_digests.C10_FIRST_SIMULATE, "simulate")
     mismatches = []

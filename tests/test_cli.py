@@ -141,7 +141,7 @@ def test_series_counts_above_n_name_the_file_and_model_n(tmp_path, capsys, comma
     cfg = _write_config(tmp_path / "cfg.json", {"model": {**MODEL_SECTION, "n": 2}, **section})
     assert run_command(["--config", cfg, "--out", str(tmp_path / "out"), "--quiet", command]) == 1
     err = capsys.readouterr().err
-    assert "series.csv" in err and "count 5 above model.n=2" in err, err
+    assert "series.csv" in err and "count 5 above n=2" in err, err
 
 
 def test_calibrate_then_monitor_threshold_round_trip(tmp_path):
@@ -350,7 +350,7 @@ def _reader_config(tmp_path):
         "monitor": {"training": "training.csv", "stream": "stream.csv",
                     "thresholds": "thresholds.csv"},
         "prep": PREP_SECTION,
-        "compare": {"series": "binomial.csv"},
+        "compare": {"series": "counts.csv"},
     })
 
 
@@ -363,16 +363,13 @@ def _reader_config(tmp_path):
     ("prep", "rates.csv", "", "expected header state,iso_year,week,rate, got []"),
     ("prep", "rates.csv", "state,iso_year,week,rate\nA,2019,1,1.0\nA,2019,1,2.0\n",
      "line 3: duplicate panel entry for ('A', 2019, 1)"),
-    ("compare", "binomial.csv", "# n=2\niso_year,week,x\n2020,1\n", "line 3: expected 3 cells"),
-    ("compare", "binomial.csv", "# n=x\niso_year,week,x\n2020,1,1\n",
-     "line 1: n must be an integer, got 'x'"),
-    ("compare", "binomial.csv", "# n=2\niso_year,week,x\n2020,1,1\n2020,2,3\n",
-     "line 4: count 3 outside 0..2"),
+    ("compare", "counts.csv", "t,x\n0,1\n1,2\n2\n", "row t=2: expected 2 cells, got 1"),
+    ("compare", "counts.csv", "t,x\n0,1\n1,11\n2,3\n", "count 11 above n=10"),
     ("fit", "series.csv", "t,x,w1\n0,3,\n1,99999999999999999999,1.0\n",
      "row t=1: count 99999999999999999999 is above the int64 range"),
     ("monitor", "stream.csv", "t,x,w1\n1,4,1.0\n", "expected stream header k,x,w1,..."),
 ], ids=["fit-empty", "monitor-short-row", "prep-short-row", "prep-empty", "prep-repeated-row",
-        "compare-short-row", "compare-bad-n", "compare-count-above-n", "fit-count-above-int64",
+        "compare-short-row", "compare-count-above-n", "fit-count-above-int64",
         "monitor-stream-header"])
 def test_malformed_csv_inputs_name_the_file(tmp_path, capsys, command, file, content, message):
     cfg = _reader_config(tmp_path)
@@ -386,9 +383,9 @@ def test_malformed_csv_inputs_name_the_file(tmp_path, capsys, command, file, con
     ("fit", "series.csv", b"t,x,w1\n0,3,\xff\n1,4,1.0\n"),
     ("monitor", "thresholds.csv", b"gamma,alpha,c,reps,grid_m,N,seed\n0.0,0.05,7.0\xff,1,1,3.0,0\n"),
     ("prep", "rates.csv", b"state,iso_year,week,rate\nA\xff,2019,1,1.0\n"),
-    ("compare", "binomial.csv", b"# n=2\niso_year,week,x\n2020,1,\xff\n"),
+    ("compare", "counts.csv", b"t,x\n0,1\n1,\xff\n"),
     ("monitor", "stream.csv", b"k,x,w1\n1,4,1.0\xff\n"),
-], ids=["read_series_csv", "read_threshold_table", "RatePanel.from_csv", "read_binomial_series",
+], ids=["read_series_csv", "read_threshold_table", "RatePanel.from_csv", "compare",
         "monitor-stream"])
 def test_non_utf8_inputs_name_the_file(tmp_path, capsys, command, file, content):
     cfg = _reader_config(tmp_path)
@@ -731,9 +728,8 @@ def test_a_series_that_does_not_fit_names_the_file(tmp_path, capsys, command, se
 def test_prep_and_compare_runtime_errors_name_the_file(tmp_path, capsys, command, section, file,
                                                        message):
     _rates_fixture_csv(tmp_path / "rates.csv")
-    (tmp_path / "zero.csv").write_text("# n=2\niso_year,week,x\n" + "".join(
-        f"2020,{week},0\n" for week in range(1, 9)))
-    (tmp_path / "one.csv").write_text("# n=2\niso_year,week,x\n2020,1,1\n")
+    (tmp_path / "zero.csv").write_text("t,x\n" + "".join(f"{t},0\n" for t in range(8)))
+    (tmp_path / "one.csv").write_text("t,x\n0,1\n")
     cfg = _write_config(tmp_path / "cfg.json", {command: section})
     assert run_command(["--config", cfg, "--out", str(tmp_path / "out"), "--quiet", command]) == 1
     assert f"error: {tmp_path / file}: {message}" in capsys.readouterr().err
@@ -890,18 +886,70 @@ def test_prep_and_compare_commands(tmp_path):
     cfg = _write_config(
         tmp_path / "cfg.json",
         {
+            "model": {"n": 2, "beta": [-0.5, 0.5]},
             "prep": PREP_SECTION,
-            "compare": {"series": "out/binomial_series.csv"},
+            "compare": {"series": "out/series.csv"},
         },
     )
     out = tmp_path / "out"
     assert run_command(["--config", cfg, "--out", str(out), "--quiet", "prep"]) == 0
-    lines = (out / "binomial_series.csv").read_text().strip().splitlines()
-    assert lines[0] == "# n=2"
-    assert [line.split(",")[2] for line in lines[2:]] == ["2", "1", "0", "1", "1", "1"]
+    # Row t holds week window_start + t: 2020-W01 .. 2020-W06.
+    lines = (out / "series.csv").read_text().splitlines()
+    assert lines == ["t,x", "0,2", "1,1", "2,0", "3,1", "4,1", "5,1"]
     assert run_command(["--config", cfg, "--out", str(out), "--quiet", "compare"]) == 0
     result = json.loads((out / "comparison.json").read_text())
     assert set(result) >= {"aic_simple", "aic_ar1", "lr_stat", "p_value"}
+    assert result["n"] == 2 and result["n_obs_compared"] == 5
+
+
+def _weekly_panel_csv(path, states, weeks, seed):
+    """Rates of `states` over ISO 2019 (the baseline, all 1.0) and `weeks`
+    weeks of 2020 drawn around it, with every state above baseline in
+    2020-W10; returns the count of states above baseline per 2020 week."""
+    rng = np.random.default_rng(seed)
+    rates = rng.uniform(0.5, 1.5, size=(weeks, len(states)))
+    rates[9] = 2.0
+    lines = ["state,iso_year,week,rate"]
+    for i, state in enumerate(states):
+        lines += [f"{state},2019,{week},1.0" for week in range(1, 53)]
+        lines += [f"{state},2020,{week},{float(rate)!r}"
+                  for week, rate in enumerate(rates[:, i], start=1)]
+    path.write_text("\n".join(lines) + "\n")
+    return (rates > 1.0).sum(axis=1)
+
+
+def test_prep_series_runs_through_fit_compare_and_monitor(tmp_path, capsys):
+    # The paper's chain on one config: prep's series is what fit and compare
+    # read, and the monitor's training window; model.n is the state count.
+    states = ["A", "B", "C", "D"]
+    expected = _weekly_panel_csv(tmp_path / "rates.csv", states, 40, seed=17)
+    (tmp_path / "stream.csv").write_text(
+        "k,x\n" + "".join(f"{k},{x}\n" for k, x in enumerate([2, 3, 1, 2, 4, 0, 2, 3], 1)))
+    payload = {
+        "model": {"n": len(states), "beta": [-0.5, 0.3]},
+        "prep": {"rates": "rates.csv", "states": states, "baseline_years": [2019],
+                 "window_start": [2020, 1], "window_end": [2020, 40]},
+        "fit": {"series": "out/series.csv"},
+        "compare": {"series": "out/series.csv"},
+        "monitor": {"training": "out/series.csv", "stream": "stream.csv",
+                    "gamma": 0.0, "alpha": 0.05, "threshold_c": 7.0},
+    }
+    cfg = _write_config(tmp_path / "cfg.json", payload)
+    out = tmp_path / "out"
+    for command in ("prep", "fit", "compare", "monitor"):
+        code = run_command(["--config", cfg, "--out", str(out), "--quiet", command])
+        assert code in ((0, 3) if command == "monitor" else (0,)), (command, code)
+    # Row t holds week window_start + t, 2020-W01 .. 2020-W40.
+    np.testing.assert_array_equal(read_series_csv(out / "series.csv").x, expected)
+    assert len(json.loads((out / "fit_report.json").read_text())["beta_hat"]) == 2
+    assert json.loads((out / "comparison.json").read_text())["n"] == len(states)
+    assert json.loads((out / "monitor_result.json").read_text())["m"] == 39
+
+    # A model.n below the state count: 2020-W10's count of 4 is refused.
+    _write_config(cfg, {**payload, "model": {"n": 3, "beta": [-0.5, 0.3]}})
+    capsys.readouterr()
+    assert run_command(["--config", cfg, "--out", str(out), "--quiet", "compare"]) == 1
+    assert f"error: {out / 'series.csv'}: count 4 above n=3" in capsys.readouterr().err
 
 
 def test_usage_errors(tmp_path, capsys):
@@ -1004,7 +1052,7 @@ def test_import_leaves_scipy_stats_unloaded():
 _ABSENT = object()
 # The files a config may name: `_config_files` writes all but missing.csv.
 _FILES = ("train.csv", "short.csv", "flat.csv", "stream.csv", "table.csv", "rates.csv",
-          "binomial.csv", "zero.csv", "one.csv", "bad.csv", "missing.csv")
+          "counts.csv", "zero.csv", "one.csv", "bad.csv", "missing.csv")
 _BAD_FILES = ("bad.csv", "missing.csv")
 _HORIZONS_OUT = (0.0, -1.0, 0.001, math.inf, math.nan, 1e306)
 # section -> key -> (values inside the range, values outside it)
@@ -1061,7 +1109,7 @@ _KEYS = {
         "window_end": (([2020, 6], [2020, 7]), (_ABSENT, [2019, 52], [2021, 53])),
     },
     "compare": {
-        "series": (("binomial.csv", "zero.csv", "one.csv"), (_ABSENT, "train.csv") + _BAD_FILES),
+        "series": (("counts.csv", "zero.csv", "one.csv", "train.csv"), (_ABSENT,) + _BAD_FILES),
     },
 }
 
@@ -1106,10 +1154,9 @@ def _config_files(tmp_path_factory):
     cells = {(g, a): 7.0 for g in DEFAULT_GAMMAS for a in DEFAULT_ALPHAS}
     write_threshold_table(ThresholdTable(cells, 100, 100, DEFAULT_HORIZON, 0), root / "table.csv")
     _rates_fixture_csv(root / "rates.csv")
-    for name, counts in (("binomial.csv", [2, 1, 0, 1, 1, 1, 2, 0, 1, 2, 1, 0]),
+    for name, counts in (("counts.csv", [2, 1, 0, 1, 1, 1, 2, 0, 1, 2, 1, 0]),
                          ("zero.csv", [0] * 8), ("one.csv", [1])):
-        (root / name).write_text("# n=2\niso_year,week,x\n" + "".join(
-            f"2020,{week},{x}\n" for week, x in enumerate(counts, start=1)))
+        (root / name).write_text("t,x\n" + "".join(f"{t},{x}\n" for t, x in enumerate(counts)))
     return root
 
 

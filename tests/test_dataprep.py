@@ -6,17 +6,14 @@ from numpy.polynomial.legendre import leggauss
 
 from binarx import MissingBaselineError, PanelCoverageError
 from binarx.dataprep import (
-    BinomialSeries,
     RatePanel,
     binarize_and_sum,
     chi2_sf,
     compute_baseline,
     model_comparison,
-    read_binomial_series,
-    write_binomial_series,
 )
 from binarx.dataprep import _iid_fit
-from binarx.model import SeriesSample
+from binarx.model import SeriesSample, read_series_csv, write_series_csv
 from series_kernel import log_pl
 
 # Two states, one baseline year, six evaluation weeks; indicator sums
@@ -76,10 +73,9 @@ def test_missing_lists_show_ten_then_how_many_more():
 def test_binarize_fixture_hand_enumeration():
     panel = _fixture_panel()
     baseline = compute_baseline(panel, {2019})
-    series = binarize_and_sum(panel, baseline, ["A", "B"], WINDOW)
-    assert series.n == 2
-    np.testing.assert_array_equal(series.x, FIXTURE_X)
-    assert series.labels == tuple(WINDOW)
+    counts = binarize_and_sum(panel, baseline, ["A", "B"], WINDOW)
+    assert counts.dtype == np.int64 and counts.shape == (len(WINDOW),)
+    np.testing.assert_array_equal(counts, FIXTURE_X)
 
 
 def test_binarize_tie_convention_all_zero():
@@ -87,17 +83,17 @@ def test_binarize_tie_convention_all_zero():
         ("A", 2020, w, 1.0) for w in range(1, 4)
     ]
     panel = RatePanel(rows)
-    series = binarize_and_sum(panel, compute_baseline(panel, {2019}), ["A"],
+    counts = binarize_and_sum(panel, compute_baseline(panel, {2019}), ["A"],
                               [(2020, w) for w in range(1, 4)])
-    np.testing.assert_array_equal(series.x, [0, 0, 0])
+    np.testing.assert_array_equal(counts, [0, 0, 0])
 
 
 def test_binarize_all_above_gives_n():
     rows = [("A", 2019, 1, 1.0), ("B", 2019, 1, 1.0),
             ("A", 2020, 1, 2.0), ("B", 2020, 1, 9.0)]
     panel = RatePanel(rows)
-    series = binarize_and_sum(panel, compute_baseline(panel, {2019}), ["A", "B"], [(2020, 1)])
-    np.testing.assert_array_equal(series.x, [2])
+    counts = binarize_and_sum(panel, compute_baseline(panel, {2019}), ["A", "B"], [(2020, 1)])
+    np.testing.assert_array_equal(counts, [2])
 
 
 def test_binarize_scale_equivariance():
@@ -108,15 +104,15 @@ def test_binarize_scale_equivariance():
     scaled = binarize_and_sum(
         scaled_panel, compute_baseline(scaled_panel, {2019}), ["A", "B"], WINDOW
     )
-    np.testing.assert_array_equal(base.x, scaled.x)
+    np.testing.assert_array_equal(base, scaled)
 
 
 def test_binarize_week53_falls_back_to_week52():
     rows = [("A", 2019, 52, 1.0), ("A", 2020, 52, 2.0), ("A", 2020, 53, 0.5)]
     panel = RatePanel(rows)
-    series = binarize_and_sum(panel, compute_baseline(panel, {2019}), ["A"],
+    counts = binarize_and_sum(panel, compute_baseline(panel, {2019}), ["A"],
                               [(2020, 52), (2020, 53)])
-    np.testing.assert_array_equal(series.x, [1, 0])
+    np.testing.assert_array_equal(counts, [1, 0])
 
 
 def test_binarize_coverage_errors():
@@ -191,12 +187,11 @@ def _simulated_ar_series(phi0, phi1, n, length, seed):
     for t in range(length):
         p = 1.0 / (1.0 + math.exp(-(phi0 + phi1 * x[t])))
         x[t + 1] = rng.binomial(n, p)
-    return BinomialSeries(x=x, n=n, labels=[(2020, t % 52 + 1) for t in range(length + 1)])
+    return x
 
 
 def test_model_comparison_prefers_ar1_on_ar_data():
-    series = _simulated_ar_series(-1.5, 0.6, 6, 600, seed=101)
-    out = model_comparison(series)
+    out = model_comparison(_simulated_ar_series(-1.5, 0.6, 6, 600, seed=101), 6)
     assert out["aic_simple"] - out["aic_ar1"] > 0
     assert out["lr_stat"] >= 0
     assert out["p_value"] < 1e-6
@@ -206,8 +201,7 @@ def test_model_comparison_nesting_and_constrained_identity():
     rng = np.random.default_rng(55)
     for seed in range(6):
         x = rng.binomial(6, 0.4, size=201)
-        series = BinomialSeries(x=x, n=6, labels=[(2020, t % 52 + 1) for t in range(201)])
-        out = model_comparison(series)
+        out = model_comparison(x, 6)
         assert out["ll_ar1"] >= out["ll_simple"] - 1e-6
         # Pinning the AR coefficient at zero with the matching intercept
         # reproduces the constant model's maximum exactly.
@@ -220,15 +214,18 @@ def test_model_comparison_nesting_and_constrained_identity():
         assert 2.0 * (out["ll_ar1"] - constrained) == pytest.approx(out["lr_stat"], abs=1e-9)
 
 
-def test_binomial_series_csv_round_trip(tmp_path):
-    series = BinomialSeries(x=np.array([0, 3, 6, 2]), n=6,
-                            labels=[(2019, 52), (2019, 53), (2020, 1), (2020, 2)])
+def test_counts_round_trip_through_the_series_csv(tmp_path):
+    # The series CSV at l = 0, as `prep` writes binarized counts: a t,x
+    # header, row t holding week t of the window, and no covariate cells.
+    counts = binarize_and_sum(_fixture_panel(), compute_baseline(_fixture_panel(), {2019}),
+                              ["A", "B"], WINDOW)
     path = tmp_path / "series.csv"
-    write_binomial_series(series, path)
-    back = read_binomial_series(path)
-    np.testing.assert_array_equal(back.x, series.x)
-    assert back.n == 6
-    assert back.labels == series.labels
+    write_series_csv(SeriesSample(counts, w=np.empty((counts.size - 1, 0))), path)
+    assert path.read_text().splitlines() == ["t,x"] + [
+        f"{t},{x}" for t, x in enumerate(FIXTURE_X)]
+    back = read_series_csv(path)
+    np.testing.assert_array_equal(back.x, counts)
+    assert back.w.shape == (len(WINDOW) - 1, 0)
 
 
 def test_rate_panel_csv(tmp_path):

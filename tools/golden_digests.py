@@ -50,7 +50,6 @@ import numpy as np  # noqa: E402
 
 from binarx import ModelSpec, ParamVector, default_model_spec, simulate_series  # noqa: E402
 from binarx.cli import run_command  # noqa: E402
-from binarx.dataprep import BinomialSeries, write_binomial_series  # noqa: E402
 from binarx.defaults import DEFAULT_SEED  # noqa: E402
 from binarx.experiments import STREAM_CONTRACT  # noqa: E402
 
@@ -76,7 +75,7 @@ def _write_stream(path: Path, sample) -> None:
 
 
 def _inputs(root: Path) -> None:
-    """The rate panel, streams and binomial series the configs name."""
+    """The rate panel, streams and quoted series the configs name."""
     lines = ["state,iso_year,week,rate"]
     for week in range(1, 7):
         lines += [f"A,2019,{week},1.0", f"B,2019,{week},2.0",
@@ -101,12 +100,6 @@ def _inputs(root: Path) -> None:
         writer.writerow([0, int(training.x[0]), ""])
         writer.writerows([t, int(training.x[t]), repr(float(training.w[t - 1, 0]))]
                          for t in range(1, training.x.size))
-    rng = np.random.default_rng(np.random.SeedSequence((DEFAULT_SEED, 10)))
-    write_binomial_series(
-        BinomialSeries(x=rng.binomial(6, 0.4, size=200), n=6,
-                       labels=[(2020, t % 52 + 1) for t in range(200)]),
-        root / "binser.csv",
-    )
 
 
 def _config(root: Path, name: str, **sections) -> Path:
@@ -116,8 +109,8 @@ def _config(root: Path, name: str, **sections) -> Path:
 
 
 # The criterion-10 workflow: one config through all seven subcommands, whose
-# `fit` and `monitor` read the series of its first `simulate` run, written
-# to C10_FIRST_SIMULATE, and whose other inputs are `_inputs`' files.
+# `fit`, `monitor` and `compare` read the series of its first `simulate` run,
+# written to C10_FIRST_SIMULATE, and whose other inputs are `_inputs`' files.
 C10_FIRST_SIMULATE = "c10_t1/simulate"
 CRITERION_10 = {
     "simulate": {"length": 120},
@@ -128,7 +121,7 @@ CRITERION_10 = {
     "experiment": {"kind": "consistency", "m_list": [60], "reps": 2},
     "prep": {"rates": "rates.csv", "states": ["A", "B"], "baseline_years": [2019],
              "window_start": [2020, 1], "window_end": [2020, 6]},
-    "compare": {"series": "binser.csv"},
+    "compare": {"series": f"{C10_FIRST_SIMULATE}/series.csv"},
 }
 
 
@@ -165,7 +158,7 @@ def host() -> str:
 # drawn by comparing uniforms with p, and covariates and binarized rates from
 # plain arithmetic.  Every other artifact holds threshold tables or fitted
 # floats, whose last bits may move with `host()`.
-STREAM_ARTIFACTS = ("series.csv", "binomial_series.csv")
+STREAM_ARTIFACTS = ("series.csv",)
 
 
 def host_independent(path: str) -> bool:
