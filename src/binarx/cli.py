@@ -9,11 +9,8 @@ results.
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 from pathlib import Path
-
-import numpy as np
 
 from . import config as cfgmod
 from ._artifacts import naming, open_csv, write_csv, write_json
@@ -22,7 +19,7 @@ from .dataprep import RatePanel, binarize_and_sum, compute_baseline, model_compa
 from .estimation import fit_mple, fit_report
 from .exceptions import BinarxError, ConfigError
 from .experiments import run_consistency, run_normality, run_power, run_size, write_report
-from .model import SeriesSample, count_rows, read_series_csv, simulate_series, write_series_csv
+from .model import SeriesSample, read_series_csv, read_series_head, simulate_series, write_series_csv
 from .monitoring import monitor_init, monitor_run
 
 EXIT_OK = 0
@@ -65,11 +62,11 @@ def _cmd_simulate(loaded, out: Path, quiet: bool) -> int:
 
 
 def _cmd_fit(loaded, out: Path, quiet: bool) -> int:
-    spec = cfgmod.parse_model(loaded)
+    n = cfgmod.parse_n(loaded)
     source = loaded.require("fit.series")
     sample = read_series_csv(source)
     with naming(source):
-        fit = fit_mple(sample, spec.n)
+        fit = fit_mple(sample, n)
     path = out / "fit_report.json"
     write_json(path, fit_report(fit))
     _say(quiet, f"wrote {path} ({fit.iterations} iterations)")
@@ -85,25 +82,20 @@ def _cmd_calibrate(loaded, out: Path, quiet: bool) -> int:
     return EXIT_OK
 
 
-def _stream_rows(fh, n_cells: int):
-    """(x, w) pairs of an open stream CSV with header k,x,w1,..., read lazily by
-    `count_rows`; monitor_update checks the count's upper bound and finiteness."""
-    reader = csv.reader(fh)
-    if next(reader, [])[:2] != ["k", "x"]:
-        raise ValueError("expected stream header k,x,w1,...")
-    yield from count_rows(reader, "k", n_cells)
-
-
 def _cmd_monitor(loaded, out: Path, quiet: bool) -> int:
-    spec = cfgmod.parse_model(loaded)
+    n = cfgmod.parse_n(loaded)
     settings = cfgmod.parse_monitor(loaded)
     source = loaded.require("monitor.training")
     training = read_series_csv(source)
     stream_path = loaded.require("monitor.stream")
     with cfgmod.in_section("monitor"), naming(source):
-        state = monitor_init(training, spec.n, **settings)
+        state = monitor_init(training, n, **settings)
     with open_csv(stream_path) as fh:
-        monitor_run(state, _stream_rows(fh, training.l + 2))
+        l, x0, rows = read_series_head(fh)
+        if (l, x0) != (training.l, state.x_prev):
+            raise ValueError(f"does not continue the training file {source}: {l} covariates and "
+                             f"first count {x0}, not {training.l} and {state.x_prev}")
+        monitor_run(state, rows)
     cfg = state.config
     write_csv(out / "monitor_log.csv", ("k", "statistic", "threshold", "alarm"),
               ((k, stat, cfg.threshold_c, k == state.alarm_at)
@@ -144,17 +136,17 @@ def _cmd_prep(loaded, out: Path, quiet: bool) -> int:
         baseline = compute_baseline(panel, prep["baseline_years"])
         x = binarize_and_sum(panel, baseline, prep["states"], prep["window"])
     path = out / "series.csv"
-    write_series_csv(SeriesSample(x, w=np.empty((x.size - 1, 0))), path)
+    write_series_csv(SeriesSample(x), path)
     _say(quiet, f"wrote {path} ({x.size} weeks, n={len(prep['states'])})")
     return EXIT_OK
 
 
 def _cmd_compare(loaded, out: Path, quiet: bool) -> int:
-    spec = cfgmod.parse_model(loaded)
+    n = cfgmod.parse_n(loaded)
     source = loaded.require("compare.series")
     sample = read_series_csv(source)
     with naming(source):
-        result = model_comparison(sample.x, spec.n)
+        result = model_comparison(sample.x, n)
     path = out / "comparison.json"
     write_json(path, result)
     _say(
@@ -169,7 +161,7 @@ _HANDLERS = {
     "simulate": (_cmd_simulate, "simulate a series and write it as CSV"),
     "fit": (_cmd_fit, "fit the MPLE on a series CSV and write a JSON report"),
     "calibrate": (_cmd_calibrate, "compute a critical-value table and write it as CSV"),
-    "monitor": (_cmd_monitor, "run the sequential monitor over a stream CSV"),
+    "monitor": (_cmd_monitor, "monitor a series CSV that continues the training series"),
     "experiment": (_cmd_experiment,
                    "run a simulation study (consistency|normality|size|power)"),
     "prep": (_cmd_prep, "deseasonalize a weekly rate panel into a count series CSV"),

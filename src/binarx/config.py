@@ -16,7 +16,7 @@ from __future__ import annotations
 import datetime
 import json
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .calibration import (
@@ -179,6 +179,15 @@ def parse_model(loaded: LoadedConfig) -> ModelSpec:
         exo = ExogenousSpec(**section.get("exo", {}))
     with in_section("model"):
         return ModelSpec(**{**section, "beta": ParamVector.from_array(beta), "exo": exo})
+
+
+def parse_n(loaded: LoadedConfig) -> int:
+    """`model.n` alone, as `ModelSpec` checks it (the reference model's if the
+    section is absent): `fit`, `monitor` and `compare` need no `beta`."""
+    if "model" not in loaded.values:
+        return default_model_spec().n
+    with in_section("model"):
+        return replace(default_model_spec(), n=loaded.require("model.n")).n
 
 
 def parse_calibrate(loaded: LoadedConfig) -> CalibrationConfig:

@@ -126,7 +126,7 @@ def model_comparison(x: np.ndarray, n: int) -> dict:
     """
     if x.size < 2:
         raise ValueError("need at least 2 observations to compare models")
-    fit = fit_mple(SeriesSample(x=x, w=np.empty((x.size - 1, 0))), n)
+    fit = fit_mple(SeriesSample(x), n)
     ll_ar1 = fit.log_pl
 
     tail = x[1:]

@@ -141,17 +141,18 @@ class SeriesSample:
     """An observed path: counts x[0..T] paired with covariate draws w[1..T].
 
     Row w[t-1] holds the covariate vector that influenced x[t]; x[0] has no
-    covariate row.  Arrays are made read-only so samples can be shared freely.
+    covariate row, and w None means l = 0.  Arrays are made read-only so
+    samples can be shared freely.
     """
 
     x: np.ndarray
-    w: np.ndarray
+    w: np.ndarray | None = None
 
     def __post_init__(self):
         x = np.ascontiguousarray(np.asarray(self.x, dtype=np.int64))
-        w = np.ascontiguousarray(np.asarray(self.w, dtype=float))
         if x.ndim != 1 or x.size < 1:
             raise ValueError("x must be a 1-d array with at least one entry")
+        w = np.empty((x.size - 1, 0)) if self.w is None else np.ascontiguousarray(self.w, float)
         if w.ndim != 2 or w.shape[0] != x.size - 1:
             raise ValueError("w must be a (T, l) matrix with T = len(x) - 1")
         if np.any(x < 0):
@@ -433,22 +434,22 @@ def _count(text: str) -> int:
     return x
 
 
-def count_rows(reader, name: str, n_cells: int):
+def count_rows(reader, n_cells: int):
     """(x, w) of each non-empty row of the csv `reader`, read lazily.  The rows
-    are numbered 1, 2, ... in column `name` and hold `n_cells` cells: the
-    number, a count (`_count`) and float covariates (a list, not checked
-    finite).  A bad row raises ValueError `row <name>=<cell>: <reason>`.
+    are numbered t = 1, 2, ... in their first column and hold `n_cells` cells:
+    t, a count (`_count`) and float covariates (a list, not checked finite).
+    A bad row raises ValueError `row t=<cell>: <reason>`.
     """
     for i, row in enumerate(filter(None, reader), start=1):
         try:
             if int(row[0]) != i:
-                raise ValueError(f"expected {name}={i}")
+                raise ValueError(f"expected t={i}")
             if len(row) != n_cells:
                 raise ValueError(f"expected {n_cells} cells, got {len(row)}")
             x = _count(row[1])
             w = [float(v) for v in row[2:]]
         except ValueError as exc:
-            raise ValueError(f"row {name}={row[0]}: {exc}") from None
+            raise ValueError(f"row t={row[0]}: {exc}") from None
         yield x, w
 
 
@@ -471,35 +472,39 @@ def _plain_body(body: str, l: int):
     return rows if plain and np.isfinite(rows["w"]).all() else None
 
 
+def read_series_head(fh):
+    """(l, first count, rows) of an open series file: the header t,x,w1..wl, a
+    first row with t <= 0 and a count (its other cells unread), then the rows
+    t = 1, 2, ... as `count_rows`, read lazily.  A bad first row names its t."""
+    reader = csv.reader(fh)
+    header = next(reader, [])
+    if header[:2] != ["t", "x"]:
+        raise ValueError(f"expected header t,x,w1,...  got {header!r}")
+    first = next(filter(None, reader), None)
+    if first is None:
+        raise ValueError("no rows after the header")
+    try:
+        if int(first[0]) > 0:
+            raise ValueError("expected a first row with t <= 0")
+        if len(first) < 2:
+            raise ValueError(f"expected {len(header)} cells, got {len(first)}")
+        return len(header) - 2, _count(first[1]), count_rows(reader, len(header))
+    except ValueError as exc:
+        raise ValueError(f"row t={first[0]}: {exc}") from None
+
+
 def read_series_csv(path) -> SeriesSample:
-    """Read a sample written by write_series_csv: the header t,x,w1..wl, a
-    first row with t <= 0 and a count (its other cells unread), then rows
-    t = 1, 2, ... as `count_rows` reads them, with finite covariates.  A plain
-    body (`_plain_body`) is parsed in C and any other by `count_rows`, to the
-    same sample.  ValueError names the file and, for a bad row, its t."""
+    """Read a sample written by write_series_csv: its head, then rows t = 1, 2,
+    ... with finite covariates, parsed in C if plain (`_plain_body`) and by
+    `count_rows` if not, to the same sample.  ValueError names the file."""
     with open_csv(path) as fh:
-        reader = csv.reader(fh)
-        header = next(reader, [])
-        if header[:2] != ["t", "x"]:
-            raise ValueError(f"expected header t,x,w1,...  got {header!r}")
-        l = len(header) - 2
-        first = next(filter(None, reader), None)
-        if first is None:
-            raise ValueError("no rows after the header")
-        try:
-            if int(first[0]) > 0:
-                raise ValueError("expected a first row with t <= 0")
-            if len(first) < 2:
-                raise ValueError(f"expected {l + 2} cells, got {len(first)}")
-            x0 = _count(first[1])
-        except ValueError as exc:
-            raise ValueError(f"row t={first[0]}: {exc}") from None
+        l, x0, _ = read_series_head(fh)
         body = fh.read()
         rows = _plain_body(body, l)
         if rows is not None:
             counts, w = rows["x"], rows["w"]
         else:
-            pairs = list(count_rows(csv.reader(io.StringIO(body, newline="")), "t", l + 2))
+            pairs = list(count_rows(csv.reader(io.StringIO(body, newline="")), l + 2))
             counts = [x for x, _ in pairs]
             w = np.array([w for _, w in pairs], dtype=float).reshape(len(pairs), l)
             finite = np.isfinite(w).all(axis=1)

@@ -75,14 +75,6 @@ def _write_config(path, payload):
     return str(path)
 
 
-def _write_stream_csv(path, sample):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["k", "x", "w1"])
-        for k in range(sample.m):
-            writer.writerow([k + 1, int(sample.x[k + 1]), repr(float(sample.w[k, 0]))])
-
-
 def _rates_fixture_csv(path):
     lines = ["state,iso_year,week,rate"]
     for week in range(1, 7):
@@ -144,6 +136,41 @@ def test_series_counts_above_n_name_the_file_and_model_n(tmp_path, capsys, comma
     assert "series.csv" in err and "count 5 above n=2" in err, err
 
 
+@pytest.mark.parametrize("command, section", [
+    ("fit", {"fit": {"series": "series.csv"}}),
+    ("monitor", {"monitor": {"training": "series.csv", "stream": "stream.csv",
+                             "threshold_c": 1e6}}),
+    ("compare", {"compare": {"series": "series.csv"}}),
+], ids=["fit", "monitor", "compare"])
+def test_commands_that_read_a_series_need_only_model_n(tmp_path, capsys, command, section):
+    # fit, monitor and compare read model.n and no other model key; fit
+    # estimates beta, so a prep user has none to give.
+    sample = simulate_series(MODEL_SPEC, 60, seed=6)
+    write_series_csv(SeriesSample(sample.x[:41], sample.w[:40]), tmp_path / "series.csv")
+    write_series_csv(SeriesSample(sample.x[40:], sample.w[40:]), tmp_path / "stream.csv")
+    out = tmp_path / "out"
+    for model in ({"n": 10}, {"n": 10, "exo": {"sd": 0.5}}):
+        cfg = _write_config(tmp_path / "cfg.json", {"model": model, **section})
+        assert run_command(["--config", cfg, "--out", str(out), "--quiet", command]) == 0
+    for model, message in (({"n": 0}, "model.n: binomial total must be >= 1, got 0"),
+                           ({"beta": [-1.0, 0.1, 0.4]}, "model.n: required field is missing")):
+        cfg = _write_config(tmp_path / "cfg.json", {"model": model, **section})
+        capsys.readouterr()
+        assert run_command(["--config", cfg, "--out", str(out), "--quiet", command]) == 2
+        assert f"config error: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, section", [
+    ("simulate", {"simulate": {"length": 10}}),
+    ("calibrate", {"calibrate": {"reps": 100}}),
+    ("experiment", {"experiment": {"kind": "consistency", "m_list": [30], "reps": 1}}),
+], ids=["simulate", "calibrate", "experiment"])
+def test_commands_that_draw_from_the_model_need_beta(tmp_path, capsys, command, section):
+    cfg = _write_config(tmp_path / "cfg.json", {"model": {"n": 10}, **section})
+    assert run_command(["--config", cfg, "--out", str(tmp_path / "out"), "--quiet", command]) == 2
+    assert "config error: model.beta: required field is missing" in capsys.readouterr().err
+
+
 def test_calibrate_then_monitor_threshold_round_trip(tmp_path):
     out = tmp_path / "out"
     cfg = _write_config(
@@ -162,7 +189,7 @@ def test_calibrate_then_monitor_threshold_round_trip(tmp_path):
     training = read_series_csv(out / "series.csv")
     stream = simulate_series(default_model_spec(), 450, seed=77,
                              init=int(training.x[-1]))
-    _write_stream_csv(tmp_path / "stream.csv", stream)
+    write_series_csv(stream, tmp_path / "stream.csv")
     code = run_command(["--config", cfg, "--out", str(out), "--quiet", "monitor"])
     result = json.loads((out / "monitor_result.json").read_text())
     with open(out / "thresholds.csv") as fh:
@@ -190,7 +217,7 @@ def test_monitor_infinite_threshold_no_alarm(tmp_path):
     training = read_series_csv(out / "series.csv")
     stream = simulate_series(default_model_spec(), 300, seed=78,
                              init=int(training.x[-1]))
-    _write_stream_csv(tmp_path / "stream.csv", stream)
+    write_series_csv(stream, tmp_path / "stream.csv")
     assert run_command(["--config", cfg, "--out", str(out), "--quiet", "monitor"]) == 0
     result = json.loads((out / "monitor_result.json").read_text())
     assert result["alarm_at"] is None
@@ -213,7 +240,7 @@ def test_monitor_alarm_exit_code(tmp_path):
     training = read_series_csv(out / "series.csv")
     stream = simulate_series(default_model_spec(), 10, seed=79,
                              init=int(training.x[-1]))
-    _write_stream_csv(tmp_path / "stream.csv", stream)
+    write_series_csv(stream, tmp_path / "stream.csv")
     assert run_command(["--config", cfg, "--out", str(out), "--quiet", "monitor"]) == 3
     result = json.loads((out / "monitor_result.json").read_text())
     assert result["alarm_at"] == 1
@@ -232,16 +259,17 @@ def test_monitor_stream_bad_rows_name_file_and_row(tmp_path, capsys):
         },
     )
     assert run_command(["--config", cfg, "--out", str(out), "--quiet", "simulate"]) == 0
-    for bad_row, message in (("2,3.7,1.0", "row k=2: invalid literal"),
-                             ("2,3,nan", "k=2: covariates"),
-                             ("2,3", "row k=2: expected 3 cells"),
-                             ("1,3,1.0", "row k=1: expected k=2"),
-                             ("9,3,1.0", "row k=9: expected k=2"),
-                             ("-3,3,1.0", "row k=-3: expected k=2"),
-                             ("abc,3,1.0", "row k=abc: invalid literal"),
-                             ("2,-1,1.0", "row k=2: count -1 is negative"),
-                             ("", "row k=3: expected k=2")):
-        (tmp_path / "stream.csv").write_text(f"k,x,w1\n1,4,1.0\n{bad_row}\n3,4,1.0\n")
+    head = f"t,x,w1\n0,{read_series_csv(out / 'series.csv').x[-1]},\n"
+    for bad_row, message in (("2,3.7,1.0", "row t=2: invalid literal"),
+                             ("2,3,nan", "observation k=2: covariates"),
+                             ("2,3", "row t=2: expected 3 cells"),
+                             ("1,3,1.0", "row t=1: expected t=2"),
+                             ("9,3,1.0", "row t=9: expected t=2"),
+                             ("-3,3,1.0", "row t=-3: expected t=2"),
+                             ("abc,3,1.0", "row t=abc: invalid literal"),
+                             ("2,-1,1.0", "row t=2: count -1 is negative"),
+                             ("", "row t=3: expected t=2")):
+        (tmp_path / "stream.csv").write_text(f"{head}1,4,1.0\n{bad_row}\n3,4,1.0\n")
         assert run_command(["--config", cfg, "--out", str(out), "--quiet", "monitor"]) == 1
         err = capsys.readouterr().err
         assert "stream.csv" in err and message in err, err
@@ -258,7 +286,7 @@ def _monitor_setup(tmp_path, monitor, seed=16, stream_length=120):
     training = read_series_csv(tmp_path / "out" / "series.csv")
     stream = simulate_series(default_model_spec(), stream_length, seed=seed + 100,
                              init=int(training.x[-1]))
-    _write_stream_csv(tmp_path / "stream.csv", stream)
+    write_series_csv(stream, tmp_path / "stream.csv")
     return cfg, training, stream
 
 
@@ -296,8 +324,9 @@ def test_monitor_reads_no_row_after_the_alarm(tmp_path):
     state = monitor_init(training, 10, horizon=3.0, gamma=0.25, alpha=0.1, threshold_source=2.0)
     monitor_run(state, zip(stream.x[1:], stream.w))
     assert state.alarm_at < stream.m
+    # Line 0 is the header and line 1 the t = 0 row, so row t is line t + 1.
     lines = (tmp_path / "stream.csv").read_text().splitlines()
-    lines[state.alarm_at + 1] = f"{state.alarm_at + 1},2.5,1.0"
+    lines[state.alarm_at + 2] = f"{state.alarm_at + 1},2.5,1.0"
     (tmp_path / "stream.csv").write_text("\n".join(lines) + "\n")
     out = tmp_path / "out"
     assert run_command(["--config", cfg, "--out", str(out), "--quiet", "monitor"]) == 3
@@ -310,14 +339,36 @@ def test_monitor_reads_no_row_after_the_alarm(tmp_path):
 def test_monitor_bad_row_after_good_rows_names_file_and_row(tmp_path, capsys):
     cfg, _, _ = _monitor_setup(tmp_path, {"threshold_c": 1e6})
     lines = (tmp_path / "stream.csv").read_text().splitlines()
-    lines[6] = "6,2.5,1.0"
+    lines[7] = "6,2.5,1.0"
     (tmp_path / "stream.csv").write_text("\n".join(lines) + "\n")
     assert run_command(["--config", cfg, "--out", str(tmp_path / "out"), "--quiet", "monitor"]) == 1
     err = capsys.readouterr().err
-    assert "stream.csv: row k=6: invalid literal" in err, err
-    (tmp_path / "stream.csv").write_text("t,x,w1\n1,4,1.0\n")
+    assert "stream.csv: row t=6: invalid literal" in err, err
+    # A stream in the k,x format of earlier versions is refused by its header.
+    (tmp_path / "stream.csv").write_text("k,x,w1\n1,4,1.0\n")
     assert run_command(["--config", cfg, "--out", str(tmp_path / "out"), "--quiet", "monitor"]) == 1
-    assert "stream.csv: expected stream header k,x,w1" in capsys.readouterr().err
+    assert ("stream.csv: expected header t,x,w1,...  got ['k', 'x', 'w1']"
+            in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("text, l, shift", [
+    ("t,x,w1\n0,{},\n1,4,1.0\n", 1, 1),
+    ("t,x\n0,{}\n1,4\n", 0, 0),
+], ids=["first-count", "covariate-count"])
+def test_a_stream_that_does_not_continue_its_training_file_is_refused(tmp_path, capsys, text, l,
+                                                                      shift):
+    # The stream's t = 0 row repeats the training file's last count, and its
+    # header names as many covariates.  threshold_c alarms at the first
+    # update, so the refusal comes before any.
+    cfg, training, _ = _monitor_setup(tmp_path, {"threshold_c": 1e-9})
+    last = int(training.x[-1])
+    (tmp_path / "stream.csv").write_text(text.format(last + shift))
+    out = tmp_path / "out"
+    assert run_command(["--config", cfg, "--out", str(out), "--quiet", "monitor"]) == 1
+    assert (f"error: {tmp_path / 'stream.csv'}: does not continue the training file "
+            f"{out / 'series.csv'}: {l} covariates and first count {last + shift}, not 1 and "
+            f"{last}\n") in capsys.readouterr().err
+    assert not (out / "monitor_log.csv").exists()
 
 
 @pytest.mark.parametrize("policy", ["identity", "bogus", 5, "inverse_sigma0"])
@@ -338,9 +389,9 @@ def _reader_config(tmp_path):
     """A config naming one input file per reader.  The monitor's training
     series, stream and table are valid, so that a broken one of them is the
     first refusal; the test writes the file it breaks."""
-    write_series_csv(simulate_series(MODEL_SPEC, 100, seed=3),
-                     tmp_path / "training.csv")
-    (tmp_path / "stream.csv").write_text("k,x,w1\n1,4,1.0\n")
+    training = simulate_series(MODEL_SPEC, 100, seed=3)
+    write_series_csv(training, tmp_path / "training.csv")
+    (tmp_path / "stream.csv").write_text(f"t,x,w1\n0,{training.x[-1]},\n1,4,1.0\n")
     cells = {(g, a): 7.0 for g in DEFAULT_GAMMAS for a in DEFAULT_ALPHAS}
     write_threshold_table(ThresholdTable(cells, 100, 100, DEFAULT_HORIZON, 0),
                           tmp_path / "thresholds.csv")
@@ -367,7 +418,8 @@ def _reader_config(tmp_path):
     ("compare", "counts.csv", "t,x\n0,1\n1,11\n2,3\n", "count 11 above n=10"),
     ("fit", "series.csv", "t,x,w1\n0,3,\n1,99999999999999999999,1.0\n",
      "row t=1: count 99999999999999999999 is above the int64 range"),
-    ("monitor", "stream.csv", "t,x,w1\n1,4,1.0\n", "expected stream header k,x,w1,..."),
+    ("monitor", "stream.csv", "k,x,w1\n1,4,1.0\n",
+     "expected header t,x,w1,...  got ['k', 'x', 'w1']"),
 ], ids=["fit-empty", "monitor-short-row", "prep-short-row", "prep-empty", "prep-repeated-row",
         "compare-short-row", "compare-count-above-n", "fit-count-above-int64",
         "monitor-stream-header"])
@@ -384,7 +436,7 @@ def test_malformed_csv_inputs_name_the_file(tmp_path, capsys, command, file, con
     ("monitor", "thresholds.csv", b"gamma,alpha,c,reps,grid_m,N,seed\n0.0,0.05,7.0\xff,1,1,3.0,0\n"),
     ("prep", "rates.csv", b"state,iso_year,week,rate\nA\xff,2019,1,1.0\n"),
     ("compare", "counts.csv", b"t,x\n0,1\n1,\xff\n"),
-    ("monitor", "stream.csv", b"k,x,w1\n1,4,1.0\xff\n"),
+    ("monitor", "stream.csv", b"t,x,w1\n0,3,\n1,4,1.0\xff\n"),
 ], ids=["read_series_csv", "read_threshold_table", "RatePanel.from_csv", "compare",
         "monitor-stream"])
 def test_non_utf8_inputs_name_the_file(tmp_path, capsys, command, file, content):
@@ -661,7 +713,7 @@ def test_monitor_rescales_a_table_to_its_horizon(tmp_path):
     # critical value is the cell times (T'/T)^(1 - 2 gamma), T = N / (1 + N).
     training = simulate_series(MODEL_SPEC, 100, seed=3)
     write_series_csv(training, tmp_path / "train.csv")
-    (tmp_path / "stream.csv").write_text("k,x,w1\n1,2,1.0\n")
+    (tmp_path / "stream.csv").write_text(f"t,x,w1\n0,{training.x[-1]},\n1,2,1.0\n")
     write_threshold_table(ThresholdTable({(0.25, 0.05): 7.0}, 100, 1000, 3.0, 0),
                           tmp_path / "table.csv")
     cfg = _write_config(tmp_path / "cfg.json", {"model": MODEL_SECTION, "monitor": {
@@ -919,34 +971,39 @@ def _weekly_panel_csv(path, states, weeks, seed):
 
 
 def test_prep_series_runs_through_fit_compare_and_monitor(tmp_path, capsys):
-    # The paper's chain on one config: prep's series is what fit and compare
-    # read, and the monitor's training window; model.n is the state count.
+    # The paper's chain on prep's output alone: fit and compare read its
+    # series, and the monitor trains on the series' head up to 2020-W30 and
+    # monitors its tail, renumbered from 2020-W30 as t = 0.  The config's
+    # model section holds model.n, the state count, and nothing else.
     states = ["A", "B", "C", "D"]
     expected = _weekly_panel_csv(tmp_path / "rates.csv", states, 40, seed=17)
-    (tmp_path / "stream.csv").write_text(
-        "k,x\n" + "".join(f"{k},{x}\n" for k, x in enumerate([2, 3, 1, 2, 4, 0, 2, 3], 1)))
     payload = {
-        "model": {"n": len(states), "beta": [-0.5, 0.3]},
+        "model": {"n": len(states)},
         "prep": {"rates": "rates.csv", "states": states, "baseline_years": [2019],
                  "window_start": [2020, 1], "window_end": [2020, 40]},
         "fit": {"series": "out/series.csv"},
         "compare": {"series": "out/series.csv"},
-        "monitor": {"training": "out/series.csv", "stream": "stream.csv",
+        "monitor": {"training": "training.csv", "stream": "stream.csv",
                     "gamma": 0.0, "alpha": 0.05, "threshold_c": 7.0},
     }
     cfg = _write_config(tmp_path / "cfg.json", payload)
     out = tmp_path / "out"
-    for command in ("prep", "fit", "compare", "monitor"):
-        code = run_command(["--config", cfg, "--out", str(out), "--quiet", command])
-        assert code in ((0, 3) if command == "monitor" else (0,)), (command, code)
+    for command in ("prep", "fit", "compare"):
+        assert run_command(["--config", cfg, "--out", str(out), "--quiet", command]) == 0, command
     # Row t holds week window_start + t, 2020-W01 .. 2020-W40.
-    np.testing.assert_array_equal(read_series_csv(out / "series.csv").x, expected)
+    x = read_series_csv(out / "series.csv").x
+    np.testing.assert_array_equal(x, expected)
     assert len(json.loads((out / "fit_report.json").read_text())["beta_hat"]) == 2
     assert json.loads((out / "comparison.json").read_text())["n"] == len(states)
-    assert json.loads((out / "monitor_result.json").read_text())["m"] == 39
+    split = 29  # row t = 29 is 2020-W30
+    write_series_csv(SeriesSample(x[:split + 1]), tmp_path / "training.csv")
+    write_series_csv(SeriesSample(x[split:]), tmp_path / "stream.csv")
+    assert run_command(["--config", cfg, "--out", str(out), "--quiet", "monitor"]) == 0
+    result = json.loads((out / "monitor_result.json").read_text())
+    assert (result["m"], result["k_final"], result["alarm_at"]) == (split, 10, None)
 
     # A model.n below the state count: 2020-W10's count of 4 is refused.
-    _write_config(cfg, {**payload, "model": {"n": 3, "beta": [-0.5, 0.3]}})
+    _write_config(cfg, {**payload, "model": {"n": 3}})
     capsys.readouterr()
     assert run_command(["--config", cfg, "--out", str(out), "--quiet", "compare"]) == 1
     assert f"error: {out / 'series.csv'}: count 4 above n=3" in capsys.readouterr().err
@@ -1069,7 +1126,7 @@ _KEYS = {
         "init": ((_ABSENT, 0, 1), (-1, 41)),
     },
     "fit": {
-        "series": (("train.csv", "short.csv", "flat.csv"), ("stream.csv",) + _BAD_FILES),
+        "series": (("train.csv", "short.csv", "flat.csv", "stream.csv"), _BAD_FILES),
     },
     "calibrate": {
         "grid_m": ((100, 200), (99,)),
@@ -1144,12 +1201,14 @@ def _configs(draw):
 def _config_files(tmp_path_factory):
     root = tmp_path_factory.mktemp("generated")
     spec = dataclasses.replace(default_model_spec(), burn_in=0)
-    write_series_csv(simulate_series(spec, 30, seed=3), root / "train.csv")
+    train = simulate_series(spec, 30, seed=3)
+    write_series_csv(train, root / "train.csv")
     write_series_csv(simulate_series(spec, 4, seed=4), root / "short.csv")
     # A constant count: the lag column is a multiple of the intercept.
     write_series_csv(SeriesSample(np.full(11, 3), np.linspace(0.9, 1.1, 10)[:, None]),
                      root / "flat.csv")
-    _write_stream_csv(root / "stream.csv", simulate_series(spec, 40, seed=5))
+    # A stream that continues train.csv: its t = 0 row is train.csv's last count.
+    write_series_csv(simulate_series(spec, 40, seed=5, init=int(train.x[-1])), root / "stream.csv")
     (root / "bad.csv").write_text("t,x,w1\n0,3,\n1,x,1.0\n")
     cells = {(g, a): 7.0 for g in DEFAULT_GAMMAS for a in DEFAULT_ALPHAS}
     write_threshold_table(ThresholdTable(cells, 100, 100, DEFAULT_HORIZON, 0), root / "table.csv")

@@ -52,6 +52,7 @@ from binarx import ModelSpec, ParamVector, default_model_spec, simulate_series  
 from binarx.cli import run_command  # noqa: E402
 from binarx.defaults import DEFAULT_SEED  # noqa: E402
 from binarx.experiments import STREAM_CONTRACT  # noqa: E402
+from binarx.model import write_series_csv  # noqa: E402
 
 MODEL = {
     "n": 10,
@@ -66,14 +67,6 @@ BINOMIAL_BETA = [-1.0, 0.02, 0.4]
 COMMANDS = ("simulate", "fit", "calibrate", "monitor", "experiment", "prep", "compare")
 
 
-def _write_stream(path: Path, sample) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["k", "x", "w1"])
-        for k in range(sample.m):
-            writer.writerow([k + 1, int(sample.x[k + 1]), repr(float(sample.w[k, 0]))])
-
-
 def _inputs(root: Path) -> None:
     """The rate panel, streams and quoted series the configs name."""
     lines = ["state,iso_year,week,rate"]
@@ -83,14 +76,13 @@ def _inputs(root: Path) -> None:
     (root / "rates.csv").write_text("\n".join(lines) + "\n")
     spec = default_model_spec()
     training = simulate_series(replace(spec, burn_in=200), 120, seed=DEFAULT_SEED)
+    # Each stream is a series whose t = 0 row is the training file's last count.
     x_last = int(training.x[-1])
-    _write_stream(root / "stream.csv",
-                  simulate_series(spec, 360, seed=DEFAULT_SEED + 1, init=x_last))
     changed = ModelSpec(n=spec.n, beta=ParamVector(-0.2, 0.1, (0.4,)), exo=spec.exo)
-    _write_stream(root / "stream_alarm.csv",
-                  simulate_series(changed, 360, seed=DEFAULT_SEED + 2, init=x_last))
-    _write_stream(root / "stream_short.csv",
-                  simulate_series(spec, 50, seed=DEFAULT_SEED + 3, init=x_last))
+    for name, model, length, seed in (("stream.csv", spec, 360, DEFAULT_SEED + 1),
+                                      ("stream_alarm.csv", changed, 360, DEFAULT_SEED + 2),
+                                      ("stream_short.csv", spec, 50, DEFAULT_SEED + 3)):
+        write_series_csv(simulate_series(model, length, seed=seed, init=x_last), root / name)
     short = (root / "stream_short.csv").read_text().splitlines(keepends=True)
     (root / "stream_blank.csv").write_text(
         "".join(line + ("\n" if k % 7 == 0 else "") for k, line in enumerate(short)) + "\n\n")
