@@ -48,8 +48,8 @@ def open_csv(path):
         yield fh
 
 
-def read_rows(fh, header, parse) -> list:
-    """`parse(row)` for each non-empty row after the header of an open CSV file.
+def read_rows(fh, header, parse) -> None:
+    """Call `parse(row)` for each non-empty row after the header of an open CSV file.
 
     A missing or wrong header, a row without one cell per column, or a
     ValueError from `parse` raises ValueError, naming the line for a row.
@@ -58,17 +58,15 @@ def read_rows(fh, header, parse) -> list:
     found = next(reader, [])
     if found != list(header):
         raise ValueError(f"expected header {','.join(header)}, got {found}")
-    parsed = []
     for row in reader:
         if not row:
             continue
         try:
             if len(row) != len(header):
                 raise ValueError(f"expected {len(header)} cells, got {len(row)}")
-            parsed.append(parse(row))
+            parse(row)
         except ValueError as exc:
             raise ValueError(f"line {reader.line_num}: {exc}") from None
-    return parsed
 
 
 def write_json(path, record: dict) -> None:

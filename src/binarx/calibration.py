@@ -250,24 +250,25 @@ def read_threshold_table(path) -> ThresholdTable:
     own (gamma, alpha) cell, a c > 0, a finite N > 0 and the first row's
     recipe (reps, grid_m, N, seed)."""
     entries = {}
-    recipes = []
+    first = None  # the first row's recipe
 
     def parse(row):
+        nonlocal first
         key = (float(row[0]), float(row[1]))
         recipe = (int(row[3]), int(row[4]), float(row[5]), int(row[6]))
         if key in entries:
             raise ValueError(f"repeats the cell gamma={key[0]}, alpha={key[1]}")
         _check_finite_positive(recipe[2], "N")
-        if recipes and recipe != recipes[0]:
+        first = first or recipe
+        if recipe != first:
             raise ValueError(f"recipe (reps, grid_m, N, seed) = {recipe} differs from the "
-                             f"first row's {recipes[0]}")
+                             f"first row's {first}")
         c = float(row[2])
         _check_positive(c, "c")
         entries[key] = c
-        recipes.append(recipe)
 
     with open_csv(path) as fh:
         read_rows(fh, _TABLE_HEADER, parse)
         if not entries:
             raise ValueError("threshold table is empty")
-    return ThresholdTable(entries, *recipes[0])
+    return ThresholdTable(entries, *first)

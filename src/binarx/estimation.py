@@ -414,17 +414,8 @@ def fit_mple(series: SeriesSample, spec_n: int) -> FitResult:
 
 
 def fit_report(fit: FitResult) -> dict:
-    """JSON-ready summary of a fit."""
-    return {
-        "beta_hat": list(fit.beta_hat.as_array()),
-        "standard_errors": list(fit.standard_errors()),
-        "covariance": [list(row) for row in fit.covariance],
-        "sigma0_hat": [list(row) for row in fit.sigma0_hat],
-        "log_pl": fit.log_pl,
-        "aic": fit.aic,
-        "iterations": fit.iterations,
-        "final_score_norm": fit.final_score_norm,
-        "hit_boundary": fit.hit_boundary,
-        "n": fit.n,
-        "n_obs": fit.n_obs,
-    }
+    """JSON-ready summary of a fit: its fields, its standard errors and its AIC."""
+    report = {f.name: getattr(fit, f.name) for f in fields(fit)}
+    report.update(beta_hat=fit.beta_hat.as_array(), standard_errors=fit.standard_errors(),
+                  aic=fit.aic)
+    return {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in report.items()}

@@ -101,6 +101,7 @@ class ExperimentConfig:
     a_source: str = "aux"
     thresholds: ThresholdTable | None = None
     emit_traces: int = 0
+    horizons: tuple[int, ...] = field(init=False, repr=False, compare=False)  # H per m_list entry
 
     def __post_init__(self):
         object.__setattr__(self, "gammas", tuple(float(g) for g in self.gammas))
@@ -127,8 +128,9 @@ class ExperimentConfig:
         change = self.change
         if change is not None and change.new_beta.dim != d:
             raise ConfigError("change.beta", f"{change.new_beta.dim} entries, the model has {d}")
-        for m in self.m_list:
-            H = horizon_steps(self.horizon, m)
+        object.__setattr__(self, "horizons",
+                           tuple(horizon_steps(self.horizon, m) for m in self.m_list))
+        for m, H in zip(self.m_list, self.horizons):
             if change is not None and change.at_k > H:
                 raise ConfigError("change.at_k",
                                   f"{change.at_k} is beyond the horizon {H} at m={m}")
@@ -322,16 +324,17 @@ def run_consistency(config: ExperimentConfig, threads: int = 1) -> ConsistencyRe
 @dataclass(frozen=True)
 class NormalityReport(_Report):
     estimates: np.ndarray
-    mean: np.ndarray
-    bias: np.ndarray
-    skew_z: np.ndarray
-    skew_p: np.ndarray
-    kurt_z: np.ndarray
-    kurt_p: np.ndarray
-    qq_corr: np.ndarray
-    insufficient_sample: bool
-    failures: int
+    diagnostics: dict  # column -> value per coefficient, in the report's column order
     experiment = "normality"
+    min_fits = 20  # fewer usable fits flag the sample as insufficient
+
+    @property
+    def failures(self) -> int:
+        return self.config.reps - self.estimates.shape[0]
+
+    @property
+    def insufficient_sample(self) -> bool:
+        return self.estimates.shape[0] < self.min_fits
 
     def _meta(self) -> dict:
         return {
@@ -342,10 +345,9 @@ class NormalityReport(_Report):
         }
 
     def tables(self) -> dict:
-        cols = ("mean", "bias", "skew_z", "skew_p", "kurt_z", "kurt_p", "qq_corr")
-        rows = [(name, *(getattr(self, c)[j] for c in cols))
+        rows = [(name, *(v[j] for v in self.diagnostics.values()))
                 for j, name in enumerate(self.param_names)]
-        return {"report": (("param", *cols), rows),
+        return {"report": (("param", *self.diagnostics), rows),
                 "estimates": (self.param_names, self.estimates)}
 
 
@@ -361,7 +363,7 @@ def run_normality(config: ExperimentConfig, threads: int = 1) -> NormalityReport
     the correlation of the standardized order statistics with normal
     quantiles.  The raw estimate matrix is part of the report so any external
     multivariate test can be applied to it.  Fewer than 20 usable fits flags
-    the sample as insufficient and skips the diagnostics.
+    the sample as insufficient and skips the diagnostics (NaN).
     """
     if len(config.m_list) != 1:
         raise ConfigError("m_list", f"normality runs at one training length, got "
@@ -370,14 +372,12 @@ def run_normality(config: ExperimentConfig, threads: int = 1) -> NormalityReport
     B, by_class = _fit_estimates(
         config, _KIND_NORMALITY, 0, m, _start_cdf(config.spec), threads
     )
-    failures = config.reps - B.shape[0]
     reps_ok, d = B.shape
     mean = B.mean(axis=0)
-    bias = mean - config.spec.beta.as_array()
-    insufficient = reps_ok < 20
-    nanvec = np.full(d, np.nan)
-    if insufficient:
-        skew_z = skew_p = kurt_z = kurt_p = qq = nanvec
+    diagnostics = {"mean": mean, "bias": mean - config.spec.beta.as_array()}
+    if reps_ok < NormalityReport.min_fits:
+        diagnostics.update(dict.fromkeys(("skew_z", "skew_p", "kurt_z", "kurt_p", "qq_corr"),
+                                         np.full(d, np.nan)))
     else:
         centered = B - mean
         m2 = (centered**2).mean(axis=0)
@@ -387,27 +387,18 @@ def run_normality(config: ExperimentConfig, threads: int = 1) -> NormalityReport
         ex_kurt = m4 / m2**2 - 3.0
         skew_z = skew / math.sqrt(6.0 / reps_ok)
         kurt_z = ex_kurt / math.sqrt(24.0 / reps_ok)
-        skew_p = np.array([_two_sided_normal_p(z) for z in skew_z])
-        kurt_p = np.array([_two_sided_normal_p(z) for z in kurt_z])
         probs = (np.arange(1, reps_ok + 1) - 0.375) / (reps_ok + 0.25)
         quantiles = scipy.special.ndtri(probs)
-        qq = np.array(
-            [np.corrcoef(np.sort(centered[:, j]) / math.sqrt(m2[j]), quantiles)[0, 1] for j in range(d)]
+        diagnostics.update(
+            skew_z=skew_z,
+            skew_p=np.array([_two_sided_normal_p(z) for z in skew_z]),
+            kurt_z=kurt_z,
+            kurt_p=np.array([_two_sided_normal_p(z) for z in kurt_z]),
+            qq_corr=np.array([np.corrcoef(np.sort(centered[:, j]) / math.sqrt(m2[j]),
+                                          quantiles)[0, 1] for j in range(d)]),
         )
-    return NormalityReport(
-        config=config,
-        failures_by_class={str(m): by_class},
-        estimates=B,
-        mean=mean,
-        bias=bias,
-        skew_z=skew_z,
-        skew_p=skew_p,
-        kurt_z=kurt_z,
-        kurt_p=kurt_p,
-        qq_corr=qq,
-        insufficient_sample=insufficient,
-        failures=failures,
-    )
+    return NormalityReport(config=config, failures_by_class={str(m): by_class},
+                           estimates=B, diagnostics=diagnostics)
 
 
 # ---------------------------------------------------------------------------
@@ -553,7 +544,6 @@ def _monitor_study(config: ExperimentConfig, kind: int, change, threads: int):
     first-passage indices, score drifts or None), one row per fitted rep;
     and the report fields both studies share.
     """
-    horizons = [horizon_steps(config.horizon, m) for m in config.m_list]
     table = config.thresholds
     if table is None:
         table = threshold_table(CalibrationConfig(
@@ -570,7 +560,7 @@ def _monitor_study(config: ExperimentConfig, kind: int, change, threads: int):
     if change is not None:
         passage = np.array([cells[g, config.alphas[0]] for g in config.gammas])
     studies, traces, by_m = [], [], {}
-    for mi, (m, H) in enumerate(zip(config.m_list, horizons)):
+    for mi, (m, H) in enumerate(zip(config.m_list, config.horizons)):
         kk = np.arange(1, H + 1)
         w2 = np.array([_weight(m, kk, g) ** 2 for g in config.gammas]).reshape(-1, H)
         task = _MonitorTask(config, m, kind, mi, cdf, w2, a_common, change, passage)

@@ -189,14 +189,15 @@ def test_criterion_04_normality():
     report = run_normality(config)
     reps_ok = report.estimates.shape[0]
     mcse = report.estimates.std(axis=0, ddof=1) / math.sqrt(reps_ok)
-    mean_ok = bool(np.all(np.abs(report.mean - PAPER_MEAN_BETA) <= 3.0 * mcse))
-    qq_ok = bool(np.all(report.qq_corr > 0.99))
+    mean, qq_corr = report.diagnostics["mean"], report.diagnostics["qq_corr"]
+    mean_ok = bool(np.all(np.abs(mean - PAPER_MEAN_BETA) <= 3.0 * mcse))
+    qq_ok = bool(np.all(qq_corr > 0.99))
     _criterion(
         4,
         "normality",
         mean_ok and qq_ok,
-        f"mean {np.round(report.mean, 4).tolist()} vs {PAPER_MEAN_BETA.tolist()} "
-        f"(3*MCSE {np.round(3 * mcse, 4).tolist()}), min QQ corr {report.qq_corr.min():.4f}",
+        f"mean {np.round(mean, 4).tolist()} vs {PAPER_MEAN_BETA.tolist()} "
+        f"(3*MCSE {np.round(3 * mcse, 4).tolist()}), min QQ corr {qq_corr.min():.4f}",
     )
 
 

@@ -117,6 +117,15 @@ def test_threshold_csv_round_trip(tmp_path):
     )
 
 
+def test_threshold_table_reader_skips_blank_lines(tmp_path):
+    path = tmp_path / "thresholds.csv"
+    path.write_text("gamma,alpha,c,reps,grid_m,N,seed\n\n0.0,0.05,7.0,100,1000,3.0,0\n\n"
+                    "0.0,0.01,9.0,100,1000,3.0,0\n\n")
+    table = read_threshold_table(path)
+    assert table.entries == {(0.0, 0.05): 7.0, (0.0, 0.01): 9.0}
+    assert (table.reps, table.grid_m, table.horizon, table.master_seed) == (100, 1000, 3.0, 0)
+
+
 @pytest.mark.parametrize("rows, message", [
     # Rows calibrated at different N leave the table no one horizon to check.
     (["0.0,0.05,7.0,100,1000,3.0,0", "0.0,0.01,9.0,100,1000,2.0,0"],

@@ -7,6 +7,7 @@ import math
 import os
 import pickle
 import re
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +26,7 @@ from binarx import (
     simulate_series,
 )
 from binarx.calibration import ThresholdTable, write_threshold_table
+from binarx import cli
 from binarx.cli import run_command
 from binarx.config import (
     _CALIBRATE,
@@ -420,9 +422,15 @@ def _reader_config(tmp_path):
      "row t=1: count 99999999999999999999 is above the int64 range"),
     ("monitor", "stream.csv", "k,x,w1\n1,4,1.0\n",
      "expected header t,x,w1,...  got ['k', 'x', 'w1']"),
+    ("prep", "rates.csv", "state,iso_year,week,rate\nA,2019,1,1.0\nA,2019,54,1.0\n",
+     "line 3: week must be in 1..53, got 54"),
+    ("prep", "rates.csv", "state,iso_year,week,rate\nA,2019,1,-1.0\n",
+     "line 2: rate must be finite and >= 0, got -1.0"),
+    ("prep", "rates.csv", "state,iso_year,week,rate\nA,2019,1,nan\n",
+     "line 2: rate must be finite and >= 0, got nan"),
 ], ids=["fit-empty", "monitor-short-row", "prep-short-row", "prep-empty", "prep-repeated-row",
         "compare-short-row", "compare-count-above-n", "fit-count-above-int64",
-        "monitor-stream-header"])
+        "monitor-stream-header", "prep-week-54", "prep-negative-rate", "prep-nan-rate"])
 def test_malformed_csv_inputs_name_the_file(tmp_path, capsys, command, file, content, message):
     cfg = _reader_config(tmp_path)
     (tmp_path / file).write_text(content)
@@ -468,6 +476,8 @@ def test_non_utf8_inputs_name_the_file(tmp_path, capsys, command, file, content)
     ("calibrate", {"calibrate": {"alphas": [0.05, False]}}, "calibrate.alphas"),
     ("simulate", {"simulate": {"length": 10},
                   "model": {**MODEL_SECTION, "beta": ["-1.0", 0.1, 0.4]}}, "model.beta"),
+    ("experiment", {"experiment": {"kind": "size", "m_list": 5}}, "experiment.m_list"),
+    ("experiment", {"experiment": {"kind": 3}}, "experiment.kind"),
 ])
 def test_config_type_errors_name_the_field(tmp_path, capsys, command, section, field):
     cfg = _write_config(tmp_path / "cfg.json", {"model": MODEL_SECTION, **section})
@@ -477,6 +487,15 @@ def test_config_type_errors_name_the_field(tmp_path, capsys, command, section, f
         _rates_fixture_csv(tmp_path / "rates.csv")
     assert run_command(["--config", cfg, "--out", str(tmp_path), "--quiet", command]) == 2
     assert f"config error: {field}: expected" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("section, message", [
+    ({"kind": "size", "m_list": 5}, "experiment.m_list: expected list of int, got 5"),
+    ({"kind": 3}, "experiment.kind: expected str, got 3"),
+])
+def test_list_and_str_keys_quote_the_refused_value(section, message):
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        _loaded({"experiment": section})
 
 
 def test_float_keys_take_json_numbers_only(tmp_path):
@@ -646,6 +665,11 @@ def test_config_unknown_keys_name_the_field(tmp_path, capsys, command, section, 
      "model.n: binomial total 1000000000000000 is above the budget of 1000000 points"),
     ("prep", {"prep": {**PREP_SECTION, "baseline_years": [2019, 2019]}},
      "prep.baseline_years: entry 2019 is listed more than once"),
+    ("experiment", {"experiment": {"kind": "sizes"}},
+     "experiment.kind: must be one of ['consistency', 'normality', 'power', 'size'], "
+     "got 'sizes'"),
+    ("simulate", {"simulate": {"length": 10}, "model": {**MODEL_SECTION, "beta": [1.0]}},
+     "model.beta: must be a 1-d array with at least 2 entries"),
 ])
 def test_config_out_of_range_values_name_the_field(tmp_path, capsys, command, section, message):
     cfg = _write_config(tmp_path / "cfg.json", {"model": MODEL_SECTION, **section})
@@ -1016,6 +1040,23 @@ def test_usage_errors(tmp_path, capsys):
     assert run_command(["--config", cfg, "--out", str(tmp_path), "simulate"]) == 2
     err = capsys.readouterr().err
     assert "simulate.length" in err
+
+
+def test_progress_line_and_the_console_main(tmp_path, capsys, monkeypatch):
+    # Without --quiet a command prints what it wrote; main() exits with the
+    # command's exit code.
+    _rates_fixture_csv(tmp_path / "rates.csv")
+    cfg = _write_config(tmp_path / "cfg.json",
+                        {"prep": {**PREP_SECTION, "states": ["A"], "window_end": [2020, 2]}})
+    monkeypatch.chdir(tmp_path)
+    assert run_command(["--config", cfg, "--out", "o", "prep"]) == 0
+    assert capsys.readouterr().out == "wrote o/series.csv (2 weeks, n=1)\n"
+    for argv, code in ((["--config", cfg, "--out", "o", "--quiet", "prep"], 0),
+                       (["--config", "absent.json", "prep"], 2)):
+        monkeypatch.setattr(sys, "argv", ["binarx", *argv])
+        with pytest.raises(SystemExit) as exc:
+            cli.main()
+        assert exc.value.code == code
 
 
 def test_runtime_error_exit(tmp_path):

@@ -36,6 +36,13 @@ def _fixture_panel(scale=1.0):
     return RatePanel(rows)
 
 
+def test_rate_panel_csv_skips_blank_lines(tmp_path):
+    rows = [",".join(map(str, row)) for row in FIXTURE_BASE + FIXTURE_EVAL]
+    path = tmp_path / "rates.csv"
+    path.write_text("state,iso_year,week,rate\n\n" + "\n\n".join(rows) + "\n\n")
+    assert dict(RatePanel.from_csv(path).items()) == dict(_fixture_panel().items())
+
+
 def test_baseline_single_year_identity():
     panel = RatePanel([("A", 2019, 1, 3.25)])
     table = compute_baseline(panel, {2019})
@@ -76,6 +83,12 @@ def test_binarize_fixture_hand_enumeration():
     counts = binarize_and_sum(panel, baseline, ["A", "B"], WINDOW)
     assert counts.dtype == np.int64 and counts.shape == (len(WINDOW),)
     np.testing.assert_array_equal(counts, FIXTURE_X)
+
+
+def test_binarize_needs_a_state():
+    panel = _fixture_panel()
+    with pytest.raises(ValueError, match="^need at least one state$"):
+        binarize_and_sum(panel, compute_baseline(panel, {2019}), [], WINDOW)
 
 
 def test_binarize_tie_convention_all_zero():

@@ -171,20 +171,26 @@ def test_consistency_mse_decreases():
     assert np.all(mse_large < mse_small)
 
 
+NORMALITY_COLUMNS = ("mean", "bias", "skew_z", "skew_p", "kurt_z", "kurt_p", "qq_corr")
+
+
 def test_normality_insufficient_sample_flag():
     cfg = ExperimentConfig(m_list=(100,), reps=2, master_seed=12)
     report = run_normality(cfg)
-    assert report.insufficient_sample
-    assert np.all(np.isnan(report.qq_corr))
+    assert report.insufficient_sample and report.failures == 0
+    # The mapping's keys are the report's columns, in the full run's order.
+    assert list(report.diagnostics) == list(NORMALITY_COLUMNS)
+    assert np.all(np.isnan([report.diagnostics[c] for c in NORMALITY_COLUMNS[2:]]))
 
 
 def test_normality_small_run():
     cfg = ExperimentConfig(m_list=(100,), reps=200, master_seed=13)
     report = run_normality(cfg)
     assert report.estimates.shape == (200 - report.failures, 3)
-    assert np.all(np.abs(report.bias) < 0.2)
-    assert np.all(report.qq_corr > 0.95)
+    assert np.all(np.abs(report.diagnostics["bias"]) < 0.2)
+    assert np.all(report.diagnostics["qq_corr"] > 0.95)
     assert not report.insufficient_sample
+    assert list(report.diagnostics) == list(NORMALITY_COLUMNS)
 
 
 def test_size_refuses_a_table_built_in_code_with_a_nan_cell():

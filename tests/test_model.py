@@ -187,6 +187,12 @@ def test_simulate_series_discards_the_burn_in_of_its_spec():
         simulate_series(spec, 20, seed=4, burn_in=7)
 
 
+@pytest.mark.parametrize("x0", [-1, 11])
+def test_simulate_chain_refuses_a_start_outside_0_to_n(x0):
+    with pytest.raises(ValueError, match=rf"^initial state {x0} outside \{{0\.\.10\}}$"):
+        model.simulate_chain(default_model_spec(), 5, np.random.default_rng(0), x0)
+
+
 def test_exogenous_draws_clamped():
     exo = ExogenousSpec(mean=0.0, sd=5.0, clamp_lo=-1.0, clamp_hi=1.0)
     draws = exo.draw(np.random.default_rng(0), 500, 2)
@@ -474,3 +480,7 @@ def test_series_sample_validation():
         SeriesSample(x=np.array([1, 2, 3]), w=np.zeros((1, 1)))
     with pytest.raises(ValueError):
         SeriesSample(x=np.array([-1, 2]), w=np.zeros((1, 0)))
+    with pytest.raises(ValueError, match="^x must be a 1-d array with at least one entry$"):
+        SeriesSample(x=np.array([], dtype=int))
+    with pytest.raises(ValueError, match="^covariates must be finite$"):
+        SeriesSample(x=np.array([1, 2]), w=np.array([[np.nan]]))

@@ -18,6 +18,7 @@ from binarx import (
     monitor_update,
     simulate_series,
 )
+from binarx.monitoring import MonitorConfig
 from binarx.calibration import ThresholdTable, _rho
 from binarx.estimation import inverse_metric
 from binarx.monitoring import _weight
@@ -217,6 +218,12 @@ def test_every_type_refuses_a_horizon_by_one_rule(horizon):
                                        gamma=0.0, alpha=0.05, threshold_source=7.0)):
         with pytest.raises(ConfigError, match=message):
             build()
+
+
+def test_monitor_config_refuses_a_training_length_of_zero():
+    with pytest.raises(ValueError, match="^training length m must be >= 1$"):
+        MonitorConfig(m=0, horizon=3.0, gamma=0.0, alpha=0.05, threshold_c=7.0,
+                      a_matrix=np.eye(3))
 
 
 def test_monitor_update_range_check():
